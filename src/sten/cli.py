@@ -19,8 +19,8 @@ from . import ConfigError, DataError, NumericError, StenError
 from .evalmetrics import METRIC_GROUPS, evaluate
 from .scoring import ScoreConfig, read_scores_csv, score_series, write_scores_csv
 from .seqdata import SynthConfig, load_csv, save_csv, synth_generate
-from .training import (TrainConfig, derive_seed, load_checkpoint, save_checkpoint,
-                       train)
+from .training import (MODES, TrainConfig, derive_seed, load_checkpoint,
+                       save_checkpoint, train)
 
 _INT, _FLOAT, _BOOL, _STR, _OPT_INT, _OPT_FLOAT = range(6)
 
@@ -367,7 +367,7 @@ def _add_common(p) -> None:
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config key (repeatable)")
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--mode", choices=("full", "otn_only", "dsn_only", "dsn_plus_ep"))
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--alpha", type=float, help="training loss weight of the distance term")
     p.add_argument("--beta", type=float, help="scoring weight of the distance term")
     p.add_argument("--delta", type=float, help="threshold percentile parameter")
@@ -431,7 +431,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"sten: usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"sten: data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -110,39 +110,6 @@ def init_gru(d_in: int, d_model: int, rng: np.random.Generator) -> GruParams:
     )
 
 
-def gru_step(x_t: np.ndarray, h_prev: np.ndarray, p: GruParams) -> np.ndarray:
-    """One GRU step: h_t = (1 - z)*h_prev + z*h_tilde.
-
-    Accepts a single vector (d_in,) with hidden (d_model,), or a batch
-    (B, d_in) with hidden (B, d_model).
-    """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    if x_t.shape[-1] != p.d_in:
-        raise DataError(f"input dim {x_t.shape[-1]} != GRU d_in {p.d_in}")
-    if h_prev.shape[-1] != p.d_model:
-        raise DataError(f"hidden dim {h_prev.shape[-1]} != GRU d_model {p.d_model}")
-    W_z, W_r, W_h = (np.asarray(p.W_z, np.float64), np.asarray(p.W_r, np.float64),
-                     np.asarray(p.W_h, np.float64))
-    U_z, U_r, U_h = (np.asarray(p.U_z, np.float64), np.asarray(p.U_r, np.float64),
-                     np.asarray(p.U_h, np.float64))
-    z = sigmoid(x_t @ W_z.T + h_prev @ U_z.T + np.asarray(p.b_z, np.float64))
-    r = sigmoid(x_t @ W_r.T + h_prev @ U_r.T + np.asarray(p.b_r, np.float64))
-    hbar = np.tanh(x_t @ W_h.T + (r * h_prev) @ U_h.T + np.asarray(p.b_h, np.float64))
-    return (1.0 - z) * h_prev + z * hbar
-
-
-def gru_encode(seq: np.ndarray, p: GruParams, h0: np.ndarray | None = None) -> np.ndarray:
-    """Run the GRU over a (T, d_in) sequence and return the final hidden state."""
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 2 or seq.shape[0] < 1:
-        raise DataError(f"expected a nonempty (T, d_in) sequence, got shape {seq.shape}")
-    h = np.zeros(p.d_model) if h0 is None else np.asarray(h0, dtype=np.float64)
-    for t in range(seq.shape[0]):
-        h = gru_step(seq[t], h, p)
-    return h
-
-
 class GruCache:
     """Forward intermediates of a batched GRU pass, as needed for BPTT."""
 

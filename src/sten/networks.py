@@ -1,5 +1,6 @@
-"""Trainable encoder, frozen random projector, order-prediction head,
-pair distances, and the binary checkpoint format.
+"""Trainable encoder, frozen random projector, the batched forward of each
+branch (order head, error-prediction head, distance embeddings), and the
+binary checkpoint format.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DataError
-from .ndkernel import GruParams, ParamDict, gru_forward, init_gru, require_finite
-from .seqdata import ShuffledCollection, SubSeq, Window
+from .ndkernel import GruParams, ParamDict, gru_forward, init_gru, require_finite, softmax
+from .seqdata import gather_subsequences
 
 NORM_FLOOR = 1e-12
 
@@ -101,14 +102,6 @@ class EtaParams:
         return EtaParams(gru=self.gru.astype(dtype))
 
 
-@dataclass
-class OrderPrediction:
-    """Per-sub-sequence position distributions and their one-hot ground truth."""
-
-    probs: np.ndarray   # (m, m)
-    labels: np.ndarray  # (m, m) one-hot rows
-
-
 def init_phi(d_in: int, d_model: int, m: int, rng: np.random.Generator,
              separate_towers: bool = False, with_ep_head: bool = False) -> PhiParams:
     s = 1.0 / np.sqrt(d_model)
@@ -127,32 +120,53 @@ def init_eta(d_in: int, d_model: int, rng: np.random.Generator) -> EtaParams:
 
 
 # ---------------------------------------------------------------------------
-# Encoding and distances
+# Branch forwards, shared by training and scoring
 # ---------------------------------------------------------------------------
+#
+# Each returns a fixed tuple whose last entries are what the branch's
+# backward needs; its GruCache is None without ``want_cache``.
 
-def encode_subseq(phi: PhiParams, s: SubSeq) -> np.ndarray:
-    """Embed one sub-sequence: final GRU hidden state."""
-    return gru_forward(np.asarray(s.data, dtype=np.float64)[None], phi.gru)[0]
+def order_forward(phi: PhiParams, batch: np.ndarray, perms: np.ndarray, l: int, r: int,
+                  want_cache: bool = False):
+    """Order head over each window's sub-sequences in presented order.
+
+    ``batch`` is (B, L, D); ``perms`` (B, m) gives the true position of the
+    sub-sequence in each presented slot.  Returns (P, Y, H, cache): predicted
+    position distributions P and their one-hot truth Y, both (B*m, m), then
+    the sub-sequence embeddings and the GruCache.
+    """
+    X = gather_subsequences(np.asarray(batch, np.float64), perms, l, r)
+    H, cache = (gru_forward(X, phi.gru, want_cache=True) if want_cache
+                else (gru_forward(X, phi.gru), None))
+    P = softmax(H @ np.asarray(phi.order_W, np.float64).T
+                + np.asarray(phi.order_b, np.float64))
+    Y = np.zeros_like(P)
+    Y[np.arange(P.shape[0]), perms.reshape(-1)] = 1.0
+    return P, Y, H, cache
 
 
-def order_probs(phi: PhiParams, collection: ShuffledCollection) -> OrderPrediction:
-    """Softmax position distributions for every sub-sequence of a window."""
-    from .ndkernel import softmax
+def ep_forward(phi: PhiParams, batch: np.ndarray, want_cache: bool = False):
+    """Error-prediction head: a linear map of h_t predicts x_{t+1}.
 
-    X = np.stack([np.asarray(s.data, dtype=np.float64) for s in collection.subseqs])
-    H = gru_forward(X, phi.gru)
-    logits = H @ np.asarray(phi.order_W, np.float64).T + np.asarray(phi.order_b, np.float64)
-    return OrderPrediction(probs=softmax(logits), labels=collection.one_hot_labels())
+    Returns (resid, H_all, cache): the one-step-ahead residuals (L-1, B, D),
+    then the hidden trajectory (L, B, d_model) and the GruCache.
+    """
+    if phi.ep_W is None:
+        raise DataError("model has no error-prediction head")
+    X = np.asarray(batch, np.float64)
+    if X.shape[1] < 2:
+        raise DataError("error-prediction branch needs windows of length >= 2")
+    if want_cache:
+        _, cache, H_all = gru_forward(X, phi.gru, want_cache=True, want_all=True)
+    else:
+        (_, H_all), cache = gru_forward(X, phi.gru, want_all=True), None
+    preds = H_all[:-1] @ np.asarray(phi.ep_W, np.float64).T + np.asarray(phi.ep_b, np.float64)
+    resid = preds - np.transpose(X[:, 1:], (1, 0, 2))
+    return resid, H_all, cache
 
 
-def embed_sequence(params: PhiParams | EtaParams, w: Window,
-                   normalize: bool = False) -> np.ndarray:
-    """Embed a full window with the appropriate tower (DSN tower for phi)."""
-    gru = params.dsn_tower() if isinstance(params, PhiParams) else params.gru
-    e = gru_forward(np.asarray(w.data, dtype=np.float64)[None], gru)[0]
-    if normalize:
-        e = e / max(float(np.linalg.norm(e)), NORM_FLOOR)
-    return e
+def _row_norms(E: np.ndarray) -> np.ndarray:
+    return np.maximum(np.linalg.norm(E, axis=1, keepdims=True), NORM_FLOOR)
 
 
 def embed_windows(params: PhiParams | EtaParams, data: np.ndarray,
@@ -160,19 +174,32 @@ def embed_windows(params: PhiParams | EtaParams, data: np.ndarray,
     """Batched window embedding: data (B, L, D) -> (B, d_model)."""
     gru = params.dsn_tower() if isinstance(params, PhiParams) else params.gru
     E = gru_forward(np.asarray(data, dtype=np.float64), gru)
-    if normalize:
-        norms = np.maximum(np.linalg.norm(E, axis=1, keepdims=True), NORM_FLOOR)
-        E = E / norms
-    return E
+    return E / _row_norms(E) if normalize else E
 
 
-def pair_distance(e_i: np.ndarray, e_j: np.ndarray) -> float:
-    """Inner-product relation between two sequence embeddings."""
-    e_i = np.asarray(e_i, dtype=np.float64)
-    e_j = np.asarray(e_j, dtype=np.float64)
-    if e_i.shape != e_j.shape:
-        raise DataError(f"embedding shapes differ: {e_i.shape} vs {e_j.shape}")
-    return float(e_i @ e_j)
+def dsn_embeddings(phi: PhiParams, eta: EtaParams, batch: np.ndarray, normalize: bool,
+                   want_cache: bool = False):
+    """Distance-branch embeddings of windows (B, L, D), rows unit-normalised
+    when ``normalize``.
+
+    Returns (E, F, norms, cache): embeddings by phi's distance tower and by
+    eta, then, with ``want_cache``, E's floored row norms before normalising
+    (None without ``normalize``) and the tower's GruCache.
+    """
+    # eta first: its forward then never overlaps the tower's full cache (peak memory).
+    F = embed_windows(eta, batch, normalize)
+    if not want_cache:
+        return embed_windows(phi, batch, normalize), F, None, None
+    E, cache = gru_forward(np.asarray(batch, np.float64), phi.dsn_tower(), want_cache=True)
+    norms = _row_norms(E) if normalize else None
+    return (E / norms if normalize else E), F, norms, cache
+
+
+def pair_residuals(E: np.ndarray, F: np.ndarray, ii: np.ndarray, jj: np.ndarray,
+                   E_ref: np.ndarray, F_ref: np.ndarray) -> np.ndarray:
+    """Inner-product distance of phi minus that of eta for each pair: row ii
+    of E/F against row jj of the references E_ref/F_ref."""
+    return (E[ii] * E_ref[jj]).sum(axis=1) - (F[ii] * F_ref[jj]).sum(axis=1)
 
 
 def sample_pairs(n_windows: int, rng: np.random.Generator | int,

@@ -1,5 +1,6 @@
-"""Training objectives: order-prediction divergence loss, distance-distillation
-MSE, their weighted combination, and the error-prediction ablation loss.
+"""Training objectives: the row-wise order-prediction divergence and its
+gradient.  The distance and error-prediction losses are mean squared
+residuals, formed where the branches are combined in ``training``.
 
 The order loss is the symmetric sum form of the Jensen-Shannon divergence
 without the conventional 1/2 factor, so its value equals twice the standard
@@ -8,36 +9,9 @@ JSD and is bounded by 2*ln(2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import DataError
-from .ndkernel import gru_forward
-from .networks import OrderPrediction, PhiParams
-from .seqdata import Window
-
 LOG_EPS = 1e-12
-DIST_TOL = 1e-6
-
-
-@dataclass
-class LossBreakdown:
-    otn: float
-    dsn: float
-    total: float
-    alpha: float
-
-
-def _validate_distribution(name: str, p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise DataError(f"{name} must be a vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)) or np.any(p < -DIST_TOL):
-        raise DataError(f"{name} is not a valid distribution (negative or non-finite entries)")
-    if abs(float(p.sum()) - 1.0) > DIST_TOL:
-        raise DataError(f"{name} does not sum to 1 (sum={p.sum()})")
-    return np.maximum(p, 0.0)
 
 
 def js_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -62,51 +36,3 @@ def js_rows_grad_p(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     grad += np.where(P > LOG_EPS, P / Pc, 0.0)
     grad -= np.where(M > LOG_EPS, (P + Q) / (2.0 * Mc), 0.0)
     return grad
-
-
-def js_divergence(P, Q) -> float:
-    """Divergence between two distributions of equal length (see js_rows)."""
-    P = _validate_distribution("P", P)
-    Q = _validate_distribution("Q", Q)
-    if P.shape != Q.shape:
-        raise DataError(f"distribution lengths differ: {P.shape} vs {Q.shape}")
-    return float(js_rows(P[None], Q[None])[0])
-
-
-def otn_loss(pred: OrderPrediction) -> float:
-    """Mean divergence between predicted and true order distributions."""
-    return float(js_rows(np.asarray(pred.probs, np.float64),
-                         np.asarray(pred.labels, np.float64)).mean())
-
-
-def dsn_loss(pairs) -> float:
-    """Mean squared gap between trainable and random-projection distances."""
-    arr = np.asarray(pairs, dtype=np.float64)
-    if arr.size == 0:
-        raise DataError("dsn_loss needs at least one (d_phi, d_eta) pair")
-    d_phi, d_eta = arr[:, 0], arr[:, 1]
-    return float(np.mean((d_phi - d_eta) ** 2))
-
-
-def sten_loss(otn: float, dsn: float, alpha: float) -> LossBreakdown:
-    """Combined objective: otn + alpha * dsn."""
-    if alpha < 0:
-        raise DataError(f"alpha must be >= 0, got {alpha}")
-    return LossBreakdown(otn=float(otn), dsn=float(dsn),
-                         total=float(otn) + alpha * float(dsn), alpha=float(alpha))
-
-
-def ep_loss(window: Window, phi: PhiParams) -> float:
-    """One-step-ahead prediction error: a linear head on h_t predicts x_{t+1}.
-
-    Mean over predicted timestamps and dimensions of the squared residual.
-    """
-    X = np.asarray(window.data, dtype=np.float64)
-    if X.shape[0] < 2:
-        raise DataError("error-prediction loss needs a window of length >= 2")
-    if phi.ep_W is None:
-        raise DataError("phi has no error-prediction head")
-    _, H_all = gru_forward(X[None], phi.gru, want_all=True)
-    H = H_all[:-1, 0]  # (T-1, d_model)
-    preds = H @ np.asarray(phi.ep_W, np.float64).T + np.asarray(phi.ep_b, np.float64)
-    return float(np.mean((preds - X[1:]) ** 2))

@@ -1,6 +1,7 @@
-"""Inference-time anomaly scoring: per-sub-sequence order-discrepancy scores,
-per-window distance-residual scores, their weighted combination, aggregation
-to per-timestamp scores, and percentile thresholding.
+"""Inference-time anomaly scoring: per-sub-sequence order-discrepancy (or
+error-prediction) scores and per-window distance-residual scores from the
+branch forwards in ``networks``, aggregated to per-timestamp scores, and
+percentile thresholding.
 
 No shuffling happens at inference: sub-sequences are presented in true order
 with identity labels, which makes scoring fully deterministic given the seed
@@ -14,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import DataError
-from .ndkernel import gru_forward, softmax
-from .networks import OrderPrediction, embed_windows, pair_distance, sample_pairs
-from .objectives import js_rows, otn_loss
-from .seqdata import MultivariateSeries, Window, make_windows, zscore_apply
-from .training import TrainedModel, _subseq_tensor
+from . import ConfigError, DataError
+# Bound here, uncalled, because perfbench/test_perfbench.py looks it up on this module.
+from .ndkernel import gru_forward  # noqa: F401
+from .networks import dsn_embeddings, ep_forward, order_forward, pair_residuals, sample_pairs
+from .objectives import js_rows
+from .seqdata import MultivariateSeries, make_windows, zscore_apply
+from .training import TrainedModel, branches
 
 
 @dataclass
@@ -35,13 +37,13 @@ class ScoreConfig:
 
     def validate(self) -> None:
         if self.beta < 0:
-            raise DataError("beta must be >= 0")
+            raise ConfigError("beta must be >= 0")
         if not 0 < self.delta < 100:
-            raise DataError("delta must be in (0, 100)")
+            raise ConfigError("delta must be in (0, 100)")
         if self.R_test < 1 or self.k_refs < 1:
-            raise DataError("R_test and k_refs must be >= 1")
+            raise ConfigError("R_test and k_refs must be >= 1")
         if self.ref_source not in ("test", "train"):
-            raise DataError(f"ref_source must be 'test' or 'train', got {self.ref_source!r}")
+            raise ConfigError(f"ref_source must be 'test' or 'train', got {self.ref_source!r}")
 
 
 @dataclass
@@ -56,41 +58,6 @@ class ScoreSeries:
     @property
     def n(self) -> int:
         return self.scores.shape[0]
-
-
-def score_otn(pred: OrderPrediction, eps: float = 1e-8,
-              per_subseq_denominator: bool = False) -> np.ndarray:
-    """Order-discrepancy score per sub-sequence: |probs - truth|_1 over the
-    window-level order loss (replicated), or over the per-sub-sequence term."""
-    P = np.asarray(pred.probs, np.float64)
-    Y = np.asarray(pred.labels, np.float64)
-    num = np.abs(P - Y).sum(axis=1)
-    if per_subseq_denominator:
-        den = js_rows(P, Y) + eps
-    else:
-        den = otn_loss(pred) + eps
-    return num / den
-
-
-def score_dsn(window: Window, refs: list[Window], model: TrainedModel) -> float:
-    """Mean squared distance residual of a window against reference windows."""
-    if not refs:
-        raise DataError("score_dsn needs at least one reference window")
-    normalize = model.config.normalize_embeddings
-    data = np.stack([window.data] + [r.data for r in refs])
-    E = embed_windows(model.phi, data, normalize=normalize)
-    F = embed_windows(model.eta, data, normalize=normalize)
-    sq = [(pair_distance(E[0], E[k]) - pair_distance(F[0], F[k])) ** 2
-          for k in range(1, len(data))]
-    return float(np.mean(sq))
-
-
-def combine(otn_scores: np.ndarray, dsn_score: float, beta: float) -> np.ndarray:
-    """Overall score per sub-sequence: order score plus beta times the window
-    distance score (identical for all sub-sequences of the window)."""
-    if beta < 0:
-        raise DataError("beta must be >= 0")
-    return np.asarray(otn_scores, np.float64) + beta * float(dsn_score)
 
 
 def aggregate_timestamps(slots, n_timestamps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +83,7 @@ def aggregate_timestamps(slots, n_timestamps: int) -> tuple[np.ndarray, np.ndarr
 def threshold_percentile(scores: np.ndarray, delta: float) -> np.ndarray:
     """Binary predictions: score strictly above the (100 - delta) percentile."""
     if not 0 < delta < 100:
-        raise DataError("delta must be in (0, 100)")
+        raise ConfigError("delta must be in (0, 100)")
     scores = np.asarray(scores, np.float64)
     thr = np.percentile(scores, 100.0 - delta)
     return (scores > thr).astype(np.int64)
@@ -125,27 +92,6 @@ def threshold_percentile(scores: np.ndarray, delta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Full scoring pipeline
 # ---------------------------------------------------------------------------
-
-def _ep_subseq_scores(batch: np.ndarray, model: TrainedModel, l: int, r: int,
-                      m: int) -> np.ndarray:
-    """Per-sub-sequence one-step-ahead error scores for the EP ablation."""
-    phi = model.phi
-    if phi.ep_W is None:
-        raise DataError("model has no error-prediction head")
-    _, H_all = gru_forward(batch, phi.gru, want_all=True)
-    W_e = np.asarray(phi.ep_W, np.float64)
-    preds = H_all[:-1] @ W_e.T + np.asarray(phi.ep_b, np.float64)  # (L-1, B, D)
-    targets = np.transpose(batch[:, 1:], (1, 0, 2))
-    err = ((preds - targets) ** 2).mean(axis=2).T                  # (B, L-1); err[:, t-1] ~ x_t
-    B = batch.shape[0]
-    out = np.zeros((B, m))
-    for i in range(m):
-        lo = max(i * r, 1)          # timestamp 0 has no prediction
-        hi = i * r + l
-        if hi > lo:
-            out[:, i] = err[:, lo - 1:hi - 1].mean(axis=1)
-    return out
-
 
 def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig,
                  train_series: MultivariateSeries | None = None,
@@ -164,63 +110,48 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
     windows = make_windows(norm, tc.L, cfg.R_test, cover_tail=True)
     W = np.stack([w.data for w in windows])
     n_w = len(windows)
-    mode = tc.mode
+    use_otn, use_ep, use_dsn = branches(tc.mode, tc.alpha)
 
     # Temporal component: (n_w, m) score per sub-sequence.
-    if mode in ("full", "otn_only"):
-        t_scores = np.empty((n_w, tc.m))
-        Y = np.zeros((tc.m, tc.m))
-        Y[np.arange(tc.m), np.arange(tc.m)] = 1.0
-        W_o = np.asarray(model.phi.order_W, np.float64)
-        b_o = np.asarray(model.phi.order_b, np.float64)
-        identity = np.arange(tc.m)[None, :]
-        for s in range(0, n_w, chunk):
-            part = W[s:s + chunk]
-            B = part.shape[0]
-            Xsub = _subseq_tensor(part, np.repeat(identity, B, axis=0), tc.l, tc.r)
-            H = gru_forward(Xsub, model.phi.gru)
-            P = softmax(H @ W_o.T + b_o).reshape(B, tc.m, tc.m)
-            num = np.abs(P - Y).sum(axis=2)
-            rows = js_rows(P.reshape(-1, tc.m), np.tile(Y, (B, 1))).reshape(B, tc.m)
-            if cfg.per_subseq_denominator:
-                den = rows + cfg.eps
-            else:
-                den = rows.mean(axis=1, keepdims=True) + cfg.eps
-            t_scores[s:s + chunk] = num / den
-    elif mode == "dsn_plus_ep":
-        t_scores = np.empty((n_w, tc.m))
-        for s in range(0, n_w, chunk):
-            t_scores[s:s + chunk] = _ep_subseq_scores(W[s:s + chunk], model,
-                                                      tc.l, tc.r, tc.m)
-    else:  # dsn_only
-        t_scores = np.zeros((n_w, tc.m))
+    t_scores = np.zeros((n_w, tc.m))
+    for s in range(0, n_w, chunk):
+        part = W[s:s + chunk]
+        B = part.shape[0]
+        if use_otn:
+            P, Y, _, _ = order_forward(model.phi, part, np.tile(np.arange(tc.m), (B, 1)),
+                                       tc.l, tc.r)
+            rows = js_rows(P, Y).reshape(B, tc.m)
+            if not cfg.per_subseq_denominator:
+                rows = rows.mean(axis=1, keepdims=True)
+            t_scores[s:s + B] = np.abs(P - Y).sum(axis=1).reshape(B, tc.m) / (rows + cfg.eps)
+        elif use_ep:
+            resid, _, _ = ep_forward(model.phi, part)
+            err = (resid ** 2).mean(axis=2).T          # (B, L-1); err[:, t-1] ~ x_t
+            for i in range(tc.m):
+                lo = max(i * tc.r, 1)                  # timestamp 0 has no prediction
+                hi = i * tc.r + tc.l
+                if hi > lo:
+                    t_scores[s:s + B, i] = err[:, lo - 1:hi - 1].mean(axis=1)
 
     # Spatial component: scalar per window.
-    if mode in ("full", "dsn_only", "dsn_plus_ep"):
+    dsn_w = np.zeros(n_w)
+    if use_dsn:
         normalize = tc.normalize_embeddings
-        E = embed_windows(model.phi, W, normalize=normalize)
-        F = embed_windows(model.eta, W, normalize=normalize)
+        E, F, _, _ = dsn_embeddings(model.phi, model.eta, W, normalize)
         rng = np.random.default_rng(cfg.seed)
         if cfg.ref_source == "train":
             if train_series is None:
                 raise DataError("ref_source='train' requires the training series")
             pool = make_windows(zscore_apply(train_series, model.stats), tc.L, tc.R_train)
-            Wp = np.stack([w.data for w in pool])
-            Ep = embed_windows(model.phi, Wp, normalize=normalize)
-            Fp = embed_windows(model.eta, Wp, normalize=normalize)
-            jj = rng.integers(0, len(pool), size=(n_w, cfg.k_refs))
+            Ep, Fp, _, _ = dsn_embeddings(model.phi, model.eta,
+                                          np.stack([w.data for w in pool]), normalize)
+            jj = rng.integers(0, len(pool), size=(n_w, cfg.k_refs)).reshape(-1)
             ii = np.repeat(np.arange(n_w), cfg.k_refs)
-            jj = jj.reshape(-1)
         else:
-            pairs = sample_pairs(n_w, rng, cfg.k_refs)
-            ii = np.fromiter((p[0] for p in pairs), dtype=np.intp, count=len(pairs))
-            jj = np.fromiter((p[1] for p in pairs), dtype=np.intp, count=len(pairs))
+            ii, jj = np.asarray(sample_pairs(n_w, rng, cfg.k_refs), dtype=np.intp).T
             Ep, Fp = E, F
-        d_phi = (E[ii] * Ep[jj]).sum(axis=1)
-        d_eta = (F[ii] * Fp[jj]).sum(axis=1)
-        dsn_w = ((d_phi - d_eta) ** 2).reshape(n_w, cfg.k_refs).mean(axis=1)
-    else:
-        dsn_w = np.zeros(n_w)
+        resid = pair_residuals(E, F, ii, jj, Ep, Fp)
+        dsn_w = (resid ** 2).reshape(n_w, cfg.k_refs).mean(axis=1)
 
     # Aggregate each component over all (window, sub-sequence) slots.
     def slot_iter(values_2d):

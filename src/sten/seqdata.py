@@ -1,5 +1,5 @@
-"""Data ingestion, normalization, windowing, sub-sequence generation and
-shuffling, plus a synthetic benchmark generator for desk-scale evaluation.
+"""Data ingestion, normalization, windowing, the batched sub-sequence gather,
+plus a synthetic benchmark generator for desk-scale evaluation.
 
 Indexing is 0-based internally; CSV outputs use 1-based timestamps.
 """
@@ -54,45 +54,6 @@ class Window:
     @property
     def length(self) -> int:
         return self.data.shape[0]
-
-
-@dataclass
-class SubSeq:
-    """A length-l slice of a window; ``position_label`` is its true slot in [0, m)."""
-
-    parent_start: int
-    offset: int
-    length: int
-    position_label: int
-    data: np.ndarray  # (l, D)
-
-
-@dataclass
-class ShuffledCollection:
-    """Sub-sequences in presented order plus the permutation mapping slot -> true position."""
-
-    subseqs: list[SubSeq]
-    permutation: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return len(self.subseqs)
-
-    def one_hot_labels(self) -> np.ndarray:
-        m = self.m
-        y = np.zeros((m, m))
-        y[np.arange(m), self.permutation] = 1.0
-        return y
-
-    def unshuffle(self) -> np.ndarray:
-        """Reassemble the original window content from the shuffled sub-sequences."""
-        l = self.subseqs[0].length
-        offsets = [s.offset for s in self.subseqs]
-        length = max(offsets) + l
-        out = np.empty((length, self.subseqs[0].data.shape[1]))
-        for s in self.subseqs:
-            out[s.offset:s.offset + s.length] = s.data
-        return out
 
 
 @dataclass
@@ -237,33 +198,19 @@ def make_windows(series: MultivariateSeries, L: int, R: int,
     return [Window(start=s, data=series.values[s:s + L]) for s in starts]
 
 
-def split_subsequences(w: Window, l: int, r: int, m: int) -> list[SubSeq]:
-    """Split a window into m sub-sequences of length l at stride r (l + (m-1)r == L)."""
-    if l + (m - 1) * r != w.length:
+def gather_subsequences(batch: np.ndarray, perms: np.ndarray, l: int, r: int) -> np.ndarray:
+    """Sub-sequences of each window in presented order: (B, L, D) -> (B*m, l, D).
+
+    Slot s of window b holds the length-l sub-sequence at offset
+    ``perms[b, s] * r``; identity rows give the true order.
+    """
+    B, L, D = batch.shape
+    m = perms.shape[1]
+    if l + (m - 1) * r != L:
         raise DataError(
-            f"sub-sequence layout mismatch: l + (m-1)*r = {l + (m - 1) * r} != L = {w.length}")
-    return [
-        SubSeq(parent_start=w.start, offset=i * r, length=l, position_label=i,
-               data=w.data[i * r:i * r + l])
-        for i in range(m)
-    ]
-
-
-def shuffle_with_labels(subseqs: list[SubSeq],
-                        rng: np.random.Generator | int) -> ShuffledCollection:
-    """Present the sub-sequences in a uniformly random order, keeping true positions."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    m = len(subseqs)
-    perm = rng.permutation(m)
-    return ShuffledCollection(subseqs=[subseqs[j] for j in perm],
-                              permutation=np.asarray(perm))
-
-
-def identity_collection(subseqs: list[SubSeq]) -> ShuffledCollection:
-    """Sub-sequences in true order with identity labels (inference-time layout)."""
-    return ShuffledCollection(subseqs=list(subseqs),
-                              permutation=np.arange(len(subseqs)))
+            f"sub-sequence layout mismatch: l + (m-1)*r = {l + (m - 1) * r} != L = {L}")
+    idx = perms[:, :, None] * r + np.arange(l)[None, None, :]        # (B, m, l)
+    return batch[np.arange(B)[:, None, None], idx].reshape(B * m, l, D)
 
 
 # ---------------------------------------------------------------------------

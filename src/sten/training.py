@@ -10,9 +10,12 @@ from typing import Sequence
 import numpy as np
 
 from . import ConfigError, DataError, NumericError
-from .ndkernel import (GradTape, GruParams, ParamDict, adam_update, backward,
-                       gru_backward, gru_forward, init_adam_state, softmax)
-from .networks import (EtaParams, PhiParams, init_eta, init_phi,
+# gru_forward is bound here, uncalled, because perfbench/test_perfbench.py
+# looks it up on this module.
+from .ndkernel import (GradTape, GruParams, ParamDict, adam_update, backward,  # noqa: F401
+                       gru_backward, gru_forward, init_adam_state)
+from .networks import (NORM_FLOOR, EtaParams, PhiParams, dsn_embeddings, ep_forward,
+                       init_eta, init_phi, order_forward, pair_residuals,
                        read_checkpoint, sample_pairs, write_checkpoint)
 from .objectives import js_rows, js_rows_grad_p
 from .seqdata import MultivariateSeries, NormStats, make_windows, zscore_apply, zscore_fit
@@ -82,31 +85,12 @@ class TrainedModel:
     d_in: int = 0
 
 
-def _uses_otn(mode: str, alpha: float) -> bool:
-    return mode in ("full", "otn_only")
-
-
-def _uses_dsn(mode: str, alpha: float) -> bool:
-    # full with alpha == 0 degenerates to otn_only (no gradient can flow).
-    if mode == "full":
-        return alpha > 0
-    return mode in ("dsn_only", "dsn_plus_ep")
-
-
-def _subseq_tensor(batch: np.ndarray, perms: np.ndarray, l: int, r: int) -> np.ndarray:
-    """Gather sub-sequences in presented order: (B, L, D) -> (B*m, l, D)."""
-    B, _, D = batch.shape
-    m = perms.shape[1]
-    idx = perms[:, :, None] * r + np.arange(l)[None, None, :]        # (B, m, l)
-    sub = batch[np.arange(B)[:, None, None], idx]                    # (B, m, l, D)
-    return sub.reshape(B * m, l, D)
-
-
-def _one_hot(perms: np.ndarray) -> np.ndarray:
-    B, m = perms.shape
-    Y = np.zeros((B * m, m))
-    Y[np.arange(B * m), perms.reshape(-1)] = 1.0
-    return Y
+def branches(mode: str, alpha: float) -> tuple[bool, bool, bool]:
+    """Which of the order, error-prediction and distance branches a model
+    trains and scores with.  ``full`` with alpha == 0 has no distance branch:
+    no gradient can reach it."""
+    return (mode in ("full", "otn_only"), mode == "dsn_plus_ep",
+            mode in ("dsn_only", "dsn_plus_ep") or (mode == "full" and alpha > 0))
 
 
 def build_sten_tape(phi: PhiParams, eta: EtaParams, batch: np.ndarray,
@@ -119,11 +103,7 @@ def build_sten_tape(phi: PhiParams, eta: EtaParams, batch: np.ndarray,
     distance branch.  Returns a tape whose backward yields exact gradients
     for every phi parameter (eta is frozen).
     """
-    B = batch.shape[0]
-    use_otn = _uses_otn(cfg.mode, cfg.alpha)
-    use_dsn = _uses_dsn(cfg.mode, cfg.alpha)
-    use_ep = cfg.mode == "dsn_plus_ep"
-
+    use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
     tape = GradTape(0.0, phi.as_dict(), owner=phi)
     otn_val = 0.0
     dsn_val = 0.0
@@ -131,17 +111,11 @@ def build_sten_tape(phi: PhiParams, eta: EtaParams, batch: np.ndarray,
     if use_otn:
         if perms is None:
             raise DataError("order branch requires permutations")
-        Xsub = _subseq_tensor(batch, perms, cfg.l, cfg.r)
-        Y = _one_hot(perms)
-        H, cache = gru_forward(Xsub, phi.gru, want_cache=True)
-        W_o = np.asarray(phi.order_W, np.float64)
-        logits = H @ W_o.T + np.asarray(phi.order_b, np.float64)
-        P = softmax(logits)
-        rows = js_rows(P, Y)
-        otn_val = float(rows.mean())
+        P, Y, H, cache = order_forward(phi, batch, perms, cfg.l, cfg.r, want_cache=True)
+        otn_val = float(js_rows(P, Y).mean())
 
-        def otn_back(scale: float, grads: ParamDict,
-                     P=P, Y=Y, H=H, cache=cache, W_o=W_o, p_gru=phi.gru) -> None:
+        def otn_back(scale: float, grads: ParamDict, P=P, Y=Y, H=H, cache=cache,
+                     W_o=np.asarray(phi.order_W, np.float64), p_gru=phi.gru) -> None:
             dP = js_rows_grad_p(P, Y) * (scale / P.shape[0])
             dlogits = P * (dP - (dP * P).sum(axis=1, keepdims=True))
             grads["order_head.W"] += dlogits.T @ H
@@ -152,19 +126,11 @@ def build_sten_tape(phi: PhiParams, eta: EtaParams, batch: np.ndarray,
         tape.record(otn_back)
 
     if use_ep:
-        if phi.ep_W is None:
-            raise DataError("dsn_plus_ep mode requires an error-prediction head")
-        if batch.shape[1] < 2:
-            raise DataError("error-prediction branch needs windows of length >= 2")
-        _, cache_ep, H_all = gru_forward(batch, phi.gru, want_cache=True, want_all=True)
-        W_e = np.asarray(phi.ep_W, np.float64)
-        preds = H_all[:-1] @ W_e.T + np.asarray(phi.ep_b, np.float64)   # (L-1, B, D)
-        targets = np.transpose(batch[:, 1:], (1, 0, 2))
-        resid = preds - targets
+        resid, H_all, cache_ep = ep_forward(phi, batch, want_cache=True)
         otn_val = float(np.mean(resid ** 2))  # temporal slot of the breakdown
 
-        def ep_back(scale: float, grads: ParamDict,
-                    resid=resid, H_all=H_all, cache_ep=cache_ep, W_e=W_e,
+        def ep_back(scale: float, grads: ParamDict, resid=resid, H_all=H_all,
+                    cache_ep=cache_ep, W_e=np.asarray(phi.ep_W, np.float64),
                     p_gru=phi.gru) -> None:
             dpred = resid * (2.0 * scale / resid.size)
             grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, H_all[:-1])
@@ -178,28 +144,15 @@ def build_sten_tape(phi: PhiParams, eta: EtaParams, batch: np.ndarray,
     if use_dsn:
         if pairs is None or len(pairs) == 0:
             raise DataError("distance branch requires reference pairs")
-        tower = phi.dsn_tower()
-        prefix = "dsn_gru." if phi.dsn_gru is not None else "gru."
-        E, cache_d = gru_forward(batch, tower, want_cache=True)
-        F = gru_forward(batch, eta.gru)
-        if cfg.normalize_embeddings:
-            from .networks import NORM_FLOOR
-            norms = np.maximum(np.linalg.norm(E, axis=1, keepdims=True), NORM_FLOOR)
-            En = E / norms
-            Fn = F / np.maximum(np.linalg.norm(F, axis=1, keepdims=True), NORM_FLOOR)
-        else:
-            norms = None
-            En, Fn = E, F
-        ii = np.fromiter((p[0] for p in pairs), dtype=np.intp, count=len(pairs))
-        jj = np.fromiter((p[1] for p in pairs), dtype=np.intp, count=len(pairs))
-        d_phi = (En[ii] * En[jj]).sum(axis=1)
-        d_eta = (Fn[ii] * Fn[jj]).sum(axis=1)
-        resid_d = d_phi - d_eta
+        En, Fn, norms, cache_d = dsn_embeddings(phi, eta, batch, cfg.normalize_embeddings,
+                                                want_cache=True)
+        ii, jj = np.asarray(pairs, dtype=np.intp).T
+        resid_d = pair_residuals(En, Fn, ii, jj, En, Fn)
         dsn_val = float(np.mean(resid_d ** 2))
 
-        def dsn_back(scale: float, grads: ParamDict,
-                     resid_d=resid_d, En=En, ii=ii, jj=jj,
-                     norms=norms, cache_d=cache_d, tower=tower, prefix=prefix) -> None:
+        def dsn_back(scale: float, grads: ParamDict, resid_d=resid_d, En=En, ii=ii, jj=jj,
+                     norms=norms, cache_d=cache_d, tower=phi.dsn_tower(),
+                     prefix="dsn_gru." if phi.dsn_gru is not None else "gru.") -> None:
             dd = resid_d * (2.0 * scale / resid_d.size)
             dEn = np.zeros_like(En)
             np.add.at(dEn, ii, dd[:, None] * En[jj])
@@ -207,7 +160,6 @@ def build_sten_tape(phi: PhiParams, eta: EtaParams, batch: np.ndarray,
             if norms is not None:
                 # Back through e / max(||e||, floor); En rows are unit (or e/floor).
                 dE = dEn / norms
-                from .networks import NORM_FLOOR
                 active = (norms > NORM_FLOOR).astype(np.float64)
                 dE -= active * En * (dEn * En).sum(axis=1, keepdims=True) / norms
             else:
@@ -217,14 +169,7 @@ def build_sten_tape(phi: PhiParams, eta: EtaParams, batch: np.ndarray,
         # d(total)/d(dsn) = alpha in every mode that trains the branch.
         tape.record(lambda lg, grads: dsn_back(lg * cfg.alpha, grads))
 
-    if cfg.mode == "otn_only" or (cfg.mode == "full" and not use_dsn):
-        total = otn_val
-    elif cfg.mode in ("dsn_only",):
-        total = cfg.alpha * dsn_val
-    else:
-        total = otn_val + cfg.alpha * dsn_val
-
-    tape.value = total
+    tape.value = otn_val + cfg.alpha * dsn_val
     tape.otn = otn_val
     tape.dsn = dsn_val
     return tape
@@ -250,8 +195,7 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     norm = zscore_apply(series, stats)
     windows = make_windows(norm, cfg.L, cfg.R_train)
     n = len(windows)
-    use_dsn = _uses_dsn(cfg.mode, cfg.alpha)
-    use_otn = _uses_otn(cfg.mode, cfg.alpha)
+    use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
     if use_dsn and n < 2:
         raise DataError(f"mode {cfg.mode!r} needs >= 2 windows for distance pairs, got {n}")
     if use_dsn and cfg.batch_size < 2:
@@ -261,7 +205,7 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     streams = seed_streams(cfg.seed)
     phi = init_phi(series.d, cfg.d_model, cfg.m, streams["phi_init"],
                    separate_towers=cfg.separate_towers,
-                   with_ep_head=(cfg.mode == "dsn_plus_ep"))
+                   with_ep_head=use_ep)
     eta_rng = (np.random.default_rng(cfg.eta_seed) if cfg.eta_seed is not None
                else streams["eta_init"])
     # Frozen projector lives in its at-rest precision from the start.
@@ -317,17 +261,49 @@ def save_checkpoint(model: TrainedModel, path) -> None:
     write_checkpoint(path, config, blocks)
 
 
+def _check_blocks(path, cfg: TrainConfig, d_in: int, blocks: dict[str, np.ndarray]) -> None:
+    """The block set must be exactly the one ``cfg`` implies, each with its shape."""
+    d, m = cfg.d_model, cfg.m
+    towers = ["phi.gru.", "eta.gru."] + (["phi.dsn_gru."] if cfg.separate_towers else [])
+    shapes = {t + n: None for t in towers for n in GruParams.NAMES}
+    shapes.update({t + "W_z": (d, d_in) for t in towers})
+    shapes.update({"phi.order_head.W": (m, d), "phi.order_head.b": (m,),
+                   "norm.mean": (d_in,), "norm.std": (d_in,),
+                   "trace.losses": np.shape(blocks.get("trace.losses"))[:1] + (3,)})
+    if branches(cfg.mode, cfg.alpha)[1]:
+        shapes.update({"phi.ep_head.W": (d_in, d), "phi.ep_head.b": (d_in,)})
+    missing, extra = sorted(set(shapes) - set(blocks)), sorted(set(blocks) - set(shapes))
+    if missing or extra:
+        raise DataError(f"{path}: checkpoint blocks do not match its config: "
+                        f"missing {missing}, unexpected {extra}")
+    for name, shape in shapes.items():
+        if shape is not None and blocks[name].shape != shape:
+            raise DataError(f"{path}: block {name} has shape {blocks[name].shape}, "
+                            f"expected {shape}")
+    for t in towers:
+        try:
+            GruParams.from_dict(blocks, t).validate()
+        except DataError as exc:
+            raise DataError(f"{path}: block {t}{exc}") from None
+
+
 def load_checkpoint(path) -> TrainedModel:
     config, blocks = read_checkpoint(path)
-    d_in = int(config.pop("d_in"))
+    d_in = config.pop("d_in", None)
     known = {f.name for f in fields(TrainConfig)}
     unknown = set(config) - known
     if unknown:
         raise DataError(f"{path}: unknown config keys in checkpoint: {sorted(unknown)}")
     cfg = TrainConfig(**config)
+    try:
+        if not isinstance(d_in, int) or d_in < 1:
+            raise ConfigError(f"d_in must be a positive integer, got {d_in!r}")
+        cfg.validate()
+    except (ConfigError, TypeError) as exc:
+        raise DataError(f"{path}: bad checkpoint config: {exc}") from None
+    _check_blocks(path, cfg, d_in, blocks)
     gru = GruParams.from_dict(blocks, "phi.gru.")
-    dsn_gru = (GruParams.from_dict(blocks, "phi.dsn_gru.")
-               if "phi.dsn_gru.W_z" in blocks else None)
+    dsn_gru = GruParams.from_dict(blocks, "phi.dsn_gru.") if cfg.separate_towers else None
     phi = PhiParams(
         gru=gru,
         order_W=blocks["phi.order_head.W"],

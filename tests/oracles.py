@@ -255,3 +255,95 @@ def aggregate_dense(slots, n):
             per_t[t].append(value)
     return (np.asarray([sum(v) / len(v) for v in per_t]),
             np.asarray([len(v) for v in per_t]))
+
+
+# ---------------------------------------------------------------------------
+# Scoring oracle
+# ---------------------------------------------------------------------------
+
+def _dot(row, v):
+    return sum(float(a) * float(b) for a, b in zip(row, v))
+
+
+def _softmax_scalar(logits):
+    mx = max(logits)
+    e = [math.exp(x - mx) for x in logits]
+    total = sum(e)
+    return [x / total for x in e]
+
+
+def score_series_dense(model, test, cfg, pairs):
+    """Per-window loop reference of the scoring pipeline.
+
+    Returns (scores, score_otn, score_dsn).  ``pairs`` are the (window,
+    reference window) index pairs of the distance score, both drawn from the
+    test windows.
+    """
+    tc, phi, eta = model.config, model.phi, model.eta
+    mean = np.asarray(model.stats.mean, np.float64)
+    std = np.maximum(np.asarray(model.stats.std, np.float64), 1e-8)
+    X = (np.asarray(test.values, np.float64) - mean) / std
+    n = X.shape[0]
+    starts = list(range(0, n - tc.L + 1, cfg.R_test))
+    if starts[-1] + tc.L < n:
+        starts.append(n - tc.L)
+    windows = [X[s:s + tc.L] for s in starts]
+    subseqs = [(i * tc.r, i * tc.r + tc.l) for i in range(tc.m)]
+
+    temporal = []
+    for w in windows:
+        if tc.mode in ("full", "otn_only"):
+            nums, divs = [], []
+            for i, (lo, hi) in enumerate(subseqs):
+                h = gru_encode_unrolled(w[lo:hi], phi.gru)
+                p = _softmax_scalar([_dot(phi.order_W[k], h) + float(phi.order_b[k])
+                                     for k in range(tc.m)])
+                y = [1.0 if k == i else 0.0 for k in range(tc.m)]
+                nums.append(sum(abs(pk - yk) for pk, yk in zip(p, y)))
+                divs.append(js_direct(p, y))
+            if cfg.per_subseq_denominator:
+                temporal.append([nums[i] / (divs[i] + cfg.eps) for i in range(tc.m)])
+            else:
+                den = sum(divs) / len(divs) + cfg.eps
+                temporal.append([num / den for num in nums])
+        elif tc.mode == "dsn_plus_ep":
+            err = {}
+            h = np.zeros(phi.d_model)
+            for t in range(tc.L - 1):
+                h = gru_step_scalar(w[t], h, phi.gru)
+                sq = [(_dot(phi.ep_W[o], h) + float(phi.ep_b[o]) - float(w[t + 1][o])) ** 2
+                      for o in range(w.shape[1])]
+                err[t + 1] = sum(sq) / len(sq)
+            row = []
+            for lo, hi in subseqs:
+                ts = [t for t in range(lo, hi) if t >= 1]
+                row.append(sum(err[t] for t in ts) / len(ts) if ts else 0.0)
+            temporal.append(row)
+        else:
+            temporal.append([0.0] * tc.m)
+
+    dsn = [0.0] * len(windows)
+    if tc.mode != "otn_only" and not (tc.mode == "full" and tc.alpha == 0):
+        tower = phi.dsn_gru if phi.dsn_gru is not None else phi.gru
+
+        def embed(w, gru):
+            e = gru_encode_unrolled(w, gru)
+            if tc.normalize_embeddings:
+                e = e / max(math.sqrt(sum(float(x) ** 2 for x in e)), 1e-12)
+            return e
+
+        e = [embed(w, tower) for w in windows]
+        f = [embed(w, eta.gru) for w in windows]
+        per_window = [[] for _ in windows]
+        for i, j in pairs:
+            per_window[i].append((_dot(e[i], e[j]) - _dot(f[i], f[j])) ** 2)
+        dsn = [sum(v) / len(v) for v in per_window]
+
+    def column(values):
+        slots = [(s + lo, tc.l, values(wi, i))
+                 for wi, s in enumerate(starts) for i, (lo, _) in enumerate(subseqs)]
+        return aggregate_dense(slots, n)[0]
+
+    otn_col = column(lambda wi, i: temporal[wi][i])
+    dsn_col = column(lambda wi, i: dsn[wi])
+    return otn_col + cfg.beta * dsn_col, otn_col, dsn_col

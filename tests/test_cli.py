@@ -1,11 +1,18 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sten
 from sten.cli import main
+from sten.ndkernel import GruParams
+from sten.networks import read_checkpoint, write_checkpoint
 
 SMALL_CONFIG = """
 # small end-to-end settings
@@ -269,3 +276,122 @@ class TestConfigHandling:
         tmp, cfg = workspace
         assert run(["synth", "--config", cfg, "--out-dir", tmp / "d",
                     "--set", "dims=three"]) == 1
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """Data, config, a checkpoint with every kind of block, and its scores."""
+    tmp = tmp_path_factory.mktemp("trained")
+    cfg = tmp / "run.cfg"
+    cfg.write_text(SMALL_CONFIG)
+    train_csv, test_csv = prepared_data(tmp, cfg)
+    assert run(["train", "--train", train_csv, "--config", cfg, "--mode", "dsn_plus_ep",
+                "--set", "separate_towers=true", "--out", tmp / "m.ckpt"]) == 0
+    assert run(["score", "--model", tmp / "m.ckpt", "--test", test_csv, "--config", cfg,
+                "--out", tmp / "s.csv"]) == 0
+    return {"dir": tmp, "cfg": cfg, "train": train_csv, "test": test_csv,
+            "ckpt": tmp / "m.ckpt", "scores": tmp / "s.csv"}
+
+
+def sten_process(argv, files):
+    """Run the CLI in a fresh interpreter; {name} in argv is a path from ``files``."""
+    argv = [str(a).format(**files) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(sten.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-m", "sten.cli"] + argv, env=env,
+                          capture_output=True, text=True)
+
+
+EXIT_CASES = [
+    pytest.param(["train", "--train", "{missing}", "--config", "{cfg}", "--out", "{out}"], 2,
+                 id="train-missing-train"),
+    pytest.param(["train", "--train", "{train}", "--config", "{missing}", "--out", "{out}"], 2,
+                 id="train-missing-config"),
+    pytest.param(["score", "--model", "{missing}", "--test", "{test}", "--config", "{cfg}",
+                  "--out", "{out}"], 2, id="score-missing-model"),
+    pytest.param(["score", "--model", "{ckpt}", "--test", "{missing}", "--config", "{cfg}",
+                  "--out", "{out}"], 2, id="score-missing-test"),
+    pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--train", "{missing}",
+                  "--set", "ref_source=train", "--config", "{cfg}", "--out", "{out}"], 2,
+                 id="score-missing-train"),
+    pytest.param(["eval", "--scores", "{missing}"], 2, id="eval-missing-scores"),
+    pytest.param(["eval", "--scores", "{scores}", "--labels-from", "{missing}"], 2,
+                 id="eval-missing-labels"),
+    pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
+                  "--beta", "-1", "--out", "{out}"], 1, id="score-negative-beta"),
+    pytest.param(["eval", "--scores", "{scores}", "--delta", "0"], 1, id="eval-zero-delta"),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv,code", EXIT_CASES)
+    def test_exit_code_without_traceback(self, trained, tmp_path, argv, code):
+        files = dict(trained, missing=tmp_path / "missing" / "file", out=tmp_path / "out")
+        proc = sten_process(argv, files)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("sten: ")
+
+
+CHECKPOINT_BLOCKS = sorted(
+    [t + n for t in ("phi.gru.", "phi.dsn_gru.", "eta.gru.") for n in GruParams.NAMES]
+    + ["phi.order_head.W", "phi.order_head.b", "phi.ep_head.W", "phi.ep_head.b",
+       "norm.mean", "norm.std", "trace.losses"])
+
+
+def widened(arr):
+    """The block with one more entry along its last axis."""
+    return np.zeros(arr.shape[:-1] + (arr.shape[-1] + 1,), dtype=np.float32)
+
+
+def drop_d_in(cfg, blocks):
+    del cfg["d_in"]
+
+
+def break_layout(cfg, blocks):
+    cfg["L"] += 1
+
+
+def no_separate_towers(cfg, blocks):
+    cfg["separate_towers"] = False
+
+
+def no_ep_head(cfg, blocks):
+    cfg["mode"] = "dsn_only"
+
+
+class TestCheckpointContents:
+    """A checkpoint with a valid checksum but wrong contents is a data error."""
+
+    def score_with(self, trained, tmp_path, capsys, edit):
+        cfg, blocks = read_checkpoint(trained["ckpt"])
+        edit(cfg, blocks)
+        bad = tmp_path / "bad.ckpt"
+        write_checkpoint(bad, cfg, blocks)
+        code = run(["score", "--model", bad, "--test", trained["test"],
+                    "--config", trained["cfg"], "--out", tmp_path / "s.csv"])
+        return code, capsys.readouterr().err
+
+    def test_table_lists_every_block(self, trained):
+        assert sorted(read_checkpoint(trained["ckpt"])[1]) == CHECKPOINT_BLOCKS
+
+    @pytest.mark.parametrize("name", CHECKPOINT_BLOCKS)
+    def test_missing_block(self, trained, tmp_path, capsys, name):
+        code, err = self.score_with(trained, tmp_path, capsys,
+                                    lambda cfg, blocks: blocks.pop(name))
+        assert code == 2
+        assert name in err
+
+    @pytest.mark.parametrize("name", CHECKPOINT_BLOCKS)
+    def test_misshapen_block(self, trained, tmp_path, capsys, name):
+        def edit(cfg, blocks):
+            blocks[name] = widened(blocks[name])
+
+        code, err = self.score_with(trained, tmp_path, capsys, edit)
+        assert code == 2
+        assert name.rsplit(".", 1)[1] in err
+
+    @pytest.mark.parametrize("edit", [drop_d_in, break_layout, no_separate_towers, no_ep_head])
+    def test_config_disagrees(self, trained, tmp_path, capsys, edit):
+        code, err = self.score_with(trained, tmp_path, capsys, edit)
+        assert code == 2
+        assert "checkpoint" in err

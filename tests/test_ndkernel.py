@@ -3,9 +3,8 @@ import pytest
 
 from sten import DataError, NumericError, StenError
 from sten.ndkernel import (AdamState, GruParams, adam_update, backward,
-                           finite_diff_grad, gru_backward, gru_encode,
-                           gru_forward, gru_step, init_adam_state, init_gru,
-                           softmax)
+                           finite_diff_grad, gru_backward, gru_forward,
+                           init_adam_state, init_gru, softmax)
 
 import oracles
 
@@ -46,62 +45,60 @@ class TestSoftmax:
 
 
 class TestGruStep:
-    def test_zero_params_halves_hidden(self):
-        p = zero_gru(3, 4)
-        v = np.array([1.0, -2.0, 0.5, 3.0])
-        np.testing.assert_allclose(gru_step(np.zeros(3), v, p), 0.5 * v)
+    """One step of gru_forward (T = 1) from the zero initial state."""
 
     def test_zero_everything(self):
         p = zero_gru(2, 3)
-        np.testing.assert_allclose(gru_step(np.zeros(2), np.zeros(3), p), np.zeros(3))
+        np.testing.assert_allclose(gru_forward(np.zeros((1, 1, 2)), p), np.zeros((1, 3)))
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(1)
         p = init_gru(3, 5, rng)
         x = rng.normal(size=3)
-        h = rng.normal(size=5)
-        np.testing.assert_allclose(gru_step(x, h, p),
-                                   oracles.gru_step_scalar(x, h, p), atol=1e-6)
+        np.testing.assert_allclose(gru_forward(x[None, None], p)[0],
+                                   oracles.gru_step_scalar(x, np.zeros(5), p), atol=1e-6)
 
     def test_dim_mismatch(self):
         p = zero_gru(3, 4)
         with pytest.raises(DataError):
-            gru_step(np.zeros(2), np.zeros(4), p)
-        with pytest.raises(DataError):
-            gru_step(np.zeros(3), np.zeros(5), p)
+            gru_forward(np.zeros((1, 1, 2)), p)
 
     def test_output_bounded_by_convex_combination(self):
+        # From h_0 = 0 every step is a convex combination of h_{t-1} and a
+        # tanh, so the whole trajectory stays in [-1, 1].
         rng = np.random.default_rng(2)
         for _ in range(20):
             p = init_gru(2, 6, rng)
-            h = rng.normal(scale=3.0, size=6)
-            out = gru_step(rng.normal(size=2), h, p)
-            assert np.all(np.abs(out) <= np.maximum(np.abs(h), 1.0) + 1e-12)
+            _, H_all = gru_forward(rng.normal(scale=3.0, size=(4, 5, 2)), p, want_all=True)
+            assert np.all(np.abs(H_all) <= 1.0 + 1e-12)
 
 
 class TestGruEncode:
+    """gru_forward over whole sequences (T >= 2)."""
+
     def test_single_step_equivalence(self):
         rng = np.random.default_rng(3)
         p = init_gru(2, 4, rng)
-        x = rng.normal(size=(1, 2))
-        np.testing.assert_allclose(gru_encode(x, p), gru_step(x[0], np.zeros(4), p))
+        X = rng.normal(size=(3, 5, 2))
+        _, H_all = gru_forward(X, p, want_all=True)
+        np.testing.assert_allclose(gru_forward(X[:, :1], p), H_all[0], atol=1e-12)
 
     def test_zero_params_zero_state(self):
         p = zero_gru(2, 3)
-        seq = np.random.default_rng(4).normal(size=(7, 2))
-        np.testing.assert_allclose(gru_encode(seq, p), np.zeros(3))
+        seq = np.random.default_rng(4).normal(size=(1, 7, 2))
+        np.testing.assert_allclose(gru_forward(seq, p), np.zeros((1, 3)))
 
     def test_matches_unrolled_oracle(self):
         rng = np.random.default_rng(5)
         p = init_gru(3, 4, rng)
         seq = rng.normal(size=(3, 3))
-        np.testing.assert_allclose(gru_encode(seq, p),
+        np.testing.assert_allclose(gru_forward(seq[None], p)[0],
                                    oracles.gru_encode_unrolled(seq, p), atol=1e-10)
 
     def test_empty_sequence_rejected(self):
         p = zero_gru(2, 3)
         with pytest.raises(DataError):
-            gru_encode(np.zeros((0, 2)), p)
+            gru_forward(np.zeros((1, 0, 2)), p)
 
     def test_batched_forward_matches_sequential(self):
         rng = np.random.default_rng(6)
@@ -109,7 +106,7 @@ class TestGruEncode:
         X = rng.normal(size=(4, 6, 3))
         H = gru_forward(X, p)
         for b in range(4):
-            np.testing.assert_allclose(H[b], gru_encode(X[b], p), atol=1e-12)
+            np.testing.assert_allclose(H[b], gru_forward(X[b:b + 1], p)[0], atol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)

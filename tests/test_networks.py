@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 
 from sten import DataError
-from sten.ndkernel import gru_encode
-from sten.networks import (EtaParams, PhiParams, encode_subseq, embed_sequence,
-                           embed_windows, init_eta, init_phi, order_probs,
-                           pair_distance, read_checkpoint, sample_pairs,
-                           write_checkpoint)
-from sten.seqdata import (ShuffledCollection, Window, make_windows,
-                          shuffle_with_labels, split_subsequences)
-from sten.seqdata import MultivariateSeries
+from sten.networks import (EtaParams, dsn_embeddings, embed_windows,
+                           init_eta, init_phi, order_forward, pair_residuals,
+                           read_checkpoint, sample_pairs, write_checkpoint)
+from sten.seqdata import gather_subsequences
 
 import oracles
 
@@ -26,133 +22,159 @@ def zeroed(phi):
     return phi
 
 
-def collection_for(n=12, d=3, l=4, m=3, seed=1, shuffle_seed=2):
-    values = np.random.default_rng(seed).normal(size=(n, d))
-    w = make_windows(MultivariateSeries(values=values), l * m, 1)[0]
-    subs = split_subsequences(w, l, l, m)
-    return shuffle_with_labels(subs, shuffle_seed), w
+def windows_for(n_windows=2, d=3, l=4, m=3, seed=1, shuffle_seed=2):
+    """A (B, l*m, d) batch of windows and a random presented order for each."""
+    rng = np.random.default_rng(seed)
+    batch = rng.normal(size=(n_windows, l * m, d))
+    srng = np.random.default_rng(shuffle_seed)
+    perms = np.stack([srng.permutation(m) for _ in range(n_windows)])
+    return batch, perms
 
 
 class TestEncodeSubseq:
+    """The sub-sequence embeddings H of order_forward."""
+
     def test_zero_params(self):
         phi = zeroed(make_phi())
-        coll, _ = collection_for()
-        np.testing.assert_array_equal(encode_subseq(phi, coll.subseqs[0]), np.zeros(4))
+        batch, perms = windows_for()
+        _, _, H, _ = order_forward(phi, batch, perms, 4, 4)
+        np.testing.assert_array_equal(H, np.zeros((6, 4)))
 
     def test_identical_inputs_identical_embeddings(self):
         phi = make_phi()
-        coll, _ = collection_for()
-        s = coll.subseqs[0]
-        np.testing.assert_array_equal(encode_subseq(phi, s), encode_subseq(phi, s))
+        batch, perms = windows_for()
+        batch[1] = batch[0]
+        perms[1] = perms[0]
+        _, _, H, _ = order_forward(phi, batch, perms, 4, 4)
+        np.testing.assert_array_equal(H[:3], H[3:])
 
     def test_matches_gru_encode(self):
         phi = make_phi(seed=3)
-        coll, _ = collection_for(seed=4)
-        for s in coll.subseqs:
-            np.testing.assert_allclose(encode_subseq(phi, s),
-                                       gru_encode(s.data, phi.gru), atol=1e-12)
+        batch, perms = windows_for(seed=4)
+        _, _, H, _ = order_forward(phi, batch, perms, 4, 4)
+        for row, sub in zip(H, gather_subsequences(batch, perms, 4, 4)):
+            np.testing.assert_allclose(row, oracles.gru_encode_unrolled(sub, phi.gru),
+                                       atol=1e-10)
 
 
 class TestOrderProbs:
+    """The position distributions P and truth Y of order_forward."""
+
     def test_zero_params_uniform(self):
         phi = zeroed(make_phi())
-        coll, _ = collection_for()
-        pred = order_probs(phi, coll)
-        np.testing.assert_allclose(pred.probs, np.full((3, 3), 1 / 3))
+        batch, perms = windows_for()
+        P, _, _, _ = order_forward(phi, batch, perms, 4, 4)
+        np.testing.assert_allclose(P, np.full((6, 3), 1 / 3))
 
     def test_single_subsequence(self):
         phi = make_phi(m=1)
-        coll, _ = collection_for(n=4, l=4, m=1)
-        pred = order_probs(phi, coll)
-        np.testing.assert_allclose(pred.probs, [[1.0]])
+        batch, perms = windows_for(l=4, m=1)
+        P, Y, _, _ = order_forward(phi, batch, perms, 4, 4)
+        np.testing.assert_allclose(P, [[1.0], [1.0]])
+        np.testing.assert_array_equal(Y, [[1.0], [1.0]])
 
     def test_permuting_collection_permutes_rows(self):
         phi = make_phi(seed=5)
-        coll, _ = collection_for(seed=6)
-        pred = order_probs(phi, coll)
+        batch, perms = windows_for(seed=6)
+        P, Y, _, _ = order_forward(phi, batch, perms, 4, 4)
         reorder = [2, 0, 1]
-        swapped = ShuffledCollection(
-            subseqs=[coll.subseqs[i] for i in reorder],
-            permutation=coll.permutation[reorder])
-        pred2 = order_probs(phi, swapped)
-        np.testing.assert_allclose(pred2.probs, pred.probs[reorder], atol=1e-12)
-        np.testing.assert_array_equal(pred2.labels, pred.labels[reorder])
+        P2, Y2, _, _ = order_forward(phi, batch, perms[:, reorder], 4, 4)
+        rows = np.concatenate([reorder, np.add(reorder, 3)])
+        np.testing.assert_allclose(P2, P[rows], atol=1e-12)
+        np.testing.assert_array_equal(Y2, Y[rows])
 
     def test_rows_are_distributions_for_any_params(self):
         rng = np.random.default_rng(7)
         for trial in range(10):
             phi = make_phi(seed=100 + trial)
             phi.order_W = phi.order_W * rng.uniform(1, 50)
-            coll, _ = collection_for(seed=200 + trial)
-            pred = order_probs(phi, coll)
-            assert np.all(pred.probs >= 0)
-            np.testing.assert_allclose(pred.probs.sum(axis=1), 1.0, atol=1e-6)
+            batch, perms = windows_for(seed=200 + trial)
+            P, _, _, _ = order_forward(phi, batch, perms, 4, 4)
+            assert np.all(P >= 0)
+            np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-6)
 
 
 class TestEmbedSequence:
+    """Window embeddings of the distance branch."""
+
     def test_zero_params(self):
         phi = zeroed(make_phi())
-        _, w = collection_for()
-        np.testing.assert_array_equal(embed_sequence(phi, w), np.zeros(4))
+        batch, _ = windows_for()
+        np.testing.assert_array_equal(embed_windows(phi, batch), np.zeros((2, 4)))
 
     def test_eta_frozen_identical_across_calls(self):
         eta = init_eta(3, 4, np.random.default_rng(8))
-        _, w = collection_for(seed=9)
+        batch, _ = windows_for(seed=9)
         before = eta.checksum()
-        a = embed_sequence(eta, w)
-        b = embed_sequence(eta, w)
+        a = embed_windows(eta, batch)
+        b = embed_windows(eta, batch)
         np.testing.assert_array_equal(a, b)
         assert eta.checksum() == before
 
     def test_matches_unrolled_oracle(self):
         phi = make_phi(seed=10)
         data = np.random.default_rng(11).normal(size=(4, 3))
-        w = Window(start=0, data=data)
-        np.testing.assert_allclose(embed_sequence(phi, w),
+        np.testing.assert_allclose(embed_windows(phi, data[None])[0],
                                    oracles.gru_encode_unrolled(data, phi.gru),
                                    atol=1e-10)
 
     def test_separate_tower_used_for_dsn(self):
         phi = make_phi(seed=12, separate_towers=True)
-        _, w = collection_for(seed=13)
-        e = embed_sequence(phi, w)
-        np.testing.assert_allclose(e, gru_encode(w.data, phi.dsn_gru), atol=1e-12)
-        assert not np.allclose(e, gru_encode(w.data, phi.gru))
+        eta = init_eta(3, 4, np.random.default_rng(13))
+        batch, _ = windows_for(seed=13)
+        E, F, _, _ = dsn_embeddings(phi, eta, batch, normalize=False)
+        E_cached, _, _, _ = dsn_embeddings(phi, eta, batch, normalize=False, want_cache=True)
+        np.testing.assert_array_equal(E_cached, E)
+        for b in range(2):
+            np.testing.assert_allclose(E[b], oracles.gru_encode_unrolled(batch[b], phi.dsn_gru),
+                                       atol=1e-10)
+            np.testing.assert_allclose(F[b], oracles.gru_encode_unrolled(batch[b], eta.gru),
+                                       atol=1e-10)
+        assert not np.allclose(E, embed_windows(EtaParams(phi.gru), batch))
+
+
+def residual(a, b):
+    """pair_residuals of one pair (a, b) with eta's embeddings zero: d_phi(a, b)."""
+    E = np.stack([a, b])
+    F = np.zeros_like(E)
+    return float(pair_residuals(E, F, np.array([0]), np.array([1]), E, F)[0])
 
 
 class TestPairDistance:
     def test_zero_partner(self):
-        assert pair_distance(np.array([1.0, 2.0]), np.zeros(2)) == 0.0
+        assert residual(np.array([1.0, 2.0]), np.zeros(2)) == 0.0
 
     def test_self_distance_is_norm_squared(self):
         e = np.array([1.0, -2.0, 0.5])
-        assert pair_distance(e, e) == pytest.approx(float(e @ e), abs=1e-15)
+        assert residual(e, e) == pytest.approx(float(e @ e), abs=1e-15)
 
     def test_matches_sum_of_products(self):
         rng = np.random.default_rng(14)
-        for _ in range(50):
-            a, b = rng.normal(size=(2, 5))
-            expected = sum(float(x) * float(y) for x, y in zip(a, b))
-            assert abs(pair_distance(a, b) - expected) < 1e-12
+        E, F, Er, Fr = rng.normal(size=(4, 50, 5))
+        ii, jj = rng.integers(0, 50, size=(2, 80))
+        got = pair_residuals(E, F, ii, jj, Er, Fr)
+        for k, (i, j) in enumerate(zip(ii, jj)):
+            expected = (sum(float(x) * float(y) for x, y in zip(E[i], Er[j]))
+                        - sum(float(x) * float(y) for x, y in zip(F[i], Fr[j])))
+            assert abs(got[k] - expected) < 1e-12
 
     def test_symmetric(self):
         rng = np.random.default_rng(15)
-        for _ in range(50):
-            a, b = rng.normal(size=(2, 6))
-            assert abs(pair_distance(a, b) - pair_distance(b, a)) < 1e-12
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DataError):
-            pair_distance(np.zeros(3), np.zeros(4))
+        E, F = rng.normal(size=(2, 50, 6))
+        ii, jj = rng.integers(0, 50, size=(2, 50))
+        np.testing.assert_allclose(pair_residuals(E, F, ii, jj, E, F),
+                                   pair_residuals(E, F, jj, ii, E, F), atol=1e-12)
 
     def test_normalized_embeddings_bound_distance(self):
         rng = np.random.default_rng(16)
         phi = make_phi(seed=17)
+        eta = init_eta(3, 4, rng)
         data = rng.normal(size=(8, 6, 3)) * 5
-        E = embed_windows(phi, data, normalize=True)
-        for i in range(8):
-            for j in range(8):
-                assert abs(pair_distance(E[i], E[j])) <= 1 + 1e-6
+        E, F, norms, _ = dsn_embeddings(phi, eta, data, normalize=True, want_cache=True)
+        assert np.all(np.abs(E @ E.T) <= 1 + 1e-6)
+        assert np.all(np.abs(F @ F.T) <= 1 + 1e-6)
+        np.testing.assert_array_equal(E, embed_windows(phi, data, normalize=True))
+        np.testing.assert_allclose(norms[:, 0], np.linalg.norm(E * norms, axis=1))
 
 
 class TestSamplePairs:

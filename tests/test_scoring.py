@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from sten import DataError
-from sten.networks import OrderPrediction, init_eta, init_phi
-from sten.scoring import (ScoreConfig, aggregate_timestamps, combine,
-                          read_scores_csv, score_dsn, score_otn, score_series,
-                          threshold_percentile, write_scores_csv)
-from sten.seqdata import MultivariateSeries, NormStats, Window
+from sten import ConfigError, DataError
+from sten.networks import init_eta, init_phi, sample_pairs
+from sten.scoring import (ScoreConfig, aggregate_timestamps, read_scores_csv,
+                          score_series, threshold_percentile, write_scores_csv)
+from sten.seqdata import MultivariateSeries, NormStats, make_windows
 from sten.training import (TrainConfig, TrainedModel, load_checkpoint,
                            save_checkpoint, seed_streams)
 
@@ -14,10 +13,10 @@ import oracles
 
 
 def tiny_model(seed=0, mode="full", d=2, d_model=6, m=4, l=3, r=3,
-               normalize=False, eta_seed=None, separate_towers=False):
+               normalize=False, eta_seed=None, separate_towers=False, alpha=1.0):
     L = l + (m - 1) * r
     cfg = TrainConfig(L=L, R_train=r, l=l, r=r, m=m, d_model=d_model, mode=mode,
-                      seed=seed, eta_seed=eta_seed,
+                      seed=seed, eta_seed=eta_seed, alpha=alpha,
                       normalize_embeddings=normalize,
                       separate_towers=separate_towers)
     cfg.validate()
@@ -39,83 +38,115 @@ def series_fixture(n=120, d=2, seed=3):
                               labels=np.zeros(n, dtype=np.int64))
 
 
+def oracle_scores(model, series, cfg):
+    """score_series_dense with the reference pairs score_series draws."""
+    n_w = len(make_windows(series, model.config.L, cfg.R_test, cover_tail=True))
+    pairs = sample_pairs(n_w, np.random.default_rng(cfg.seed), cfg.k_refs)
+    return oracles.score_series_dense(model, series, cfg, pairs)
+
+
 class TestScoreOtn:
+    """The order column of score_series."""
+
     def test_perfect_predictions_zero(self):
-        y = np.eye(3)
-        pred = OrderPrediction(probs=y.copy(), labels=y)
-        np.testing.assert_array_equal(score_otn(pred), np.zeros(3))
+        # m=1 forces a perfect one-class order prediction.
+        out = score_series(tiny_model(m=1, l=5, r=1), series_fixture(), ScoreConfig(R_test=5))
+        np.testing.assert_array_equal(out.score_otn, np.zeros(120))
 
     def test_two_subseq_example_against_oracle(self):
-        probs = np.array([[0.6, 0.4], [0.5, 0.5]])
-        labels = np.array([[1.0, 0.0], [0.0, 1.0]])
-        pred = OrderPrediction(probs=probs, labels=labels)
-        den = 0.5 * (oracles.js_direct([0.6, 0.4], [1, 0]) +
-                     oracles.js_direct([0.5, 0.5], [0, 1])) + 1e-8
-        expected = np.array([0.8 / den, 1.0 / den])
-        np.testing.assert_allclose(score_otn(pred), expected, rtol=1e-12)
+        model = tiny_model(m=2, l=4, r=4, seed=13)
+        series = series_fixture(n=40)
+        cfg = ScoreConfig(R_test=3, seed=1)
+        _, otn, _ = oracle_scores(model, series, cfg)
+        np.testing.assert_allclose(score_series(model, series, cfg).score_otn, otn,
+                                   rtol=1e-12, atol=1e-9)
 
     def test_uniform_predictions_equal_scores(self):
-        m = 4
-        pred = OrderPrediction(probs=np.full((m, m), 1 / m), labels=np.eye(m))
-        s = score_otn(pred)
+        model = tiny_model()
+        model.phi.order_W = np.zeros_like(model.phi.order_W)
+        model.phi.order_b = np.zeros_like(model.phi.order_b)
+        s = score_series(model, series_fixture(), ScoreConfig(R_test=4)).score_otn
         np.testing.assert_allclose(s, s[0])
 
     def test_per_subseq_denominator(self):
-        probs = np.array([[0.6, 0.4], [0.5, 0.5]])
-        labels = np.array([[1.0, 0.0], [0.0, 1.0]])
-        pred = OrderPrediction(probs=probs, labels=labels)
-        s = score_otn(pred, per_subseq_denominator=True)
-        j1 = oracles.js_direct([0.6, 0.4], [1, 0])
-        j2 = oracles.js_direct([0.5, 0.5], [0, 1])
-        np.testing.assert_allclose(s, [0.8 / (j1 + 1e-8), 1.0 / (j2 + 1e-8)],
-                                   rtol=1e-12)
+        model = tiny_model(m=2, l=4, r=4, seed=14)
+        series = series_fixture(n=40)
+        cfg = ScoreConfig(R_test=3, seed=2, per_subseq_denominator=True)
+        _, otn, _ = oracle_scores(model, series, cfg)
+        np.testing.assert_allclose(score_series(model, series, cfg).score_otn, otn,
+                                   rtol=1e-12, atol=1e-9)
 
 
 class TestScoreDsn:
+    """The distance column of score_series."""
+
     def test_zero_when_phi_equals_eta(self):
         model = tiny_model(seed=1)
         model.phi.gru = model.eta.gru  # identical towers -> identical distances
-        rng = np.random.default_rng(2)
-        w = Window(start=0, data=rng.normal(size=(model.config.L, 2)))
-        refs = [Window(start=0, data=rng.normal(size=(model.config.L, 2)))
-                for _ in range(3)]
-        assert score_dsn(w, refs, model) == 0.0
+        out = score_series(model, series_fixture(), ScoreConfig(R_test=4, k_refs=3))
+        np.testing.assert_array_equal(out.score_dsn, 0.0)
 
     def test_matches_loop_oracle(self):
-        from sten.networks import embed_sequence, pair_distance
-        model = tiny_model(seed=3)
-        rng = np.random.default_rng(4)
-        w = Window(start=0, data=rng.normal(size=(model.config.L, 2)))
-        refs = [Window(start=0, data=rng.normal(size=(model.config.L, 2)))
-                for _ in range(3)]
-        expected = np.mean([
-            (pair_distance(embed_sequence(model.phi, w), embed_sequence(model.phi, rf))
-             - pair_distance(embed_sequence(model.eta, w), embed_sequence(model.eta, rf))) ** 2
-            for rf in refs])
-        assert abs(score_dsn(w, refs, model) - expected) < 1e-9
+        model = tiny_model(seed=3, mode="dsn_only")
+        series = series_fixture(n=60, seed=4)
+        cfg = ScoreConfig(R_test=4, seed=4, k_refs=3)
+        _, _, dsn = oracle_scores(model, series, cfg)
+        np.testing.assert_allclose(score_series(model, series, cfg).score_dsn, dsn, atol=1e-9)
 
     def test_empty_refs_rejected(self):
+        # A series of exactly one window leaves no reference window.
         model = tiny_model()
-        w = Window(start=0, data=np.zeros((model.config.L, 2)))
         with pytest.raises(DataError):
-            score_dsn(w, [], model)
+            score_series(model, series_fixture(n=model.config.L), ScoreConfig())
 
 
 class TestCombine:
+    """scores = score_otn + beta * score_dsn."""
+
     def test_beta_zero(self):
-        otn = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(combine(otn, 9.0, 0.0), otn)
+        out = score_series(tiny_model(), series_fixture(), ScoreConfig(beta=0.0, R_test=4))
+        assert out.score_dsn.max() > 0
+        np.testing.assert_array_equal(out.scores, out.score_otn)
 
     def test_constant_offset(self):
-        otn = np.array([1.0, 2.0])
-        out = combine(otn, 0.5, 1.0)
-        np.testing.assert_array_equal(out - otn, [0.5, 0.5])
+        out = score_series(tiny_model(), series_fixture(), ScoreConfig(beta=0.5, R_test=4))
+        assert out.score_dsn.max() > 0
+        np.testing.assert_array_equal(out.scores, out.score_otn + 0.5 * out.score_dsn)
 
     def test_beta_doubling_doubles_gap(self):
-        otn = np.array([1.0, 2.0])
-        g1 = combine(otn, 0.7, 1.0) - otn
-        g2 = combine(otn, 0.7, 2.0) - otn
-        np.testing.assert_allclose(g2, 2 * g1)
+        model, series = tiny_model(), series_fixture()
+        one = score_series(model, series, ScoreConfig(beta=1.0, R_test=4))
+        two = score_series(model, series, ScoreConfig(beta=2.0, R_test=4))
+        np.testing.assert_array_equal(two.score_otn, one.score_otn)
+        np.testing.assert_allclose(two.scores - two.score_otn,
+                                   2 * (one.scores - one.score_otn), rtol=1e-12)
+
+
+ORACLE_CASES = [
+    dict(mode="full"),
+    dict(mode="full", per_subseq_denominator=True),
+    dict(mode="full", normalize=True),
+    dict(mode="full", normalize=True, per_subseq_denominator=True),
+    dict(mode="otn_only"),
+    dict(mode="dsn_only"),
+    dict(mode="dsn_plus_ep"),
+]
+
+
+class TestScoreSeriesOracle:
+    @pytest.mark.parametrize("case", ORACLE_CASES,
+                             ids=["-".join(f"{k}={v}" for k, v in c.items()) for c in ORACLE_CASES])
+    def test_columns_match_dense_oracle(self, case):
+        case = dict(case)
+        per_subseq = case.pop("per_subseq_denominator", False)
+        model = tiny_model(seed=21, separate_towers=case["mode"] == "full", **case)
+        series = series_fixture(n=45, seed=22)
+        cfg = ScoreConfig(beta=0.7, R_test=4, seed=23, k_refs=2,
+                          per_subseq_denominator=per_subseq)
+        out = score_series(model, series, cfg, chunk=5)
+        for got, want in zip((out.scores, out.score_otn, out.score_dsn),
+                             oracle_scores(model, series, cfg)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 class TestAggregate:
@@ -240,6 +271,22 @@ class TestScoreSeries:
                                ScoreConfig(R_test=4, seed=7))
         np.testing.assert_array_equal(out_dsn.score_otn, 0.0)
         assert out_dsn.score_dsn.max() > 0
+
+    def test_full_alpha_zero_has_no_distance_score(self):
+        # Training with alpha = 0 never touches the distance branch, so its
+        # untrained residual must not reach the scores.
+        series = series_fixture()
+        out = score_series(tiny_model(alpha=0.0), series, ScoreConfig(R_test=4, seed=7))
+        np.testing.assert_array_equal(out.score_dsn, 0.0)
+        np.testing.assert_array_equal(out.scores, out.score_otn)
+        trained = score_series(tiny_model(alpha=1.0), series, ScoreConfig(R_test=4, seed=7))
+        np.testing.assert_array_equal(out.score_otn, trained.score_otn)
+
+    def test_bad_score_config_is_a_usage_error(self):
+        for bad in (dict(beta=-1.0), dict(delta=0.0), dict(R_test=0), dict(k_refs=0),
+                    dict(ref_source="both")):
+            with pytest.raises(ConfigError):
+                ScoreConfig(**bad).validate()
 
     def test_ep_mode_scores_finite(self):
         series = series_fixture()

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from sten import DataError
-from sten.seqdata import (MultivariateSeries, SynthConfig, load_csv,
-                          make_windows, save_csv, shuffle_with_labels,
-                          split_subsequences, synth_generate, zscore_apply,
-                          zscore_fit, _clean_signal)
+from sten.networks import init_phi, order_forward
+from sten.seqdata import (MultivariateSeries, SynthConfig, gather_subsequences,
+                          load_csv, make_windows, save_csv, synth_generate,
+                          zscore_apply, zscore_fit, _clean_signal)
+from sten.training import _draw_permutations
 
 
 class TestLoadCsv:
@@ -122,83 +123,89 @@ class TestMakeWindows:
         assert ws[-1].start == 57 - 10
 
 
+def timeline_batch(n_windows, L, d=1):
+    """Windows whose values are their own timestamps, offset by 100 per window."""
+    t = np.arange(L, dtype=np.float64)[None, :, None] + 100.0 * np.arange(n_windows)[:, None, None]
+    return np.repeat(t, d, axis=2)
+
+
+def in_order(n_windows, m):
+    return np.tile(np.arange(m), (n_windows, 1))
+
+
 class TestSplitSubsequences:
+    """gather_subsequences in true order (identity permutations)."""
+
     def test_paper_layout(self):
-        w = make_windows(series_of(100), 100, 10)[0]
-        subs = split_subsequences(w, 10, 10, 10)
-        assert [s.offset for s in subs] == list(range(0, 100, 10))
-        assert [s.position_label for s in subs] == list(range(10))
+        subs = gather_subsequences(timeline_batch(1, 100), in_order(1, 10), 10, 10)
+        assert subs.shape == (10, 10, 1)
+        assert [int(s[0, 0]) for s in subs] == list(range(0, 100, 10))
 
     def test_single_subsequence(self):
-        w = make_windows(series_of(20), 20, 1)[0]
-        subs = split_subsequences(w, 20, 1, 1)
-        assert len(subs) == 1
-        np.testing.assert_array_equal(subs[0].data, w.data)
+        batch = series_of(20).values[None]
+        subs = gather_subsequences(batch, in_order(1, 1), 20, 1)
+        assert subs.shape[0] == 1
+        np.testing.assert_array_equal(subs[0], batch[0])
 
     def test_overlapping_layout(self):
-        w = make_windows(series_of(7), 7, 1)[0]
-        subs = split_subsequences(w, 3, 2, 3)
-        assert [s.offset for s in subs] == [0, 2, 4]
+        subs = gather_subsequences(timeline_batch(1, 7), in_order(1, 3), 3, 2)
+        assert [int(s[0, 0]) for s in subs] == [0, 2, 4]
 
     def test_arithmetic_mismatch(self):
-        w = make_windows(series_of(10), 10, 1)[0]
         with pytest.raises(DataError):
-            split_subsequences(w, 3, 2, 3)
+            gather_subsequences(timeline_batch(1, 10), in_order(1, 3), 3, 2)
 
     def test_partition_provenance(self):
-        w = make_windows(series_of(40, d=2), 20, 5)[1]
-        subs = split_subsequences(w, 5, 5, 4)
-        seen = set()
-        for s in subs:
-            for k in range(s.length):
-                ts = s.parent_start + s.offset + k
-                assert ts not in seen
-                seen.add(ts)
-        assert seen == set(range(w.start, w.start + 20))
+        subs = gather_subsequences(timeline_batch(3, 20, d=2), in_order(3, 4), 5, 5)
+        for b in range(3):
+            seen = subs[4 * b:4 * b + 4, :, 0].reshape(-1).tolist()
+            assert sorted(seen) == [100.0 * b + t for t in range(20)]
+            assert len(set(seen)) == 20
+        np.testing.assert_array_equal(subs[..., 0], subs[..., 1])
 
 
 class TestShuffle:
+    """Presented orders drawn by training and gathered by gather_subsequences."""
+
     def test_single_is_identity(self):
-        w = make_windows(series_of(4), 4, 1)[0]
-        subs = split_subsequences(w, 4, 1, 1)
-        coll = shuffle_with_labels(subs, 123)
-        assert coll.permutation.tolist() == [0]
+        assert _draw_permutations(np.random.default_rng(123), 1, 1).tolist() == [[0]]
 
     def test_same_seed_same_permutation(self):
-        w = make_windows(series_of(12), 12, 1)[0]
-        subs = split_subsequences(w, 2, 2, 6)
-        a = shuffle_with_labels(subs, 99)
-        b = shuffle_with_labels(subs, 99)
-        assert a.permutation.tolist() == b.permutation.tolist()
+        a = _draw_permutations(np.random.default_rng(99), 4, 6)
+        b = _draw_permutations(np.random.default_rng(99), 4, 6)
+        assert a.tolist() == b.tolist()
 
     def test_uniform_over_permutations(self):
-        w = make_windows(series_of(6), 6, 1)[0]
-        subs = split_subsequences(w, 2, 2, 3)
-        rng = np.random.default_rng(7)
-        counts = {}
         n = 10_000
-        for _ in range(n):
-            perm = tuple(shuffle_with_labels(subs, rng).permutation.tolist())
+        perms = _draw_permutations(np.random.default_rng(7), n, 3)
+        counts = {}
+        for perm in map(tuple, perms.tolist()):
             counts[perm] = counts.get(perm, 0) + 1
         assert len(counts) == 6
         for c in counts.values():
             assert abs(c / n - 1 / 6) < 0.02
 
     def test_unshuffle_recovers_window(self):
-        rng = np.random.default_rng(8)
-        w = make_windows(series_of(30, d=3, seed=5), 30, 1)[0]
-        subs = split_subsequences(w, 5, 5, 6)
-        coll = shuffle_with_labels(subs, rng)
-        np.testing.assert_array_equal(coll.unshuffle(), w.data)
+        batch = np.random.default_rng(5).normal(size=(2, 30, 3))
+        perms = _draw_permutations(np.random.default_rng(8), 2, 6)
+        subs = gather_subsequences(batch, perms, 5, 5).reshape(2, 6, 5, 3)
+        out = np.empty_like(batch)
+        for b in range(2):
+            for slot in range(6):
+                off = perms[b, slot] * 5
+                out[b, off:off + 5] = subs[b, slot]
+        np.testing.assert_array_equal(out, batch)
 
     def test_one_hot_labels_match_permutation(self):
-        w = make_windows(series_of(8), 8, 1)[0]
-        subs = split_subsequences(w, 2, 2, 4)
-        coll = shuffle_with_labels(subs, 3)
-        Y = coll.one_hot_labels()
-        for slot in range(4):
-            assert Y[slot].argmax() == coll.permutation[slot]
-            assert coll.subseqs[slot].position_label == coll.permutation[slot]
+        batch = timeline_batch(2, 8)
+        perms = _draw_permutations(np.random.default_rng(3), 2, 4)
+        phi = init_phi(1, 3, 4, np.random.default_rng(0))
+        _, Y, _, _ = order_forward(phi, batch, perms, 2, 2)
+        subs = gather_subsequences(batch, perms, 2, 2)
+        for row in range(8):
+            b, slot = divmod(row, 4)
+            assert Y[row].argmax() == perms[b, slot]
+            assert subs[row, 0, 0] == 100.0 * b + 2 * perms[b, slot]
 
 
 class TestSynth:
