@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import DataError
+from . import ConfigError, DataError
 
 EventSet = list[tuple[int, int]]
 
@@ -288,6 +288,15 @@ class MetricReport:
 METRIC_GROUPS = ("roc", "pr", "f1", "aff", "range", "vus")
 
 
+def threshold_percentile(scores: np.ndarray, delta: float) -> np.ndarray:
+    """Binary predictions: score strictly above the (100 - delta) percentile."""
+    if not 0 < delta < 100:
+        raise ConfigError("delta must be in (0, 100)")
+    scores = np.asarray(scores, np.float64)
+    thr = np.percentile(scores, 100.0 - delta)
+    return (scores > thr).astype(np.int64)
+
+
 def evaluate(scores, labels, *, point_adjust_on: bool = True, delta: float = 0.6,
              range_w: float = 10.0, vus_wmax: float = 10.0, vus_step: float = 1.0,
              metrics=METRIC_GROUPS) -> MetricReport:
@@ -297,8 +306,6 @@ def evaluate(scores, labels, *, point_adjust_on: bool = True, delta: float = 0.6
     the raw scores at the (100 - delta) percentile; range-AUC and VUS always
     use raw scores.
     """
-    from .scoring import threshold_percentile
-
     scores = np.asarray(scores, np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:

@@ -1,5 +1,5 @@
 """Dense numerical kernel: GRU cell with exact reverse-mode gradients, softmax,
-Adam, and a finite-difference gradient oracle.
+Adam, and the gradient tape that drives the backward pass.
 
 Parameters are plain numpy arrays grouped in dicts keyed by dotted names
 (e.g. ``"gru.W_z"``).  Weights are stored as float32 at rest (checkpoints)
@@ -307,28 +307,3 @@ def adam_update(params: ParamDict, grads: ParamDict, state: AdamState, lr: float
         new_v[k] = v
         new_params[k] = np.asarray(pv, dtype=np.float64) - lr * (m / c1) / (np.sqrt(v / c2) + eps)
     return new_params, AdamState(m=new_m, v=new_v, t=t)
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference oracle
-# ---------------------------------------------------------------------------
-
-def finite_diff_grad(f: Callable[[ParamDict], float], params: ParamDict,
-                     h: float = 1e-5) -> ParamDict:
-    """Central-difference gradient estimate of a deterministic scalar function.
-
-    Evaluates (f(p + h*e_i) - f(p - h*e_i)) / (2h) per coordinate in float64.
-    """
-    work = {k: np.asarray(v, dtype=np.float64).copy() for k, v in params.items()}
-    grads = {k: np.zeros(v.shape) for k, v in work.items()}
-    for name, arr in work.items():
-        gflat = grads[name]
-        for i in range(arr.size):
-            orig = arr.flat[i]
-            arr.flat[i] = orig + h
-            fp = float(f(work))
-            arr.flat[i] = orig - h
-            fm = float(f(work))
-            arr.flat[i] = orig
-            gflat.flat[i] = (fp - fm) / (2.0 * h)
-    return grads

@@ -202,23 +202,20 @@ def pair_residuals(E: np.ndarray, F: np.ndarray, ii: np.ndarray, jj: np.ndarray,
     return (E[ii] * E_ref[jj]).sum(axis=1) - (F[ii] * F_ref[jj]).sum(axis=1)
 
 
-def sample_pairs(n_windows: int, rng: np.random.Generator | int,
-                 k: int = 1) -> list[tuple[int, int]]:
-    """For each window index i, draw k partners j != i uniformly."""
+def sample_pairs(n_windows: int, rng: np.random.Generator | int, k: int = 1) -> np.ndarray:
+    """For each window index i, draw k partners j != i uniformly.
+
+    Returns the (n_windows*k, 2) index pairs (i, j), grouped by i.
+    """
     if n_windows < 2:
         raise DataError("need at least 2 windows to sample reference pairs")
     if k < 1:
         raise DataError("k must be >= 1")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    pairs = []
-    for i in range(n_windows):
-        for _ in range(k):
-            j = int(rng.integers(0, n_windows - 1))
-            if j >= i:
-                j += 1
-            pairs.append((i, j))
-    return pairs
+    i = np.repeat(np.arange(n_windows), k)
+    j = rng.integers(0, n_windows - 1, size=n_windows * k)
+    return np.stack([i, j + (j >= i)], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
-"""Inference-time anomaly scoring: per-sub-sequence order-discrepancy (or
-error-prediction) scores and per-window distance-residual scores from the
-branch forwards in ``networks``, aggregated to per-timestamp scores, and
-percentile thresholding.
+"""Inference-time anomaly scoring from the branch forwards in ``networks``.
+
+The test windows (n_windows, L, D) start at ``seqdata.window_starts``.  The
+order (or error-prediction) branch scores each window's m sub-sequence slots,
+(n_windows, m); the distance branch scores each window, (n_windows,), and its
+slots inherit that score.  Slot i of the window at ``s`` covers timestamps
+[s + i*r, s + i*r + l); a timestamp scores the mean over its covering slots.
 
 No shuffling happens at inference: sub-sequences are presented in true order
 with identity labels, which makes scoring fully deterministic given the seed
@@ -20,7 +23,7 @@ from . import ConfigError, DataError
 from .ndkernel import gru_forward  # noqa: F401
 from .networks import dsn_embeddings, ep_forward, order_forward, pair_residuals, sample_pairs
 from .objectives import js_rows
-from .seqdata import MultivariateSeries, make_windows, zscore_apply
+from .seqdata import MultivariateSeries, make_windows, window_starts, zscore_apply
 from .training import TrainedModel, branches
 
 
@@ -60,42 +63,41 @@ class ScoreSeries:
         return self.scores.shape[0]
 
 
-def aggregate_timestamps(slots, n_timestamps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean score per timestamp over all covering (start, length, value) slots.
+def aggregate_timestamps(starts, values, length: int,
+                         n_timestamps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean score per timestamp over all covering slots: slot k covers
+    [starts[k], starts[k] + length) with score ``values[k]``.
 
     Returns (scores, coverage).  Every timestamp must be covered by at least
     one slot, otherwise the layout is inconsistent.
     """
-    total = np.zeros(n_timestamps)
-    count = np.zeros(n_timestamps, dtype=np.int64)
-    for start, length, value in slots:
-        if start < 0 or start + length > n_timestamps:
-            raise DataError(f"slot [{start}, {start + length}) outside timeline "
-                            f"of {n_timestamps} timestamps")
-        total[start:start + length] += value
-        count[start:start + length] += 1
+    starts = np.asarray(starts, dtype=np.intp)
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    outside = (starts < 0) | (starts + length > n_timestamps)
+    if np.any(outside):
+        start = int(starts[np.argmax(outside)])
+        raise DataError(f"slot [{start}, {start + length}) outside timeline "
+                        f"of {n_timestamps} timestamps")
+    idx = (starts[:, None] + np.arange(length)).reshape(-1)
+    # bincount adds slot by slot, in the order a loop over the slots would.
+    total = np.bincount(idx, weights=np.repeat(values, length), minlength=n_timestamps)
+    count = np.bincount(idx, minlength=n_timestamps)
     if np.any(count == 0):
         missing = int(np.argmin(count))
         raise DataError(f"timestamp {missing} not covered by any sub-sequence")
     return total / count, count
 
 
-def threshold_percentile(scores: np.ndarray, delta: float) -> np.ndarray:
-    """Binary predictions: score strictly above the (100 - delta) percentile."""
-    if not 0 < delta < 100:
-        raise ConfigError("delta must be in (0, 100)")
-    scores = np.asarray(scores, np.float64)
-    thr = np.percentile(scores, 100.0 - delta)
-    return (scores > thr).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # Full scoring pipeline
 # ---------------------------------------------------------------------------
 
+# Windows per forward pass of the temporal branch.
+CHUNK = 1024
+
+
 def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig,
-                 train_series: MultivariateSeries | None = None,
-                 chunk: int = 1024) -> ScoreSeries:
+                 train_series: MultivariateSeries | None = None) -> ScoreSeries:
     """Score every test timestamp with the trained model.
 
     Windows are laid out at stride ``R_test`` with one extra tail window so
@@ -107,15 +109,15 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
         raise DataError(f"test series has {test.d} dimensions, model expects {model.d_in}")
     tc = model.config
     norm = zscore_apply(test, model.stats)
-    windows = make_windows(norm, tc.L, cfg.R_test, cover_tail=True)
-    W = np.stack([w.data for w in windows])
-    n_w = len(windows)
+    starts = window_starts(test.n, tc.L, cfg.R_test, cover_tail=True)
+    W = make_windows(norm, tc.L, cfg.R_test, cover_tail=True)
+    n_w = len(W)
     use_otn, use_ep, use_dsn = branches(tc.mode, tc.alpha)
 
     # Temporal component: (n_w, m) score per sub-sequence.
     t_scores = np.zeros((n_w, tc.m))
-    for s in range(0, n_w, chunk):
-        part = W[s:s + chunk]
+    for s in range(0, n_w, CHUNK):
+        part = W[s:s + CHUNK]
         B = part.shape[0]
         if use_otn:
             P, Y, _, _ = order_forward(model.phi, part, np.tile(np.arange(tc.m), (B, 1)),
@@ -143,25 +145,19 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
             if train_series is None:
                 raise DataError("ref_source='train' requires the training series")
             pool = make_windows(zscore_apply(train_series, model.stats), tc.L, tc.R_train)
-            Ep, Fp, _, _ = dsn_embeddings(model.phi, model.eta,
-                                          np.stack([w.data for w in pool]), normalize)
+            Ep, Fp, _, _ = dsn_embeddings(model.phi, model.eta, pool, normalize)
             jj = rng.integers(0, len(pool), size=(n_w, cfg.k_refs)).reshape(-1)
             ii = np.repeat(np.arange(n_w), cfg.k_refs)
         else:
-            ii, jj = np.asarray(sample_pairs(n_w, rng, cfg.k_refs), dtype=np.intp).T
+            ii, jj = sample_pairs(n_w, rng, cfg.k_refs).T
             Ep, Fp = E, F
         resid = pair_residuals(E, F, ii, jj, Ep, Fp)
         dsn_w = (resid ** 2).reshape(n_w, cfg.k_refs).mean(axis=1)
 
-    # Aggregate each component over all (window, sub-sequence) slots.
-    def slot_iter(values_2d):
-        for wi, w in enumerate(windows):
-            for i in range(tc.m):
-                yield (w.start + i * tc.r, tc.l, values_2d[wi, i])
-
-    otn_col, coverage = aggregate_timestamps(slot_iter(t_scores), test.n)
-    dsn_col, _ = aggregate_timestamps(
-        slot_iter(np.repeat(dsn_w[:, None], tc.m, axis=1)), test.n)
+    # Aggregate each component over all (window, sub-sequence) slots, window-major.
+    slot_starts = (starts[:, None] + np.arange(tc.m) * tc.r).reshape(-1)
+    otn_col, coverage = aggregate_timestamps(slot_starts, t_scores, tc.l, test.n)
+    dsn_col, _ = aggregate_timestamps(slot_starts, np.repeat(dsn_w, tc.m), tc.l, test.n)
     scores = otn_col + cfg.beta * dsn_col
     return ScoreSeries(scores=scores, score_otn=otn_col, score_dsn=dsn_col,
                        coverage=coverage)
@@ -187,30 +183,49 @@ def write_scores_csv(path, series: ScoreSeries, labels: np.ndarray | None = None
             w.writerow(row)
 
 
+def _column(path, name: str, cells: list[str], dtype, valid=None, need: str = "") -> np.ndarray:
+    """One scores-CSV column as ``dtype``.  The first cell that does not parse,
+    or whose value fails ``valid`` (it must be ``need``), is a DataError naming
+    its file line."""
+    try:
+        col = np.asarray(cells, dtype=dtype)
+    except ValueError:
+        for line, cell in enumerate(cells, start=2):
+            try:
+                np.asarray(cell, dtype=dtype)
+            except ValueError:
+                raise DataError(f"{path}: line {line}: cannot parse {name} "
+                                f"{cell.strip()!r}") from None
+        raise
+    if valid is not None:
+        bad = np.flatnonzero(~valid(col))
+        if bad.size:
+            raise DataError(f"{path}: line {bad[0] + 2}: {name} must be {need}, "
+                            f"got {cells[bad[0]].strip()!r}")
+    return col
+
+
 def read_scores_csv(path) -> dict[str, np.ndarray]:
-    """Read a scores CSV back into column arrays (labels included if present)."""
+    """Read a scores CSV back into column arrays (labels included if present).
+
+    Scores must be finite and labels 0 or 1; a bad cell fails with its file line.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        rows = list(csv.reader(fh))
     if len(rows) < 2:
         raise DataError(f"{path}: empty scores file")
     header = rows[0]
-    required = ("timestamp", "score", "score_otn", "score_dsn")
-    for col in required:
+    for col in ("timestamp", "score", "score_otn", "score_dsn"):
         if col not in header:
             raise DataError(f"{path}: missing column {col!r}")
-    cols = {name: [] for name in header}
-    for i, row in enumerate(rows[1:]):
+    for line, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
-            raise DataError(f"{path}: line {i + 2}: expected {len(header)} columns")
-        for name, cell in zip(header, row):
-            cols[name].append(cell)
-    out = {
-        "timestamp": np.asarray(cols["timestamp"], dtype=np.int64),
-        "score": np.asarray(cols["score"], dtype=np.float64),
-        "score_otn": np.asarray(cols["score_otn"], dtype=np.float64),
-        "score_dsn": np.asarray(cols["score_dsn"], dtype=np.float64),
-    }
+            raise DataError(f"{path}: line {line}: expected {len(header)} columns")
+    cols = dict(zip(header, map(list, zip(*rows[1:]))))
+    out = {"timestamp": _column(path, "timestamp", cols["timestamp"], np.int64)}
+    for name in ("score", "score_otn", "score_dsn"):
+        out[name] = _column(path, name, cols[name], np.float64, np.isfinite, "finite")
     if "label" in cols:
-        out["label"] = np.asarray(cols["label"], dtype=np.int64)
+        out["label"] = _column(path, "label", cols["label"], np.int64,
+                               lambda y: (y == 0) | (y == 1), "0 or 1")
     return out

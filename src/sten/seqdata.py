@@ -1,6 +1,8 @@
 """Data ingestion, normalization, windowing, the batched sub-sequence gather,
 plus a synthetic benchmark generator for desk-scale evaluation.
 
+Everything is an array: a series is (N, D), its windows (n_windows, L, D) start
+at ``window_starts``, and a batch's sub-sequences are (B*m, l, D), m per window.
 Indexing is 0-based internally; CSV outputs use 1-based timestamps.
 """
 
@@ -42,18 +44,6 @@ class MultivariateSeries:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass
-class Window:
-    """A length-L slice of a series starting at timestamp index ``start``."""
-
-    start: int
-    data: np.ndarray  # (L, D)
-
-    @property
-    def length(self) -> int:
-        return self.data.shape[0]
 
 
 @dataclass
@@ -106,6 +96,8 @@ def load_csv(path, has_header: bool = True,
         label_idx = header.index("label")
     if label_idx is not None and label_idx < 0:
         label_idx += ncols
+    if ncols - (label_idx is not None) < 1:
+        raise DataError(f"{path}: no value columns")
 
     values = []
     labels = [] if label_idx is not None else None
@@ -179,23 +171,28 @@ def zscore_apply(series: MultivariateSeries, stats: NormStats) -> MultivariateSe
 # Windowing
 # ---------------------------------------------------------------------------
 
-def make_windows(series: MultivariateSeries, L: int, R: int,
-                 cover_tail: bool = False) -> list[Window]:
-    """Sliding windows of length L and stride R: starts 0, R, 2R, ...
+def window_starts(n: int, L: int, R: int, cover_tail: bool = False) -> np.ndarray:
+    """Starts 0, R, 2R, ... of the length-L windows over n timestamps.
 
-    With ``cover_tail`` a final window anchored at N-L is appended when the
+    With ``cover_tail`` a final window anchored at n-L is appended when the
     regular grid leaves trailing timestamps uncovered (used for scoring so
     every timestamp is covered).
     """
-    n = series.n
     if L > n:
         raise DataError(f"window length {L} exceeds series length {n}")
     if L < 1 or R < 1:
         raise DataError("window length and stride must be >= 1")
-    starts = list(range(0, n - L + 1, R))
+    starts = np.arange(0, n - L + 1, R)
     if cover_tail and starts[-1] + L < n:
-        starts.append(n - L)
-    return [Window(start=s, data=series.values[s:s + L]) for s in starts]
+        starts = np.append(starts, n - L)
+    return starts
+
+
+def make_windows(series: MultivariateSeries, L: int, R: int,
+                 cover_tail: bool = False) -> np.ndarray:
+    """The (n_windows, L, D) stack of the windows at ``window_starts``."""
+    starts = window_starts(series.n, L, R, cover_tail)
+    return series.values[starts[:, None] + np.arange(L)]
 
 
 def gather_subsequences(batch: np.ndarray, perms: np.ndarray, l: int, r: int) -> np.ndarray:

@@ -5,7 +5,6 @@ with deterministic seeding, checkpointing, and the ablation modes.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -94,13 +93,13 @@ def branches(mode: str, alpha: float) -> tuple[bool, bool, bool]:
 
 
 def build_sten_tape(phi: PhiParams, eta: EtaParams, batch: np.ndarray,
-                    perms: np.ndarray | None, pairs: Sequence[tuple[int, int]] | None,
+                    perms: np.ndarray | None, pairs: np.ndarray | None,
                     cfg: TrainConfig) -> GradTape:
     """Forward pass of the combined loss over one batch of windows.
 
     ``batch`` is (B, L, D); ``perms`` gives each window's presented
-    sub-sequence order (B, m); ``pairs`` are window-index pairs for the
-    distance branch.  Returns a tape whose backward yields exact gradients
+    sub-sequence order (B, m); ``pairs`` (P, 2) are window-index pairs for
+    the distance branch.  Returns a tape whose backward yields exact gradients
     for every phi parameter (eta is frozen).
     """
     use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
@@ -146,7 +145,7 @@ def build_sten_tape(phi: PhiParams, eta: EtaParams, batch: np.ndarray,
             raise DataError("distance branch requires reference pairs")
         En, Fn, norms, cache_d = dsn_embeddings(phi, eta, batch, cfg.normalize_embeddings,
                                                 want_cache=True)
-        ii, jj = np.asarray(pairs, dtype=np.intp).T
+        ii, jj = pairs.T
         resid_d = pair_residuals(En, Fn, ii, jj, En, Fn)
         dsn_val = float(np.mean(resid_d ** 2))
 
@@ -177,7 +176,7 @@ def build_sten_tape(phi: PhiParams, eta: EtaParams, batch: np.ndarray,
 
 def _draw_permutations(rng: np.random.Generator, n_windows: int, m: int) -> np.ndarray:
     """Fresh presented-order permutations, one per window."""
-    return np.stack([rng.permutation(m) for _ in range(n_windows)])
+    return rng.permuted(np.tile(np.arange(m), (n_windows, 1)), axis=1)
 
 
 def _batch_ranges(n: int, batch_size: int, min_last: int) -> list[tuple[int, int]]:
@@ -193,14 +192,13 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     cfg.validate()
     stats = zscore_fit(series)
     norm = zscore_apply(series, stats)
-    windows = make_windows(norm, cfg.L, cfg.R_train)
-    n = len(windows)
+    W = make_windows(norm, cfg.L, cfg.R_train)  # (n, L, D)
+    n = len(W)
     use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
     if use_dsn and n < 2:
         raise DataError(f"mode {cfg.mode!r} needs >= 2 windows for distance pairs, got {n}")
     if use_dsn and cfg.batch_size < 2:
         raise ConfigError("batch_size must be >= 2 for modes with the distance branch")
-    W = np.stack([w.data for w in windows])  # (n, L, D)
 
     streams = seed_streams(cfg.seed)
     phi = init_phi(series.d, cfg.d_model, cfg.m, streams["phi_init"],
@@ -287,6 +285,12 @@ def _check_blocks(path, cfg: TrainConfig, d_in: int, blocks: dict[str, np.ndarra
             raise DataError(f"{path}: block {t}{exc}") from None
 
 
+# Python types of the JSON values each declared TrainConfig field type accepts;
+# only a bool field accepts a bool.
+_JSON_TYPES = {"bool": bool, "int": int, "int | None": (int, type(None)),
+               "float": (int, float), "str": str}
+
+
 def load_checkpoint(path) -> TrainedModel:
     config, blocks = read_checkpoint(path)
     d_in = config.pop("d_in", None)
@@ -294,12 +298,16 @@ def load_checkpoint(path) -> TrainedModel:
     unknown = set(config) - known
     if unknown:
         raise DataError(f"{path}: unknown config keys in checkpoint: {sorted(unknown)}")
-    cfg = TrainConfig(**config)
     try:
-        if not isinstance(d_in, int) or d_in < 1:
+        if isinstance(d_in, bool) or not isinstance(d_in, int) or d_in < 1:
             raise ConfigError(f"d_in must be a positive integer, got {d_in!r}")
+        for f in fields(TrainConfig):
+            v = config.get(f.name, f.default)
+            if isinstance(v, bool) != (f.type == "bool") or not isinstance(v, _JSON_TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {v!r}")
+        cfg = TrainConfig(**config)
         cfg.validate()
-    except (ConfigError, TypeError) as exc:
+    except ConfigError as exc:
         raise DataError(f"{path}: bad checkpoint config: {exc}") from None
     _check_blocks(path, cfg, d_in, blocks)
     gru = GruParams.from_dict(blocks, "phi.gru.")

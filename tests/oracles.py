@@ -46,6 +46,26 @@ def gru_encode_unrolled(seq, p):
     return h
 
 
+def finite_diff_grad(f, params, h=1e-5):
+    """Central-difference gradient estimate of a deterministic scalar function.
+
+    Evaluates (f(p + h*e_i) - f(p - h*e_i)) / (2h) per coordinate in float64.
+    """
+    work = {k: np.asarray(v, dtype=np.float64).copy() for k, v in params.items()}
+    grads = {k: np.zeros(v.shape) for k, v in work.items()}
+    for name, arr in work.items():
+        gflat = grads[name]
+        for i in range(arr.size):
+            orig = arr.flat[i]
+            arr.flat[i] = orig + h
+            fp = float(f(work))
+            arr.flat[i] = orig - h
+            fm = float(f(work))
+            arr.flat[i] = orig
+            gflat.flat[i] = (fp - fm) / (2.0 * h)
+    return grads
+
+
 def adam_scalar_steps(theta, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Hand-rolled Adam recurrence on one scalar parameter; grads is a list."""
     m = v = 0.0
@@ -247,14 +267,31 @@ def affiliation_enum(pred_events, truth_events, n):
     return precision, recall, f1
 
 
+def sample_pairs_loop(n_windows, rng, k):
+    """Reference pairs drawn one partner at a time: j != i, uniform."""
+    pairs = []
+    for i in range(n_windows):
+        for _ in range(k):
+            j = int(rng.integers(0, n_windows - 1))
+            if j >= i:
+                j += 1
+            pairs.append((i, j))
+    return pairs
+
+
+def draw_permutations_loop(rng, n_windows, m):
+    """One fresh permutation of range(m) per window, drawn in window order."""
+    return [rng.permutation(m).tolist() for _ in range(n_windows)]
+
+
 def aggregate_dense(slots, n):
-    """Per-timestamp mean via explicit accumulation lists."""
-    per_t = [[] for _ in range(n)]
+    """Per-timestamp mean, accumulated one timestamp of one slot at a time."""
+    total, count = [0.0] * n, [0] * n
     for start, length, value in slots:
         for t in range(start, start + length):
-            per_t[t].append(value)
-    return (np.asarray([sum(v) / len(v) for v in per_t]),
-            np.asarray([len(v) for v in per_t]))
+            total[t] += value
+            count[t] += 1
+    return np.asarray([s / c for s, c in zip(total, count)]), np.asarray(count)
 
 
 # ---------------------------------------------------------------------------

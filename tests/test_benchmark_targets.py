@@ -2,13 +2,22 @@
 
 Its per-layer metric names are ``<module>.<function>.<field>``; every such
 function must exist, or a rename here silently breaks the traced benchmark.
+Some counters are read from a traced call's arguments or result, so those
+must keep their meaning too.
 """
 
 import importlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from sten import scoring
+from sten.networks import sample_pairs
+from sten.scoring import ScoreConfig, aggregate_timestamps
+from sten.seqdata import MultivariateSeries, make_windows, window_starts
+from sten.training import TrainConfig, train
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
@@ -26,3 +35,38 @@ def test_benchmark_lists_traced_functions():
 def test_traced_function_resolves(qualname):
     module, function = qualname.split(".")
     assert callable(getattr(importlib.import_module(f"sten.{module}"), function, None))
+
+
+# The benchmark's per-layer counters read these results and arguments.
+
+def test_make_windows_length_counts_windows():
+    series = MultivariateSeries(values=np.zeros((57, 2)))
+    assert len(make_windows(series, 10, 7)) == len(window_starts(57, 10, 7)) == 7
+    assert len(make_windows(series, 10, 7, cover_tail=True)) == 8
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (7, 3)])
+def test_sample_pairs_length_counts_pairs(n, k):
+    assert len(sample_pairs(n, 0, k)) == n * k
+
+
+def test_aggregate_timestamps_takes_listed_slot_starts(monkeypatch):
+    """score_series passes one start per slot, which the benchmark lists."""
+    tc = TrainConfig(L=9, R_train=3, l=3, r=3, m=3, d_model=4, epochs=1, mode="otn_only")
+    series = MultivariateSeries(values=np.random.default_rng(0).normal(size=(40, 2)))
+    model = train(series, tc)
+    counted = []
+
+    def listed(starts, *rest):
+        starts = list(starts)
+        counted.append(len(starts))
+        return aggregate_timestamps(starts, *rest)
+
+    cfg = ScoreConfig(R_test=4)
+    want = scoring.score_series(model, series, cfg)
+    monkeypatch.setattr(scoring, "aggregate_timestamps", listed)
+    got = scoring.score_series(model, series, cfg)
+    n_windows = len(make_windows(series, tc.L, cfg.R_test, cover_tail=True))
+    assert counted == [n_windows * tc.m] * 2
+    np.testing.assert_array_equal(got.scores, want.scores)
+    np.testing.assert_array_equal(got.coverage, want.coverage)

@@ -332,6 +332,58 @@ class TestExitCodes:
         assert proc.stderr.startswith("sten: ")
 
 
+SCORES_HEADER = "timestamp,score,score_otn,score_dsn,label\n"
+
+# (command, contents of the bad file, what the error names): one row per
+# failure mode of seqdata.load_csv (a --labels-from file) and of
+# scoring.read_scores_csv (a --scores file).
+CSV_CASES = [
+    pytest.param("labels", "", "empty file", id="csv-empty"),
+    pytest.param("labels", "a,label\n", "no data rows", id="csv-header-only"),
+    pytest.param("labels", "a,label\n1.0,0\n2.0\n", "line 3: expected 2 columns",
+                 id="csv-ragged-row"),
+    pytest.param("labels", "a,label\n1.0,0\nabc,1\n", "line 3: cannot parse value 'abc'",
+                 id="csv-unparsable-value"),
+    pytest.param("labels", "a,label\ninf,0\n", "line 2: non-finite value 'inf'",
+                 id="csv-non-finite-value"),
+    pytest.param("labels", "a,label\n1.0,7\n", "line 2: label must be 0 or 1, got '7'",
+                 id="csv-bad-label"),
+    pytest.param("labels", "label\n0\n1\n", "no value columns",
+                 id="csv-no-value-column"),
+    pytest.param("scores", SCORES_HEADER, "empty scores file", id="scores-header-only"),
+    pytest.param("scores", "timestamp,score,score_otn\n1,0.5,0.5\n", "missing column 'score_dsn'",
+                 id="scores-missing-column"),
+    pytest.param("scores", SCORES_HEADER + "1,0.5,0.5,0,0\n2,0.5,0.5,0\n",
+                 "line 3: expected 5 columns", id="scores-ragged-row"),
+    pytest.param("scores", SCORES_HEADER + "1,0.5,0.5,0,0\n2,abc,0.1,0,1\n",
+                 "line 3: cannot parse score 'abc'", id="scores-unparsable-score"),
+    pytest.param("scores", SCORES_HEADER + "1,0.5,0.5,0,0\n2,nan,0.1,0,1\n",
+                 "line 3: score must be finite, got 'nan'", id="scores-nan-score"),
+    pytest.param("scores", SCORES_HEADER + "1,0.5,inf,0,0\n2,0.5,0.1,0,1\n",
+                 "line 2: score_otn must be finite, got 'inf'", id="scores-inf-component"),
+    pytest.param("scores", SCORES_HEADER + "1,0.5,0.5,0,7\n2,0.5,0.1,0,1\n",
+                 "line 2: label must be 0 or 1, got '7'", id="scores-bad-label"),
+    pytest.param("scores", SCORES_HEADER + "1,0.5,0.5,0,0\nx,0.5,0.1,0,1\n",
+                 "line 3: cannot parse timestamp 'x'", id="scores-unparsable-timestamp"),
+]
+
+
+class TestCsvErrors:
+    @pytest.mark.parametrize("command,contents,message", CSV_CASES)
+    def test_data_error_names_file_and_line(self, tmp_path, command, contents, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(contents)
+        good = tmp_path / "good.csv"
+        good.write_text(SCORES_HEADER + "1,0.5,0.5,0,0\n2,0.1,0.1,0,1\n")
+        argv = (["eval", "--scores", good, "--labels-from", bad] if command == "labels"
+                else ["eval", "--scores", bad])
+        proc = sten_process(argv, {})
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("sten: data error: ")
+        assert f"{bad}: " in proc.stderr and message in proc.stderr
+
+
 CHECKPOINT_BLOCKS = sorted(
     [t + n for t in ("phi.gru.", "phi.dsn_gru.", "eta.gru.") for n in GruParams.NAMES]
     + ["phi.order_head.W", "phi.order_head.b", "phi.ep_head.W", "phi.ep_head.b",
@@ -357,6 +409,13 @@ def no_separate_towers(cfg, blocks):
 
 def no_ep_head(cfg, blocks):
     cfg["mode"] = "dsn_only"
+
+
+def wrong_type(key, value):
+    """A config value of a type other than the field's declared one."""
+    def edit(cfg, blocks):
+        cfg[key] = value
+    return pytest.param(edit, id=f"{key}={json.dumps(value)}")
 
 
 class TestCheckpointContents:
@@ -390,7 +449,12 @@ class TestCheckpointContents:
         assert code == 2
         assert name.rsplit(".", 1)[1] in err
 
-    @pytest.mark.parametrize("edit", [drop_d_in, break_layout, no_separate_towers, no_ep_head])
+    @pytest.mark.parametrize("edit", [
+        drop_d_in, break_layout, no_separate_towers, no_ep_head,
+        wrong_type("normalize_embeddings", "no"), wrong_type("separate_towers", 1),
+        wrong_type("d_model", 4.0), wrong_type("epochs", True), wrong_type("d_in", True),
+        wrong_type("alpha", "1"), wrong_type("lr", None), wrong_type("eta_seed", 1.5),
+        wrong_type("mode", ["full"])])
     def test_config_disagrees(self, trained, tmp_path, capsys, edit):
         code, err = self.score_with(trained, tmp_path, capsys, edit)
         assert code == 2

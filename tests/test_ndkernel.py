@@ -3,10 +3,10 @@ import pytest
 
 from sten import DataError, NumericError, StenError
 from sten.ndkernel import (AdamState, GruParams, adam_update, backward,
-                           finite_diff_grad, gru_backward, gru_forward,
-                           init_adam_state, init_gru, softmax)
+                           gru_backward, gru_forward, init_adam_state, init_gru, softmax)
 
 import oracles
+from oracles import finite_diff_grad
 
 
 def zero_gru(d_in, d_model):

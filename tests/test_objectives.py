@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from sten import ConfigError, DataError
-from sten.ndkernel import finite_diff_grad
 from sten.networks import init_eta, init_phi, sample_pairs
 from sten.objectives import js_rows, js_rows_grad_p
 from sten.training import TrainConfig, build_sten_tape
 
 import oracles
+from oracles import finite_diff_grad
 
 JS_HALF_ONEHOT = 0.43152310867767134  # ln(4/3) + 0.5 ln(2/3) + 0.5 ln 2
 
@@ -147,7 +147,7 @@ class TestDsnLoss:
         rng = np.random.default_rng(4)
         phi, eta = init_phi(2, 4, 3, rng), init_eta(2, 4, rng)
         batch = rng.normal(size=(2, 6, 2))
-        tape = sten_tape(mode="dsn_only", phi=phi, eta=eta, batch=batch, pairs=[(0, 1)])
+        tape = sten_tape(mode="dsn_only", phi=phi, eta=eta, batch=batch, pairs=np.array([[0, 1]]))
         assert abs(tape.dsn - dsn_oracle(phi, eta, batch, [(0, 1)])) < 1e-12
 
     def test_matches_loop_oracle(self):
@@ -160,7 +160,7 @@ class TestDsnLoss:
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            sten_tape(mode="dsn_only", pairs=[])
+            sten_tape(mode="dsn_only", pairs=np.empty((0, 2), np.intp))
 
 
 class TestStenLoss:
@@ -202,7 +202,7 @@ def phi_with_ep(d_in, d_model, m, seed):
 def ep_loss(data, phi):
     """The error-prediction part of a dsn_plus_ep loss (its tape.otn) on one window."""
     return sten_tape(mode="dsn_plus_ep", m=len(data), l=1, phi=phi,
-                     batch=np.asarray(data, np.float64)[None], pairs=[(0, 0)]).otn
+                     batch=np.asarray(data, np.float64)[None], pairs=np.array([[0, 0]])).otn
 
 
 class TestEpLoss:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from sten import ConfigError, DataError
+from sten import ConfigError, DataError, scoring
+from sten.evalmetrics import threshold_percentile
 from sten.networks import init_eta, init_phi, sample_pairs
 from sten.scoring import (ScoreConfig, aggregate_timestamps, read_scores_csv,
-                          score_series, threshold_percentile, write_scores_csv)
+                          score_series, write_scores_csv)
 from sten.seqdata import MultivariateSeries, NormStats, make_windows
 from sten.training import (TrainConfig, TrainedModel, load_checkpoint,
                            save_checkpoint, seed_streams)
@@ -136,14 +137,15 @@ ORACLE_CASES = [
 class TestScoreSeriesOracle:
     @pytest.mark.parametrize("case", ORACLE_CASES,
                              ids=["-".join(f"{k}={v}" for k, v in c.items()) for c in ORACLE_CASES])
-    def test_columns_match_dense_oracle(self, case):
+    def test_columns_match_dense_oracle(self, case, monkeypatch):
+        monkeypatch.setattr(scoring, "CHUNK", 5)
         case = dict(case)
         per_subseq = case.pop("per_subseq_denominator", False)
         model = tiny_model(seed=21, separate_towers=case["mode"] == "full", **case)
         series = series_fixture(n=45, seed=22)
         cfg = ScoreConfig(beta=0.7, R_test=4, seed=23, k_refs=2,
                           per_subseq_denominator=per_subseq)
-        out = score_series(model, series, cfg, chunk=5)
+        out = score_series(model, series, cfg)
         for got, want in zip((out.scores, out.score_otn, out.score_dsn),
                              oracle_scores(model, series, cfg)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
@@ -151,12 +153,12 @@ class TestScoreSeriesOracle:
 
 class TestAggregate:
     def test_non_overlapping_inherits_score(self):
-        scores, cov = aggregate_timestamps([(0, 3, 5.0), (3, 3, 7.0)], 6)
+        scores, cov = aggregate_timestamps([0, 3], [5.0, 7.0], 3, 6)
         np.testing.assert_array_equal(scores, [5, 5, 5, 7, 7, 7])
         np.testing.assert_array_equal(cov, [1] * 6)
 
     def test_overlap_means(self):
-        scores, cov = aggregate_timestamps([(0, 4, 2.0), (0, 4, 4.0)], 4)
+        scores, cov = aggregate_timestamps([0, 0], [2.0, 4.0], 4, 4)
         np.testing.assert_array_equal(scores, [3.0] * 4)
         np.testing.assert_array_equal(cov, [2] * 4)
 
@@ -164,29 +166,36 @@ class TestAggregate:
         rng = np.random.default_rng(5)
         for _ in range(20):
             n = int(rng.integers(10, 60))
-            slots = [(0, n, float(rng.normal()))]  # guarantee full coverage
-            for _ in range(int(rng.integers(1, 15))):
-                start = int(rng.integers(0, n - 1))
-                length = int(rng.integers(1, n - start + 1))
-                slots.append((start, length, float(rng.normal())))
-            scores, cov = aggregate_timestamps(slots, n)
-            oscores, ocov = oracles.aggregate_dense(slots, n)
-            np.testing.assert_allclose(scores, oscores, atol=1e-12)
+            length = int(rng.integers(1, n + 1))
+            # A tiling of the timeline guarantees full coverage.
+            starts = list(range(0, n - length + 1, length)) + [n - length]
+            starts += rng.integers(0, n - length + 1, size=int(rng.integers(1, 15))).tolist()
+            starts = rng.permutation(starts)
+            values = rng.normal(size=len(starts))
+            scores, cov = aggregate_timestamps(starts, values, length, n)
+            oscores, ocov = oracles.aggregate_dense(
+                [(s, length, v) for s, v in zip(starts, values)], n)
+            # Same additions in the same order: equal to the last bit.
+            np.testing.assert_array_equal(scores, oscores)
             np.testing.assert_array_equal(cov, ocov)
 
     def test_mass_preservation(self):
         rng = np.random.default_rng(6)
         n = 40
-        slots = [(0, n, 1.0)] + [(int(rng.integers(0, 30)), 10, float(rng.normal()))
-                                 for _ in range(12)]
-        scores, cov = aggregate_timestamps(slots, n)
+        starts = np.concatenate([np.arange(0, n, 10), rng.integers(0, 31, size=12)])
+        values = rng.normal(size=len(starts))
+        scores, cov = aggregate_timestamps(starts, values, 10, n)
         lhs = float((scores * cov).sum())
-        rhs = sum(length * value for _, length, value in slots)
+        rhs = 10 * float(values.sum())
         assert abs(lhs - rhs) < 1e-9
 
     def test_uncovered_timestamp_rejected(self):
         with pytest.raises(DataError, match="not covered"):
-            aggregate_timestamps([(0, 3, 1.0)], 5)
+            aggregate_timestamps([0], [1.0], 3, 5)
+
+    def test_slot_outside_timeline_rejected(self):
+        with pytest.raises(DataError, match="outside timeline"):
+            aggregate_timestamps([0, 3], [1.0, 1.0], 3, 5)
 
 
 class TestThreshold:
@@ -228,13 +237,14 @@ class TestScoreSeries:
         hi = score_series(model, series, ScoreConfig(beta=2.0, R_test=4, seed=3))
         assert np.all(hi.scores >= lo.scores - 1e-15)
 
-    def test_deterministic_and_partition_invariant(self):
+    def test_deterministic_and_partition_invariant(self, monkeypatch):
         model = tiny_model()
         series = series_fixture()
         cfg = ScoreConfig(R_test=4, seed=4)
         a = score_series(model, series, cfg)
         b = score_series(model, series, cfg)
-        c = score_series(model, series, cfg, chunk=7)
+        monkeypatch.setattr(scoring, "CHUNK", 7)
+        c = score_series(model, series, cfg)
         np.testing.assert_array_equal(a.scores, b.scores)
         np.testing.assert_array_equal(a.scores, c.scores)
 

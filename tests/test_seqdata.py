@@ -5,8 +5,10 @@ from sten import DataError
 from sten.networks import init_phi, order_forward
 from sten.seqdata import (MultivariateSeries, SynthConfig, gather_subsequences,
                           load_csv, make_windows, save_csv, synth_generate,
-                          zscore_apply, zscore_fit, _clean_signal)
+                          window_starts, zscore_apply, zscore_fit, _clean_signal)
 from sten.training import _draw_permutations
+
+import oracles
 
 
 class TestLoadCsv:
@@ -91,8 +93,10 @@ def series_of(n, d=1, seed=0):
 
 class TestMakeWindows:
     def test_small_grid(self):
-        ws = make_windows(series_of(5), 3, 1)
-        assert [w.start for w in ws] == [0, 1, 2]
+        s = series_of(5)
+        assert window_starts(5, 3, 1).tolist() == [0, 1, 2]
+        np.testing.assert_array_equal(make_windows(s, 3, 1),
+                                      [s.values[i:i + 3] for i in range(3)])
 
     def test_full_length_window(self):
         assert len(make_windows(series_of(5), 5, 1)) == 1
@@ -114,13 +118,13 @@ class TestMakeWindows:
             make_windows(series_of(4), 5, 1)
 
     def test_cover_tail_reaches_every_timestamp(self):
-        s = series_of(57)
-        ws = make_windows(s, 10, 7, cover_tail=True)
+        starts = window_starts(57, 10, 7, cover_tail=True)
         covered = np.zeros(57, dtype=bool)
-        for w in ws:
-            covered[w.start:w.start + 10] = True
+        for s in starts:
+            covered[s:s + 10] = True
         assert covered.all()
-        assert ws[-1].start == 57 - 10
+        assert starts[-1] == 57 - 10
+        assert len(make_windows(series_of(57), 10, 7, cover_tail=True)) == len(starts)
 
 
 def timeline_batch(n_windows, L, d=1):
@@ -174,6 +178,12 @@ class TestShuffle:
         a = _draw_permutations(np.random.default_rng(99), 4, 6)
         b = _draw_permutations(np.random.default_rng(99), 4, 6)
         assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 5), (3, 2), (8, 10), (64, 7)])
+    def test_matches_loop_form(self, n, m):
+        got = _draw_permutations(np.random.default_rng(n * 10 + m), n, m)
+        assert got.tolist() == oracles.draw_permutations_loop(
+            np.random.default_rng(n * 10 + m), n, m)
 
     def test_uniform_over_permutations(self):
         n = 10_000

@@ -3,12 +3,14 @@ import pytest
 
 import sten.training as training
 from sten import ConfigError, DataError, NumericError
-from sten.ndkernel import backward, finite_diff_grad
+from sten.ndkernel import backward
 from sten.networks import init_eta, init_phi, sample_pairs
 from sten.seqdata import MultivariateSeries, SynthConfig, synth_generate
 from sten.training import (TrainConfig, _batch_ranges, build_sten_tape,
                            load_checkpoint, save_checkpoint, seed_streams,
                            train)
+
+from oracles import finite_diff_grad
 
 
 def clone_phi_like(phi):
