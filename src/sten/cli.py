@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import ConfigError, DataError, NumericError, StenError
+from . import ConfigError, DataError, NumericError, StenError, atomic_write
 from .evalmetrics import METRIC_GROUPS, evaluate
 from .scoring import ScoreConfig, read_scores_csv, score_series, write_scores_csv
 from .seqdata import SynthConfig, load_csv, save_csv, synth_generate
@@ -193,7 +193,7 @@ def cmd_synth(args) -> int:
 
 
 def _write_loss_log(path, trace) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,otn,dsn,total\n")
         for i, (otn, dsn, total) in enumerate(trace, 1):
             fh.write(f"{i},{otn!r},{dsn!r},{total!r}\n")
@@ -282,7 +282,8 @@ def cmd_eval(args) -> int:
     doc = evaluate_to_doc(cols["score"], labels, cfg)
     text = json.dumps(doc, indent=2, sort_keys=True)
     if getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        with atomic_write(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
         print(f"metrics -> {args.out}")
     else:
         print(text)
@@ -342,7 +343,7 @@ def cmd_sweep(args) -> int:
             rows.append((v, doc))
             print(f"{args.param}={v:g}: auc_pr={doc.get('auc_pr', float('nan')):.4f}")
 
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(args.out, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["param", "value", "auc_roc", "auc_pr", "best_f1", "aff_f1"])
         for v, doc in rows:

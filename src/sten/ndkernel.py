@@ -5,6 +5,21 @@ Parameters are plain numpy arrays grouped in dicts keyed by dotted names
 (e.g. ``"gru.W_z"``).  Weights are stored as float32 at rest (checkpoints)
 but every computation here upcasts to float64, so forward/backward results
 are reproducible and finite-difference checks are clean.
+
+The GRU forward stacks the gate weights, as in fused-GEMM RNN kernels
+(Appleyard et al. 2016): W_z|W_r|W_h form one (3d, d_in) input matrix with
+bias b_z|b_r|b_h, and U_z|U_r one (2d, d) recurrent matrix.  Each step runs
+one input GEMM, one recurrent GEMM and one ``sigmoid`` call for z and r
+together, then the U_h GEMM on r*h.  The input is projected per step, so a
+forward without cache or trajectory holds O(B*d) floats, not O(B*T*d).
+Each gate pre-activation is still (x W^T + b) + h U^T, added in that order.
+``sigmoid`` computes the sign-split logistic without masks, with the same
+float operations and so the same bits.  Whether BLAS gives the same bits
+for the per-step (B, d_in) projection as for a whole-sequence one depends on
+the dgemm kernel it picks: on OpenBLAS with AVX-512 they match for small
+d_in, while from d_in 32 hidden states may differ by about 1e-15 (the tests
+name atol 1e-12).  ``gru_backward`` keeps per-gate weights: stacking its
+GEMMs gave the same bits and no speed-up.
 """
 
 from __future__ import annotations
@@ -25,12 +40,19 @@ def require_finite(name: str, arr: np.ndarray) -> None:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid exp overflow on large |x|.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function from e = exp(-|x|), which never overflows.
+
+    Since e <= 1, max(e, x >= 0) / (1 + e) is 1/(1+exp(-x)) for x >= 0 and
+    exp(x)/(1+exp(x)) below: the float operations of splitting by sign,
+    without the boolean gather and scatter, so the result has the same bits.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -138,17 +160,10 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False,
         raise DataError(f"input dim {X.shape[2]} != GRU d_in {p.d_in}")
     B, T, _ = X.shape
     d = p.d_model
-    W_z, W_r, W_h = (np.asarray(p.W_z, np.float64), np.asarray(p.W_r, np.float64),
-                     np.asarray(p.W_h, np.float64))
-    U_z, U_r, U_h = (np.asarray(p.U_z, np.float64), np.asarray(p.U_r, np.float64),
-                     np.asarray(p.U_h, np.float64))
-    b_z, b_r, b_h = (np.asarray(p.b_z, np.float64), np.asarray(p.b_r, np.float64),
-                     np.asarray(p.b_h, np.float64))
-
-    # Input projections for all steps at once.
-    AZx = X @ W_z.T + b_z
-    ARx = X @ W_r.T + b_r
-    AHx = X @ W_h.T + b_h
+    W = np.concatenate([p.W_z, p.W_r, p.W_h]).astype(np.float64)     # (3d, d_in)
+    b = np.concatenate([p.b_z, p.b_r, p.b_h]).astype(np.float64)     # (3d,)
+    U_zr = np.concatenate([p.U_z, p.U_r]).astype(np.float64)         # (2d, d)
+    U_h = np.asarray(p.U_h, np.float64)
 
     H = np.zeros((B, d))
     H_prev = np.empty((T, B, d)) if want_cache else None
@@ -158,9 +173,11 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False,
     H_all = np.empty((T, B, d)) if want_all else None
 
     for t in range(T):
-        z = sigmoid(AZx[:, t] + H @ U_z.T)
-        r = sigmoid(ARx[:, t] + H @ U_r.T)
-        hbar = np.tanh(AHx[:, t] + (r * H) @ U_h.T)
+        a = X[:, t] @ W.T
+        a += b
+        zr = sigmoid(a[:, :2 * d] + H @ U_zr.T)
+        z, r = zr[:, :d], zr[:, d:]
+        hbar = np.tanh(a[:, 2 * d:] + (r * H) @ U_h.T)
         if want_cache:
             H_prev[t] = H
             Z[t] = z

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import DataError
+from . import DataError, atomic_write
 from .ndkernel import GruParams, ParamDict, gru_forward, init_gru, require_finite, softmax
 from .seqdata import gather_subsequences
 
@@ -202,7 +202,7 @@ def pair_residuals(E: np.ndarray, F: np.ndarray, ii: np.ndarray, jj: np.ndarray,
     return (E[ii] * E_ref[jj]).sum(axis=1) - (F[ii] * F_ref[jj]).sum(axis=1)
 
 
-def sample_pairs(n_windows: int, rng: np.random.Generator | int, k: int = 1) -> np.ndarray:
+def sample_pairs(n_windows: int, rng: np.random.Generator, k: int = 1) -> np.ndarray:
     """For each window index i, draw k partners j != i uniformly.
 
     Returns the (n_windows*k, 2) index pairs (i, j), grouped by i.
@@ -211,8 +211,6 @@ def sample_pairs(n_windows: int, rng: np.random.Generator | int, k: int = 1) -> 
         raise DataError("need at least 2 windows to sample reference pairs")
     if k < 1:
         raise DataError("k must be >= 1")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     i = np.repeat(np.arange(n_windows), k)
     j = rng.integers(0, n_windows - 1, size=n_windows * k)
     return np.stack([i, j + (j >= i)], axis=1)
@@ -256,7 +254,7 @@ def write_checkpoint(path, config: dict, blocks: dict[str, np.ndarray]) -> None:
             out += struct.pack("<I", dim)
         out += arr.tobytes()
     out += hashlib.sha256(bytes(out)).digest()
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(bytes(out))
 
 

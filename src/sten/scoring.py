@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ConfigError, DataError
+from . import ConfigError, DataError, atomic_write
 # Bound here, uncalled, because perfbench/test_perfbench.py looks it up on this module.
 from .ndkernel import gru_forward  # noqa: F401
 from .networks import dsn_embeddings, ep_forward, order_forward, pair_residuals, sample_pairs
@@ -169,7 +169,7 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
 
 def write_scores_csv(path, series: ScoreSeries, labels: np.ndarray | None = None) -> None:
     """One row per test timestamp (1-based), with component columns."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         header = ["timestamp", "score", "score_otn", "score_dsn"]
         if labels is not None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import DataError
+from . import DataError, atomic_write
 
 STD_FLOOR = 1e-8
 
@@ -135,7 +135,7 @@ def load_csv(path, has_header: bool = True,
 def save_csv(series: MultivariateSeries, path) -> None:
     """Write a series as CSV with a header; labels go to a final "label" column."""
     names = series.dim_names or [f"dim_{j}" for j in range(series.d)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(list(names) + (["label"] if series.labels is not None else []))
         for i in range(series.n):

@@ -9,10 +9,81 @@ import math
 
 import numpy as np
 
+from sten import DataError
+from sten.ndkernel import GruCache, GruParams
+
 
 # ---------------------------------------------------------------------------
 # GRU / optimizer oracles
 # ---------------------------------------------------------------------------
+
+# The masked sigmoid and the per-gate GRU forward that the stacked-gate
+# kernel replaced; kept as exactness references for it.
+
+def sigmoid_masked(x: np.ndarray) -> np.ndarray:
+    # Split by sign to avoid exp overflow on large |x|.
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def gru_forward_unfused(X: np.ndarray, p: GruParams, want_cache: bool = False,
+                        want_all: bool = False):
+    """Batched GRU over X of shape (B, T, d_in), zero initial hidden state.
+
+    Returns the final hidden states (B, d_model).  With ``want_cache`` also
+    returns a GruCache for gru_backward; with ``want_all`` also returns the
+    full hidden trajectory (T, B, d_model).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 3 or X.shape[1] < 1:
+        raise DataError(f"expected (B, T, d_in) with T >= 1, got shape {X.shape}")
+    if X.shape[2] != p.d_in:
+        raise DataError(f"input dim {X.shape[2]} != GRU d_in {p.d_in}")
+    B, T, _ = X.shape
+    d = p.d_model
+    W_z, W_r, W_h = (np.asarray(p.W_z, np.float64), np.asarray(p.W_r, np.float64),
+                     np.asarray(p.W_h, np.float64))
+    U_z, U_r, U_h = (np.asarray(p.U_z, np.float64), np.asarray(p.U_r, np.float64),
+                     np.asarray(p.U_h, np.float64))
+    b_z, b_r, b_h = (np.asarray(p.b_z, np.float64), np.asarray(p.b_r, np.float64),
+                     np.asarray(p.b_h, np.float64))
+
+    # Input projections for all steps at once.
+    AZx = X @ W_z.T + b_z
+    ARx = X @ W_r.T + b_r
+    AHx = X @ W_h.T + b_h
+
+    H = np.zeros((B, d))
+    H_prev = np.empty((T, B, d)) if want_cache else None
+    Z = np.empty((T, B, d)) if want_cache else None
+    Rg = np.empty((T, B, d)) if want_cache else None
+    Hbar = np.empty((T, B, d)) if want_cache else None
+    H_all = np.empty((T, B, d)) if want_all else None
+
+    for t in range(T):
+        z = sigmoid_masked(AZx[:, t] + H @ U_z.T)
+        r = sigmoid_masked(ARx[:, t] + H @ U_r.T)
+        hbar = np.tanh(AHx[:, t] + (r * H) @ U_h.T)
+        if want_cache:
+            H_prev[t] = H
+            Z[t] = z
+            Rg[t] = r
+            Hbar[t] = hbar
+        H = (1.0 - z) * H + z * hbar
+        if want_all:
+            H_all[t] = H
+
+    out = [H]
+    if want_cache:
+        out.append(GruCache(X, H_prev, Z, Rg, Hbar))
+    if want_all:
+        out.append(H_all)
+    return out[0] if len(out) == 1 else tuple(out)
+
 
 def gru_step_scalar(x, h_prev, p):
     """Scalar transcription of the gate equations, one coordinate at a time."""

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sten import scoring
+from sten import ndkernel, scoring
 from sten.networks import sample_pairs
 from sten.scoring import ScoreConfig, aggregate_timestamps
 from sten.seqdata import MultivariateSeries, make_windows, window_starts
@@ -47,7 +47,7 @@ def test_make_windows_length_counts_windows():
 
 @pytest.mark.parametrize("n,k", [(2, 1), (7, 3)])
 def test_sample_pairs_length_counts_pairs(n, k):
-    assert len(sample_pairs(n, 0, k)) == n * k
+    assert len(sample_pairs(n, np.random.default_rng(0), k)) == n * k
 
 
 def test_aggregate_timestamps_takes_listed_slot_starts(monkeypatch):
@@ -70,3 +70,19 @@ def test_aggregate_timestamps_takes_listed_slot_starts(monkeypatch):
     assert counted == [n_windows * tc.m] * 2
     np.testing.assert_array_equal(got.scores, want.scores)
     np.testing.assert_array_equal(got.coverage, want.coverage)
+
+
+def test_gru_forward_calls_sigmoid_once_per_step_on_both_gates(monkeypatch):
+    """The benchmark's ndkernel.sigmoid counters measure the z and r gates."""
+    sizes = []
+    real = ndkernel.sigmoid
+
+    def counting(x):
+        sizes.append(np.size(x))
+        return real(x)
+
+    monkeypatch.setattr(ndkernel, "sigmoid", counting)
+    rng = np.random.default_rng(0)
+    B, T, d = 3, 7, 4
+    ndkernel.gru_forward(rng.normal(size=(B, T, 2)), ndkernel.init_gru(2, d, rng))
+    assert sizes == [2 * B * d] * T

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sten import DataError, NumericError, StenError
-from sten.ndkernel import (AdamState, GruParams, adam_update, backward,
-                           gru_backward, gru_forward, init_adam_state, init_gru, softmax)
+from sten.ndkernel import (AdamState, GruCache, GruParams, adam_update, backward,
+                           gru_backward, gru_forward, init_adam_state, init_gru, sigmoid,
+                           softmax)
 
 import oracles
 from oracles import finite_diff_grad
@@ -115,6 +118,88 @@ class TestGruEncode:
         a = gru_forward(X, p)
         b = gru_forward(X, p)
         assert np.array_equal(a, b)
+
+
+class TestSigmoid:
+    """The branch-free sigmoid performs the masked form's float operations."""
+
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 5e-324, -5e-324,
+               2.2250738585072014e-308, -2.2250738585072014e-308, 709.78, -745.2]
+
+    def test_random_bit_patterns_match_masked_form(self):
+        bits = np.random.default_rng(10).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        x = bits.view(np.float64)
+        assert np.array_equal(sigmoid(x), oracles.sigmoid_masked(x), equal_nan=True)
+
+    def test_special_values_match_masked_form(self):
+        x = np.array(self.SPECIAL)
+        assert np.array_equal(sigmoid(x), oracles.sigmoid_masked(x), equal_nan=True)
+
+    def test_gate_range_matches_masked_form(self):
+        x = np.random.default_rng(11).normal(scale=8.0, size=(64, 48))
+        got = sigmoid(x)
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert np.array_equal(got, oracles.sigmoid_masked(x))
+
+
+class TestStackedForward:
+    """gru_forward (stacked gate GEMMs, input projected per step) against the
+    per-gate forward with whole-sequence input projections in oracles."""
+
+    def _both(self, d_in, B=6, T=9, d=16, seed=12):
+        rng = np.random.default_rng(seed)
+        p = init_gru(d_in, d, rng)
+        X = rng.normal(size=(B, T, d_in))
+        return (gru_forward(X, p, want_cache=True, want_all=True),
+                oracles.gru_forward_unfused(X, p, want_cache=True, want_all=True), p)
+
+    @staticmethod
+    def _arrays(out):
+        H, cache, H_all = out
+        return [H, H_all] + [getattr(cache, n) for n in GruCache.__slots__]
+
+    @pytest.mark.parametrize("B,T,d", [(6, 9, 16), (64, 10, 32)])
+    def test_bit_identical_at_small_d_in(self, B, T, d):
+        got, want, _ = self._both(d_in=5, B=B, T=T, d=d)
+        for a, b in zip(self._arrays(got), self._arrays(want)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d_in", [38, 64])
+    def test_within_named_tolerance_at_wide_d_in(self, d_in):
+        # At d_in >= 32 BLAS may pick another dgemm kernel for the per-step
+        # (B, d_in) projection than for the whole-sequence one.
+        got, want, _ = self._both(d_in=d_in, B=64, T=10, d=32)
+        for a, b in zip(self._arrays(got), self._arrays(want)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_backward_equal_from_either_cache(self):
+        got, want, p = self._both(d_in=5)
+        rng = np.random.default_rng(13)
+        d_final = rng.normal(size=got[0].shape)
+        d_all = rng.normal(size=got[2].shape)
+        grads = []
+        for _, cache, _ in (got, want):
+            g = {k: np.zeros(v.shape) for k, v in p.as_dict().items()}
+            gru_backward(cache, p, g, "", d_h_final=d_final, d_h_all=d_all)
+            grads.append(g)
+        for k in grads[0]:
+            assert np.array_equal(grads[0][k], grads[1][k]), k
+
+    def test_cacheless_memory_does_not_grow_with_steps(self):
+        B, d, d_in = 64, 32, 5
+        rng = np.random.default_rng(14)
+        p = init_gru(d_in, d, rng)
+        peaks = []
+        for T in (10, 200):
+            X = rng.normal(size=(B, T, d_in))
+            tracemalloc.start()
+            try:
+                gru_forward(X, p)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+        assert peaks[1] < 32 * B * d * 8
 
 
 class TestGruBackward:

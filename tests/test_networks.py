@@ -179,7 +179,7 @@ class TestPairDistance:
 
 class TestSamplePairs:
     def test_two_windows_forced(self):
-        assert sample_pairs(2, 0, 1).tolist() == [[0, 1], [1, 0]]
+        assert sample_pairs(2, np.random.default_rng(0), 1).tolist() == [[0, 1], [1, 0]]
 
     def test_partner_never_self(self):
         rng = np.random.default_rng(18)
@@ -188,11 +188,12 @@ class TestSamplePairs:
             assert 0 <= j < 7
 
     def test_same_seed_same_pairs(self):
-        np.testing.assert_array_equal(sample_pairs(5, 42, 2), sample_pairs(5, 42, 2))
+        np.testing.assert_array_equal(sample_pairs(5, np.random.default_rng(42), 2),
+                                      sample_pairs(5, np.random.default_rng(42), 2))
 
     def test_single_window_rejected(self):
         with pytest.raises(DataError):
-            sample_pairs(1, 0, 1)
+            sample_pairs(1, np.random.default_rng(0), 1)
 
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (7, 3), (50, 1), (64, 5)])
     def test_matches_loop_form(self, n, k):
