@@ -10,7 +10,6 @@ from it, so reruns with the same seed are bitwise reproducible.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 from . import ConfigError, DataError, NumericError, StenError, atomic_write
 from .evalmetrics import METRIC_GROUPS, evaluate
 from .scoring import ScoreConfig, read_scores_csv, score_series, write_scores_csv
-from .seqdata import SynthConfig, load_csv, save_csv, synth_generate
+from .seqdata import SynthConfig, load_csv, save_csv, synth_generate, write_table
 from .training import (MODES, TrainConfig, derive_seed, load_checkpoint,
                        save_checkpoint, train)
 
@@ -165,8 +164,7 @@ def build_train_config(cfg: dict) -> TrainConfig:
 
 def build_score_config(cfg: dict) -> ScoreConfig:
     sc = ScoreConfig(
-        beta=cfg["beta"], R_test=cfg["R_test"], delta=cfg["delta"],
-        eps=cfg["score_eps"], k_refs=cfg["k_refs"],
+        beta=cfg["beta"], R_test=cfg["R_test"], eps=cfg["score_eps"], k_refs=cfg["k_refs"],
         seed=derive_seed(cfg["seed"], "score"),
         per_subseq_denominator=cfg["per_subseq_denominator"],
         ref_source=cfg["ref_source"],
@@ -193,10 +191,7 @@ def cmd_synth(args) -> int:
 
 
 def _write_loss_log(path, trace) -> None:
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,otn,dsn,total\n")
-        for i, (otn, dsn, total) in enumerate(trace, 1):
-            fh.write(f"{i},{otn!r},{dsn!r},{total!r}\n")
+    write_table(path, ["epoch", "otn", "dsn", "total"], [range(1, len(trace) + 1), *zip(*trace)])
 
 
 def cmd_train(args) -> int:
@@ -343,13 +338,10 @@ def cmd_sweep(args) -> int:
             rows.append((v, doc))
             print(f"{args.param}={v:g}: auc_pr={doc.get('auc_pr', float('nan')):.4f}")
 
-    with atomic_write(args.out, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["param", "value", "auc_roc", "auc_pr", "best_f1", "aff_f1"])
-        for v, doc in rows:
-            w.writerow([args.param, repr(v)] +
-                       [repr(doc[k]) if k in doc else ""
-                        for k in ("auc_roc", "auc_pr", "best_f1", "aff_f1")])
+    metrics = ("auc_roc", "auc_pr", "best_f1", "aff_f1")
+    write_table(args.out, ["param", "value", *metrics],
+                [[args.param] * len(rows), [v for v, _ in rows],
+                 *([doc.get(k) for _, doc in rows] for k in metrics)])
     print(f"sweep table -> {args.out}")
     return 0
 

@@ -24,17 +24,10 @@ def events_from_binary(labels: np.ndarray) -> EventSet:
     labels = np.asarray(labels).astype(bool)
     if labels.ndim != 1:
         raise DataError("labels must be a 1-d binary vector")
-    events: EventSet = []
-    start = None
-    for t, v in enumerate(labels):
-        if v and start is None:
-            start = t
-        elif not v and start is not None:
-            events.append((start, t - 1))
-            start = None
-    if start is not None:
-        events.append((start, len(labels) - 1))
-    return events
+    edges = np.diff(np.concatenate([[0], labels.astype(np.int8), [0]]))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
+    return list(zip(starts.tolist(), ends.tolist()))
 
 
 def validate_events(events: EventSet, timeline_len: int) -> None:
@@ -78,15 +71,12 @@ def roc_auc(scores, labels) -> float | None:
     if n_pos == 0 or n_neg == 0:
         return None
     order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
+    _, first, group, count = np.unique(scores[order], return_index=True,
+                                       return_inverse=True, return_counts=True,
+                                       equal_nan=False)
+    last = first + count - 1
     ranks = np.empty(scores.size)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    ranks[order] = (0.5 * (first + last) + 1.0)[group]  # average 1-based rank
     pos_rank_sum = float(ranks[labels].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -137,10 +127,7 @@ def best_f1(scores, labels) -> tuple[float, float, float, float] | None:
     recall = tp / n_pos
     denom = np.maximum(precision + recall, 1e-300)  # tp == 0 rows are discarded
     f1 = np.where(tp > 0, 2 * precision * recall / denom, 0.0)
-    best = 0
-    for k in range(1, f1.size):
-        if f1[k] >= f1[best]:
-            best = k
+    best = f1.size - 1 - int(np.argmax(f1[::-1]))   # the last maximum
     return float(f1[best]), float(thr[best]), float(precision[best]), float(recall[best])
 
 

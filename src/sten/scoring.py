@@ -9,21 +9,25 @@ slots inherit that score.  Slot i of the window at ``s`` covers timestamps
 No shuffling happens at inference: sub-sequences are presented in true order
 with identity labels, which makes scoring fully deterministic given the seed
 used for reference-pair sampling.
+
+Score files are CSV tables written by ``seqdata.write_table`` and read back by
+``seqdata.read_table`` and ``seqdata.parse_column``, the package's one table
+writer and reader.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import ConfigError, DataError, atomic_write
+from . import ConfigError, DataError
 # Bound here, uncalled, because perfbench/test_perfbench.py looks it up on this module.
 from .ndkernel import gru_forward  # noqa: F401
 from .networks import dsn_embeddings, ep_forward, order_forward, pair_residuals, sample_pairs
 from .objectives import js_rows
-from .seqdata import MultivariateSeries, make_windows, window_starts, zscore_apply
+from .seqdata import (MultivariateSeries, make_windows, parse_column, read_table, window_starts,
+                      write_table, zscore_apply)
 from .training import TrainedModel, branches
 
 
@@ -31,7 +35,6 @@ from .training import TrainedModel, branches
 class ScoreConfig:
     beta: float = 1.0
     R_test: int = 10
-    delta: float = 0.6
     eps: float = 1e-8
     k_refs: int = 1
     seed: int = 0
@@ -41,8 +44,6 @@ class ScoreConfig:
     def validate(self) -> None:
         if self.beta < 0:
             raise ConfigError("beta must be >= 0")
-        if not 0 < self.delta < 100:
-            raise ConfigError("delta must be in (0, 100)")
         if self.R_test < 1 or self.k_refs < 1:
             raise ConfigError("R_test and k_refs must be >= 1")
         if self.ref_source not in ("test", "train"):
@@ -169,40 +170,12 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
 
 def write_scores_csv(path, series: ScoreSeries, labels: np.ndarray | None = None) -> None:
     """One row per test timestamp (1-based), with component columns."""
-    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["timestamp", "score", "score_otn", "score_dsn"]
-        if labels is not None:
-            header.append("label")
-        w.writerow(header)
-        for t in range(series.n):
-            row = [str(t + 1), repr(float(series.scores[t])),
-                   repr(float(series.score_otn[t])), repr(float(series.score_dsn[t]))]
-            if labels is not None:
-                row.append(str(int(labels[t])))
-            w.writerow(row)
-
-
-def _column(path, name: str, cells: list[str], dtype, valid=None, need: str = "") -> np.ndarray:
-    """One scores-CSV column as ``dtype``.  The first cell that does not parse,
-    or whose value fails ``valid`` (it must be ``need``), is a DataError naming
-    its file line."""
-    try:
-        col = np.asarray(cells, dtype=dtype)
-    except ValueError:
-        for line, cell in enumerate(cells, start=2):
-            try:
-                np.asarray(cell, dtype=dtype)
-            except ValueError:
-                raise DataError(f"{path}: line {line}: cannot parse {name} "
-                                f"{cell.strip()!r}") from None
-        raise
-    if valid is not None:
-        bad = np.flatnonzero(~valid(col))
-        if bad.size:
-            raise DataError(f"{path}: line {bad[0] + 2}: {name} must be {need}, "
-                            f"got {cells[bad[0]].strip()!r}")
-    return col
+    header = ["timestamp", "score", "score_otn", "score_dsn"]
+    columns = [np.arange(1, series.n + 1), series.scores, series.score_otn, series.score_dsn]
+    if labels is not None:
+        header.append("label")
+        columns.append(np.asarray(labels).astype(np.int64))
+    write_table(path, header, columns)
 
 
 def read_scores_csv(path) -> dict[str, np.ndarray]:
@@ -210,22 +183,14 @@ def read_scores_csv(path) -> dict[str, np.ndarray]:
 
     Scores must be finite and labels 0 or 1; a bad cell fails with its file line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise DataError(f"{path}: empty scores file")
-    header = rows[0]
-    for col in ("timestamp", "score", "score_otn", "score_dsn"):
-        if col not in header:
-            raise DataError(f"{path}: missing column {col!r}")
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataError(f"{path}: line {line}: expected {len(header)} columns")
-    cols = dict(zip(header, map(list, zip(*rows[1:]))))
-    out = {"timestamp": _column(path, "timestamp", cols["timestamp"], np.int64)}
+    header, cells, lines = read_table(path)
+    cols = dict(zip(header, cells))
+    for name in ("timestamp", "score", "score_otn", "score_dsn"):
+        if name not in cols:
+            raise DataError(f"{path}: missing column {name!r}")
+    out = {"timestamp": parse_column(path, "timestamp", cols["timestamp"], lines, "int")}
     for name in ("score", "score_otn", "score_dsn"):
-        out[name] = _column(path, name, cols[name], np.float64, np.isfinite, "finite")
+        out[name] = parse_column(path, name, cols[name], lines)
     if "label" in cols:
-        out["label"] = _column(path, "label", cols["label"], np.int64,
-                               lambda y: (y == 0) | (y == 1), "0 or 1")
+        out["label"] = parse_column(path, "label", cols["label"], lines, "label")
     return out

@@ -4,12 +4,15 @@ plus a synthetic benchmark generator for desk-scale evaluation.
 Everything is an array: a series is (N, D), its windows (n_windows, L, D) start
 at ``window_starts``, and a batch's sub-sequences are (B*m, l, D), m per window.
 Indexing is 0-based internally; CSV outputs use 1-based timestamps.
+
+Every CSV table the package reads goes through ``read_table`` and
+``parse_column``, and every one it writes through ``write_table``: data series
+here, score files in ``scoring``, loss logs and sweep tables in ``cli``.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,94 +58,112 @@ class NormStats:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion
+# CSV tables: one reader, one column parser, one writer
 # ---------------------------------------------------------------------------
 
-def load_csv(path, has_header: bool = True,
-             label_column: str | int | None = None) -> MultivariateSeries:
-    """Load a comma-separated series; optional 0/1 label column.
+def read_table(path) -> tuple[list[str], list[tuple[str, ...]], list[int]]:
+    """The header, the cells of each column, and each data row's file line.
 
-    With a header, the label column is located by name (``label_column`` or
-    the default name "label" when present).  Without a header pass a column
-    index.  Non-finite or unparsable cells fail with the offending file line.
+    Blank lines are skipped.  The file must hold a header and at least one
+    data row, and every data row must be as wide as the header.
     """
+    rows, lines = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
     if not rows:
         raise DataError(f"{path}: empty file")
+    header = [c.strip() for c in rows[0]]
+    if len(rows) < 2:
+        raise DataError(f"{path}: no data rows after header")
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    ragged = np.flatnonzero(widths != len(header))
+    if ragged.size:
+        i = ragged[0]
+        raise DataError(f"{path}: line {lines[i]}: expected {len(header)} columns, "
+                        f"got {widths[i]}")
+    return header, list(zip(*rows[1:])), lines[1:]
 
-    header = None
-    data_rows = rows
-    first_line = 1
-    if has_header:
-        header = [c.strip() for c in rows[0]]
-        data_rows = rows[1:]
-        first_line = 2
-        if not data_rows:
-            raise DataError(f"{path}: no data rows after header")
 
-    ncols = len(rows[0])
-    label_idx: int | None = None
-    if isinstance(label_column, int):
-        label_idx = label_column
-    elif isinstance(label_column, str):
-        if header is None:
-            raise DataError("label column given by name but file has no header")
-        if label_column not in header:
-            raise DataError(f"label column {label_column!r} not in header {header}")
-        label_idx = header.index(label_column)
-    elif header is not None and "label" in header:
-        label_idx = header.index("label")
-    if label_idx is not None and label_idx < 0:
-        label_idx += ncols
-    if ncols - (label_idx is not None) < 1:
+def _reject(path, lines, cells, bad: np.ndarray, what: str) -> None:
+    """A DataError naming the first cell, in file order, where ``bad`` is set."""
+    at = np.flatnonzero(np.transpose(bad))
+    if at.size:
+        text = np.transpose(np.asarray(cells, dtype=object))   # rows in file order
+        line = lines[at[0] // (text.size // len(lines))]
+        raise DataError(f"{path}: line {line}: {what} {text.flat[at[0]].strip()!r}")
+
+
+def _parses(cell: str, dtype) -> bool:
+    try:
+        np.asarray(cell, dtype=dtype)
+    except ValueError:
+        return False
+    return True
+
+
+def parse_column(path, name: str, cells, lines, kind: str = "float") -> np.ndarray:
+    """The cells of one column, or a list of columns, parsed by numpy as
+    ``kind``: "float" (every value finite), "int", or "label" (the cell,
+    stripped, is 0 or 1).  ``lines`` are the rows' file lines from
+    ``read_table``; the first bad cell is a DataError naming its line.
+    """
+    if kind == "label":
+        text = np.char.strip(np.asarray(cells, dtype=str))
+        _reject(path, lines, cells, (text != "0") & (text != "1"),
+                f"{name} must be 0 or 1, got")
+        return (text == "1").astype(np.int64)
+    dtype = np.float64 if kind == "float" else np.int64
+    try:
+        out = np.asarray(cells, dtype=dtype)
+    except ValueError:
+        parses = np.vectorize(lambda cell: _parses(cell, dtype), otypes=[bool])
+        _reject(path, lines, cells, ~parses(np.asarray(cells, dtype=object)),
+                f"cannot parse {name}")
+        raise
+    if kind == "float":
+        _reject(path, lines, cells, ~np.isfinite(out), f"{name} must be finite, got")
+    return out
+
+
+def write_table(path, header: list[str], columns) -> None:
+    """Write ``header``, then one row per entry of the equal-length ``columns``,
+    through ``atomic_write``.  ``csv.writer`` writes floats with ``repr``, ints
+    with ``str`` and None as an empty cell.
+    """
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(zip(*[np.asarray(col).tolist() for col in columns], strict=True))
+
+
+def load_csv(path) -> MultivariateSeries:
+    """Load a series from a CSV table; a column named "label" holds 0/1 labels
+    and every other column is a dimension.  Non-finite or unparsable cells
+    fail with the offending file line.
+    """
+    header, cols, lines = read_table(path)
+    label = header.index("label") if "label" in header else None
+    dims = [j for j in range(len(header)) if j != label]
+    if not dims:
         raise DataError(f"{path}: no value columns")
-
-    values = []
-    labels = [] if label_idx is not None else None
-    for i, row in enumerate(data_rows):
-        line = first_line + i
-        if len(row) != ncols:
-            raise DataError(f"{path}: line {line}: expected {ncols} columns, got {len(row)}")
-        vals = []
-        for j, cell in enumerate(row):
-            if j == label_idx:
-                cell = cell.strip()
-                if cell not in ("0", "1"):
-                    raise DataError(f"{path}: line {line}: label must be 0 or 1, got {cell!r}")
-                labels.append(int(cell))
-                continue
-            try:
-                x = float(cell)
-            except ValueError:
-                raise DataError(f"{path}: line {line}: cannot parse value {cell.strip()!r}") from None
-            if not math.isfinite(x):
-                raise DataError(f"{path}: line {line}: non-finite value {cell.strip()!r}")
-            vals.append(x)
-        values.append(vals)
-
-    dim_names = None
-    if header is not None:
-        dim_names = [h for j, h in enumerate(header) if j != label_idx]
+    values = parse_column(path, "value", [cols[j] for j in dims], lines)
     return MultivariateSeries(
-        values=np.asarray(values, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64) if labels is not None else None,
-        dim_names=dim_names,
+        values=np.ascontiguousarray(values.T),
+        labels=None if label is None else parse_column(path, "label", cols[label],
+                                                       lines, "label"),
+        dim_names=[header[j] for j in dims],
     )
 
 
 def save_csv(series: MultivariateSeries, path) -> None:
     """Write a series as CSV with a header; labels go to a final "label" column."""
     names = series.dim_names or [f"dim_{j}" for j in range(series.d)]
-    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(names) + (["label"] if series.labels is not None else []))
-        for i in range(series.n):
-            row = [repr(float(x)) for x in series.values[i]]
-            if series.labels is not None:
-                row.append(str(int(series.labels[i])))
-            w.writerow(row)
+    labels = [] if series.labels is None else [series.labels]
+    write_table(path, list(names) + ["label"] * len(labels), [*series.values.T, *labels])
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,70 @@ def f1_threshold_enum(scores, labels):
     return best
 
 
+# The per-timestamp loops that evalmetrics replaced with array forms; kept as
+# exactness references for them.
+
+def events_from_binary_loop(labels):
+    """Maximal runs of 1s as inclusive (start, end) intervals, one step at a time."""
+    events = []
+    start = None
+    for t, v in enumerate(np.asarray(labels).astype(bool)):
+        if v and start is None:
+            start = t
+        elif not v and start is not None:
+            events.append((start, t - 1))
+            start = None
+    if start is not None:
+        events.append((start, len(labels) - 1))
+    return events
+
+
+def roc_auc_tie_loop(scores, labels):
+    """Rank-sum AUC-ROC whose tie groups are walked one group at a time."""
+    scores = np.asarray(scores, np.float64)
+    labels = np.asarray(labels).astype(bool)
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return None
+    order = np.argsort(scores, kind="mergesort")
+    sorted_scores = scores[order]
+    ranks = np.empty(scores.size)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
+        i = j + 1
+    pos_rank_sum = float(ranks[labels].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def best_f1_argmax_loop(scores, labels):
+    """Best F1 over the descending threshold sweep; a loop keeps the last maximum."""
+    scores = np.asarray(scores, np.float64)
+    labels = np.asarray(labels).astype(bool)
+    n_pos = float(labels.sum())
+    if n_pos == 0:
+        return None
+    order = np.argsort(-scores, kind="mergesort")
+    s = scores[order]
+    tp = np.cumsum(labels[order].astype(np.float64))
+    fp = np.cumsum((~labels[order]).astype(np.float64))
+    idx = np.concatenate([np.nonzero(np.diff(s))[0], [s.size - 1]])
+    tp, fp, thr = tp[idx], fp[idx], s[idx]
+    precision = tp / (tp + fp)
+    recall = tp / n_pos
+    denom = np.maximum(precision + recall, 1e-300)
+    f1 = np.where(tp > 0, 2 * precision * recall / denom, 0.0)
+    best = 0
+    for k in range(1, f1.size):
+        if f1[k] >= f1[best]:
+            best = k
+    return float(f1[best]), float(thr[best]), float(precision[best]), float(recall[best])
+
+
 def point_adjust_scan(scores, segments):
     """Naive per-segment max scan."""
     out = list(scores)

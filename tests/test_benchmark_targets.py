@@ -15,8 +15,8 @@ import pytest
 
 from sten import ndkernel, scoring
 from sten.networks import sample_pairs
-from sten.scoring import ScoreConfig, aggregate_timestamps
-from sten.seqdata import MultivariateSeries, make_windows, window_starts
+from sten.scoring import ScoreConfig, ScoreSeries, aggregate_timestamps
+from sten.seqdata import MultivariateSeries, load_csv, make_windows, window_starts
 from sten.training import TrainConfig, train
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
@@ -48,6 +48,28 @@ def test_make_windows_length_counts_windows():
 @pytest.mark.parametrize("n,k", [(2, 1), (7, 3)])
 def test_sample_pairs_length_counts_pairs(n, k):
     assert len(sample_pairs(n, np.random.default_rng(0), k)) == n * k
+
+
+def test_load_csv_n_counts_rows(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("a,b,label\n1,2,0\n\n3,4,1\n5,6,0\n")
+    assert load_csv(path).n == 3
+
+
+def test_write_scores_csv_second_argument_n_counts_rows(tmp_path):
+    col = np.linspace(0.0, 1.0, 5)
+    series = ScoreSeries(scores=col, score_otn=col, score_dsn=col, coverage=np.ones(5))
+    args = (tmp_path / "scores.csv", series)
+    scoring.write_scores_csv(*args, labels=np.zeros(5))
+    assert args[1].n == 5
+    assert len(args[0].read_text().splitlines()) == 1 + 5
+
+
+def test_read_scores_csv_score_length_counts_rows(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("timestamp,score,score_otn,score_dsn\n1,0.5,0.5,0\n\n2,0.1,0.1,0\n"
+                    "3,0.2,0.2,0\n")
+    assert len(scoring.read_scores_csv(path)["score"]) == 3
 
 
 def test_aggregate_timestamps_takes_listed_slot_starts(monkeypatch):

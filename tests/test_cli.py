@@ -344,13 +344,15 @@ CSV_CASES = [
                  id="csv-ragged-row"),
     pytest.param("labels", "a,label\n1.0,0\nabc,1\n", "line 3: cannot parse value 'abc'",
                  id="csv-unparsable-value"),
-    pytest.param("labels", "a,label\ninf,0\n", "line 2: non-finite value 'inf'",
+    pytest.param("labels", "a,label\ninf,0\n", "line 2: value must be finite, got 'inf'",
                  id="csv-non-finite-value"),
+    pytest.param("labels", "a,label\n\n1.0,0\n\nabc,1\n", "line 5: cannot parse value 'abc'",
+                 id="csv-blank-lines-keep-line-numbers"),
     pytest.param("labels", "a,label\n1.0,7\n", "line 2: label must be 0 or 1, got '7'",
                  id="csv-bad-label"),
     pytest.param("labels", "label\n0\n1\n", "no value columns",
                  id="csv-no-value-column"),
-    pytest.param("scores", SCORES_HEADER, "empty scores file", id="scores-header-only"),
+    pytest.param("scores", SCORES_HEADER, "no data rows after header", id="scores-header-only"),
     pytest.param("scores", "timestamp,score,score_otn\n1,0.5,0.5\n", "missing column 'score_dsn'",
                  id="scores-missing-column"),
     pytest.param("scores", SCORES_HEADER + "1,0.5,0.5,0,0\n2,0.5,0.5,0\n",
@@ -365,6 +367,10 @@ CSV_CASES = [
                  "line 2: label must be 0 or 1, got '7'", id="scores-bad-label"),
     pytest.param("scores", SCORES_HEADER + "1,0.5,0.5,0,0\nx,0.5,0.1,0,1\n",
                  "line 3: cannot parse timestamp 'x'", id="scores-unparsable-timestamp"),
+    pytest.param("scores", SCORES_HEADER + "1,0.5,0.5,0,0\n\n2,abc,0.1,0,1\n",
+                 "line 4: cannot parse score 'abc'", id="scores-blank-lines-keep-line-numbers"),
+    pytest.param("scores", SCORES_HEADER + "1,0.5,0.5,0,01\n",
+                 "line 2: label must be 0 or 1, got '01'", id="scores-label-not-0-or-1"),
 ]
 
 

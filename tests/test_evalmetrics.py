@@ -144,6 +144,39 @@ class TestBestF1:
             assert got[1] == pytest.approx(want[1])
 
 
+class TestLoopForms:
+    """The array forms equal the per-timestamp loops they replaced, bit for bit."""
+
+    def instances(self, seed, n=300):
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            scores, labels = random_instance(rng, tie_prob=0.8)
+            if rng.random() < 0.3:
+                scores = np.round(scores)  # a few large tie groups
+            yield scores, labels
+
+    def test_events_from_binary(self):
+        for _, labels in self.instances(20):
+            got = events_from_binary(labels)
+            assert got == oracles.events_from_binary_loop(labels)
+            assert all(type(t) is int for event in got for t in event)
+        for labels in ([], [0], [1], [1, 1], [1, 0, 1], [0, 1, 1, 0, 1]):
+            assert events_from_binary(labels) == oracles.events_from_binary_loop(labels)
+
+    def test_roc_auc_ties(self):
+        for scores, labels in self.instances(21):
+            assert roc_auc(scores, labels) == oracles.roc_auc_tie_loop(scores, labels)
+        signed_zeros = np.array([0.0, -0.0, 1.0, 0.0, -0.0, 1.0])
+        labels = np.array([1, 0, 1, 0, 1, 0])
+        assert roc_auc(signed_zeros, labels) == oracles.roc_auc_tie_loop(signed_zeros, labels)
+
+    def test_best_f1_keeps_the_last_maximum(self):
+        for scores, labels in self.instances(22):
+            assert best_f1(scores, labels) == oracles.best_f1_argmax_loop(scores, labels)
+        # Thresholds 4 and 1 both give F1 2/3; the lower one wins.
+        assert best_f1(np.array([4.0, 3.0, 2.0, 1.0]), np.array([1, 0, 0, 1]))[:2] == (2 / 3, 1.0)
+
+
 class TestAffiliation:
     def test_exact_match_is_perfect(self):
         truth = [(5, 7), (12, 14)]

@@ -293,8 +293,7 @@ class TestScoreSeries:
         np.testing.assert_array_equal(out.score_otn, trained.score_otn)
 
     def test_bad_score_config_is_a_usage_error(self):
-        for bad in (dict(beta=-1.0), dict(delta=0.0), dict(R_test=0), dict(k_refs=0),
-                    dict(ref_source="both")):
+        for bad in (dict(beta=-1.0), dict(R_test=0), dict(k_refs=0), dict(ref_source="both")):
             with pytest.raises(ConfigError):
                 ScoreConfig(**bad).validate()
 

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from sten import DataError
+from sten.cli import _write_loss_log
 from sten.networks import init_phi, order_forward
+from sten.scoring import ScoreSeries, read_scores_csv, write_scores_csv
 from sten.seqdata import (MultivariateSeries, SynthConfig, gather_subsequences,
-                          load_csv, make_windows, save_csv, synth_generate,
-                          window_starts, zscore_apply, zscore_fit, _clean_signal)
+                          load_csv, make_windows, parse_column, read_table, save_csv,
+                          synth_generate, window_starts, write_table, zscore_apply,
+                          zscore_fit, _clean_signal)
 from sten.training import _draw_permutations
 
 import oracles
@@ -39,6 +42,21 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 3"):
             load_csv(f)
 
+    def test_blank_lines_keep_file_line_numbers(self, tmp_path):
+        f = tmp_path / "a.csv"
+        f.write_text("x,y\n\n1,2\n\nabc,3\n")
+        with pytest.raises(DataError, match="line 5: cannot parse value 'abc'"):
+            load_csv(f)
+
+    def test_first_bad_cell_in_file_order(self, tmp_path):
+        f = tmp_path / "a.csv"
+        f.write_text("x,y,label\n1,2,0\n3,nan,0\ninf,4,1\n")
+        with pytest.raises(DataError, match="line 3: value must be finite, got 'nan'"):
+            load_csv(f)
+        f.write_text("x,y\n1,2\n3,bad\nworse,4\n")
+        with pytest.raises(DataError, match="line 3: cannot parse value 'bad'"):
+            load_csv(f)
+
     def test_ragged_rows(self, tmp_path):
         f = tmp_path / "a.csv"
         f.write_text("x,y\n1,2\n3\n")
@@ -60,6 +78,90 @@ class TestLoadCsv:
         back = load_csv(f)
         np.testing.assert_array_equal(back.values, s.values)
         np.testing.assert_array_equal(back.labels, s.labels)
+
+
+EDGE_VALUES = np.array([[0.0, -0.0, 5e-324],
+                        [1.7976931348623157e308, -1.7976931348623157e308, 0.1],
+                        [1 / 3, -2.5e-7, 123456789.0]])
+ODD_NAMES = ["a,b", 'say "hi"', "c"]
+EDGE_SCORES = ScoreSeries(scores=np.array([0.5, 1e-300, 2 / 3]),
+                          score_otn=np.array([0.25, 0.0, -0.0]),
+                          score_dsn=np.array([0.25, 1e-300, 2 / 3 - 0.5]),
+                          coverage=np.ones(3))
+
+
+def same_bits(a, b):
+    """np.array_equal that also tells -0.0 from 0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+class TestCsvTables:
+    """Every writer's output reads back unchanged through the one reader, and
+    the data and scores files keep their exact bytes."""
+
+    def test_series_round_trip(self, tmp_path):
+        s = MultivariateSeries(values=EDGE_VALUES, labels=[0, 1, 0], dim_names=ODD_NAMES)
+        save_csv(s, tmp_path / "a.csv")
+        back = load_csv(tmp_path / "a.csv")
+        assert same_bits(back.values, s.values)
+        assert same_bits(back.labels, s.labels)
+        assert back.dim_names == ODD_NAMES
+
+    def test_scores_round_trip_with_float_labels(self, tmp_path):
+        write_scores_csv(tmp_path / "s.csv", EDGE_SCORES, labels=np.array([0.0, 1.0, 1.0]))
+        cols = read_scores_csv(tmp_path / "s.csv")
+        assert same_bits(cols["timestamp"], np.arange(1, 4, dtype=np.int64))
+        assert same_bits(cols["score"], EDGE_SCORES.scores)
+        assert same_bits(cols["score_otn"], EDGE_SCORES.score_otn)
+        assert same_bits(cols["score_dsn"], EDGE_SCORES.score_dsn)
+        assert same_bits(cols["label"], np.array([0, 1, 1], dtype=np.int64))
+
+    def test_loss_log_round_trip(self, tmp_path):
+        trace = [(1.25, 0.0, 1.25), (5e-324, -0.0, 1.7976931348623157e308)]
+        _write_loss_log(tmp_path / "m.log", trace)
+        header, cols, lines = read_table(tmp_path / "m.log")
+        assert header == ["epoch", "otn", "dsn", "total"]
+        assert same_bits(parse_column(tmp_path, "epoch", cols[0], lines, "int"),
+                         np.array([1, 2], dtype=np.int64))
+        assert same_bits(parse_column(tmp_path, "loss", cols[1:], lines).T, np.array(trace))
+        assert (tmp_path / "m.log").read_bytes().count(b"\r\n") == 3
+
+    def test_table_with_text_and_empty_cells(self, tmp_path):
+        write_table(tmp_path / "t.csv", ["param", "value", "auc_pr"],
+                    [["beta", "beta"], [0.5, -0.0], [0.25, None]])
+        header, cols, lines = read_table(tmp_path / "t.csv")
+        assert header == ["param", "value", "auc_pr"]
+        assert cols == [("beta", "beta"), ("0.5", "-0.0"), ("0.25", "")]
+        assert lines == [2, 3]
+
+    def test_unequal_columns_leave_no_file(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.csv", ["a", "b"], [[1, 2], [3]])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_series_bytes(self, tmp_path):
+        save_csv(MultivariateSeries(values=EDGE_VALUES, labels=[0, 1, 0], dim_names=ODD_NAMES),
+                 tmp_path / "a.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (
+            b'"a,b","say ""hi""",c,label\r\n'
+            b"0.0,-0.0,5e-324,0\r\n"
+            b"1.7976931348623157e+308,-1.7976931348623157e+308,0.1,1\r\n"
+            b"0.3333333333333333,-2.5e-07,123456789.0,0\r\n")
+
+    def test_scores_bytes(self, tmp_path):
+        write_scores_csv(tmp_path / "s.csv", EDGE_SCORES, labels=np.array([0.0, 1.0, 1.0]))
+        assert (tmp_path / "s.csv").read_bytes() == (
+            b"timestamp,score,score_otn,score_dsn,label\r\n"
+            b"1,0.5,0.25,0.25,0\r\n"
+            b"2,1e-300,0.0,1e-300,1\r\n"
+            b"3,0.6666666666666666,-0.0,0.16666666666666663,1\r\n")
+        write_scores_csv(tmp_path / "t.csv", EDGE_SCORES)
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b"timestamp,score,score_otn,score_dsn\r\n"
+            b"1,0.5,0.25,0.25\r\n"
+            b"2,1e-300,0.0,1e-300\r\n"
+            b"3,0.6666666666666666,-0.0,0.16666666666666663\r\n")
 
 
 class TestZscore:
