@@ -2,7 +2,7 @@
 
 The pipeline: slice a series into sliding windows, split each window into
 short sub-sequences, and train a GRU encoder on two pretext tasks (predicting
-the original order of shuffled sub-sequences, and distilling pairwise window
+each sub-sequence's position in its window, and distilling pairwise window
 distances from a frozen random projector).  At test time the prediction
 discrepancies of both tasks become per-timestamp anomaly scores.
 """

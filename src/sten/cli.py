@@ -127,7 +127,7 @@ def resolve_config(args) -> dict:
         if key not in SCHEMA:
             raise ConfigError(f"--set: unknown key {key!r}")
         cfg[key] = _convert(key, raw)
-    for flag in ("seed", "mode", "alpha", "beta", "delta"):
+    for flag in _FLAGS:
         val = getattr(args, flag, None)
         if val is not None:
             cfg[flag] = val
@@ -305,38 +305,32 @@ def cmd_sweep(args) -> int:
     if test_series.labels is None:
         raise DataError(f"{args.test}: sweep evaluation needs a label column")
 
-    def run_pipeline(cfg_v: dict, ckpt: Path):
+    def scored(cfg_v: dict, ckpt: Path):
         if not ckpt.exists():
             model = train(train_series, build_train_config(cfg_v))
             save_checkpoint(model, ckpt)
             _write_loss_log(str(ckpt) + ".log", model.loss_trace)
-        model = load_checkpoint(ckpt)
-        result = score_series(model, test_series, build_score_config(cfg_v))
-        return evaluate_to_doc(result.scores, test_series.labels, cfg_v)
+        return score_series(load_checkpoint(ckpt), test_series, build_score_config(cfg_v))
 
-    rows = []
-    if args.param in ("beta", "delta"):
-        ckpt = work / "model.ckpt"
-        for v in values:
-            cfg_v = dict(cfg)
+    # beta and delta share one checkpoint; delta changes only the evaluation,
+    # so its values share one scoring too.
+    rows, result = [], None
+    for v in values:
+        cfg_v = dict(cfg)
+        if args.param == "l":
+            lv = int(v)
+            if lv != v or lv < 1:
+                raise ConfigError(f"l values must be positive integers, got {v}")
+            cfg_v.update({"l": lv, "r": lv, "L": cfg["m"] * lv})
+        else:
             cfg_v[args.param] = v
-            doc = run_pipeline(cfg_v, ckpt)
-            rows.append((v, doc))
-            print(f"{args.param}={v:g}: auc_pr={doc.get('auc_pr', float('nan')):.4f}")
-    else:
-        for v in values:
-            cfg_v = dict(cfg)
-            if args.param == "l":
-                lv = int(v)
-                if lv != v or lv < 1:
-                    raise ConfigError(f"l values must be positive integers, got {v}")
-                cfg_v.update({"l": lv, "r": lv, "L": cfg["m"] * lv})
-            else:
-                cfg_v["alpha"] = v
-            ckpt = work / f"model_{args.param}_{v:g}.ckpt"
-            doc = run_pipeline(cfg_v, ckpt)
-            rows.append((v, doc))
-            print(f"{args.param}={v:g}: auc_pr={doc.get('auc_pr', float('nan')):.4f}")
+        if result is None or args.param != "delta":
+            ckpt = (work / "model.ckpt" if args.param in ("beta", "delta")
+                    else work / f"model_{args.param}_{v:g}.ckpt")
+            result = scored(cfg_v, ckpt)
+        doc = evaluate_to_doc(result.scores, test_series.labels, cfg_v)
+        rows.append((v, doc))
+        print(f"{args.param}={v:g}: auc_pr={doc.get('auc_pr', float('nan')):.4f}")
 
     metrics = ("auc_roc", "auc_pr", "best_f1", "aff_f1")
     write_table(args.out, ["param", "value", *metrics],
@@ -351,19 +345,32 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError.  Flags must be spelled in full: an
+    abbreviation would let ``score --mode`` stand for ``score --model``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise ConfigError(message)
 
 
-def _add_common(p) -> None:
+_FLAGS = {
+    "seed": dict(type=int, help="master seed"),
+    "mode": dict(choices=MODES),
+    "alpha": dict(type=float, help="training loss weight of the distance term"),
+    "beta": dict(type=float, help="scoring weight of the distance term"),
+    "delta": dict(type=float, help="threshold percentile parameter"),
+}
+
+
+def _add_common(p, *flags: str) -> None:
+    """--config and --set, plus the config-key flags the subcommand reads."""
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config key (repeatable)")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--alpha", type=float, help="training loss weight of the distance term")
-    p.add_argument("--beta", type=float, help="scoring weight of the distance term")
-    p.add_argument("--delta", type=float, help="threshold percentile parameter")
+    for flag in flags:
+        p.add_argument("--" + flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,13 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
     p.add_argument("--out-dir", required=True)
-    _add_common(p)
+    _add_common(p, "seed")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model on an unlabeled series")
     p.add_argument("--train", required=True, help="training CSV")
     p.add_argument("--out", required=True, help="checkpoint path")
-    _add_common(p)
+    _add_common(p, "seed", "mode", "alpha")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", help="score a test series with a checkpoint")
@@ -388,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--out", required=True, help="scores CSV path")
     p.add_argument("--train", help="training CSV (for ref_source=train)")
-    _add_common(p)
+    _add_common(p, "seed", "beta")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("eval", help="compute metrics for a scores CSV")
@@ -397,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", help="all or comma list of roc,pr,f1,aff,range,vus")
     p.add_argument("--point-adjust", choices=("on", "off", "both"))
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    _add_common(p)
+    _add_common(p, "delta")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="sweep one hyperparameter end to end")
@@ -407,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--out", required=True, help="sweep table CSV")
     p.add_argument("--work-dir", required=True, help="directory for checkpoints")
-    _add_common(p)
+    _add_common(p, *_FLAGS)
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -126,22 +126,22 @@ def init_eta(d_in: int, d_model: int, rng: np.random.Generator) -> EtaParams:
 # Each returns a fixed tuple whose last entries are what the branch's
 # backward needs; its GruCache is None without ``want_cache``.
 
-def order_forward(phi: PhiParams, batch: np.ndarray, perms: np.ndarray, l: int, r: int,
+def order_forward(phi: PhiParams, batch: np.ndarray, l: int, r: int,
                   want_cache: bool = False):
-    """Order head over each window's sub-sequences in presented order.
+    """Order head over each window's m sub-sequences, in true order.
 
-    ``batch`` is (B, L, D); ``perms`` (B, m) gives the true position of the
-    sub-sequence in each presented slot.  Returns (P, Y, H, cache): predicted
-    position distributions P and their one-hot truth Y, both (B*m, m), then
-    the sub-sequence embeddings and the GruCache.
+    ``batch`` is (B, L, D).  The head encodes each sub-sequence on its own,
+    so the order they are presented in would only reorder the rows below.
+    Returns (P, Y, H, cache): predicted position distributions P and their
+    one-hot truth Y, both (B*m, m) with row b*m + i for slot i of window b,
+    then the sub-sequence embeddings and the GruCache.
     """
-    X = gather_subsequences(np.asarray(batch, np.float64), perms, l, r)
+    X = gather_subsequences(np.asarray(batch, np.float64), phi.m, l, r)
     H, cache = (gru_forward(X, phi.gru, want_cache=True) if want_cache
                 else (gru_forward(X, phi.gru), None))
     P = softmax(H @ np.asarray(phi.order_W, np.float64).T
                 + np.asarray(phi.order_b, np.float64))
-    Y = np.zeros_like(P)
-    Y[np.arange(P.shape[0]), perms.reshape(-1)] = 1.0
+    Y = np.tile(np.eye(phi.m), (len(batch), 1))
     return P, Y, H, cache
 
 

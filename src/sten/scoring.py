@@ -6,9 +6,9 @@ order (or error-prediction) branch scores each window's m sub-sequence slots,
 slots inherit that score.  Slot i of the window at ``s`` covers timestamps
 [s + i*r, s + i*r + l); a timestamp scores the mean over its covering slots.
 
-No shuffling happens at inference: sub-sequences are presented in true order
-with identity labels, which makes scoring fully deterministic given the seed
-used for reference-pair sampling.
+The order branch scores sub-sequences in their true order, through the same
+``order_forward`` call as training, so scoring is fully deterministic given the
+seed used for reference-pair sampling.
 
 Score files are CSV tables written by ``seqdata.write_table`` and read back by
 ``seqdata.read_table`` and ``seqdata.parse_column``, the package's one table
@@ -121,8 +121,7 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
         part = W[s:s + CHUNK]
         B = part.shape[0]
         if use_otn:
-            P, Y, _, _ = order_forward(model.phi, part, np.tile(np.arange(tc.m), (B, 1)),
-                                       tc.l, tc.r)
+            P, Y, _, _ = order_forward(model.phi, part, tc.l, tc.r)
             rows = js_rows(P, Y).reshape(B, tc.m)
             if not cfg.per_subseq_denominator:
                 rows = rows.mean(axis=1, keepdims=True)

@@ -216,19 +216,17 @@ def make_windows(series: MultivariateSeries, L: int, R: int,
     return series.values[starts[:, None] + np.arange(L)]
 
 
-def gather_subsequences(batch: np.ndarray, perms: np.ndarray, l: int, r: int) -> np.ndarray:
-    """Sub-sequences of each window in presented order: (B, L, D) -> (B*m, l, D).
+def gather_subsequences(batch: np.ndarray, m: int, l: int, r: int) -> np.ndarray:
+    """Sub-sequences of each window in true order: (B, L, D) -> (B*m, l, D).
 
-    Slot s of window b holds the length-l sub-sequence at offset
-    ``perms[b, s] * r``; identity rows give the true order.
+    Slot s of window b holds the length-l sub-sequence at offset ``s * r``.
     """
     B, L, D = batch.shape
-    m = perms.shape[1]
     if l + (m - 1) * r != L:
         raise DataError(
             f"sub-sequence layout mismatch: l + (m-1)*r = {l + (m - 1) * r} != L = {L}")
-    idx = perms[:, :, None] * r + np.arange(l)[None, None, :]        # (B, m, l)
-    return batch[np.arange(B)[:, None, None], idx].reshape(B * m, l, D)
+    idx = np.arange(m)[:, None] * r + np.arange(l)                   # (m, l)
+    return batch[:, idx].reshape(B * m, l, D)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,11 @@ def derive_seed(master: int, name: str) -> int:
 
 def seed_streams(master: int) -> dict[str, np.random.Generator]:
     """Independent named random streams for the training internals."""
-    names = ("phi_init", "eta_init", "shuffle", "pairing")
-    children = np.random.SeedSequence(int(master)).spawn(len(names))
-    return {n: np.random.default_rng(c) for n, c in zip(names, children)}
+    # Child 2 is reserved: it once drew a presented order of the sub-sequences
+    # that changed no loss.  Spawning it keeps every stream at its index.
+    children = np.random.SeedSequence(int(master)).spawn(4)
+    return {n: np.random.default_rng(children[i])
+            for i, n in ((0, "phi_init"), (1, "eta_init"), (3, "pairing"))}
 
 
 @dataclass
@@ -93,13 +95,11 @@ def branches(mode: str, alpha: float) -> tuple[bool, bool, bool]:
 
 
 def build_sten_tape(phi: PhiParams, eta: EtaParams, batch: np.ndarray,
-                    perms: np.ndarray | None, pairs: np.ndarray | None,
-                    cfg: TrainConfig) -> GradTape:
+                    pairs: np.ndarray | None, cfg: TrainConfig) -> GradTape:
     """Forward pass of the combined loss over one batch of windows.
 
-    ``batch`` is (B, L, D); ``perms`` gives each window's presented
-    sub-sequence order (B, m); ``pairs`` (P, 2) are window-index pairs for
-    the distance branch.  Returns a tape whose backward yields exact gradients
+    ``batch`` is (B, L, D); ``pairs`` (P, 2) are window-index pairs for the
+    distance branch.  Returns a tape whose backward yields exact gradients
     for every phi parameter (eta is frozen).
     """
     use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
@@ -108,9 +108,7 @@ def build_sten_tape(phi: PhiParams, eta: EtaParams, batch: np.ndarray,
     dsn_val = 0.0
 
     if use_otn:
-        if perms is None:
-            raise DataError("order branch requires permutations")
-        P, Y, H, cache = order_forward(phi, batch, perms, cfg.l, cfg.r, want_cache=True)
+        P, Y, H, cache = order_forward(phi, batch, cfg.l, cfg.r, want_cache=True)
         otn_val = float(js_rows(P, Y).mean())
 
         def otn_back(scale: float, grads: ParamDict, P=P, Y=Y, H=H, cache=cache,
@@ -174,11 +172,6 @@ def build_sten_tape(phi: PhiParams, eta: EtaParams, batch: np.ndarray,
     return tape
 
 
-def _draw_permutations(rng: np.random.Generator, n_windows: int, m: int) -> np.ndarray:
-    """Fresh presented-order permutations, one per window."""
-    return rng.permuted(np.tile(np.arange(m), (n_windows, 1)), axis=1)
-
-
 def _batch_ranges(n: int, batch_size: int, min_last: int) -> list[tuple[int, int]]:
     ranges = [(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
     if len(ranges) > 1 and ranges[-1][1] - ranges[-1][0] < min_last:
@@ -194,7 +187,7 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     norm = zscore_apply(series, stats)
     W = make_windows(norm, cfg.L, cfg.R_train)  # (n, L, D)
     n = len(W)
-    use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
+    _, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
     if use_dsn and n < 2:
         raise DataError(f"mode {cfg.mode!r} needs >= 2 windows for distance pairs, got {n}")
     if use_dsn and cfg.batch_size < 2:
@@ -211,7 +204,6 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     eta_checksum = eta.checksum()
 
     adam = init_adam_state(phi.as_dict())
-    shuffle_rng = streams["shuffle"]
     pair_rng = streams["pairing"]
     ranges = _batch_ranges(n, cfg.batch_size, min_last=2 if use_dsn else 1)
 
@@ -221,9 +213,8 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
         for bi, (s, e) in enumerate(ranges):
             batch = W[s:e]
             B = e - s
-            perms = _draw_permutations(shuffle_rng, B, cfg.m) if use_otn else None
             pairs = sample_pairs(B, pair_rng, cfg.k_refs) if use_dsn else None
-            tape = build_sten_tape(phi, eta, batch, perms, pairs, cfg)
+            tape = build_sten_tape(phi, eta, batch, pairs, cfg)
             if not np.isfinite(tape.value):
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch + 1}, batch {bi + 1}: "
@@ -295,14 +286,16 @@ def load_checkpoint(path) -> TrainedModel:
     config, blocks = read_checkpoint(path)
     d_in = config.pop("d_in", None)
     known = {f.name for f in fields(TrainConfig)}
-    unknown = set(config) - known
+    unknown, missing = set(config) - known, known - set(config)
     if unknown:
         raise DataError(f"{path}: unknown config keys in checkpoint: {sorted(unknown)}")
+    if missing:
+        raise DataError(f"{path}: missing config keys in checkpoint: {sorted(missing)}")
     try:
         if isinstance(d_in, bool) or not isinstance(d_in, int) or d_in < 1:
             raise ConfigError(f"d_in must be a positive integer, got {d_in!r}")
         for f in fields(TrainConfig):
-            v = config.get(f.name, f.default)
+            v = config[f.name]
             if isinstance(v, bool) != (f.type == "bool") or not isinstance(v, _JSON_TYPES[f.type]):
                 raise ConfigError(f"{f.name} must be {f.type}, got {v!r}")
         cfg = TrainConfig(**config)

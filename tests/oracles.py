@@ -10,7 +10,8 @@ import math
 import numpy as np
 
 from sten import DataError
-from sten.ndkernel import GruCache, GruParams
+from sten.ndkernel import GruCache, GruParams, gru_backward, gru_forward, softmax
+from sten.objectives import js_rows, js_rows_grad_p
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +164,34 @@ def js_direct(p, q, eps=1e-12):
         total += pi * (math.log(max(pi, eps)) - math.log(max(mi, eps)))
         total += qi * (math.log(max(qi, eps)) - math.log(max(mi, eps)))
     return total
+
+
+def order_loss_presented(phi, batch, perms, l, r):
+    """Order loss and its gradients with each window's sub-sequences presented
+    shuffled: slot s of window b holds the sub-sequence at true position
+    ``perms[b, s]`` and is labelled with it.
+
+    The order branch once trained on this form.  Its head encodes each
+    sub-sequence on its own, so ``perms`` only reorders the rows of the
+    position distributions and labels; this is the reference that shows it.
+    Returns (loss, grads), grads keyed like ``phi.as_dict()``.
+    """
+    B, _, D = batch.shape
+    m = perms.shape[1]
+    idx = perms[:, :, None] * r + np.arange(l)                        # (B, m, l)
+    X = np.asarray(batch, np.float64)[np.arange(B)[:, None, None], idx].reshape(B * m, l, D)
+    H, cache = gru_forward(X, phi.gru, want_cache=True)
+    W = np.asarray(phi.order_W, np.float64)
+    P = softmax(H @ W.T + np.asarray(phi.order_b, np.float64))
+    Y = np.zeros_like(P)
+    Y[np.arange(B * m), perms.reshape(-1)] = 1.0
+    dP = js_rows_grad_p(P, Y) * (1.0 / (B * m))
+    dlogits = P * (dP - (dP * P).sum(axis=1, keepdims=True))
+    grads = {k: np.zeros(v.shape) for k, v in phi.as_dict().items()}
+    grads["order_head.W"] += dlogits.T @ H
+    grads["order_head.b"] += dlogits.sum(axis=0)
+    gru_backward(cache, phi.gru, grads, "gru.", d_h_final=dlogits @ W)
+    return float(js_rows(P, Y).mean()), grads
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +441,6 @@ def sample_pairs_loop(n_windows, rng, k):
                 j += 1
             pairs.append((i, j))
     return pairs
-
-
-def draw_permutations_loop(rng, n_windows, m):
-    """One fresh permutation of range(m) per window, drawn in window order."""
-    return [rng.permutation(m).tolist() for _ in range(n_windows)]
 
 
 def aggregate_dense(slots, n):

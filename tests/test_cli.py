@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ import sten
 from sten.cli import main
 from sten.ndkernel import GruParams
 from sten.networks import read_checkpoint, write_checkpoint
+from sten.scoring import score_series
+from sten.training import TrainConfig
 
 SMALL_CONFIG = """
 # small end-to-end settings
@@ -237,6 +240,29 @@ class TestSweep:
              "--out", tmp / "sweep.csv", "--work-dir", work])
         assert len(sorted(work.glob("*.ckpt"))) == 1
 
+    def test_delta_sweep_scores_once(self, workspace, monkeypatch):
+        tmp, cfg = workspace
+        train_csv, test_csv = prepared_data(tmp, cfg)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return score_series(*args, **kwargs)
+
+        monkeypatch.setattr(sten.cli, "score_series", counted)
+        common = ["--train", train_csv, "--test", test_csv, "--config", cfg,
+                  "--work-dir", tmp / "work"]
+        assert run(["sweep", "--param", "delta", "--values", "0.5,1,2",
+                    "--out", tmp / "sweep.csv", *common]) == 0
+        assert len(calls) == 1
+        # Each row is the one a sweep over that value alone writes.
+        rows = []
+        for v in ("0.5", "1", "2"):
+            assert run(["sweep", "--param", "delta", "--values", v,
+                        "--out", tmp / f"sweep_{v}.csv", *common]) == 0
+            rows += (tmp / f"sweep_{v}.csv").read_bytes().splitlines(keepends=True)[1:]
+        assert (tmp / "sweep.csv").read_bytes().splitlines(keepends=True)[1:] == rows
+
     def test_alpha_sweep_trains_per_value(self, workspace):
         tmp, cfg = workspace
         train_csv, test_csv = prepared_data(tmp, cfg)
@@ -319,6 +345,11 @@ EXIT_CASES = [
     pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
                   "--beta", "-1", "--out", "{out}"], 1, id="score-negative-beta"),
     pytest.param(["eval", "--scores", "{scores}", "--delta", "0"], 1, id="eval-zero-delta"),
+    # A flag is offered only by the subcommands that read it.
+    pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
+                  "--delta", "0", "--out", "{out}"], 1, id="score-unread-delta"),
+    pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
+                  "--mode", "dsn_only", "--out", "{out}"], 1, id="score-unread-mode"),
 ]
 
 
@@ -465,3 +496,11 @@ class TestCheckpointContents:
         code, err = self.score_with(trained, tmp_path, capsys, edit)
         assert code == 2
         assert "checkpoint" in err
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(TrainConfig)])
+    def test_missing_config_key(self, trained, tmp_path, capsys, key):
+        # No TrainConfig default stands in for a key the checkpoint lacks.
+        code, err = self.score_with(trained, tmp_path, capsys,
+                                    lambda cfg, blocks: cfg.pop(key))
+        assert code == 2
+        assert f"missing config keys in checkpoint: [{key!r}]" in err

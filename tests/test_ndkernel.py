@@ -301,8 +301,7 @@ class TestGradTape:
         phi = init_phi(2, 4, 3, rng)
         cfg = TrainConfig(L=6, R_train=1, l=2, r=2, m=3, d_model=4, mode="otn_only")
         batch = rng.normal(size=(2, 6, 2))
-        perms = np.stack([rng.permutation(3) for _ in range(2)])
-        tape = build_sten_tape(phi, None, batch, perms, None, cfg)
+        tape = build_sten_tape(phi, None, batch, None, cfg)
         backward(tape)  # fine while params unchanged
         phi.load_dict({k: v.copy() for k, v in phi.as_dict().items()})
         with pytest.raises(StenError):

@@ -22,13 +22,9 @@ def zeroed(phi):
     return phi
 
 
-def windows_for(n_windows=2, d=3, l=4, m=3, seed=1, shuffle_seed=2):
-    """A (B, l*m, d) batch of windows and a random presented order for each."""
-    rng = np.random.default_rng(seed)
-    batch = rng.normal(size=(n_windows, l * m, d))
-    srng = np.random.default_rng(shuffle_seed)
-    perms = np.stack([srng.permutation(m) for _ in range(n_windows)])
-    return batch, perms
+def windows_for(n_windows=2, d=3, l=4, m=3, seed=1):
+    """A (B, l*m, d) batch of random windows."""
+    return np.random.default_rng(seed).normal(size=(n_windows, l * m, d))
 
 
 class TestEncodeSubseq:
@@ -36,23 +32,21 @@ class TestEncodeSubseq:
 
     def test_zero_params(self):
         phi = zeroed(make_phi())
-        batch, perms = windows_for()
-        _, _, H, _ = order_forward(phi, batch, perms, 4, 4)
+        _, _, H, _ = order_forward(phi, windows_for(), 4, 4)
         np.testing.assert_array_equal(H, np.zeros((6, 4)))
 
     def test_identical_inputs_identical_embeddings(self):
         phi = make_phi()
-        batch, perms = windows_for()
+        batch = windows_for()
         batch[1] = batch[0]
-        perms[1] = perms[0]
-        _, _, H, _ = order_forward(phi, batch, perms, 4, 4)
+        _, _, H, _ = order_forward(phi, batch, 4, 4)
         np.testing.assert_array_equal(H[:3], H[3:])
 
     def test_matches_gru_encode(self):
         phi = make_phi(seed=3)
-        batch, perms = windows_for(seed=4)
-        _, _, H, _ = order_forward(phi, batch, perms, 4, 4)
-        for row, sub in zip(H, gather_subsequences(batch, perms, 4, 4)):
+        batch = windows_for(seed=4)
+        _, _, H, _ = order_forward(phi, batch, 4, 4)
+        for row, sub in zip(H, gather_subsequences(batch, 3, 4, 4)):
             np.testing.assert_allclose(row, oracles.gru_encode_unrolled(sub, phi.gru),
                                        atol=1e-10)
 
@@ -62,34 +56,21 @@ class TestOrderProbs:
 
     def test_zero_params_uniform(self):
         phi = zeroed(make_phi())
-        batch, perms = windows_for()
-        P, _, _, _ = order_forward(phi, batch, perms, 4, 4)
+        P, _, _, _ = order_forward(phi, windows_for(), 4, 4)
         np.testing.assert_allclose(P, np.full((6, 3), 1 / 3))
 
     def test_single_subsequence(self):
         phi = make_phi(m=1)
-        batch, perms = windows_for(l=4, m=1)
-        P, Y, _, _ = order_forward(phi, batch, perms, 4, 4)
+        P, Y, _, _ = order_forward(phi, windows_for(l=4, m=1), 4, 4)
         np.testing.assert_allclose(P, [[1.0], [1.0]])
         np.testing.assert_array_equal(Y, [[1.0], [1.0]])
-
-    def test_permuting_collection_permutes_rows(self):
-        phi = make_phi(seed=5)
-        batch, perms = windows_for(seed=6)
-        P, Y, _, _ = order_forward(phi, batch, perms, 4, 4)
-        reorder = [2, 0, 1]
-        P2, Y2, _, _ = order_forward(phi, batch, perms[:, reorder], 4, 4)
-        rows = np.concatenate([reorder, np.add(reorder, 3)])
-        np.testing.assert_allclose(P2, P[rows], atol=1e-12)
-        np.testing.assert_array_equal(Y2, Y[rows])
 
     def test_rows_are_distributions_for_any_params(self):
         rng = np.random.default_rng(7)
         for trial in range(10):
             phi = make_phi(seed=100 + trial)
             phi.order_W = phi.order_W * rng.uniform(1, 50)
-            batch, perms = windows_for(seed=200 + trial)
-            P, _, _, _ = order_forward(phi, batch, perms, 4, 4)
+            P, _, _, _ = order_forward(phi, windows_for(seed=200 + trial), 4, 4)
             assert np.all(P >= 0)
             np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-6)
 
@@ -99,12 +80,12 @@ class TestEmbedSequence:
 
     def test_zero_params(self):
         phi = zeroed(make_phi())
-        batch, _ = windows_for()
+        batch = windows_for()
         np.testing.assert_array_equal(embed_windows(phi, batch), np.zeros((2, 4)))
 
     def test_eta_frozen_identical_across_calls(self):
         eta = init_eta(3, 4, np.random.default_rng(8))
-        batch, _ = windows_for(seed=9)
+        batch = windows_for(seed=9)
         before = eta.checksum()
         a = embed_windows(eta, batch)
         b = embed_windows(eta, batch)
@@ -121,7 +102,7 @@ class TestEmbedSequence:
     def test_separate_tower_used_for_dsn(self):
         phi = make_phi(seed=12, separate_towers=True)
         eta = init_eta(3, 4, np.random.default_rng(13))
-        batch, _ = windows_for(seed=13)
+        batch = windows_for(seed=13)
         E, F, _, _ = dsn_embeddings(phi, eta, batch, normalize=False)
         E_cached, _, _, _ = dsn_embeddings(phi, eta, batch, normalize=False, want_cache=True)
         np.testing.assert_array_equal(E_cached, E)

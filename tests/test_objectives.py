@@ -91,7 +91,7 @@ def zero_gru(phi):
 
 def sten_tape(mode="full", alpha=1.0, m=3, l=2, B=2, seed=0, phi=None, eta=None,
               batch=None, pairs=None):
-    """build_sten_tape on random windows of length l*m, presented shuffled."""
+    """build_sten_tape on random windows of length l*m."""
     cfg = TrainConfig(L=l * m, R_train=1, l=l, r=l, m=m, d_model=4, alpha=alpha, mode=mode)
     cfg.validate()
     rng = np.random.default_rng(seed)
@@ -99,9 +99,8 @@ def sten_tape(mode="full", alpha=1.0, m=3, l=2, B=2, seed=0, phi=None, eta=None,
         phi = init_phi(2, 4, m, rng, with_ep_head=(mode == "dsn_plus_ep"))
     eta = eta if eta is not None else init_eta(2, 4, rng)
     batch = batch if batch is not None else rng.normal(size=(B, l * m, 2))
-    perms = np.stack([rng.permutation(m) for _ in range(len(batch))])
     pairs = pairs if pairs is not None else sample_pairs(len(batch), rng, 1)
-    return build_sten_tape(phi, eta, batch, perms, pairs, cfg)
+    return build_sten_tape(phi, eta, batch, pairs, cfg)
 
 
 class TestOtnLoss:

@@ -9,7 +9,6 @@ from sten.seqdata import (MultivariateSeries, SynthConfig, gather_subsequences,
                           load_csv, make_windows, parse_column, read_table, save_csv,
                           synth_generate, window_starts, write_table, zscore_apply,
                           zscore_fit, _clean_signal)
-from sten.training import _draw_permutations
 
 import oracles
 
@@ -235,89 +234,73 @@ def timeline_batch(n_windows, L, d=1):
     return np.repeat(t, d, axis=2)
 
 
-def in_order(n_windows, m):
-    return np.tile(np.arange(m), (n_windows, 1))
-
-
 class TestSplitSubsequences:
-    """gather_subsequences in true order (identity permutations)."""
+    """gather_subsequences: each window's m sub-sequences in true order."""
 
     def test_paper_layout(self):
-        subs = gather_subsequences(timeline_batch(1, 100), in_order(1, 10), 10, 10)
+        subs = gather_subsequences(timeline_batch(1, 100), 10, 10, 10)
         assert subs.shape == (10, 10, 1)
         assert [int(s[0, 0]) for s in subs] == list(range(0, 100, 10))
 
     def test_single_subsequence(self):
         batch = series_of(20).values[None]
-        subs = gather_subsequences(batch, in_order(1, 1), 20, 1)
+        subs = gather_subsequences(batch, 1, 20, 1)
         assert subs.shape[0] == 1
         np.testing.assert_array_equal(subs[0], batch[0])
 
     def test_overlapping_layout(self):
-        subs = gather_subsequences(timeline_batch(1, 7), in_order(1, 3), 3, 2)
+        subs = gather_subsequences(timeline_batch(1, 7), 3, 3, 2)
         assert [int(s[0, 0]) for s in subs] == [0, 2, 4]
 
     def test_arithmetic_mismatch(self):
         with pytest.raises(DataError):
-            gather_subsequences(timeline_batch(1, 10), in_order(1, 3), 3, 2)
+            gather_subsequences(timeline_batch(1, 10), 3, 3, 2)
 
     def test_partition_provenance(self):
-        subs = gather_subsequences(timeline_batch(3, 20, d=2), in_order(3, 4), 5, 5)
+        subs = gather_subsequences(timeline_batch(3, 20, d=2), 4, 5, 5)
         for b in range(3):
             seen = subs[4 * b:4 * b + 4, :, 0].reshape(-1).tolist()
             assert sorted(seen) == [100.0 * b + t for t in range(20)]
             assert len(set(seen)) == 20
         np.testing.assert_array_equal(subs[..., 0], subs[..., 1])
 
-
-class TestShuffle:
-    """Presented orders drawn by training and gathered by gather_subsequences."""
-
-    def test_single_is_identity(self):
-        assert _draw_permutations(np.random.default_rng(123), 1, 1).tolist() == [[0]]
-
-    def test_same_seed_same_permutation(self):
-        a = _draw_permutations(np.random.default_rng(99), 4, 6)
-        b = _draw_permutations(np.random.default_rng(99), 4, 6)
-        assert a.tolist() == b.tolist()
-
-    @pytest.mark.parametrize("n,m", [(1, 1), (1, 5), (3, 2), (8, 10), (64, 7)])
-    def test_matches_loop_form(self, n, m):
-        got = _draw_permutations(np.random.default_rng(n * 10 + m), n, m)
-        assert got.tolist() == oracles.draw_permutations_loop(
-            np.random.default_rng(n * 10 + m), n, m)
-
-    def test_uniform_over_permutations(self):
-        n = 10_000
-        perms = _draw_permutations(np.random.default_rng(7), n, 3)
-        counts = {}
-        for perm in map(tuple, perms.tolist()):
-            counts[perm] = counts.get(perm, 0) + 1
-        assert len(counts) == 6
-        for c in counts.values():
-            assert abs(c / n - 1 / 6) < 0.02
-
-    def test_unshuffle_recovers_window(self):
+    def test_slots_laid_end_to_end_recover_window(self):
         batch = np.random.default_rng(5).normal(size=(2, 30, 3))
-        perms = _draw_permutations(np.random.default_rng(8), 2, 6)
-        subs = gather_subsequences(batch, perms, 5, 5).reshape(2, 6, 5, 3)
+        subs = gather_subsequences(batch, 6, 5, 5).reshape(2, 6, 5, 3)
         out = np.empty_like(batch)
         for b in range(2):
             for slot in range(6):
-                off = perms[b, slot] * 5
-                out[b, off:off + 5] = subs[b, slot]
+                out[b, slot * 5:slot * 5 + 5] = subs[b, slot]
         np.testing.assert_array_equal(out, batch)
 
-    def test_one_hot_labels_match_permutation(self):
+    def test_one_hot_labels_match_slot(self):
         batch = timeline_batch(2, 8)
-        perms = _draw_permutations(np.random.default_rng(3), 2, 4)
         phi = init_phi(1, 3, 4, np.random.default_rng(0))
-        _, Y, _, _ = order_forward(phi, batch, perms, 2, 2)
-        subs = gather_subsequences(batch, perms, 2, 2)
+        _, Y, _, _ = order_forward(phi, batch, 2, 2)
+        subs = gather_subsequences(batch, 4, 2, 2)
         for row in range(8):
             b, slot = divmod(row, 4)
-            assert Y[row].argmax() == perms[b, slot]
-            assert subs[row, 0, 0] == 100.0 * b + 2 * perms[b, slot]
+            assert Y[row].argmax() == slot
+            assert subs[row, 0, 0] == 100.0 * b + 2 * slot
+
+
+class TestPositionCounts:
+    """Why the order of presentation cannot matter on the training grid."""
+
+    @pytest.mark.parametrize("n,l,r,m", [(200, 10, 10, 10), (97, 5, 5, 4), (60, 4, 3, 5)])
+    def test_interior_start_once_at_each_position(self, n, l, r, m):
+        # With R_train == r, the sub-sequence starting at s sits at position i
+        # of the window starting at s - i*r; for an interior s every such
+        # window is on the grid, so s occurs in m windows, once per position.
+        L = l + (m - 1) * r
+        starts = window_starts(n, L, r)
+        slot_starts = starts[:, None] + np.arange(m) * r                # (n_windows, m)
+        interior = np.arange((m - 1) * r, starts[-1] + 1, r)
+        assert interior.size > 0
+        for s in interior:
+            windows, positions = np.nonzero(slot_starts == s)
+            assert len(windows) == m
+            assert sorted(positions.tolist()) == list(range(m))
 
 
 class TestSynth:

@@ -5,12 +5,13 @@ import sten.training as training
 from sten import ConfigError, DataError, NumericError
 from sten.ndkernel import backward
 from sten.networks import init_eta, init_phi, sample_pairs
+from sten.objectives import js_rows
 from sten.seqdata import MultivariateSeries, SynthConfig, synth_generate
 from sten.training import (TrainConfig, _batch_ranges, build_sten_tape,
                            load_checkpoint, save_checkpoint, seed_streams,
                            train)
 
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, order_loss_presented
 
 
 def clone_phi_like(phi):
@@ -25,15 +26,14 @@ def gradcheck(cfg, seed, h=1e-4, tol=1e-4, with_ep=False):
                    separate_towers=cfg.separate_towers, with_ep_head=with_ep)
     eta = init_eta(2, cfg.d_model, rng)
     batch = rng.normal(size=(2, cfg.L, 2))
-    perms = np.stack([rng.permutation(cfg.m) for _ in range(2)])
     pairs = sample_pairs(2, rng, cfg.k_refs)
-    tape = build_sten_tape(phi, eta, batch, perms, pairs, cfg)
+    tape = build_sten_tape(phi, eta, batch, pairs, cfg)
     grads = backward(tape)
 
     def loss_fn(pd):
         p2 = clone_phi_like(phi)
         p2.load_dict({k: v.copy() for k, v in pd.items()})
-        return build_sten_tape(p2, eta, batch, perms, pairs, cfg).value
+        return build_sten_tape(p2, eta, batch, pairs, cfg).value
 
     fd = finite_diff_grad(loss_fn, phi.as_dict(), h=h)
     worst = {}
@@ -75,8 +75,7 @@ class TestGradients:
         rng = np.random.default_rng(4)
         phi = init_phi(2, 4, 3, rng, separate_towers=True)
         batch = rng.normal(size=(2, 6, 2))
-        perms = np.stack([rng.permutation(3) for _ in range(2)])
-        tape = build_sten_tape(phi, None, batch, perms, None, cfg)
+        tape = build_sten_tape(phi, None, batch, None, cfg)
         grads = backward(tape)
         for k, g in grads.items():
             if k.startswith("dsn_gru."):
@@ -91,10 +90,54 @@ class TestGradients:
         phi = init_phi(2, 4, 3, rng)
         eta = init_eta(2, 4, rng)
         batch = rng.normal(size=(2, 6, 2))
-        perms = np.stack([rng.permutation(3) for _ in range(2)])
-        tape = build_sten_tape(phi, eta, batch, perms, sample_pairs(2, rng, 1), cfg)
+        tape = build_sten_tape(phi, eta, batch, sample_pairs(2, rng, 1), cfg)
         grads = backward(tape)
         assert set(grads) == set(phi.as_dict())
+
+
+class TestPresentedOrder:
+    """The order head encodes each sub-sequence on its own, so presenting a
+    window's sub-sequences shuffled only reorders the rows of P and Y: the
+    loss and its gradients are those of the true order, up to sum order."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_loss_and_gradients_match_shuffled_presentation(self, seed):
+        cfg = TrainConfig(L=12, R_train=3, l=3, r=3, m=4, d_model=6, mode="otn_only")
+        rng = np.random.default_rng(seed)
+        phi = init_phi(2, 6, 4, rng)
+        batch = rng.normal(size=(8, 12, 2))
+        tape = build_sten_tape(phi, None, batch, None, cfg)
+        grads = backward(tape)
+        perms = rng.permuted(np.tile(np.arange(4), (8, 1)), axis=1)
+        loss, ref = order_loss_presented(phi, batch, perms, 3, 3)
+        # Reordering rows changes only the summation order: about 1.7e-15
+        # relative was measured, so these tolerances leave a wide margin.
+        np.testing.assert_allclose(tape.otn, loss, rtol=1e-14, atol=0)
+        assert set(grads) == set(ref)
+        for k in grads:
+            np.testing.assert_allclose(grads[k], ref[k], rtol=1e-12, atol=0, err_msg=k)
+
+
+class TestOrderPositiveControl:
+    """On a sawtooth of period L the order task is learnable only where the
+    window grid pins the phase: windows at stride L see each phase at one
+    position, while at stride r each sub-sequence occurs at every position."""
+
+    UNIFORM = float(js_rows(np.full((1, 4), 0.25), np.eye(4)[:1])[0])
+
+    @staticmethod
+    def final_otn(R_train):
+        t = np.arange(1000)
+        series = MultivariateSeries(values=((t % 20) / 20.0)[:, None])
+        cfg = TrainConfig(L=20, R_train=R_train, l=5, r=5, m=4, d_model=8, lr=1e-2,
+                          epochs=30, batch_size=32, mode="otn_only")
+        return train(series, cfg).loss_trace[-1][0]
+
+    def test_learns_position_when_grid_pins_phase(self):
+        assert self.final_otn(R_train=20) < 0.5 * self.UNIFORM
+
+    def test_stays_uniform_when_every_position_is_seen(self):
+        assert abs(self.final_otn(R_train=5) - self.UNIFORM) < 1e-3
 
 
 def small_series(n=600, d=2, seed=0):
@@ -129,8 +172,8 @@ class TestTrain:
             np.testing.assert_array_equal(v, phi0.as_dict()[k].astype(np.float32))
         totals = [row[2] for row in model.loss_trace]
         assert len(set(f"{t:.12g}" for t in totals)) > 0  # finite values
-        # Same parameters each epoch, but fresh shuffles/pairs change the
-        # sampled loss; only the parameters are guaranteed constant.
+        # Same parameters each epoch, but fresh pairs change the sampled
+        # loss; only the parameters are guaranteed constant.
 
     def test_loss_descends_on_synthetic(self):
         series = small_series(n=1500)
@@ -167,22 +210,6 @@ class TestTrain:
         for k, v in a.phi.as_dict().items():
             np.testing.assert_array_equal(v, b.phi.as_dict()[k])
         assert a.eta.checksum() == b.eta.checksum()
-
-    def test_permutations_resampled_each_epoch(self, monkeypatch):
-        recorded = []
-        orig = training._draw_permutations
-
-        def spy(rng, n, m):
-            out = orig(rng, n, m)
-            recorded.append(out.copy())
-            return out
-
-        monkeypatch.setattr(training, "_draw_permutations", spy)
-        series = small_series(n=200)
-        train(series, small_cfg(epochs=4, batch_size=512))
-        assert len(recorded) == 4  # one batch per epoch
-        window0 = [tuple(r[0]) for r in recorded]
-        assert len(set(window0)) > 1
 
     def test_nonfinite_loss_aborts(self, monkeypatch):
         orig = training.build_sten_tape
