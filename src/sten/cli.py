@@ -305,15 +305,15 @@ def cmd_sweep(args) -> int:
     if test_series.labels is None:
         raise DataError(f"{args.test}: sweep evaluation needs a label column")
 
-    def scored(cfg_v: dict, ckpt: Path):
+    def scored(cfg_v: dict, ckpt: Path, sc: ScoreConfig):
         if not ckpt.exists():
             model = train(train_series, build_train_config(cfg_v))
             save_checkpoint(model, ckpt)
             _write_loss_log(str(ckpt) + ".log", model.loss_trace)
-        return score_series(load_checkpoint(ckpt), test_series, build_score_config(cfg_v))
+        return score_series(load_checkpoint(ckpt), test_series, sc)
 
-    # beta and delta share one checkpoint; delta changes only the evaluation,
-    # so its values share one scoring too.
+    # beta and delta share one checkpoint and one scoring: delta changes only
+    # the evaluation, and beta only how the score columns combine.
     rows, result = [], None
     for v in values:
         cfg_v = dict(cfg)
@@ -324,11 +324,14 @@ def cmd_sweep(args) -> int:
             cfg_v.update({"l": lv, "r": lv, "L": cfg["m"] * lv})
         else:
             cfg_v[args.param] = v
-        if result is None or args.param != "delta":
+        sc = build_score_config(cfg_v)
+        if result is None or args.param not in ("beta", "delta"):
             ckpt = (work / "model.ckpt" if args.param in ("beta", "delta")
                     else work / f"model_{args.param}_{v:g}.ckpt")
-            result = scored(cfg_v, ckpt)
-        doc = evaluate_to_doc(result.scores, test_series.labels, cfg_v)
+            result = scored(cfg_v, ckpt, sc)
+        # The combination score_series makes, with this value's beta.
+        scores = result.score_otn + sc.beta * result.score_dsn
+        doc = evaluate_to_doc(scores, test_series.labels, cfg_v)
         rows.append((v, doc))
         print(f"{args.param}={v:g}: auc_pr={doc.get('auc_pr', float('nan')):.4f}")
 

@@ -81,21 +81,24 @@ def roc_auc(scores, labels) -> float | None:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def _desc_threshold_sweep(scores, weights_pos, weights_neg):
-    """Cumulative TP/FP at each distinct threshold, descending.
-
-    ``weights_pos``/``weights_neg`` give each point's positive and negative
-    mass (binary labels become 1/0 masses; range-AUC uses continuous ones).
-    Returns (tp, fp) arrays aligned with the distinct thresholds.
-    """
+def _tie_groups(scores):
+    """The descending stable order of ``scores`` and, in that order, the last
+    index of each tie group; returns (order, idx, thresholds)."""
     order = np.argsort(-scores, kind="mergesort")
     s = scores[order]
-    tp = np.cumsum(weights_pos[order])
-    fp = np.cumsum(weights_neg[order])
-    # Keep only the last index of each tie group (threshold = that score).
-    last = np.nonzero(np.diff(s))[0]
-    idx = np.concatenate([last, [s.size - 1]])
-    return tp[idx], fp[idx], s[idx]
+    idx = np.concatenate([np.nonzero(np.diff(s))[0], [s.size - 1]])
+    return order, idx, s[idx]
+
+
+def _desc_threshold_sweep(order, idx, weights_pos, weights_neg):
+    """Cumulative TP/FP at each distinct threshold, descending.
+
+    ``order`` and ``idx`` come from ``_tie_groups``; ``weights_pos``/
+    ``weights_neg`` give each point's positive and negative mass (binary
+    labels become 1/0 masses; range-AUC uses continuous ones).  Returns
+    (tp, fp) arrays aligned with the distinct thresholds.
+    """
+    return np.cumsum(weights_pos[order])[idx], np.cumsum(weights_neg[order])[idx]
 
 
 def pr_auc(scores, labels) -> float | None:
@@ -103,8 +106,9 @@ def pr_auc(scores, labels) -> float | None:
     scores, labels = _check_lengths(scores, labels)
     if not labels.any():
         return None
-    tp, fp, _ = _desc_threshold_sweep(scores, labels.astype(np.float64),
-                                      (~labels).astype(np.float64))
+    order, idx, _ = _tie_groups(scores)
+    tp, fp = _desc_threshold_sweep(order, idx, labels.astype(np.float64),
+                                   (~labels).astype(np.float64))
     precision = tp / (tp + fp)
     recall = tp / tp[-1]
     prev = np.concatenate([[0.0], recall[:-1]])
@@ -121,8 +125,9 @@ def best_f1(scores, labels) -> tuple[float, float, float, float] | None:
     n_pos = float(labels.sum())
     if n_pos == 0:
         return None
-    tp, fp, thr = _desc_threshold_sweep(scores, labels.astype(np.float64),
-                                        (~labels).astype(np.float64))
+    order, idx, thr = _tie_groups(scores)
+    tp, fp = _desc_threshold_sweep(order, idx, labels.astype(np.float64),
+                                   (~labels).astype(np.float64))
     precision = tp / (tp + fp)
     recall = tp / n_pos
     denom = np.maximum(precision + recall, 1e-300)  # tp == 0 rows are discarded
@@ -192,31 +197,37 @@ def affiliation(pred: EventSet, truth: EventSet,
 # Range-AUC and VUS
 # ---------------------------------------------------------------------------
 
-def continuous_labels(truth: EventSet, n: int, w: float) -> np.ndarray:
-    """Buffer-smoothed labels: 1 inside events, sqrt(1 - d/w) decay outside."""
+def _event_distance(truth: EventSet, n: int) -> np.ndarray:
+    """Each timestamp's distance to its nearest truth event (inf without events)."""
     validate_events(truth, n)
     if not truth:
-        return np.zeros(n)
-    dmin = _event_distances(truth, n).min(axis=0).astype(np.float64)
+        return np.full(n, np.inf)
+    return _event_distances(truth, n).min(axis=0).astype(np.float64)
+
+
+def _smoothed(dmin: np.ndarray, w: float) -> np.ndarray:
+    """Buffer-smoothed labels of the nearest-event distances ``dmin``."""
     if w > 0:
         ell = np.sqrt(np.maximum(0.0, 1.0 - dmin / w))
     else:
-        ell = np.zeros(n)
+        ell = np.zeros(dmin.shape[0])
     ell[dmin == 0] = 1.0
     return ell
 
 
-def range_auc(scores, truth: EventSet, w: float) -> tuple[float | None, float | None]:
-    """ROC and PR areas computed over buffer-smoothed continuous labels."""
-    scores = np.asarray(scores, np.float64)
-    if w < 0:
-        raise DataError("buffer width must be >= 0")
-    ell = continuous_labels(truth, scores.shape[0], w)
+def continuous_labels(truth: EventSet, n: int, w: float) -> np.ndarray:
+    """Buffer-smoothed labels: 1 inside events, sqrt(1 - d/w) decay outside."""
+    return _smoothed(_event_distance(truth, n), w)
+
+
+def _range_areas(order, idx, ell) -> tuple[float | None, float | None]:
+    """ROC and PR areas of the continuous labels ``ell`` over the threshold
+    sweep given by ``_tie_groups``."""
     P = float(ell.sum())
     N = float((1.0 - ell).sum())
     if P <= 0.0 or N <= 0.0:
         return None, None
-    tp, fp, _ = _desc_threshold_sweep(scores, ell, 1.0 - ell)
+    tp, fp = _desc_threshold_sweep(order, idx, ell, 1.0 - ell)
     tpr = tp / P
     fpr = fp / N
     tpr0 = np.concatenate([[0.0], tpr])
@@ -228,17 +239,33 @@ def range_auc(scores, truth: EventSet, w: float) -> tuple[float | None, float | 
     return auc_roc, auc_pr
 
 
+def range_auc(scores, truth: EventSet, w: float) -> tuple[float | None, float | None]:
+    """ROC and PR areas computed over buffer-smoothed continuous labels."""
+    scores = np.asarray(scores, np.float64)
+    if w < 0:
+        raise DataError("buffer width must be >= 0")
+    order, idx, _ = _tie_groups(scores)
+    return _range_areas(order, idx, continuous_labels(truth, scores.shape[0], w))
+
+
 def vus(scores, truth: EventSet, w_max: float,
         grid_step: float = 1.0) -> tuple[float | None, float | None]:
-    """Mean range-AUC over buffer widths {0, step, 2*step, ..., w_max}."""
+    """Mean range-AUC over buffer widths {0, step, 2*step, ..., w_max}.
+
+    The event distances and the threshold sweep are the same for every
+    width; only the smoothed labels change.
+    """
     if w_max < 0 or grid_step <= 0:
         raise DataError("w_max must be >= 0 and grid_step > 0")
     widths = [0.0]
     while widths[-1] + grid_step <= w_max + 1e-12:
         widths.append(widths[-1] + grid_step)
+    scores = np.asarray(scores, np.float64)
+    dmin = _event_distance(truth, scores.shape[0])
+    order, idx, _ = _tie_groups(scores)
     rocs, prs = [], []
     for w in widths:
-        r, p = range_auc(scores, truth, w)
+        r, p = _range_areas(order, idx, _smoothed(dmin, w))
         if r is None:
             return None, None
         rocs.append(r)

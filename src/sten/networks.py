@@ -14,7 +14,7 @@ import numpy as np
 
 from . import DataError, atomic_write
 from .ndkernel import GruParams, ParamDict, gru_forward, init_gru, require_finite, softmax
-from .seqdata import gather_subsequences
+from .seqdata import stack_slices
 
 NORM_FLOOR = 1e-12
 
@@ -126,23 +126,36 @@ def init_eta(d_in: int, d_model: int, rng: np.random.Generator) -> EtaParams:
 # Each returns a fixed tuple whose last entries are what the branch's
 # backward needs; its GruCache is None without ``want_cache``.
 
-def order_forward(phi: PhiParams, batch: np.ndarray, l: int, r: int,
+def order_forward(phi: PhiParams, values: np.ndarray, starts: np.ndarray, l: int, r: int,
                   want_cache: bool = False):
-    """Order head over each window's m sub-sequences, in true order.
+    """Order head over the m sub-sequences of the windows at ``starts``, in
+    true order.
 
-    ``batch`` is (B, L, D).  The head encodes each sub-sequence on its own,
-    so the order they are presented in would only reorder the rows below.
-    Returns (P, Y, H, cache): predicted position distributions P and their
-    one-hot truth Y, both (B*m, m) with row b*m + i for slot i of window b,
-    then the sub-sequence embeddings and the GruCache.
+    ``values`` is the (N, D) series; slot i of the window at s is the
+    sub-sequence at s + i*r.  Windows on a common stride share sub-sequences,
+    so each distinct one is encoded once and its embedding gathered back to
+    every slot that holds it.  Returns (P, Y, H, inv, cache): predicted
+    position distributions P and their one-hot truth Y, both (B*m, m) with
+    row b*m + i for slot i of window b, the slots' embeddings H, then the
+    index ``inv`` of each slot's distinct sub-sequence and the GruCache over
+    the distinct ones.
     """
-    X = gather_subsequences(np.asarray(batch, np.float64), phi.m, l, r)
-    H, cache = (gru_forward(X, phi.gru, want_cache=True) if want_cache
-                else (gru_forward(X, phi.gru), None))
+    starts = np.asarray(starts)
+    sub = (starts[:, None] + np.arange(phi.m) * r).reshape(-1)
+    if sub.size and (sub.min() < 0 or sub.max() + l > len(values)):
+        raise DataError(f"a sub-sequence of length {l} lies outside the series "
+                        f"of {len(values)} timestamps")
+    uniq, inv = np.unique(sub, return_inverse=True)
+    X = stack_slices(np.asarray(values, np.float64), uniq, l)
+    H_u, cache = (gru_forward(X, phi.gru, want_cache=True) if want_cache
+                  else (gru_forward(X, phi.gru), None))
+    # Logits on the gathered rows: their GEMM then has the shape, and the
+    # bits, of encoding every slot.
+    H = H_u[inv]
     P = softmax(H @ np.asarray(phi.order_W, np.float64).T
                 + np.asarray(phi.order_b, np.float64))
-    Y = np.tile(np.eye(phi.m), (len(batch), 1))
-    return P, Y, H, cache
+    Y = np.tile(np.eye(phi.m), (len(starts), 1))
+    return P, Y, H, inv, cache
 
 
 def ep_forward(phi: PhiParams, batch: np.ndarray, want_cache: bool = False):
@@ -177,22 +190,17 @@ def embed_windows(params: PhiParams | EtaParams, data: np.ndarray,
     return E / _row_norms(E) if normalize else E
 
 
-def dsn_embeddings(phi: PhiParams, eta: EtaParams, batch: np.ndarray, normalize: bool,
-                   want_cache: bool = False):
-    """Distance-branch embeddings of windows (B, L, D), rows unit-normalised
-    when ``normalize``.
+def dsn_embeddings(phi: PhiParams, batch: np.ndarray, normalize: bool):
+    """Distance-tower embeddings of windows (B, L, D) with what their backward
+    needs, rows unit-normalised when ``normalize``.
 
-    Returns (E, F, norms, cache): embeddings by phi's distance tower and by
-    eta, then, with ``want_cache``, E's floored row norms before normalising
-    (None without ``normalize``) and the tower's GruCache.
+    Returns (E, norms, cache): the embeddings, E's floored row norms before
+    normalising (None without ``normalize``) and the tower's GruCache.
+    ``embed_windows(phi, batch, normalize)`` gives the same E without a cache.
     """
-    # eta first: its forward then never overlaps the tower's full cache (peak memory).
-    F = embed_windows(eta, batch, normalize)
-    if not want_cache:
-        return embed_windows(phi, batch, normalize), F, None, None
     E, cache = gru_forward(np.asarray(batch, np.float64), phi.dsn_tower(), want_cache=True)
     norms = _row_norms(E) if normalize else None
-    return (E / norms if normalize else E), F, norms, cache
+    return (E / norms if normalize else E), norms, cache
 
 
 def pair_residuals(E: np.ndarray, F: np.ndarray, ii: np.ndarray, jj: np.ndarray,

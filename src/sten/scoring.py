@@ -7,8 +7,10 @@ slots inherit that score.  Slot i of the window at ``s`` covers timestamps
 [s + i*r, s + i*r + l); a timestamp scores the mean over its covering slots.
 
 The order branch scores sub-sequences in their true order, through the same
-``order_forward`` call as training, so scoring is fully deterministic given the
-seed used for reference-pair sampling.
+``order_forward`` call as training: it encodes each distinct sub-sequence of a
+chunk of windows once, and windows at stride ``R_test`` = r share all but one
+of theirs with the next.  Scoring is fully deterministic given the seed used
+for reference-pair sampling.
 
 Score files are CSV tables written by ``seqdata.write_table`` and read back by
 ``seqdata.read_table`` and ``seqdata.parse_column``, the package's one table
@@ -24,7 +26,7 @@ import numpy as np
 from . import ConfigError, DataError
 # Bound here, uncalled, because perfbench/test_perfbench.py looks it up on this module.
 from .ndkernel import gru_forward  # noqa: F401
-from .networks import dsn_embeddings, ep_forward, order_forward, pair_residuals, sample_pairs
+from .networks import embed_windows, ep_forward, order_forward, pair_residuals, sample_pairs
 from .objectives import js_rows
 from .seqdata import (MultivariateSeries, make_windows, parse_column, read_table, window_starts,
                       write_table, zscore_apply)
@@ -118,16 +120,16 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
     # Temporal component: (n_w, m) score per sub-sequence.
     t_scores = np.zeros((n_w, tc.m))
     for s in range(0, n_w, CHUNK):
-        part = W[s:s + CHUNK]
-        B = part.shape[0]
+        chunk = starts[s:s + CHUNK]
+        B = len(chunk)
         if use_otn:
-            P, Y, _, _ = order_forward(model.phi, part, tc.l, tc.r)
+            P, Y, _, _, _ = order_forward(model.phi, norm.values, chunk, tc.l, tc.r)
             rows = js_rows(P, Y).reshape(B, tc.m)
             if not cfg.per_subseq_denominator:
                 rows = rows.mean(axis=1, keepdims=True)
             t_scores[s:s + B] = np.abs(P - Y).sum(axis=1).reshape(B, tc.m) / (rows + cfg.eps)
         elif use_ep:
-            resid, _, _ = ep_forward(model.phi, part)
+            resid, _, _ = ep_forward(model.phi, W[s:s + CHUNK])
             err = (resid ** 2).mean(axis=2).T          # (B, L-1); err[:, t-1] ~ x_t
             for i in range(tc.m):
                 lo = max(i * tc.r, 1)                  # timestamp 0 has no prediction
@@ -138,14 +140,17 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
     # Spatial component: scalar per window.
     dsn_w = np.zeros(n_w)
     if use_dsn:
-        normalize = tc.normalize_embeddings
-        E, F, _, _ = dsn_embeddings(model.phi, model.eta, W, normalize)
+        def embed(windows):
+            return (embed_windows(model.phi, windows, tc.normalize_embeddings),
+                    embed_windows(model.eta, windows, tc.normalize_embeddings))
+
+        E, F = embed(W)
         rng = np.random.default_rng(cfg.seed)
         if cfg.ref_source == "train":
             if train_series is None:
                 raise DataError("ref_source='train' requires the training series")
             pool = make_windows(zscore_apply(train_series, model.stats), tc.L, tc.R_train)
-            Ep, Fp, _, _ = dsn_embeddings(model.phi, model.eta, pool, normalize)
+            Ep, Fp = embed(pool)
             jj = rng.integers(0, len(pool), size=(n_w, cfg.k_refs)).reshape(-1)
             ii = np.repeat(np.arange(n_w), cfg.k_refs)
         else:

@@ -1,8 +1,8 @@
-"""Data ingestion, normalization, windowing, the batched sub-sequence gather,
-plus a synthetic benchmark generator for desk-scale evaluation.
+"""Data ingestion, normalization, windowing, plus a synthetic benchmark
+generator for desk-scale evaluation.
 
-Everything is an array: a series is (N, D), its windows (n_windows, L, D) start
-at ``window_starts``, and a batch's sub-sequences are (B*m, l, D), m per window.
+Everything is an array: a series is (N, D), and its windows (n_windows, L, D)
+and sub-sequences (n, l, D) are gathered by ``stack_slices`` at their starts.
 Indexing is 0-based internally; CSV outputs use 1-based timestamps.
 
 Every CSV table the package reads goes through ``read_table`` and
@@ -209,24 +209,15 @@ def window_starts(n: int, L: int, R: int, cover_tail: bool = False) -> np.ndarra
     return starts
 
 
+def stack_slices(values: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
+    """The (len(starts), length, D) stack of ``values[s:s + length]``."""
+    return values[np.asarray(starts)[:, None] + np.arange(length)]
+
+
 def make_windows(series: MultivariateSeries, L: int, R: int,
                  cover_tail: bool = False) -> np.ndarray:
     """The (n_windows, L, D) stack of the windows at ``window_starts``."""
-    starts = window_starts(series.n, L, R, cover_tail)
-    return series.values[starts[:, None] + np.arange(L)]
-
-
-def gather_subsequences(batch: np.ndarray, m: int, l: int, r: int) -> np.ndarray:
-    """Sub-sequences of each window in true order: (B, L, D) -> (B*m, l, D).
-
-    Slot s of window b holds the length-l sub-sequence at offset ``s * r``.
-    """
-    B, L, D = batch.shape
-    if l + (m - 1) * r != L:
-        raise DataError(
-            f"sub-sequence layout mismatch: l + (m-1)*r = {l + (m - 1) * r} != L = {L}")
-    idx = np.arange(m)[:, None] * r + np.arange(l)                   # (m, l)
-    return batch[:, idx].reshape(B * m, l, D)
+    return stack_slices(series.values, window_starts(series.n, L, R, cover_tail), L)
 
 
 # ---------------------------------------------------------------------------

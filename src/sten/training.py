@@ -13,11 +13,12 @@ from . import ConfigError, DataError, NumericError
 # looks it up on this module.
 from .ndkernel import (GradTape, GruParams, ParamDict, adam_update, backward,  # noqa: F401
                        gru_backward, gru_forward, init_adam_state)
-from .networks import (NORM_FLOOR, EtaParams, PhiParams, dsn_embeddings, ep_forward,
-                       init_eta, init_phi, order_forward, pair_residuals,
+from .networks import (NORM_FLOOR, EtaParams, PhiParams, dsn_embeddings, embed_windows,
+                       ep_forward, init_eta, init_phi, order_forward, pair_residuals,
                        read_checkpoint, sample_pairs, write_checkpoint)
 from .objectives import js_rows, js_rows_grad_p
-from .seqdata import MultivariateSeries, NormStats, make_windows, zscore_apply, zscore_fit
+from .seqdata import (MultivariateSeries, NormStats, stack_slices, window_starts, zscore_apply,
+                      zscore_fit)
 
 MODES = ("full", "otn_only", "dsn_only", "dsn_plus_ep")
 
@@ -94,30 +95,38 @@ def branches(mode: str, alpha: float) -> tuple[bool, bool, bool]:
             mode in ("dsn_only", "dsn_plus_ep") or (mode == "full" and alpha > 0))
 
 
-def build_sten_tape(phi: PhiParams, eta: EtaParams, batch: np.ndarray,
-                    pairs: np.ndarray | None, cfg: TrainConfig) -> GradTape:
+def build_sten_tape(phi: PhiParams, F: np.ndarray | None, values: np.ndarray,
+                    starts: np.ndarray, pairs: np.ndarray | None, cfg: TrainConfig) -> GradTape:
     """Forward pass of the combined loss over one batch of windows.
 
-    ``batch`` is (B, L, D); ``pairs`` (P, 2) are window-index pairs for the
-    distance branch.  Returns a tape whose backward yields exact gradients
-    for every phi parameter (eta is frozen).
+    The batch is the length-L windows of the (N, D) series ``values`` at
+    ``starts``.  The order branch encodes each distinct sub-sequence of the
+    batch once (``order_forward``).  ``F`` holds the frozen projector eta's
+    embeddings of the batch's windows (B, d_model), unit rows when
+    ``cfg.normalize_embeddings``, and ``pairs`` (P, 2) window-index pairs, both
+    for the distance branch (None without one).  Returns a tape whose backward
+    yields exact gradients for every phi parameter (eta is frozen).
     """
     use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
     tape = GradTape(0.0, phi.as_dict(), owner=phi)
     otn_val = 0.0
     dsn_val = 0.0
+    if use_ep or use_dsn:
+        batch = stack_slices(values, starts, cfg.L)
 
     if use_otn:
-        P, Y, H, cache = order_forward(phi, batch, cfg.l, cfg.r, want_cache=True)
+        P, Y, H, inv, cache = order_forward(phi, values, starts, cfg.l, cfg.r, want_cache=True)
         otn_val = float(js_rows(P, Y).mean())
 
-        def otn_back(scale: float, grads: ParamDict, P=P, Y=Y, H=H, cache=cache,
+        def otn_back(scale: float, grads: ParamDict, P=P, Y=Y, H=H, inv=inv, cache=cache,
                      W_o=np.asarray(phi.order_W, np.float64), p_gru=phi.gru) -> None:
             dP = js_rows_grad_p(P, Y) * (scale / P.shape[0])
             dlogits = P * (dP - (dP * P).sum(axis=1, keepdims=True))
             grads["order_head.W"] += dlogits.T @ H
             grads["order_head.b"] += dlogits.sum(axis=0)
-            dH = dlogits @ W_o
+            # Each distinct sub-sequence collects the gradient of every slot it fills.
+            dH = np.zeros((cache.X.shape[0], H.shape[1]))
+            np.add.at(dH, inv, dlogits @ W_o)
             gru_backward(cache, p_gru, grads, "gru.", d_h_final=dH)
 
         tape.record(otn_back)
@@ -139,12 +148,11 @@ def build_sten_tape(phi: PhiParams, eta: EtaParams, batch: np.ndarray,
         tape.record(ep_back)
 
     if use_dsn:
-        if pairs is None or len(pairs) == 0:
-            raise DataError("distance branch requires reference pairs")
-        En, Fn, norms, cache_d = dsn_embeddings(phi, eta, batch, cfg.normalize_embeddings,
-                                                want_cache=True)
+        if F is None or pairs is None or len(pairs) == 0:
+            raise DataError("distance branch requires eta's embeddings and reference pairs")
+        En, norms, cache_d = dsn_embeddings(phi, batch, cfg.normalize_embeddings)
         ii, jj = pairs.T
-        resid_d = pair_residuals(En, Fn, ii, jj, En, Fn)
+        resid_d = pair_residuals(En, F, ii, jj, En, F)
         dsn_val = float(np.mean(resid_d ** 2))
 
         def dsn_back(scale: float, grads: ParamDict, resid_d=resid_d, En=En, ii=ii, jj=jj,
@@ -181,12 +189,17 @@ def _batch_ranges(n: int, batch_size: int, min_last: int) -> list[tuple[int, int
 
 
 def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
-    """Fit the encoder on an unlabeled series (labels, if present, are ignored)."""
+    """Fit the encoder on an unlabeled series (labels, if present, are ignored).
+
+    Each batch's order branch encodes each of its distinct sub-sequences once.
+    The frozen projector eta embeds each batch's windows once per call, not
+    once per epoch.
+    """
     cfg.validate()
     stats = zscore_fit(series)
-    norm = zscore_apply(series, stats)
-    W = make_windows(norm, cfg.L, cfg.R_train)  # (n, L, D)
-    n = len(W)
+    values = zscore_apply(series, stats).values
+    starts = window_starts(series.n, cfg.L, cfg.R_train)
+    n = len(starts)
     _, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
     if use_dsn and n < 2:
         raise DataError(f"mode {cfg.mode!r} needs >= 2 windows for distance pairs, got {n}")
@@ -206,15 +219,19 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     adam = init_adam_state(phi.as_dict())
     pair_rng = streams["pairing"]
     ranges = _batch_ranges(n, cfg.batch_size, min_last=2 if use_dsn else 1)
+    # eta is frozen and the windows are fixed: embed them once for all epochs,
+    # batch by batch, so that each batch gets the bits of its own embedding.
+    eta_emb = [embed_windows(eta, stack_slices(values, starts[s:e], cfg.L),
+                             cfg.normalize_embeddings) if use_dsn else None
+               for s, e in ranges]
 
     trace: list[tuple[float, float, float]] = []
     for epoch in range(cfg.epochs):
         sums = np.zeros(3)
         for bi, (s, e) in enumerate(ranges):
-            batch = W[s:e]
             B = e - s
             pairs = sample_pairs(B, pair_rng, cfg.k_refs) if use_dsn else None
-            tape = build_sten_tape(phi, eta, batch, pairs, cfg)
+            tape = build_sten_tape(phi, eta_emb[bi], values, starts[s:e], pairs, cfg)
             if not np.isfinite(tape.value):
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch + 1}, batch {bi + 1}: "

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from sten import DataError
+from sten.evalmetrics import range_auc
 from sten.ndkernel import GruCache, GruParams, gru_backward, gru_forward, softmax
 from sten.objectives import js_rows, js_rows_grad_p
 
@@ -164,6 +165,37 @@ def js_direct(p, q, eps=1e-12):
         total += pi * (math.log(max(pi, eps)) - math.log(max(mi, eps)))
         total += qi * (math.log(max(qi, eps)) - math.log(max(mi, eps)))
     return total
+
+
+# ---------------------------------------------------------------------------
+# Order-branch oracles
+# ---------------------------------------------------------------------------
+
+def gather_subsequences(batch, m, l, r):
+    """Sub-sequences of each window in true order: (B, L, D) -> (B*m, l, D).
+
+    Slot s of window b holds the length-l sub-sequence at offset ``s * r``.
+    """
+    B, L, D = batch.shape
+    if l + (m - 1) * r != L:
+        raise DataError(
+            f"sub-sequence layout mismatch: l + (m-1)*r = {l + (m - 1) * r} != L = {L}")
+    idx = np.arange(m)[:, None] * r + np.arange(l)                   # (m, l)
+    return batch[:, idx].reshape(B * m, l, D)
+
+
+def order_forward_per_slot(phi, batch, l, r):
+    """The order head with every slot's sub-sequence encoded on its own, the
+    form the package used before it encoded each distinct sub-sequence once.
+
+    ``batch`` is (B, L, D).  Returns (P, Y, H), rows b*m + i for slot i of
+    window b.
+    """
+    X = gather_subsequences(np.asarray(batch, np.float64), phi.m, l, r)
+    H = gru_forward(X, phi.gru)
+    P = softmax(H @ np.asarray(phi.order_W, np.float64).T
+                + np.asarray(phi.order_b, np.float64))
+    return P, np.tile(np.eye(phi.m), (len(batch), 1)), H
 
 
 def order_loss_presented(phi, batch, perms, l, r):
@@ -380,6 +412,22 @@ def range_auc_dense(scores, events, w):
         pr += (recall - prev_recall) * precision
         prev_recall = recall
     return roc, pr
+
+
+def vus_per_width(scores, truth, w_max, grid_step=1.0):
+    """VUS as one range_auc call per buffer width, each rebuilding the event
+    distances and the threshold sweep."""
+    widths = [0.0]
+    while widths[-1] + grid_step <= w_max + 1e-12:
+        widths.append(widths[-1] + grid_step)
+    rocs, prs = [], []
+    for w in widths:
+        r, p = range_auc(scores, truth, w)
+        if r is None:
+            return None, None
+        rocs.append(r)
+        prs.append(p)
+    return float(np.mean(rocs)), float(np.mean(prs))
 
 
 def affiliation_enum(pred_events, truth_events, n):

@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sten import ndkernel, scoring
-from sten.networks import sample_pairs
+from sten import ndkernel, networks, scoring
+from sten.networks import init_phi, sample_pairs
 from sten.scoring import ScoreConfig, ScoreSeries, aggregate_timestamps
 from sten.seqdata import MultivariateSeries, load_csv, make_windows, window_starts
-from sten.training import TrainConfig, train
+from sten.training import TrainConfig, build_sten_tape, train
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
@@ -108,3 +108,24 @@ def test_gru_forward_calls_sigmoid_once_per_step_on_both_gates(monkeypatch):
     B, T, d = 3, 7, 4
     ndkernel.gru_forward(rng.normal(size=(B, T, 2)), ndkernel.init_gru(2, d, rng))
     assert sizes == [2 * B * d] * T
+
+
+def test_order_branch_encodes_265_rows_for_a_paper_batch(monkeypatch):
+    """ndkernel.gru_forward.row_steps counts the rows the order branch encodes:
+    a 256-window batch at stride r with m=10 has 265 distinct sub-sequences,
+    and the GRU sees each of them once."""
+    rows = []
+    real = networks.gru_forward
+
+    def counting(X, p, **kwargs):
+        rows.append(np.shape(X)[:2])
+        return real(X, p, **kwargs)
+
+    monkeypatch.setattr(networks, "gru_forward", counting)
+    cfg = TrainConfig(d_model=4, mode="otn_only")          # L 100, l = r = R_train 10, m 10
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(2650, 2))
+    starts = window_starts(len(values), cfg.L, cfg.R_train)
+    assert len(starts) == 256
+    build_sten_tape(init_phi(2, cfg.d_model, cfg.m, rng), None, values, starts, None, cfg)
+    assert rows == [(265, cfg.l)]

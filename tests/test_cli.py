@@ -263,6 +263,29 @@ class TestSweep:
             rows += (tmp / f"sweep_{v}.csv").read_bytes().splitlines(keepends=True)[1:]
         assert (tmp / "sweep.csv").read_bytes().splitlines(keepends=True)[1:] == rows
 
+    def test_beta_sweep_scores_once(self, workspace, monkeypatch):
+        tmp, cfg = workspace
+        train_csv, test_csv = prepared_data(tmp, cfg)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return score_series(*args, **kwargs)
+
+        monkeypatch.setattr(sten.cli, "score_series", counted)
+        common = ["--train", train_csv, "--test", test_csv, "--config", cfg,
+                  "--work-dir", tmp / "work"]
+        assert run(["sweep", "--param", "beta", "--values", "0,1,2",
+                    "--out", tmp / "sweep.csv", *common]) == 0
+        assert len(calls) == 1
+        # Each row is the one a sweep that scores with that beta writes.
+        rows = []
+        for v in ("0", "1", "2"):
+            assert run(["sweep", "--param", "beta", "--values", v,
+                        "--out", tmp / f"sweep_{v}.csv", *common]) == 0
+            rows += (tmp / f"sweep_{v}.csv").read_bytes().splitlines(keepends=True)[1:]
+        assert (tmp / "sweep.csv").read_bytes().splitlines(keepends=True)[1:] == rows
+
     def test_alpha_sweep_trains_per_value(self, workspace):
         tmp, cfg = workspace
         train_csv, test_csv = prepared_data(tmp, cfg)
@@ -345,6 +368,10 @@ EXIT_CASES = [
     pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
                   "--beta", "-1", "--out", "{out}"], 1, id="score-negative-beta"),
     pytest.param(["eval", "--scores", "{scores}", "--delta", "0"], 1, id="eval-zero-delta"),
+    # The sweep scores once, at the first value, and still checks every later one.
+    pytest.param(["sweep", "--param", "beta", "--values", "1,-1", "--train", "{train}",
+                  "--test", "{test}", "--config", "{cfg}", "--out", "{out}",
+                  "--work-dir", "{out}-work"], 1, id="sweep-negative-beta"),
     # A flag is offered only by the subcommands that read it.
     pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
                   "--delta", "0", "--out", "{out}"], 1, id="score-unread-delta"),

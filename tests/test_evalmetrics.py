@@ -293,6 +293,18 @@ class TestVus:
         assert v_roc == pytest.approx(np.mean(rocs), abs=1e-12)
         assert v_pr == pytest.approx(np.mean(prs), abs=1e-12)
 
+    def test_matches_per_width_range_auc_bitwise(self):
+        # One sort and one distance matrix for every width give the bits of
+        # one range_auc call per width.
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            scores, labels = random_instance(rng)
+            truth = events_from_binary(labels)
+            w_max, step = float(rng.integers(0, 12)), float(rng.choice([0.5, 1.0, 2.5]))
+            assert vus(scores, truth, w_max, step) == oracles.vus_per_width(
+                scores, truth, w_max, step)
+        assert vus(np.arange(6.0), [], 3.0) == oracles.vus_per_width(np.arange(6.0), [], 3.0)
+
     def test_full_coverage_undefined(self):
         assert vus(np.arange(6.0), [(0, 5)], 2.0) == (None, None)
 

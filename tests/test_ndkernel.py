@@ -295,13 +295,14 @@ class TestFiniteDiff:
 class TestGradTape:
     def test_stale_tape_rejected(self):
         from sten.networks import init_phi
-        from sten.training import TrainConfig, build_sten_tape
+        from sten.training import TrainConfig
+        from windowed import batch_tape
 
         rng = np.random.default_rng(11)
         phi = init_phi(2, 4, 3, rng)
         cfg = TrainConfig(L=6, R_train=1, l=2, r=2, m=3, d_model=4, mode="otn_only")
         batch = rng.normal(size=(2, 6, 2))
-        tape = build_sten_tape(phi, None, batch, None, cfg)
+        tape = batch_tape(phi, None, batch, None, cfg)
         backward(tape)  # fine while params unchanged
         phi.load_dict({k: v.copy() for k, v in phi.as_dict().items()})
         with pytest.raises(StenError):

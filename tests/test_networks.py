@@ -5,9 +5,11 @@ from sten import DataError
 from sten.networks import (EtaParams, dsn_embeddings, embed_windows,
                            init_eta, init_phi, order_forward, pair_residuals,
                            read_checkpoint, sample_pairs, write_checkpoint)
-from sten.seqdata import gather_subsequences
+from sten.scoring import CHUNK
+from sten.seqdata import window_starts
 
 import oracles
+from windowed import laid_end_to_end
 
 
 def make_phi(d_in=3, d_model=4, m=3, seed=0, **kw):
@@ -27,26 +29,31 @@ def windows_for(n_windows=2, d=3, l=4, m=3, seed=1):
     return np.random.default_rng(seed).normal(size=(n_windows, l * m, d))
 
 
+def order_of(phi, batch, l, r):
+    """order_forward over a batch of windows laid end to end."""
+    return order_forward(phi, *laid_end_to_end(batch), l, r)
+
+
 class TestEncodeSubseq:
     """The sub-sequence embeddings H of order_forward."""
 
     def test_zero_params(self):
         phi = zeroed(make_phi())
-        _, _, H, _ = order_forward(phi, windows_for(), 4, 4)
+        _, _, H, _, _ = order_of(phi, windows_for(), 4, 4)
         np.testing.assert_array_equal(H, np.zeros((6, 4)))
 
     def test_identical_inputs_identical_embeddings(self):
         phi = make_phi()
         batch = windows_for()
         batch[1] = batch[0]
-        _, _, H, _ = order_forward(phi, batch, 4, 4)
+        _, _, H, _, _ = order_of(phi, batch, 4, 4)
         np.testing.assert_array_equal(H[:3], H[3:])
 
     def test_matches_gru_encode(self):
         phi = make_phi(seed=3)
         batch = windows_for(seed=4)
-        _, _, H, _ = order_forward(phi, batch, 4, 4)
-        for row, sub in zip(H, gather_subsequences(batch, 3, 4, 4)):
+        _, _, H, _, _ = order_of(phi, batch, 4, 4)
+        for row, sub in zip(H, oracles.gather_subsequences(batch, 3, 4, 4)):
             np.testing.assert_allclose(row, oracles.gru_encode_unrolled(sub, phi.gru),
                                        atol=1e-10)
 
@@ -56,12 +63,12 @@ class TestOrderProbs:
 
     def test_zero_params_uniform(self):
         phi = zeroed(make_phi())
-        P, _, _, _ = order_forward(phi, windows_for(), 4, 4)
+        P, _, _, _, _ = order_of(phi, windows_for(), 4, 4)
         np.testing.assert_allclose(P, np.full((6, 3), 1 / 3))
 
     def test_single_subsequence(self):
         phi = make_phi(m=1)
-        P, Y, _, _ = order_forward(phi, windows_for(l=4, m=1), 4, 4)
+        P, Y, _, _, _ = order_of(phi, windows_for(l=4, m=1), 4, 4)
         np.testing.assert_allclose(P, [[1.0], [1.0]])
         np.testing.assert_array_equal(Y, [[1.0], [1.0]])
 
@@ -70,9 +77,80 @@ class TestOrderProbs:
         for trial in range(10):
             phi = make_phi(seed=100 + trial)
             phi.order_W = phi.order_W * rng.uniform(1, 50)
-            P, _, _, _ = order_forward(phi, windows_for(seed=200 + trial), 4, 4)
+            P, _, _, _, _ = order_of(phi, windows_for(seed=200 + trial), 4, 4)
             assert np.all(P >= 0)
             np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-6)
+
+
+class TestDistinctSubsequences:
+    """order_forward encodes each distinct sub-sequence once and gathers it
+    back; P, Y and H are those of encoding every slot, bit for bit unless
+    there are only a few distinct rows."""
+
+    @pytest.mark.parametrize("n,stride,cover_tail", [
+        pytest.param(60, 4, False, id="stride-r"),
+        pytest.param(60, 7, False, id="stride-not-multiple-of-r"),
+        pytest.param(61, 4, True, id="cover-tail-window"),
+        pytest.param(60, 12, False, id="stride-L"),
+        pytest.param(4 * CHUNK + 300, 4, False, id="more-than-chunk-windows"),
+    ])
+    def test_matches_per_slot_oracle(self, n, stride, cover_tail):
+        phi = make_phi(seed=20)                       # m=3; with l=r=4, L=12
+        values = np.random.default_rng(21).normal(size=(n, 3))
+        starts = window_starts(n, 12, stride, cover_tail)
+        batch = values[starts[:, None] + np.arange(12)]
+        P, Y, H, inv, cache = order_forward(phi, values, starts, 4, 4, want_cache=True)
+        P_o, Y_o, H_o = oracles.order_forward_per_slot(phi, batch, 4, 4)
+        np.testing.assert_array_equal(P, P_o)
+        np.testing.assert_array_equal(Y, Y_o)
+        np.testing.assert_array_equal(H, H_o)
+        np.testing.assert_array_equal(cache.X[inv], oracles.gather_subsequences(batch, 3, 4, 4))
+        assert cache.X.shape[0] == len(np.unique(starts[:, None] + np.arange(3) * 4))
+
+    def test_paper_layout_matches_per_slot_oracle(self):
+        # At d_model 256, a logits GEMM over the 25 distinct rows alone rounds
+        # differently from one over the 160 slots (seen with OpenBLAS), so
+        # this case tells the logits of gathered rows from those of distinct rows.
+        phi = init_phi(3, 256, 10, np.random.default_rng(23)).astype(np.float32)
+        values = np.random.default_rng(24).normal(size=(250, 3))
+        starts = window_starts(250, 100, 10)
+        P, Y, H, _, _ = order_forward(phi, values, starts, 10, 10)
+        P_o, Y_o, H_o = oracles.order_forward_per_slot(
+            phi, values[starts[:, None] + np.arange(100)], 10, 10)
+        np.testing.assert_array_equal(P, P_o)
+        np.testing.assert_array_equal(Y, Y_o)
+        np.testing.assert_array_equal(H, H_o)
+
+    @pytest.mark.parametrize("n_windows", [1, 4, 16])
+    def test_few_rows_match_per_slot_oracle_within_rounding(self, n_windows):
+        # A GEMM over a few rows may round each row differently from the same
+        # rows inside a taller GEMM (seen with OpenBLAS: up to 33 rows at
+        # d_model 32, 4 at 256, and a single row at any width), so encoding
+        # the few distinct rows is exact only up to rounding: measured 4e-16
+        # relative on P and 1.1e-16 absolute on H.
+        phi = init_phi(3, 32, 10, np.random.default_rng(25)).astype(np.float32)
+        n = 100 + 10 * (n_windows - 1)
+        values = np.random.default_rng(26).normal(size=(n, 3))
+        starts = window_starts(n, 100, 10)
+        P, Y, H, _, _ = order_forward(phi, values, starts, 10, 10)
+        P_o, Y_o, H_o = oracles.order_forward_per_slot(
+            phi, values[starts[:, None] + np.arange(100)], 10, 10)
+        np.testing.assert_allclose(P, P_o, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(Y, Y_o)
+        np.testing.assert_allclose(H, H_o, rtol=0, atol=1e-15)
+
+    def test_windows_at_stride_r_share_all_but_one(self):
+        values = np.random.default_rng(22).normal(size=(60, 3))
+        starts = window_starts(60, 12, 4)
+        *_, cache = order_forward(make_phi(), values, starts, 4, 4, want_cache=True)
+        assert cache.X.shape[0] == len(starts) + 3 - 1
+
+    def test_subsequence_outside_series_rejected(self):
+        values = np.zeros((20, 3))
+        with pytest.raises(DataError, match="outside"):
+            order_forward(make_phi(), values, np.array([0, 9]), 4, 4)
+        with pytest.raises(DataError, match="outside"):
+            order_forward(make_phi(), values, np.array([-1]), 4, 4)
 
 
 class TestEmbedSequence:
@@ -103,8 +181,9 @@ class TestEmbedSequence:
         phi = make_phi(seed=12, separate_towers=True)
         eta = init_eta(3, 4, np.random.default_rng(13))
         batch = windows_for(seed=13)
-        E, F, _, _ = dsn_embeddings(phi, eta, batch, normalize=False)
-        E_cached, _, _, _ = dsn_embeddings(phi, eta, batch, normalize=False, want_cache=True)
+        E = embed_windows(phi, batch)
+        F = embed_windows(eta, batch)
+        E_cached, _, _ = dsn_embeddings(phi, batch, normalize=False)
         np.testing.assert_array_equal(E_cached, E)
         for b in range(2):
             np.testing.assert_allclose(E[b], oracles.gru_encode_unrolled(batch[b], phi.dsn_gru),
@@ -151,7 +230,8 @@ class TestPairDistance:
         phi = make_phi(seed=17)
         eta = init_eta(3, 4, rng)
         data = rng.normal(size=(8, 6, 3)) * 5
-        E, F, norms, _ = dsn_embeddings(phi, eta, data, normalize=True, want_cache=True)
+        E, norms, _ = dsn_embeddings(phi, data, normalize=True)
+        F = embed_windows(eta, data, normalize=True)
         assert np.all(np.abs(E @ E.T) <= 1 + 1e-6)
         assert np.all(np.abs(F @ F.T) <= 1 + 1e-6)
         np.testing.assert_array_equal(E, embed_windows(phi, data, normalize=True))

@@ -6,10 +6,11 @@ import pytest
 from sten import ConfigError, DataError
 from sten.networks import init_eta, init_phi, sample_pairs
 from sten.objectives import js_rows, js_rows_grad_p
-from sten.training import TrainConfig, build_sten_tape
+from sten.training import TrainConfig
 
 import oracles
 from oracles import finite_diff_grad
+from windowed import batch_tape
 
 JS_HALF_ONEHOT = 0.43152310867767134  # ln(4/3) + 0.5 ln(2/3) + 0.5 ln 2
 
@@ -100,7 +101,7 @@ def sten_tape(mode="full", alpha=1.0, m=3, l=2, B=2, seed=0, phi=None, eta=None,
     eta = eta if eta is not None else init_eta(2, 4, rng)
     batch = batch if batch is not None else rng.normal(size=(B, l * m, 2))
     pairs = pairs if pairs is not None else sample_pairs(len(batch), rng, 1)
-    return build_sten_tape(phi, eta, batch, pairs, cfg)
+    return batch_tape(phi, eta, batch, pairs, cfg)
 
 
 class TestOtnLoss:

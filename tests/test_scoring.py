@@ -6,7 +6,7 @@ from sten.evalmetrics import threshold_percentile
 from sten.networks import init_eta, init_phi, sample_pairs
 from sten.scoring import (ScoreConfig, aggregate_timestamps, read_scores_csv,
                           score_series, write_scores_csv)
-from sten.seqdata import MultivariateSeries, NormStats, make_windows
+from sten.seqdata import MultivariateSeries, NormStats, make_windows, window_starts
 from sten.training import (TrainConfig, TrainedModel, load_checkpoint,
                            save_checkpoint, seed_streams)
 
@@ -44,6 +44,40 @@ def oracle_scores(model, series, cfg):
     n_w = len(make_windows(series, model.config.L, cfg.R_test, cover_tail=True))
     pairs = sample_pairs(n_w, np.random.default_rng(cfg.seed), cfg.k_refs)
     return oracles.score_series_dense(model, series, cfg, pairs)
+
+
+def per_slot_order_forward(phi, values, starts, l, r, want_cache=False):
+    """order_forward as the per-slot oracle computes it."""
+    L = l + (phi.m - 1) * r
+    batch = np.asarray(values)[np.asarray(starts)[:, None] + np.arange(L)]
+    P, Y, H = oracles.order_forward_per_slot(phi, batch, l, r)
+    return P, Y, H, None, None
+
+
+class TestDistinctSubsequences:
+    """Scoring encodes each distinct sub-sequence of a chunk once; every
+    column equals the one the per-slot form gives, bit for bit."""
+
+    @pytest.mark.parametrize("n,R_test", [
+        pytest.param(120, 3, id="stride-r"),
+        pytest.param(120, 5, id="stride-not-multiple-of-r-and-cover-tail"),
+        pytest.param(3 * scoring.CHUNK + 100, 3, id="more-than-chunk-windows"),
+    ])
+    @pytest.mark.parametrize("mode", ["full", "otn_only"])
+    def test_columns_match_per_slot_oracle(self, monkeypatch, n, R_test, mode):
+        model = tiny_model(seed=4, mode=mode, d_model=4)     # l=r=3, m=4, L=12
+        series = series_fixture(n=n)
+        cfg = ScoreConfig(R_test=R_test, seed=5)
+        starts = window_starts(n, model.config.L, R_test, cover_tail=True)
+        if n > 1000:
+            assert len(starts) > scoring.CHUNK
+        if R_test == 5:
+            assert starts[-1] % R_test != 0
+        got = score_series(model, series, cfg)
+        monkeypatch.setattr(scoring, "order_forward", per_slot_order_forward)
+        want = score_series(model, series, cfg)
+        for col in ("scores", "score_otn", "score_dsn", "coverage"):
+            np.testing.assert_array_equal(getattr(got, col), getattr(want, col), err_msg=col)
 
 
 class TestScoreOtn:

@@ -5,12 +5,13 @@ from sten import DataError
 from sten.cli import _write_loss_log
 from sten.networks import init_phi, order_forward
 from sten.scoring import ScoreSeries, read_scores_csv, write_scores_csv
-from sten.seqdata import (MultivariateSeries, SynthConfig, gather_subsequences,
-                          load_csv, make_windows, parse_column, read_table, save_csv,
-                          synth_generate, window_starts, write_table, zscore_apply,
-                          zscore_fit, _clean_signal)
+from sten.seqdata import (MultivariateSeries, SynthConfig, load_csv, make_windows,
+                          parse_column, read_table, save_csv, stack_slices, synth_generate,
+                          window_starts, write_table, zscore_apply, zscore_fit, _clean_signal)
 
 import oracles
+from oracles import gather_subsequences
+from windowed import laid_end_to_end
 
 
 class TestLoadCsv:
@@ -227,6 +228,14 @@ class TestMakeWindows:
         assert starts[-1] == 57 - 10
         assert len(make_windows(series_of(57), 10, 7, cover_tail=True)) == len(starts)
 
+    def test_stack_slices_takes_each_start_in_the_given_order(self):
+        values = series_of(30, d=2).values
+        starts = np.array([12, 0, 12, 25])
+        got = stack_slices(values, starts, 5)
+        assert got.shape == (4, 5, 2)
+        for row, s in zip(got, starts):
+            np.testing.assert_array_equal(row, values[s:s + 5])
+
 
 def timeline_batch(n_windows, L, d=1):
     """Windows whose values are their own timestamps, offset by 100 per window."""
@@ -235,7 +244,8 @@ def timeline_batch(n_windows, L, d=1):
 
 
 class TestSplitSubsequences:
-    """gather_subsequences: each window's m sub-sequences in true order."""
+    """oracles.gather_subsequences, the per-slot reference of the order
+    branch: each window's m sub-sequences in true order."""
 
     def test_paper_layout(self):
         subs = gather_subsequences(timeline_batch(1, 100), 10, 10, 10)
@@ -276,7 +286,7 @@ class TestSplitSubsequences:
     def test_one_hot_labels_match_slot(self):
         batch = timeline_batch(2, 8)
         phi = init_phi(1, 3, 4, np.random.default_rng(0))
-        _, Y, _, _ = order_forward(phi, batch, 2, 2)
+        _, Y, _, _, _ = order_forward(phi, *laid_end_to_end(batch), 2, 2)
         subs = gather_subsequences(batch, 4, 2, 2)
         for row in range(8):
             b, slot = divmod(row, 4)
