@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -114,7 +115,10 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def resolve_config(args) -> dict:
-    """Merge defaults, config file, and flag overrides (flag > file > default)."""
+    """Merge defaults, config file, and flag overrides (flag > file > default).
+
+    Every float in the merged config must be finite.
+    """
     cfg = {k: default for k, (_, default) in SCHEMA.items()}
     if getattr(args, "config", None):
         for k, raw in parse_config_file(args.config).items():
@@ -131,6 +135,9 @@ def resolve_config(args) -> dict:
         val = getattr(args, flag, None)
         if val is not None:
             cfg[flag] = val
+    for key, val in cfg.items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ConfigError(f"{key} must be finite, got {val}")
     return cfg
 
 
@@ -298,6 +305,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--values must be a comma list of numbers: {args.values!r}") from None
     if not values:
         raise ConfigError("--values is empty")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"--values must be finite: {args.values!r}")
     work = Path(args.work_dir)
     work.mkdir(parents=True, exist_ok=True)
     train_series = load_csv(args.train)

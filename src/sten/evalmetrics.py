@@ -206,18 +206,14 @@ def _event_distance(truth: EventSet, n: int) -> np.ndarray:
 
 
 def _smoothed(dmin: np.ndarray, w: float) -> np.ndarray:
-    """Buffer-smoothed labels of the nearest-event distances ``dmin``."""
+    """Buffer-smoothed labels of the nearest-event distances ``dmin``: 1 inside
+    events, sqrt(1 - d/w) decay outside."""
     if w > 0:
         ell = np.sqrt(np.maximum(0.0, 1.0 - dmin / w))
     else:
         ell = np.zeros(dmin.shape[0])
     ell[dmin == 0] = 1.0
     return ell
-
-
-def continuous_labels(truth: EventSet, n: int, w: float) -> np.ndarray:
-    """Buffer-smoothed labels: 1 inside events, sqrt(1 - d/w) decay outside."""
-    return _smoothed(_event_distance(truth, n), w)
 
 
 def _range_areas(order, idx, ell) -> tuple[float | None, float | None]:
@@ -242,10 +238,10 @@ def _range_areas(order, idx, ell) -> tuple[float | None, float | None]:
 def range_auc(scores, truth: EventSet, w: float) -> tuple[float | None, float | None]:
     """ROC and PR areas computed over buffer-smoothed continuous labels."""
     scores = np.asarray(scores, np.float64)
-    if w < 0:
-        raise DataError("buffer width must be >= 0")
+    if not 0 <= w < np.inf:
+        raise DataError(f"buffer width must be finite and >= 0, got {w}")
     order, idx, _ = _tie_groups(scores)
-    return _range_areas(order, idx, continuous_labels(truth, scores.shape[0], w))
+    return _range_areas(order, idx, _smoothed(_event_distance(truth, scores.shape[0]), w))
 
 
 def vus(scores, truth: EventSet, w_max: float,
@@ -255,8 +251,9 @@ def vus(scores, truth: EventSet, w_max: float,
     The event distances and the threshold sweep are the same for every
     width; only the smoothed labels change.
     """
-    if w_max < 0 or grid_step <= 0:
-        raise DataError("w_max must be >= 0 and grid_step > 0")
+    if not (0 <= w_max < np.inf and 0 < grid_step < np.inf):
+        raise DataError(f"w_max must be finite and >= 0 and grid_step finite and > 0, "
+                        f"got {w_max} and {grid_step}")
     widths = [0.0]
     while widths[-1] + grid_step <= w_max + 1e-12:
         widths.append(widths[-1] + grid_step)

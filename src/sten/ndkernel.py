@@ -2,9 +2,12 @@
 Adam, and the gradient tape that drives the backward pass.
 
 Parameters are plain numpy arrays grouped in dicts keyed by dotted names
-(e.g. ``"gru.W_z"``).  Weights are stored as float32 at rest (checkpoints)
-but every computation here upcasts to float64, so forward/backward results
-are reproducible and finite-difference checks are clean.
+(e.g. ``"gru.W_z"``).  Adam maps such a dict to a new one, and a
+``GradTape`` pins the arrays of the dict it was built on: its backward
+refuses to run once an entry was replaced or added.  Weights are stored as
+float32 at rest (checkpoints) but every computation here upcasts to
+float64, so forward/backward results are reproducible and finite-difference
+checks are clean.
 
 The GRU forward stacks the gate weights, as in fused-GEMM RNN kernels
 (Appleyard et al. 2016): W_z|W_r|W_h form one (3d, d_in) input matrix with
@@ -251,32 +254,32 @@ def gru_backward(cache: GruCache, p: GruParams, grads: ParamDict, prefix: str,
 class GradTape:
     """Backward program recorded during one scalar-loss forward pass.
 
-    Holds the loss value, the shapes of every parameter touched, and a list
-    of backward closures.  The tape pins the version counter of the parameter
-    owner at build time; running backward after the parameters were mutated
-    is an error because the recorded intermediates no longer match them.
+    Holds the loss value and a list of backward closures, and pins the arrays
+    of the parameter dict it was built on.  Running backward after an entry
+    of that dict was replaced or added is an error: the recorded
+    intermediates no longer match the parameters.
     """
 
-    def __init__(self, value: float, param_template: ParamDict, owner=None):
-        self.value = float(value)
+    def __init__(self, params: ParamDict):
+        self.value = 0.0
         self.otn = 0.0
         self.dsn = 0.0
-        self._template = {k: v.shape for k, v in param_template.items()}
-        self._fns: list[Callable[[float, ParamDict], None]] = []
-        self._owner = owner
-        self._owner_version = getattr(owner, "version", None)
+        self._params = params
+        self._pinned = dict(params)
+        self._fns: list[Callable[[ParamDict], None]] = []
 
-    def record(self, fn: Callable[[float, ParamDict], None]) -> None:
+    def record(self, fn: Callable[[ParamDict], None]) -> None:
         self._fns.append(fn)
 
 
-def backward(tape: GradTape, loss_grad: float = 1.0) -> ParamDict:
+def backward(tape: GradTape) -> ParamDict:
     """Run the tape in reverse and return gradients for every parameter."""
-    if tape._owner is not None and tape._owner.version != tape._owner_version:
+    params, pinned = tape._params, tape._pinned
+    if params.keys() != pinned.keys() or any(params[k] is not v for k, v in pinned.items()):
         raise StenError("gradient tape is stale: parameters were mutated after forward")
-    grads = {k: np.zeros(shape) for k, shape in tape._template.items()}
+    grads = {k: np.zeros(v.shape) for k, v in pinned.items()}
     for fn in reversed(tape._fns):
-        fn(float(loss_grad), grads)
+        fn(grads)
     return grads
 
 

@@ -1,6 +1,13 @@
 """Trainable encoder, frozen random projector, the batched forward of each
 branch (order head, error-prediction head, distance embeddings), and the
 binary checkpoint format.
+
+The encoder phi is one ``ParamDict``, the form Adam, the gradient tape and
+the checkpoint use.  Its keys: ``gru.*`` (the shared GRU, named as in
+``GruParams.NAMES``), ``order_head.W`` (m, d_model) and ``order_head.b``
+(m,); with separate towers also ``dsn_gru.*``, the distance branch's own
+GRU; with the error-prediction head also ``ep_head.W`` (D, d_model) and
+``ep_head.b`` (D,).  The frozen projector eta is a plain ``GruParams``.
 """
 
 from __future__ import annotations
@@ -8,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,104 +25,31 @@ from .seqdata import stack_slices
 NORM_FLOOR = 1e-12
 
 
-@dataclass
-class PhiParams:
-    """Trainable encoder: shared GRU plus the order-prediction head.
-
-    ``dsn_gru`` holds a separate tower for the distance branch when the
-    separate-towers ablation is on; ``ep_W``/``ep_b`` hold the one-step-ahead
-    head used by the error-prediction ablation.  ``version`` counts in-place
-    parameter updates so stale gradient tapes can be detected.
-    """
-
-    gru: GruParams
-    order_W: np.ndarray   # (m, d_model)
-    order_b: np.ndarray   # (m,)
-    dsn_gru: GruParams | None = None
-    ep_W: np.ndarray | None = None  # (D, d_model)
-    ep_b: np.ndarray | None = None  # (D,)
-    version: int = 0
-
-    @property
-    def d_model(self) -> int:
-        return self.gru.d_model
-
-    @property
-    def m(self) -> int:
-        return self.order_W.shape[0]
-
-    def dsn_tower(self) -> GruParams:
-        return self.dsn_gru if self.dsn_gru is not None else self.gru
-
-    def as_dict(self) -> ParamDict:
-        d = self.gru.as_dict("gru.")
-        d["order_head.W"] = self.order_W
-        d["order_head.b"] = self.order_b
-        if self.dsn_gru is not None:
-            d.update(self.dsn_gru.as_dict("dsn_gru."))
-        if self.ep_W is not None:
-            d["ep_head.W"] = self.ep_W
-            d["ep_head.b"] = self.ep_b
-        return d
-
-    def load_dict(self, d: ParamDict) -> None:
-        """Replace all parameter arrays in place and bump the version counter."""
-        self.gru = GruParams.from_dict(d, "gru.")
-        self.order_W = d["order_head.W"]
-        self.order_b = d["order_head.b"]
-        if self.dsn_gru is not None:
-            self.dsn_gru = GruParams.from_dict(d, "dsn_gru.")
-        if self.ep_W is not None:
-            self.ep_W = d["ep_head.W"]
-            self.ep_b = d["ep_head.b"]
-        self.version += 1
-
-    def astype(self, dtype) -> "PhiParams":
-        return PhiParams(
-            gru=self.gru.astype(dtype),
-            order_W=self.order_W.astype(dtype),
-            order_b=self.order_b.astype(dtype),
-            dsn_gru=self.dsn_gru.astype(dtype) if self.dsn_gru is not None else None,
-            ep_W=self.ep_W.astype(dtype) if self.ep_W is not None else None,
-            ep_b=self.ep_b.astype(dtype) if self.ep_b is not None else None,
-            version=self.version,
-        )
-
-
-@dataclass
-class EtaParams:
-    """Frozen random projector; never updated after construction."""
-
-    gru: GruParams
-
-    def as_dict(self) -> ParamDict:
-        return self.gru.as_dict("gru.")
-
-    def checksum(self) -> str:
-        h = hashlib.sha256()
-        for name in GruParams.NAMES:
-            h.update(np.ascontiguousarray(getattr(self.gru, name)).tobytes())
-        return h.hexdigest()
-
-    def astype(self, dtype) -> "EtaParams":
-        return EtaParams(gru=self.gru.astype(dtype))
-
-
 def init_phi(d_in: int, d_model: int, m: int, rng: np.random.Generator,
-             separate_towers: bool = False, with_ep_head: bool = False) -> PhiParams:
+             separate_towers: bool = False, with_ep_head: bool = False) -> ParamDict:
     s = 1.0 / np.sqrt(d_model)
-    gru = init_gru(d_in, d_model, rng)
-    order_W = rng.uniform(-s, s, size=(m, d_model))
-    order_b = rng.uniform(-s, s, size=m)
-    dsn_gru = init_gru(d_in, d_model, rng) if separate_towers else None
-    ep_W = rng.uniform(-s, s, size=(d_in, d_model)) if with_ep_head else None
-    ep_b = rng.uniform(-s, s, size=d_in) if with_ep_head else None
-    return PhiParams(gru=gru, order_W=order_W, order_b=order_b,
-                     dsn_gru=dsn_gru, ep_W=ep_W, ep_b=ep_b)
+    phi = init_gru(d_in, d_model, rng).as_dict("gru.")
+    phi["order_head.W"] = rng.uniform(-s, s, size=(m, d_model))
+    phi["order_head.b"] = rng.uniform(-s, s, size=m)
+    if separate_towers:
+        phi.update(init_gru(d_in, d_model, rng).as_dict("dsn_gru."))
+    if with_ep_head:
+        phi["ep_head.W"] = rng.uniform(-s, s, size=(d_in, d_model))
+        phi["ep_head.b"] = rng.uniform(-s, s, size=d_in)
+    return phi
 
 
-def init_eta(d_in: int, d_model: int, rng: np.random.Generator) -> EtaParams:
-    return EtaParams(gru=init_gru(d_in, d_model, rng))
+def dsn_prefix(phi: ParamDict) -> str:
+    """Key prefix of the GRU tower that phi's distance branch runs."""
+    return "dsn_gru." if "dsn_gru.W_z" in phi else "gru."
+
+
+def gru_checksum(p: GruParams) -> str:
+    """sha256 of a GRU's weights, to check that the frozen projector stays frozen."""
+    h = hashlib.sha256()
+    for name in GruParams.NAMES:
+        h.update(np.ascontiguousarray(getattr(p, name)).tobytes())
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +59,7 @@ def init_eta(d_in: int, d_model: int, rng: np.random.Generator) -> EtaParams:
 # Each returns a fixed tuple whose last entries are what the branch's
 # backward needs; its GruCache is None without ``want_cache``.
 
-def order_forward(phi: PhiParams, values: np.ndarray, starts: np.ndarray, l: int, r: int,
+def order_forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, l: int, r: int,
                   want_cache: bool = False):
     """Order head over the m sub-sequences of the windows at ``starts``, in
     true order.
@@ -141,39 +74,43 @@ def order_forward(phi: PhiParams, values: np.ndarray, starts: np.ndarray, l: int
     the distinct ones.
     """
     starts = np.asarray(starts)
-    sub = (starts[:, None] + np.arange(phi.m) * r).reshape(-1)
+    W_o = np.asarray(phi["order_head.W"], np.float64)
+    m = W_o.shape[0]
+    sub = (starts[:, None] + np.arange(m) * r).reshape(-1)
     if sub.size and (sub.min() < 0 or sub.max() + l > len(values)):
         raise DataError(f"a sub-sequence of length {l} lies outside the series "
                         f"of {len(values)} timestamps")
     uniq, inv = np.unique(sub, return_inverse=True)
     X = stack_slices(np.asarray(values, np.float64), uniq, l)
-    H_u, cache = (gru_forward(X, phi.gru, want_cache=True) if want_cache
-                  else (gru_forward(X, phi.gru), None))
+    gru = GruParams.from_dict(phi, "gru.")
+    H_u, cache = (gru_forward(X, gru, want_cache=True) if want_cache
+                  else (gru_forward(X, gru), None))
     # Logits on the gathered rows: their GEMM then has the shape, and the
     # bits, of encoding every slot.
     H = H_u[inv]
-    P = softmax(H @ np.asarray(phi.order_W, np.float64).T
-                + np.asarray(phi.order_b, np.float64))
-    Y = np.tile(np.eye(phi.m), (len(starts), 1))
+    P = softmax(H @ W_o.T + np.asarray(phi["order_head.b"], np.float64))
+    Y = np.tile(np.eye(m), (len(starts), 1))
     return P, Y, H, inv, cache
 
 
-def ep_forward(phi: PhiParams, batch: np.ndarray, want_cache: bool = False):
+def ep_forward(phi: ParamDict, batch: np.ndarray, want_cache: bool = False):
     """Error-prediction head: a linear map of h_t predicts x_{t+1}.
 
     Returns (resid, H_all, cache): the one-step-ahead residuals (L-1, B, D),
     then the hidden trajectory (L, B, d_model) and the GruCache.
     """
-    if phi.ep_W is None:
+    if "ep_head.W" not in phi:
         raise DataError("model has no error-prediction head")
     X = np.asarray(batch, np.float64)
     if X.shape[1] < 2:
         raise DataError("error-prediction branch needs windows of length >= 2")
+    gru = GruParams.from_dict(phi, "gru.")
     if want_cache:
-        _, cache, H_all = gru_forward(X, phi.gru, want_cache=True, want_all=True)
+        _, cache, H_all = gru_forward(X, gru, want_cache=True, want_all=True)
     else:
-        (_, H_all), cache = gru_forward(X, phi.gru, want_all=True), None
-    preds = H_all[:-1] @ np.asarray(phi.ep_W, np.float64).T + np.asarray(phi.ep_b, np.float64)
+        (_, H_all), cache = gru_forward(X, gru, want_all=True), None
+    preds = (H_all[:-1] @ np.asarray(phi["ep_head.W"], np.float64).T
+             + np.asarray(phi["ep_head.b"], np.float64))
     resid = preds - np.transpose(X[:, 1:], (1, 0, 2))
     return resid, H_all, cache
 
@@ -182,23 +119,22 @@ def _row_norms(E: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.norm(E, axis=1, keepdims=True), NORM_FLOOR)
 
 
-def embed_windows(params: PhiParams | EtaParams, data: np.ndarray,
-                  normalize: bool = False) -> np.ndarray:
-    """Batched window embedding: data (B, L, D) -> (B, d_model)."""
-    gru = params.dsn_tower() if isinstance(params, PhiParams) else params.gru
+def embed_windows(gru: GruParams, data: np.ndarray, normalize: bool = False) -> np.ndarray:
+    """Batched window embedding by one GRU tower: data (B, L, D) -> (B, d_model)."""
     E = gru_forward(np.asarray(data, dtype=np.float64), gru)
     return E / _row_norms(E) if normalize else E
 
 
-def dsn_embeddings(phi: PhiParams, batch: np.ndarray, normalize: bool):
+def dsn_embeddings(phi: ParamDict, batch: np.ndarray, normalize: bool):
     """Distance-tower embeddings of windows (B, L, D) with what their backward
     needs, rows unit-normalised when ``normalize``.
 
     Returns (E, norms, cache): the embeddings, E's floored row norms before
     normalising (None without ``normalize``) and the tower's GruCache.
-    ``embed_windows(phi, batch, normalize)`` gives the same E without a cache.
+    ``embed_windows`` of the same tower gives the same E without a cache.
     """
-    E, cache = gru_forward(np.asarray(batch, np.float64), phi.dsn_tower(), want_cache=True)
+    tower = GruParams.from_dict(phi, dsn_prefix(phi))
+    E, cache = gru_forward(np.asarray(batch, np.float64), tower, want_cache=True)
     norms = _row_norms(E) if normalize else None
     return (E / norms if normalize else E), norms, cache
 

@@ -9,8 +9,11 @@ slots inherit that score.  Slot i of the window at ``s`` covers timestamps
 The order branch scores sub-sequences in their true order, through the same
 ``order_forward`` call as training: it encodes each distinct sub-sequence of a
 chunk of windows once, and windows at stride ``R_test`` = r share all but one
-of theirs with the next.  Scoring is fully deterministic given the seed used
-for reference-pair sampling.
+of theirs with the next.  For a fixed ``CHUNK``, scoring is deterministic
+given the seed used for reference-pair sampling.  Another ``CHUNK`` may move
+a temporal score in its last bits (about 4e-16 relative was measured):
+BLAS may round a row of a short GEMM differently from the same row in a
+tall one.
 
 Score files are CSV tables written by ``seqdata.write_table`` and read back by
 ``seqdata.read_table`` and ``seqdata.parse_column``, the package's one table
@@ -24,9 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ConfigError, DataError
-# Bound here, uncalled, because perfbench/test_perfbench.py looks it up on this module.
-from .ndkernel import gru_forward  # noqa: F401
-from .networks import embed_windows, ep_forward, order_forward, pair_residuals, sample_pairs
+# gru_forward is bound here, uncalled, because perfbench/test_perfbench.py
+# looks it up on this module.
+from .ndkernel import GruParams, gru_forward  # noqa: F401
+from .networks import (dsn_prefix, embed_windows, ep_forward, order_forward, pair_residuals,
+                       sample_pairs)
 from .objectives import js_rows
 from .seqdata import (MultivariateSeries, make_windows, parse_column, read_table, window_starts,
                       write_table, zscore_apply)
@@ -140,8 +145,10 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
     # Spatial component: scalar per window.
     dsn_w = np.zeros(n_w)
     if use_dsn:
+        tower = GruParams.from_dict(model.phi, dsn_prefix(model.phi))
+
         def embed(windows):
-            return (embed_windows(model.phi, windows, tc.normalize_embeddings),
+            return (embed_windows(tower, windows, tc.normalize_embeddings),
                     embed_windows(model.eta, windows, tc.normalize_embeddings))
 
         E, F = embed(W)

@@ -12,10 +12,10 @@ from . import ConfigError, DataError, NumericError
 # gru_forward is bound here, uncalled, because perfbench/test_perfbench.py
 # looks it up on this module.
 from .ndkernel import (GradTape, GruParams, ParamDict, adam_update, backward,  # noqa: F401
-                       gru_backward, gru_forward, init_adam_state)
-from .networks import (NORM_FLOOR, EtaParams, PhiParams, dsn_embeddings, embed_windows,
-                       ep_forward, init_eta, init_phi, order_forward, pair_residuals,
-                       read_checkpoint, sample_pairs, write_checkpoint)
+                       gru_backward, gru_forward, init_adam_state, init_gru)
+from .networks import (NORM_FLOOR, dsn_embeddings, dsn_prefix, embed_windows, ep_forward,
+                       gru_checksum, init_phi, order_forward, pair_residuals, read_checkpoint,
+                       sample_pairs, write_checkpoint)
 from .objectives import js_rows, js_rows_grad_p
 from .seqdata import (MultivariateSeries, NormStats, stack_slices, window_starts, zscore_apply,
                       zscore_fit)
@@ -67,10 +67,10 @@ class TrainConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        if self.lr < 0:
-            raise ConfigError("lr must be >= 0")
-        if self.alpha < 0:
-            raise ConfigError("alpha must be >= 0")
+        if not 0 <= self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
+        if not 0 <= self.alpha < np.inf:
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.k_refs < 1:
             raise ConfigError("k_refs must be >= 1")
         if min(self.L, self.R_train, self.l, self.r, self.m, self.d_model) < 1:
@@ -79,8 +79,8 @@ class TrainConfig:
 
 @dataclass
 class TrainedModel:
-    phi: PhiParams
-    eta: EtaParams
+    phi: ParamDict   # keyed as networks.init_phi keys it
+    eta: GruParams
     config: TrainConfig
     stats: NormStats
     loss_trace: list[tuple[float, float, float]] = field(default_factory=list)
@@ -95,7 +95,7 @@ def branches(mode: str, alpha: float) -> tuple[bool, bool, bool]:
             mode in ("dsn_only", "dsn_plus_ep") or (mode == "full" and alpha > 0))
 
 
-def build_sten_tape(phi: PhiParams, F: np.ndarray | None, values: np.ndarray,
+def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
                     starts: np.ndarray, pairs: np.ndarray | None, cfg: TrainConfig) -> GradTape:
     """Forward pass of the combined loss over one batch of windows.
 
@@ -108,7 +108,8 @@ def build_sten_tape(phi: PhiParams, F: np.ndarray | None, values: np.ndarray,
     yields exact gradients for every phi parameter (eta is frozen).
     """
     use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
-    tape = GradTape(0.0, phi.as_dict(), owner=phi)
+    tape = GradTape(phi)
+    gru = GruParams.from_dict(phi, "gru.")
     otn_val = 0.0
     dsn_val = 0.0
     if use_ep or use_dsn:
@@ -118,16 +119,16 @@ def build_sten_tape(phi: PhiParams, F: np.ndarray | None, values: np.ndarray,
         P, Y, H, inv, cache = order_forward(phi, values, starts, cfg.l, cfg.r, want_cache=True)
         otn_val = float(js_rows(P, Y).mean())
 
-        def otn_back(scale: float, grads: ParamDict, P=P, Y=Y, H=H, inv=inv, cache=cache,
-                     W_o=np.asarray(phi.order_W, np.float64), p_gru=phi.gru) -> None:
-            dP = js_rows_grad_p(P, Y) * (scale / P.shape[0])
+        def otn_back(grads: ParamDict, P=P, Y=Y, H=H, inv=inv, cache=cache,
+                     W_o=np.asarray(phi["order_head.W"], np.float64)) -> None:
+            dP = js_rows_grad_p(P, Y) * (1.0 / P.shape[0])
             dlogits = P * (dP - (dP * P).sum(axis=1, keepdims=True))
             grads["order_head.W"] += dlogits.T @ H
             grads["order_head.b"] += dlogits.sum(axis=0)
             # Each distinct sub-sequence collects the gradient of every slot it fills.
             dH = np.zeros((cache.X.shape[0], H.shape[1]))
             np.add.at(dH, inv, dlogits @ W_o)
-            gru_backward(cache, p_gru, grads, "gru.", d_h_final=dH)
+            gru_backward(cache, gru, grads, "gru.", d_h_final=dH)
 
         tape.record(otn_back)
 
@@ -135,15 +136,14 @@ def build_sten_tape(phi: PhiParams, F: np.ndarray | None, values: np.ndarray,
         resid, H_all, cache_ep = ep_forward(phi, batch, want_cache=True)
         otn_val = float(np.mean(resid ** 2))  # temporal slot of the breakdown
 
-        def ep_back(scale: float, grads: ParamDict, resid=resid, H_all=H_all,
-                    cache_ep=cache_ep, W_e=np.asarray(phi.ep_W, np.float64),
-                    p_gru=phi.gru) -> None:
-            dpred = resid * (2.0 * scale / resid.size)
+        def ep_back(grads: ParamDict, resid=resid, H_all=H_all, cache_ep=cache_ep,
+                    W_e=np.asarray(phi["ep_head.W"], np.float64)) -> None:
+            dpred = resid * (2.0 / resid.size)
             grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, H_all[:-1])
             grads["ep_head.b"] += dpred.sum(axis=(0, 1))
             d_h_all = np.zeros_like(H_all)
             d_h_all[:-1] = dpred @ W_e
-            gru_backward(cache_ep, p_gru, grads, "gru.", d_h_all=d_h_all)
+            gru_backward(cache_ep, gru, grads, "gru.", d_h_all=d_h_all)
 
         tape.record(ep_back)
 
@@ -155,10 +155,10 @@ def build_sten_tape(phi: PhiParams, F: np.ndarray | None, values: np.ndarray,
         resid_d = pair_residuals(En, F, ii, jj, En, F)
         dsn_val = float(np.mean(resid_d ** 2))
 
-        def dsn_back(scale: float, grads: ParamDict, resid_d=resid_d, En=En, ii=ii, jj=jj,
-                     norms=norms, cache_d=cache_d, tower=phi.dsn_tower(),
-                     prefix="dsn_gru." if phi.dsn_gru is not None else "gru.") -> None:
-            dd = resid_d * (2.0 * scale / resid_d.size)
+        def dsn_back(grads: ParamDict, resid_d=resid_d, En=En, ii=ii, jj=jj, norms=norms,
+                     cache_d=cache_d, prefix=dsn_prefix(phi)) -> None:
+            # d(total)/d(dsn) = alpha in every mode that trains the branch.
+            dd = resid_d * (2.0 * cfg.alpha / resid_d.size)
             dEn = np.zeros_like(En)
             np.add.at(dEn, ii, dd[:, None] * En[jj])
             np.add.at(dEn, jj, dd[:, None] * En[ii])
@@ -169,10 +169,9 @@ def build_sten_tape(phi: PhiParams, F: np.ndarray | None, values: np.ndarray,
                 dE -= active * En * (dEn * En).sum(axis=1, keepdims=True) / norms
             else:
                 dE = dEn
-            gru_backward(cache_d, tower, grads, prefix, d_h_final=dE)
+            gru_backward(cache_d, GruParams.from_dict(phi, prefix), grads, prefix, d_h_final=dE)
 
-        # d(total)/d(dsn) = alpha in every mode that trains the branch.
-        tape.record(lambda lg, grads: dsn_back(lg * cfg.alpha, grads))
+        tape.record(dsn_back)
 
     tape.value = otn_val + cfg.alpha * dsn_val
     tape.otn = otn_val
@@ -213,10 +212,10 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     eta_rng = (np.random.default_rng(cfg.eta_seed) if cfg.eta_seed is not None
                else streams["eta_init"])
     # Frozen projector lives in its at-rest precision from the start.
-    eta = init_eta(series.d, cfg.d_model, eta_rng).astype(np.float32)
-    eta_checksum = eta.checksum()
+    eta = init_gru(series.d, cfg.d_model, eta_rng).astype(np.float32)
+    eta_checksum = gru_checksum(eta)
 
-    adam = init_adam_state(phi.as_dict())
+    adam = init_adam_state(phi)
     pair_rng = streams["pairing"]
     ranges = _batch_ranges(n, cfg.batch_size, min_last=2 if use_dsn else 1)
     # eta is frozen and the windows are fixed: embed them once for all epochs,
@@ -237,16 +236,15 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
                     f"non-finite training loss at epoch {epoch + 1}, batch {bi + 1}: "
                     f"otn={tape.otn}, dsn={tape.dsn}")
             grads = backward(tape)
-            new_params, adam = adam_update(phi.as_dict(), grads, adam, cfg.lr)
-            phi.load_dict(new_params)
+            phi, adam = adam_update(phi, grads, adam, cfg.lr)
             sums += B * np.array([tape.otn, tape.dsn, tape.value])
         mean = sums / n
         trace.append((float(mean[0]), float(mean[1]), float(mean[2])))
 
-    if eta.checksum() != eta_checksum:
+    if gru_checksum(eta) != eta_checksum:
         raise NumericError("frozen projector parameters changed during training")
-    return TrainedModel(phi=phi.astype(np.float32), eta=eta, config=cfg,
-                        stats=stats, loss_trace=trace, d_in=series.d)
+    return TrainedModel(phi={k: v.astype(np.float32) for k, v in phi.items()}, eta=eta,
+                        config=cfg, stats=stats, loss_trace=trace, d_in=series.d)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +254,8 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
 def save_checkpoint(model: TrainedModel, path) -> None:
     config = asdict(model.config)
     config["d_in"] = model.d_in
-    blocks: dict[str, np.ndarray] = {}
-    for k, v in model.phi.as_dict().items():
-        blocks["phi." + k] = v
-    for k, v in model.eta.as_dict().items():
-        blocks["eta." + k] = v
+    blocks = {"phi." + k: v for k, v in model.phi.items()}
+    blocks.update(model.eta.as_dict("eta.gru."))
     blocks["norm.mean"] = model.stats.mean
     blocks["norm.std"] = model.stats.std
     blocks["trace.losses"] = np.asarray(model.loss_trace, dtype=np.float32).reshape(-1, 3)
@@ -320,17 +315,8 @@ def load_checkpoint(path) -> TrainedModel:
     except ConfigError as exc:
         raise DataError(f"{path}: bad checkpoint config: {exc}") from None
     _check_blocks(path, cfg, d_in, blocks)
-    gru = GruParams.from_dict(blocks, "phi.gru.")
-    dsn_gru = GruParams.from_dict(blocks, "phi.dsn_gru.") if cfg.separate_towers else None
-    phi = PhiParams(
-        gru=gru,
-        order_W=blocks["phi.order_head.W"],
-        order_b=blocks["phi.order_head.b"],
-        dsn_gru=dsn_gru,
-        ep_W=blocks.get("phi.ep_head.W"),
-        ep_b=blocks.get("phi.ep_head.b"),
-    )
-    eta = EtaParams(gru=GruParams.from_dict(blocks, "eta.gru."))
+    phi = {k[len("phi."):]: v for k, v in blocks.items() if k.startswith("phi.")}
+    eta = GruParams.from_dict(blocks, "eta.gru.")
     stats = NormStats(mean=blocks["norm.mean"], std=blocks["norm.std"])
     trace = [tuple(float(x) for x in row) for row in blocks["trace.losses"]]
     return TrainedModel(phi=phi, eta=eta, config=cfg, stats=stats,

@@ -191,11 +191,12 @@ def order_forward_per_slot(phi, batch, l, r):
     ``batch`` is (B, L, D).  Returns (P, Y, H), rows b*m + i for slot i of
     window b.
     """
-    X = gather_subsequences(np.asarray(batch, np.float64), phi.m, l, r)
-    H = gru_forward(X, phi.gru)
-    P = softmax(H @ np.asarray(phi.order_W, np.float64).T
-                + np.asarray(phi.order_b, np.float64))
-    return P, np.tile(np.eye(phi.m), (len(batch), 1)), H
+    m = len(phi["order_head.b"])
+    X = gather_subsequences(np.asarray(batch, np.float64), m, l, r)
+    H = gru_forward(X, GruParams.from_dict(phi, "gru."))
+    P = softmax(H @ np.asarray(phi["order_head.W"], np.float64).T
+                + np.asarray(phi["order_head.b"], np.float64))
+    return P, np.tile(np.eye(m), (len(batch), 1)), H
 
 
 def order_loss_presented(phi, batch, perms, l, r):
@@ -206,23 +207,24 @@ def order_loss_presented(phi, batch, perms, l, r):
     The order branch once trained on this form.  Its head encodes each
     sub-sequence on its own, so ``perms`` only reorders the rows of the
     position distributions and labels; this is the reference that shows it.
-    Returns (loss, grads), grads keyed like ``phi.as_dict()``.
+    Returns (loss, grads), grads keyed like ``phi``.
     """
     B, _, D = batch.shape
     m = perms.shape[1]
     idx = perms[:, :, None] * r + np.arange(l)                        # (B, m, l)
     X = np.asarray(batch, np.float64)[np.arange(B)[:, None, None], idx].reshape(B * m, l, D)
-    H, cache = gru_forward(X, phi.gru, want_cache=True)
-    W = np.asarray(phi.order_W, np.float64)
-    P = softmax(H @ W.T + np.asarray(phi.order_b, np.float64))
+    gru = GruParams.from_dict(phi, "gru.")
+    H, cache = gru_forward(X, gru, want_cache=True)
+    W = np.asarray(phi["order_head.W"], np.float64)
+    P = softmax(H @ W.T + np.asarray(phi["order_head.b"], np.float64))
     Y = np.zeros_like(P)
     Y[np.arange(B * m), perms.reshape(-1)] = 1.0
     dP = js_rows_grad_p(P, Y) * (1.0 / (B * m))
     dlogits = P * (dP - (dP * P).sum(axis=1, keepdims=True))
-    grads = {k: np.zeros(v.shape) for k, v in phi.as_dict().items()}
+    grads = {k: np.zeros(v.shape) for k, v in phi.items()}
     grads["order_head.W"] += dlogits.T @ H
     grads["order_head.b"] += dlogits.sum(axis=0)
-    gru_backward(cache, phi.gru, grads, "gru.", d_h_final=dlogits @ W)
+    gru_backward(cache, gru, grads, "gru.", d_h_final=dlogits @ W)
     return float(js_rows(P, Y).mean()), grads
 
 
@@ -524,6 +526,7 @@ def score_series_dense(model, test, cfg, pairs):
     test windows.
     """
     tc, phi, eta = model.config, model.phi, model.eta
+    gru = GruParams.from_dict(phi, "gru.")
     mean = np.asarray(model.stats.mean, np.float64)
     std = np.maximum(np.asarray(model.stats.std, np.float64), 1e-8)
     X = (np.asarray(test.values, np.float64) - mean) / std
@@ -539,8 +542,9 @@ def score_series_dense(model, test, cfg, pairs):
         if tc.mode in ("full", "otn_only"):
             nums, divs = [], []
             for i, (lo, hi) in enumerate(subseqs):
-                h = gru_encode_unrolled(w[lo:hi], phi.gru)
-                p = _softmax_scalar([_dot(phi.order_W[k], h) + float(phi.order_b[k])
+                h = gru_encode_unrolled(w[lo:hi], gru)
+                p = _softmax_scalar([_dot(phi["order_head.W"][k], h)
+                                     + float(phi["order_head.b"][k])
                                      for k in range(tc.m)])
                 y = [1.0 if k == i else 0.0 for k in range(tc.m)]
                 nums.append(sum(abs(pk - yk) for pk, yk in zip(p, y)))
@@ -552,10 +556,11 @@ def score_series_dense(model, test, cfg, pairs):
                 temporal.append([num / den for num in nums])
         elif tc.mode == "dsn_plus_ep":
             err = {}
-            h = np.zeros(phi.d_model)
+            h = np.zeros(tc.d_model)
             for t in range(tc.L - 1):
-                h = gru_step_scalar(w[t], h, phi.gru)
-                sq = [(_dot(phi.ep_W[o], h) + float(phi.ep_b[o]) - float(w[t + 1][o])) ** 2
+                h = gru_step_scalar(w[t], h, gru)
+                sq = [(_dot(phi["ep_head.W"][o], h) + float(phi["ep_head.b"][o])
+                       - float(w[t + 1][o])) ** 2
                       for o in range(w.shape[1])]
                 err[t + 1] = sum(sq) / len(sq)
             row = []
@@ -568,7 +573,7 @@ def score_series_dense(model, test, cfg, pairs):
 
     dsn = [0.0] * len(windows)
     if tc.mode != "otn_only" and not (tc.mode == "full" and tc.alpha == 0):
-        tower = phi.dsn_gru if phi.dsn_gru is not None else phi.gru
+        tower = GruParams.from_dict(phi, "dsn_gru." if tc.separate_towers else "gru.")
 
         def embed(w, gru):
             e = gru_encode_unrolled(w, gru)
@@ -577,7 +582,7 @@ def score_series_dense(model, test, cfg, pairs):
             return e
 
         e = [embed(w, tower) for w in windows]
-        f = [embed(w, eta.gru) for w in windows]
+        f = [embed(w, eta) for w in windows]
         per_window = [[] for _ in windows]
         for i, j in pairs:
             per_window[i].append((_dot(e[i], e[j]) - _dot(f[i], f[j])) ** 2)

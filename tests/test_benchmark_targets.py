@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sten import ndkernel, networks, scoring
+from sten import ndkernel, networks, scoring, training
 from sten.networks import init_phi, sample_pairs
 from sten.scoring import ScoreConfig, ScoreSeries, aggregate_timestamps
 from sten.seqdata import MultivariateSeries, load_csv, make_windows, window_starts
@@ -35,6 +35,13 @@ def test_benchmark_lists_traced_functions():
 def test_traced_function_resolves(qualname):
     module, function = qualname.split(".")
     assert callable(getattr(importlib.import_module(f"sten.{module}"), function, None))
+
+
+@pytest.mark.parametrize("module", [training, scoring], ids=["training", "scoring"])
+def test_gru_forward_stays_bound_for_the_benchmark_test(module):
+    """perfbench/test_perfbench.py wraps gru_forward on these modules, which
+    bind it without calling it; deleting the binding breaks that test."""
+    assert module.gru_forward is ndkernel.gru_forward
 
 
 # The benchmark's per-layer counters read these results and arguments.

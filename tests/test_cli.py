@@ -380,6 +380,49 @@ EXIT_CASES = [
 ]
 
 
+# A non-finite float anywhere in the merged config (file, --set or a flag) is
+# a usage error raised before any output is written.
+NON_FINITE_CASES = [
+    pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
+                  "--set", "beta=nan", "--out", "{out}"], id="score-beta-nan"),
+    pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
+                  "--set", "beta=inf", "--out", "{out}"], id="score-beta-inf"),
+    pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
+                  "--beta", "inf", "--out", "{out}"], id="score-beta-flag-inf"),
+    pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
+                  "--set", "score_eps=nan", "--out", "{out}"], id="score-eps-nan"),
+    pytest.param(["eval", "--scores", "{scores}", "--set", "vus_wmax=inf", "--out", "{out}"],
+                 id="eval-vus-wmax-inf"),
+    pytest.param(["eval", "--scores", "{scores}", "--set", "vus_wmax=nan", "--out", "{out}"],
+                 id="eval-vus-wmax-nan"),
+    pytest.param(["eval", "--scores", "{scores}", "--set", "range_w=nan", "--out", "{out}"],
+                 id="eval-range-w-nan"),
+    pytest.param(["eval", "--scores", "{scores}", "--set", "vus_step=nan", "--out", "{out}"],
+                 id="eval-vus-step-nan"),
+    pytest.param(["eval", "--scores", "{scores}", "--delta", "nan", "--out", "{out}"],
+                 id="eval-delta-nan"),
+    pytest.param(["train", "--train", "{train}", "--config", "{cfg}", "--alpha", "nan",
+                  "--out", "{out}"], id="train-alpha-nan"),
+    pytest.param(["train", "--train", "{train}", "--config", "{nonfinite_cfg}",
+                  "--out", "{out}"], id="train-config-file-lr-inf"),
+    pytest.param(["sweep", "--param", "beta", "--values", "1,nan", "--train", "{train}",
+                  "--test", "{test}", "--config", "{cfg}", "--out", "{out}",
+                  "--work-dir", "{out}-work"], id="sweep-value-nan"),
+]
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("argv", NON_FINITE_CASES)
+    def test_usage_error_and_no_output(self, trained, tmp_path, capsys, argv):
+        nonfinite_cfg = tmp_path / "nonfinite.cfg"
+        nonfinite_cfg.write_text(SMALL_CONFIG + "lr = inf\n")
+        files = dict(trained, out=tmp_path / "out", nonfinite_cfg=nonfinite_cfg)
+        assert run([str(a).format(**files) for a in argv]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "out-work").exists()
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv,code", EXIT_CASES)
     def test_exit_code_without_traceback(self, trained, tmp_path, argv, code):
@@ -476,7 +519,8 @@ def no_ep_head(cfg, blocks):
 
 
 def wrong_type(key, value):
-    """A config value of a type other than the field's declared one."""
+    """A config value the field does not accept: of another type than the
+    declared one, or a non-finite float."""
     def edit(cfg, blocks):
         cfg[key] = value
     return pytest.param(edit, id=f"{key}={json.dumps(value)}")
@@ -518,11 +562,13 @@ class TestCheckpointContents:
         wrong_type("normalize_embeddings", "no"), wrong_type("separate_towers", 1),
         wrong_type("d_model", 4.0), wrong_type("epochs", True), wrong_type("d_in", True),
         wrong_type("alpha", "1"), wrong_type("lr", None), wrong_type("eta_seed", 1.5),
-        wrong_type("mode", ["full"])])
+        wrong_type("mode", ["full"]), wrong_type("alpha", float("nan")),
+        wrong_type("alpha", float("inf")), wrong_type("lr", float("nan"))])
     def test_config_disagrees(self, trained, tmp_path, capsys, edit):
         code, err = self.score_with(trained, tmp_path, capsys, edit)
         assert code == 2
         assert "checkpoint" in err
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("key", [f.name for f in fields(TrainConfig)])
     def test_missing_config_key(self, trained, tmp_path, capsys, key):

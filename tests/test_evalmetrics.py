@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from sten import DataError
-from sten.evalmetrics import (MetricReport, affiliation, best_f1,
-                              continuous_labels, evaluate, events_from_binary,
-                              point_adjust, pr_auc, range_auc, roc_auc, vus)
+from sten.evalmetrics import (MetricReport, affiliation, best_f1, evaluate,
+                              events_from_binary, point_adjust, pr_auc, range_auc, roc_auc,
+                              vus)
 
 import oracles
 
@@ -245,7 +245,7 @@ class TestRangeAuc:
     def test_aligned_scores_beat_shuffled(self):
         labels = np.array([0, 0, 0, 1, 1, 0, 0, 0, 0, 0])
         truth = events_from_binary(labels)
-        ell = continuous_labels(truth, 10, 3.0)
+        ell = oracles.smooth_labels_dense(truth, 10, 3.0)
         aligned, _ = range_auc(ell, truth, 3.0)
         rng = np.random.default_rng(21)
         shuffled, _ = range_auc(rng.permutation(ell), truth, 3.0)
@@ -273,6 +273,11 @@ class TestRangeAuc:
 
     def test_degenerate_all_anomalous(self):
         assert range_auc(np.arange(5.0), [(0, 4)], 2.0) == (None, None)
+
+    @pytest.mark.parametrize("w", [-1.0, float("nan"), float("inf")])
+    def test_bad_width_rejected(self, w):
+        with pytest.raises(DataError, match="buffer width"):
+            range_auc(np.arange(5.0), [(1, 2)], w)
 
 
 class TestVus:
@@ -307,6 +312,16 @@ class TestVus:
 
     def test_full_coverage_undefined(self):
         assert vus(np.arange(6.0), [(0, 5)], 2.0) == (None, None)
+
+    @pytest.mark.parametrize("w_max,step", [
+        (-1.0, 1.0), (float("nan"), 1.0), (float("inf"), 1.0),
+        (3.0, 0.0), (3.0, float("nan")), (3.0, float("inf")),
+    ])
+    def test_bad_width_grid_rejected(self, w_max, step):
+        # An infinite w_max once made the width loop run forever; a NaN one
+        # computed as if it were 0.
+        with pytest.raises(DataError, match="w_max"):
+            vus(np.arange(6.0), [(1, 2)], w_max, step)
 
     def test_outputs_in_unit_interval(self):
         rng = np.random.default_rng(13)

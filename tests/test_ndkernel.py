@@ -304,6 +304,10 @@ class TestGradTape:
         batch = rng.normal(size=(2, 6, 2))
         tape = batch_tape(phi, None, batch, None, cfg)
         backward(tape)  # fine while params unchanged
-        phi.load_dict({k: v.copy() for k, v in phi.as_dict().items()})
-        with pytest.raises(StenError):
+        phi["order_head.W"] = phi["order_head.W"].copy()  # an entry replaced
+        with pytest.raises(StenError, match="stale"):
+            backward(tape)
+        tape = batch_tape(phi, None, batch, None, cfg)
+        phi["extra"] = np.zeros(1)  # an entry added
+        with pytest.raises(StenError, match="stale"):
             backward(tape)

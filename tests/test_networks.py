@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from sten import DataError
-from sten.networks import (EtaParams, dsn_embeddings, embed_windows,
-                           init_eta, init_phi, order_forward, pair_residuals,
-                           read_checkpoint, sample_pairs, write_checkpoint)
+from sten.ndkernel import GruParams, init_gru
+from sten.networks import (dsn_embeddings, dsn_prefix, embed_windows, gru_checksum, init_phi,
+                           order_forward, pair_residuals, read_checkpoint, sample_pairs,
+                           write_checkpoint)
 from sten.scoring import CHUNK
 from sten.seqdata import window_starts
 
@@ -17,11 +18,11 @@ def make_phi(d_in=3, d_model=4, m=3, seed=0, **kw):
 
 
 def zeroed(phi):
-    for name in ("W_z", "W_r", "W_h", "U_z", "U_r", "U_h", "b_z", "b_r", "b_h"):
-        setattr(phi.gru, name, np.zeros_like(getattr(phi.gru, name)))
-    phi.order_W = np.zeros_like(phi.order_W)
-    phi.order_b = np.zeros_like(phi.order_b)
-    return phi
+    return {k: np.zeros_like(v) for k, v in phi.items()}
+
+
+def float32(phi):
+    return {k: v.astype(np.float32) for k, v in phi.items()}
 
 
 def windows_for(n_windows=2, d=3, l=4, m=3, seed=1):
@@ -54,7 +55,7 @@ class TestEncodeSubseq:
         batch = windows_for(seed=4)
         _, _, H, _, _ = order_of(phi, batch, 4, 4)
         for row, sub in zip(H, oracles.gather_subsequences(batch, 3, 4, 4)):
-            np.testing.assert_allclose(row, oracles.gru_encode_unrolled(sub, phi.gru),
+            np.testing.assert_allclose(row, oracles.gru_encode_unrolled(sub, GruParams.from_dict(phi, "gru.")),
                                        atol=1e-10)
 
 
@@ -76,7 +77,7 @@ class TestOrderProbs:
         rng = np.random.default_rng(7)
         for trial in range(10):
             phi = make_phi(seed=100 + trial)
-            phi.order_W = phi.order_W * rng.uniform(1, 50)
+            phi["order_head.W"] = phi["order_head.W"] * rng.uniform(1, 50)
             P, _, _, _, _ = order_of(phi, windows_for(seed=200 + trial), 4, 4)
             assert np.all(P >= 0)
             np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-6)
@@ -111,7 +112,7 @@ class TestDistinctSubsequences:
         # At d_model 256, a logits GEMM over the 25 distinct rows alone rounds
         # differently from one over the 160 slots (seen with OpenBLAS), so
         # this case tells the logits of gathered rows from those of distinct rows.
-        phi = init_phi(3, 256, 10, np.random.default_rng(23)).astype(np.float32)
+        phi = float32(init_phi(3, 256, 10, np.random.default_rng(23)))
         values = np.random.default_rng(24).normal(size=(250, 3))
         starts = window_starts(250, 100, 10)
         P, Y, H, _, _ = order_forward(phi, values, starts, 10, 10)
@@ -128,7 +129,7 @@ class TestDistinctSubsequences:
         # d_model 32, 4 at 256, and a single row at any width), so encoding
         # the few distinct rows is exact only up to rounding: measured 4e-16
         # relative on P and 1.1e-16 absolute on H.
-        phi = init_phi(3, 32, 10, np.random.default_rng(25)).astype(np.float32)
+        phi = float32(init_phi(3, 32, 10, np.random.default_rng(25)))
         n = 100 + 10 * (n_windows - 1)
         values = np.random.default_rng(26).normal(size=(n, 3))
         starts = window_starts(n, 100, 10)
@@ -157,40 +158,41 @@ class TestEmbedSequence:
     """Window embeddings of the distance branch."""
 
     def test_zero_params(self):
-        phi = zeroed(make_phi())
-        batch = windows_for()
-        np.testing.assert_array_equal(embed_windows(phi, batch), np.zeros((2, 4)))
+        gru = GruParams.from_dict(zeroed(make_phi()), "gru.")
+        np.testing.assert_array_equal(embed_windows(gru, windows_for()), np.zeros((2, 4)))
 
     def test_eta_frozen_identical_across_calls(self):
-        eta = init_eta(3, 4, np.random.default_rng(8))
+        eta = init_gru(3, 4, np.random.default_rng(8))
         batch = windows_for(seed=9)
-        before = eta.checksum()
+        before = gru_checksum(eta)
         a = embed_windows(eta, batch)
         b = embed_windows(eta, batch)
         np.testing.assert_array_equal(a, b)
-        assert eta.checksum() == before
+        assert gru_checksum(eta) == before
 
     def test_matches_unrolled_oracle(self):
-        phi = make_phi(seed=10)
+        gru = GruParams.from_dict(make_phi(seed=10), "gru.")
         data = np.random.default_rng(11).normal(size=(4, 3))
-        np.testing.assert_allclose(embed_windows(phi, data[None])[0],
-                                   oracles.gru_encode_unrolled(data, phi.gru),
+        np.testing.assert_allclose(embed_windows(gru, data[None])[0],
+                                   oracles.gru_encode_unrolled(data, gru),
                                    atol=1e-10)
 
     def test_separate_tower_used_for_dsn(self):
         phi = make_phi(seed=12, separate_towers=True)
-        eta = init_eta(3, 4, np.random.default_rng(13))
+        assert dsn_prefix(phi) == "dsn_gru." and dsn_prefix(make_phi()) == "gru."
+        tower = GruParams.from_dict(phi, "dsn_gru.")
+        eta = init_gru(3, 4, np.random.default_rng(13))
         batch = windows_for(seed=13)
-        E = embed_windows(phi, batch)
+        E = embed_windows(tower, batch)
         F = embed_windows(eta, batch)
         E_cached, _, _ = dsn_embeddings(phi, batch, normalize=False)
         np.testing.assert_array_equal(E_cached, E)
         for b in range(2):
-            np.testing.assert_allclose(E[b], oracles.gru_encode_unrolled(batch[b], phi.dsn_gru),
+            np.testing.assert_allclose(E[b], oracles.gru_encode_unrolled(batch[b], tower),
                                        atol=1e-10)
-            np.testing.assert_allclose(F[b], oracles.gru_encode_unrolled(batch[b], eta.gru),
+            np.testing.assert_allclose(F[b], oracles.gru_encode_unrolled(batch[b], eta),
                                        atol=1e-10)
-        assert not np.allclose(E, embed_windows(EtaParams(phi.gru), batch))
+        assert not np.allclose(E, embed_windows(GruParams.from_dict(phi, "gru."), batch))
 
 
 def residual(a, b):
@@ -228,13 +230,14 @@ class TestPairDistance:
     def test_normalized_embeddings_bound_distance(self):
         rng = np.random.default_rng(16)
         phi = make_phi(seed=17)
-        eta = init_eta(3, 4, rng)
+        eta = init_gru(3, 4, rng)
         data = rng.normal(size=(8, 6, 3)) * 5
         E, norms, _ = dsn_embeddings(phi, data, normalize=True)
         F = embed_windows(eta, data, normalize=True)
         assert np.all(np.abs(E @ E.T) <= 1 + 1e-6)
         assert np.all(np.abs(F @ F.T) <= 1 + 1e-6)
-        np.testing.assert_array_equal(E, embed_windows(phi, data, normalize=True))
+        np.testing.assert_array_equal(
+            E, embed_windows(GruParams.from_dict(phi, "gru."), data, normalize=True))
         np.testing.assert_allclose(norms[:, 0], np.linalg.norm(E * norms, axis=1))
 
 
@@ -325,10 +328,10 @@ class TestCheckpointFormat:
 
 class TestEtaChecksum:
     def test_checksum_tracks_content(self):
-        eta = init_eta(3, 4, np.random.default_rng(20))
-        c1 = eta.checksum()
-        assert c1 == eta.checksum()
-        eta2 = init_eta(3, 4, np.random.default_rng(21))
-        assert eta2.checksum() != c1
-        eta.gru.W_z = eta.gru.W_z + 1e-6
-        assert eta.checksum() != c1
+        eta = init_gru(3, 4, np.random.default_rng(20))
+        c1 = gru_checksum(eta)
+        assert c1 == gru_checksum(eta)
+        eta2 = init_gru(3, 4, np.random.default_rng(21))
+        assert gru_checksum(eta2) != c1
+        eta.W_z = eta.W_z + 1e-6
+        assert gru_checksum(eta) != c1

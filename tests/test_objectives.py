@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sten import ConfigError, DataError
-from sten.networks import init_eta, init_phi, sample_pairs
+from sten.ndkernel import GruParams, init_gru
+from sten.networks import init_phi, sample_pairs
 from sten.objectives import js_rows, js_rows_grad_p
 from sten.training import TrainConfig
 
@@ -86,8 +87,8 @@ class TestJsDivergence:
 
 
 def zero_gru(phi):
-    for name in ("W_z", "W_r", "W_h", "U_z", "U_r", "U_h", "b_z", "b_r", "b_h"):
-        setattr(phi.gru, name, np.zeros_like(getattr(phi.gru, name)))
+    for name in GruParams.NAMES:
+        phi["gru." + name] = np.zeros_like(phi["gru." + name])
 
 
 def sten_tape(mode="full", alpha=1.0, m=3, l=2, B=2, seed=0, phi=None, eta=None,
@@ -98,7 +99,7 @@ def sten_tape(mode="full", alpha=1.0, m=3, l=2, B=2, seed=0, phi=None, eta=None,
     rng = np.random.default_rng(seed)
     if phi is None:
         phi = init_phi(2, 4, m, rng, with_ep_head=(mode == "dsn_plus_ep"))
-    eta = eta if eta is not None else init_eta(2, 4, rng)
+    eta = eta if eta is not None else init_gru(2, 4, rng)
     batch = batch if batch is not None else rng.normal(size=(B, l * m, 2))
     pairs = pairs if pairs is not None else sample_pairs(len(batch), rng, 1)
     return batch_tape(phi, eta, batch, pairs, cfg)
@@ -113,8 +114,8 @@ class TestOtnLoss:
 
     def test_uniform_two_class(self):
         phi = init_phi(2, 4, 2, np.random.default_rng(1))
-        phi.order_W = np.zeros_like(phi.order_W)
-        phi.order_b = np.zeros_like(phi.order_b)
+        phi["order_head.W"] = np.zeros_like(phi["order_head.W"])
+        phi["order_head.b"] = np.zeros_like(phi["order_head.b"])
         assert abs(sten_tape(mode="otn_only", m=2, phi=phi).otn - JS_HALF_ONEHOT) < 1e-6
 
     def test_upper_bound(self):
@@ -123,13 +124,14 @@ class TestOtnLoss:
         for trial in range(50):
             m = int(rng.integers(1, 6))
             phi = init_phi(2, 4, m, rng)
-            phi.order_W = phi.order_W * rng.uniform(1, 50)
+            phi["order_head.W"] = phi["order_head.W"] * rng.uniform(1, 50)
             assert sten_tape(mode="otn_only", m=m, seed=trial, phi=phi).otn <= bound + 1e-12
 
 
 def dsn_oracle(phi, eta, batch, pairs):
-    e = [oracles.gru_encode_unrolled(w, phi.gru) for w in batch]
-    f = [oracles.gru_encode_unrolled(w, eta.gru) for w in batch]
+    gru = GruParams.from_dict(phi, "gru.")
+    e = [oracles.gru_encode_unrolled(w, gru) for w in batch]
+    f = [oracles.gru_encode_unrolled(w, eta) for w in batch]
     sq = [(float(e[i] @ e[j]) - float(f[i] @ f[j])) ** 2 for i, j in pairs]
     return sum(sq) / len(sq)
 
@@ -139,20 +141,20 @@ class TestDsnLoss:
 
     def test_zero_when_equal(self):
         phi = init_phi(2, 4, 3, np.random.default_rng(2))
-        eta = init_eta(2, 4, np.random.default_rng(3))
-        phi.gru = eta.gru  # identical towers -> identical distances
+        eta = init_gru(2, 4, np.random.default_rng(3))
+        phi.update(eta.as_dict("gru."))  # identical towers -> identical distances
         assert sten_tape(mode="dsn_only", phi=phi, eta=eta, B=4).dsn == 0.0
 
     def test_single_pair(self):
         rng = np.random.default_rng(4)
-        phi, eta = init_phi(2, 4, 3, rng), init_eta(2, 4, rng)
+        phi, eta = init_phi(2, 4, 3, rng), init_gru(2, 4, rng)
         batch = rng.normal(size=(2, 6, 2))
         tape = sten_tape(mode="dsn_only", phi=phi, eta=eta, batch=batch, pairs=np.array([[0, 1]]))
         assert abs(tape.dsn - dsn_oracle(phi, eta, batch, [(0, 1)])) < 1e-12
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(6)
-        phi, eta = init_phi(2, 4, 3, rng), init_eta(2, 4, rng)
+        phi, eta = init_phi(2, 4, 3, rng), init_gru(2, 4, rng)
         batch = rng.normal(size=(6, 6, 2))
         pairs = sample_pairs(6, rng, 3)
         tape = sten_tape(mode="dsn_only", phi=phi, eta=eta, batch=batch, pairs=pairs)
@@ -209,15 +211,15 @@ class TestEpLoss:
     def test_learned_constant_series(self):
         phi = phi_with_ep(2, 4, 4, 0)
         zero_gru(phi)
-        phi.ep_W = np.zeros_like(phi.ep_W)
-        phi.ep_b = np.array([2.5, -1.0])
+        phi["ep_head.W"] = np.zeros_like(phi["ep_head.W"])
+        phi["ep_head.b"] = np.array([2.5, -1.0])
         assert ep_loss(np.tile([2.5, -1.0], (6, 1)), phi) == 0.0
 
     def test_zero_params_zero_series(self):
         phi = phi_with_ep(2, 4, 4, 1)
         zero_gru(phi)
-        phi.ep_W = np.zeros_like(phi.ep_W)
-        phi.ep_b = np.zeros_like(phi.ep_b)
+        phi["ep_head.W"] = np.zeros_like(phi["ep_head.W"])
+        phi["ep_head.b"] = np.zeros_like(phi["ep_head.b"])
         assert ep_loss(np.zeros((5, 2)), phi) == 0.0
 
     def test_matches_unrolled_oracle(self):
@@ -228,8 +230,8 @@ class TestEpLoss:
         total = 0.0
         count = 0
         for t in range(2):
-            h = oracles.gru_step_scalar(data[t], h, phi.gru)
-            pred = phi.ep_W @ h + phi.ep_b
+            h = oracles.gru_step_scalar(data[t], h, GruParams.from_dict(phi, "gru."))
+            pred = phi["ep_head.W"] @ h + phi["ep_head.b"]
             total += float(((pred - data[t + 1]) ** 2).sum())
             count += pred.size
         assert abs(ep_loss(data, phi) - total / count) < 1e-10

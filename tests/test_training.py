@@ -3,8 +3,8 @@ import pytest
 
 import sten.training as training
 from sten import ConfigError, DataError, NumericError
-from sten.ndkernel import backward
-from sten.networks import EtaParams, embed_windows, init_eta, init_phi, sample_pairs
+from sten.ndkernel import backward, init_gru
+from sten.networks import embed_windows, gru_checksum, init_phi, sample_pairs
 from sten.objectives import js_rows
 from sten.seqdata import MultivariateSeries, SynthConfig, synth_generate, window_starts
 from sten.training import (TrainConfig, _batch_ranges, build_sten_tape, load_checkpoint,
@@ -14,28 +14,20 @@ from oracles import finite_diff_grad, order_loss_presented
 from windowed import batch_tape
 
 
-def clone_phi_like(phi):
-    import copy
-    out = copy.deepcopy(phi)
-    return out
-
-
 def gradcheck(cfg, seed, h=1e-4, tol=1e-4, with_ep=False):
     rng = np.random.default_rng(seed)
     phi = init_phi(2, cfg.d_model, cfg.m, rng,
                    separate_towers=cfg.separate_towers, with_ep_head=with_ep)
-    eta = init_eta(2, cfg.d_model, rng)
+    eta = init_gru(2, cfg.d_model, rng)
     batch = rng.normal(size=(2, cfg.L, 2))
     pairs = sample_pairs(2, rng, cfg.k_refs)
     tape = batch_tape(phi, eta, batch, pairs, cfg)
     grads = backward(tape)
 
     def loss_fn(pd):
-        p2 = clone_phi_like(phi)
-        p2.load_dict({k: v.copy() for k, v in pd.items()})
-        return batch_tape(p2, eta, batch, pairs, cfg).value
+        return batch_tape(pd, eta, batch, pairs, cfg).value
 
-    fd = finite_diff_grad(loss_fn, phi.as_dict(), h=h)
+    fd = finite_diff_grad(loss_fn, phi, h=h)
     worst = {}
     for k in grads:
         rel = np.abs(grads[k] - fd[k]) / np.maximum(1e-8, np.abs(fd[k]))
@@ -88,11 +80,11 @@ class TestGradients:
         cfg = TrainConfig(L=6, R_train=2, l=2, r=2, m=3, d_model=4, mode="full")
         rng = np.random.default_rng(5)
         phi = init_phi(2, 4, 3, rng)
-        eta = init_eta(2, 4, rng)
+        eta = init_gru(2, 4, rng)
         batch = rng.normal(size=(2, 6, 2))
         tape = batch_tape(phi, eta, batch, sample_pairs(2, rng, 1), cfg)
         grads = backward(tape)
-        assert set(grads) == set(phi.as_dict())
+        assert set(grads) == set(phi)
 
 
 class TestPresentedOrder:
@@ -152,13 +144,12 @@ class TestEtaEmbeddedOnce:
     def test_each_window_embedded_once_over_all_epochs(self, monkeypatch, normalize):
         series = small_series()
         cfg = small_cfg(epochs=3, normalize_embeddings=normalize)
-        eta_sizes, tapes = [], []
+        embedded, tapes = [], []
         real_embed, real_tape = training.embed_windows, training.build_sten_tape
 
-        def embed(params, data, normalize=False):
-            if isinstance(params, EtaParams):
-                eta_sizes.append(len(data))
-            return real_embed(params, data, normalize)
+        def embed(gru, data, normalize=False):
+            embedded.append((gru, len(data)))
+            return real_embed(gru, data, normalize)
 
         def tape(phi, F, values, starts, pairs, cfg):
             tapes.append((F, values, starts))
@@ -169,8 +160,10 @@ class TestEtaEmbeddedOnce:
         model = train(series, cfg)
         n_batches = len(tapes) // cfg.epochs
         assert n_batches >= 2 and len(tapes) == n_batches * cfg.epochs
-        assert len(eta_sizes) == n_batches
-        assert sum(eta_sizes) == len(window_starts(series.n, cfg.L, cfg.R_train))
+        # Training embeds windows only with eta; phi's tower runs in dsn_embeddings.
+        assert all(gru is model.eta for gru, _ in embedded)
+        assert len(embedded) == n_batches
+        assert sum(n for _, n in embedded) == len(window_starts(series.n, cfg.L, cfg.R_train))
         for F, values, starts in tapes:
             batch = values[starts[:, None] + np.arange(cfg.L)]
             np.testing.assert_array_equal(F, embed_windows(model.eta, batch, normalize))
@@ -217,8 +210,8 @@ class TestTrain:
         m1 = train(series, small_cfg(mode="otn_only", alpha=1.0))
         m2 = train(series, small_cfg(mode="otn_only", alpha=5.0))
         assert all(row[1] == 0.0 for row in m1.loss_trace)
-        for k, v in m1.phi.as_dict().items():
-            np.testing.assert_array_equal(v, m2.phi.as_dict()[k])
+        for k, v in m1.phi.items():
+            np.testing.assert_array_equal(v, m2.phi[k])
 
     def test_lr_zero_keeps_params_and_constant_trace(self):
         series = small_series()
@@ -226,8 +219,8 @@ class TestTrain:
         model = train(series, cfg)
         streams = seed_streams(cfg.seed)
         phi0 = init_phi(series.d, cfg.d_model, cfg.m, streams["phi_init"])
-        for k, v in model.phi.as_dict().items():
-            np.testing.assert_array_equal(v, phi0.as_dict()[k].astype(np.float32))
+        for k, v in model.phi.items():
+            np.testing.assert_array_equal(v, phi0[k].astype(np.float32))
         totals = [row[2] for row in model.loss_trace]
         assert len(model.loss_trace) == cfg.epochs
         assert np.all(np.isfinite(totals))
@@ -244,31 +237,31 @@ class TestTrain:
         series = small_series()
         a = train(series, small_cfg())
         b = train(series, small_cfg())
-        for k, v in a.phi.as_dict().items():
-            np.testing.assert_array_equal(v, b.phi.as_dict()[k])
+        for k, v in a.phi.items():
+            np.testing.assert_array_equal(v, b.phi[k])
         assert a.loss_trace == b.loss_trace
 
     def test_eta_frozen_and_reproducible(self):
         series = small_series()
         cfg = small_cfg()
         model = train(series, cfg)
-        expected = init_eta(series.d, cfg.d_model,
+        expected = init_gru(series.d, cfg.d_model,
                             seed_streams(cfg.seed)["eta_init"]).astype(np.float32)
-        assert model.eta.checksum() == expected.checksum()
+        assert gru_checksum(model.eta) == gru_checksum(expected)
 
     def test_eta_seed_changes_projector(self):
         series = small_series()
         m1 = train(series, small_cfg(eta_seed=100))
         m2 = train(series, small_cfg(eta_seed=200))
-        assert m1.eta.checksum() != m2.eta.checksum()
+        assert gru_checksum(m1.eta) != gru_checksum(m2.eta)
 
     def test_alpha_zero_full_equals_otn_only_bitwise(self):
         series = small_series()
         a = train(series, small_cfg(mode="full", alpha=0.0))
         b = train(series, small_cfg(mode="otn_only", alpha=1.0))
-        for k, v in a.phi.as_dict().items():
-            np.testing.assert_array_equal(v, b.phi.as_dict()[k])
-        assert a.eta.checksum() == b.eta.checksum()
+        for k, v in a.phi.items():
+            np.testing.assert_array_equal(v, b.phi[k])
+        assert gru_checksum(a.eta) == gru_checksum(b.eta)
 
     def test_nonfinite_loss_aborts(self, monkeypatch):
         orig = training.build_sten_tape
@@ -328,9 +321,9 @@ class TestCheckpoints:
     def test_roundtrip_parameters_and_stats(self, tmp_path):
         model, path = self.trained(tmp_path)
         loaded = load_checkpoint(path)
-        for k, v in model.phi.as_dict().items():
-            np.testing.assert_array_equal(v, loaded.phi.as_dict()[k])
-        assert loaded.eta.checksum() == model.eta.checksum()
+        for k, v in model.phi.items():
+            np.testing.assert_array_equal(v, loaded.phi[k])
+        assert gru_checksum(loaded.eta) == gru_checksum(model.eta)
         np.testing.assert_array_equal(loaded.stats.mean, model.stats.mean)
         np.testing.assert_array_equal(loaded.stats.std, model.stats.std)
         assert loaded.config == model.config
