@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -97,7 +98,9 @@ def ep_forward(phi: ParamDict, batch: np.ndarray, want_cache: bool = False):
     """Error-prediction head: a linear map of h_t predicts x_{t+1}.
 
     Returns (resid, H_all, cache): the one-step-ahead residuals (L-1, B, D),
-    then the hidden trajectory (L, B, d_model) and the GruCache.
+    then the hidden trajectory (L, B, d_model) and the GruCache.  The pass
+    runs the shared tower ``gru.``, so ``H_all[-1]`` is the windows' embedding
+    by that tower, bit for bit.
     """
     if "ep_head.W" not in phi:
         raise DataError("model has no error-prediction head")
@@ -115,14 +118,21 @@ def ep_forward(phi: ParamDict, batch: np.ndarray, want_cache: bool = False):
     return resid, H_all, cache
 
 
-def _row_norms(E: np.ndarray) -> np.ndarray:
-    return np.maximum(np.linalg.norm(E, axis=1, keepdims=True), NORM_FLOOR)
+def unit_rows(E: np.ndarray, normalize: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Window embeddings as the distance branch reads them: E's rows divided
+    by their norms floored at NORM_FLOOR when ``normalize``, else E itself.
+
+    Returns (rows, norms), the floored norms (B, 1) or None.
+    """
+    if not normalize:
+        return E, None
+    norms = np.maximum(np.linalg.norm(E, axis=1, keepdims=True), NORM_FLOOR)
+    return E / norms, norms
 
 
 def embed_windows(gru: GruParams, data: np.ndarray, normalize: bool = False) -> np.ndarray:
     """Batched window embedding by one GRU tower: data (B, L, D) -> (B, d_model)."""
-    E = gru_forward(np.asarray(data, dtype=np.float64), gru)
-    return E / _row_norms(E) if normalize else E
+    return unit_rows(gru_forward(np.asarray(data, dtype=np.float64), gru), normalize)[0]
 
 
 def dsn_embeddings(phi: ParamDict, batch: np.ndarray, normalize: bool):
@@ -135,8 +145,7 @@ def dsn_embeddings(phi: ParamDict, batch: np.ndarray, normalize: bool):
     """
     tower = GruParams.from_dict(phi, dsn_prefix(phi))
     E, cache = gru_forward(np.asarray(batch, np.float64), tower, want_cache=True)
-    norms = _row_norms(E) if normalize else None
-    return (E / norms if normalize else E), norms, cache
+    return (*unit_rows(E, normalize), cache)
 
 
 def pair_residuals(E: np.ndarray, F: np.ndarray, ii: np.ndarray, jj: np.ndarray,
@@ -203,40 +212,55 @@ def write_checkpoint(path, config: dict, blocks: dict[str, np.ndarray]) -> None:
 
 
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Config and blocks of a checkpoint file.  A body that does not follow
+    the layout above, even under a valid checksum, is a ``DataError``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < len(CHECKPOINT_MAGIC) + 4 + 32:
         raise DataError(f"{path}: truncated checkpoint")
-    body, digest = raw[:-32], raw[-32:]
+    # A view, so that the blocks are read without copying the body.
+    body, digest = memoryview(raw)[:-32], raw[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise DataError(f"{path}: checkpoint checksum failure (corrupt or truncated file)")
     if body[:8] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
     pos = 8
 
-    def take(fmt):
+    def take(size: int) -> memoryview:
         nonlocal pos
-        size = struct.calcsize(fmt)
-        vals = struct.unpack_from(fmt, body, pos)
+        if pos + size > len(body):
+            raise DataError(f"{path}: checkpoint body ends inside a field "
+                            f"({size} bytes at offset {pos} of {len(body)})")
         pos += size
-        return vals if len(vals) > 1 else vals[0]
+        return body[pos - size:pos]
 
-    version = take("<I")
+    def unpack(fmt: str, n: int = 1) -> tuple[int, ...]:
+        return struct.unpack(f"<{n}{fmt}", take(n * struct.calcsize(fmt)))
+
+    def text(size: int, what: str) -> str:
+        try:
+            return str(take(size), "utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: checkpoint {what} is not UTF-8") from None
+
+    version, = unpack("I")
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: checkpoint version {version} != {CHECKPOINT_VERSION}")
-    cfg_len = take("<I")
-    config = json.loads(body[pos:pos + cfg_len].decode("utf-8"))
-    pos += cfg_len
-    n_blocks = take("<I")
+    try:
+        config = json.loads(text(unpack("I")[0], "config"))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DataError(f"{path}: checkpoint config is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise DataError(f"{path}: checkpoint config is not a JSON object")
+    n_blocks, = unpack("I")
     blocks: dict[str, np.ndarray] = {}
     for _ in range(n_blocks):
-        name_len = take("<H")
-        name = body[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        ndim = take("<B")
-        shape = tuple(take("<I") for _ in range(ndim)) if ndim else ()
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(body, dtype="<f4", count=count, offset=pos).reshape(shape)
-        pos += count * 4
-        blocks[name] = arr.astype(np.float32)
+        name = text(unpack("H")[0], "block name")
+        if name in blocks:
+            raise DataError(f"{path}: checkpoint block {name} appears twice")
+        shape = unpack("I", unpack("B")[0])
+        data = take(4 * math.prod(shape))
+        blocks[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
+    if pos != len(body):
+        raise DataError(f"{path}: {len(body) - pos} bytes after the last checkpoint block")
     return config, blocks

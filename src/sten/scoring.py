@@ -15,6 +15,12 @@ a temporal score in its last bits (about 4e-16 relative was measured):
 BLAS may round a row of a short GEMM differently from the same row in a
 tall one.
 
+With the error-prediction head and one shared tower (``dsn_plus_ep``
+without separate towers), the GRU runs once over each chunk: the distance
+branch reads the final hidden states of the error-prediction pass.  So
+another ``CHUNK`` may then also move ``score_dsn`` in its last bits (up to
+1.2e-15 relative was measured at d_model 32).
+
 Score files are CSV tables written by ``seqdata.write_table`` and read back by
 ``seqdata.read_table`` and ``seqdata.parse_column``, the package's one table
 writer and reader.
@@ -31,7 +37,7 @@ from . import ConfigError, DataError
 # looks it up on this module.
 from .ndkernel import GruParams, gru_forward  # noqa: F401
 from .networks import (dsn_prefix, embed_windows, ep_forward, order_forward, pair_residuals,
-                       sample_pairs)
+                       sample_pairs, unit_rows)
 from .objectives import js_rows
 from .seqdata import (MultivariateSeries, make_windows, parse_column, read_table, window_starts,
                       write_table, zscore_apply)
@@ -49,8 +55,10 @@ class ScoreConfig:
     ref_source: str = "test"  # "test" or "train"
 
     def validate(self) -> None:
-        if self.beta < 0:
-            raise ConfigError("beta must be >= 0")
+        if not 0 <= self.beta < np.inf:
+            raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
+        if not 0 <= self.eps < np.inf:
+            raise ConfigError(f"eps must be finite and >= 0, got {self.eps}")
         if self.R_test < 1 or self.k_refs < 1:
             raise ConfigError("R_test and k_refs must be >= 1")
         if self.ref_source not in ("test", "train"):
@@ -121,6 +129,9 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
     W = make_windows(norm, tc.L, cfg.R_test, cover_tail=True)
     n_w = len(W)
     use_otn, use_ep, use_dsn = branches(tc.mode, tc.alpha)
+    # With one shared tower, the error-prediction pass also embeds the
+    # windows for the distance branch: its final hidden states.
+    E_ep = np.empty((n_w, tc.d_model)) if use_ep and dsn_prefix(model.phi) == "gru." else None
 
     # Temporal component: (n_w, m) score per sub-sequence.
     t_scores = np.zeros((n_w, tc.m))
@@ -134,7 +145,10 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
                 rows = rows.mean(axis=1, keepdims=True)
             t_scores[s:s + B] = np.abs(P - Y).sum(axis=1).reshape(B, tc.m) / (rows + cfg.eps)
         elif use_ep:
-            resid, _, _ = ep_forward(model.phi, W[s:s + CHUNK])
+            resid, H_all, _ = ep_forward(model.phi, W[s:s + CHUNK])
+            if E_ep is not None:
+                E_ep[s:s + B] = H_all[-1]
+            del H_all                                  # one chunk's trajectory at a time
             err = (resid ** 2).mean(axis=2).T          # (B, L-1); err[:, t-1] ~ x_t
             for i in range(tc.m):
                 lo = max(i * tc.r, 1)                  # timestamp 0 has no prediction
@@ -151,7 +165,11 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
             return (embed_windows(tower, windows, tc.normalize_embeddings),
                     embed_windows(model.eta, windows, tc.normalize_embeddings))
 
-        E, F = embed(W)
+        if E_ep is None:
+            E, F = embed(W)
+        else:
+            E = unit_rows(E_ep, tc.normalize_embeddings)[0]
+            F = embed_windows(model.eta, W, tc.normalize_embeddings)
         rng = np.random.default_rng(cfg.seed)
         if cfg.ref_source == "train":
             if train_series is None:

@@ -15,7 +15,7 @@ from .ndkernel import (GradTape, GruParams, ParamDict, adam_update, backward,  #
                        gru_backward, gru_forward, init_adam_state, init_gru)
 from .networks import (NORM_FLOOR, dsn_embeddings, dsn_prefix, embed_windows, ep_forward,
                        gru_checksum, init_phi, order_forward, pair_residuals, read_checkpoint,
-                       sample_pairs, write_checkpoint)
+                       sample_pairs, unit_rows, write_checkpoint)
 from .objectives import js_rows, js_rows_grad_p
 from .seqdata import (MultivariateSeries, NormStats, stack_slices, window_starts, zscore_apply,
                       zscore_fit)
@@ -104,8 +104,12 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
     batch once (``order_forward``).  ``F`` holds the frozen projector eta's
     embeddings of the batch's windows (B, d_model), unit rows when
     ``cfg.normalize_embeddings``, and ``pairs`` (P, 2) window-index pairs, both
-    for the distance branch (None without one).  Returns a tape whose backward
-    yields exact gradients for every phi parameter (eta is frozen).
+    for the distance branch (None without one).  When the error-prediction
+    branch and the distance branch share phi's tower, the GRU runs once over
+    the windows: the distance embeddings are the final hidden states of the
+    error-prediction pass, and both backwards read its one cache.  Returns a
+    tape whose backward yields exact gradients for every phi parameter (eta
+    is frozen).
     """
     use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
     tape = GradTape(phi)
@@ -150,7 +154,10 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
     if use_dsn:
         if F is None or pairs is None or len(pairs) == 0:
             raise DataError("distance branch requires eta's embeddings and reference pairs")
-        En, norms, cache_d = dsn_embeddings(phi, batch, cfg.normalize_embeddings)
+        if use_ep and dsn_prefix(phi) == "gru.":
+            (En, norms), cache_d = unit_rows(H_all[-1], cfg.normalize_embeddings), cache_ep
+        else:
+            En, norms, cache_d = dsn_embeddings(phi, batch, cfg.normalize_embeddings)
         ii, jj = pairs.T
         resid_d = pair_residuals(En, F, ii, jj, En, F)
         dsn_val = float(np.mean(resid_d ** 2))
@@ -191,8 +198,10 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     """Fit the encoder on an unlabeled series (labels, if present, are ignored).
 
     Each batch's order branch encodes each of its distinct sub-sequences once.
-    The frozen projector eta embeds each batch's windows once per call, not
-    once per epoch.
+    With the error-prediction head and one shared tower, phi's GRU runs once
+    over each batch's windows for both the error-prediction and the distance
+    branch.  The frozen projector eta embeds each batch's windows once per
+    call, not once per epoch.
     """
     cfg.validate()
     stats = zscore_fit(series)

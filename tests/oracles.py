@@ -11,7 +11,7 @@ import numpy as np
 
 from sten import DataError
 from sten.evalmetrics import range_auc
-from sten.ndkernel import GruCache, GruParams, gru_backward, gru_forward, softmax
+from sten.ndkernel import GradTape, GruCache, GruParams, gru_backward, gru_forward, softmax
 from sten.objectives import js_rows, js_rows_grad_p
 
 
@@ -226,6 +226,58 @@ def order_loss_presented(phi, batch, perms, l, r):
     grads["order_head.b"] += dlogits.sum(axis=0)
     gru_backward(cache, gru, grads, "gru.", d_h_final=dlogits @ W)
     return float(js_rows(P, Y).mean()), grads
+
+
+def dsn_plus_ep_tape_two_pass(phi, F, values, starts, pairs, cfg):
+    """The dsn_plus_ep training tape with one tower, with phi's GRU run twice
+    over the windows: once for the error-prediction branch and once more for
+    the distance branch, the form the package used before the distance
+    branch read the error-prediction pass.
+
+    Takes the arguments of ``training.build_sten_tape`` and records the same
+    backward closures in the same order, so the loss and the gradients can
+    be compared bit for bit.
+    """
+    X = np.asarray(values, np.float64)[np.asarray(starts)[:, None] + np.arange(cfg.L)]
+    gru = GruParams.from_dict(phi, "gru.")
+    W_e = np.asarray(phi["ep_head.W"], np.float64)
+    _, cache_ep, H_all = gru_forward(X, gru, want_cache=True, want_all=True)
+    resid = (H_all[:-1] @ W_e.T + np.asarray(phi["ep_head.b"], np.float64)
+             - np.transpose(X[:, 1:], (1, 0, 2)))
+    E, cache_d = gru_forward(X, gru, want_cache=True)
+    norms = None
+    if cfg.normalize_embeddings:
+        norms = np.maximum(np.linalg.norm(E, axis=1, keepdims=True), 1e-12)
+        E = E / norms
+    ii, jj = pairs.T
+    resid_d = (E[ii] * E[jj]).sum(axis=1) - (F[ii] * F[jj]).sum(axis=1)
+
+    def ep_back(grads):
+        dpred = resid * (2.0 / resid.size)
+        grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, H_all[:-1])
+        grads["ep_head.b"] += dpred.sum(axis=(0, 1))
+        d_h_all = np.zeros_like(H_all)
+        d_h_all[:-1] = dpred @ W_e
+        gru_backward(cache_ep, gru, grads, "gru.", d_h_all=d_h_all)
+
+    def dsn_back(grads):
+        dd = resid_d * (2.0 * cfg.alpha / resid_d.size)
+        dEn = np.zeros_like(E)
+        np.add.at(dEn, ii, dd[:, None] * E[jj])
+        np.add.at(dEn, jj, dd[:, None] * E[ii])
+        dE = dEn
+        if norms is not None:
+            dE = dEn / norms
+            dE -= (norms > 1e-12) * E * (dEn * E).sum(axis=1, keepdims=True) / norms
+        gru_backward(cache_d, gru, grads, "gru.", d_h_final=dE)
+
+    tape = GradTape(phi)
+    tape.record(ep_back)
+    tape.record(dsn_back)
+    tape.otn = float(np.mean(resid ** 2))
+    tape.dsn = float(np.mean(resid_d ** 2))
+    tape.value = tape.otn + cfg.alpha * tape.dsn
+    return tape
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -377,7 +378,52 @@ EXIT_CASES = [
                   "--delta", "0", "--out", "{out}"], 1, id="score-unread-delta"),
     pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
                   "--mode", "dsn_only", "--out", "{out}"], 1, id="score-unread-mode"),
+] + [
+    # A checkpoint whose checksum holds but whose body breaks the layout.
+    pytest.param(["score", "--model", "{%s}" % name, "--test", "{test}", "--config", "{cfg}",
+                  "--out", "{out}"], 2, id=f"score-checkpoint-{name.replace('_', '-')}")
+    for name in ("bad_json", "config_too_deep", "config_not_utf8", "config_array",
+                 "config_past_end", "blocks_past_end", "short_block", "trailing_bytes",
+                 "duplicate_block")
 ]
+
+
+def checkpoint_body(cfg=b"{}", blocks=(), cfg_len=None, n_blocks=None):
+    """A checkpoint body in the layout of networks.write_checkpoint; ``blocks``
+    are (name, shape, float32 data) and the lengths and counts may lie."""
+    body = b"STENCKPT" + struct.pack("<I", 1)
+    body += struct.pack("<I", len(cfg) if cfg_len is None else cfg_len) + cfg
+    body += struct.pack("<I", len(blocks) if n_blocks is None else n_blocks)
+    for name, shape, data in blocks:
+        nb = name.encode("utf-8")
+        body += struct.pack("<H", len(nb)) + nb + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+        body += np.asarray(data, "<f4").tobytes()
+    return body
+
+
+@pytest.fixture(scope="module")
+def malformed(trained, tmp_path_factory):
+    """Checkpoints with a valid sha256 over a body that breaks the layout."""
+    tmp = tmp_path_factory.mktemp("malformed")
+    cfg, blocks = read_checkpoint(trained["ckpt"])
+    cfg = json.dumps(cfg, sort_keys=True).encode("utf-8")
+    listed = [(k, v.shape, v) for k, v in sorted(blocks.items())]
+    bodies = {
+        "bad_json": checkpoint_body(cfg=b"{not json"),
+        "config_too_deep": checkpoint_body(cfg=b"[" * 100_000 + b"]" * 100_000),
+        "config_not_utf8": checkpoint_body(cfg=b'{"mode": "\xff"}'),
+        "config_array": checkpoint_body(cfg=b"[1, 2]"),
+        "config_past_end": checkpoint_body(cfg_len=1000),
+        "blocks_past_end": checkpoint_body(cfg=cfg, blocks=listed, n_blocks=len(listed) + 1),
+        "short_block": checkpoint_body(cfg=cfg, blocks=[("norm.mean", (4,), np.zeros(2))]),
+        "trailing_bytes": checkpoint_body(cfg=cfg, blocks=listed) + b"\0",
+        "duplicate_block": checkpoint_body(cfg=cfg, blocks=listed + listed[:1]),
+    }
+    paths = {}
+    for name, body in bodies.items():
+        paths[name] = tmp / f"{name}.ckpt"
+        paths[name].write_bytes(body + hashlib.sha256(body).digest())
+    return paths
 
 
 # A non-finite float anywhere in the merged config (file, --set or a flag) is
@@ -425,8 +471,9 @@ class TestNonFiniteConfig:
 
 class TestExitCodes:
     @pytest.mark.parametrize("argv,code", EXIT_CASES)
-    def test_exit_code_without_traceback(self, trained, tmp_path, argv, code):
-        files = dict(trained, missing=tmp_path / "missing" / "file", out=tmp_path / "out")
+    def test_exit_code_without_traceback(self, trained, malformed, tmp_path, argv, code):
+        files = dict(trained, **malformed, missing=tmp_path / "missing" / "file",
+                     out=tmp_path / "out")
         proc = sten_process(argv, files)
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr

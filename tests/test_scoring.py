@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,44 @@ class TestScoreSeries:
         np.testing.assert_allclose(c.score_otn, a.score_otn, rtol=self.RECHUNK_RTOL, atol=0)
         np.testing.assert_allclose(c.scores, a.scores, rtol=self.RECHUNK_RTOL, atol=0)
 
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_rechunking_within_named_tolerance_at_d_model_32_ep(self, monkeypatch, chunk):
+        # With one shared tower the distance branch reads the error-prediction
+        # pass, chunk by chunk, so score_dsn may move too: up to 1.2e-15
+        # relative was measured with CHUNK 1, 3 and 7.
+        model = tiny_model(mode="dsn_plus_ep", d_model=32, m=10, l=4, r=4, seed=7)
+        series = series_fixture(n=300, seed=8)
+        cfg = ScoreConfig(R_test=4, seed=9)
+        a = score_series(model, series, cfg)
+        monkeypatch.setattr(scoring, "CHUNK", chunk)
+        c = score_series(model, series, cfg)
+        for col in ("scores", "score_otn", "score_dsn"):
+            np.testing.assert_allclose(getattr(c, col), getattr(a, col),
+                                       rtol=self.RECHUNK_RTOL, atol=0, err_msg=col)
+
+    def test_ep_peak_memory_does_not_grow_with_chunks(self, monkeypatch):
+        """dsn_plus_ep scoring holds one chunk's hidden trajectory at a time:
+        four chunks of windows peak within a fraction of one trajectory of
+        what one chunk peaks at, while keeping the previous chunk's
+        trajectory alive would add a whole one."""
+        model = tiny_model(mode="dsn_plus_ep", d_model=32, m=10, l=10, r=10, seed=3)
+        chunk = 64
+        monkeypatch.setattr(scoring, "CHUNK", chunk)
+        trajectory = model.config.L * chunk * 32 * 8     # float64 bytes of one chunk's
+        peaks = []
+        for n_chunks in (1, 4):
+            # Windows at stride 10 with no tail window: n_chunks * chunk of them.
+            series = series_fixture(n=100 + (n_chunks * chunk - 1) * 10, seed=4)
+            tracemalloc.start()
+            try:
+                score_series(model, series, ScoreConfig(R_test=10, seed=1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Measured: 0.34 trajectories more for the per-window arrays that grow
+        # with the series, and 1.25 with the previous trajectory kept.
+        assert peaks[1] - peaks[0] < 0.75 * trajectory, (peaks, trajectory)
+
     def test_loaded_model_scores_identical(self, tmp_path):
         model = tiny_model()
         series = series_fixture()
@@ -347,7 +387,10 @@ class TestScoreSeries:
         np.testing.assert_array_equal(out.score_otn, trained.score_otn)
 
     def test_bad_score_config_is_a_usage_error(self):
-        for bad in (dict(beta=-1.0), dict(R_test=0), dict(k_refs=0), dict(ref_source="both")):
+        nan, inf = float("nan"), float("inf")
+        for bad in (dict(beta=-1.0), dict(beta=nan), dict(beta=inf), dict(beta=-inf),
+                    dict(eps=-1e-8), dict(eps=nan), dict(eps=inf),
+                    dict(R_test=0), dict(k_refs=0), dict(ref_source="both")):
             with pytest.raises(ConfigError):
                 ScoreConfig(**bad).validate()
 

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 import sten.training as training
-from sten import ConfigError, DataError, NumericError
+from sten import ConfigError, DataError, NumericError, networks, scoring
 from sten.ndkernel import backward, init_gru
 from sten.networks import embed_windows, gru_checksum, init_phi, sample_pairs
 from sten.objectives import js_rows
+from sten.scoring import ScoreConfig, score_series
 from sten.seqdata import MultivariateSeries, SynthConfig, synth_generate, window_starts
 from sten.training import (TrainConfig, _batch_ranges, build_sten_tape, load_checkpoint,
                            save_checkpoint, seed_streams, train)
 
-from oracles import finite_diff_grad, order_loss_presented
+from oracles import dsn_plus_ep_tape_two_pass, finite_diff_grad, order_loss_presented
 from windowed import batch_tape
 
 
@@ -167,6 +168,97 @@ class TestEtaEmbeddedOnce:
         for F, values, starts in tapes:
             batch = values[starts[:, None] + np.arange(cfg.L)]
             np.testing.assert_array_equal(F, embed_windows(model.eta, batch, normalize))
+
+
+class TestSharedTowerPass:
+    """dsn_plus_ep with one tower runs phi's GRU once over a batch's windows:
+    the distance branch reads the error-prediction pass.  Loss, gradients and
+    the trained checkpoint equal those of running the tower twice."""
+
+    CASES = [dict(), dict(normalize_embeddings=True), dict(k_refs=3)]
+    IDS = ["plain", "normalised", "k_refs-3"]
+
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_loss_and_gradients_equal_two_passes(self, case):
+        cfg = small_cfg(mode="dsn_plus_ep", alpha=0.7, **case)
+        rng = np.random.default_rng(8)
+        phi = init_phi(2, cfg.d_model, cfg.m, rng, with_ep_head=True)
+        eta = init_gru(2, cfg.d_model, rng)
+        values = rng.normal(size=(150, 2))
+        starts = window_starts(150, cfg.L, cfg.R_train)
+        F = embed_windows(eta, values[starts[:, None] + np.arange(cfg.L)],
+                          cfg.normalize_embeddings)
+        pairs = sample_pairs(len(starts), rng, cfg.k_refs)
+        got = build_sten_tape(phi, F, values, starts, pairs, cfg)
+        want = dsn_plus_ep_tape_two_pass(phi, F, values, starts, pairs, cfg)
+        assert (got.otn, got.dsn, got.value) == (want.otn, want.dsn, want.value)
+        g, w = backward(got), backward(want)
+        assert set(g) == set(w) == set(phi)
+        for k in g:
+            assert np.array_equal(g[k], w[k]), k
+
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_checkpoint_bytes_equal_two_passes(self, monkeypatch, tmp_path, case):
+        series = small_series()
+        cfg = small_cfg(mode="dsn_plus_ep", epochs=2, **case)
+        save_checkpoint(train(series, cfg), tmp_path / "one.ckpt")
+        monkeypatch.setattr(training, "build_sten_tape", dsn_plus_ep_tape_two_pass)
+        save_checkpoint(train(series, cfg), tmp_path / "two.ckpt")
+        assert (tmp_path / "one.ckpt").read_bytes() == (tmp_path / "two.ckpt").read_bytes()
+
+
+class TestWindowPasses:
+    """How often a GRU runs over whole windows (length L) in training and
+    scoring.  phi's tower runs once per batch per epoch and branch that reads
+    it, except that the error-prediction and distance branches share one pass
+    when they share one tower; eta runs once per batch per train call and
+    once per scoring call."""
+
+    # (mode, separate_towers): phi's passes per batch per epoch in training,
+    # and per scoring call as (per chunk, once).
+    CASES = [
+        (("full", False), 1, (0, 1)),
+        (("full", True), 1, (0, 1)),
+        (("otn_only", False), 0, (0, 0)),
+        (("dsn_only", False), 1, (0, 1)),
+        (("dsn_plus_ep", False), 1, (1, 0)),
+        (("dsn_plus_ep", True), 2, (1, 1)),
+    ]
+
+    @pytest.mark.parametrize("case,train_passes,score_passes", CASES,
+                             ids=[f"{m}-towers" if t else m for (m, t), _, _ in CASES])
+    def test_passes_over_windows(self, monkeypatch, case, train_passes, score_passes):
+        mode, towers = case
+        series = small_series()
+        cfg = small_cfg(mode=mode, separate_towers=towers, epochs=2)
+        passes = []
+        real = networks.gru_forward
+
+        def counting(X, p, **kwargs):
+            if np.shape(X)[1] == cfg.L:
+                passes.append(p)
+            return real(X, p, **kwargs)
+
+        monkeypatch.setattr(networks, "gru_forward", counting)
+        model = train(series, cfg)
+        use_dsn = mode != "otn_only"
+        n_batches = len(_batch_ranges(len(window_starts(series.n, cfg.L, cfg.R_train)),
+                                      cfg.batch_size, min_last=2 if use_dsn else 1))
+        assert n_batches >= 2
+        eta = [p for p in passes if p is model.eta]
+        assert len(eta) == (n_batches if use_dsn else 0)
+        assert len(passes) - len(eta) == train_passes * n_batches * cfg.epochs
+
+        passes.clear()
+        monkeypatch.setattr(scoring, "CHUNK", 40)
+        test = small_series(n=300, seed=1)
+        score_series(model, test, ScoreConfig(R_test=cfg.r, seed=2))
+        n_chunks = -(-len(window_starts(test.n, cfg.L, cfg.r, cover_tail=True)) // 40)
+        assert n_chunks >= 2
+        per_chunk, once = score_passes
+        eta = [p for p in passes if p is model.eta]
+        assert len(eta) == (1 if use_dsn else 0)
+        assert len(passes) - len(eta) == per_chunk * n_chunks + once
 
 
 class TestOrderPositiveControl:
