@@ -1,10 +1,19 @@
 """Command-line orchestration: synth, train, score, eval, and sweep.
 
-Configuration is a flat ``key = value`` text file; CLI flags override file
-values, which override defaults.  One master seed drives everything: the
-synthetic generator and training consume it directly (training expands it
-into named internal streams), scoring derives its reference-sampling seed
-from it, so reruns with the same seed are bitwise reproducible.
+Configuration is a flat ``key = value`` text file, overridden by ``--set
+KEY=VALUE`` and then by the named flags, such as ``--seed``.  One master seed
+drives everything: the synthetic generator and training consume it directly
+(training expands it into named internal streams), scoring derives its
+reference-sampling seed from it, so reruns with the same seed are bitwise
+reproducible.
+
+The config keys are the fields of ``SynthConfig``, ``TrainConfig`` and
+``ScoreConfig``, each with its field's name, annotation (as its type) and
+default; a field two classes share (``seed``, ``k_refs``) is one key.  The
+exceptions are the rows of ``_EXCEPTIONS``: ``L`` and ``r``, which follow
+``l`` and ``m`` unless set, ``score_eps`` (``ScoreConfig.eps``) and the
+evaluation keys, which have no dataclass.  ``ScoreConfig.seed`` is derived
+from ``seed``.  File, ``--set`` and flag values are all parsed by ``_convert``.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import ConfigError, DataError, NumericError, StenError, atomic_write
@@ -22,77 +32,48 @@ from .seqdata import SynthConfig, load_csv, save_csv, synth_generate, write_tabl
 from .training import (MODES, TrainConfig, derive_seed, load_checkpoint,
                        save_checkpoint, train)
 
-_INT, _FLOAT, _BOOL, _STR, _OPT_INT, _OPT_FLOAT = range(6)
-
-SCHEMA: dict[str, tuple[int, object]] = {
-    # seeding
-    "seed": (_INT, 0),
-    "eta_seed": (_OPT_INT, None),
-    # synthetic generator
-    "n_train": (_INT, 20000),
-    "n_test": (_INT, 10000),
-    "dims": (_INT, 5),
-    "anomaly_rate": (_FLOAT, 0.05),
-    "noise_sigma": (_FLOAT, 0.1),
-    "seg_len_min": (_INT, 10),
-    "seg_len_max": (_INT, 50),
-    "period_min": (_FLOAT, 20.0),
-    "period_max": (_FLOAT, 150.0),
-    "n_components": (_INT, 2),
-    "spike_scale": (_FLOAT, 8.0),
-    "level_scale": (_FLOAT, 4.0),
-    "freq_scale": (_FLOAT, 2.5),
-    "anomaly_types": (_STR, "spike,level_shift,frequency_shift"),
-    # training
-    "L": (_OPT_INT, None),
-    "R_train": (_INT, 10),
-    "l": (_INT, 10),
-    "r": (_OPT_INT, None),
-    "m": (_INT, 10),
-    "d_model": (_INT, 256),
-    "alpha": (_FLOAT, 1.0),
-    "lr": (_FLOAT, 1e-5),
-    "epochs": (_INT, 5),
-    "batch_size": (_INT, 256),
-    "mode": (_STR, "full"),
-    "normalize_embeddings": (_BOOL, False),
-    "k_refs": (_INT, 1),
-    "separate_towers": (_BOOL, False),
-    # scoring
-    "beta": (_FLOAT, 1.0),
-    "R_test": (_INT, 10),
-    "delta": (_FLOAT, 0.6),
-    "score_eps": (_FLOAT, 1e-8),
-    "per_subseq_denominator": (_BOOL, False),
-    "ref_source": (_STR, "test"),
+# Keys that are not a config field of their own name, type and default.
+_EXCEPTIONS: dict[str, tuple[str, object]] = {
+    # Unset, r = l and L = l + (m - 1) * r (build_train_config).
+    "L": ("int | None", None),
+    "r": ("int | None", None),
+    "score_eps": ("float", ScoreConfig.eps),
     # evaluation
-    "point_adjust": (_STR, "on"),
-    "metrics": (_STR, "all"),
-    "range_w": (_OPT_FLOAT, None),
-    "vus_wmax": (_OPT_FLOAT, None),
-    "vus_step": (_FLOAT, 1.0),
+    "point_adjust": ("str", "on"),
+    "metrics": ("str", "all"),
+    "delta": ("float", 0.6),
+    "range_w": ("float | None", None),       # None: l
+    "vus_wmax": ("float | None", None),      # None: l
+    "vus_step": ("float", 1.0),
 }
+
+# Each key's (type, default), the type an annotation string: the fields'
+# (ScoreConfig.eps is score_eps), then the exceptions.
+SCHEMA: dict[str, tuple[str, object]] = {}
+for _f in (f for cls in (SynthConfig, TrainConfig, ScoreConfig) for f in fields(cls)
+           if f.name != "eps"):
+    if SCHEMA.setdefault(_f.name, (_f.type, _f.default)) != (_f.type, _f.default):
+        raise TypeError(f"config classes declare {_f.name!r} differently")
+SCHEMA.update(_EXCEPTIONS)
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
                "false": False, "0": False, "no": False, "off": False}
 
+_PARSERS = {"int": int, "float": float, "str": str,
+            "bool": lambda raw: _BOOL_WORDS[raw.lower()],
+            "tuple[str, ...]": lambda raw: tuple(t.strip() for t in raw.split(",") if t.strip())}
+
 
 def _convert(key: str, raw: str):
-    kind, _ = SCHEMA[key]
+    """The value of ``key`` that the text ``raw`` stands for."""
+    kind = SCHEMA[key][0]
     raw = raw.strip()
+    if kind.endswith(" | None") and raw.lower() in ("none", ""):
+        return None
+    parse = _PARSERS[kind.removesuffix(" | None")]
     try:
-        if kind in (_OPT_INT, _OPT_FLOAT) and raw.lower() in ("none", ""):
-            return None
-        if kind in (_INT, _OPT_INT):
-            return int(raw)
-        if kind in (_FLOAT, _OPT_FLOAT):
-            return float(raw)
-        if kind == _BOOL:
-            if raw.lower() not in _BOOL_WORDS:
-                raise ValueError(raw)
-            return _BOOL_WORDS[raw.lower()]
-        return raw
-    except ValueError:
+        return parse(raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
 
 
@@ -115,14 +96,12 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def resolve_config(args) -> dict:
-    """Merge defaults, config file, and flag overrides (flag > file > default).
+    """Merge defaults, config file, ``--set`` and named flags, later ones winning.
 
     Every float in the merged config must be finite.
     """
     cfg = {k: default for k, (_, default) in SCHEMA.items()}
-    if getattr(args, "config", None):
-        for k, raw in parse_config_file(args.config).items():
-            cfg[k] = _convert(k, raw)
+    items = list(parse_config_file(args.config).items()) if getattr(args, "config", None) else []
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
@@ -130,54 +109,37 @@ def resolve_config(args) -> dict:
         key = key.strip()
         if key not in SCHEMA:
             raise ConfigError(f"--set: unknown key {key!r}")
+        items.append((key, raw))
+    items += [(k, getattr(args, k)) for k in _FLAGS if getattr(args, k, None) is not None]
+    for key, raw in items:
         cfg[key] = _convert(key, raw)
-    for flag in _FLAGS:
-        val = getattr(args, flag, None)
-        if val is not None:
-            cfg[flag] = val
     for key, val in cfg.items():
         if isinstance(val, float) and not math.isfinite(val):
             raise ConfigError(f"{key} must be finite, got {val}")
     return cfg
 
 
+def _build(cls, cfg: dict, **derived):
+    """A validated ``cls`` whose fields are the keys of their names, except
+    the ``derived`` ones."""
+    config = cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name not in derived},
+                 **derived)
+    config.validate()
+    return config
+
+
 def build_synth_config(cfg: dict) -> SynthConfig:
-    types = tuple(t.strip() for t in cfg["anomaly_types"].split(",") if t.strip())
-    return SynthConfig(
-        n_train=cfg["n_train"], n_test=cfg["n_test"], dims=cfg["dims"],
-        anomaly_rate=cfg["anomaly_rate"], seed=cfg["seed"],
-        noise_sigma=cfg["noise_sigma"], seg_len_min=cfg["seg_len_min"],
-        seg_len_max=cfg["seg_len_max"], period_min=cfg["period_min"],
-        period_max=cfg["period_max"], n_components=cfg["n_components"],
-        spike_scale=cfg["spike_scale"], level_scale=cfg["level_scale"],
-        freq_scale=cfg["freq_scale"], anomaly_types=types,
-    )
+    return _build(SynthConfig, cfg)
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
     r = cfg["r"] if cfg["r"] is not None else cfg["l"]
     L = cfg["L"] if cfg["L"] is not None else cfg["l"] + (cfg["m"] - 1) * r
-    tc = TrainConfig(
-        L=L, R_train=cfg["R_train"], l=cfg["l"], r=r, m=cfg["m"],
-        d_model=cfg["d_model"], alpha=cfg["alpha"], lr=cfg["lr"],
-        epochs=cfg["epochs"], batch_size=cfg["batch_size"], seed=cfg["seed"],
-        eta_seed=cfg["eta_seed"], mode=cfg["mode"],
-        normalize_embeddings=cfg["normalize_embeddings"], k_refs=cfg["k_refs"],
-        separate_towers=cfg["separate_towers"],
-    )
-    tc.validate()
-    return tc
+    return _build(TrainConfig, cfg, L=L, r=r)
 
 
 def build_score_config(cfg: dict) -> ScoreConfig:
-    sc = ScoreConfig(
-        beta=cfg["beta"], R_test=cfg["R_test"], eps=cfg["score_eps"], k_refs=cfg["k_refs"],
-        seed=derive_seed(cfg["seed"], "score"),
-        per_subseq_denominator=cfg["per_subseq_denominator"],
-        ref_source=cfg["ref_source"],
-    )
-    sc.validate()
-    return sc
+    return _build(ScoreConfig, cfg, eps=cfg["score_eps"], seed=derive_seed(cfg["seed"], "score"))
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +147,10 @@ def build_score_config(cfg: dict) -> ScoreConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    cfg = resolve_config(args)
+    synth_cfg = build_synth_config(resolve_config(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_series, test_series = synth_generate(build_synth_config(cfg))
+    train_series, test_series = synth_generate(synth_cfg)
     save_csv(train_series, out_dir / "train.csv")
     save_csv(test_series, out_dir / "test.csv")
     frac = float(test_series.labels.mean())
@@ -227,24 +189,39 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _metric_groups(spec: str):
-    if spec.strip() == "all":
-        return METRIC_GROUPS
-    groups = tuple(g.strip() for g in spec.split(",") if g.strip())
+def _eval_settings(cfg: dict) -> tuple[tuple[str, ...], float, float]:
+    """The metric groups, range_w and vus_wmax that ``cfg`` evaluates with.
+
+    Every evaluation key is checked here, so that a bad one is a usage error
+    before any work: delta when affiliation is asked for, and the buffer
+    widths when range-AUC or VUS is.
+    """
+    spec = cfg["metrics"].strip()
+    groups = (METRIC_GROUPS if spec == "all"
+              else tuple(g.strip() for g in spec.split(",") if g.strip()))
     for g in groups:
         if g not in METRIC_GROUPS:
             raise ConfigError(f"unknown metric group {g!r}; valid: {METRIC_GROUPS}")
-    return groups
+    if not groups:
+        raise ConfigError(f"metrics names no metric group: {cfg['metrics']!r}")
+    if cfg["point_adjust"] not in ("on", "off", "both"):
+        raise ConfigError(f"point_adjust must be on, off or both, got {cfg['point_adjust']!r}")
+    range_w = cfg["range_w"] if cfg["range_w"] is not None else float(cfg["l"])
+    vus_wmax = cfg["vus_wmax"] if cfg["vus_wmax"] is not None else float(cfg["l"])
+    if "aff" in groups and not 0 < cfg["delta"] < 100:
+        raise ConfigError(f"delta must be in (0, 100), got {cfg['delta']}")
+    if "range" in groups and range_w < 0:
+        raise ConfigError(f"range_w must be >= 0, got {range_w}")
+    if "vus" in groups and (vus_wmax < 0 or cfg["vus_step"] <= 0):
+        raise ConfigError(f"vus_wmax must be >= 0 and vus_step > 0, "
+                          f"got {vus_wmax} and {cfg['vus_step']}")
+    return groups, range_w, vus_wmax
 
 
 def evaluate_to_doc(scores, labels, cfg: dict) -> dict:
     """Flat report document: metric values plus the evaluation config echo."""
-    groups = _metric_groups(cfg["metrics"])
-    range_w = cfg["range_w"] if cfg["range_w"] is not None else float(cfg["l"])
-    vus_wmax = cfg["vus_wmax"] if cfg["vus_wmax"] is not None else float(cfg["l"])
+    groups, range_w, vus_wmax = _eval_settings(cfg)
     pa = cfg["point_adjust"]
-    if pa not in ("on", "off", "both"):
-        raise ConfigError(f"point_adjust must be on, off or both, got {pa!r}")
     doc: dict = {
         "n_timestamps": int(len(scores)),
         "point_adjust": pa,
@@ -268,6 +245,7 @@ def evaluate_to_doc(scores, labels, cfg: dict) -> dict:
 
 def cmd_eval(args) -> int:
     cfg = resolve_config(args)
+    _eval_settings(cfg)
     cols = read_scores_csv(args.scores)
     if getattr(args, "labels_from", None):
         labeled = load_csv(args.labels_from)
@@ -307,23 +285,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--values is empty")
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"--values must be finite: {args.values!r}")
-    work = Path(args.work_dir)
-    work.mkdir(parents=True, exist_ok=True)
-    train_series = load_csv(args.train)
-    test_series = load_csv(args.test)
-    if test_series.labels is None:
-        raise DataError(f"{args.test}: sweep evaluation needs a label column")
-
-    def scored(cfg_v: dict, ckpt: Path, sc: ScoreConfig):
-        if not ckpt.exists():
-            model = train(train_series, build_train_config(cfg_v))
-            save_checkpoint(model, ckpt)
-            _write_loss_log(str(ckpt) + ".log", model.loss_trace)
-        return score_series(load_checkpoint(ckpt), test_series, sc)
-
-    # beta and delta share one checkpoint and one scoring: delta changes only
-    # the evaluation, and beta only how the score columns combine.
-    rows, result = [], None
+    # Every value's configs are built, and so checked, before any work.
+    runs = []
     for v in values:
         cfg_v = dict(cfg)
         if args.param == "l":
@@ -333,11 +296,30 @@ def cmd_sweep(args) -> int:
             cfg_v.update({"l": lv, "r": lv, "L": cfg["m"] * lv})
         else:
             cfg_v[args.param] = v
-        sc = build_score_config(cfg_v)
+        _eval_settings(cfg_v)
+        runs.append((v, cfg_v, build_train_config(cfg_v), build_score_config(cfg_v)))
+    work = Path(args.work_dir)
+    work.mkdir(parents=True, exist_ok=True)
+    train_series = load_csv(args.train)
+    test_series = load_csv(args.test)
+    if test_series.labels is None:
+        raise DataError(f"{args.test}: sweep evaluation needs a label column")
+
+    def scored(tc: TrainConfig, ckpt: Path, sc: ScoreConfig):
+        if not ckpt.exists():
+            model = train(train_series, tc)
+            save_checkpoint(model, ckpt)
+            _write_loss_log(str(ckpt) + ".log", model.loss_trace)
+        return score_series(load_checkpoint(ckpt), test_series, sc)
+
+    # beta and delta share one checkpoint and one scoring: delta changes only
+    # the evaluation, and beta only how the score columns combine.
+    rows, result = [], None
+    for v, cfg_v, tc, sc in runs:
         if result is None or args.param not in ("beta", "delta"):
             ckpt = (work / "model.ckpt" if args.param in ("beta", "delta")
                     else work / f"model_{args.param}_{v:g}.ckpt")
-            result = scored(cfg_v, ckpt, sc)
+            result = scored(tc, ckpt, sc)
         # The combination score_series makes, with this value's beta.
         scores = result.score_otn + sc.beta * result.score_dsn
         doc = evaluate_to_doc(scores, test_series.labels, cfg_v)
@@ -367,12 +349,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# Flags named after a config key: ``--point-adjust X`` sets point_adjust as
+# ``--set point_adjust=X`` does, and wins over it.
 _FLAGS = {
-    "seed": dict(type=int, help="master seed"),
+    "seed": dict(help="master seed"),
     "mode": dict(choices=MODES),
-    "alpha": dict(type=float, help="training loss weight of the distance term"),
-    "beta": dict(type=float, help="scoring weight of the distance term"),
-    "delta": dict(type=float, help="threshold percentile parameter"),
+    "alpha": dict(help="training loss weight of the distance term"),
+    "beta": dict(help="scoring weight of the distance term"),
+    "delta": dict(help="threshold percentile parameter"),
+    "metrics": dict(help="all or comma list of roc,pr,f1,aff,range,vus"),
+    "point_adjust": dict(choices=("on", "off", "both")),
 }
 
 
@@ -382,7 +368,7 @@ def _add_common(p, *flags: str) -> None:
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config key (repeatable)")
     for flag in flags:
-        p.add_argument("--" + flag, **_FLAGS[flag])
+        p.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,10 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="compute metrics for a scores CSV")
     p.add_argument("--scores", required=True)
     p.add_argument("--labels-from", help="CSV with a label column (default: scores CSV)")
-    p.add_argument("--metrics", help="all or comma list of roc,pr,f1,aff,range,vus")
-    p.add_argument("--point-adjust", choices=("on", "off", "both"))
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    _add_common(p, "delta")
+    _add_common(p, "delta", "metrics", "point_adjust")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="sweep one hyperparameter end to end")
@@ -426,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--out", required=True, help="sweep table CSV")
     p.add_argument("--work-dir", required=True, help="directory for checkpoints")
-    _add_common(p, *_FLAGS)
+    _add_common(p, "seed", "mode", "alpha", "beta", "delta")
     p.set_defaults(func=cmd_sweep)
     return parser
 
@@ -435,10 +419,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "metrics", None):
-            args.set = (args.set or []) + [f"metrics={args.metrics}"]
-        if getattr(args, "point_adjust", None):
-            args.set = (args.set or []) + [f"point_adjust={args.point_adjust}"]
         return args.func(args)
     except ConfigError as exc:
         print(f"sten: usage error: {exc}", file=sys.stderr)

@@ -106,33 +106,18 @@ class GruParams:
     def astype(self, dtype) -> "GruParams":
         return GruParams(**{n: getattr(self, n).astype(dtype) for n in self.NAMES})
 
-    def validate(self) -> None:
-        d, d_in = self.d_model, self.d_in
-        for n in ("W_z", "W_r", "W_h"):
-            if getattr(self, n).shape != (d, d_in):
-                raise DataError(f"{n} shape {getattr(self, n).shape} != {(d, d_in)}")
-        for n in ("U_z", "U_r", "U_h"):
-            if getattr(self, n).shape != (d, d):
-                raise DataError(f"{n} shape {getattr(self, n).shape} != {(d, d)}")
-        for n in ("b_z", "b_r", "b_h"):
-            if getattr(self, n).shape != (d,):
-                raise DataError(f"{n} shape {getattr(self, n).shape} != {(d,)}")
-        for n in self.NAMES:
-            require_finite(n, getattr(self, n))
+def gru_shapes(d_in: int, d_model: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each GRU weight, keyed in ``GruParams.NAMES`` order."""
+    return dict(zip(GruParams.NAMES, [(d_model, d_in)] * 3 + [(d_model, d_model)] * 3
+                    + [(d_model,)] * 3))
 
 
 def init_gru(d_in: int, d_model: int, rng: np.random.Generator) -> GruParams:
-    """Uniform(-1/sqrt(d_model), +1/sqrt(d_model)) init for every weight and bias."""
+    """Uniform(-1/sqrt(d_model), +1/sqrt(d_model)) init for every weight and
+    bias, drawn in ``gru_shapes`` order."""
     s = 1.0 / np.sqrt(d_model)
-
-    def u(*shape):
-        return rng.uniform(-s, s, size=shape)
-
-    return GruParams(
-        W_z=u(d_model, d_in), W_r=u(d_model, d_in), W_h=u(d_model, d_in),
-        U_z=u(d_model, d_model), U_r=u(d_model, d_model), U_h=u(d_model, d_model),
-        b_z=u(d_model), b_r=u(d_model), b_h=u(d_model),
-    )
+    return GruParams(**{n: rng.uniform(-s, s, size=shape)
+                        for n, shape in gru_shapes(d_in, d_model).items()})
 
 
 class GruCache:

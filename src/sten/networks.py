@@ -3,11 +3,12 @@ branch (order head, error-prediction head, distance embeddings), and the
 binary checkpoint format.
 
 The encoder phi is one ``ParamDict``, the form Adam, the gradient tape and
-the checkpoint use.  Its keys: ``gru.*`` (the shared GRU, named as in
-``GruParams.NAMES``), ``order_head.W`` (m, d_model) and ``order_head.b``
-(m,); with separate towers also ``dsn_gru.*``, the distance branch's own
-GRU; with the error-prediction head also ``ep_head.W`` (D, d_model) and
-``ep_head.b`` (D,).  The frozen projector eta is a plain ``GruParams``.
+the checkpoint use.  ``phi_shapes`` is its one layout: ``gru.*`` (the shared
+GRU, named as in ``GruParams.NAMES``), ``order_head.W`` (m, d_model) and
+``order_head.b`` (m,); with separate towers also ``dsn_gru.*``, the distance
+branch's own GRU; with the error-prediction head also ``ep_head.W``
+(D, d_model) and ``ep_head.b`` (D,).  The frozen projector eta is a plain
+``GruParams``.
 """
 
 from __future__ import annotations
@@ -20,24 +21,32 @@ import struct
 import numpy as np
 
 from . import DataError, atomic_write
-from .ndkernel import GruParams, ParamDict, gru_forward, init_gru, require_finite, softmax
+from .ndkernel import GruParams, ParamDict, gru_forward, gru_shapes, require_finite, softmax
 from .seqdata import stack_slices
 
 NORM_FLOOR = 1e-12
 
 
+def phi_shapes(d_in: int, d_model: int, m: int, separate_towers: bool = False,
+               with_ep_head: bool = False) -> dict[str, tuple[int, ...]]:
+    """The key and shape of each of phi's blocks, in the order ``init_phi``
+    draws them."""
+    shapes = {"gru." + k: s for k, s in gru_shapes(d_in, d_model).items()}
+    shapes.update({"order_head.W": (m, d_model), "order_head.b": (m,)})
+    if separate_towers:
+        shapes.update({"dsn_gru." + k: s for k, s in gru_shapes(d_in, d_model).items()})
+    if with_ep_head:
+        shapes.update({"ep_head.W": (d_in, d_model), "ep_head.b": (d_in,)})
+    return shapes
+
+
 def init_phi(d_in: int, d_model: int, m: int, rng: np.random.Generator,
              separate_towers: bool = False, with_ep_head: bool = False) -> ParamDict:
+    """Uniform(-1/sqrt(d_model), +1/sqrt(d_model)) draws of phi's blocks,
+    one after another in ``phi_shapes`` order."""
     s = 1.0 / np.sqrt(d_model)
-    phi = init_gru(d_in, d_model, rng).as_dict("gru.")
-    phi["order_head.W"] = rng.uniform(-s, s, size=(m, d_model))
-    phi["order_head.b"] = rng.uniform(-s, s, size=m)
-    if separate_towers:
-        phi.update(init_gru(d_in, d_model, rng).as_dict("dsn_gru."))
-    if with_ep_head:
-        phi["ep_head.W"] = rng.uniform(-s, s, size=(d_in, d_model))
-        phi["ep_head.b"] = rng.uniform(-s, s, size=d_in)
-    return phi
+    return {k: rng.uniform(-s, s, size=shape)
+            for k, shape in phi_shapes(d_in, d_model, m, separate_towers, with_ep_head).items()}
 
 
 def dsn_prefix(phi: ParamDict) -> str:

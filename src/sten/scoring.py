@@ -61,6 +61,8 @@ class ScoreConfig:
             raise ConfigError(f"eps must be finite and >= 0, got {self.eps}")
         if self.R_test < 1 or self.k_refs < 1:
             raise ConfigError("R_test and k_refs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.ref_source not in ("test", "train"):
             raise ConfigError(f"ref_source must be 'test' or 'train', got {self.ref_source!r}")
 

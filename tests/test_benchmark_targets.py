@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sten import ndkernel, networks, scoring, training
+from sten import cli, ndkernel, networks, scoring, training
 from sten.networks import init_phi, sample_pairs
 from sten.scoring import ScoreConfig, ScoreSeries, aggregate_timestamps
 from sten.seqdata import MultivariateSeries, load_csv, make_windows, window_starts
@@ -42,6 +42,25 @@ def test_gru_forward_stays_bound_for_the_benchmark_test(module):
     """perfbench/test_perfbench.py wraps gru_forward on these modules, which
     bind it without calling it; deleting the binding breaks that test."""
     assert module.gru_forward is ndkernel.gru_forward
+
+
+@pytest.mark.parametrize("mode,d_model", [("full", 256), ("dsn_plus_ep", 32)])
+def test_cli_config_contract(mode, d_model):
+    """perfbench/run.py takes cli.SCHEMA's (type, default) pairs, overrides a
+    few keys, and builds its configs and eval report with the cli builders."""
+    cfg = {k: default for k, (_, default) in cli.SCHEMA.items()}
+    cfg.update(mode=mode, d_model=d_model, epochs=1, n_train=300, n_test=400,
+               point_adjust="both")
+    synth = cli.build_synth_config(cfg)
+    assert (synth.n_train, synth.n_test) == (300, 400)
+    tc = cli.build_train_config(cfg)
+    assert (tc.mode, tc.d_model, tc.epochs, tc.L) == (mode, d_model, 1, 100)
+    assert cli.build_score_config(cfg).R_test == 10
+    labels = np.zeros(400, dtype=np.int64)
+    labels[100:130] = 1
+    scores = np.random.default_rng(0).random(400) + labels
+    doc = cli.evaluate_to_doc(scores, labels, cfg)
+    assert {"raw_auc_roc", "raw_auc_pr", "vus_pr"} <= set(doc)
 
 
 # The benchmark's per-layer counters read these results and arguments.

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 import sten
-from sten.cli import main
+from sten.cli import (SCHEMA, build_score_config, build_synth_config, build_train_config, main,
+                      _convert)
 from sten.ndkernel import GruParams
-from sten.networks import read_checkpoint, write_checkpoint
-from sten.scoring import score_series
-from sten.training import TrainConfig
+from sten.networks import read_checkpoint
+from sten.scoring import ScoreConfig, score_series
+from sten.seqdata import SynthConfig
+from sten.training import TrainConfig, derive_seed
 
 SMALL_CONFIG = """
 # small end-to-end settings
@@ -150,15 +152,17 @@ class TestScore:
         assert "3" in err and "2" in err
 
 
+def write_scores(tmp, labels, scores):
+    path = tmp / "scores.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["timestamp", "score", "score_otn", "score_dsn", "label"])
+        for i, (s, y) in enumerate(zip(scores, labels), 1):
+            w.writerow([i, repr(float(s)), repr(float(s)), "0.0", int(y)])
+    return path
+
+
 class TestEval:
-    def write_scores(self, tmp, labels, scores):
-        path = tmp / "scores.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["timestamp", "score", "score_otn", "score_dsn", "label"])
-            for i, (s, y) in enumerate(zip(scores, labels), 1):
-                w.writerow([i, repr(float(s)), repr(float(s)), "0.0", int(y)])
-        return path
 
     def test_perfect_detector(self, workspace, capsys):
         tmp, _ = workspace
@@ -166,7 +170,7 @@ class TestEval:
         labels = np.zeros(60, dtype=int)
         labels[20:25] = 1
         scores = labels * 10.0 + rng.random(60)
-        path = self.write_scores(tmp, labels, scores)
+        path = write_scores(tmp, labels, scores)
         assert run(["eval", "--scores", path, "--out", tmp / "rep.json"]) == 0
         doc = json.loads((tmp / "rep.json").read_text())
         assert doc["auc_roc"] == 1.0
@@ -178,7 +182,7 @@ class TestEval:
         labels = np.zeros(80, dtype=int)
         labels[30:40] = 1
         scores = rng.random(80) + labels * 0.4
-        path = self.write_scores(tmp, labels, scores)
+        path = write_scores(tmp, labels, scores)
         run(["eval", "--scores", path, "--point-adjust", "both",
              "--out", tmp / "rep.json"])
         doc = json.loads((tmp / "rep.json").read_text())
@@ -189,7 +193,7 @@ class TestEval:
         tmp, _ = workspace
         labels = np.zeros(50, dtype=int)
         labels[10:14] = 1
-        path = self.write_scores(tmp, labels, np.random.default_rng(2).random(50))
+        path = write_scores(tmp, labels, np.random.default_rng(2).random(50))
         run(["eval", "--scores", path, "--delta", "1.5",
              "--set", "vus_wmax=4", "--out", tmp / "rep.json"])
         doc = json.loads((tmp / "rep.json").read_text())
@@ -201,7 +205,7 @@ class TestEval:
         tmp, _ = workspace
         labels = np.zeros(50, dtype=int)
         labels[10:14] = 1
-        path = self.write_scores(tmp, labels, np.random.default_rng(3).random(50))
+        path = write_scores(tmp, labels, np.random.default_rng(3).random(50))
         run(["eval", "--scores", path, "--metrics", "roc,pr",
              "--out", tmp / "rep.json"])
         doc = json.loads((tmp / "rep.json").read_text())
@@ -211,7 +215,7 @@ class TestEval:
         tmp, _ = workspace
         labels = np.zeros(50, dtype=int)
         labels[5:8] = 1
-        path = self.write_scores(tmp, labels, np.random.default_rng(4).random(50))
+        path = write_scores(tmp, labels, np.random.default_rng(4).random(50))
         other = tmp / "labels.csv"
         other.write_text("x,label\n" + "\n".join("0.0,0" for _ in range(30)) + "\n")
         assert run(["eval", "--scores", path, "--labels-from", other]) == 2
@@ -326,6 +330,114 @@ class TestConfigHandling:
         tmp, cfg = workspace
         assert run(["synth", "--config", cfg, "--out-dir", tmp / "d",
                     "--set", "dims=three"]) == 1
+
+    def test_flag_wins_over_set(self, workspace):
+        tmp, cfg = workspace
+        run(["synth", "--config", cfg, "--out-dir", tmp / "d1", "--seed", "8"])
+        run(["synth", "--config", cfg, "--out-dir", tmp / "d2", "--seed", "8", "--set", "seed=9"])
+        assert (tmp / "d1/test.csv").read_bytes() == (tmp / "d2/test.csv").read_bytes()
+
+
+BUILDERS = {SynthConfig: build_synth_config, TrainConfig: build_train_config,
+            ScoreConfig: build_score_config}
+
+
+def schema_defaults():
+    return {k: default for k, (_, default) in SCHEMA.items()}
+
+
+class TestConfigSchema:
+    """cli.SCHEMA is derived from the config dataclasses' fields."""
+
+    def test_keys(self):
+        assert sorted(SCHEMA) == sorted(
+            "seed eta_seed n_train n_test dims anomaly_rate noise_sigma seg_len_min seg_len_max "
+            "period_min period_max n_components spike_scale level_scale freq_scale anomaly_types "
+            "L R_train l r m d_model alpha lr epochs batch_size mode normalize_embeddings k_refs "
+            "separate_towers beta R_test delta score_eps per_subseq_denominator ref_source "
+            "point_adjust metrics range_w vus_wmax vus_step".split())
+
+    def test_fields_are_keys_of_their_type_and_default(self):
+        exceptions = {"L", "r", "eps"}      # L and r are optional; eps is score_eps
+        for cls in BUILDERS:
+            for f in fields(cls):
+                if f.name not in exceptions:
+                    assert SCHEMA[f.name] == (f.type, f.default), (cls.__name__, f.name)
+
+    def test_builders_return_the_defaults(self):
+        cfg = schema_defaults()
+        assert build_synth_config(cfg) == SynthConfig()
+        assert build_train_config(cfg) == TrainConfig()
+        assert build_score_config(cfg) == ScoreConfig(seed=derive_seed(0, "score"))
+
+    def test_every_field_is_reachable_from_a_key(self):
+        """Each field of each config changes when one key moves off its default."""
+        def moved(key, kind, default):
+            if kind == "bool":
+                return not default
+            if kind.startswith("int"):
+                return (default or 0) + 1
+            if kind.startswith("float"):
+                return (default or 0.5) * 2
+            return {"mode": "otn_only", "ref_source": "train"}.get(key, ("spike",))
+
+        base = {cls: build(schema_defaults()) for cls, build in BUILDERS.items()}
+        reached = set()
+        for key, (kind, default) in SCHEMA.items():
+            cfg = dict(schema_defaults(), **{key: moved(key, kind, default)})
+            for cls, build in BUILDERS.items():
+                try:
+                    got = build(cfg)
+                except sten.StenError:      # L alone breaks the layout
+                    continue
+                reached |= {(cls, f.name) for f in fields(cls)
+                            if getattr(got, f.name) != getattr(base[cls], f.name)}
+        assert reached == {(cls, f.name) for cls in BUILDERS for f in fields(cls)}
+
+    def test_layout_keys_follow_l_and_m(self):
+        tc = build_train_config(dict(schema_defaults(), l=5, m=4))
+        assert (tc.l, tc.r, tc.m, tc.L) == (5, 5, 4, 20)
+        tc = build_train_config(dict(schema_defaults(), l=5, m=4, r=2))
+        assert (tc.r, tc.L) == (2, 11)
+
+    def test_convert_by_annotation(self):
+        assert _convert("anomaly_types", " spike, level_shift ,") == ("spike", "level_shift")
+        assert _convert("anomaly_types", "") == ()
+        assert _convert("separate_towers", "Yes") is True
+        assert _convert("eta_seed", "none") is None and _convert("range_w", "") is None
+        assert _convert("L", "12") == 12 and _convert("vus_step", "2") == 2.0
+        for key, raw in [("dims", "2.0"), ("normalize_embeddings", "maybe"), ("alpha", "x")]:
+            with pytest.raises(sten.ConfigError, match="bad value"):
+                _convert(key, raw)
+
+
+# A named flag is the --set of its key: the same bytes come out.
+FLAG_PAIRS = [
+    pytest.param("synth", ["--seed", "7"], ["--set", "seed=7"], id="seed"),
+    pytest.param("eval", ["--metrics", "roc"], ["--set", "metrics=roc"], id="metrics"),
+    pytest.param("eval", ["--point-adjust", "off"], ["--set", "point_adjust=off"],
+                 id="point-adjust"),
+]
+
+
+class TestFlagsAreSetKeys:
+    @pytest.mark.parametrize("command,flag,setting", FLAG_PAIRS)
+    def test_same_bytes(self, workspace, command, flag, setting):
+        tmp, cfg = workspace
+        labels = np.zeros(80, dtype=int)
+        labels[30:40] = 1
+        scores = write_scores(tmp, labels, np.random.default_rng(5).random(80) + 0.3 * labels)
+        outputs = []
+        for i, extra in enumerate((flag, setting)):
+            if command == "synth":
+                out = tmp / f"d{i}"
+                assert run(["synth", "--config", cfg, "--out-dir", out, *extra]) == 0
+                outputs.append([(out / n).read_bytes() for n in ("train.csv", "test.csv")])
+            else:
+                out = tmp / f"rep{i}.json"
+                assert run(["eval", "--scores", scores, "--out", out, *extra]) == 0
+                outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 @pytest.fixture(scope="module")
@@ -480,6 +592,61 @@ class TestExitCodes:
         assert proc.stderr.startswith("sten: ")
 
 
+def sweep(*extra):
+    return ["sweep", "--train", "{train}", "--test", "{test}", "--config", "{cfg}",
+            "--out", "{out}", "--work-dir", "{out}-work", *extra]
+
+
+# A bad setting exits with its documented code before any work: no exception
+# escapes main, and no output file or sweep work dir is made.
+BAD_SETTING_CASES = [
+    pytest.param(sweep("--param", "alpha", "--values", "1,2", "--set", "metrics=bogus"), 1,
+                 id="sweep-unknown-metric-group"),
+    pytest.param(sweep("--param", "alpha", "--values", "1,2", "--delta", "0"), 1,
+                 id="sweep-zero-delta"),
+    pytest.param(sweep("--param", "alpha", "--values", "1,2", "--set", "point_adjust=bogus"), 1,
+                 id="sweep-bad-point-adjust"),
+    pytest.param(sweep("--param", "delta", "--values", "1,0"), 1, id="sweep-zero-delta-value"),
+    pytest.param(sweep("--param", "beta", "--values", "1", "--set", "metrics=,"), 1,
+                 id="sweep-no-metric-group"),
+    pytest.param(sweep("--param", "alpha", "--values", "1,-1"), 1, id="sweep-negative-alpha"),
+    pytest.param(sweep("--param", "beta", "--values", "1", "--seed", "-1"), 1,
+                 id="sweep-negative-seed"),
+    pytest.param(["eval", "--scores", "{scores}", "--set", "range_w=-1", "--out", "{out}"], 1,
+                 id="eval-negative-range-w"),
+    pytest.param(["eval", "--scores", "{scores}", "--set", "vus_wmax=-1", "--out", "{out}"], 1,
+                 id="eval-negative-vus-wmax"),
+    pytest.param(["eval", "--scores", "{scores}", "--set", "vus_step=0", "--out", "{out}"], 1,
+                 id="eval-zero-vus-step"),
+] + [
+    pytest.param(["synth", "--config", "{cfg}", "--out-dir", "{out}", *extra], 2,
+                 id=f"synth-{name}")
+    for name, extra in [
+        ("negative-noise-sigma", ["--set", "noise_sigma=-1"]),
+        ("negative-n-components", ["--set", "n_components=-1"]),
+        ("period-min-above-max", ["--set", "period_min=200"]),
+        ("no-anomaly-types", ["--set", "anomaly_types="]),
+        ("zero-periods", ["--set", "period_min=0", "--set", "period_max=0"]),
+        ("negative-seed", ["--seed", "-1"])]
+] + [
+    pytest.param(["train", "--train", "{train}", "--config", "{cfg}", "--out", "{out}",
+                  "--set", setting], 1, id=f"train-{setting.replace('_', '-')}")
+    for setting in ("seed=-1", "eta_seed=-1")
+] + [
+    pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
+                  "--set", "seed=-1", "--out", "{out}"], 1, id="score-negative-seed"),
+]
+
+
+class TestBadSettings:
+    @pytest.mark.parametrize("argv,code", BAD_SETTING_CASES)
+    def test_exit_code_and_no_output(self, trained, tmp_path, capsys, argv, code):
+        files = dict(trained, out=tmp_path / "out")
+        assert run([str(a).format(**files) for a in argv]) == code
+        assert capsys.readouterr().err.startswith("sten: ")
+        assert list(tmp_path.iterdir()) == []
+
+
 SCORES_HEADER = "timestamp,score,score_otn,score_dsn,label\n"
 
 # (command, contents of the bad file, what the error names): one row per
@@ -579,8 +746,11 @@ class TestCheckpointContents:
     def score_with(self, trained, tmp_path, capsys, edit):
         cfg, blocks = read_checkpoint(trained["ckpt"])
         edit(cfg, blocks)
+        # Written by hand: write_checkpoint refuses a non-finite block.
+        body = checkpoint_body(json.dumps(cfg, sort_keys=True).encode("utf-8"),
+                               [(k, v.shape, v) for k, v in sorted(blocks.items())])
         bad = tmp_path / "bad.ckpt"
-        write_checkpoint(bad, cfg, blocks)
+        bad.write_bytes(body + hashlib.sha256(body).digest())
         code = run(["score", "--model", bad, "--test", trained["test"],
                     "--config", trained["cfg"], "--out", tmp_path / "s.csv"])
         return code, capsys.readouterr().err
@@ -603,6 +773,29 @@ class TestCheckpointContents:
         code, err = self.score_with(trained, tmp_path, capsys, edit)
         assert code == 2
         assert name.rsplit(".", 1)[1] in err
+
+    @pytest.mark.parametrize("name", CHECKPOINT_BLOCKS)
+    def test_non_finite_block(self, trained, tmp_path, capsys, name):
+        def edit(cfg, blocks):
+            blocks[name].flat[-1] = np.nan
+
+        code, err = self.score_with(trained, tmp_path, capsys, edit)
+        assert code == 2
+        assert f"block {name} has a non-finite value" in err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("name", ["norm.mean", "norm.std"])
+    def test_non_finite_norm_of_dsn_only_model(self, trained, tmp_path, capsys, name):
+        """A dsn_only model once scored a NaN normalisation into a NaN scores file."""
+        def edit(cfg, blocks):
+            no_ep_head(cfg, blocks)
+            del blocks["phi.ep_head.W"], blocks["phi.ep_head.b"]
+            blocks[name][0] = np.inf
+
+        code, err = self.score_with(trained, tmp_path, capsys, edit)
+        assert code == 2
+        assert name in err
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("edit", [
         drop_d_in, break_layout, no_separate_towers, no_ep_head,

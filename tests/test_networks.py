@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from sten import DataError
-from sten.ndkernel import GruParams, init_gru
+from sten.ndkernel import GruParams, gru_shapes, init_gru
 from sten.networks import (dsn_embeddings, dsn_prefix, embed_windows, gru_checksum, init_phi,
-                           order_forward, pair_residuals, read_checkpoint, sample_pairs,
-                           write_checkpoint)
+                           order_forward, pair_residuals, phi_shapes, read_checkpoint,
+                           sample_pairs, write_checkpoint)
 from sten.scoring import CHUNK
 from sten.seqdata import window_starts
 
@@ -33,6 +33,37 @@ def windows_for(n_windows=2, d=3, l=4, m=3, seed=1):
 def order_of(phi, batch, l, r):
     """order_forward over a batch of windows laid end to end."""
     return order_forward(phi, *laid_end_to_end(batch), l, r)
+
+
+LAYOUTS = [pytest.param(towers, ep, id=f"towers={towers}-ep={ep}")
+           for towers in (False, True) for ep in (False, True)]
+
+
+class TestPhiLayout:
+    """phi_shapes is phi's one layout: init_phi draws it, checkpoints are checked against it."""
+
+    @pytest.mark.parametrize("sizes", [(5, 256, 10), (2, 4, 3)])
+    @pytest.mark.parametrize("towers,ep", LAYOUTS)
+    def test_init_phi_draws_the_table_in_order(self, sizes, towers, ep):
+        d_in, d, m = sizes
+        phi = init_phi(d_in, d, m, np.random.default_rng(3), separate_towers=towers,
+                       with_ep_head=ep)
+        shapes = phi_shapes(d_in, d, m, towers, ep)
+        assert [(k, v.shape) for k, v in phi.items()] == list(shapes.items())
+        # The draws every checkpoint so far was made with: the shared GRU, the
+        # order head, the distance GRU, the error-prediction head.
+        rng, s = np.random.default_rng(3), 1.0 / np.sqrt(d)
+        gru = [(d, d_in)] * 3 + [(d, d)] * 3 + [(d,)] * 3
+        want = ([rng.uniform(-s, s, size=sh) for sh in gru + [(m, d), (m,)]]
+                + [rng.uniform(-s, s, size=sh) for sh in gru * towers + [(d_in, d), (d_in,)] * ep])
+        assert len(want) == len(phi)
+        for got, w in zip(phi.values(), want):
+            np.testing.assert_array_equal(got, w)
+
+    def test_init_gru_draws_gru_shapes(self):
+        p = init_gru(2, 5, np.random.default_rng(4))
+        assert {n: getattr(p, n).shape for n in GruParams.NAMES} == gru_shapes(2, 5)
+        assert list(gru_shapes(2, 5)) == list(GruParams.NAMES)
 
 
 class TestEncodeSubseq:

@@ -390,7 +390,7 @@ class TestScoreSeries:
         nan, inf = float("nan"), float("inf")
         for bad in (dict(beta=-1.0), dict(beta=nan), dict(beta=inf), dict(beta=-inf),
                     dict(eps=-1e-8), dict(eps=nan), dict(eps=inf),
-                    dict(R_test=0), dict(k_refs=0), dict(ref_source="both")):
+                    dict(R_test=0), dict(k_refs=0), dict(ref_source="both"), dict(seed=-1)):
             with pytest.raises(ConfigError):
                 ScoreConfig(**bad).validate()
 

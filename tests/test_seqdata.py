@@ -362,3 +362,19 @@ class TestSynth:
                           seg_len_min=10, seg_len_max=20, seed=6)
         with pytest.raises(DataError, match="incompatible"):
             synth_generate(cfg)
+
+    # Each of these once ended in a numpy traceback or wrote all-NaN series.
+    @pytest.mark.parametrize("bad", [
+        dict(noise_sigma=-1.0), dict(n_components=-1), dict(period_min=200.0),
+        dict(period_min=0.0, period_max=0.0), dict(anomaly_types=()), dict(seed=-1)],
+        ids=["noise-sigma-negative", "n-components-negative", "period-min-above-max",
+             "periods-zero", "no-anomaly-types", "seed-negative"])
+    def test_bad_generator_settings_rejected(self, bad):
+        cfg = SynthConfig(n_train=100, n_test=100, dims=1, seg_len_min=2, seg_len_max=4, **bad)
+        with pytest.raises(DataError):
+            cfg.validate()
+
+    def test_no_anomaly_types_at_zero_rate(self):
+        cfg = SynthConfig(n_train=100, n_test=100, dims=1, anomaly_rate=0.0, anomaly_types=())
+        _, test = synth_generate(cfg)
+        assert test.labels.sum() == 0

@@ -383,6 +383,19 @@ class TestTrain:
         with pytest.raises(ConfigError, match="mode"):
             TrainConfig(mode="bogus").validate()
 
+    @pytest.mark.parametrize("bad", [dict(seed=-1), dict(eta_seed=-1)],
+                             ids=["seed", "eta-seed"])
+    def test_negative_seed_rejected(self, bad):
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(**bad).validate()
+
+    def test_derive_seed_rejects_negative_master(self):
+        # The score tag stays 303, so that reference sampling keeps its bits.
+        assert training.derive_seed(7, "score") == int(
+            np.random.SeedSequence([7, 303]).generate_state(1)[0])
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            training.derive_seed(-1, "score")
+
 
 class TestBatchRanges:
     def test_merges_short_tail_for_pairs(self):
