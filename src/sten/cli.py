@@ -182,7 +182,9 @@ def cmd_score(args) -> int:
     model = load_checkpoint(args.model)
     test = load_csv(args.test)
     sc = build_score_config(cfg)
-    train_series = load_csv(args.train) if getattr(args, "train", None) else None
+    # --train is read only when the reference windows come from it.
+    train_series = (load_csv(args.train) if sc.ref_source == "train" and args.train
+                    else None)
     result = score_series(model, test, sc, train_series=train_series)
     write_scores_csv(args.out, result, labels=test.labels)
     print(f"scored {result.n} timestamps -> {args.out}")
@@ -293,7 +295,8 @@ def cmd_sweep(args) -> int:
             lv = int(v)
             if lv != v or lv < 1:
                 raise ConfigError(f"l values must be positive integers, got {v}")
-            cfg_v.update({"l": lv, "r": lv, "L": cfg["m"] * lv})
+            # r and L follow l unless set (build_train_config).
+            cfg_v["l"] = lv
         else:
             cfg_v[args.param] = v
         _eval_settings(cfg_v)

@@ -5,9 +5,17 @@ Parameters are plain numpy arrays grouped in dicts keyed by dotted names
 (e.g. ``"gru.W_z"``).  Adam maps such a dict to a new one, and a
 ``GradTape`` pins the arrays of the dict it was built on: its backward
 refuses to run once an entry was replaced or added.  Weights are stored as
-float32 at rest (checkpoints) but every computation here upcasts to
-float64, so forward/backward results are reproducible and finite-difference
-checks are clean.
+float32 at rest (checkpoints) and as float64 master weights while training.
+
+``sigmoid``, ``gru_forward`` and ``gru_backward`` compute in the dtype of
+their input: float32 stays float32, anything else is float64.  The GRU casts
+its weights to that dtype, keeps its ``GruCache`` in it and returns final
+states and trajectories as float64; ``gru_backward`` under float32 sums each
+call's weight gradients in float32, then adds them once into the float64
+grads, as in mixed-precision training with master weights (Micikevicius et
+al. 2018).  Under float64 it accumulates into the grads in place, so two
+calls that add into one weight keep the order of their float64 sums.
+``softmax``, the backward tape and Adam are float64 throughout.
 
 The GRU forward stacks the gate weights, as in fused-GEMM RNN kernels
 (Appleyard et al. 2016): W_z|W_r|W_h form one (3d, d_in) input matrix with
@@ -42,6 +50,11 @@ def require_finite(name: str, arr: np.ndarray) -> None:
         raise NumericError(f"non-finite values in {name}")
 
 
+def _work_dtype(x: np.ndarray) -> type:
+    """float32 for a float32 array, float64 for anything else."""
+    return np.float32 if x.dtype == np.float32 else np.float64
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function from e = exp(-|x|), which never overflows.
 
@@ -49,7 +62,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     exp(x)/(1+exp(x)) below: the float operations of splitting by sign,
     without the boolean gather and scatter, so the result has the same bits.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    x = x.astype(_work_dtype(x), copy=False)
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
@@ -137,27 +151,30 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False,
                 want_all: bool = False):
     """Batched GRU over X of shape (B, T, d_in), zero initial hidden state.
 
-    Returns the final hidden states (B, d_model).  With ``want_cache`` also
-    returns a GruCache for gru_backward; with ``want_all`` also returns the
-    full hidden trajectory (T, B, d_model).
+    Computes in float32 for float32 X, else in float64.  Returns the final
+    hidden states (B, d_model) as float64.  With ``want_cache`` also returns a
+    GruCache, in the compute dtype, for gru_backward; with ``want_all`` also
+    returns the full hidden trajectory (T, B, d_model) as float64.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
+    dt = _work_dtype(X)
+    X = X.astype(dt, copy=False)
     if X.ndim != 3 or X.shape[1] < 1:
         raise DataError(f"expected (B, T, d_in) with T >= 1, got shape {X.shape}")
     if X.shape[2] != p.d_in:
         raise DataError(f"input dim {X.shape[2]} != GRU d_in {p.d_in}")
     B, T, _ = X.shape
     d = p.d_model
-    W = np.concatenate([p.W_z, p.W_r, p.W_h]).astype(np.float64)     # (3d, d_in)
-    b = np.concatenate([p.b_z, p.b_r, p.b_h]).astype(np.float64)     # (3d,)
-    U_zr = np.concatenate([p.U_z, p.U_r]).astype(np.float64)         # (2d, d)
-    U_h = np.asarray(p.U_h, np.float64)
+    W = np.concatenate([p.W_z, p.W_r, p.W_h]).astype(dt)     # (3d, d_in)
+    b = np.concatenate([p.b_z, p.b_r, p.b_h]).astype(dt)     # (3d,)
+    U_zr = np.concatenate([p.U_z, p.U_r]).astype(dt)         # (2d, d)
+    U_h = np.asarray(p.U_h, dt)
 
-    H = np.zeros((B, d))
-    H_prev = np.empty((T, B, d)) if want_cache else None
-    Z = np.empty((T, B, d)) if want_cache else None
-    Rg = np.empty((T, B, d)) if want_cache else None
-    Hbar = np.empty((T, B, d)) if want_cache else None
+    H = np.zeros((B, d), dt)
+    H_prev = np.empty((T, B, d), dt) if want_cache else None
+    Z = np.empty((T, B, d), dt) if want_cache else None
+    Rg = np.empty((T, B, d), dt) if want_cache else None
+    Hbar = np.empty((T, B, d), dt) if want_cache else None
     H_all = np.empty((T, B, d)) if want_all else None
 
     for t in range(T):
@@ -175,7 +192,7 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False,
         if want_all:
             H_all[t] = H
 
-    out = [H]
+    out = [H.astype(np.float64, copy=False)]
     if want_cache:
         out.append(GruCache(X, H_prev, Z, Rg, Hbar))
     if want_all:
@@ -191,16 +208,25 @@ def gru_backward(cache: GruCache, p: GruParams, grads: ParamDict, prefix: str,
     ``d_h_final`` is the loss gradient w.r.t. the final hidden state (B, d);
     ``d_h_all`` optionally injects gradients at every step (T, B, d).
     Parameter gradients are accumulated into ``grads`` under ``prefix``.
+    Computes in the dtype of the cache: under float32 this call's gradients
+    are summed in float32 and added to ``grads`` at the end; under float64
+    they are added in place, step by step.
     """
     X = cache.X
     B, T, _ = X.shape
     d = p.d_model
-    U_z = np.asarray(p.U_z, np.float64)
-    U_r = np.asarray(p.U_r, np.float64)
-    U_h = np.asarray(p.U_h, np.float64)
+    dt = _work_dtype(X)
+    U_z = np.asarray(p.U_z, dt)
+    U_r = np.asarray(p.U_r, dt)
+    U_h = np.asarray(p.U_h, dt)
 
-    g = {n: grads[prefix + n] for n in GruParams.NAMES}
-    dh = np.zeros((B, d)) if d_h_final is None else np.array(d_h_final, dtype=np.float64)
+    if dt == np.float64:
+        g = {n: grads[prefix + n] for n in GruParams.NAMES}
+    else:
+        g = {n: np.zeros(grads[prefix + n].shape, dt) for n in GruParams.NAMES}
+    if d_h_all is not None:
+        d_h_all = np.asarray(d_h_all, dt)
+    dh = np.zeros((B, d), dt) if d_h_final is None else np.array(d_h_final, dtype=dt)
     for t in range(T - 1, -1, -1):
         if d_h_all is not None:
             dh = dh + d_h_all[t]
@@ -230,6 +256,10 @@ def gru_backward(cache: GruCache, p: GruParams, grads: ParamDict, prefix: str,
         g["U_z"] += da_z.T @ h_prev
         g["b_z"] += da_z.sum(axis=0)
         dh = dh_prev + da_z @ U_z
+
+    if dt != np.float64:
+        for n in GruParams.NAMES:
+            grads[prefix + n] += g[n]
 
 
 # ---------------------------------------------------------------------------

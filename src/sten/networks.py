@@ -67,7 +67,9 @@ def gru_checksum(p: GruParams) -> str:
 # ---------------------------------------------------------------------------
 #
 # Each returns a fixed tuple whose last entries are what the branch's
-# backward needs; its GruCache is None without ``want_cache``.
+# backward needs; its GruCache is None without ``want_cache``.  The GRU runs
+# in the dtype of the series or windows passed in (float32 or float64, see
+# ``ndkernel``); heads, softmax and distances are float64.
 
 def order_forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, l: int, r: int,
                   want_cache: bool = False):
@@ -91,7 +93,7 @@ def order_forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, l: int
         raise DataError(f"a sub-sequence of length {l} lies outside the series "
                         f"of {len(values)} timestamps")
     uniq, inv = np.unique(sub, return_inverse=True)
-    X = stack_slices(np.asarray(values, np.float64), uniq, l)
+    X = stack_slices(np.asarray(values), uniq, l)
     gru = GruParams.from_dict(phi, "gru.")
     H_u, cache = (gru_forward(X, gru, want_cache=True) if want_cache
                   else (gru_forward(X, gru), None))
@@ -113,7 +115,7 @@ def ep_forward(phi: ParamDict, batch: np.ndarray, want_cache: bool = False):
     """
     if "ep_head.W" not in phi:
         raise DataError("model has no error-prediction head")
-    X = np.asarray(batch, np.float64)
+    X = np.asarray(batch)
     if X.shape[1] < 2:
         raise DataError("error-prediction branch needs windows of length >= 2")
     gru = GruParams.from_dict(phi, "gru.")
@@ -141,7 +143,7 @@ def unit_rows(E: np.ndarray, normalize: bool) -> tuple[np.ndarray, np.ndarray | 
 
 def embed_windows(gru: GruParams, data: np.ndarray, normalize: bool = False) -> np.ndarray:
     """Batched window embedding by one GRU tower: data (B, L, D) -> (B, d_model)."""
-    return unit_rows(gru_forward(np.asarray(data, dtype=np.float64), gru), normalize)[0]
+    return unit_rows(gru_forward(data, gru), normalize)[0]
 
 
 def dsn_embeddings(phi: ParamDict, batch: np.ndarray, normalize: bool):
@@ -153,7 +155,7 @@ def dsn_embeddings(phi: ParamDict, batch: np.ndarray, normalize: bool):
     ``embed_windows`` of the same tower gives the same E without a cache.
     """
     tower = GruParams.from_dict(phi, dsn_prefix(phi))
-    E, cache = gru_forward(np.asarray(batch, np.float64), tower, want_cache=True)
+    E, cache = gru_forward(batch, tower, want_cache=True)
     return (*unit_rows(E, normalize), cache)
 
 

@@ -9,17 +9,19 @@ slots inherit that score.  Slot i of the window at ``s`` covers timestamps
 The order branch scores sub-sequences in their true order, through the same
 ``order_forward`` call as training: it encodes each distinct sub-sequence of a
 chunk of windows once, and windows at stride ``R_test`` = r share all but one
-of theirs with the next.  For a fixed ``CHUNK``, scoring is deterministic
-given the seed used for reference-pair sampling.  Another ``CHUNK`` may move
-a temporal score in its last bits (about 4e-16 relative was measured):
-BLAS may round a row of a short GEMM differently from the same row in a
-tall one.
+of theirs with the next.  The z-scored series is cast once to
+``training.COMPUTE_DTYPE``, the dtype the GRU computes in.  For a fixed
+``CHUNK``, scoring is deterministic given the seed used for reference-pair
+sampling.  Another ``CHUNK`` may move a temporal score in its last bits: BLAS
+may round a row of a short GEMM differently from the same row in a tall one.
+In float64 about 4e-16 relative was measured, in float32 up to 4.5e-10
+(d_model 32, OpenBLAS).
 
 With the error-prediction head and one shared tower (``dsn_plus_ep``
 without separate towers), the GRU runs once over each chunk: the distance
 branch reads the final hidden states of the error-prediction pass.  So
-another ``CHUNK`` may then also move ``score_dsn`` in its last bits (up to
-1.2e-15 relative was measured at d_model 32).
+another ``CHUNK`` may then also move ``score_dsn``: up to 1.2e-15 relative
+was measured in float64 and 2.0e-7 in float32, at d_model 32.
 
 Score files are CSV tables written by ``seqdata.write_table`` and read back by
 ``seqdata.read_table`` and ``seqdata.parse_column``, the package's one table
@@ -39,9 +41,9 @@ from .ndkernel import GruParams, gru_forward  # noqa: F401
 from .networks import (dsn_prefix, embed_windows, ep_forward, order_forward, pair_residuals,
                        sample_pairs, unit_rows)
 from .objectives import js_rows
-from .seqdata import (MultivariateSeries, make_windows, parse_column, read_table, window_starts,
-                      write_table, zscore_apply)
-from .training import TrainedModel, branches
+from .seqdata import (MultivariateSeries, parse_column, read_table, stack_slices, window_starts,
+                      write_table)
+from .training import TrainedModel, branches, compute_values
 
 
 @dataclass
@@ -126,9 +128,9 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
     if test.d != model.d_in:
         raise DataError(f"test series has {test.d} dimensions, model expects {model.d_in}")
     tc = model.config
-    norm = zscore_apply(test, model.stats)
+    values = compute_values(test, model.stats)
     starts = window_starts(test.n, tc.L, cfg.R_test, cover_tail=True)
-    W = make_windows(norm, tc.L, cfg.R_test, cover_tail=True)
+    W = stack_slices(values, starts, tc.L)
     n_w = len(W)
     use_otn, use_ep, use_dsn = branches(tc.mode, tc.alpha)
     # With one shared tower, the error-prediction pass also embeds the
@@ -141,7 +143,7 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
         chunk = starts[s:s + CHUNK]
         B = len(chunk)
         if use_otn:
-            P, Y, _, _, _ = order_forward(model.phi, norm.values, chunk, tc.l, tc.r)
+            P, Y, _, _, _ = order_forward(model.phi, values, chunk, tc.l, tc.r)
             rows = js_rows(P, Y).reshape(B, tc.m)
             if not cfg.per_subseq_denominator:
                 rows = rows.mean(axis=1, keepdims=True)
@@ -176,7 +178,8 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
         if cfg.ref_source == "train":
             if train_series is None:
                 raise DataError("ref_source='train' requires the training series")
-            pool = make_windows(zscore_apply(train_series, model.stats), tc.L, tc.R_train)
+            pool = stack_slices(compute_values(train_series, model.stats),
+                                window_starts(train_series.n, tc.L, tc.R_train), tc.L)
             Ep, Fp = embed(pool)
             jj = rng.integers(0, len(pool), size=(n_w, cfg.k_refs)).reshape(-1)
             ii = np.repeat(np.arange(n_w), cfg.k_refs)

@@ -22,6 +22,11 @@ from .seqdata import (MultivariateSeries, NormStats, stack_slices, window_starts
 
 MODES = ("full", "otn_only", "dsn_only", "dsn_plus_ep")
 
+# The dtype the GRU computes in, in training and in scoring (``ndkernel``
+# states the rule): the z-scored series is cast to it once.  The weights Adam
+# updates, the heads, the losses and the scores are float64 either way.
+COMPUTE_DTYPE = np.float32
+
 _SEED_TAGS = {"score": 303}
 
 
@@ -190,6 +195,24 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
     return tape
 
 
+def compute_values(series: MultivariateSeries, stats: NormStats) -> np.ndarray:
+    """The series z-scored by ``stats``, in ``COMPUTE_DTYPE``: what the GRU reads.
+
+    A finite value far from a dimension's training mean (a dimension that was
+    constant in training has its std floored) can have a z-score beyond the
+    compute dtype's range; that is a ``DataError``, not infinite scores.
+    """
+    with np.errstate(over="ignore"):
+        values = zscore_apply(series, stats).values.astype(COMPUTE_DTYPE, copy=False)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=0))
+    if bad.size:
+        j = int(bad[0])
+        name = series.dim_names[j] if series.dim_names else f"dim_{j}"
+        raise DataError(f"dimension {name!r}: its z-score exceeds the "
+                        f"{np.dtype(COMPUTE_DTYPE).name} range")
+    return values
+
+
 def _batch_ranges(n: int, batch_size: int, min_last: int) -> list[tuple[int, int]]:
     ranges = [(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
     if len(ranges) > 1 and ranges[-1][1] - ranges[-1][0] < min_last:
@@ -209,7 +232,7 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     """
     cfg.validate()
     stats = zscore_fit(series)
-    values = zscore_apply(series, stats).values
+    values = compute_values(series, stats)
     starts = window_starts(series.n, cfg.L, cfg.R_train)
     n = len(starts)
     _, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
@@ -282,8 +305,7 @@ def _check_blocks(path, cfg: TrainConfig, d_in: int, blocks: dict[str, np.ndarra
                      with_ep_head=branches(cfg.mode, cfg.alpha)[1])
     shapes = {"phi." + k: s for k, s in phi.items()}
     shapes.update({"eta.gru." + k: s for k, s in gru_shapes(d_in, cfg.d_model).items()})
-    shapes.update({"norm.mean": (d_in,), "norm.std": (d_in,),
-                   "trace.losses": np.shape(blocks.get("trace.losses"))[:1] + (3,)})
+    shapes.update({"norm.mean": (d_in,), "norm.std": (d_in,), "trace.losses": (cfg.epochs, 3)})
     missing, extra = sorted(set(shapes) - set(blocks)), sorted(set(blocks) - set(shapes))
     if missing or extra:
         raise DataError(f"{path}: checkpoint blocks do not match its config: "

@@ -238,7 +238,8 @@ def dsn_plus_ep_tape_two_pass(phi, F, values, starts, pairs, cfg):
     backward closures in the same order, so the loss and the gradients can
     be compared bit for bit.
     """
-    X = np.asarray(values, np.float64)[np.asarray(starts)[:, None] + np.arange(cfg.L)]
+    # The windows keep the series' dtype: the GRU computes in it.
+    X = np.asarray(values)[np.asarray(starts)[:, None] + np.arange(cfg.L)]
     gru = GruParams.from_dict(phi, "gru.")
     W_e = np.asarray(phi["ep_head.W"], np.float64)
     _, cache_ep, H_all = gru_forward(X, gru, want_cache=True, want_all=True)

@@ -44,13 +44,19 @@ def test_gru_forward_stays_bound_for_the_benchmark_test(module):
     assert module.gru_forward is ndkernel.gru_forward
 
 
+def schema_config(**overrides):
+    """The config perfbench/run.py builds: cli.SCHEMA defaults and a few overrides."""
+    cfg = {k: default for k, (_, default) in cli.SCHEMA.items()}
+    cfg.update(overrides)
+    return cfg
+
+
 @pytest.mark.parametrize("mode,d_model", [("full", 256), ("dsn_plus_ep", 32)])
 def test_cli_config_contract(mode, d_model):
     """perfbench/run.py takes cli.SCHEMA's (type, default) pairs, overrides a
     few keys, and builds its configs and eval report with the cli builders."""
-    cfg = {k: default for k, (_, default) in cli.SCHEMA.items()}
-    cfg.update(mode=mode, d_model=d_model, epochs=1, n_train=300, n_test=400,
-               point_adjust="both")
+    cfg = schema_config(mode=mode, d_model=d_model, epochs=1, n_train=300, n_test=400,
+                        point_adjust="both")
     synth = cli.build_synth_config(cfg)
     assert (synth.n_train, synth.n_test) == (300, 400)
     tc = cli.build_train_config(cfg)
@@ -134,6 +140,44 @@ def test_gru_forward_calls_sigmoid_once_per_step_on_both_gates(monkeypatch):
     B, T, d = 3, 7, 4
     ndkernel.gru_forward(rng.normal(size=(B, T, 2)), ndkernel.init_gru(2, d, rng))
     assert sizes == [2 * B * d] * T
+
+
+@pytest.mark.parametrize("mode", ["full", "dsn_plus_ep"])
+def test_gru_backward_arguments_under_the_default_config(monkeypatch, mode):
+    """perfbench/run.py's _gru_counts reads cache.X's (B, T, d_in) and the
+    GruParams' d_model and d_in of each gru_backward call; training computes
+    in float32 and keeps both."""
+    seen = []
+    real = training.gru_backward
+
+    def recording(cache, p, *args, **kwargs):
+        seen.append((cache.X.shape, cache.X.dtype, p.d_model, p.d_in))
+        return real(cache, p, *args, **kwargs)
+
+    monkeypatch.setattr(training, "gru_backward", recording)
+    tc = cli.build_train_config(schema_config(mode=mode, d_model=8, epochs=1))
+    series = MultivariateSeries(values=np.random.default_rng(0).normal(size=(300, 3)))
+    train(series, tc)
+    assert seen
+    for shape, dtype, d_model, d_in in seen:
+        assert len(shape) == 3 and shape[1] in (tc.l, tc.L) and shape[2] == d_in == 3
+        assert dtype == np.float32 and d_model == 8
+
+
+def test_float32_gru_forward_calls_sigmoid_once_per_step_on_both_gates(monkeypatch):
+    sizes = []
+    real = ndkernel.sigmoid
+
+    def counting(x):
+        sizes.append((np.size(x), x.dtype))
+        return real(x)
+
+    monkeypatch.setattr(ndkernel, "sigmoid", counting)
+    rng = np.random.default_rng(0)
+    B, T, d = 3, 7, 4
+    ndkernel.gru_forward(rng.normal(size=(B, T, 2)).astype(np.float32),
+                         ndkernel.init_gru(2, d, rng))
+    assert sizes == [(2 * B * d, np.float32)] * T
 
 
 def test_order_branch_encodes_265_rows_for_a_paper_batch(monkeypatch):

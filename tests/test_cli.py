@@ -140,6 +140,32 @@ class TestScore:
              "--config", cfg, "--out", tmp / "s2.csv"])
         assert (tmp / "s1.csv").read_bytes() == (tmp / "s2.csv").read_bytes()
 
+    def test_unused_train_file_is_not_read(self, workspace):
+        """With ref_source test, --train is never read: a bad file passes."""
+        tmp, cfg = workspace
+        test_csv = self.setup_model(tmp, cfg)
+        bad = tmp / "bad.csv"
+        bad.write_text("a,b\n")
+        assert run(["score", "--model", tmp / "m.ckpt", "--test", test_csv, "--train", bad,
+                    "--config", cfg, "--out", tmp / "s.csv"]) == 0
+
+    def test_z_score_beyond_float32_is_a_data_error(self, workspace, capsys):
+        """Column b is constant in training, so its std is floored; a test
+        value 1e31 away has a finite z-score in float64 that float32, the GRU's
+        compute dtype, cannot hold."""
+        tmp, cfg = workspace
+        rows = [f"{np.sin(i / 5):.6f},1.0" for i in range(120)]
+        (tmp / "train.csv").write_text("a,b\n" + "\n".join(rows) + "\n")
+        rows[40] = "0.5,1e31"
+        (tmp / "test.csv").write_text("a,b\n" + "\n".join(rows) + "\n")
+        assert run(["train", "--train", tmp / "train.csv", "--config", cfg,
+                    "--out", tmp / "m.ckpt"]) == 0
+        code = run(["score", "--model", tmp / "m.ckpt", "--test", tmp / "test.csv",
+                    "--config", cfg, "--out", tmp / "s.csv"])
+        assert code == 2
+        assert "dimension 'b': its z-score exceeds the float32 range" in capsys.readouterr().err
+        assert not (tmp / "s.csv").exists()
+
     def test_dimension_mismatch_exit_code(self, workspace, capsys):
         tmp, cfg = workspace
         self.setup_model(tmp, cfg)
@@ -309,6 +335,17 @@ class TestSweep:
                     "--out", tmp / "sweep.csv", "--work-dir", work]) == 0
         rows = list(csv.DictReader(open(tmp / "sweep.csv")))
         assert len(rows) == 2
+
+    def test_l_sweep_honours_a_set_r(self, workspace):
+        tmp, cfg = workspace
+        train_csv, test_csv = prepared_data(tmp, cfg)
+        work = tmp / "work"
+        assert run(["sweep", "--param", "l", "--values", "3,4", "--set", "r=2",
+                    "--train", train_csv, "--test", test_csv, "--config", cfg,
+                    "--out", tmp / "sweep.csv", "--work-dir", work]) == 0
+        for l in (3, 4):
+            ckpt_cfg = read_checkpoint(work / f"model_l_{l}.ckpt")[0]
+            assert (ckpt_cfg["l"], ckpt_cfg["r"], ckpt_cfg["L"]) == (l, 2, l + 3 * 2)
 
 
 class TestConfigHandling:
@@ -612,6 +649,9 @@ BAD_SETTING_CASES = [
     pytest.param(sweep("--param", "alpha", "--values", "1,-1"), 1, id="sweep-negative-alpha"),
     pytest.param(sweep("--param", "beta", "--values", "1", "--seed", "-1"), 1,
                  id="sweep-negative-seed"),
+    # A set L holds for every l, and l 2 breaks the layout (2 + 3*2 != 12).
+    pytest.param(sweep("--param", "l", "--values", "3,2", "--set", "L=12"), 1,
+                 id="sweep-l-breaks-set-L"),
     pytest.param(["eval", "--scores", "{scores}", "--set", "range_w=-1", "--out", "{out}"], 1,
                  id="eval-negative-range-w"),
     pytest.param(["eval", "--scores", "{scores}", "--set", "vus_wmax=-1", "--out", "{out}"], 1,
@@ -808,6 +848,16 @@ class TestCheckpointContents:
         code, err = self.score_with(trained, tmp_path, capsys, edit)
         assert code == 2
         assert "checkpoint" in err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_trace_has_one_row_per_epoch(self, trained, tmp_path, capsys):
+        def edit(cfg, blocks):
+            assert cfg["epochs"] == 2
+            blocks["trace.losses"] = blocks["trace.losses"][:1]
+
+        code, err = self.score_with(trained, tmp_path, capsys, edit)
+        assert code == 2
+        assert "trace.losses has shape (1, 3), expected (2, 3)" in err
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("key", [f.name for f in fields(TrainConfig)])

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sten import ConfigError, DataError, scoring
+from sten import ConfigError, DataError, scoring, training
 from sten.evalmetrics import threshold_percentile
 from sten.ndkernel import init_gru
 from sten.networks import init_phi, sample_pairs
@@ -14,6 +14,11 @@ from sten.training import (TrainConfig, TrainedModel, load_checkpoint,
                            save_checkpoint, seed_streams)
 
 import oracles
+
+# Float32 compute against float64: the largest difference in a score column
+# over the column's largest value.  Measured at most 4.5e-7 on
+# TestFloat32Scores's cases (score_dsn; score_otn 3.8e-8).
+F32_SCORE_RTOL = 5e-6
 
 
 def tiny_model(seed=0, mode="full", d=2, d_model=6, m=4, l=3, r=3,
@@ -34,7 +39,7 @@ def tiny_model(seed=0, mode="full", d=2, d_model=6, m=4, l=3, r=3,
     stats = NormStats(mean=np.zeros(d, np.float32), std=np.ones(d, np.float32))
     return TrainedModel(phi={k: v.astype(np.float32) for k, v in phi.items()},
                         eta=eta.astype(np.float32),
-                        config=cfg, stats=stats, loss_trace=[(0.0, 0.0, 0.0)],
+                        config=cfg, stats=stats, loss_trace=[(0.0, 0.0, 0.0)] * cfg.epochs,
                         d_in=d)
 
 
@@ -68,6 +73,7 @@ class TestDistinctSubsequences:
         pytest.param(3 * scoring.CHUNK + 100, 3, id="more-than-chunk-windows"),
     ])
     @pytest.mark.parametrize("mode", ["full", "otn_only"])
+    @pytest.mark.usefixtures("float64_compute")
     def test_columns_match_per_slot_oracle(self, monkeypatch, n, R_test, mode):
         model = tiny_model(seed=4, mode=mode, d_model=4)     # l=r=3, m=4, L=12
         series = series_fixture(n=n)
@@ -92,6 +98,7 @@ class TestScoreOtn:
         out = score_series(tiny_model(m=1, l=5, r=1), series_fixture(), ScoreConfig(R_test=5))
         np.testing.assert_array_equal(out.score_otn, np.zeros(120))
 
+    @pytest.mark.usefixtures("float64_compute")
     def test_two_subseq_example_against_oracle(self):
         model = tiny_model(m=2, l=4, r=4, seed=13)
         series = series_fixture(n=40)
@@ -107,6 +114,7 @@ class TestScoreOtn:
         s = score_series(model, series_fixture(), ScoreConfig(R_test=4)).score_otn
         np.testing.assert_allclose(s, s[0])
 
+    @pytest.mark.usefixtures("float64_compute")
     def test_per_subseq_denominator(self):
         model = tiny_model(m=2, l=4, r=4, seed=14)
         series = series_fixture(n=40)
@@ -125,6 +133,7 @@ class TestScoreDsn:
         out = score_series(model, series_fixture(), ScoreConfig(R_test=4, k_refs=3))
         np.testing.assert_array_equal(out.score_dsn, 0.0)
 
+    @pytest.mark.usefixtures("float64_compute")
     def test_matches_loop_oracle(self):
         model = tiny_model(seed=3, mode="dsn_only")
         series = series_fixture(n=60, seed=4)
@@ -175,6 +184,7 @@ ORACLE_CASES = [
 class TestScoreSeriesOracle:
     @pytest.mark.parametrize("case", ORACLE_CASES,
                              ids=["-".join(f"{k}={v}" for k, v in c.items()) for c in ORACLE_CASES])
+    @pytest.mark.usefixtures("float64_compute")
     def test_columns_match_dense_oracle(self, case, monkeypatch):
         monkeypatch.setattr(scoring, "CHUNK", 5)
         case = dict(case)
@@ -187,6 +197,27 @@ class TestScoreSeriesOracle:
         for got, want in zip((out.scores, out.score_otn, out.score_dsn),
                              oracle_scores(model, series, cfg)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+class TestFloat32Scores:
+    """Scoring with the GRU in float32 gives every score column within
+    F32_SCORE_RTOL of the same model scored in float64."""
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    @pytest.mark.parametrize("mode", ["full", "otn_only", "dsn_only", "dsn_plus_ep"])
+    def test_columns_within_named_tolerance(self, monkeypatch, mode, normalize):
+        model = tiny_model(mode=mode, d_model=16, seed=5, normalize=normalize)
+        series = series_fixture(n=200, seed=6)
+        cfg = ScoreConfig(R_test=3, seed=2, k_refs=2)
+        out = {}
+        for dt in (np.float32, np.float64):
+            monkeypatch.setattr(training, "COMPUTE_DTYPE", dt)
+            out[np.dtype(dt).name] = score_series(model, series, cfg)
+        for col in ("scores", "score_otn", "score_dsn"):
+            got, want = getattr(out["float32"], col), getattr(out["float64"], col)
+            assert got.dtype == np.float64
+            assert np.abs(got - want).max() <= F32_SCORE_RTOL * np.abs(want).max(), col
+        np.testing.assert_array_equal(out["float32"].coverage, out["float64"].coverage)
 
 
 class TestAggregate:
@@ -289,35 +320,48 @@ class TestScoreSeries:
     # BLAS may round a row of a GEMM over a few rows differently from the same
     # row in a tall one, so at wider d_model another CHUNK moves temporal
     # scores in their last bits: with CHUNK 1, 3 or 7, up to 3.9e-16 relative
-    # was measured at d_model 32 and 256 (OpenBLAS).
+    # was measured at d_model 32 and 256 (OpenBLAS) in float64.  In float32
+    # the same rows move by up to 4.5e-10 (score_otn), and with the shared
+    # tower of dsn_plus_ep score_dsn by up to 2.0e-7.
     RECHUNK_RTOL = 1e-14
+    RECHUNK_RTOL_F32 = 1e-6
 
-    @pytest.mark.parametrize("chunk", [1, 3, 7])
-    def test_rechunking_within_named_tolerance_at_d_model_32(self, monkeypatch, chunk):
-        model = tiny_model(d_model=32, m=10, l=4, r=4, seed=7)
+    def _rechunked(self, monkeypatch, chunk, mode):
+        model = tiny_model(mode=mode, d_model=32, m=10, l=4, r=4, seed=7)
         series = series_fixture(n=300, seed=8)
         cfg = ScoreConfig(R_test=4, seed=9)
         a = score_series(model, series, cfg)
         monkeypatch.setattr(scoring, "CHUNK", chunk)
-        c = score_series(model, series, cfg)
+        return a, score_series(model, series, cfg)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.usefixtures("float64_compute")
+    def test_rechunking_within_named_tolerance_at_d_model_32(self, monkeypatch, chunk):
+        a, c = self._rechunked(monkeypatch, chunk, "full")
         np.testing.assert_array_equal(c.score_dsn, a.score_dsn)
         np.testing.assert_allclose(c.score_otn, a.score_otn, rtol=self.RECHUNK_RTOL, atol=0)
         np.testing.assert_allclose(c.scores, a.scores, rtol=self.RECHUNK_RTOL, atol=0)
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.usefixtures("float64_compute")
     def test_rechunking_within_named_tolerance_at_d_model_32_ep(self, monkeypatch, chunk):
         # With one shared tower the distance branch reads the error-prediction
         # pass, chunk by chunk, so score_dsn may move too: up to 1.2e-15
         # relative was measured with CHUNK 1, 3 and 7.
-        model = tiny_model(mode="dsn_plus_ep", d_model=32, m=10, l=4, r=4, seed=7)
-        series = series_fixture(n=300, seed=8)
-        cfg = ScoreConfig(R_test=4, seed=9)
-        a = score_series(model, series, cfg)
-        monkeypatch.setattr(scoring, "CHUNK", chunk)
-        c = score_series(model, series, cfg)
+        a, c = self._rechunked(monkeypatch, chunk, "dsn_plus_ep")
         for col in ("scores", "score_otn", "score_dsn"):
             np.testing.assert_allclose(getattr(c, col), getattr(a, col),
                                        rtol=self.RECHUNK_RTOL, atol=0, err_msg=col)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("mode", ["full", "dsn_plus_ep"])
+    def test_float32_rechunking_within_named_tolerance(self, monkeypatch, mode, chunk):
+        a, c = self._rechunked(monkeypatch, chunk, mode)
+        if mode == "full":
+            np.testing.assert_array_equal(c.score_dsn, a.score_dsn)
+        for col in ("scores", "score_otn", "score_dsn"):
+            np.testing.assert_allclose(getattr(c, col), getattr(a, col),
+                                       rtol=self.RECHUNK_RTOL_F32, atol=0, err_msg=col)
 
     def test_ep_peak_memory_does_not_grow_with_chunks(self, monkeypatch):
         """dsn_plus_ep scoring holds one chunk's hidden trajectory at a time:

@@ -197,14 +197,24 @@ class TestSharedTowerPass:
         for k in g:
             assert np.array_equal(g[k], w[k]), k
 
-    @pytest.mark.parametrize("case", CASES, ids=IDS)
-    def test_checkpoint_bytes_equal_two_passes(self, monkeypatch, tmp_path, case):
+    @staticmethod
+    def _checkpoints_equal(monkeypatch, tmp_path, case):
         series = small_series()
         cfg = small_cfg(mode="dsn_plus_ep", epochs=2, **case)
         save_checkpoint(train(series, cfg), tmp_path / "one.ckpt")
         monkeypatch.setattr(training, "build_sten_tape", dsn_plus_ep_tape_two_pass)
         save_checkpoint(train(series, cfg), tmp_path / "two.ckpt")
         assert (tmp_path / "one.ckpt").read_bytes() == (tmp_path / "two.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_checkpoint_bytes_equal_two_passes(self, monkeypatch, tmp_path, case):
+        """In float32, the compute dtype training runs in."""
+        self._checkpoints_equal(monkeypatch, tmp_path, case)
+
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    @pytest.mark.usefixtures("float64_compute")
+    def test_checkpoint_bytes_equal_two_passes_in_float64(self, monkeypatch, tmp_path, case):
+        self._checkpoints_equal(monkeypatch, tmp_path, case)
 
 
 class TestWindowPasses:
