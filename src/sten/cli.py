@@ -14,6 +14,8 @@ exceptions are the rows of ``_EXCEPTIONS``: ``L`` and ``r``, which follow
 ``l`` and ``m`` unless set, ``score_eps`` (``ScoreConfig.eps``) and the
 evaluation keys, which have no dataclass.  ``ScoreConfig.seed`` is derived
 from ``seed``.  File, ``--set`` and flag values are all parsed by ``_convert``.
+``score`` takes from ``--set`` only the keys ``build_score_config`` reads: the
+model's settings come from its checkpoint.  A config file may hold any key.
 """
 
 from __future__ import annotations
@@ -95,10 +97,11 @@ def parse_config_file(path) -> dict[str, str]:
     return values
 
 
-def resolve_config(args) -> dict:
+def resolve_config(args, reads: set[str] | None = None) -> dict:
     """Merge defaults, config file, ``--set`` and named flags, later ones winning.
 
-    Every float in the merged config must be finite.
+    A ``--set`` key outside ``reads``, when given, is a usage error: the
+    command would ignore it.  Every float in the merged config must be finite.
     """
     cfg = {k: default for k, (_, default) in SCHEMA.items()}
     items = list(parse_config_file(args.config).items()) if getattr(args, "config", None) else []
@@ -109,6 +112,8 @@ def resolve_config(args) -> dict:
         key = key.strip()
         if key not in SCHEMA:
             raise ConfigError(f"--set: unknown key {key!r}")
+        if reads is not None and key not in reads:
+            raise ConfigError(f"--set: {args.command} does not read {key!r}")
         items.append((key, raw))
     items += [(k, getattr(args, k)) for k in _FLAGS if getattr(args, k, None) is not None]
     for key, raw in items:
@@ -178,13 +183,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    cfg = resolve_config(args)
+    sc = build_score_config(resolve_config(
+        args, reads={f.name for f in fields(ScoreConfig)} - {"eps"} | {"score_eps"}))
+    if sc.ref_source == "train" and not args.train:
+        raise ConfigError("ref_source=train requires --train")
     model = load_checkpoint(args.model)
     test = load_csv(args.test)
-    sc = build_score_config(cfg)
     # --train is read only when the reference windows come from it.
-    train_series = (load_csv(args.train) if sc.ref_source == "train" and args.train
-                    else None)
+    train_series = load_csv(args.train) if sc.ref_source == "train" else None
     result = score_series(model, test, sc, train_series=train_series)
     write_scores_csv(args.out, result, labels=test.labels)
     print(f"scored {result.n} timestamps -> {args.out}")
@@ -313,7 +319,7 @@ def cmd_sweep(args) -> int:
             model = train(train_series, tc)
             save_checkpoint(model, ckpt)
             _write_loss_log(str(ckpt) + ".log", model.loss_trace)
-        return score_series(load_checkpoint(ckpt), test_series, sc)
+        return score_series(load_checkpoint(ckpt), test_series, sc, train_series=train_series)
 
     # beta and delta share one checkpoint and one scoring: delta changes only
     # the evaluation, and beta only how the score columns combine.

@@ -2,10 +2,12 @@
 Adam, and the gradient tape that drives the backward pass.
 
 Parameters are plain numpy arrays grouped in dicts keyed by dotted names
-(e.g. ``"gru.W_z"``).  Adam maps such a dict to a new one, and a
-``GradTape`` pins the arrays of the dict it was built on: its backward
-refuses to run once an entry was replaced or added.  Weights are stored as
-float32 at rest (checkpoints) and as float64 master weights while training.
+(e.g. ``"gru.W_z"``).  Adam maps such a dict to a new one.  A ``GradTape``
+is the data one forward pass leaves for its backward: the gradients the
+forward formed itself, and each GRU pass with the parameters it ran with and
+its upstream hidden-state gradients; ``backward`` only runs BPTT over those
+passes.  Weights are stored as float32 at rest (checkpoints) and as float64
+master weights while training.
 
 ``sigmoid``, ``gru_forward`` and ``gru_backward`` compute in the dtype of
 their input: float32 stays float32, anything else is float64.  The GRU casts
@@ -15,7 +17,7 @@ call's weight gradients in float32, then adds them once into the float64
 grads, as in mixed-precision training with master weights (Micikevicius et
 al. 2018).  Under float64 it accumulates into the grads in place, so two
 calls that add into one weight keep the order of their float64 sums.
-``softmax``, the backward tape and Adam are float64 throughout.
+``softmax``, the tape's gradients and Adam are float64 throughout.
 
 The GRU forward stacks the gate weights, as in fused-GEMM RNN kernels
 (Appleyard et al. 2016): W_z|W_r|W_h form one (3d, d_in) input matrix with
@@ -35,12 +37,11 @@ GEMMs gave the same bits and no speed-up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import DataError, NumericError, StenError
+from . import DataError, NumericError
 
 ParamDict = dict[str, np.ndarray]
 
@@ -266,35 +267,31 @@ def gru_backward(cache: GruCache, p: GruParams, grads: ParamDict, prefix: str,
 # Gradient tape
 # ---------------------------------------------------------------------------
 
+@dataclass
 class GradTape:
-    """Backward program recorded during one scalar-loss forward pass.
+    """One scalar-loss forward pass, kept as the data its backward needs.
 
-    Holds the loss value and a list of backward closures, and pins the arrays
-    of the parameter dict it was built on.  Running backward after an entry
-    of that dict was replaced or added is an error: the recorded
-    intermediates no longer match the parameters.
+    ``grads`` is keyed like the parameters: the gradients the forward formed
+    itself (its heads'), zeros elsewhere.  ``passes`` lists the GRU passes in
+    forward order, each as (cache, params, prefix, d_h_final, d_h_all): the
+    arguments of its ``gru_backward``.  ``value`` is the loss, ``otn`` and
+    ``dsn`` its parts.
     """
 
-    def __init__(self, params: ParamDict):
-        self.value = 0.0
-        self.otn = 0.0
-        self.dsn = 0.0
-        self._params = params
-        self._pinned = dict(params)
-        self._fns: list[Callable[[ParamDict], None]] = []
-
-    def record(self, fn: Callable[[ParamDict], None]) -> None:
-        self._fns.append(fn)
+    grads: ParamDict
+    passes: list[tuple[GruCache, GruParams, str, np.ndarray | None, np.ndarray | None]] = (
+        field(default_factory=list))
+    value: float = 0.0
+    otn: float = 0.0
+    dsn: float = 0.0
 
 
 def backward(tape: GradTape) -> ParamDict:
-    """Run the tape in reverse and return gradients for every parameter."""
-    params, pinned = tape._params, tape._pinned
-    if params.keys() != pinned.keys() or any(params[k] is not v for k, v in pinned.items()):
-        raise StenError("gradient tape is stale: parameters were mutated after forward")
-    grads = {k: np.zeros(v.shape) for k, v in pinned.items()}
-    for fn in reversed(tape._fns):
-        fn(grads)
+    """Gradients for every parameter: the tape's, plus BPTT over its passes,
+    the last recorded first.  The tape is left unchanged."""
+    grads = {k: v.copy() for k, v in tape.grads.items()}
+    for cache, p, prefix, d_h_final, d_h_all in reversed(tape.passes):
+        gru_backward(cache, p, grads, prefix, d_h_final=d_h_final, d_h_all=d_h_all)
     return grads
 
 

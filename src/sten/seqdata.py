@@ -64,8 +64,9 @@ class NormStats:
 def read_table(path) -> tuple[list[str], list[tuple[str, ...]], list[int]]:
     """The header, the cells of each column, and each data row's file line.
 
-    Blank lines are skipped.  The file must hold a header and at least one
-    data row, and every data row must be as wide as the header.
+    Blank lines are skipped.  The file must hold a header that names each
+    column once and at least one data row, and every data row must be as wide
+    as the header.
     """
     rows, lines = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -77,6 +78,9 @@ def read_table(path) -> tuple[list[str], list[tuple[str, ...]], list[int]]:
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]
+    if len(set(header)) < len(header):
+        twice = next(c for i, c in enumerate(header) if c in header[:i])
+        raise DataError(f"{path}: the header names column {twice!r} twice")
     if len(rows) < 2:
         raise DataError(f"{path}: no data rows after header")
     widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))

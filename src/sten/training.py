@@ -12,7 +12,7 @@ from . import ConfigError, DataError, NumericError
 # gru_forward is bound here, uncalled, because perfbench/test_perfbench.py
 # looks it up on this module.
 from .ndkernel import (GradTape, GruParams, ParamDict, adam_update, backward,  # noqa: F401
-                       gru_backward, gru_forward, gru_shapes, init_adam_state, init_gru)
+                       gru_forward, gru_shapes, init_adam_state, init_gru)
 from .networks import (NORM_FLOOR, dsn_embeddings, dsn_prefix, embed_windows, ep_forward,
                        gru_checksum, init_phi, order_forward, pair_residuals, phi_shapes,
                        read_checkpoint, sample_pairs, unit_rows, write_checkpoint)
@@ -116,82 +116,67 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
     for the distance branch (None without one).  When the error-prediction
     branch and the distance branch share phi's tower, the GRU runs once over
     the windows: the distance embeddings are the final hidden states of the
-    error-prediction pass, and both backwards read its one cache.  Returns a
-    tape whose backward yields exact gradients for every phi parameter (eta
-    is frozen).
+    error-prediction pass, and both of its BPTT passes read its one cache.
+
+    Returns the tape of the loss (eta is frozen): the order and
+    error-prediction heads' gradients, and each GRU pass with the gradient of
+    the loss w.r.t. its hidden states, for ``backward`` to run BPTT over.
     """
     use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
-    tape = GradTape(phi)
+    tape = GradTape(grads={k: np.zeros(v.shape) for k, v in phi.items()})
+    grads = tape.grads
     gru = GruParams.from_dict(phi, "gru.")
-    otn_val = 0.0
-    dsn_val = 0.0
     if use_ep or use_dsn:
         batch = stack_slices(values, starts, cfg.L)
 
     if use_otn:
         P, Y, H, inv, cache = order_forward(phi, values, starts, cfg.l, cfg.r, want_cache=True)
-        otn_val = float(js_rows(P, Y).mean())
-
-        def otn_back(grads: ParamDict, P=P, Y=Y, H=H, inv=inv, cache=cache,
-                     W_o=np.asarray(phi["order_head.W"], np.float64)) -> None:
-            dP = js_rows_grad_p(P, Y) * (1.0 / P.shape[0])
-            dlogits = P * (dP - (dP * P).sum(axis=1, keepdims=True))
-            grads["order_head.W"] += dlogits.T @ H
-            grads["order_head.b"] += dlogits.sum(axis=0)
-            # Each distinct sub-sequence collects the gradient of every slot it fills.
-            dH = np.zeros((cache.X.shape[0], H.shape[1]))
-            np.add.at(dH, inv, dlogits @ W_o)
-            gru_backward(cache, gru, grads, "gru.", d_h_final=dH)
-
-        tape.record(otn_back)
+        tape.otn = float(js_rows(P, Y).mean())
+        dP = js_rows_grad_p(P, Y) * (1.0 / P.shape[0])
+        dlogits = P * (dP - (dP * P).sum(axis=1, keepdims=True))
+        grads["order_head.W"] += dlogits.T @ H
+        grads["order_head.b"] += dlogits.sum(axis=0)
+        # Each distinct sub-sequence collects the gradient of every slot it fills.
+        dH = np.zeros((cache.X.shape[0], H.shape[1]))
+        np.add.at(dH, inv, dlogits @ np.asarray(phi["order_head.W"], np.float64))
+        tape.passes.append((cache, gru, "gru.", dH, None))
 
     if use_ep:
         resid, H_all, cache_ep = ep_forward(phi, batch, want_cache=True)
-        otn_val = float(np.mean(resid ** 2))  # temporal slot of the breakdown
-
-        def ep_back(grads: ParamDict, resid=resid, H_all=H_all, cache_ep=cache_ep,
-                    W_e=np.asarray(phi["ep_head.W"], np.float64)) -> None:
-            dpred = resid * (2.0 / resid.size)
-            grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, H_all[:-1])
-            grads["ep_head.b"] += dpred.sum(axis=(0, 1))
-            d_h_all = np.zeros_like(H_all)
-            d_h_all[:-1] = dpred @ W_e
-            gru_backward(cache_ep, gru, grads, "gru.", d_h_all=d_h_all)
-
-        tape.record(ep_back)
+        tape.otn = float(np.mean(resid ** 2))  # temporal slot of the breakdown
+        dpred = resid * (2.0 / resid.size)
+        grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, H_all[:-1])
+        grads["ep_head.b"] += dpred.sum(axis=(0, 1))
+        d_h_all = np.zeros_like(H_all)
+        d_h_all[:-1] = dpred @ np.asarray(phi["ep_head.W"], np.float64)
+        tape.passes.append((cache_ep, gru, "gru.", None, d_h_all))
 
     if use_dsn:
         if F is None or pairs is None or len(pairs) == 0:
             raise DataError("distance branch requires eta's embeddings and reference pairs")
-        if use_ep and dsn_prefix(phi) == "gru.":
+        prefix = dsn_prefix(phi)
+        if use_ep and prefix == "gru.":
             (En, norms), cache_d = unit_rows(H_all[-1], cfg.normalize_embeddings), cache_ep
         else:
             En, norms, cache_d = dsn_embeddings(phi, batch, cfg.normalize_embeddings)
         ii, jj = pairs.T
         resid_d = pair_residuals(En, F, ii, jj, En, F)
-        dsn_val = float(np.mean(resid_d ** 2))
+        tape.dsn = float(np.mean(resid_d ** 2))
+        # d(total)/d(dsn) = alpha in every mode that trains the branch.
+        dd = resid_d * (2.0 * cfg.alpha / resid_d.size)
+        dEn = np.zeros_like(En)
+        np.add.at(dEn, ii, dd[:, None] * En[jj])
+        np.add.at(dEn, jj, dd[:, None] * En[ii])
+        if norms is not None:
+            # Back through e / max(||e||, floor); En rows are unit (or e/floor).
+            dE = dEn / norms
+            active = (norms > NORM_FLOOR).astype(np.float64)
+            dE -= active * En * (dEn * En).sum(axis=1, keepdims=True) / norms
+        else:
+            dE = dEn
+        tape.passes.append((cache_d, GruParams.from_dict(phi, prefix), prefix, dE, None))
 
-        def dsn_back(grads: ParamDict, resid_d=resid_d, En=En, ii=ii, jj=jj, norms=norms,
-                     cache_d=cache_d, prefix=dsn_prefix(phi)) -> None:
-            # d(total)/d(dsn) = alpha in every mode that trains the branch.
-            dd = resid_d * (2.0 * cfg.alpha / resid_d.size)
-            dEn = np.zeros_like(En)
-            np.add.at(dEn, ii, dd[:, None] * En[jj])
-            np.add.at(dEn, jj, dd[:, None] * En[ii])
-            if norms is not None:
-                # Back through e / max(||e||, floor); En rows are unit (or e/floor).
-                dE = dEn / norms
-                active = (norms > NORM_FLOOR).astype(np.float64)
-                dE -= active * En * (dEn * En).sum(axis=1, keepdims=True) / norms
-            else:
-                dE = dEn
-            gru_backward(cache_d, GruParams.from_dict(phi, prefix), grads, prefix, d_h_final=dE)
-
-        tape.record(dsn_back)
-
-    tape.value = otn_val + cfg.alpha * dsn_val
-    tape.otn = otn_val
-    tape.dsn = dsn_val
+    tape.value = tape.otn + cfg.alpha * tape.dsn
     return tape
 
 

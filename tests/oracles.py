@@ -12,7 +12,11 @@ import numpy as np
 from sten import DataError
 from sten.evalmetrics import range_auc
 from sten.ndkernel import GradTape, GruCache, GruParams, gru_backward, gru_forward, softmax
+from sten.networks import (NORM_FLOOR, dsn_embeddings, dsn_prefix, ep_forward, order_forward,
+                           pair_residuals, unit_rows)
 from sten.objectives import js_rows, js_rows_grad_p
+from sten.seqdata import stack_slices
+from sten.training import branches
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +239,8 @@ def dsn_plus_ep_tape_two_pass(phi, F, values, starts, pairs, cfg):
     branch read the error-prediction pass.
 
     Takes the arguments of ``training.build_sten_tape`` and records the same
-    backward closures in the same order, so the loss and the gradients can
-    be compared bit for bit.
+    head gradients and GRU passes in the same order, so the loss and the
+    gradients can be compared bit for bit.
     """
     # The windows keep the series' dtype: the GRU computes in it.
     X = np.asarray(values)[np.asarray(starts)[:, None] + np.arange(cfg.L)]
@@ -253,31 +257,131 @@ def dsn_plus_ep_tape_two_pass(phi, F, values, starts, pairs, cfg):
     ii, jj = pairs.T
     resid_d = (E[ii] * E[jj]).sum(axis=1) - (F[ii] * F[jj]).sum(axis=1)
 
-    def ep_back(grads):
-        dpred = resid * (2.0 / resid.size)
-        grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, H_all[:-1])
-        grads["ep_head.b"] += dpred.sum(axis=(0, 1))
-        d_h_all = np.zeros_like(H_all)
-        d_h_all[:-1] = dpred @ W_e
-        gru_backward(cache_ep, gru, grads, "gru.", d_h_all=d_h_all)
+    tape = GradTape(grads={k: np.zeros(v.shape) for k, v in phi.items()})
+    dpred = resid * (2.0 / resid.size)
+    tape.grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, H_all[:-1])
+    tape.grads["ep_head.b"] += dpred.sum(axis=(0, 1))
+    d_h_all = np.zeros_like(H_all)
+    d_h_all[:-1] = dpred @ W_e
+    tape.passes.append((cache_ep, gru, "gru.", None, d_h_all))
 
-    def dsn_back(grads):
-        dd = resid_d * (2.0 * cfg.alpha / resid_d.size)
-        dEn = np.zeros_like(E)
-        np.add.at(dEn, ii, dd[:, None] * E[jj])
-        np.add.at(dEn, jj, dd[:, None] * E[ii])
-        dE = dEn
-        if norms is not None:
-            dE = dEn / norms
-            dE -= (norms > 1e-12) * E * (dEn * E).sum(axis=1, keepdims=True) / norms
-        gru_backward(cache_d, gru, grads, "gru.", d_h_final=dE)
+    dd = resid_d * (2.0 * cfg.alpha / resid_d.size)
+    dEn = np.zeros_like(E)
+    np.add.at(dEn, ii, dd[:, None] * E[jj])
+    np.add.at(dEn, jj, dd[:, None] * E[ii])
+    dE = dEn
+    if norms is not None:
+        dE = dEn / norms
+        dE -= (norms > 1e-12) * E * (dEn * E).sum(axis=1, keepdims=True) / norms
+    tape.passes.append((cache_d, gru, "gru.", dE, None))
 
-    tape = GradTape(phi)
-    tape.record(ep_back)
-    tape.record(dsn_back)
     tape.otn = float(np.mean(resid ** 2))
     tape.dsn = float(np.mean(resid_d ** 2))
     tape.value = tape.otn + cfg.alpha * tape.dsn
+    return tape
+
+
+class ClosureTape:
+    """A tape of backward closures: the loss parts and one closure per branch,
+    each adding its gradients into a dict keyed like the parameters."""
+
+    def __init__(self, params):
+        self.value = 0.0
+        self.otn = 0.0
+        self.dsn = 0.0
+        self.params = params
+        self.fns = []
+
+    def record(self, fn):
+        self.fns.append(fn)
+
+
+def closure_backward(tape):
+    """Run a ``ClosureTape``'s closures last recorded first, from zeros."""
+    grads = {k: np.zeros(v.shape) for k, v in tape.params.items()}
+    for fn in reversed(tape.fns):
+        fn(grads)
+    return grads
+
+
+def build_sten_tape_closures(phi, F, values, starts, pairs, cfg):
+    """``training.build_sten_tape`` in the form that recorded one backward
+    closure per branch, each forming its head's gradients and its GRU pass's
+    upstream gradient only when run.  The package forms both in the forward;
+    the sums are the same, so loss and gradients must agree bit for bit.
+    """
+    use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
+    tape = ClosureTape(phi)
+    gru = GruParams.from_dict(phi, "gru.")
+    otn_val = 0.0
+    dsn_val = 0.0
+    if use_ep or use_dsn:
+        batch = stack_slices(values, starts, cfg.L)
+
+    if use_otn:
+        P, Y, H, inv, cache = order_forward(phi, values, starts, cfg.l, cfg.r, want_cache=True)
+        otn_val = float(js_rows(P, Y).mean())
+
+        def otn_back(grads, P=P, Y=Y, H=H, inv=inv, cache=cache,
+                     W_o=np.asarray(phi["order_head.W"], np.float64)):
+            dP = js_rows_grad_p(P, Y) * (1.0 / P.shape[0])
+            dlogits = P * (dP - (dP * P).sum(axis=1, keepdims=True))
+            grads["order_head.W"] += dlogits.T @ H
+            grads["order_head.b"] += dlogits.sum(axis=0)
+            # Each distinct sub-sequence collects the gradient of every slot it fills.
+            dH = np.zeros((cache.X.shape[0], H.shape[1]))
+            np.add.at(dH, inv, dlogits @ W_o)
+            gru_backward(cache, gru, grads, "gru.", d_h_final=dH)
+
+        tape.record(otn_back)
+
+    if use_ep:
+        resid, H_all, cache_ep = ep_forward(phi, batch, want_cache=True)
+        otn_val = float(np.mean(resid ** 2))  # temporal slot of the breakdown
+
+        def ep_back(grads, resid=resid, H_all=H_all, cache_ep=cache_ep,
+                    W_e=np.asarray(phi["ep_head.W"], np.float64)):
+            dpred = resid * (2.0 / resid.size)
+            grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, H_all[:-1])
+            grads["ep_head.b"] += dpred.sum(axis=(0, 1))
+            d_h_all = np.zeros_like(H_all)
+            d_h_all[:-1] = dpred @ W_e
+            gru_backward(cache_ep, gru, grads, "gru.", d_h_all=d_h_all)
+
+        tape.record(ep_back)
+
+    if use_dsn:
+        if F is None or pairs is None or len(pairs) == 0:
+            raise DataError("distance branch requires eta's embeddings and reference pairs")
+        if use_ep and dsn_prefix(phi) == "gru.":
+            (En, norms), cache_d = unit_rows(H_all[-1], cfg.normalize_embeddings), cache_ep
+        else:
+            En, norms, cache_d = dsn_embeddings(phi, batch, cfg.normalize_embeddings)
+        ii, jj = pairs.T
+        resid_d = pair_residuals(En, F, ii, jj, En, F)
+        dsn_val = float(np.mean(resid_d ** 2))
+
+        def dsn_back(grads, resid_d=resid_d, En=En, ii=ii, jj=jj, norms=norms,
+                     cache_d=cache_d, prefix=dsn_prefix(phi)):
+            # d(total)/d(dsn) = alpha in every mode that trains the branch.
+            dd = resid_d * (2.0 * cfg.alpha / resid_d.size)
+            dEn = np.zeros_like(En)
+            np.add.at(dEn, ii, dd[:, None] * En[jj])
+            np.add.at(dEn, jj, dd[:, None] * En[ii])
+            if norms is not None:
+                # Back through e / max(||e||, floor); En rows are unit (or e/floor).
+                dE = dEn / norms
+                active = (norms > NORM_FLOOR).astype(np.float64)
+                dE -= active * En * (dEn * En).sum(axis=1, keepdims=True) / norms
+            else:
+                dE = dEn
+            gru_backward(cache_d, GruParams.from_dict(phi, prefix), grads, prefix, d_h_final=dE)
+
+        tape.record(dsn_back)
+
+    tape.value = otn_val + cfg.alpha * dsn_val
+    tape.otn = otn_val
+    tape.dsn = dsn_val
     return tape
 
 

@@ -142,23 +142,33 @@ def test_gru_forward_calls_sigmoid_once_per_step_on_both_gates(monkeypatch):
     assert sizes == [2 * B * d] * T
 
 
-@pytest.mark.parametrize("mode", ["full", "dsn_plus_ep"])
-def test_gru_backward_arguments_under_the_default_config(monkeypatch, mode):
+@pytest.mark.parametrize("mode,n_passes", [("full", 2), ("otn_only", 1), ("dsn_only", 1),
+                                            ("dsn_plus_ep", 2)],
+                         ids=["full", "otn_only", "dsn_only", "dsn_plus_ep"])
+def test_gru_backward_arguments_under_the_default_config(monkeypatch, mode, n_passes):
     """perfbench/run.py's _gru_counts reads cache.X's (B, T, d_in) and the
     GruParams' d_model and d_in of each gru_backward call; training computes
-    in float32 and keeps both."""
-    seen = []
-    real = training.gru_backward
+    in float32 and keeps both.  ndkernel.backward makes one gru_backward call
+    per GRU pass its tape recorded."""
+    seen, per_tape = [], []
+    real, real_backward = ndkernel.gru_backward, training.backward
 
     def recording(cache, p, *args, **kwargs):
         seen.append((cache.X.shape, cache.X.dtype, p.d_model, p.d_in))
         return real(cache, p, *args, **kwargs)
 
-    monkeypatch.setattr(training, "gru_backward", recording)
+    def counting(tape):
+        before = len(seen)
+        grads = real_backward(tape)
+        per_tape.append((len(tape.passes), len(seen) - before))
+        return grads
+
+    monkeypatch.setattr(ndkernel, "gru_backward", recording)
+    monkeypatch.setattr(training, "backward", counting)
     tc = cli.build_train_config(schema_config(mode=mode, d_model=8, epochs=1))
     series = MultivariateSeries(values=np.random.default_rng(0).normal(size=(300, 3)))
     train(series, tc)
-    assert seen
+    assert per_tape and per_tape == [(n_passes, n_passes)] * len(per_tape)
     for shape, dtype, d_model, d_in in seen:
         assert len(shape) == 3 and shape[1] in (tc.l, tc.L) and shape[2] == d_in == 3
         assert dtype == np.float32 and d_model == 8

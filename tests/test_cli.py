@@ -317,6 +317,30 @@ class TestSweep:
             rows += (tmp / f"sweep_{v}.csv").read_bytes().splitlines(keepends=True)[1:]
         assert (tmp / "sweep.csv").read_bytes().splitlines(keepends=True)[1:] == rows
 
+    def test_beta_sweep_with_train_references(self, workspace):
+        """Each row of a sweep whose references come from the training series
+        is what train, score --train and eval give for that beta."""
+        tmp, cfg = workspace
+        train_csv, test_csv = prepared_data(tmp, cfg)
+        common = ["--config", cfg, "--set", "ref_source=train"]
+        assert run(["sweep", "--param", "beta", "--values", "0.5,1", "--train", train_csv,
+                    "--test", test_csv, "--out", tmp / "sweep.csv", "--work-dir", tmp / "work",
+                    *common]) == 0
+        assert run(["train", "--train", train_csv, "--config", cfg,
+                    "--out", tmp / "m.ckpt"]) == 0
+        assert (tmp / "m.ckpt").read_bytes() == (tmp / "work/model.ckpt").read_bytes()
+        rows = list(csv.DictReader(open(tmp / "sweep.csv")))
+        assert [r["value"] for r in rows] == ["0.5", "1.0"]
+        for row in rows:
+            assert run(["score", "--model", tmp / "m.ckpt", "--test", test_csv,
+                        "--train", train_csv, "--beta", row["value"], *common,
+                        "--out", tmp / "s.csv"]) == 0
+            assert run(["eval", "--scores", tmp / "s.csv", "--config", cfg,
+                        "--out", tmp / "report.json"]) == 0
+            doc = json.loads((tmp / "report.json").read_text())
+            for k in ("auc_roc", "auc_pr", "best_f1", "aff_f1"):
+                assert float(row[k]) == doc[k], k
+
     def test_alpha_sweep_trains_per_value(self, workspace):
         tmp, cfg = workspace
         train_csv, test_csv = prepared_data(tmp, cfg)
@@ -675,6 +699,16 @@ BAD_SETTING_CASES = [
 ] + [
     pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
                   "--set", "seed=-1", "--out", "{out}"], 1, id="score-negative-seed"),
+    pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
+                  "--set", "ref_source=train", "--out", "{out}"], 1,
+                 id="score-train-references-without-train"),
+] + [
+    # The checkpoint holds the model's settings; score reads only its own keys
+    # from --set (a shared --config file may hold any key).
+    pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
+                  "--set", setting, "--out", "{out}"], 1,
+                 id=f"score-unread-{setting.split('=')[0].replace('_', '-')}")
+    for setting in ("d_model=64", "epochs=9", "n_train=10", "L=12", "r=3", "point_adjust=off")
 ]
 
 
@@ -707,7 +741,11 @@ CSV_CASES = [
                  id="csv-bad-label"),
     pytest.param("labels", "label\n0\n1\n", "no value columns",
                  id="csv-no-value-column"),
+    pytest.param("labels", "a,label,label\n1.0,0,1\n", "header names column 'label' twice",
+                 id="csv-duplicate-column"),
     pytest.param("scores", SCORES_HEADER, "no data rows after header", id="scores-header-only"),
+    pytest.param("scores", "timestamp,score,score_otn,score_dsn,score,label\n1,0.5,0.5,0,0.9,0\n",
+                 "header names column 'score' twice", id="scores-duplicate-column"),
     pytest.param("scores", "timestamp,score,score_otn\n1,0.5,0.5\n", "missing column 'score_dsn'",
                  id="scores-missing-column"),
     pytest.param("scores", SCORES_HEADER + "1,0.5,0.5,0,0\n2,0.5,0.5,0\n",

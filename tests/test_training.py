@@ -11,7 +11,8 @@ from sten.seqdata import MultivariateSeries, SynthConfig, synth_generate, window
 from sten.training import (TrainConfig, _batch_ranges, build_sten_tape, load_checkpoint,
                            save_checkpoint, seed_streams, train)
 
-from oracles import dsn_plus_ep_tape_two_pass, finite_diff_grad, order_loss_presented
+from oracles import (build_sten_tape_closures, closure_backward, dsn_plus_ep_tape_two_pass,
+                     finite_diff_grad, order_loss_presented)
 from windowed import batch_tape
 
 
@@ -214,6 +215,74 @@ class TestSharedTowerPass:
     @pytest.mark.parametrize("case", CASES, ids=IDS)
     @pytest.mark.usefixtures("float64_compute")
     def test_checkpoint_bytes_equal_two_passes_in_float64(self, monkeypatch, tmp_path, case):
+        self._checkpoints_equal(monkeypatch, tmp_path, case)
+
+
+class TestTapeIsData:
+    """build_sten_tape forms the heads' gradients and each GRU pass's upstream
+    gradient in the forward, and backward only runs BPTT over the passes.
+    Loss parts, gradients and trained checkpoints equal those of the form that
+    recorded one backward closure per branch, bit for bit."""
+
+    CASES = [dict(mode="full"), dict(mode="otn_only"), dict(mode="dsn_only"),
+             dict(mode="dsn_plus_ep"), dict(mode="dsn_plus_ep", separate_towers=True),
+             dict(mode="full", normalize_embeddings=True, k_refs=3),
+             dict(mode="dsn_plus_ep", normalize_embeddings=True), dict(mode="full", alpha=0.0)]
+    IDS = ["full", "otn_only", "dsn_only", "dsn_plus_ep", "dsn_plus_ep-towers",
+           "full-normalised-k_refs-3", "dsn_plus_ep-normalised", "full-alpha-0"]
+
+    @staticmethod
+    def _tapes_equal(case):
+        cfg = small_cfg(**{"alpha": 0.7, **case})
+        rng = np.random.default_rng(9)
+        _, use_ep, use_dsn = training.branches(cfg.mode, cfg.alpha)
+        phi = init_phi(2, cfg.d_model, cfg.m, rng, separate_towers=cfg.separate_towers,
+                       with_ep_head=use_ep)
+        values = rng.normal(size=(150, 2)).astype(training.COMPUTE_DTYPE)
+        starts = window_starts(150, cfg.L, cfg.R_train)
+        F = pairs = None
+        if use_dsn:
+            eta = init_gru(2, cfg.d_model, rng)
+            F = embed_windows(eta, values[starts[:, None] + np.arange(cfg.L)],
+                              cfg.normalize_embeddings)
+            pairs = sample_pairs(len(starts), rng, cfg.k_refs)
+        got = build_sten_tape(phi, F, values, starts, pairs, cfg)
+        want = build_sten_tape_closures(phi, F, values, starts, pairs, cfg)
+        assert (got.otn, got.dsn, got.value) == (want.otn, want.dsn, want.value)
+        g, w = backward(got), closure_backward(want)
+        assert set(g) == set(w) == set(phi)
+        again = backward(got)
+        for k in g:
+            assert np.array_equal(g[k], w[k]), k
+            assert np.array_equal(again[k], g[k]), k
+
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_loss_and_gradients_equal_closures(self, case):
+        """In float32, the compute dtype training runs in."""
+        self._tapes_equal(case)
+
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    @pytest.mark.usefixtures("float64_compute")
+    def test_loss_and_gradients_equal_closures_in_float64(self, case):
+        self._tapes_equal(case)
+
+    @staticmethod
+    def _checkpoints_equal(monkeypatch, tmp_path, case):
+        series = small_series()
+        cfg = small_cfg(epochs=2, **{"alpha": 0.7, **case})
+        save_checkpoint(train(series, cfg), tmp_path / "data.ckpt")
+        monkeypatch.setattr(training, "build_sten_tape", build_sten_tape_closures)
+        monkeypatch.setattr(training, "backward", closure_backward)
+        save_checkpoint(train(series, cfg), tmp_path / "closures.ckpt")
+        assert (tmp_path / "data.ckpt").read_bytes() == (tmp_path / "closures.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_checkpoint_bytes_equal_closures(self, monkeypatch, tmp_path, case):
+        self._checkpoints_equal(monkeypatch, tmp_path, case)
+
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    @pytest.mark.usefixtures("float64_compute")
+    def test_checkpoint_bytes_equal_closures_in_float64(self, monkeypatch, tmp_path, case):
         self._checkpoints_equal(monkeypatch, tmp_path, case)
 
 
