@@ -10,12 +10,15 @@ reproducible.
 The config keys are the fields of ``SynthConfig``, ``TrainConfig`` and
 ``ScoreConfig``, each with its field's name, annotation (as its type) and
 default; a field two classes share (``seed``, ``k_refs``) is one key.  The
-exceptions are the rows of ``_EXCEPTIONS``: ``L`` and ``r``, which follow
-``l`` and ``m`` unless set, ``score_eps`` (``ScoreConfig.eps``) and the
-evaluation keys, which have no dataclass.  ``ScoreConfig.seed`` is derived
+exceptions are ``L`` and ``r``, which follow ``l`` and ``m`` unless set, and
+the evaluation keys, which have no dataclass.  ``ScoreConfig.seed`` is derived
 from ``seed``.  File, ``--set`` and flag values are all parsed by ``_convert``.
-``score`` takes from ``--set`` only the keys ``build_score_config`` reads: the
-model's settings come from its checkpoint.  A config file may hold any key.
+
+Each command takes from ``--set`` only the keys it reads, and rejects any
+other: ``synth`` the ``SynthConfig`` keys, ``train`` the ``TrainConfig`` keys,
+``score`` the ``ScoreConfig`` keys (the model's settings come from its
+checkpoint), ``eval`` the evaluation keys and ``l``, ``sweep`` the training,
+scoring and evaluation keys.  A config file may hold any key.
 """
 
 from __future__ import annotations
@@ -39,8 +42,10 @@ _EXCEPTIONS: dict[str, tuple[str, object]] = {
     # Unset, r = l and L = l + (m - 1) * r (build_train_config).
     "L": ("int | None", None),
     "r": ("int | None", None),
-    "score_eps": ("float", ScoreConfig.eps),
-    # evaluation
+}
+
+# The evaluation keys, which have no dataclass.
+_EVAL_KEYS: dict[str, tuple[str, object]] = {
     "point_adjust": ("str", "on"),
     "metrics": ("str", "all"),
     "delta": ("float", 0.6),
@@ -49,14 +54,18 @@ _EXCEPTIONS: dict[str, tuple[str, object]] = {
     "vus_step": ("float", 1.0),
 }
 
-# Each key's (type, default), the type an annotation string: the fields'
-# (ScoreConfig.eps is score_eps), then the exceptions.
+# Each key's (type, default), the type an annotation string: the fields',
+# then the exceptions and the evaluation keys.
 SCHEMA: dict[str, tuple[str, object]] = {}
-for _f in (f for cls in (SynthConfig, TrainConfig, ScoreConfig) for f in fields(cls)
-           if f.name != "eps"):
+for _f in (f for cls in (SynthConfig, TrainConfig, ScoreConfig) for f in fields(cls)):
     if SCHEMA.setdefault(_f.name, (_f.type, _f.default)) != (_f.type, _f.default):
         raise TypeError(f"config classes declare {_f.name!r} differently")
-SCHEMA.update(_EXCEPTIONS)
+SCHEMA.update(_EXCEPTIONS | _EVAL_KEYS)
+
+
+def _keys(*classes) -> set[str]:
+    """The keys of the config classes' fields."""
+    return {f.name for cls in classes for f in fields(cls)}
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
                "false": False, "0": False, "no": False, "off": False}
@@ -144,7 +153,7 @@ def build_train_config(cfg: dict) -> TrainConfig:
 
 
 def build_score_config(cfg: dict) -> ScoreConfig:
-    return _build(ScoreConfig, cfg, eps=cfg["score_eps"], seed=derive_seed(cfg["seed"], "score"))
+    return _build(ScoreConfig, cfg, seed=derive_seed(cfg["seed"], "score"))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +161,7 @@ def build_score_config(cfg: dict) -> ScoreConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    synth_cfg = build_synth_config(resolve_config(args))
+    synth_cfg = build_synth_config(resolve_config(args, reads=_keys(SynthConfig)))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_series, test_series = synth_generate(synth_cfg)
@@ -169,7 +178,7 @@ def _write_loss_log(path, trace) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(args)
+    cfg = resolve_config(args, reads=_keys(TrainConfig))
     series = load_csv(args.train)
     tc = build_train_config(cfg)
     model = train(series, tc)
@@ -183,8 +192,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    sc = build_score_config(resolve_config(
-        args, reads={f.name for f in fields(ScoreConfig)} - {"eps"} | {"score_eps"}))
+    sc = build_score_config(resolve_config(args, reads=_keys(ScoreConfig)))
     if sc.ref_source == "train" and not args.train:
         raise ConfigError("ref_source=train requires --train")
     model = load_checkpoint(args.model)
@@ -252,7 +260,8 @@ def evaluate_to_doc(scores, labels, cfg: dict) -> dict:
 
 
 def cmd_eval(args) -> int:
-    cfg = resolve_config(args)
+    # l sets the default range_w and vus_wmax.
+    cfg = resolve_config(args, reads=set(_EVAL_KEYS) | {"l"})
     _eval_settings(cfg)
     cols = read_scores_csv(args.scores)
     if getattr(args, "labels_from", None):
@@ -282,7 +291,7 @@ SWEEP_PARAMS = ("alpha", "beta", "l", "delta")
 
 
 def cmd_sweep(args) -> int:
-    cfg = resolve_config(args)
+    cfg = resolve_config(args, reads=_keys(TrainConfig, ScoreConfig) | set(_EVAL_KEYS))
     if args.param not in SWEEP_PARAMS:
         raise ConfigError(f"--param must be one of {SWEEP_PARAMS}")
     try:

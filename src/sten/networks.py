@@ -1,6 +1,13 @@
-"""Trainable encoder, frozen random projector, the batched forward of each
-branch (order head, error-prediction head, distance embeddings), and the
+"""Trainable encoder, frozen random projector, the batched forward of phi's
+branches (order head, error-prediction head, distance embeddings), and the
 binary checkpoint format.
+
+``forward`` is the one forward of phi, run by training (with the caches its
+backward needs) and by scoring (without).  Over a batch of windows, given as a
+series and the windows' starts, it runs the branches ``branches`` selects for
+a mode, and it is the one place that decides where the distance embeddings
+come from: the error-prediction pass when both branches share phi's tower, a
+pass of the distance tower otherwise.
 
 The encoder phi is one ``ParamDict``, the form Adam, the gradient tape and
 the checkpoint use.  ``phi_shapes`` is its one layout: ``gru.*`` (the shared
@@ -105,30 +112,6 @@ def order_forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, l: int
     return P, Y, H, inv, cache
 
 
-def ep_forward(phi: ParamDict, batch: np.ndarray, want_cache: bool = False):
-    """Error-prediction head: a linear map of h_t predicts x_{t+1}.
-
-    Returns (resid, H_all, cache): the one-step-ahead residuals (L-1, B, D),
-    then the hidden trajectory (L, B, d_model) and the GruCache.  The pass
-    runs the shared tower ``gru.``, so ``H_all[-1]`` is the windows' embedding
-    by that tower, bit for bit.
-    """
-    if "ep_head.W" not in phi:
-        raise DataError("model has no error-prediction head")
-    X = np.asarray(batch)
-    if X.shape[1] < 2:
-        raise DataError("error-prediction branch needs windows of length >= 2")
-    gru = GruParams.from_dict(phi, "gru.")
-    if want_cache:
-        _, cache, H_all = gru_forward(X, gru, want_cache=True, want_all=True)
-    else:
-        (_, H_all), cache = gru_forward(X, gru, want_all=True), None
-    preds = (H_all[:-1] @ np.asarray(phi["ep_head.W"], np.float64).T
-             + np.asarray(phi["ep_head.b"], np.float64))
-    resid = preds - np.transpose(X[:, 1:], (1, 0, 2))
-    return resid, H_all, cache
-
-
 def unit_rows(E: np.ndarray, normalize: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Window embeddings as the distance branch reads them: E's rows divided
     by their norms floored at NORM_FLOOR when ``normalize``, else E itself.
@@ -146,17 +129,64 @@ def embed_windows(gru: GruParams, data: np.ndarray, normalize: bool = False) -> 
     return unit_rows(gru_forward(data, gru), normalize)[0]
 
 
-def dsn_embeddings(phi: ParamDict, batch: np.ndarray, normalize: bool):
-    """Distance-tower embeddings of windows (B, L, D) with what their backward
-    needs, rows unit-normalised when ``normalize``.
+def branches(mode: str, alpha: float) -> tuple[bool, bool, bool]:
+    """Which of the order, error-prediction and distance branches a model
+    trains and scores with.  ``full`` with alpha == 0 has no distance branch:
+    no gradient can reach it."""
+    return (mode in ("full", "otn_only"), mode == "dsn_plus_ep",
+            mode in ("dsn_only", "dsn_plus_ep") or (mode == "full" and alpha > 0))
 
-    Returns (E, norms, cache): the embeddings, E's floored row norms before
-    normalising (None without ``normalize``) and the tower's GruCache.
-    ``embed_windows`` of the same tower gives the same E without a cache.
+
+def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
+            want_cache: bool = False):
+    """phi's branches, as ``branches(cfg.mode, cfg.alpha)`` selects them, over
+    the length-``cfg.L`` windows of the (N, D) series ``values`` at ``starts``;
+    ``cfg`` is the model's ``training.TrainConfig``.
+
+    Returns (order, ep, dsn), None for a branch not run:
+
+    - order: ``order_forward``'s (P, Y, H, inv, cache);
+    - ep: (resid, H_all, cache) of the error-prediction head, a linear map of
+      h_t that predicts x_{t+1}: the one-step-ahead residuals (L-1, B, D), then
+      the shared tower's hidden trajectory (L, B, d_model) and its GruCache,
+      both None without ``want_cache``;
+    - dsn: (E, norms, cache), the distance embeddings (unit rows when
+      ``cfg.normalize_embeddings``), their floored norms (B, 1) or None, and
+      the GruCache of the pass that made them.
+
+    The windows are gathered once.  With the error-prediction head and one
+    shared tower, the distance embeddings are the final hidden states of the
+    error-prediction pass, whose cache both branches then share; otherwise
+    the distance tower (``dsn_prefix``) runs a pass of its own.
     """
-    tower = GruParams.from_dict(phi, dsn_prefix(phi))
-    E, cache = gru_forward(batch, tower, want_cache=True)
-    return (*unit_rows(E, normalize), cache)
+    use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
+    order = order_forward(phi, values, starts, cfg.l, cfg.r, want_cache) if use_otn else None
+    ep = dsn = None
+    if use_ep or use_dsn:
+        X = stack_slices(values, starts, cfg.L)
+    if use_ep:
+        if "ep_head.W" not in phi:
+            raise DataError("model has no error-prediction head")
+        if X.shape[1] < 2:
+            raise DataError("error-prediction branch needs windows of length >= 2")
+        gru = GruParams.from_dict(phi, "gru.")
+        if want_cache:
+            H, cache, H_all = gru_forward(X, gru, want_cache=True, want_all=True)
+        else:
+            (H, H_all), cache = gru_forward(X, gru, want_all=True), None
+        preds = (H_all[:-1] @ np.asarray(phi["ep_head.W"], np.float64).T
+                 + np.asarray(phi["ep_head.b"], np.float64))
+        # Only a backward reads the trajectory: without one it is freed here.
+        ep = (preds - np.transpose(X[:, 1:], (1, 0, 2)), H_all if want_cache else None, cache)
+    if use_dsn:
+        if use_ep and dsn_prefix(phi) == "gru.":
+            E, cache = H, ep[2]
+        else:
+            tower = GruParams.from_dict(phi, dsn_prefix(phi))
+            E, cache = (gru_forward(X, tower, want_cache=True) if want_cache
+                        else (gru_forward(X, tower), None))
+        dsn = (*unit_rows(E, cfg.normalize_embeddings), cache)
+    return order, ep, dsn
 
 
 def pair_residuals(E: np.ndarray, F: np.ndarray, ii: np.ndarray, jj: np.ndarray,

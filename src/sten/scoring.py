@@ -1,4 +1,4 @@
-"""Inference-time anomaly scoring from the branch forwards in ``networks``.
+"""Inference-time anomaly scoring with ``networks.forward``.
 
 The test windows (n_windows, L, D) start at ``seqdata.window_starts``.  The
 order (or error-prediction) branch scores each window's m sub-sequence slots,
@@ -6,22 +6,24 @@ order (or error-prediction) branch scores each window's m sub-sequence slots,
 slots inherit that score.  Slot i of the window at ``s`` covers timestamps
 [s + i*r, s + i*r + l); a timestamp scores the mean over its covering slots.
 
-The order branch scores sub-sequences in their true order, through the same
-``order_forward`` call as training: it encodes each distinct sub-sequence of a
-chunk of windows once, and windows at stride ``R_test`` = r share all but one
-of theirs with the next.  The z-scored series is cast once to
-``training.COMPUTE_DTYPE``, the dtype the GRU computes in.  For a fixed
-``CHUNK``, scoring is deterministic given the seed used for reference-pair
-sampling.  Another ``CHUNK`` may move a temporal score in its last bits: BLAS
-may round a row of a short GEMM differently from the same row in a tall one.
-In float64 about 4e-16 relative was measured, in float32 up to 4.5e-10
-(d_model 32, OpenBLAS).
+Scoring runs ``networks.forward``, the forward training runs, over chunks of
+``CHUNK`` windows, and eta embeds each chunk's windows.  The order branch
+scores sub-sequences in their true order: it encodes each distinct
+sub-sequence of a chunk once, and windows at stride ``R_test`` = r share all
+but one of theirs with the next.  The z-scored series is cast once to
+``training.COMPUTE_DTYPE``, the dtype the GRU computes in.  Scoring is
+deterministic given the seed used for reference-pair sampling.
 
-With the error-prediction head and one shared tower (``dsn_plus_ep``
-without separate towers), the GRU runs once over each chunk: the distance
-branch reads the final hidden states of the error-prediction pass.  So
-another ``CHUNK`` may then also move ``score_dsn``: up to 1.2e-15 relative
-was measured in float64 and 2.0e-7 in float32, at d_model 32.
+A chunk holds at least ``MIN_ROWS`` windows, unless the whole series has
+fewer (``seqdata.batch_ranges`` joins a short last chunk to the one before).
+BLAS may round a row of a GEMM over a few rows differently from the same row
+in a tall one, but from ``MIN_ROWS`` rows on a row gets the bits it gets in a
+taller GEMM, so another ``CHUNK`` moves no score.  The one exception is the
+temporal column of ``dsn_plus_ep`` (``score_otn``, and so ``scores``): the
+error-prediction head maps each step's hidden states with a float64 GEMM
+whose rounding still depends on the chunk's row count.  Against ``CHUNK``
+1024, ``CHUNK`` 1 to 200 moved it by up to 3.1e-16 relative, in float64 and
+in float32, at d_model 32 and 256 (OpenBLAS).
 
 Score files are CSV tables written by ``seqdata.write_table`` and read back by
 ``seqdata.read_table`` and ``seqdata.parse_column``, the package's one table
@@ -30,27 +32,26 @@ writer and reader.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import ConfigError, DataError
 # gru_forward is bound here, uncalled, because perfbench/test_perfbench.py
 # looks it up on this module.
-from .ndkernel import GruParams, gru_forward  # noqa: F401
-from .networks import (dsn_prefix, embed_windows, ep_forward, order_forward, pair_residuals,
-                       sample_pairs, unit_rows)
+from .ndkernel import gru_forward  # noqa: F401
+from .networks import branches, embed_windows, forward, pair_residuals, sample_pairs
 from .objectives import js_rows
-from .seqdata import (MultivariateSeries, parse_column, read_table, stack_slices, window_starts,
-                      write_table)
-from .training import TrainedModel, branches, compute_values
+from .seqdata import (MultivariateSeries, batch_ranges, parse_column, read_table, stack_slices,
+                      window_starts, write_table)
+from .training import TrainConfig, TrainedModel, compute_values
 
 
 @dataclass
 class ScoreConfig:
     beta: float = 1.0
     R_test: int = 10
-    eps: float = 1e-8
+    score_eps: float = 1e-8
     k_refs: int = 1
     seed: int = 0
     per_subseq_denominator: bool = False
@@ -59,8 +60,8 @@ class ScoreConfig:
     def validate(self) -> None:
         if not 0 <= self.beta < np.inf:
             raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
-        if not 0 <= self.eps < np.inf:
-            raise ConfigError(f"eps must be finite and >= 0, got {self.eps}")
+        if not 0 <= self.score_eps < np.inf:
+            raise ConfigError(f"score_eps must be finite and >= 0, got {self.score_eps}")
         if self.R_test < 1 or self.k_refs < 1:
             raise ConfigError("R_test and k_refs must be >= 1")
         if self.seed < 0:
@@ -112,8 +113,44 @@ def aggregate_timestamps(starts, values, length: int,
 # Full scoring pipeline
 # ---------------------------------------------------------------------------
 
-# Windows per forward pass of the temporal branch.
+# Windows per chunk: scoring runs ``networks.forward`` and eta once per chunk.
 CHUNK = 1024
+# The fewest windows in a chunk, unless the whole series has fewer: a row of
+# a GEMM over this many rows or more gets the bits it gets in a taller one.
+MIN_ROWS = 64
+
+
+def _forward_chunks(model: TrainedModel, values: np.ndarray, starts: np.ndarray,
+                    tc: TrainConfig, cfg: ScoreConfig):
+    """``networks.forward`` over the windows at ``starts``, chunk by chunk.
+
+    Returns the temporal scores (n_w, m) of the order or error-prediction
+    branch, then phi's distance embeddings E and eta's F, both (n_w, d_model)
+    and filled only with the distance branch.
+    """
+    n_w = len(starts)
+    t_scores = np.zeros((n_w, tc.m))
+    E, F = np.empty((n_w, tc.d_model)), np.empty((n_w, tc.d_model))
+    for s, e in batch_ranges(n_w, max(CHUNK, MIN_ROWS), min_last=MIN_ROWS):
+        order, ep, dsn = forward(model.phi, values, starts[s:e], tc)
+        if order is not None:
+            P, Y = order[:2]
+            rows = js_rows(P, Y).reshape(e - s, tc.m)
+            if not cfg.per_subseq_denominator:
+                rows = rows.mean(axis=1, keepdims=True)
+            t_scores[s:e] = np.abs(P - Y).sum(axis=1).reshape(e - s, tc.m) / (rows + cfg.score_eps)
+        if ep is not None:
+            err = (ep[0] ** 2).mean(axis=2).T          # (B, L-1); err[:, t-1] ~ x_t
+            for i in range(tc.m):
+                lo = max(i * tc.r, 1)                  # timestamp 0 has no prediction
+                hi = i * tc.r + tc.l
+                if hi > lo:
+                    t_scores[s:e, i] = err[:, lo - 1:hi - 1].mean(axis=1)
+        if dsn is not None:
+            E[s:e] = dsn[0]
+            F[s:e] = embed_windows(model.eta, stack_slices(values, starts[s:e], tc.L),
+                                   tc.normalize_embeddings)
+    return t_scores, E, F
 
 
 def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig,
@@ -130,58 +167,21 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
     tc = model.config
     values = compute_values(test, model.stats)
     starts = window_starts(test.n, tc.L, cfg.R_test, cover_tail=True)
-    W = stack_slices(values, starts, tc.L)
-    n_w = len(W)
-    use_otn, use_ep, use_dsn = branches(tc.mode, tc.alpha)
-    # With one shared tower, the error-prediction pass also embeds the
-    # windows for the distance branch: its final hidden states.
-    E_ep = np.empty((n_w, tc.d_model)) if use_ep and dsn_prefix(model.phi) == "gru." else None
-
-    # Temporal component: (n_w, m) score per sub-sequence.
-    t_scores = np.zeros((n_w, tc.m))
-    for s in range(0, n_w, CHUNK):
-        chunk = starts[s:s + CHUNK]
-        B = len(chunk)
-        if use_otn:
-            P, Y, _, _, _ = order_forward(model.phi, values, chunk, tc.l, tc.r)
-            rows = js_rows(P, Y).reshape(B, tc.m)
-            if not cfg.per_subseq_denominator:
-                rows = rows.mean(axis=1, keepdims=True)
-            t_scores[s:s + B] = np.abs(P - Y).sum(axis=1).reshape(B, tc.m) / (rows + cfg.eps)
-        elif use_ep:
-            resid, H_all, _ = ep_forward(model.phi, W[s:s + CHUNK])
-            if E_ep is not None:
-                E_ep[s:s + B] = H_all[-1]
-            del H_all                                  # one chunk's trajectory at a time
-            err = (resid ** 2).mean(axis=2).T          # (B, L-1); err[:, t-1] ~ x_t
-            for i in range(tc.m):
-                lo = max(i * tc.r, 1)                  # timestamp 0 has no prediction
-                hi = i * tc.r + tc.l
-                if hi > lo:
-                    t_scores[s:s + B, i] = err[:, lo - 1:hi - 1].mean(axis=1)
+    n_w = len(starts)
+    t_scores, E, F = _forward_chunks(model, values, starts, tc, cfg)
 
     # Spatial component: scalar per window.
     dsn_w = np.zeros(n_w)
-    if use_dsn:
-        tower = GruParams.from_dict(model.phi, dsn_prefix(model.phi))
-
-        def embed(windows):
-            return (embed_windows(tower, windows, tc.normalize_embeddings),
-                    embed_windows(model.eta, windows, tc.normalize_embeddings))
-
-        if E_ep is None:
-            E, F = embed(W)
-        else:
-            E = unit_rows(E_ep, tc.normalize_embeddings)[0]
-            F = embed_windows(model.eta, W, tc.normalize_embeddings)
+    if branches(tc.mode, tc.alpha)[2]:
         rng = np.random.default_rng(cfg.seed)
         if cfg.ref_source == "train":
             if train_series is None:
                 raise DataError("ref_source='train' requires the training series")
-            pool = stack_slices(compute_values(train_series, model.stats),
-                                window_starts(train_series.n, tc.L, tc.R_train), tc.L)
-            Ep, Fp = embed(pool)
-            jj = rng.integers(0, len(pool), size=(n_w, cfg.k_refs)).reshape(-1)
+            # The reference pool needs only its distance embeddings.
+            _, Ep, Fp = _forward_chunks(model, compute_values(train_series, model.stats),
+                                        window_starts(train_series.n, tc.L, tc.R_train),
+                                        replace(tc, mode="dsn_only"), cfg)
+            jj = rng.integers(0, len(Ep), size=(n_w, cfg.k_refs)).reshape(-1)
             ii = np.repeat(np.arange(n_w), cfg.k_refs)
         else:
             ii, jj = sample_pairs(n_w, rng, cfg.k_refs).T

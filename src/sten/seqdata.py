@@ -218,6 +218,16 @@ def stack_slices(values: np.ndarray, starts: np.ndarray, length: int) -> np.ndar
     return values[np.asarray(starts)[:, None] + np.arange(length)]
 
 
+def batch_ranges(n: int, batch_size: int, min_last: int) -> list[tuple[int, int]]:
+    """Consecutive [s, e) ranges of ``batch_size`` over n items; a last range
+    shorter than ``min_last`` joins the one before it."""
+    ranges = [(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
+    if len(ranges) > 1 and ranges[-1][1] - ranges[-1][0] < min_last:
+        _, e = ranges.pop()
+        ranges[-1] = (ranges[-1][0], e)
+    return ranges
+
+
 def make_windows(series: MultivariateSeries, L: int, R: int,
                  cover_tail: bool = False) -> np.ndarray:
     """The (n_windows, L, D) stack of the windows at ``window_starts``."""

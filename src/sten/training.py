@@ -13,12 +13,12 @@ from . import ConfigError, DataError, NumericError
 # looks it up on this module.
 from .ndkernel import (GradTape, GruParams, ParamDict, adam_update, backward,  # noqa: F401
                        gru_forward, gru_shapes, init_adam_state, init_gru)
-from .networks import (NORM_FLOOR, dsn_embeddings, dsn_prefix, embed_windows, ep_forward,
-                       gru_checksum, init_phi, order_forward, pair_residuals, phi_shapes,
-                       read_checkpoint, sample_pairs, unit_rows, write_checkpoint)
+from .networks import (NORM_FLOOR, branches, dsn_prefix, embed_windows, forward, gru_checksum,
+                       init_phi, pair_residuals, phi_shapes, read_checkpoint, sample_pairs,
+                       write_checkpoint)
 from .objectives import js_rows, js_rows_grad_p
-from .seqdata import (MultivariateSeries, NormStats, stack_slices, window_starts, zscore_apply,
-                      zscore_fit)
+from .seqdata import (MultivariateSeries, NormStats, batch_ranges, stack_slices, window_starts,
+                      zscore_apply, zscore_fit)
 
 MODES = ("full", "otn_only", "dsn_only", "dsn_plus_ep")
 
@@ -96,41 +96,28 @@ class TrainedModel:
     d_in: int = 0
 
 
-def branches(mode: str, alpha: float) -> tuple[bool, bool, bool]:
-    """Which of the order, error-prediction and distance branches a model
-    trains and scores with.  ``full`` with alpha == 0 has no distance branch:
-    no gradient can reach it."""
-    return (mode in ("full", "otn_only"), mode == "dsn_plus_ep",
-            mode in ("dsn_only", "dsn_plus_ep") or (mode == "full" and alpha > 0))
-
-
 def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
                     starts: np.ndarray, pairs: np.ndarray | None, cfg: TrainConfig) -> GradTape:
     """Forward pass of the combined loss over one batch of windows.
 
     The batch is the length-L windows of the (N, D) series ``values`` at
-    ``starts``.  The order branch encodes each distinct sub-sequence of the
-    batch once (``order_forward``).  ``F`` holds the frozen projector eta's
+    ``starts``; ``networks.forward`` runs phi's branches over it, with the
+    caches of their GRU passes.  ``F`` holds the frozen projector eta's
     embeddings of the batch's windows (B, d_model), unit rows when
     ``cfg.normalize_embeddings``, and ``pairs`` (P, 2) window-index pairs, both
-    for the distance branch (None without one).  When the error-prediction
-    branch and the distance branch share phi's tower, the GRU runs once over
-    the windows: the distance embeddings are the final hidden states of the
-    error-prediction pass, and both of its BPTT passes read its one cache.
+    for the distance branch (None without one).
 
     Returns the tape of the loss (eta is frozen): the order and
     error-prediction heads' gradients, and each GRU pass with the gradient of
     the loss w.r.t. its hidden states, for ``backward`` to run BPTT over.
     """
-    use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
+    order, ep, dsn = forward(phi, values, starts, cfg, want_cache=True)
     tape = GradTape(grads={k: np.zeros(v.shape) for k, v in phi.items()})
     grads = tape.grads
     gru = GruParams.from_dict(phi, "gru.")
-    if use_ep or use_dsn:
-        batch = stack_slices(values, starts, cfg.L)
 
-    if use_otn:
-        P, Y, H, inv, cache = order_forward(phi, values, starts, cfg.l, cfg.r, want_cache=True)
+    if order is not None:
+        P, Y, H, inv, cache = order
         tape.otn = float(js_rows(P, Y).mean())
         dP = js_rows_grad_p(P, Y) * (1.0 / P.shape[0])
         dlogits = P * (dP - (dP * P).sum(axis=1, keepdims=True))
@@ -141,24 +128,20 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
         np.add.at(dH, inv, dlogits @ np.asarray(phi["order_head.W"], np.float64))
         tape.passes.append((cache, gru, "gru.", dH, None))
 
-    if use_ep:
-        resid, H_all, cache_ep = ep_forward(phi, batch, want_cache=True)
+    if ep is not None:
+        resid, H_all, cache = ep
         tape.otn = float(np.mean(resid ** 2))  # temporal slot of the breakdown
         dpred = resid * (2.0 / resid.size)
         grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, H_all[:-1])
         grads["ep_head.b"] += dpred.sum(axis=(0, 1))
         d_h_all = np.zeros_like(H_all)
         d_h_all[:-1] = dpred @ np.asarray(phi["ep_head.W"], np.float64)
-        tape.passes.append((cache_ep, gru, "gru.", None, d_h_all))
+        tape.passes.append((cache, gru, "gru.", None, d_h_all))
 
-    if use_dsn:
+    if dsn is not None:
         if F is None or pairs is None or len(pairs) == 0:
             raise DataError("distance branch requires eta's embeddings and reference pairs")
-        prefix = dsn_prefix(phi)
-        if use_ep and prefix == "gru.":
-            (En, norms), cache_d = unit_rows(H_all[-1], cfg.normalize_embeddings), cache_ep
-        else:
-            En, norms, cache_d = dsn_embeddings(phi, batch, cfg.normalize_embeddings)
+        En, norms, cache = dsn
         ii, jj = pairs.T
         resid_d = pair_residuals(En, F, ii, jj, En, F)
         tape.dsn = float(np.mean(resid_d ** 2))
@@ -174,7 +157,8 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
             dE -= active * En * (dEn * En).sum(axis=1, keepdims=True) / norms
         else:
             dE = dEn
-        tape.passes.append((cache_d, GruParams.from_dict(phi, prefix), prefix, dE, None))
+        prefix = dsn_prefix(phi)
+        tape.passes.append((cache, GruParams.from_dict(phi, prefix), prefix, dE, None))
 
     tape.value = tape.otn + cfg.alpha * tape.dsn
     return tape
@@ -196,14 +180,6 @@ def compute_values(series: MultivariateSeries, stats: NormStats) -> np.ndarray:
         raise DataError(f"dimension {name!r}: its z-score exceeds the "
                         f"{np.dtype(COMPUTE_DTYPE).name} range")
     return values
-
-
-def _batch_ranges(n: int, batch_size: int, min_last: int) -> list[tuple[int, int]]:
-    ranges = [(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
-    if len(ranges) > 1 and ranges[-1][1] - ranges[-1][0] < min_last:
-        _, e = ranges.pop()
-        ranges[-1] = (ranges[-1][0], e)
-    return ranges
 
 
 def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
@@ -238,7 +214,7 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
 
     adam = init_adam_state(phi)
     pair_rng = streams["pairing"]
-    ranges = _batch_ranges(n, cfg.batch_size, min_last=2 if use_dsn else 1)
+    ranges = batch_ranges(n, cfg.batch_size, min_last=2 if use_dsn else 1)
     # eta is frozen and the windows are fixed: embed them once for all epochs,
     # batch by batch, so that each batch gets the bits of its own embedding.
     eta_emb = [embed_windows(eta, stack_slices(values, starts[s:e], cfg.L),

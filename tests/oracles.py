@@ -12,11 +12,10 @@ import numpy as np
 from sten import DataError
 from sten.evalmetrics import range_auc
 from sten.ndkernel import GradTape, GruCache, GruParams, gru_backward, gru_forward, softmax
-from sten.networks import (NORM_FLOOR, dsn_embeddings, dsn_prefix, ep_forward, order_forward,
-                           pair_residuals, unit_rows)
+from sten.networks import (NORM_FLOOR, branches, dsn_prefix, order_forward, pair_residuals,
+                           unit_rows)
 from sten.objectives import js_rows, js_rows_grad_p
 from sten.seqdata import stack_slices
-from sten.training import branches
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +335,10 @@ def build_sten_tape_closures(phi, F, values, starts, pairs, cfg):
         tape.record(otn_back)
 
     if use_ep:
-        resid, H_all, cache_ep = ep_forward(phi, batch, want_cache=True)
+        _, cache_ep, H_all = gru_forward(batch, gru, want_cache=True, want_all=True)
+        resid = (H_all[:-1] @ np.asarray(phi["ep_head.W"], np.float64).T
+                 + np.asarray(phi["ep_head.b"], np.float64)
+                 - np.transpose(batch[:, 1:], (1, 0, 2)))
         otn_val = float(np.mean(resid ** 2))  # temporal slot of the breakdown
 
         def ep_back(grads, resid=resid, H_all=H_all, cache_ep=cache_ep,
@@ -356,7 +358,9 @@ def build_sten_tape_closures(phi, F, values, starts, pairs, cfg):
         if use_ep and dsn_prefix(phi) == "gru.":
             (En, norms), cache_d = unit_rows(H_all[-1], cfg.normalize_embeddings), cache_ep
         else:
-            En, norms, cache_d = dsn_embeddings(phi, batch, cfg.normalize_embeddings)
+            E, cache_d = gru_forward(batch, GruParams.from_dict(phi, dsn_prefix(phi)),
+                                     want_cache=True)
+            En, norms = unit_rows(E, cfg.normalize_embeddings)
         ii, jj = pairs.T
         resid_d = pair_residuals(En, F, ii, jj, En, F)
         dsn_val = float(np.mean(resid_d ** 2))
@@ -707,9 +711,9 @@ def score_series_dense(model, test, cfg, pairs):
                 nums.append(sum(abs(pk - yk) for pk, yk in zip(p, y)))
                 divs.append(js_direct(p, y))
             if cfg.per_subseq_denominator:
-                temporal.append([nums[i] / (divs[i] + cfg.eps) for i in range(tc.m)])
+                temporal.append([nums[i] / (divs[i] + cfg.score_eps) for i in range(tc.m)])
             else:
-                den = sum(divs) / len(divs) + cfg.eps
+                den = sum(divs) / len(divs) + cfg.score_eps
                 temporal.append([num / den for num in nums])
         elif tc.mode == "dsn_plus_ep":
             err = {}

@@ -419,7 +419,7 @@ class TestConfigSchema:
             "point_adjust metrics range_w vus_wmax vus_step".split())
 
     def test_fields_are_keys_of_their_type_and_default(self):
-        exceptions = {"L", "r", "eps"}      # L and r are optional; eps is score_eps
+        exceptions = {"L", "r"}             # optional: they follow l and m
         for cls in BUILDERS:
             for f in fields(cls):
                 if f.name not in exceptions:
@@ -709,6 +709,16 @@ BAD_SETTING_CASES = [
                   "--set", setting, "--out", "{out}"], 1,
                  id=f"score-unread-{setting.split('=')[0].replace('_', '-')}")
     for setting in ("d_model=64", "epochs=9", "n_train=10", "L=12", "r=3", "point_adjust=off")
+] + [
+    # Every other command also rejects a --set key it does not read.
+    pytest.param(["synth", "--config", "{cfg}", "--out-dir", "{out}", "--set", "d_model=9"], 1,
+                 id="synth-unread-d-model"),
+    pytest.param(["train", "--train", "{train}", "--config", "{cfg}", "--out", "{out}",
+                  "--set", "beta=3"], 1, id="train-unread-beta"),
+    pytest.param(["eval", "--scores", "{scores}", "--set", "seed=4", "--out", "{out}"], 1,
+                 id="eval-unread-seed"),
+    pytest.param(sweep("--param", "beta", "--values", "1", "--set", "n_train=5"), 1,
+                 id="sweep-unread-n-train"),
 ]
 
 

@@ -6,6 +6,7 @@ import pytest
 from sten import DataError, NumericError
 from sten.ndkernel import (AdamState, GruCache, GruParams, adam_update, gru_backward,
                            gru_forward, init_adam_state, init_gru, sigmoid, softmax)
+from sten.scoring import CHUNK, MIN_ROWS
 
 import oracles
 from oracles import finite_diff_grad
@@ -123,6 +124,23 @@ class TestGruEncode:
         a = gru_forward(X, p)
         b = gru_forward(X, p)
         assert np.array_equal(a, b)
+
+
+class TestRowCountInvariance:
+    """From ``scoring.MIN_ROWS`` rows on, a window's final state does not
+    depend on how many windows share its forward: the property that scoring's
+    chunk floor rests on.  Below it, BLAS may round a row of a GEMM over a few
+    rows differently from the same row in a tall one: with d_in 5, rows
+    differed up to k = 37 at d_model 32, 18 at 64 and 4 at 256 (OpenBLAS)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("d_model", [32, 256])
+    def test_rows_from_the_floor_on_match_a_tall_batch(self, d_model, dtype):
+        p = init_gru(5, d_model, np.random.default_rng(15))
+        X = np.random.default_rng(16).normal(size=(CHUNK, 10, 5)).astype(dtype)
+        tall = gru_forward(X, p)
+        for k in (MIN_ROWS, MIN_ROWS + 1, 100):
+            assert np.array_equal(gru_forward(X[:k], p), tall[:k]), k
 
 
 class TestSigmoid:

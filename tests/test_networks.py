@@ -3,11 +3,12 @@ import pytest
 
 from sten import DataError
 from sten.ndkernel import GruParams, gru_shapes, init_gru
-from sten.networks import (dsn_embeddings, dsn_prefix, embed_windows, gru_checksum, init_phi,
+from sten.networks import (dsn_prefix, embed_windows, forward, gru_checksum, init_phi,
                            order_forward, pair_residuals, phi_shapes, read_checkpoint,
                            sample_pairs, write_checkpoint)
 from sten.scoring import CHUNK
 from sten.seqdata import window_starts
+from sten.training import TrainConfig
 
 import oracles
 from windowed import laid_end_to_end
@@ -28,6 +29,18 @@ def float32(phi):
 def windows_for(n_windows=2, d=3, l=4, m=3, seed=1):
     """A (B, l*m, d) batch of random windows."""
     return np.random.default_rng(seed).normal(size=(n_windows, l * m, d))
+
+
+def forward_cfg(mode, L=12, **kw):
+    """A config of m=3 sub-sequences at stride l over windows of length L."""
+    return TrainConfig(L=L, l=L // 3, r=L // 3, m=3, mode=mode, **kw)
+
+
+def distance_forward(phi, batch, normalize):
+    """The dsn part (E, norms, cache) of ``forward`` over a batch of windows
+    laid end to end."""
+    cfg = forward_cfg("dsn_only", L=np.shape(batch)[1], normalize_embeddings=normalize)
+    return forward(phi, *laid_end_to_end(batch), cfg, want_cache=True)[2]
 
 
 def order_of(phi, batch, l, r):
@@ -216,7 +229,7 @@ class TestEmbedSequence:
         batch = windows_for(seed=13)
         E = embed_windows(tower, batch)
         F = embed_windows(eta, batch)
-        E_cached, _, _ = dsn_embeddings(phi, batch, normalize=False)
+        E_cached, _, _ = distance_forward(phi, batch, normalize=False)
         np.testing.assert_array_equal(E_cached, E)
         for b in range(2):
             np.testing.assert_allclose(E[b], oracles.gru_encode_unrolled(batch[b], tower),
@@ -224,6 +237,44 @@ class TestEmbedSequence:
             np.testing.assert_allclose(F[b], oracles.gru_encode_unrolled(batch[b], eta),
                                        atol=1e-10)
         assert not np.allclose(E, embed_windows(GruParams.from_dict(phi, "gru."), batch))
+
+
+class TestForward:
+    """networks.forward runs the branches a mode selects and decides where the
+    distance embeddings come from."""
+
+    @pytest.mark.parametrize("mode,ran", [("full", (True, False, True)),
+                                          ("otn_only", (True, False, False)),
+                                          ("dsn_only", (False, False, True)),
+                                          ("dsn_plus_ep", (False, True, True))])
+    def test_runs_the_selected_branches(self, mode, ran):
+        phi = make_phi(seed=30, with_ep_head=True)
+        out = forward(phi, *laid_end_to_end(windows_for(seed=31)), forward_cfg(mode))
+        assert tuple(o is not None for o in out) == ran
+
+    def test_one_tower_reads_the_error_prediction_pass(self):
+        phi = make_phi(seed=32, with_ep_head=True)
+        _, ep, dsn = forward(phi, *laid_end_to_end(windows_for(seed=33)),
+                             forward_cfg("dsn_plus_ep"), want_cache=True)
+        assert dsn[2] is ep[2]
+        np.testing.assert_array_equal(dsn[0], ep[1][-1])
+
+    def test_separate_towers_run_a_pass_of_their_own(self):
+        phi = make_phi(seed=34, with_ep_head=True, separate_towers=True)
+        batch = windows_for(seed=35)
+        _, ep, dsn = forward(phi, *laid_end_to_end(batch), forward_cfg("dsn_plus_ep"),
+                             want_cache=True)
+        assert dsn[2] is not ep[2]
+        np.testing.assert_array_equal(
+            dsn[0], embed_windows(GruParams.from_dict(phi, "dsn_gru."), batch))
+
+    def test_error_prediction_input_checks(self):
+        values, starts = laid_end_to_end(windows_for(seed=36))
+        with pytest.raises(DataError, match="no error-prediction head"):
+            forward(make_phi(seed=37), values, starts, forward_cfg("dsn_plus_ep"))
+        one_step = TrainConfig(L=1, l=1, r=1, m=1, mode="dsn_plus_ep")
+        with pytest.raises(DataError, match="length >= 2"):
+            forward(make_phi(m=1, seed=38, with_ep_head=True), values, starts, one_step)
 
 
 def residual(a, b):
@@ -263,7 +314,7 @@ class TestPairDistance:
         phi = make_phi(seed=17)
         eta = init_gru(3, 4, rng)
         data = rng.normal(size=(8, 6, 3)) * 5
-        E, norms, _ = dsn_embeddings(phi, data, normalize=True)
+        E, norms, _ = distance_forward(phi, data, normalize=True)
         F = embed_windows(eta, data, normalize=True)
         assert np.all(np.abs(E @ E.T) <= 1 + 1e-6)
         assert np.all(np.abs(F @ F.T) <= 1 + 1e-6)

@@ -3,13 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sten import ConfigError, DataError, scoring, training
+from sten import ConfigError, DataError, networks, scoring, training
 from sten.evalmetrics import threshold_percentile
 from sten.ndkernel import init_gru
 from sten.networks import init_phi, sample_pairs
 from sten.scoring import (ScoreConfig, aggregate_timestamps, read_scores_csv,
                           score_series, write_scores_csv)
-from sten.seqdata import MultivariateSeries, NormStats, make_windows, window_starts
+from sten.seqdata import MultivariateSeries, NormStats, batch_ranges, make_windows, window_starts
 from sten.training import (TrainConfig, TrainedModel, load_checkpoint,
                            save_checkpoint, seed_streams)
 
@@ -84,7 +84,7 @@ class TestDistinctSubsequences:
         if R_test == 5:
             assert starts[-1] % R_test != 0
         got = score_series(model, series, cfg)
-        monkeypatch.setattr(scoring, "order_forward", per_slot_order_forward)
+        monkeypatch.setattr(networks, "order_forward", per_slot_order_forward)
         want = score_series(model, series, cfg)
         for col in ("scores", "score_otn", "score_dsn", "coverage"):
             np.testing.assert_array_equal(getattr(got, col), getattr(want, col), err_msg=col)
@@ -186,11 +186,12 @@ class TestScoreSeriesOracle:
                              ids=["-".join(f"{k}={v}" for k, v in c.items()) for c in ORACLE_CASES])
     @pytest.mark.usefixtures("float64_compute")
     def test_columns_match_dense_oracle(self, case, monkeypatch):
+        # CHUNK below the floor: two chunks of MIN_ROWS windows.
         monkeypatch.setattr(scoring, "CHUNK", 5)
         case = dict(case)
         per_subseq = case.pop("per_subseq_denominator", False)
         model = tiny_model(seed=21, separate_towers=case["mode"] == "full", **case)
-        series = series_fixture(n=45, seed=22)
+        series = series_fixture(n=12 + 4 * (2 * scoring.MIN_ROWS - 1), seed=22)
         cfg = ScoreConfig(beta=0.7, R_test=4, seed=23, k_refs=2,
                           per_subseq_denominator=per_subseq)
         out = score_series(model, series, cfg)
@@ -308,7 +309,7 @@ class TestScoreSeries:
 
     def test_deterministic_and_partition_invariant(self, monkeypatch):
         model = tiny_model()
-        series = series_fixture()
+        series = series_fixture(n=600)     # 148 windows: two chunks at CHUNK 7
         cfg = ScoreConfig(R_test=4, seed=4)
         a = score_series(model, series, cfg)
         b = score_series(model, series, cfg)
@@ -317,39 +318,43 @@ class TestScoreSeries:
         np.testing.assert_array_equal(a.scores, b.scores)
         np.testing.assert_array_equal(a.scores, c.scores)
 
-    # BLAS may round a row of a GEMM over a few rows differently from the same
-    # row in a tall one, so at wider d_model another CHUNK moves temporal
-    # scores in their last bits: with CHUNK 1, 3 or 7, up to 3.9e-16 relative
-    # was measured at d_model 32 and 256 (OpenBLAS) in float64.  In float32
-    # the same rows move by up to 4.5e-10 (score_otn), and with the shared
-    # tower of dsn_plus_ep score_dsn by up to 2.0e-7.
+    # A chunk holds at least MIN_ROWS windows, and from that many rows on a
+    # window's GRU passes get the bits they get in any taller chunk
+    # (test_ndkernel's TestRowCountInvariance).  So CHUNK moves no column,
+    # except the temporal columns of dsn_plus_ep: its error-prediction head
+    # maps each step's hidden states with a float64 GEMM whose rounding still
+    # depends on the chunk's row count.  Against CHUNK 1024, CHUNK 1-200 moved
+    # them by up to 3.1e-16 relative, in float64 and float32, at d_model 32
+    # and 256 (OpenBLAS); score_dsn never moved.
     RECHUNK_RTOL = 1e-14
     RECHUNK_RTOL_F32 = 1e-6
+    COLUMNS = ("scores", "score_otn", "score_dsn", "coverage")
 
-    def _rechunked(self, monkeypatch, chunk, mode):
-        model = tiny_model(mode=mode, d_model=32, m=10, l=4, r=4, seed=7)
-        series = series_fixture(n=300, seed=8)
+    def _rechunked(self, monkeypatch, chunk, mode, separate_towers=False):
+        """Scores at the default CHUNK, one chunk of 366 windows here, and at
+        ``chunk``, which splits them into at least three chunks."""
+        model = tiny_model(mode=mode, d_model=32, m=10, l=4, r=4, seed=7,
+                           separate_towers=separate_towers)
+        series = series_fixture(n=40 + 4 * 365, seed=8)
         cfg = ScoreConfig(R_test=4, seed=9)
         a = score_series(model, series, cfg)
         monkeypatch.setattr(scoring, "CHUNK", chunk)
+        assert len(batch_ranges(366, max(chunk, scoring.MIN_ROWS), scoring.MIN_ROWS)) >= 3
         return a, score_series(model, series, cfg)
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     @pytest.mark.usefixtures("float64_compute")
     def test_rechunking_within_named_tolerance_at_d_model_32(self, monkeypatch, chunk):
         a, c = self._rechunked(monkeypatch, chunk, "full")
-        np.testing.assert_array_equal(c.score_dsn, a.score_dsn)
-        np.testing.assert_allclose(c.score_otn, a.score_otn, rtol=self.RECHUNK_RTOL, atol=0)
-        np.testing.assert_allclose(c.scores, a.scores, rtol=self.RECHUNK_RTOL, atol=0)
+        for col in self.COLUMNS:
+            np.testing.assert_array_equal(getattr(c, col), getattr(a, col), err_msg=col)
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     @pytest.mark.usefixtures("float64_compute")
     def test_rechunking_within_named_tolerance_at_d_model_32_ep(self, monkeypatch, chunk):
-        # With one shared tower the distance branch reads the error-prediction
-        # pass, chunk by chunk, so score_dsn may move too: up to 1.2e-15
-        # relative was measured with CHUNK 1, 3 and 7.
         a, c = self._rechunked(monkeypatch, chunk, "dsn_plus_ep")
-        for col in ("scores", "score_otn", "score_dsn"):
+        np.testing.assert_array_equal(c.score_dsn, a.score_dsn)
+        for col in ("scores", "score_otn"):
             np.testing.assert_allclose(getattr(c, col), getattr(a, col),
                                        rtol=self.RECHUNK_RTOL, atol=0, err_msg=col)
 
@@ -357,11 +362,37 @@ class TestScoreSeries:
     @pytest.mark.parametrize("mode", ["full", "dsn_plus_ep"])
     def test_float32_rechunking_within_named_tolerance(self, monkeypatch, mode, chunk):
         a, c = self._rechunked(monkeypatch, chunk, mode)
-        if mode == "full":
-            np.testing.assert_array_equal(c.score_dsn, a.score_dsn)
-        for col in ("scores", "score_otn", "score_dsn"):
+        np.testing.assert_array_equal(c.score_dsn, a.score_dsn)
+        rtol = 0 if mode == "full" else self.RECHUNK_RTOL_F32
+        for col in ("scores", "score_otn"):
             np.testing.assert_allclose(getattr(c, col), getattr(a, col),
-                                       rtol=self.RECHUNK_RTOL_F32, atol=0, err_msg=col)
+                                       rtol=rtol, atol=0, err_msg=col)
+
+    BIT_IDENTICAL = [dict(mode="full"), dict(mode="otn_only"), dict(mode="dsn_only"),
+                     dict(mode="full", separate_towers=True)]
+
+    @pytest.mark.parametrize("chunk", [64, 100])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("case", BIT_IDENTICAL,
+                             ids=["full", "otn_only", "dsn_only", "full-towers"])
+    def test_rechunking_is_bit_identical(self, monkeypatch, case, dtype, chunk):
+        monkeypatch.setattr(training, "COMPUTE_DTYPE", dtype)
+        a, c = self._rechunked(monkeypatch, chunk, **case)
+        for col in self.COLUMNS:
+            np.testing.assert_array_equal(getattr(c, col), getattr(a, col), err_msg=col)
+
+    @pytest.mark.parametrize("chunk", [64, 100])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("towers", [False, True], ids=["one-tower", "towers"])
+    def test_ep_rechunking_moves_only_temporal_columns(self, monkeypatch, towers, dtype, chunk):
+        monkeypatch.setattr(training, "COMPUTE_DTYPE", dtype)
+        a, c = self._rechunked(monkeypatch, chunk, "dsn_plus_ep", separate_towers=towers)
+        np.testing.assert_array_equal(c.score_dsn, a.score_dsn)
+        np.testing.assert_array_equal(c.coverage, a.coverage)
+        rtol = self.RECHUNK_RTOL if dtype is np.float64 else self.RECHUNK_RTOL_F32
+        for col in ("scores", "score_otn"):
+            np.testing.assert_allclose(getattr(c, col), getattr(a, col),
+                                       rtol=rtol, atol=0, err_msg=col)
 
     def test_ep_peak_memory_does_not_grow_with_chunks(self, monkeypatch):
         """dsn_plus_ep scoring holds one chunk's hidden trajectory at a time:
@@ -433,7 +464,7 @@ class TestScoreSeries:
     def test_bad_score_config_is_a_usage_error(self):
         nan, inf = float("nan"), float("inf")
         for bad in (dict(beta=-1.0), dict(beta=nan), dict(beta=inf), dict(beta=-inf),
-                    dict(eps=-1e-8), dict(eps=nan), dict(eps=inf),
+                    dict(score_eps=-1e-8), dict(score_eps=nan), dict(score_eps=inf),
                     dict(R_test=0), dict(k_refs=0), dict(ref_source="both"), dict(seed=-1)):
             with pytest.raises(ConfigError):
                 ScoreConfig(**bad).validate()

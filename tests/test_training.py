@@ -7,9 +7,10 @@ from sten.ndkernel import backward, init_gru
 from sten.networks import embed_windows, gru_checksum, init_phi, sample_pairs
 from sten.objectives import js_rows
 from sten.scoring import ScoreConfig, score_series
-from sten.seqdata import MultivariateSeries, SynthConfig, synth_generate, window_starts
-from sten.training import (TrainConfig, _batch_ranges, build_sten_tape, load_checkpoint,
-                           save_checkpoint, seed_streams, train)
+from sten.seqdata import (MultivariateSeries, SynthConfig, batch_ranges, synth_generate,
+                          window_starts)
+from sten.training import (TrainConfig, build_sten_tape, load_checkpoint, save_checkpoint,
+                           seed_streams, train)
 
 from oracles import (build_sten_tape_closures, closure_backward, dsn_plus_ep_tape_two_pass,
                      finite_diff_grad, order_loss_presented)
@@ -35,6 +36,28 @@ def gradcheck(cfg, seed, h=1e-4, tol=1e-4, with_ep=False):
         rel = np.abs(grads[k] - fd[k]) / np.maximum(1e-8, np.abs(fd[k]))
         worst[k] = float(rel.max())
     return grads, fd, worst
+
+
+def record_master_weights(monkeypatch):
+    """Wrap ``training.adam_update``: the returned list gets the float64
+    master weights each call returns.  A checkpoint holds them cast to
+    float32, which hides a change in their last bits."""
+    returned = []
+    real = training.adam_update
+
+    def update(*args, **kwargs):
+        phi, state = real(*args, **kwargs)
+        returned.append(phi)
+        return phi, state
+
+    monkeypatch.setattr(training, "adam_update", update)
+    return returned
+
+
+def assert_same_weights(got, want):
+    assert set(got) == set(want)
+    for k in want:
+        assert got[k].dtype == np.float64 and np.array_equal(got[k], want[k]), k
 
 
 class TestGradients:
@@ -162,7 +185,7 @@ class TestEtaEmbeddedOnce:
         model = train(series, cfg)
         n_batches = len(tapes) // cfg.epochs
         assert n_batches >= 2 and len(tapes) == n_batches * cfg.epochs
-        # Training embeds windows only with eta; phi's tower runs in dsn_embeddings.
+        # Training embeds windows only with eta; phi's tower runs in networks.forward.
         assert all(gru is model.eta for gru, _ in embedded)
         assert len(embedded) == n_batches
         assert sum(n for _, n in embedded) == len(window_starts(series.n, cfg.L, cfg.R_train))
@@ -202,10 +225,13 @@ class TestSharedTowerPass:
     def _checkpoints_equal(monkeypatch, tmp_path, case):
         series = small_series()
         cfg = small_cfg(mode="dsn_plus_ep", epochs=2, **case)
+        weights = record_master_weights(monkeypatch)
         save_checkpoint(train(series, cfg), tmp_path / "one.ckpt")
+        one = weights[-1]
         monkeypatch.setattr(training, "build_sten_tape", dsn_plus_ep_tape_two_pass)
         save_checkpoint(train(series, cfg), tmp_path / "two.ckpt")
         assert (tmp_path / "one.ckpt").read_bytes() == (tmp_path / "two.ckpt").read_bytes()
+        assert_same_weights(weights[-1], one)
 
     @pytest.mark.parametrize("case", CASES, ids=IDS)
     def test_checkpoint_bytes_equal_two_passes(self, monkeypatch, tmp_path, case):
@@ -270,11 +296,14 @@ class TestTapeIsData:
     def _checkpoints_equal(monkeypatch, tmp_path, case):
         series = small_series()
         cfg = small_cfg(epochs=2, **{"alpha": 0.7, **case})
+        weights = record_master_weights(monkeypatch)
         save_checkpoint(train(series, cfg), tmp_path / "data.ckpt")
+        data = weights[-1]
         monkeypatch.setattr(training, "build_sten_tape", build_sten_tape_closures)
         monkeypatch.setattr(training, "backward", closure_backward)
         save_checkpoint(train(series, cfg), tmp_path / "closures.ckpt")
         assert (tmp_path / "data.ckpt").read_bytes() == (tmp_path / "closures.ckpt").read_bytes()
+        assert_same_weights(weights[-1], data)
 
     @pytest.mark.parametrize("case", CASES, ids=IDS)
     def test_checkpoint_bytes_equal_closures(self, monkeypatch, tmp_path, case):
@@ -288,25 +317,25 @@ class TestTapeIsData:
 
 class TestWindowPasses:
     """How often a GRU runs over whole windows (length L) in training and
-    scoring.  phi's tower runs once per batch per epoch and branch that reads
-    it, except that the error-prediction and distance branches share one pass
-    when they share one tower; eta runs once per batch per train call and
-    once per scoring call."""
+    scoring, which both run ``networks.forward``: per batch per epoch in
+    training, per chunk in scoring.  phi's tower runs once per branch that
+    reads it, except that the error-prediction and distance branches share
+    one pass when they share one tower; eta runs once per batch per train
+    call, and once per chunk in scoring."""
 
-    # (mode, separate_towers): phi's passes per batch per epoch in training,
-    # and per scoring call as (per chunk, once).
+    # (mode, separate_towers): phi's passes per forward.
     CASES = [
-        (("full", False), 1, (0, 1)),
-        (("full", True), 1, (0, 1)),
-        (("otn_only", False), 0, (0, 0)),
-        (("dsn_only", False), 1, (0, 1)),
-        (("dsn_plus_ep", False), 1, (1, 0)),
-        (("dsn_plus_ep", True), 2, (1, 1)),
+        (("full", False), 1),
+        (("full", True), 1),
+        (("otn_only", False), 0),
+        (("dsn_only", False), 1),
+        (("dsn_plus_ep", False), 1),
+        (("dsn_plus_ep", True), 2),
     ]
 
-    @pytest.mark.parametrize("case,train_passes,score_passes", CASES,
-                             ids=[f"{m}-towers" if t else m for (m, t), _, _ in CASES])
-    def test_passes_over_windows(self, monkeypatch, case, train_passes, score_passes):
+    @pytest.mark.parametrize("case,passes_per_forward", CASES,
+                             ids=[f"{m}-towers" if t else m for (m, t), _ in CASES])
+    def test_passes_over_windows(self, monkeypatch, case, passes_per_forward):
         mode, towers = case
         series = small_series()
         cfg = small_cfg(mode=mode, separate_towers=towers, epochs=2)
@@ -321,23 +350,24 @@ class TestWindowPasses:
         monkeypatch.setattr(networks, "gru_forward", counting)
         model = train(series, cfg)
         use_dsn = mode != "otn_only"
-        n_batches = len(_batch_ranges(len(window_starts(series.n, cfg.L, cfg.R_train)),
-                                      cfg.batch_size, min_last=2 if use_dsn else 1))
+        n_batches = len(batch_ranges(len(window_starts(series.n, cfg.L, cfg.R_train)),
+                                     cfg.batch_size, min_last=2 if use_dsn else 1))
         assert n_batches >= 2
         eta = [p for p in passes if p is model.eta]
         assert len(eta) == (n_batches if use_dsn else 0)
-        assert len(passes) - len(eta) == train_passes * n_batches * cfg.epochs
+        assert len(passes) - len(eta) == passes_per_forward * n_batches * cfg.epochs
 
         passes.clear()
+        # CHUNK below the floor: chunks of MIN_ROWS windows, three of them.
         monkeypatch.setattr(scoring, "CHUNK", 40)
-        test = small_series(n=300, seed=1)
+        test = small_series(n=600, seed=1)
+        n_w = len(window_starts(test.n, cfg.L, cfg.r, cover_tail=True))
+        n_chunks = len(batch_ranges(n_w, scoring.MIN_ROWS, min_last=scoring.MIN_ROWS))
+        assert n_chunks == 3
         score_series(model, test, ScoreConfig(R_test=cfg.r, seed=2))
-        n_chunks = -(-len(window_starts(test.n, cfg.L, cfg.r, cover_tail=True)) // 40)
-        assert n_chunks >= 2
-        per_chunk, once = score_passes
         eta = [p for p in passes if p is model.eta]
-        assert len(eta) == (1 if use_dsn else 0)
-        assert len(passes) - len(eta) == per_chunk * n_chunks + once
+        assert len(eta) == (n_chunks if use_dsn else 0)
+        assert len(passes) - len(eta) == passes_per_forward * n_chunks
 
 
 class TestOrderPositiveControl:
@@ -478,13 +508,13 @@ class TestTrain:
 
 class TestBatchRanges:
     def test_merges_short_tail_for_pairs(self):
-        assert _batch_ranges(5, 2, min_last=2) == [(0, 2), (2, 5)]
+        assert batch_ranges(5, 2, min_last=2) == [(0, 2), (2, 5)]
 
     def test_keeps_short_tail_otherwise(self):
-        assert _batch_ranges(5, 2, min_last=1) == [(0, 2), (2, 4), (4, 5)]
+        assert batch_ranges(5, 2, min_last=1) == [(0, 2), (2, 4), (4, 5)]
 
     def test_single_batch(self):
-        assert _batch_ranges(3, 10, min_last=2) == [(0, 3)]
+        assert batch_ranges(3, 10, min_last=2) == [(0, 3)]
 
 
 class TestCheckpoints:
