@@ -6,6 +6,13 @@ Events are lists of disjoint inclusive (start, end) integer intervals,
 0-based.  Thresholded predictions everywhere use score >= threshold, except
 the percentile rule of threshold_percentile which is strict.  Undefined
 metrics (empty denominators) are reported as None, never as 0.
+
+Every area (AUC-ROC, AUC-PR, range-AUC, VUS) is read from one descending
+threshold sweep (``_sweep``) by one helper (``_areas``), given each point's
+positive mass.  Every event distance (affiliation zones, range-AUC and VUS
+labels) comes from one nearest-event map (``_nearest_event``), which finds
+each timestamp's event by a binary search over the midpoints between
+events.  Memory is O(n) in the timestamps, whatever the number of events.
 """
 
 from __future__ import annotations
@@ -63,56 +70,47 @@ def _check_lengths(scores, labels):
     return scores, labels.astype(bool)
 
 
-def roc_auc(scores, labels) -> float | None:
-    """Probability a random positive outscores a random negative; ties count 1/2."""
-    scores, labels = _check_lengths(scores, labels)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return None
-    order = np.argsort(scores, kind="mergesort")
-    _, first, group, count = np.unique(scores[order], return_index=True,
-                                       return_inverse=True, return_counts=True,
-                                       equal_nan=False)
-    last = first + count - 1
-    ranks = np.empty(scores.size)
-    ranks[order] = (0.5 * (first + last) + 1.0)[group]  # average 1-based rank
-    pos_rank_sum = float(ranks[labels].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def _tie_groups(scores):
+def _sweep(scores):
     """The descending stable order of ``scores`` and, in that order, the last
     index of each tie group; returns (order, idx, thresholds)."""
     order = np.argsort(-scores, kind="mergesort")
     s = scores[order]
-    idx = np.concatenate([np.nonzero(np.diff(s))[0], [s.size - 1]])
+    idx = np.flatnonzero(np.append(s[1:] != s[:-1], s.size > 0))
     return order, idx, s[idx]
 
 
-def _desc_threshold_sweep(order, idx, weights_pos, weights_neg):
-    """Cumulative TP/FP at each distinct threshold, descending.
+def _areas(order, idx, pos) -> tuple[float | None, float | None]:
+    """ROC and PR areas over the sweep ``order``/``idx`` of ``_sweep``, where
+    ``pos`` is each point's positive mass (binary or smoothed labels).
 
-    ``order`` and ``idx`` come from ``_tie_groups``; ``weights_pos``/
-    ``weights_neg`` give each point's positive and negative mass (binary
-    labels become 1/0 masses; range-AUC uses continuous ones).  Returns
-    (tp, fp) arrays aligned with the distinct thresholds.
+    ROC is (pairs a positive wins + 1/2 ties) / (P*N), summed from the counts
+    at each threshold: for binary labels every term is exact, so the result
+    is rounded once.  AP sums (recall step) * precision.  ROC is None without
+    positive or negative mass, AP without positive mass.
     """
-    return np.cumsum(weights_pos[order])[idx], np.cumsum(weights_neg[order])[idx]
+    P, N = float(pos.sum()), float((1.0 - pos).sum())
+    if P <= 0.0:
+        return None, None
+    tp = np.cumsum(pos[order])[idx]
+    fp = np.cumsum((1.0 - pos)[order])[idx]
+    tp_prev = np.concatenate([[0.0], tp[:-1]])
+    twice_wins = float((np.diff(fp, prepend=0.0) * (tp_prev + tp)).sum())
+    roc = twice_wins / (2.0 * P * N) if N > 0.0 else None
+    recall = tp / P
+    prev = np.concatenate([[0.0], recall[:-1]])
+    return roc, float(((recall - prev) * (tp / (tp + fp))).sum())
+
+
+def roc_auc(scores, labels) -> float | None:
+    """Probability a random positive outscores a random negative; ties count 1/2."""
+    scores, labels = _check_lengths(scores, labels)
+    return _areas(*_sweep(scores)[:2], labels.astype(np.float64))[0]
 
 
 def pr_auc(scores, labels) -> float | None:
     """Average precision over the descending-score threshold sweep."""
     scores, labels = _check_lengths(scores, labels)
-    if not labels.any():
-        return None
-    order, idx, _ = _tie_groups(scores)
-    tp, fp = _desc_threshold_sweep(order, idx, labels.astype(np.float64),
-                                   (~labels).astype(np.float64))
-    precision = tp / (tp + fp)
-    recall = tp / tp[-1]
-    prev = np.concatenate([[0.0], recall[:-1]])
-    return float(((recall - prev) * precision).sum())
+    return _areas(*_sweep(scores)[:2], labels.astype(np.float64))[1]
 
 
 def best_f1(scores, labels) -> tuple[float, float, float, float] | None:
@@ -125,10 +123,9 @@ def best_f1(scores, labels) -> tuple[float, float, float, float] | None:
     n_pos = float(labels.sum())
     if n_pos == 0:
         return None
-    order, idx, thr = _tie_groups(scores)
-    tp, fp = _desc_threshold_sweep(order, idx, labels.astype(np.float64),
-                                   (~labels).astype(np.float64))
-    precision = tp / (tp + fp)
+    order, idx, thr = _sweep(scores)
+    tp = np.cumsum(labels[order])[idx]
+    precision = tp / (idx + 1)
     recall = tp / n_pos
     denom = np.maximum(precision + recall, 1e-300)  # tp == 0 rows are discarded
     f1 = np.where(tp > 0, 2 * precision * recall / denom, 0.0)
@@ -137,13 +134,23 @@ def best_f1(scores, labels) -> tuple[float, float, float, float] | None:
 
 
 # ---------------------------------------------------------------------------
-# Affiliation metrics
+# Event distances: affiliation, range-AUC and VUS
 # ---------------------------------------------------------------------------
 
-def _event_distances(events: EventSet, n: int) -> np.ndarray:
-    """dist(t, I) for every timestamp and event: (n_events, n)."""
-    ts = np.arange(n)
-    return np.stack([np.maximum(np.maximum(s - ts, ts - e), 0) for s, e in events])
+def _nearest_event(events, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Each timestamp's nearest event (ties to the earlier) and its distance.
+
+    The events are sorted and disjoint, so the midpoints between neighbours
+    bound each event's zone: O(len(ts)) memory for any number of events.
+    """
+    s, e = np.asarray(events, np.int64).reshape(-1, 2).T
+    owner = np.searchsorted((e[:-1] + s[1:]) // 2, ts)
+    return owner, np.maximum(np.maximum(s[owner] - ts, ts - e[owner]), 0)
+
+
+def _share_at_least(d, x):
+    """For each value of ``x``, the share of ``d`` that is at least that value."""
+    return (d.size - np.searchsorted(np.sort(d), x)) / d.size
 
 
 def affiliation(pred: EventSet, truth: EventSet,
@@ -161,27 +168,21 @@ def affiliation(pred: EventSet, truth: EventSet,
         raise DataError("affiliation requires a nonempty truth event set")
     validate_events(truth, timeline_len)
     validate_events(pred, timeline_len)
-    D = _event_distances(truth, timeline_len)
-    owner = np.argmin(D, axis=0)
+    ts = np.arange(timeline_len)
+    owner, dist = _nearest_event(truth, ts)
+    edges = np.searchsorted(owner, np.arange(len(truth) + 1))  # zone j: edges[j]:edges[j+1]
     pred_mask = np.zeros(timeline_len, dtype=bool)
     for s, e in pred:
         pred_mask[s:e + 1] = True
 
     zone_precisions = []
     zone_recalls = []
-    for j, (s, e) in enumerate(truth):
-        zone = np.nonzero(owner == j)[0]
-        dist_event = D[j, zone]                      # dist of zone points to I_j
-        zone_pred = zone[pred_mask[zone]]
-        if zone_pred.size:
-            dp = D[j, zone_pred]
-            p_vals = (dist_event[None, :] >= dp[:, None]).mean(axis=1)
-            zone_precisions.append(float(p_vals.mean()))
-            dist_pred = np.abs(zone[:, None] - zone_pred[None, :]).min(axis=1)
-            in_event = (zone >= s) & (zone <= e)
-            dy = dist_pred[in_event]
-            q_vals = (dist_pred[None, :] >= dy[:, None]).mean(axis=1)
-            zone_recalls.append(float(q_vals.mean()))
+    for (s, e), lo, hi in zip(truth, edges[:-1], edges[1:]):
+        zone_dist, zone_pred = dist[lo:hi], pred_mask[lo:hi]
+        if zone_pred.any():
+            zone_precisions.append(float(_share_at_least(zone_dist, zone_dist[zone_pred]).mean()))
+            d_pred = _nearest_event(events_from_binary(zone_pred), ts[:hi - lo])[1]
+            zone_recalls.append(float(_share_at_least(d_pred, d_pred[s - lo:e - lo + 1]).mean()))
         else:
             zone_recalls.append(0.0)
 
@@ -193,16 +194,12 @@ def affiliation(pred: EventSet, truth: EventSet,
     return precision, recall, f1
 
 
-# ---------------------------------------------------------------------------
-# Range-AUC and VUS
-# ---------------------------------------------------------------------------
-
 def _event_distance(truth: EventSet, n: int) -> np.ndarray:
     """Each timestamp's distance to its nearest truth event (inf without events)."""
     validate_events(truth, n)
     if not truth:
         return np.full(n, np.inf)
-    return _event_distances(truth, n).min(axis=0).astype(np.float64)
+    return _nearest_event(truth, np.arange(n))[1].astype(np.float64)
 
 
 def _smoothed(dmin: np.ndarray, w: float) -> np.ndarray:
@@ -217,22 +214,9 @@ def _smoothed(dmin: np.ndarray, w: float) -> np.ndarray:
 
 
 def _range_areas(order, idx, ell) -> tuple[float | None, float | None]:
-    """ROC and PR areas of the continuous labels ``ell`` over the threshold
-    sweep given by ``_tie_groups``."""
-    P = float(ell.sum())
-    N = float((1.0 - ell).sum())
-    if P <= 0.0 or N <= 0.0:
-        return None, None
-    tp, fp = _desc_threshold_sweep(order, idx, ell, 1.0 - ell)
-    tpr = tp / P
-    fpr = fp / N
-    tpr0 = np.concatenate([[0.0], tpr])
-    fpr0 = np.concatenate([[0.0], fpr])
-    auc_roc = float(((fpr0[1:] - fpr0[:-1]) * 0.5 * (tpr0[1:] + tpr0[:-1])).sum())
-    precision = tp / (tp + fp)
-    prev = np.concatenate([[0.0], tpr[:-1]])
-    auc_pr = float(((tpr - prev) * precision).sum())
-    return auc_roc, auc_pr
+    """``_areas`` of the smoothed labels ``ell``; both undefined unless ROC is."""
+    roc, ap = _areas(order, idx, ell)
+    return (None, None) if roc is None else (roc, ap)
 
 
 def range_auc(scores, truth: EventSet, w: float) -> tuple[float | None, float | None]:
@@ -240,7 +224,7 @@ def range_auc(scores, truth: EventSet, w: float) -> tuple[float | None, float | 
     scores = np.asarray(scores, np.float64)
     if not 0 <= w < np.inf:
         raise DataError(f"buffer width must be finite and >= 0, got {w}")
-    order, idx, _ = _tie_groups(scores)
+    order, idx, _ = _sweep(scores)
     return _range_areas(order, idx, _smoothed(_event_distance(truth, scores.shape[0]), w))
 
 
@@ -259,7 +243,7 @@ def vus(scores, truth: EventSet, w_max: float,
         widths.append(widths[-1] + grid_step)
     scores = np.asarray(scores, np.float64)
     dmin = _event_distance(truth, scores.shape[0])
-    order, idx, _ = _tie_groups(scores)
+    order, idx, _ = _sweep(scores)
     rocs, prs = [], []
     for w in widths:
         r, p = _range_areas(order, idx, _smoothed(dmin, w))

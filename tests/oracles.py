@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from sten import DataError
-from sten.evalmetrics import range_auc
+from sten.evalmetrics import range_auc, validate_events
 from sten.ndkernel import GradTape, GruCache, GruParams, gru_backward, gru_forward, softmax
 from sten.networks import (NORM_FLOOR, branches, dsn_prefix, order_forward, pair_residuals,
                            unit_rows)
@@ -640,6 +640,100 @@ def affiliation_enum(pred_events, truth_events, n):
         return None, recall, None
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f1
+
+
+# The (events x timestamps) distance-matrix forms and the trapezoid ROC of
+# normalised rates that evalmetrics replaced with the nearest-event map and
+# the count-form ROC; kept as exactness references for them.
+
+def event_distances_matrix(events, n):
+    """dist(t, I) for every timestamp and event: (n_events, n)."""
+    ts = np.arange(n)
+    return np.stack([np.maximum(np.maximum(s - ts, ts - e), 0) for s, e in events])
+
+
+def affiliation_matrix(pred, truth, timeline_len):
+    """Affiliation with zones from the argmin of the distance matrix and
+    per-zone (|zone preds| x |zone|) comparison matrices."""
+    if not truth:
+        raise DataError("affiliation requires a nonempty truth event set")
+    validate_events(truth, timeline_len)
+    validate_events(pred, timeline_len)
+    D = event_distances_matrix(truth, timeline_len)
+    owner = np.argmin(D, axis=0)
+    pred_mask = np.zeros(timeline_len, dtype=bool)
+    for s, e in pred:
+        pred_mask[s:e + 1] = True
+
+    zone_precisions = []
+    zone_recalls = []
+    for j, (s, e) in enumerate(truth):
+        zone = np.nonzero(owner == j)[0]
+        dist_event = D[j, zone]                      # dist of zone points to I_j
+        zone_pred = zone[pred_mask[zone]]
+        if zone_pred.size:
+            dp = D[j, zone_pred]
+            p_vals = (dist_event[None, :] >= dp[:, None]).mean(axis=1)
+            zone_precisions.append(float(p_vals.mean()))
+            dist_pred = np.abs(zone[:, None] - zone_pred[None, :]).min(axis=1)
+            in_event = (zone >= s) & (zone <= e)
+            dy = dist_pred[in_event]
+            q_vals = (dist_pred[None, :] >= dy[:, None]).mean(axis=1)
+            zone_recalls.append(float(q_vals.mean()))
+        else:
+            zone_recalls.append(0.0)
+
+    precision = float(np.mean(zone_precisions)) if zone_precisions else None
+    recall = float(np.mean(zone_recalls))
+    if precision is None:
+        return None, recall, None
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return precision, recall, f1
+
+
+def range_areas_matrix(scores, truth, widths):
+    """(ROC, PR) at each buffer width, from the distance matrix's minimum and
+    the ROC as a trapezoid over normalised rates; (None, None) where a width
+    has no positive or no negative mass."""
+    scores = np.asarray(scores, np.float64)
+    n = scores.shape[0]
+    dmin = (event_distances_matrix(truth, n).min(axis=0).astype(np.float64) if truth
+            else np.full(n, np.inf))
+    order = np.argsort(-scores, kind="mergesort")
+    s = scores[order]
+    idx = np.concatenate([np.nonzero(np.diff(s))[0], [s.size - 1]])
+    out = []
+    for w in widths:
+        ell = np.sqrt(np.maximum(0.0, 1.0 - dmin / w)) if w > 0 else np.zeros(n)
+        ell[dmin == 0] = 1.0
+        P = float(ell.sum())
+        N = float((1.0 - ell).sum())
+        if P <= 0.0 or N <= 0.0:
+            out.append((None, None))
+            continue
+        tp, fp = np.cumsum(ell[order])[idx], np.cumsum((1.0 - ell)[order])[idx]
+        tpr = tp / P
+        fpr = fp / N
+        tpr0 = np.concatenate([[0.0], tpr])
+        fpr0 = np.concatenate([[0.0], fpr])
+        auc_roc = float(((fpr0[1:] - fpr0[:-1]) * 0.5 * (tpr0[1:] + tpr0[:-1])).sum())
+        precision = tp / (tp + fp)
+        prev = np.concatenate([[0.0], tpr[:-1]])
+        auc_pr = float(((tpr - prev) * precision).sum())
+        out.append((auc_roc, auc_pr))
+    return out
+
+
+def vus_matrix(scores, truth, w_max, grid_step=1.0):
+    """VUS as the mean of ``range_areas_matrix`` over the width grid."""
+    widths = [0.0]
+    while widths[-1] + grid_step <= w_max + 1e-12:
+        widths.append(widths[-1] + grid_step)
+    areas = range_areas_matrix(scores, truth, widths)
+    if any(r is None for r, _ in areas):
+        return None, None
+    rocs, prs = zip(*areas)
+    return float(np.mean(rocs)), float(np.mean(prs))
 
 
 def sample_pairs_loop(n_windows, rng, k):

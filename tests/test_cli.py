@@ -73,7 +73,7 @@ class TestSynth:
         tmp, cfg = workspace
         run(["synth", "--config", cfg, "--out-dir", tmp / "d",
              "--set", "anomaly_rate=0"])
-        rows = list(csv.DictReader(open(tmp / "d/test.csv")))
+        rows = read_rows(tmp / "d/test.csv")
         assert all(r["label"] == "0" for r in rows)
 
 
@@ -120,7 +120,7 @@ class TestScore:
         test_csv = self.setup_model(tmp, cfg)
         assert run(["score", "--model", tmp / "m.ckpt", "--test", test_csv,
                     "--config", cfg, "--out", tmp / "s.csv"]) == 0
-        rows = list(csv.DictReader(open(tmp / "s.csv")))
+        rows = read_rows(tmp / "s.csv")
         assert [int(r["timestamp"]) for r in rows] == list(range(1, 201))
 
     def test_beta_zero_matches_otn_column(self, workspace):
@@ -128,7 +128,7 @@ class TestScore:
         test_csv = self.setup_model(tmp, cfg)
         run(["score", "--model", tmp / "m.ckpt", "--test", test_csv,
              "--config", cfg, "--beta", "0", "--out", tmp / "s.csv"])
-        rows = list(csv.DictReader(open(tmp / "s.csv")))
+        rows = read_rows(tmp / "s.csv")
         assert all(r["score"] == r["score_otn"] for r in rows)
 
     def test_rerun_identical(self, workspace):
@@ -176,6 +176,12 @@ class TestScore:
         assert code == 2
         err = capsys.readouterr().err
         assert "3" in err and "2" in err
+
+
+def read_rows(path):
+    """The rows of a CSV file as dicts keyed by its header."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def write_scores(tmp, labels, scores):
@@ -257,7 +263,7 @@ class TestSweep:
                     "--out", tmp / "sweep.csv", "--work-dir", work]) == 0
         ckpts = sorted(work.glob("*.ckpt"))
         assert len(ckpts) == 1
-        rows = list(csv.DictReader(open(tmp / "sweep.csv")))
+        rows = read_rows(tmp / "sweep.csv")
         assert [r["value"] for r in rows] == ["0.5", "1.0", "2.0"]
         assert all(r["param"] == "beta" for r in rows)
         assert all(r["auc_pr"] for r in rows)
@@ -329,7 +335,7 @@ class TestSweep:
         assert run(["train", "--train", train_csv, "--config", cfg,
                     "--out", tmp / "m.ckpt"]) == 0
         assert (tmp / "m.ckpt").read_bytes() == (tmp / "work/model.ckpt").read_bytes()
-        rows = list(csv.DictReader(open(tmp / "sweep.csv")))
+        rows = read_rows(tmp / "sweep.csv")
         assert [r["value"] for r in rows] == ["0.5", "1.0"]
         for row in rows:
             assert run(["score", "--model", tmp / "m.ckpt", "--test", test_csv,
@@ -357,7 +363,7 @@ class TestSweep:
         assert run(["sweep", "--param", "l", "--values", "2,4",
                     "--train", train_csv, "--test", test_csv, "--config", cfg,
                     "--out", tmp / "sweep.csv", "--work-dir", work]) == 0
-        rows = list(csv.DictReader(open(tmp / "sweep.csv")))
+        rows = read_rows(tmp / "sweep.csv")
         assert len(rows) == 2
 
     def test_l_sweep_honours_a_set_r(self, workspace):

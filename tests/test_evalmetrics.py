@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sten import DataError
 from sten.evalmetrics import (MetricReport, affiliation, best_f1, evaluate,
                               events_from_binary, point_adjust, pr_auc, range_auc, roc_auc,
-                              vus)
+                              threshold_percentile, vus)
 
 import oracles
 
@@ -23,6 +25,22 @@ def random_instance(rng, n_max=120, tie_prob=0.5):
     if labels.all():
         labels[0] = 0
     return scores, labels
+
+
+# (timeline_len, truth, pred) with the zone edge cases spelled out.
+EXPLICIT_AFFILIATION = [
+    (20, [(2, 4), (10, 12)], [(7, 7)]),           # even gap: t = 7 ties, the earlier event owns it
+    (20, [(2, 4), (9, 12)], [(6, 7)]),            # odd gap: 6 and 7 go to different zones
+    (20, [(2, 4), (10, 12)], [(6, 8), (19, 19)]),
+    (13, [(1, 1), (4, 4), (8, 8), (11, 11)], [(2, 3), (6, 6), (9, 10)]),  # gaps 2, 3, 2
+    (10, [(2, 3), (4, 6)], [(0, 1), (7, 9)]),     # adjacent events
+    (12, [(5, 5)], [(0, 0), (11, 11)]),           # a single event
+    (12, [(5, 7)], [(6, 6)]),
+    (10, [(0, 9)], [(3, 4)]),                     # one event over the whole timeline
+    (15, [(0, 2), (8, 14)], [(3, 5), (11, 11)]),  # events touching t = 0 and t = n - 1
+    (15, [(0, 0), (14, 14)], [(0, 0), (7, 7), (14, 14)]),
+    (15, [(0, 0), (14, 14)], []),
+]
 
 
 class TestEventsFromBinary:
@@ -170,6 +188,36 @@ class TestLoopForms:
         labels = np.array([1, 0, 1, 0, 1, 0])
         assert roc_auc(signed_zeros, labels) == oracles.roc_auc_tie_loop(signed_zeros, labels)
 
+    # The count-form ROC of smoothed labels against the trapezoid of
+    # normalised rates it replaced: the two differ in rounding only.
+    AREA_RTOL = 1e-15
+
+    def assert_areas_match(self, got, want):
+        """PR bit for bit, ROC within AREA_RTOL."""
+        assert (got[0] is None) == (want[0] is None) and got[1] == want[1], (got, want)
+        if want[0] is not None:
+            assert abs(got[0] - want[0]) <= self.AREA_RTOL * abs(want[0]), (got, want)
+
+    def test_affiliation_equals_the_distance_matrix_form(self):
+        for scores, labels in self.instances(23):
+            truth = events_from_binary(labels)
+            for delta in (0.6, 5.0, 45.0):
+                pred = events_from_binary(threshold_percentile(scores, delta))
+                assert (affiliation(pred, truth, scores.size)
+                        == oracles.affiliation_matrix(pred, truth, scores.size))
+        for n, truth, pred in EXPLICIT_AFFILIATION:
+            assert affiliation(pred, truth, n) == oracles.affiliation_matrix(pred, truth, n)
+
+    def test_range_and_vus_areas_match_the_distance_matrix_form(self):
+        for scores, labels in self.instances(24):
+            truth = events_from_binary(labels)
+            widths = (0.0, 0.5, 3.0, 10.0)
+            for w, want in zip(widths, oracles.range_areas_matrix(scores, truth, widths)):
+                self.assert_areas_match(range_auc(scores, truth, w), want)
+            for w_max, step in ((10.0, 1.0), (4.0, 0.5)):
+                self.assert_areas_match(vus(scores, truth, w_max, step),
+                                        oracles.vus_matrix(scores, truth, w_max, step))
+
     def test_best_f1_keeps_the_last_maximum(self):
         for scores, labels in self.instances(22):
             assert best_f1(scores, labels) == oracles.best_f1_argmax_loop(scores, labels)
@@ -194,7 +242,7 @@ class TestAffiliation:
         p_far, _, _ = affiliation([(14, 14)], truth, 20)
         assert p_near > p_far
 
-    def test_matches_zone_enumeration_oracle(self):
+    def random_cases(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             n = int(rng.integers(15, 80))
@@ -202,12 +250,14 @@ class TestAffiliation:
             for _ in range(int(rng.integers(1, 3))):
                 s = int(rng.integers(0, n - 2))
                 labels[s:s + int(rng.integers(1, 6))] = 1
-            truth = events_from_binary(labels)
             preds = np.zeros(n, dtype=np.int64)
             for _ in range(int(rng.integers(0, 4))):
                 s = int(rng.integers(0, n - 1))
                 preds[s:s + int(rng.integers(1, 5))] = 1
-            pred_events = events_from_binary(preds)
+            yield n, events_from_binary(labels), events_from_binary(preds)
+
+    def test_matches_zone_enumeration_oracle(self):
+        for n, truth, pred_events in [*self.random_cases(), *EXPLICIT_AFFILIATION]:
             got = affiliation(pred_events, truth, n)
             want = oracles.affiliation_enum(pred_events, truth, n)
             for g, w in zip(got, want):
@@ -299,7 +349,7 @@ class TestVus:
         assert v_pr == pytest.approx(np.mean(prs), abs=1e-12)
 
     def test_matches_per_width_range_auc_bitwise(self):
-        # One sort and one distance matrix for every width give the bits of
+        # One sort and one distance map for every width give the bits of
         # one range_auc call per width.
         rng = np.random.default_rng(17)
         for _ in range(30):
@@ -360,3 +410,22 @@ class TestEvaluate:
                 if k == "best_f1_threshold":  # a score value, not a rate
                     continue
                 assert -1e-12 <= v <= 1.0 + 1e-12, (k, v)
+
+    def test_peak_memory_is_linear_in_timestamps(self):
+        """At 100,000 timestamps and 300 events no metric holds an array of
+        events x timestamps: the distance-matrix forms peaked at 462 MB on this input."""
+        rng = np.random.default_rng(18)
+        n = 100_000
+        labels = np.zeros(n, dtype=np.int64)
+        for s in rng.choice(np.arange(0, n - 20, 300), 300, replace=False):
+            labels[s:s + int(rng.integers(1, 20))] = 1
+        assert len(events_from_binary(labels)) == 300
+        scores = rng.normal(size=n) + labels
+        tracemalloc.start()
+        try:
+            report = evaluate(scores, labels, point_adjust_on=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.aff_f1 is not None and report.vus_roc is not None
+        assert peak < 32 * 2**20, peak

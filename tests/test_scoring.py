@@ -327,7 +327,6 @@ class TestScoreSeries:
     # them by up to 3.1e-16 relative, in float64 and float32, at d_model 32
     # and 256 (OpenBLAS); score_dsn never moved.
     RECHUNK_RTOL = 1e-14
-    RECHUNK_RTOL_F32 = 1e-6
     COLUMNS = ("scores", "score_otn", "score_dsn", "coverage")
 
     def _rechunked(self, monkeypatch, chunk, mode, separate_towers=False):
@@ -363,7 +362,7 @@ class TestScoreSeries:
     def test_float32_rechunking_within_named_tolerance(self, monkeypatch, mode, chunk):
         a, c = self._rechunked(monkeypatch, chunk, mode)
         np.testing.assert_array_equal(c.score_dsn, a.score_dsn)
-        rtol = 0 if mode == "full" else self.RECHUNK_RTOL_F32
+        rtol = 0 if mode == "full" else self.RECHUNK_RTOL
         for col in ("scores", "score_otn"):
             np.testing.assert_allclose(getattr(c, col), getattr(a, col),
                                        rtol=rtol, atol=0, err_msg=col)
@@ -389,10 +388,9 @@ class TestScoreSeries:
         a, c = self._rechunked(monkeypatch, chunk, "dsn_plus_ep", separate_towers=towers)
         np.testing.assert_array_equal(c.score_dsn, a.score_dsn)
         np.testing.assert_array_equal(c.coverage, a.coverage)
-        rtol = self.RECHUNK_RTOL if dtype is np.float64 else self.RECHUNK_RTOL_F32
         for col in ("scores", "score_otn"):
             np.testing.assert_allclose(getattr(c, col), getattr(a, col),
-                                       rtol=rtol, atol=0, err_msg=col)
+                                       rtol=self.RECHUNK_RTOL, atol=0, err_msg=col)
 
     def test_ep_peak_memory_does_not_grow_with_chunks(self, monkeypatch):
         """dsn_plus_ep scoring holds one chunk's hidden trajectory at a time:
