@@ -9,15 +9,17 @@ metrics (empty denominators) are reported as None, never as 0.
 
 Every area (AUC-ROC, AUC-PR, range-AUC, VUS) is read from one descending
 threshold sweep (``_sweep``) by one helper (``_areas``), given each point's
-positive mass.  Every event distance (affiliation zones, range-AUC and VUS
-labels) comes from one nearest-event map (``_nearest_event``), which finds
-each timestamp's event by a binary search over the midpoints between
-events.  Memory is O(n) in the timestamps, whatever the number of events.
+positive mass.  The sweep metrics take it as ``sweep`` when the caller has
+it: ``evaluate`` sorts each distinct score series once for all of them.
+Every event distance (affiliation zones, range-AUC and VUS labels) comes
+from one nearest-event map (``_nearest_event``), which finds each
+timestamp's event by a binary search over the midpoints between events.
+Memory is O(n) in the timestamps, whatever the number of events.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -101,19 +103,19 @@ def _areas(order, idx, pos) -> tuple[float | None, float | None]:
     return roc, float(((recall - prev) * (tp / (tp + fp))).sum())
 
 
-def roc_auc(scores, labels) -> float | None:
+def roc_auc(scores, labels, *, sweep=None) -> float | None:
     """Probability a random positive outscores a random negative; ties count 1/2."""
     scores, labels = _check_lengths(scores, labels)
-    return _areas(*_sweep(scores)[:2], labels.astype(np.float64))[0]
+    return _areas(*(sweep or _sweep(scores))[:2], labels.astype(np.float64))[0]
 
 
-def pr_auc(scores, labels) -> float | None:
+def pr_auc(scores, labels, *, sweep=None) -> float | None:
     """Average precision over the descending-score threshold sweep."""
     scores, labels = _check_lengths(scores, labels)
-    return _areas(*_sweep(scores)[:2], labels.astype(np.float64))[1]
+    return _areas(*(sweep or _sweep(scores))[:2], labels.astype(np.float64))[1]
 
 
-def best_f1(scores, labels) -> tuple[float, float, float, float] | None:
+def best_f1(scores, labels, *, sweep=None) -> tuple[float, float, float, float] | None:
     """Max F1 over thresholds at distinct scores (prediction: score >= threshold).
 
     Returns (f1, threshold, precision, recall); ties resolved toward the
@@ -123,7 +125,7 @@ def best_f1(scores, labels) -> tuple[float, float, float, float] | None:
     n_pos = float(labels.sum())
     if n_pos == 0:
         return None
-    order, idx, thr = _sweep(scores)
+    order, idx, thr = sweep or _sweep(scores)
     tp = np.cumsum(labels[order])[idx]
     precision = tp / (idx + 1)
     recall = tp / n_pos
@@ -213,23 +215,19 @@ def _smoothed(dmin: np.ndarray, w: float) -> np.ndarray:
     return ell
 
 
-def _range_areas(order, idx, ell) -> tuple[float | None, float | None]:
-    """``_areas`` of the smoothed labels ``ell``; both undefined unless ROC is."""
-    roc, ap = _areas(order, idx, ell)
-    return (None, None) if roc is None else (roc, ap)
-
-
-def range_auc(scores, truth: EventSet, w: float) -> tuple[float | None, float | None]:
+def range_auc(scores, truth: EventSet, w: float,
+              *, sweep=None) -> tuple[float | None, float | None]:
     """ROC and PR areas computed over buffer-smoothed continuous labels."""
     scores = np.asarray(scores, np.float64)
     if not 0 <= w < np.inf:
         raise DataError(f"buffer width must be finite and >= 0, got {w}")
-    order, idx, _ = _sweep(scores)
-    return _range_areas(order, idx, _smoothed(_event_distance(truth, scores.shape[0]), w))
+    order, idx, _ = sweep or _sweep(scores)
+    roc, ap = _areas(order, idx, _smoothed(_event_distance(truth, scores.shape[0]), w))
+    return (None, None) if roc is None else (roc, ap)
 
 
-def vus(scores, truth: EventSet, w_max: float,
-        grid_step: float = 1.0) -> tuple[float | None, float | None]:
+def vus(scores, truth: EventSet, w_max: float, grid_step: float = 1.0,
+        *, sweep=None) -> tuple[float | None, float | None]:
     """Mean range-AUC over buffer widths {0, step, 2*step, ..., w_max}.
 
     The event distances and the threshold sweep are the same for every
@@ -243,14 +241,11 @@ def vus(scores, truth: EventSet, w_max: float,
         widths.append(widths[-1] + grid_step)
     scores = np.asarray(scores, np.float64)
     dmin = _event_distance(truth, scores.shape[0])
-    order, idx, _ = _sweep(scores)
-    rocs, prs = [], []
-    for w in widths:
-        r, p = _range_areas(order, idx, _smoothed(dmin, w))
-        if r is None:
-            return None, None
-        rocs.append(r)
-        prs.append(p)
+    order, idx, _ = sweep or _sweep(scores)
+    areas = [_areas(order, idx, _smoothed(dmin, w)) for w in widths]
+    if any(roc is None for roc, _ in areas):
+        return None, None
+    rocs, prs = zip(*areas)
     return float(np.mean(rocs)), float(np.mean(prs))
 
 
@@ -276,7 +271,6 @@ class MetricReport:
 
     def to_dict(self) -> dict:
         """Flat dict with undefined metrics omitted."""
-        from dataclasses import asdict
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
@@ -299,7 +293,8 @@ def evaluate(scores, labels, *, point_adjust_on: bool = True, delta: float = 0.6
 
     AUC-ROC/AUC-PR/best-F1 honor ``point_adjust_on``; affiliation thresholds
     the raw scores at the (100 - delta) percentile; range-AUC and VUS always
-    use raw scores.
+    use raw scores.  Each distinct series is sorted once, for every group
+    that reads it: twice with point adjust, once without.
     """
     scores = np.asarray(scores, np.float64)
     labels = np.asarray(labels)
@@ -308,13 +303,17 @@ def evaluate(scores, labels, *, point_adjust_on: bool = True, delta: float = 0.6
     truth = events_from_binary(labels)
     report = MetricReport()
     adjusted = point_adjust(scores, truth) if point_adjust_on else scores
+    swept = {}  # one threshold sweep per distinct series, for every group that reads it
+
+    def sweep(series):
+        return swept.get(id(series)) or swept.setdefault(id(series), _sweep(series))
 
     if "roc" in metrics:
-        report.auc_roc = roc_auc(adjusted, labels)
+        report.auc_roc = roc_auc(adjusted, labels, sweep=sweep(adjusted))
     if "pr" in metrics:
-        report.auc_pr = pr_auc(adjusted, labels)
+        report.auc_pr = pr_auc(adjusted, labels, sweep=sweep(adjusted))
     if "f1" in metrics:
-        res = best_f1(adjusted, labels)
+        res = best_f1(adjusted, labels, sweep=sweep(adjusted))
         if res is not None:
             (report.best_f1, report.best_f1_threshold,
              report.best_f1_precision, report.best_f1_recall) = res
@@ -323,7 +322,7 @@ def evaluate(scores, labels, *, point_adjust_on: bool = True, delta: float = 0.6
         p, r, f = affiliation(events_from_binary(preds), truth, scores.shape[0])
         report.aff_precision, report.aff_recall, report.aff_f1 = p, r, f
     if "range" in metrics:
-        report.r_auc_roc, report.r_auc_pr = range_auc(scores, truth, range_w)
+        report.r_auc_roc, report.r_auc_pr = range_auc(scores, truth, range_w, sweep=sweep(scores))
     if "vus" in metrics:
-        report.vus_roc, report.vus_pr = vus(scores, truth, vus_wmax, vus_step)
+        report.vus_roc, report.vus_pr = vus(scores, truth, vus_wmax, vus_step, sweep=sweep(scores))
     return report

@@ -6,8 +6,9 @@ Parameters are plain numpy arrays grouped in dicts keyed by dotted names
 is the data one forward pass leaves for its backward: the gradients the
 forward formed itself, and each GRU pass with the parameters it ran with and
 its upstream hidden-state gradients; ``backward`` only runs BPTT over those
-passes.  Weights are stored as float32 at rest (checkpoints) and as float64
-master weights while training.
+passes, one BPTT per GRU pass: the upstream gradients of every branch that
+reads a pass are summed before its BPTT.  Weights are stored as float32 at
+rest (checkpoints) and as float64 master weights while training.
 
 ``sigmoid``, ``gru_forward`` and ``gru_backward`` compute in the dtype of
 their input: float32 stays float32, anything else is float64.  The GRU casts
@@ -16,7 +17,8 @@ states and trajectories as float64; ``gru_backward`` under float32 sums each
 call's weight gradients in float32, then adds them once into the float64
 grads, as in mixed-precision training with master weights (Micikevicius et
 al. 2018).  Under float64 it accumulates into the grads in place, so two
-calls that add into one weight keep the order of their float64 sums.
+passes that add into one weight (``full``'s order and distance passes over
+one tower) keep the order of their float64 sums.
 ``softmax``, the tape's gradients and Adam are float64 throughout.
 
 The GRU forward stacks the gate weights, as in fused-GEMM RNN kernels
@@ -273,9 +275,10 @@ class GradTape:
 
     ``grads`` is keyed like the parameters: the gradients the forward formed
     itself (its heads'), zeros elsewhere.  ``passes`` lists the GRU passes in
-    forward order, each as (cache, params, prefix, d_h_final, d_h_all): the
-    arguments of its ``gru_backward``.  ``value`` is the loss, ``otn`` and
-    ``dsn`` its parts.
+    forward order, each once, as (cache, params, prefix, d_h_final, d_h_all):
+    the arguments of its one ``gru_backward``, with the upstream gradients of
+    every branch that reads the pass summed in.  ``value`` is the loss,
+    ``otn`` and ``dsn`` its parts.
     """
 
     grads: ParamDict

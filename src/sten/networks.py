@@ -143,7 +143,7 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
     the length-``cfg.L`` windows of the (N, D) series ``values`` at ``starts``;
     ``cfg`` is the model's ``training.TrainConfig``.
 
-    Returns (order, ep, dsn), None for a branch not run:
+    Returns (order, ep, dsn, X), None for a branch not run:
 
     - order: ``order_forward``'s (P, Y, H, inv, cache);
     - ep: (resid, H_all, cache) of the error-prediction head, a linear map of
@@ -152,16 +152,18 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
       both None without ``want_cache``;
     - dsn: (E, norms, cache), the distance embeddings (unit rows when
       ``cfg.normalize_embeddings``), their floored norms (B, 1) or None, and
-      the GruCache of the pass that made them.
+      the GruCache of the pass that made them;
+    - X: the windows (B, L, D), None when only the order branch runs.
 
-    The windows are gathered once.  With the error-prediction head and one
-    shared tower, the distance embeddings are the final hidden states of the
-    error-prediction pass, whose cache both branches then share; otherwise
-    the distance tower (``dsn_prefix``) runs a pass of its own.
+    The windows are gathered once, and returned for eta to embed.  With the
+    error-prediction head and one shared tower, the distance embeddings are
+    the final hidden states of the error-prediction pass, whose cache both
+    branches then share; otherwise the distance tower (``dsn_prefix``) runs
+    a pass of its own.
     """
     use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
     order = order_forward(phi, values, starts, cfg.l, cfg.r, want_cache) if use_otn else None
-    ep = dsn = None
+    ep = dsn = X = None
     if use_ep or use_dsn:
         X = stack_slices(values, starts, cfg.L)
     if use_ep:
@@ -186,7 +188,7 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
             E, cache = (gru_forward(X, tower, want_cache=True) if want_cache
                         else (gru_forward(X, tower), None))
         dsn = (*unit_rows(E, cfg.normalize_embeddings), cache)
-    return order, ep, dsn
+    return order, ep, dsn, X
 
 
 def pair_residuals(E: np.ndarray, F: np.ndarray, ii: np.ndarray, jj: np.ndarray,

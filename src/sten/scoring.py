@@ -7,12 +7,13 @@ slots inherit that score.  Slot i of the window at ``s`` covers timestamps
 [s + i*r, s + i*r + l); a timestamp scores the mean over its covering slots.
 
 Scoring runs ``networks.forward``, the forward training runs, over chunks of
-``CHUNK`` windows, and eta embeds each chunk's windows.  The order branch
-scores sub-sequences in their true order: it encodes each distinct
-sub-sequence of a chunk once, and windows at stride ``R_test`` = r share all
-but one of theirs with the next.  The z-scored series is cast once to
-``training.COMPUTE_DTYPE``, the dtype the GRU computes in.  Scoring is
-deterministic given the seed used for reference-pair sampling.
+``CHUNK`` windows, and eta embeds the windows ``forward`` gathered for each
+chunk.  The order branch scores sub-sequences in their true order: it
+encodes each distinct sub-sequence of a chunk once, and windows at stride
+``R_test`` = r share all but one of theirs with the next.  The z-scored
+series is cast once to ``training.COMPUTE_DTYPE``, the dtype the GRU
+computes in.  Scoring is deterministic given the seed used for
+reference-pair sampling.
 
 A chunk holds at least ``MIN_ROWS`` windows, unless the whole series has
 fewer (``seqdata.batch_ranges`` joins a short last chunk to the one before).
@@ -42,8 +43,8 @@ from . import ConfigError, DataError
 from .ndkernel import gru_forward  # noqa: F401
 from .networks import branches, embed_windows, forward, pair_residuals, sample_pairs
 from .objectives import js_rows
-from .seqdata import (MultivariateSeries, batch_ranges, parse_column, read_table, stack_slices,
-                      window_starts, write_table)
+from .seqdata import (MultivariateSeries, batch_ranges, parse_column, read_table, window_starts,
+                      write_table)
 from .training import TrainConfig, TrainedModel, compute_values
 
 
@@ -132,7 +133,7 @@ def _forward_chunks(model: TrainedModel, values: np.ndarray, starts: np.ndarray,
     t_scores = np.zeros((n_w, tc.m))
     E, F = np.empty((n_w, tc.d_model)), np.empty((n_w, tc.d_model))
     for s, e in batch_ranges(n_w, max(CHUNK, MIN_ROWS), min_last=MIN_ROWS):
-        order, ep, dsn = forward(model.phi, values, starts[s:e], tc)
+        order, ep, dsn, X = forward(model.phi, values, starts[s:e], tc)
         if order is not None:
             P, Y = order[:2]
             rows = js_rows(P, Y).reshape(e - s, tc.m)
@@ -148,8 +149,7 @@ def _forward_chunks(model: TrainedModel, values: np.ndarray, starts: np.ndarray,
                     t_scores[s:e, i] = err[:, lo - 1:hi - 1].mean(axis=1)
         if dsn is not None:
             E[s:e] = dsn[0]
-            F[s:e] = embed_windows(model.eta, stack_slices(values, starts[s:e], tc.L),
-                                   tc.normalize_embeddings)
+            F[s:e] = embed_windows(model.eta, X, tc.normalize_embeddings)
     return t_scores, E, F
 
 

@@ -108,10 +108,14 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
     for the distance branch (None without one).
 
     Returns the tape of the loss (eta is frozen): the order and
-    error-prediction heads' gradients, and each GRU pass with the gradient of
-    the loss w.r.t. its hidden states, for ``backward`` to run BPTT over.
+    error-prediction heads' gradients, and each GRU pass once, with the
+    gradient of the loss w.r.t. its hidden states, for ``backward`` to run
+    BPTT over.  One BPTT per pass: where the distance branch reads the
+    error-prediction pass (one tower), its gradient ``dE`` is summed into that
+    pass's final-step entry ``d_h_all[-1]`` before the BPTT, not run as a
+    second one.
     """
-    order, ep, dsn = forward(phi, values, starts, cfg, want_cache=True)
+    order, ep, dsn, _ = forward(phi, values, starts, cfg, want_cache=True)
     tape = GradTape(grads={k: np.zeros(v.shape) for k, v in phi.items()})
     grads = tape.grads
     gru = GruParams.from_dict(phi, "gru.")
@@ -150,15 +154,17 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
         dEn = np.zeros_like(En)
         np.add.at(dEn, ii, dd[:, None] * En[jj])
         np.add.at(dEn, jj, dd[:, None] * En[ii])
+        dE = dEn
         if norms is not None:
             # Back through e / max(||e||, floor); En rows are unit (or e/floor).
             dE = dEn / norms
             active = (norms > NORM_FLOOR).astype(np.float64)
             dE -= active * En * (dEn * En).sum(axis=1, keepdims=True) / norms
+        if ep and cache is ep[2]:
+            d_h_all[-1] += dE  # one BPTT over the shared pass carries both branches
         else:
-            dE = dEn
-        prefix = dsn_prefix(phi)
-        tape.passes.append((cache, GruParams.from_dict(phi, prefix), prefix, dE, None))
+            prefix = dsn_prefix(phi)
+            tape.passes.append((cache, GruParams.from_dict(phi, prefix), prefix, dE, None))
 
     tape.value = tape.otn + cfg.alpha * tape.dsn
     return tape
@@ -188,8 +194,8 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     Each batch's order branch encodes each of its distinct sub-sequences once.
     With the error-prediction head and one shared tower, phi's GRU runs once
     over each batch's windows for both the error-prediction and the distance
-    branch.  The frozen projector eta embeds each batch's windows once per
-    call, not once per epoch.
+    branch, and BPTT runs once over that pass.  The frozen projector eta
+    embeds each batch's windows once per call, not once per epoch.
     """
     cfg.validate()
     stats = zscore_fit(series)

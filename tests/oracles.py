@@ -238,8 +238,9 @@ def dsn_plus_ep_tape_two_pass(phi, F, values, starts, pairs, cfg):
     branch read the error-prediction pass.
 
     Takes the arguments of ``training.build_sten_tape`` and records the same
-    head gradients and GRU passes in the same order, so the loss and the
-    gradients can be compared bit for bit.
+    head gradients, and one BPTT per branch where the package sums both
+    branches' upstream gradients into one: the loss agrees bit for bit, the
+    gradients within the sum-order rounding the tests name.
     """
     # The windows keep the series' dtype: the GRU computes in it.
     X = np.asarray(values)[np.asarray(starts)[:, None] + np.arange(cfg.L)]
@@ -307,7 +308,9 @@ def build_sten_tape_closures(phi, F, values, starts, pairs, cfg):
     """``training.build_sten_tape`` in the form that recorded one backward
     closure per branch, each forming its head's gradients and its GRU pass's
     upstream gradient only when run.  The package forms both in the forward;
-    the sums are the same, so loss and gradients must agree bit for bit.
+    the sums are the same, so loss and gradients must agree bit for bit,
+    except with dsn_plus_ep's one tower, where the package runs one BPTT for
+    the two closures' two and the gradients agree up to the sum order.
     """
     use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
     tape = ClosureTape(phi)

@@ -142,14 +142,18 @@ def test_gru_forward_calls_sigmoid_once_per_step_on_both_gates(monkeypatch):
     assert sizes == [2 * B * d] * T
 
 
-@pytest.mark.parametrize("mode,n_passes", [("full", 2), ("otn_only", 1), ("dsn_only", 1),
-                                            ("dsn_plus_ep", 2)],
-                         ids=["full", "otn_only", "dsn_only", "dsn_plus_ep"])
-def test_gru_backward_arguments_under_the_default_config(monkeypatch, mode, n_passes):
+@pytest.mark.parametrize("mode,towers,n_passes", [("full", False, 2), ("otn_only", False, 1),
+                                                   ("dsn_only", False, 1),
+                                                   ("dsn_plus_ep", False, 1),
+                                                   ("dsn_plus_ep", True, 2)],
+                         ids=["full", "otn_only", "dsn_only", "dsn_plus_ep",
+                              "dsn_plus_ep-towers"])
+def test_gru_backward_arguments_under_the_default_config(monkeypatch, mode, towers, n_passes):
     """perfbench/run.py's _gru_counts reads cache.X's (B, T, d_in) and the
     GruParams' d_model and d_in of each gru_backward call; training computes
     in float32 and keeps both.  ndkernel.backward makes one gru_backward call
-    per GRU pass its tape recorded."""
+    per GRU pass its tape recorded, and the tape records each forward pass
+    once: dsn_plus_ep's one tower is one pass for both of its branches."""
     seen, per_tape = [], []
     real, real_backward = ndkernel.gru_backward, training.backward
 
@@ -165,7 +169,8 @@ def test_gru_backward_arguments_under_the_default_config(monkeypatch, mode, n_pa
 
     monkeypatch.setattr(ndkernel, "gru_backward", recording)
     monkeypatch.setattr(training, "backward", counting)
-    tc = cli.build_train_config(schema_config(mode=mode, d_model=8, epochs=1))
+    tc = cli.build_train_config(schema_config(mode=mode, d_model=8, epochs=1,
+                                              separate_towers=towers))
     series = MultivariateSeries(values=np.random.default_rng(0).normal(size=(300, 3)))
     train(series, tc)
     assert per_tape and per_tape == [(n_passes, n_passes)] * len(per_tape)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sten import DataError
+from sten import DataError, evalmetrics
 from sten.evalmetrics import (MetricReport, affiliation, best_f1, evaluate,
                               events_from_binary, point_adjust, pr_auc, range_auc, roc_auc,
                               threshold_percentile, vus)
@@ -410,6 +410,37 @@ class TestEvaluate:
                 if k == "best_f1_threshold":  # a score value, not a rate
                     continue
                 assert -1e-12 <= v <= 1.0 + 1e-12, (k, v)
+
+    @pytest.mark.parametrize("pa,sweeps", [(True, 2), (False, 1)], ids=["pa-on", "pa-off"])
+    def test_one_sweep_per_score_series(self, monkeypatch, pa, sweeps):
+        """The adjusted scores and the raw ones are each sorted once, for every
+        group that reads them; without point adjust they are one series."""
+        rng = np.random.default_rng(17)
+        scores, labels = random_instance(rng)
+        want = evaluate(scores, labels, point_adjust_on=pa).to_dict()
+        calls, real = [], evalmetrics._sweep
+        monkeypatch.setattr(evalmetrics, "_sweep", lambda s: calls.append(1) or real(s))
+        assert evaluate(scores, labels, point_adjust_on=pa).to_dict() == want
+        assert len(calls) == sweeps
+
+    def test_shared_sweeps_equal_separate_calls(self):
+        """evaluate's report equals each metric function called on its own,
+        which sorts its scores itself, bit for bit."""
+        rng = np.random.default_rng(19)
+        for i in range(200):
+            scores, labels = random_instance(rng)
+            pa = bool(i % 2)
+            truth = events_from_binary(labels)
+            adjusted = point_adjust(scores, truth) if pa else scores
+            f1, thr, prec, rec = best_f1(adjusted, labels)
+            want = MetricReport(roc_auc(adjusted, labels), pr_auc(adjusted, labels),
+                                f1, thr, prec, rec, *affiliation(
+                                    events_from_binary(threshold_percentile(scores, 2.0)),
+                                    truth, len(scores)),
+                                *range_auc(scores, truth, 3.0), *vus(scores, truth, 4.0))
+            got = evaluate(scores, labels, point_adjust_on=pa, delta=2.0, range_w=3.0,
+                           vus_wmax=4.0)
+            assert got == want, i
 
     def test_peak_memory_is_linear_in_timestamps(self):
         """At 100,000 timestamps and 300 events no metric holds an array of

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sten import ConfigError, DataError, networks, scoring, training
+from sten import ConfigError, DataError, networks, scoring, seqdata, training
 from sten.evalmetrics import threshold_percentile
 from sten.ndkernel import init_gru
 from sten.networks import init_phi, sample_pairs
@@ -491,6 +491,35 @@ class TestScoreSeries:
         with pytest.raises(DataError, match="train"):
             score_series(model, series,
                          ScoreConfig(R_test=4, seed=10, ref_source="train"))
+
+
+class TestWindowGathers:
+    """Scoring gathers each chunk's windows once: ``networks.forward`` gathers
+    them and eta embeds the windows it returns."""
+
+    @pytest.mark.parametrize("mode,towers,gathers", [
+        ("full", False, True), ("otn_only", False, False), ("dsn_only", False, True),
+        ("dsn_plus_ep", False, True), ("dsn_plus_ep", True, True)],
+        ids=["full", "otn_only", "dsn_only", "dsn_plus_ep", "dsn_plus_ep-towers"])
+    def test_one_window_gather_per_chunk(self, monkeypatch, mode, towers, gathers):
+        model = tiny_model(mode=mode, separate_towers=towers)
+        series = series_fixture(n=600)     # 148 windows: chunks of 64 and 84
+        cfg = ScoreConfig(R_test=4, seed=4)
+        monkeypatch.setattr(scoring, "CHUNK", 64)
+        want = score_series(model, series, cfg)
+        real, seen = seqdata.stack_slices, []
+
+        def counting(values, starts, length):
+            if length == model.config.L:
+                seen.append(len(starts))
+            return real(values, starts, length)
+
+        for module in (networks, scoring, seqdata, training):
+            if getattr(module, "stack_slices", None) is real:
+                monkeypatch.setattr(module, "stack_slices", counting)
+        got = score_series(model, series, cfg)
+        assert seen == ([64, 84] if gathers else [])
+        np.testing.assert_array_equal(got.scores, want.scores)
 
 
 class TestScoresCsv:

@@ -54,10 +54,40 @@ def record_master_weights(monkeypatch):
     return returned
 
 
-def assert_same_weights(got, want):
+def assert_same_blocks(got, want):
     assert set(got) == set(want)
     for k in want:
         assert got[k].dtype == np.float64 and np.array_equal(got[k], want[k]), k
+
+
+# dsn_plus_ep with one tower sums the error-prediction and distance gradients
+# into one BPTT over the shared pass; the oracles run two BPTTs over it and add
+# their weight gradients, so the same sum is rounded in another order.  The
+# largest error measured, relative to each block's largest |value|, over
+# d_model 8, 32 and 256, raw and normalised embeddings, k_refs 1 and 3: for
+# gradients 4.4e-7 (float32 compute) and 1.1e-15 (float64); for the float64
+# master weights after two epochs 5.2e-9 and 2.1e-16.
+MERGED_BPTT_RTOL = {np.float32: 5e-7, np.float64: 1.5e-15}
+
+
+def assert_blocks_close(got, want):
+    """Every block within MERGED_BPTT_RTOL of the compute dtype, relative to
+    the block's largest |value|."""
+    rtol = MERGED_BPTT_RTOL[training.COMPUTE_DTYPE]
+    assert set(got) == set(want)
+    for k in want:
+        err = float(np.abs(got[k] - want[k]).max())
+        assert got[k].dtype == np.float64 and err <= rtol * np.abs(want[k]).max(), (k, err)
+
+
+def merges_bptt(cfg):
+    """Whether one BPTT carries two branches: dsn_plus_ep with one tower."""
+    return cfg.mode == "dsn_plus_ep" and not cfg.separate_towers
+
+
+def assert_blocks_match(got, want, cfg):
+    """Bit for bit, except within MERGED_BPTT_RTOL where ``merges_bptt``."""
+    (assert_blocks_close if merges_bptt(cfg) else assert_same_blocks)(got, want)
 
 
 class TestGradients:
@@ -195,9 +225,10 @@ class TestEtaEmbeddedOnce:
 
 
 class TestSharedTowerPass:
-    """dsn_plus_ep with one tower runs phi's GRU once over a batch's windows:
-    the distance branch reads the error-prediction pass.  Loss, gradients and
-    the trained checkpoint equal those of running the tower twice."""
+    """dsn_plus_ep with one tower runs phi's GRU once over a batch's windows,
+    and BPTT once over that pass: the distance branch reads the
+    error-prediction pass.  The loss equals that of running the tower twice;
+    gradients and trained master weights are within MERGED_BPTT_RTOL of it."""
 
     CASES = [dict(), dict(normalize_embeddings=True), dict(k_refs=3)]
     IDS = ["plain", "normalised", "k_refs-3"]
@@ -216,39 +247,42 @@ class TestSharedTowerPass:
         got = build_sten_tape(phi, F, values, starts, pairs, cfg)
         want = dsn_plus_ep_tape_two_pass(phi, F, values, starts, pairs, cfg)
         assert (got.otn, got.dsn, got.value) == (want.otn, want.dsn, want.value)
+        assert (len(got.passes), len(want.passes)) == (1, 2)
         g, w = backward(got), backward(want)
-        assert set(g) == set(w) == set(phi)
-        for k in g:
-            assert np.array_equal(g[k], w[k]), k
+        assert set(g) == set(phi)
+        assert_blocks_close(g, w)
 
     @staticmethod
-    def _checkpoints_equal(monkeypatch, tmp_path, case):
+    def _master_weights_close(monkeypatch, case):
+        """Compares the float64 master weights, not the checkpoint bytes: a
+        float32 checkpoint may round the two sum orders to different bits."""
         series = small_series()
         cfg = small_cfg(mode="dsn_plus_ep", epochs=2, **case)
         weights = record_master_weights(monkeypatch)
-        save_checkpoint(train(series, cfg), tmp_path / "one.ckpt")
+        train(series, cfg)
         one = weights[-1]
         monkeypatch.setattr(training, "build_sten_tape", dsn_plus_ep_tape_two_pass)
-        save_checkpoint(train(series, cfg), tmp_path / "two.ckpt")
-        assert (tmp_path / "one.ckpt").read_bytes() == (tmp_path / "two.ckpt").read_bytes()
-        assert_same_weights(weights[-1], one)
+        train(series, cfg)
+        assert_blocks_close(one, weights[-1])
 
     @pytest.mark.parametrize("case", CASES, ids=IDS)
-    def test_checkpoint_bytes_equal_two_passes(self, monkeypatch, tmp_path, case):
+    def test_checkpoint_bytes_equal_two_passes(self, monkeypatch, case):
         """In float32, the compute dtype training runs in."""
-        self._checkpoints_equal(monkeypatch, tmp_path, case)
+        self._master_weights_close(monkeypatch, case)
 
     @pytest.mark.parametrize("case", CASES, ids=IDS)
     @pytest.mark.usefixtures("float64_compute")
-    def test_checkpoint_bytes_equal_two_passes_in_float64(self, monkeypatch, tmp_path, case):
-        self._checkpoints_equal(monkeypatch, tmp_path, case)
+    def test_checkpoint_bytes_equal_two_passes_in_float64(self, monkeypatch, case):
+        self._master_weights_close(monkeypatch, case)
 
 
 class TestTapeIsData:
     """build_sten_tape forms the heads' gradients and each GRU pass's upstream
     gradient in the forward, and backward only runs BPTT over the passes.
-    Loss parts, gradients and trained checkpoints equal those of the form that
-    recorded one backward closure per branch, bit for bit."""
+    Loss parts equal those of the form that recorded one backward closure per
+    branch, and gradients and trained checkpoints do bit for bit, except
+    where dsn_plus_ep's one tower makes one BPTT of the closures' two
+    (``assert_blocks_match``)."""
 
     CASES = [dict(mode="full"), dict(mode="otn_only"), dict(mode="dsn_only"),
              dict(mode="dsn_plus_ep"), dict(mode="dsn_plus_ep", separate_towers=True),
@@ -276,11 +310,9 @@ class TestTapeIsData:
         want = build_sten_tape_closures(phi, F, values, starts, pairs, cfg)
         assert (got.otn, got.dsn, got.value) == (want.otn, want.dsn, want.value)
         g, w = backward(got), closure_backward(want)
-        assert set(g) == set(w) == set(phi)
-        again = backward(got)
-        for k in g:
-            assert np.array_equal(g[k], w[k]), k
-            assert np.array_equal(again[k], g[k]), k
+        assert set(g) == set(phi)
+        assert_same_blocks(backward(got), g)
+        assert_blocks_match(g, w, cfg)
 
     @pytest.mark.parametrize("case", CASES, ids=IDS)
     def test_loss_and_gradients_equal_closures(self, case):
@@ -302,8 +334,10 @@ class TestTapeIsData:
         monkeypatch.setattr(training, "build_sten_tape", build_sten_tape_closures)
         monkeypatch.setattr(training, "backward", closure_backward)
         save_checkpoint(train(series, cfg), tmp_path / "closures.ckpt")
-        assert (tmp_path / "data.ckpt").read_bytes() == (tmp_path / "closures.ckpt").read_bytes()
-        assert_same_weights(weights[-1], data)
+        assert_blocks_match(data, weights[-1], cfg)
+        if not merges_bptt(cfg):
+            assert ((tmp_path / "data.ckpt").read_bytes()
+                    == (tmp_path / "closures.ckpt").read_bytes())
 
     @pytest.mark.parametrize("case", CASES, ids=IDS)
     def test_checkpoint_bytes_equal_closures(self, monkeypatch, tmp_path, case):
