@@ -27,7 +27,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import ConfigError, DataError, NumericError, StenError, atomic_write
@@ -234,6 +234,11 @@ def _eval_settings(cfg: dict) -> tuple[tuple[str, ...], float, float]:
     return groups, range_w, vus_wmax
 
 
+# The report fields of the roc, pr and f1 groups, the ones point adjust changes.
+_POINT_WISE = ("auc_roc", "auc_pr", "best_f1", "best_f1_threshold", "best_f1_precision",
+               "best_f1_recall")
+
+
 def evaluate_to_doc(scores, labels, cfg: dict) -> dict:
     """Flat report document: metric values plus the evaluation config echo."""
     groups, range_w, vus_wmax = _eval_settings(cfg)
@@ -247,15 +252,20 @@ def evaluate_to_doc(scores, labels, cfg: dict) -> dict:
         "vus_step": cfg["vus_step"],
         "metrics": ",".join(groups),
     }
-    report = evaluate(scores, labels, point_adjust_on=(pa != "off"),
-                      delta=cfg["delta"], range_w=range_w, vus_wmax=vus_wmax,
-                      vus_step=cfg["vus_step"], metrics=groups)
-    doc.update(report.to_dict())
+    settings = dict(delta=cfg["delta"], range_w=range_w, vus_wmax=vus_wmax,
+                    vus_step=cfg["vus_step"])
     if pa == "both":
-        raw = evaluate(scores, labels, point_adjust_on=False, delta=cfg["delta"],
-                       range_w=range_w, vus_wmax=vus_wmax, vus_step=cfg["vus_step"],
-                       metrics=tuple(g for g in groups if g in ("roc", "pr", "f1")))
-        doc.update({"raw_" + k: v for k, v in raw.to_dict().items()})
+        # Affiliation, range-AUC and VUS read the raw scores either way: the raw
+        # report runs every group and the adjusted one only the point-wise
+        # groups, so each score series is sorted once.
+        raw = evaluate(scores, labels, point_adjust_on=False, metrics=groups, **settings)
+        adjusted = evaluate(scores, labels, point_adjust_on=True, **settings,
+                            metrics=tuple(g for g in groups if g in ("roc", "pr", "f1")))
+        doc.update(replace(raw, **{k: getattr(adjusted, k) for k in _POINT_WISE}).to_dict())
+        doc.update({"raw_" + k: v for k, v in raw.to_dict().items() if k in _POINT_WISE})
+    else:
+        doc.update(evaluate(scores, labels, point_adjust_on=(pa == "on"), metrics=groups,
+                            **settings).to_dict())
     return doc
 
 

@@ -294,7 +294,8 @@ def evaluate(scores, labels, *, point_adjust_on: bool = True, delta: float = 0.6
     AUC-ROC/AUC-PR/best-F1 honor ``point_adjust_on``; affiliation thresholds
     the raw scores at the (100 - delta) percentile; range-AUC and VUS always
     use raw scores.  Each distinct series is sorted once, for every group
-    that reads it: twice with point adjust, once without.
+    that reads it: twice with point adjust, once without; AUC-ROC and AUC-PR
+    are read from one ``_areas`` pass.
     """
     scores = np.asarray(scores, np.float64)
     labels = np.asarray(labels)
@@ -308,10 +309,11 @@ def evaluate(scores, labels, *, point_adjust_on: bool = True, delta: float = 0.6
     def sweep(series):
         return swept.get(id(series)) or swept.setdefault(id(series), _sweep(series))
 
-    if "roc" in metrics:
-        report.auc_roc = roc_auc(adjusted, labels, sweep=sweep(adjusted))
-    if "pr" in metrics:
-        report.auc_pr = pr_auc(adjusted, labels, sweep=sweep(adjusted))
+    if "roc" in metrics or "pr" in metrics:
+        # One pass of _areas gives both: roc_auc and pr_auc each keep one.
+        roc, ap = _areas(*sweep(adjusted)[:2], labels.astype(bool).astype(np.float64))
+        report.auc_roc = roc if "roc" in metrics else None
+        report.auc_pr = ap if "pr" in metrics else None
     if "f1" in metrics:
         res = best_f1(adjusted, labels, sweep=sweep(adjusted))
         if res is not None:

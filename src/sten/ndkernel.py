@@ -12,8 +12,11 @@ rest (checkpoints) and as float64 master weights while training.
 
 ``sigmoid``, ``gru_forward`` and ``gru_backward`` compute in the dtype of
 their input: float32 stays float32, anything else is float64.  The GRU casts
-its weights to that dtype, keeps its ``GruCache`` in it and returns final
-states and trajectories as float64; ``gru_backward`` under float32 sums each
+its weights to that dtype, keeps its ``GruCache`` and its hidden trajectory
+in it, and returns final states as float64.  The trajectory shares its
+storage with the cache's ``H_prev`` (one array of T+1 states), so a pass
+holds its states once, and a float64 reader casts the trajectory where it
+reads it; ``gru_backward`` under float32 sums each
 call's weight gradients in float32, then adds them once into the float64
 grads, as in mixed-precision training with master weights (Micikevicius et
 al. 2018).  Under float64 it accumulates into the grads in place, so two
@@ -157,7 +160,10 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False,
     Computes in float32 for float32 X, else in float64.  Returns the final
     hidden states (B, d_model) as float64.  With ``want_cache`` also returns a
     GruCache, in the compute dtype, for gru_backward; with ``want_all`` also
-    returns the full hidden trajectory (T, B, d_model) as float64.
+    returns the full hidden trajectory (T, B, d_model), in the compute dtype.
+    The trajectory and the cache's ``H_prev`` are views of one (T+1, B,
+    d_model) array of the states before and after each step, so a pass that
+    keeps both holds it once.
     """
     X = np.asarray(X)
     dt = _work_dtype(X)
@@ -174,11 +180,14 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False,
     U_h = np.asarray(p.U_h, dt)
 
     H = np.zeros((B, d), dt)
-    H_prev = np.empty((T, B, d), dt) if want_cache else None
+    # The states before and after each step, in one array: the cache's
+    # H_prev is Hs[:-1] and the trajectory Hs[1:].
+    Hs = np.empty((T + 1, B, d), dt) if want_cache or want_all else None
+    if Hs is not None:
+        Hs[0] = H
     Z = np.empty((T, B, d), dt) if want_cache else None
     Rg = np.empty((T, B, d), dt) if want_cache else None
     Hbar = np.empty((T, B, d), dt) if want_cache else None
-    H_all = np.empty((T, B, d)) if want_all else None
 
     for t in range(T):
         a = X[:, t] @ W.T
@@ -187,19 +196,18 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False,
         z, r = zr[:, :d], zr[:, d:]
         hbar = np.tanh(a[:, 2 * d:] + (r * H) @ U_h.T)
         if want_cache:
-            H_prev[t] = H
             Z[t] = z
             Rg[t] = r
             Hbar[t] = hbar
         H = (1.0 - z) * H + z * hbar
-        if want_all:
-            H_all[t] = H
+        if Hs is not None:
+            Hs[t + 1] = H
 
     out = [H.astype(np.float64, copy=False)]
     if want_cache:
-        out.append(GruCache(X, H_prev, Z, Rg, Hbar))
+        out.append(GruCache(X, Hs[:-1], Z, Rg, Hbar))
     if want_all:
-        out.append(H_all)
+        out.append(Hs[1:])
     return out[0] if len(out) == 1 else tuple(out)
 
 

@@ -147,9 +147,10 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
 
     - order: ``order_forward``'s (P, Y, H, inv, cache);
     - ep: (resid, H_all, cache) of the error-prediction head, a linear map of
-      h_t that predicts x_{t+1}: the one-step-ahead residuals (L-1, B, D), then
-      the shared tower's hidden trajectory (L, B, d_model) and its GruCache,
-      both None without ``want_cache``;
+      h_t that predicts x_{t+1}: the one-step-ahead residuals (L-1, B, D), as
+      float64, then the shared tower's hidden trajectory (L, B, d_model), in
+      the GRU's compute dtype and sharing storage with the cache's
+      ``H_prev``, and its GruCache, both None without ``want_cache``;
     - dsn: (E, norms, cache), the distance embeddings (unit rows when
       ``cfg.normalize_embeddings``), their floored norms (B, 1) or None, and
       the GruCache of the pass that made them;
@@ -176,8 +177,13 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
             H, cache, H_all = gru_forward(X, gru, want_cache=True, want_all=True)
         else:
             (H, H_all), cache = gru_forward(X, gru, want_all=True), None
-        preds = (H_all[:-1] @ np.asarray(phi["ep_head.W"], np.float64).T
-                 + np.asarray(phi["ep_head.b"], np.float64))
+        # One float64 GEMM per step, on that step's states cast where they are
+        # read: the stacked product's bits, with no float64 copy of the trajectory.
+        W_e = np.asarray(phi["ep_head.W"], np.float64).T
+        preds = np.empty((X.shape[1] - 1, len(X), W_e.shape[1]))
+        for t in range(len(preds)):
+            preds[t] = H_all[t].astype(np.float64) @ W_e
+        preds += np.asarray(phi["ep_head.b"], np.float64)
         # Only a backward reads the trajectory: without one it is freed here.
         ep = (preds - np.transpose(X[:, 1:], (1, 0, 2)), H_all if want_cache else None, cache)
     if use_dsn:

@@ -27,8 +27,7 @@ whose rounding still depends on the chunk's row count.  Against ``CHUNK``
 in float32, at d_model 32 and 256 (OpenBLAS).
 
 Score files are CSV tables written by ``seqdata.write_table`` and read back by
-``seqdata.read_table`` and ``seqdata.parse_column``, the package's one table
-writer and reader.
+``seqdata.read_table``, the package's one table writer and reader.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ from . import ConfigError, DataError
 from .ndkernel import gru_forward  # noqa: F401
 from .networks import branches, embed_windows, forward, pair_residuals, sample_pairs
 from .objectives import js_rows
-from .seqdata import (MultivariateSeries, batch_ranges, parse_column, read_table, window_starts,
-                      write_table)
+from .seqdata import MultivariateSeries, batch_ranges, read_table, window_starts, write_table
 from .training import TrainConfig, TrainedModel, compute_values
 
 
@@ -217,14 +215,14 @@ def read_scores_csv(path) -> dict[str, np.ndarray]:
 
     Scores must be finite and labels 0 or 1; a bad cell fails with its file line.
     """
-    header, cells, lines = read_table(path)
-    cols = dict(zip(header, cells))
-    for name in ("timestamp", "score", "score_otn", "score_dsn"):
-        if name not in cols:
-            raise DataError(f"{path}: missing column {name!r}")
-    out = {"timestamp": parse_column(path, "timestamp", cols["timestamp"], lines, "int")}
-    for name in ("score", "score_otn", "score_dsn"):
-        out[name] = parse_column(path, name, cols[name], lines)
-    if "label" in cols:
-        out["label"] = parse_column(path, "label", cols["label"], lines, "label")
-    return out
+    def select(header):
+        kinds = {"timestamp": "int", "score": "float", "score_otn": "float",
+                 "score_dsn": "float"}
+        for name in kinds:
+            if name not in header:
+                raise DataError(f"{path}: missing column {name!r}")
+        if "label" in header:
+            kinds["label"] = "label"
+        return [(name, header.index(name), kind) for name, kind in kinds.items()]
+
+    return read_table(path, select)[1]

@@ -8,11 +8,15 @@ Indexing is 0-based internally; CSV outputs use 1-based timestamps.
 Every CSV table the package reads goes through ``read_table`` and
 ``parse_column``, and every one it writes through ``write_table``: data series
 here, score files in ``scoring``, loss logs and sweep tables in ``cli``.
+Tables are read and written in blocks of ``TABLE_BLOCK_ROWS`` rows, so what a
+table holds beyond the arrays read or written is O(block), not one string or
+Python number per cell of the whole table.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,35 +65,56 @@ class NormStats:
 # CSV tables: one reader, one column parser, one writer
 # ---------------------------------------------------------------------------
 
-def read_table(path) -> tuple[list[str], list[tuple[str, ...]], list[int]]:
-    """The header, the cells of each column, and each data row's file line.
+# Rows per block: tables are read and written this many rows at a time.
+TABLE_BLOCK_ROWS = 4096
+
+
+def read_table(path, select) -> tuple[list[str], dict[str, np.ndarray]]:
+    """The header, and the columns that ``select(header)`` names, parsed.
+
+    ``select`` maps the header to a list of (name, index, kind): ``index`` is
+    one column's position or a list of positions, ``kind`` is as in
+    ``parse_column``, and ``name`` keys the result and names the column in
+    errors.  Each result is (n,) for one position and (n, k) for a list.
 
     Blank lines are skipped.  The file must hold a header that names each
     column once and at least one data row, and every data row must be as wide
-    as the header.
+    as the header.  The rows are parsed ``TABLE_BLOCK_ROWS`` at a time, and
+    checked in the parse's order: within a block, ragged rows first, then each
+    selected column in turn; a block's defect is found before a later block's.
     """
-    rows, lines = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if len(set(header)) < len(header):
-        twice = next(c for i, c in enumerate(header) if c in header[:i])
-        raise DataError(f"{path}: the header names column {twice!r} twice")
-    if len(rows) < 2:
-        raise DataError(f"{path}: no data rows after header")
-    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    ragged = np.flatnonzero(widths != len(header))
-    if ragged.size:
-        i = ragged[0]
-        raise DataError(f"{path}: line {lines[i]}: expected {len(header)} columns, "
-                        f"got {widths[i]}")
-    return header, list(zip(*rows[1:])), lines[1:]
+        rows = ((row, reader.line_num) for row in reader if row)
+        first = next(rows, None)
+        if first is None:
+            raise DataError(f"{path}: empty file")
+        header = [c.strip() for c in first[0]]
+        if len(set(header)) < len(header):
+            twice = next(c for i, c in enumerate(header) if c in header[:i])
+            raise DataError(f"{path}: the header names column {twice!r} twice")
+        block = list(itertools.islice(rows, TABLE_BLOCK_ROWS))
+        if not block:
+            raise DataError(f"{path}: no data rows after header")
+        columns, parts = None, None
+        while block:
+            cells, lines = zip(*block)
+            widths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+            ragged = np.flatnonzero(widths != len(header))
+            if ragged.size:
+                i = ragged[0]
+                raise DataError(f"{path}: line {lines[i]}: expected {len(header)} columns, "
+                                f"got {widths[i]}")
+            if columns is None:
+                columns = select(header)
+                parts = {name: [] for name, _, _ in columns}
+            cols = list(zip(*cells))
+            for name, index, kind in columns:
+                text = [cols[j] for j in index] if isinstance(index, list) else cols[index]
+                parts[name].append(parse_column(path, name, text, lines, kind))
+            block = list(itertools.islice(rows, TABLE_BLOCK_ROWS))
+    return header, {name: np.concatenate([part.T for part in parts[name]])
+                    for name, _, _ in columns}
 
 
 def _reject(path, lines, cells, bad: np.ndarray, what: str) -> None:
@@ -110,10 +135,10 @@ def _parses(cell: str, dtype) -> bool:
 
 
 def parse_column(path, name: str, cells, lines, kind: str = "float") -> np.ndarray:
-    """The cells of one column, or a list of columns, parsed by numpy as
-    ``kind``: "float" (every value finite), "int", or "label" (the cell,
-    stripped, is 0 or 1).  ``lines`` are the rows' file lines from
-    ``read_table``; the first bad cell is a DataError naming its line.
+    """The cells of one column, or a list of columns, of one block of rows,
+    parsed by numpy as ``kind``: "float" (every value finite), "int", or
+    "label" (the cell, stripped, is 0 or 1).  ``lines`` are the rows' file
+    lines; the first bad cell is a DataError naming its line.
     """
     if kind == "label":
         text = np.char.strip(np.asarray(cells, dtype=str))
@@ -135,13 +160,18 @@ def parse_column(path, name: str, cells, lines, kind: str = "float") -> np.ndarr
 
 def write_table(path, header: list[str], columns) -> None:
     """Write ``header``, then one row per entry of the equal-length ``columns``,
-    through ``atomic_write``.  ``csv.writer`` writes floats with ``repr``, ints
-    with ``str`` and None as an empty cell.
+    ``TABLE_BLOCK_ROWS`` rows at a time, through ``atomic_write``.
+    ``csv.writer`` writes floats with ``repr``, ints with ``str`` and None as
+    an empty cell.
     """
+    columns = [np.asarray(col) for col in columns]
+    if len({len(col) for col in columns}) > 1:
+        raise ValueError(f"columns of unequal lengths {[len(col) for col in columns]}")
     with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(zip(*[np.asarray(col).tolist() for col in columns], strict=True))
+        for s in range(0, len(columns[0]) if columns else 0, TABLE_BLOCK_ROWS):
+            w.writerows(zip(*[col[s:s + TABLE_BLOCK_ROWS].tolist() for col in columns]))
 
 
 def load_csv(path) -> MultivariateSeries:
@@ -149,18 +179,16 @@ def load_csv(path) -> MultivariateSeries:
     and every other column is a dimension.  Non-finite or unparsable cells
     fail with the offending file line.
     """
-    header, cols, lines = read_table(path)
-    label = header.index("label") if "label" in header else None
-    dims = [j for j in range(len(header)) if j != label]
-    if not dims:
-        raise DataError(f"{path}: no value columns")
-    values = parse_column(path, "value", [cols[j] for j in dims], lines)
-    return MultivariateSeries(
-        values=np.ascontiguousarray(values.T),
-        labels=None if label is None else parse_column(path, "label", cols[label],
-                                                       lines, "label"),
-        dim_names=[header[j] for j in dims],
-    )
+    def select(header):
+        dims = [j for j, name in enumerate(header) if name != "label"]
+        if not dims:
+            raise DataError(f"{path}: no value columns")
+        return [("value", dims, "float")] + (
+            [("label", header.index("label"), "label")] if "label" in header else [])
+
+    header, cols = read_table(path, select)
+    return MultivariateSeries(values=cols["value"], labels=cols.get("label"),
+                              dim_names=[name for name in header if name != "label"])
 
 
 def save_csv(series: MultivariateSeries, path) -> None:

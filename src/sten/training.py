@@ -136,10 +136,15 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
         resid, H_all, cache = ep
         tape.otn = float(np.mean(resid ** 2))  # temporal slot of the breakdown
         dpred = resid * (2.0 / resid.size)
+        # einsum casts the trajectory (compute dtype) to float64 a buffer at a time.
         grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, H_all[:-1])
         grads["ep_head.b"] += dpred.sum(axis=(0, 1))
+        # In the compute dtype, which gru_backward casts it to: one float64
+        # GEMM per step, rounded as it is stored.
+        W_e = np.asarray(phi["ep_head.W"], np.float64)
         d_h_all = np.zeros_like(H_all)
-        d_h_all[:-1] = dpred @ np.asarray(phi["ep_head.W"], np.float64)
+        for t in range(len(dpred)):
+            d_h_all[t] = dpred[t] @ W_e
         tape.passes.append((cache, gru, "gru.", None, d_h_all))
 
     if dsn is not None:

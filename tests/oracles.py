@@ -247,6 +247,7 @@ def dsn_plus_ep_tape_two_pass(phi, F, values, starts, pairs, cfg):
     gru = GruParams.from_dict(phi, "gru.")
     W_e = np.asarray(phi["ep_head.W"], np.float64)
     _, cache_ep, H_all = gru_forward(X, gru, want_cache=True, want_all=True)
+    H_all = H_all.astype(np.float64)  # the float64 trajectory of the old form
     resid = (H_all[:-1] @ W_e.T + np.asarray(phi["ep_head.b"], np.float64)
              - np.transpose(X[:, 1:], (1, 0, 2)))
     E, cache_d = gru_forward(X, gru, want_cache=True)
@@ -339,6 +340,7 @@ def build_sten_tape_closures(phi, F, values, starts, pairs, cfg):
 
     if use_ep:
         _, cache_ep, H_all = gru_forward(batch, gru, want_cache=True, want_all=True)
+        H_all = H_all.astype(np.float64)  # the float64 trajectory of the closure form
         resid = (H_all[:-1] @ np.asarray(phi["ep_head.W"], np.float64).T
                  + np.asarray(phi["ep_head.b"], np.float64)
                  - np.transpose(batch[:, 1:], (1, 0, 2)))

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import sten
-from sten.cli import (SCHEMA, build_score_config, build_synth_config, build_train_config, main,
-                      _convert)
+from sten import evalmetrics
+from sten.cli import (SCHEMA, build_score_config, build_synth_config, build_train_config,
+                      evaluate_to_doc, main, _convert)
+from sten.evalmetrics import METRIC_GROUPS, evaluate
 from sten.ndkernel import GruParams
 from sten.networks import read_checkpoint
 from sten.scoring import ScoreConfig, score_series
@@ -242,6 +244,38 @@ class TestEval:
              "--out", tmp / "rep.json"])
         doc = json.loads((tmp / "rep.json").read_text())
         assert "auc_roc" in doc and "best_f1" not in doc
+
+    @pytest.mark.parametrize("metrics,sweeps", [("all", 2), ("roc,pr,f1", 2), ("aff,pr", 2),
+                                                ("range,vus", 1)])
+    def test_both_sorts_each_series_once(self, monkeypatch, metrics, sweeps):
+        """With point_adjust both, the raw report runs every group and the
+        adjusted one only roc, pr and f1, so the raw and the adjusted scores
+        are each sorted once.  The document is the one of a point-adjusted
+        report with every group plus a raw report of roc, pr and f1, key for
+        key and bit for bit."""
+        rng = np.random.default_rng(6)
+        labels = np.zeros(3000, dtype=np.int64)
+        for s in range(100, 2900, 250):
+            labels[s:s + int(rng.integers(1, 30))] = 1
+        scores = np.round(rng.random(3000) + 0.3 * labels, 2)
+        cfg = {k: v for k, (_, v) in SCHEMA.items()}
+        cfg.update(point_adjust="both", metrics=metrics)
+        groups = METRIC_GROUPS if metrics == "all" else tuple(metrics.split(","))
+        settings = dict(delta=cfg["delta"], range_w=float(cfg["l"]), vus_wmax=float(cfg["l"]),
+                        vus_step=cfg["vus_step"])
+        raw = evaluate(scores, labels, point_adjust_on=False, **settings,
+                       metrics=tuple(g for g in groups if g in ("roc", "pr", "f1")))
+        want = {**evaluate(scores, labels, point_adjust_on=True, metrics=groups,
+                           **settings).to_dict(),
+                **{"raw_" + k: v for k, v in raw.to_dict().items()}}
+        calls, real = [], evalmetrics._sweep
+        monkeypatch.setattr(evalmetrics, "_sweep", lambda s: calls.append(1) or real(s))
+        doc = evaluate_to_doc(scores, labels, cfg)
+        assert len(calls) == sweeps
+        config = ("n_timestamps", "point_adjust", "delta", "range_w", "vus_wmax", "vus_step",
+                  "metrics")
+        assert list(doc)[:len(config)] == list(config)
+        assert json.dumps({k: v for k, v in doc.items() if k not in config}) == json.dumps(want)
 
     def test_length_mismatch_exit_code(self, workspace):
         tmp, _ = workspace

@@ -442,6 +442,39 @@ class TestEvaluate:
                            vus_wmax=4.0)
             assert got == want, i
 
+    @pytest.mark.parametrize("pa", [True, False], ids=["pa-on", "pa-off"])
+    def test_roc_and_pr_read_from_one_areas_pass(self, monkeypatch, pa):
+        """AUC-ROC and AUC-PR come from one _areas pass over the sweep, then
+        range-AUC takes one and VUS one per width (11 at w_max 10)."""
+        rng = np.random.default_rng(20)
+        scores, labels = random_instance(rng)
+        want = evaluate(scores, labels, point_adjust_on=pa).to_dict()
+        calls, real = [], evalmetrics._areas
+        monkeypatch.setattr(evalmetrics, "_areas", lambda *a: calls.append(1) or real(*a))
+        assert evaluate(scores, labels, point_adjust_on=pa).to_dict() == want
+        assert len(calls) == 13
+
+    def test_one_areas_pass_equals_separate_calls_bitwise(self):
+        """On 1,000 random instances and subsets of the point-wise groups, the
+        report equals roc_auc, pr_auc and best_f1 called on their own, bit for
+        bit."""
+        rng = np.random.default_rng(22)
+        for i in range(1000):
+            scores, labels = random_instance(rng)
+            if rng.random() < 0.1:
+                labels[:] = rng.random() < 0.5     # no positives or no negatives
+            pa = bool(i % 2)
+            groups = tuple(g for g in ("roc", "pr", "f1") if rng.random() < 0.7) or ("pr",)
+            adjusted = point_adjust(scores, events_from_binary(labels)) if pa else scores
+            f1 = best_f1(adjusted, labels) if "f1" in groups else None
+            want = MetricReport(roc_auc(adjusted, labels) if "roc" in groups else None,
+                                pr_auc(adjusted, labels) if "pr" in groups else None,
+                                *(f1 or (None,) * 4)).to_dict()
+            got = evaluate(scores, labels, point_adjust_on=pa, metrics=groups).to_dict()
+            assert list(got) == list(want), i
+            assert all(np.float64(got[k]).tobytes() == np.float64(want[k]).tobytes()
+                       for k in want), i
+
     def test_peak_memory_is_linear_in_timestamps(self):
         """At 100,000 timestamps and 300 events no metric holds an array of
         events x timestamps: the distance-matrix forms peaked at 462 MB on this input."""

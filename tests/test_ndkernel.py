@@ -257,7 +257,7 @@ class TestFloat32Compute:
         p, X, d_final, d_all = self._inputs(shape, seed=15)
         H64, Hall64, _, _ = self._run(X, p, np.float64, d_final, d_all)
         H32, Hall32, cache, _ = self._run(X, p, np.float32, d_final, d_all)
-        assert H32.dtype == Hall32.dtype == np.float64
+        assert H32.dtype == np.float64 and Hall32.dtype == np.float32
         assert all(getattr(cache, n).dtype == np.float32 for n in GruCache.__slots__)
         np.testing.assert_allclose(H32, H64, rtol=0, atol=F32_HIDDEN_ATOL)
         np.testing.assert_allclose(Hall32, Hall64, rtol=0, atol=F32_HIDDEN_ATOL)

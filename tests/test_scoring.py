@@ -415,6 +415,23 @@ class TestScoreSeries:
         # with the series, and 1.25 with the previous trajectory kept.
         assert peaks[1] - peaks[0] < 0.75 * trajectory, (peaks, trajectory)
 
+    def test_ep_chunk_peak_is_below_one_float64_trajectory(self, monkeypatch):
+        """A dsn_plus_ep chunk holds its hidden trajectory once, in the compute
+        dtype (float32): a float64 copy of it alone would fill the bound."""
+        model = tiny_model(mode="dsn_plus_ep", d_model=32, m=10, l=10, r=10, seed=3)
+        chunk = 64
+        monkeypatch.setattr(scoring, "CHUNK", chunk)
+        trajectory = model.config.L * chunk * 32 * 8     # float64 bytes of one chunk's
+        series = series_fixture(n=100 + (chunk - 1) * 10, seed=4)   # one chunk
+        tracemalloc.start()
+        try:
+            score_series(model, series, ScoreConfig(R_test=10, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Measured: 0.74 of a float64 trajectory, 1.24 when the trajectory was float64.
+        assert peak < trajectory, (peak, trajectory)
+
     def test_loaded_model_scores_identical(self, tmp_path):
         model = tiny_model()
         series = series_fixture()
