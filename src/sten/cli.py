@@ -10,8 +10,9 @@ reproducible.
 The config keys are the fields of ``SynthConfig``, ``TrainConfig`` and
 ``ScoreConfig``, each with its field's name, annotation (as its type) and
 default; a field two classes share (``seed``, ``k_refs``) is one key.  The
-exceptions are ``L`` and ``r``, which follow ``l`` and ``m`` unless set, and
-the evaluation keys, which have no dataclass.  ``ScoreConfig.seed`` is derived
+exceptions are ``r``, which follows ``l`` unless set, and the evaluation keys,
+which have no dataclass.  The window length ``L`` is no key: ``TrainConfig``
+works it out from ``l``, ``m`` and ``r``.  ``ScoreConfig.seed`` is derived
 from ``seed``.  File, ``--set`` and flag values are all parsed by ``_convert``.
 
 Each command takes from ``--set`` only the keys it reads, and rejects any
@@ -31,7 +32,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import ConfigError, DataError, NumericError, StenError, atomic_write
-from .evalmetrics import METRIC_GROUPS, evaluate
+from .evalmetrics import METRIC_GROUPS, evaluate, vus_widths
 from .scoring import ScoreConfig, read_scores_csv, score_series, write_scores_csv
 from .seqdata import SynthConfig, load_csv, save_csv, synth_generate, write_table
 from .training import (MODES, TrainConfig, derive_seed, load_checkpoint,
@@ -39,9 +40,7 @@ from .training import (MODES, TrainConfig, derive_seed, load_checkpoint,
 
 # Keys that are not a config field of their own name, type and default.
 _EXCEPTIONS: dict[str, tuple[str, object]] = {
-    # Unset, r = l and L = l + (m - 1) * r (build_train_config).
-    "L": ("int | None", None),
-    "r": ("int | None", None),
+    "r": ("int | None", None),      # unset, r = l (build_train_config)
 }
 
 # The evaluation keys, which have no dataclass.
@@ -147,9 +146,7 @@ def build_synth_config(cfg: dict) -> SynthConfig:
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
-    r = cfg["r"] if cfg["r"] is not None else cfg["l"]
-    L = cfg["L"] if cfg["L"] is not None else cfg["l"] + (cfg["m"] - 1) * r
-    return _build(TrainConfig, cfg, L=L, r=r)
+    return _build(TrainConfig, cfg, r=cfg["r"] if cfg["r"] is not None else cfg["l"])
 
 
 def build_score_config(cfg: dict) -> ScoreConfig:
@@ -193,13 +190,9 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     sc = build_score_config(resolve_config(args, reads=_keys(ScoreConfig)))
-    if sc.ref_source == "train" and not args.train:
-        raise ConfigError("ref_source=train requires --train")
     model = load_checkpoint(args.model)
     test = load_csv(args.test)
-    # --train is read only when the reference windows come from it.
-    train_series = load_csv(args.train) if sc.ref_source == "train" else None
-    result = score_series(model, test, sc, train_series=train_series)
+    result = score_series(model, test, sc)
     write_scores_csv(args.out, result, labels=test.labels)
     print(f"scored {result.n} timestamps -> {args.out}")
     return 0
@@ -210,7 +203,8 @@ def _eval_settings(cfg: dict) -> tuple[tuple[str, ...], float, float]:
 
     Every evaluation key is checked here, so that a bad one is a usage error
     before any work: delta when affiliation is asked for, and the buffer
-    widths when range-AUC or VUS is.
+    widths when range-AUC or VUS is (VUS also by their number,
+    ``evalmetrics.VUS_MAX_WIDTHS`` at most).
     """
     spec = cfg["metrics"].strip()
     groups = (METRIC_GROUPS if spec == "all"
@@ -228,9 +222,11 @@ def _eval_settings(cfg: dict) -> tuple[tuple[str, ...], float, float]:
         raise ConfigError(f"delta must be in (0, 100), got {cfg['delta']}")
     if "range" in groups and range_w < 0:
         raise ConfigError(f"range_w must be >= 0, got {range_w}")
-    if "vus" in groups and (vus_wmax < 0 or cfg["vus_step"] <= 0):
-        raise ConfigError(f"vus_wmax must be >= 0 and vus_step > 0, "
-                          f"got {vus_wmax} and {cfg['vus_step']}")
+    if "vus" in groups:
+        try:
+            vus_widths(vus_wmax, cfg["vus_step"])
+        except DataError as exc:
+            raise ConfigError(f"vus_wmax and vus_step: {exc}") from None
     return groups, range_w, vus_wmax
 
 
@@ -320,7 +316,7 @@ def cmd_sweep(args) -> int:
             lv = int(v)
             if lv != v or lv < 1:
                 raise ConfigError(f"l values must be positive integers, got {v}")
-            # r and L follow l unless set (build_train_config).
+            # r follows l unless set (build_train_config), and L follows both.
             cfg_v["l"] = lv
         else:
             cfg_v[args.param] = v
@@ -338,7 +334,7 @@ def cmd_sweep(args) -> int:
             model = train(train_series, tc)
             save_checkpoint(model, ckpt)
             _write_loss_log(str(ckpt) + ".log", model.loss_trace)
-        return score_series(load_checkpoint(ckpt), test_series, sc, train_series=train_series)
+        return score_series(load_checkpoint(ckpt), test_series, sc)
 
     # beta and delta share one checkpoint and one scoring: delta changes only
     # the evaluation, and beta only how the score columns combine.
@@ -420,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--out", required=True, help="scores CSV path")
-    p.add_argument("--train", help="training CSV (for ref_source=train)")
     _add_common(p, "seed", "beta")
     p.set_defaults(func=cmd_score)
 

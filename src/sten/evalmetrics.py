@@ -103,16 +103,16 @@ def _areas(order, idx, pos) -> tuple[float | None, float | None]:
     return roc, float(((recall - prev) * (tp / (tp + fp))).sum())
 
 
-def roc_auc(scores, labels, *, sweep=None) -> float | None:
+def roc_auc(scores, labels) -> float | None:
     """Probability a random positive outscores a random negative; ties count 1/2."""
     scores, labels = _check_lengths(scores, labels)
-    return _areas(*(sweep or _sweep(scores))[:2], labels.astype(np.float64))[0]
+    return _areas(*_sweep(scores)[:2], labels.astype(np.float64))[0]
 
 
-def pr_auc(scores, labels, *, sweep=None) -> float | None:
+def pr_auc(scores, labels) -> float | None:
     """Average precision over the descending-score threshold sweep."""
     scores, labels = _check_lengths(scores, labels)
-    return _areas(*(sweep or _sweep(scores))[:2], labels.astype(np.float64))[1]
+    return _areas(*_sweep(scores)[:2], labels.astype(np.float64))[1]
 
 
 def best_f1(scores, labels, *, sweep=None) -> tuple[float, float, float, float] | None:
@@ -226,19 +226,37 @@ def range_auc(scores, truth: EventSet, w: float,
     return (None, None) if roc is None else (roc, ap)
 
 
-def vus(scores, truth: EventSet, w_max: float, grid_step: float = 1.0,
-        *, sweep=None) -> tuple[float | None, float | None]:
-    """Mean range-AUC over buffer widths {0, step, 2*step, ..., w_max}.
+# The most buffer widths ``vus`` averages over: each costs one O(n) ``_areas``.
+VUS_MAX_WIDTHS = 1000
 
-    The event distances and the threshold sweep are the same for every
-    width; only the smoothed labels change.
+
+def vus_widths(w_max: float, grid_step: float) -> list[float]:
+    """The buffer widths {0, step, 2*step, ..., w_max} of ``vus``, each the
+    one before plus ``grid_step``.
+
+    Their number, about w_max / grid_step + 1, is checked before they are
+    built: more than ``VUS_MAX_WIDTHS`` of them is a ``DataError``.
     """
     if not (0 <= w_max < np.inf and 0 < grid_step < np.inf):
         raise DataError(f"w_max must be finite and >= 0 and grid_step finite and > 0, "
                         f"got {w_max} and {grid_step}")
+    if w_max + 1e-12 >= VUS_MAX_WIDTHS * grid_step:
+        raise DataError(f"w_max {w_max} at grid_step {grid_step} gives more than "
+                        f"{VUS_MAX_WIDTHS} buffer widths")
     widths = [0.0]
     while widths[-1] + grid_step <= w_max + 1e-12:
         widths.append(widths[-1] + grid_step)
+    return widths
+
+
+def vus(scores, truth: EventSet, w_max: float, grid_step: float = 1.0,
+        *, sweep=None) -> tuple[float | None, float | None]:
+    """Mean range-AUC over the buffer widths of ``vus_widths``.
+
+    The event distances and the threshold sweep are the same for every
+    width; only the smoothed labels change.
+    """
+    widths = vus_widths(w_max, grid_step)
     scores = np.asarray(scores, np.float64)
     dmin = _event_distance(truth, scores.shape[0])
     order, idx, _ = sweep or _sweep(scores)

@@ -5,15 +5,14 @@ binary checkpoint format.
 ``forward`` is the one forward of phi, run by training (with the caches its
 backward needs) and by scoring (without).  Over a batch of windows, given as a
 series and the windows' starts, it runs the branches ``branches`` selects for
-a mode, and it is the one place that decides where the distance embeddings
-come from: the error-prediction pass when both branches share phi's tower, a
-pass of the distance tower otherwise.
+a mode.  Every branch reads phi's one GRU tower: the distance embeddings are
+the final hidden states of the error-prediction pass when that branch runs,
+and of a pass of their own otherwise.
 
 The encoder phi is one ``ParamDict``, the form Adam, the gradient tape and
-the checkpoint use.  ``phi_shapes`` is its one layout: ``gru.*`` (the shared
-GRU, named as in ``GruParams.NAMES``), ``order_head.W`` (m, d_model) and
-``order_head.b`` (m,); with separate towers also ``dsn_gru.*``, the distance
-branch's own GRU; with the error-prediction head also ``ep_head.W``
+the checkpoint use.  ``phi_shapes`` is its one layout: ``gru.*`` (the GRU,
+named as in ``GruParams.NAMES``), ``order_head.W`` (m, d_model) and
+``order_head.b`` (m,); with the error-prediction head also ``ep_head.W``
 (D, d_model) and ``ep_head.b`` (D,).  The frozen projector eta is a plain
 ``GruParams``.
 """
@@ -34,31 +33,24 @@ from .seqdata import stack_slices
 NORM_FLOOR = 1e-12
 
 
-def phi_shapes(d_in: int, d_model: int, m: int, separate_towers: bool = False,
+def phi_shapes(d_in: int, d_model: int, m: int,
                with_ep_head: bool = False) -> dict[str, tuple[int, ...]]:
     """The key and shape of each of phi's blocks, in the order ``init_phi``
     draws them."""
     shapes = {"gru." + k: s for k, s in gru_shapes(d_in, d_model).items()}
     shapes.update({"order_head.W": (m, d_model), "order_head.b": (m,)})
-    if separate_towers:
-        shapes.update({"dsn_gru." + k: s for k, s in gru_shapes(d_in, d_model).items()})
     if with_ep_head:
         shapes.update({"ep_head.W": (d_in, d_model), "ep_head.b": (d_in,)})
     return shapes
 
 
 def init_phi(d_in: int, d_model: int, m: int, rng: np.random.Generator,
-             separate_towers: bool = False, with_ep_head: bool = False) -> ParamDict:
+             with_ep_head: bool = False) -> ParamDict:
     """Uniform(-1/sqrt(d_model), +1/sqrt(d_model)) draws of phi's blocks,
     one after another in ``phi_shapes`` order."""
     s = 1.0 / np.sqrt(d_model)
     return {k: rng.uniform(-s, s, size=shape)
-            for k, shape in phi_shapes(d_in, d_model, m, separate_towers, with_ep_head).items()}
-
-
-def dsn_prefix(phi: ParamDict) -> str:
-    """Key prefix of the GRU tower that phi's distance branch runs."""
-    return "dsn_gru." if "dsn_gru.W_z" in phi else "gru."
+            for k, shape in phi_shapes(d_in, d_model, m, with_ep_head).items()}
 
 
 def gru_checksum(p: GruParams) -> str:
@@ -148,7 +140,7 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
     - order: ``order_forward``'s (P, Y, H, inv, cache);
     - ep: (resid, H_all, cache) of the error-prediction head, a linear map of
       h_t that predicts x_{t+1}: the one-step-ahead residuals (L-1, B, D), as
-      float64, then the shared tower's hidden trajectory (L, B, d_model), in
+      float64, then phi's hidden trajectory (L, B, d_model), in
       the GRU's compute dtype and sharing storage with the cache's
       ``H_prev``, and its GruCache, both None without ``want_cache``;
     - dsn: (E, norms, cache), the distance embeddings (unit rows when
@@ -157,22 +149,21 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
     - X: the windows (B, L, D), None when only the order branch runs.
 
     The windows are gathered once, and returned for eta to embed.  With the
-    error-prediction head and one shared tower, the distance embeddings are
-    the final hidden states of the error-prediction pass, whose cache both
-    branches then share; otherwise the distance tower (``dsn_prefix``) runs
-    a pass of its own.
+    error-prediction head, the distance embeddings are the final hidden
+    states of its pass, whose cache both branches then share; otherwise phi's
+    GRU runs one pass for them.
     """
     use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
     order = order_forward(phi, values, starts, cfg.l, cfg.r, want_cache) if use_otn else None
     ep = dsn = X = None
     if use_ep or use_dsn:
         X = stack_slices(values, starts, cfg.L)
+        gru = GruParams.from_dict(phi, "gru.")
     if use_ep:
         if "ep_head.W" not in phi:
             raise DataError("model has no error-prediction head")
         if X.shape[1] < 2:
             raise DataError("error-prediction branch needs windows of length >= 2")
-        gru = GruParams.from_dict(phi, "gru.")
         if want_cache:
             H, cache, H_all = gru_forward(X, gru, want_cache=True, want_all=True)
         else:
@@ -184,24 +175,24 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
         for t in range(len(preds)):
             preds[t] = H_all[t].astype(np.float64) @ W_e
         preds += np.asarray(phi["ep_head.b"], np.float64)
+        # The residuals in place: no second (L-1, B, D) float64 array.
+        preds -= np.transpose(X[:, 1:], (1, 0, 2))
         # Only a backward reads the trajectory: without one it is freed here.
-        ep = (preds - np.transpose(X[:, 1:], (1, 0, 2)), H_all if want_cache else None, cache)
+        ep = (preds, H_all if want_cache else None, cache)
     if use_dsn:
-        if use_ep and dsn_prefix(phi) == "gru.":
+        if use_ep:
             E, cache = H, ep[2]
         else:
-            tower = GruParams.from_dict(phi, dsn_prefix(phi))
-            E, cache = (gru_forward(X, tower, want_cache=True) if want_cache
-                        else (gru_forward(X, tower), None))
+            E, cache = (gru_forward(X, gru, want_cache=True) if want_cache
+                        else (gru_forward(X, gru), None))
         dsn = (*unit_rows(E, cfg.normalize_embeddings), cache)
     return order, ep, dsn, X
 
 
-def pair_residuals(E: np.ndarray, F: np.ndarray, ii: np.ndarray, jj: np.ndarray,
-                   E_ref: np.ndarray, F_ref: np.ndarray) -> np.ndarray:
+def pair_residuals(E: np.ndarray, F: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     """Inner-product distance of phi minus that of eta for each pair: row ii
-    of E/F against row jj of the references E_ref/F_ref."""
-    return (E[ii] * E_ref[jj]).sum(axis=1) - (F[ii] * F_ref[jj]).sum(axis=1)
+    of E/F against row jj."""
+    return (E[ii] * E[jj]).sum(axis=1) - (F[ii] * F[jj]).sum(axis=1)
 
 
 def sample_pairs(n_windows: int, rng: np.random.Generator, k: int = 1) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 The test windows (n_windows, L, D) start at ``seqdata.window_starts``.  The
 order (or error-prediction) branch scores each window's m sub-sequence slots,
-(n_windows, m); the distance branch scores each window, (n_windows,), and its
-slots inherit that score.  Slot i of the window at ``s`` covers timestamps
-[s + i*r, s + i*r + l); a timestamp scores the mean over its covering slots.
+(n_windows, m); the order score of a slot is its L1 prediction error over the
+mean JS divergence of its window's slots.  The distance branch scores each
+window, (n_windows,), against reference windows drawn from the test windows
+themselves, and its slots inherit that score.  Slot i of the window at ``s``
+covers timestamps [s + i*r, s + i*r + l); a timestamp scores the mean over
+its covering slots, both columns aggregated in one pass.
 
 Scoring runs ``networks.forward``, the forward training runs, over chunks of
 ``CHUNK`` windows, and eta embeds the windows ``forward`` gathered for each
@@ -32,7 +35,7 @@ Score files are CSV tables written by ``seqdata.write_table`` and read back by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +46,7 @@ from .ndkernel import gru_forward  # noqa: F401
 from .networks import branches, embed_windows, forward, pair_residuals, sample_pairs
 from .objectives import js_rows
 from .seqdata import MultivariateSeries, batch_ranges, read_table, window_starts, write_table
-from .training import TrainConfig, TrainedModel, compute_values
+from .training import TrainedModel, compute_values
 
 
 @dataclass
@@ -53,8 +56,6 @@ class ScoreConfig:
     score_eps: float = 1e-8
     k_refs: int = 1
     seed: int = 0
-    per_subseq_denominator: bool = False
-    ref_source: str = "test"  # "test" or "train"
 
     def validate(self) -> None:
         if not 0 <= self.beta < np.inf:
@@ -65,8 +66,6 @@ class ScoreConfig:
             raise ConfigError("R_test and k_refs must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.ref_source not in ("test", "train"):
-            raise ConfigError(f"ref_source must be 'test' or 'train', got {self.ref_source!r}")
 
 
 @dataclass
@@ -86,26 +85,31 @@ class ScoreSeries:
 def aggregate_timestamps(starts, values, length: int,
                          n_timestamps: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean score per timestamp over all covering slots: slot k covers
-    [starts[k], starts[k] + length) with score ``values[k]``.
+    [starts[k], starts[k] + length) with score ``values[..., k]``.
 
-    Returns (scores, coverage).  Every timestamp must be covered by at least
-    one slot, otherwise the layout is inconsistent.
+    ``values`` is one score per slot (n_slots,), or a stack of such columns
+    (n_columns, n_slots) that share the slots' index and coverage.  Returns
+    (scores, coverage), scores (n_timestamps,) or (n_columns, n_timestamps).
+    Every timestamp must be covered by at least one slot, otherwise the
+    layout is inconsistent.
     """
     starts = np.asarray(starts, dtype=np.intp)
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    values = np.asarray(values, dtype=np.float64)
     outside = (starts < 0) | (starts + length > n_timestamps)
     if np.any(outside):
         start = int(starts[np.argmax(outside)])
         raise DataError(f"slot [{start}, {start + length}) outside timeline "
                         f"of {n_timestamps} timestamps")
     idx = (starts[:, None] + np.arange(length)).reshape(-1)
-    # bincount adds slot by slot, in the order a loop over the slots would.
-    total = np.bincount(idx, weights=np.repeat(values, length), minlength=n_timestamps)
     count = np.bincount(idx, minlength=n_timestamps)
     if np.any(count == 0):
         missing = int(np.argmin(count))
         raise DataError(f"timestamp {missing} not covered by any sub-sequence")
-    return total / count, count
+    # bincount adds slot by slot, in the order a loop over the slots would.
+    total = np.stack([np.bincount(idx, weights=np.repeat(column, length),
+                                  minlength=n_timestamps)
+                      for column in values.reshape(-1, len(starts))])
+    return (total / count).reshape(values.shape[:-1] + (n_timestamps,)), count
 
 
 # ---------------------------------------------------------------------------
@@ -120,24 +124,22 @@ MIN_ROWS = 64
 
 
 def _forward_chunks(model: TrainedModel, values: np.ndarray, starts: np.ndarray,
-                    tc: TrainConfig, cfg: ScoreConfig):
+                    cfg: ScoreConfig):
     """``networks.forward`` over the windows at ``starts``, chunk by chunk.
 
     Returns the temporal scores (n_w, m) of the order or error-prediction
     branch, then phi's distance embeddings E and eta's F, both (n_w, d_model)
     and filled only with the distance branch.
     """
-    n_w = len(starts)
+    tc, n_w = model.config, len(starts)
     t_scores = np.zeros((n_w, tc.m))
     E, F = np.empty((n_w, tc.d_model)), np.empty((n_w, tc.d_model))
     for s, e in batch_ranges(n_w, max(CHUNK, MIN_ROWS), min_last=MIN_ROWS):
         order, ep, dsn, X = forward(model.phi, values, starts[s:e], tc)
         if order is not None:
             P, Y = order[:2]
-            rows = js_rows(P, Y).reshape(e - s, tc.m)
-            if not cfg.per_subseq_denominator:
-                rows = rows.mean(axis=1, keepdims=True)
-            t_scores[s:e] = np.abs(P - Y).sum(axis=1).reshape(e - s, tc.m) / (rows + cfg.score_eps)
+            js = js_rows(P, Y).reshape(e - s, tc.m).mean(axis=1, keepdims=True)
+            t_scores[s:e] = np.abs(P - Y).sum(axis=1).reshape(e - s, tc.m) / (js + cfg.score_eps)
         if ep is not None:
             err = (ep[0] ** 2).mean(axis=2).T          # (B, L-1); err[:, t-1] ~ x_t
             for i in range(tc.m):
@@ -151,13 +153,12 @@ def _forward_chunks(model: TrainedModel, values: np.ndarray, starts: np.ndarray,
     return t_scores, E, F
 
 
-def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig,
-                 train_series: MultivariateSeries | None = None) -> ScoreSeries:
+def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig) -> ScoreSeries:
     """Score every test timestamp with the trained model.
 
     Windows are laid out at stride ``R_test`` with one extra tail window so
-    every timestamp is covered.  Reference windows for the distance score come
-    from the test pool itself (default) or from ``train_series``.
+    every timestamp is covered.  Each window's distance score compares it
+    with ``k_refs`` other test windows, drawn with ``cfg.seed``.
     """
     cfg.validate()
     if test.d != model.d_in:
@@ -166,31 +167,19 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
     values = compute_values(test, model.stats)
     starts = window_starts(test.n, tc.L, cfg.R_test, cover_tail=True)
     n_w = len(starts)
-    t_scores, E, F = _forward_chunks(model, values, starts, tc, cfg)
+    t_scores, E, F = _forward_chunks(model, values, starts, cfg)
 
     # Spatial component: scalar per window.
     dsn_w = np.zeros(n_w)
     if branches(tc.mode, tc.alpha)[2]:
-        rng = np.random.default_rng(cfg.seed)
-        if cfg.ref_source == "train":
-            if train_series is None:
-                raise DataError("ref_source='train' requires the training series")
-            # The reference pool needs only its distance embeddings.
-            _, Ep, Fp = _forward_chunks(model, compute_values(train_series, model.stats),
-                                        window_starts(train_series.n, tc.L, tc.R_train),
-                                        replace(tc, mode="dsn_only"), cfg)
-            jj = rng.integers(0, len(Ep), size=(n_w, cfg.k_refs)).reshape(-1)
-            ii = np.repeat(np.arange(n_w), cfg.k_refs)
-        else:
-            ii, jj = sample_pairs(n_w, rng, cfg.k_refs).T
-            Ep, Fp = E, F
-        resid = pair_residuals(E, F, ii, jj, Ep, Fp)
+        ii, jj = sample_pairs(n_w, np.random.default_rng(cfg.seed), cfg.k_refs).T
+        resid = pair_residuals(E, F, ii, jj)
         dsn_w = (resid ** 2).reshape(n_w, cfg.k_refs).mean(axis=1)
 
-    # Aggregate each component over all (window, sub-sequence) slots, window-major.
+    # Aggregate both components over all (window, sub-sequence) slots, window-major.
     slot_starts = (starts[:, None] + np.arange(tc.m) * tc.r).reshape(-1)
-    otn_col, coverage = aggregate_timestamps(slot_starts, t_scores, tc.l, test.n)
-    dsn_col, _ = aggregate_timestamps(slot_starts, np.repeat(dsn_w, tc.m), tc.l, test.n)
+    (otn_col, dsn_col), coverage = aggregate_timestamps(
+        slot_starts, np.stack([t_scores.reshape(-1), np.repeat(dsn_w, tc.m)]), tc.l, test.n)
     scores = otn_col + cfg.beta * dsn_col
     return ScoreSeries(scores=scores, score_otn=otn_col, score_dsn=dsn_col,
                        coverage=coverage)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import DataError, atomic_write
+from . import ConfigError, DataError, atomic_write
 
 STD_FLOOR = 1e-8
 
@@ -290,28 +290,28 @@ class SynthConfig:
 
     def validate(self) -> None:
         if self.n_train < 2 or self.n_test < 1 or self.dims < 1:
-            raise DataError("n_train >= 2, n_test >= 1 and dims >= 1 required")
+            raise ConfigError("n_train >= 2, n_test >= 1 and dims >= 1 required")
         if self.seed < 0 or self.n_components < 0:
-            raise DataError("seed and n_components must be >= 0")
+            raise ConfigError("seed and n_components must be >= 0")
         if not 0 <= self.noise_sigma < np.inf:
-            raise DataError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0 < self.period_min <= self.period_max < np.inf:
-            raise DataError(f"need 0 < period_min <= period_max, got {self.period_min} "
+            raise ConfigError(f"need 0 < period_min <= period_max, got {self.period_min} "
                             f"and {self.period_max}")
         if not 0.0 <= self.anomaly_rate < 1.0:
-            raise DataError("anomaly_rate must be in [0, 1)")
+            raise ConfigError("anomaly_rate must be in [0, 1)")
         if not 1 <= self.seg_len_min <= self.seg_len_max:
-            raise DataError("need 1 <= seg_len_min <= seg_len_max")
+            raise ConfigError("need 1 <= seg_len_min <= seg_len_max")
         for t in self.anomaly_types:
             if t not in self.KNOWN_TYPES:
-                raise DataError(f"unknown anomaly type {t!r}")
+                raise ConfigError(f"unknown anomaly type {t!r}")
         target = round(self.anomaly_rate * self.n_test)
         if 0 < target < self.seg_len_min:
-            raise DataError(
+            raise ConfigError(
                 f"anomaly rate {self.anomaly_rate} incompatible with segment length "
                 f">= {self.seg_len_min} on {self.n_test} test points")
         if target > 0 and not self.anomaly_types:
-            raise DataError(f"anomaly_rate {self.anomaly_rate} needs an anomaly type")
+            raise ConfigError(f"anomaly_rate {self.anomaly_rate} needs an anomaly type")
 
 
 def _clean_signal(t: np.ndarray, amps, periods, phases, freq_factor: float = 1.0) -> np.ndarray:

@@ -13,8 +13,8 @@ from . import ConfigError, DataError, NumericError
 # looks it up on this module.
 from .ndkernel import (GradTape, GruParams, ParamDict, adam_update, backward,  # noqa: F401
                        gru_forward, gru_shapes, init_adam_state, init_gru)
-from .networks import (NORM_FLOOR, branches, dsn_prefix, embed_windows, forward, gru_checksum,
-                       init_phi, pair_residuals, phi_shapes, read_checkpoint, sample_pairs,
+from .networks import (NORM_FLOOR, branches, embed_windows, forward, gru_checksum, init_phi,
+                       pair_residuals, phi_shapes, read_checkpoint, sample_pairs,
                        write_checkpoint)
 from .objectives import js_rows, js_rows_grad_p
 from .seqdata import (MultivariateSeries, NormStats, batch_ranges, stack_slices, window_starts,
@@ -48,7 +48,6 @@ def seed_streams(master: int) -> dict[str, np.random.Generator]:
 
 @dataclass
 class TrainConfig:
-    L: int = 100
     R_train: int = 10
     l: int = 10
     r: int = 10
@@ -59,17 +58,16 @@ class TrainConfig:
     epochs: int = 5
     batch_size: int = 256
     seed: int = 0
-    eta_seed: int | None = None
     mode: str = "full"
     normalize_embeddings: bool = False
     k_refs: int = 1
-    separate_towers: bool = False
+
+    @property
+    def L(self) -> int:
+        """Window length: m sub-sequences of length l at stride r span it."""
+        return self.l + (self.m - 1) * self.r
 
     def validate(self) -> None:
-        if self.l + (self.m - 1) * self.r != self.L:
-            raise ConfigError(
-                f"sub-sequence layout mismatch: l + (m-1)*r = "
-                f"{self.l + (self.m - 1) * self.r} != L = {self.L}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.epochs < 1 or self.batch_size < 1:
@@ -80,10 +78,10 @@ class TrainConfig:
             raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.k_refs < 1:
             raise ConfigError("k_refs must be >= 1")
-        if min(self.L, self.R_train, self.l, self.r, self.m, self.d_model) < 1:
-            raise ConfigError("L, R_train, l, r, m, d_model must all be >= 1")
-        if self.seed < 0 or (self.eta_seed is not None and self.eta_seed < 0):
-            raise ConfigError("seed and eta_seed must be >= 0")
+        if min(self.R_train, self.l, self.r, self.m, self.d_model) < 1:
+            raise ConfigError("R_train, l, r, m, d_model must all be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -111,9 +109,9 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
     error-prediction heads' gradients, and each GRU pass once, with the
     gradient of the loss w.r.t. its hidden states, for ``backward`` to run
     BPTT over.  One BPTT per pass: where the distance branch reads the
-    error-prediction pass (one tower), its gradient ``dE`` is summed into that
-    pass's final-step entry ``d_h_all[-1]`` before the BPTT, not run as a
-    second one.
+    error-prediction pass (``dsn_plus_ep``), its gradient ``dE`` is summed
+    into that pass's final-step entry ``d_h_all[-1]`` before the BPTT, not run
+    as a second one.
     """
     order, ep, dsn, _ = forward(phi, values, starts, cfg, want_cache=True)
     tape = GradTape(grads={k: np.zeros(v.shape) for k, v in phi.items()})
@@ -152,7 +150,7 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
             raise DataError("distance branch requires eta's embeddings and reference pairs")
         En, norms, cache = dsn
         ii, jj = pairs.T
-        resid_d = pair_residuals(En, F, ii, jj, En, F)
+        resid_d = pair_residuals(En, F, ii, jj)
         tape.dsn = float(np.mean(resid_d ** 2))
         # d(total)/d(dsn) = alpha in every mode that trains the branch.
         dd = resid_d * (2.0 * cfg.alpha / resid_d.size)
@@ -165,11 +163,10 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
             dE = dEn / norms
             active = (norms > NORM_FLOOR).astype(np.float64)
             dE -= active * En * (dEn * En).sum(axis=1, keepdims=True) / norms
-        if ep and cache is ep[2]:
+        if ep is not None:
             d_h_all[-1] += dE  # one BPTT over the shared pass carries both branches
         else:
-            prefix = dsn_prefix(phi)
-            tape.passes.append((cache, GruParams.from_dict(phi, prefix), prefix, dE, None))
+            tape.passes.append((cache, gru, "gru.", dE, None))
 
     tape.value = tape.otn + cfg.alpha * tape.dsn
     return tape
@@ -197,10 +194,11 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     """Fit the encoder on an unlabeled series (labels, if present, are ignored).
 
     Each batch's order branch encodes each of its distinct sub-sequences once.
-    With the error-prediction head and one shared tower, phi's GRU runs once
-    over each batch's windows for both the error-prediction and the distance
-    branch, and BPTT runs once over that pass.  The frozen projector eta
-    embeds each batch's windows once per call, not once per epoch.
+    With the error-prediction head, phi's GRU runs once over each batch's
+    windows for both the error-prediction and the distance branch, and BPTT
+    runs once over that pass.  The frozen projector eta is drawn from the
+    ``eta_init`` stream of ``cfg.seed``, and embeds each batch's windows once
+    per call, not once per epoch.
     """
     cfg.validate()
     stats = zscore_fit(series)
@@ -214,13 +212,9 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
         raise ConfigError("batch_size must be >= 2 for modes with the distance branch")
 
     streams = seed_streams(cfg.seed)
-    phi = init_phi(series.d, cfg.d_model, cfg.m, streams["phi_init"],
-                   separate_towers=cfg.separate_towers,
-                   with_ep_head=use_ep)
-    eta_rng = (np.random.default_rng(cfg.eta_seed) if cfg.eta_seed is not None
-               else streams["eta_init"])
+    phi = init_phi(series.d, cfg.d_model, cfg.m, streams["phi_init"], with_ep_head=use_ep)
     # Frozen projector lives in its at-rest precision from the start.
-    eta = init_gru(series.d, cfg.d_model, eta_rng).astype(np.float32)
+    eta = init_gru(series.d, cfg.d_model, streams["eta_init"]).astype(np.float32)
     eta_checksum = gru_checksum(eta)
 
     adam = init_adam_state(phi)
@@ -273,8 +267,7 @@ def save_checkpoint(model: TrainedModel, path) -> None:
 def _check_blocks(path, cfg: TrainConfig, d_in: int, blocks: dict[str, np.ndarray]) -> None:
     """The block set must be exactly the one ``cfg`` implies, each block with
     its shape and finite."""
-    phi = phi_shapes(d_in, cfg.d_model, cfg.m, separate_towers=cfg.separate_towers,
-                     with_ep_head=branches(cfg.mode, cfg.alpha)[1])
+    phi = phi_shapes(d_in, cfg.d_model, cfg.m, with_ep_head=branches(cfg.mode, cfg.alpha)[1])
     shapes = {"phi." + k: s for k, s in phi.items()}
     shapes.update({"eta.gru." + k: s for k, s in gru_shapes(d_in, cfg.d_model).items()})
     shapes.update({"norm.mean": (d_in,), "norm.std": (d_in,), "trace.losses": (cfg.epochs, 3)})
@@ -292,8 +285,7 @@ def _check_blocks(path, cfg: TrainConfig, d_in: int, blocks: dict[str, np.ndarra
 
 # Python types of the JSON values each declared TrainConfig field type accepts;
 # only a bool field accepts a bool.
-_JSON_TYPES = {"bool": bool, "int": int, "int | None": (int, type(None)),
-               "float": (int, float), "str": str}
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
 
 def load_checkpoint(path) -> TrainedModel:

@@ -12,8 +12,7 @@ import numpy as np
 from sten import DataError
 from sten.evalmetrics import range_auc, validate_events
 from sten.ndkernel import GradTape, GruCache, GruParams, gru_backward, gru_forward, softmax
-from sten.networks import (NORM_FLOOR, branches, dsn_prefix, order_forward, pair_residuals,
-                           unit_rows)
+from sten.networks import NORM_FLOOR, branches, order_forward, pair_residuals, unit_rows
 from sten.objectives import js_rows, js_rows_grad_p
 from sten.seqdata import stack_slices
 
@@ -232,7 +231,7 @@ def order_loss_presented(phi, batch, perms, l, r):
 
 
 def dsn_plus_ep_tape_two_pass(phi, F, values, starts, pairs, cfg):
-    """The dsn_plus_ep training tape with one tower, with phi's GRU run twice
+    """The dsn_plus_ep training tape, with phi's GRU run twice
     over the windows: once for the error-prediction branch and once more for
     the distance branch, the form the package used before the distance
     branch read the error-prediction pass.
@@ -310,8 +309,8 @@ def build_sten_tape_closures(phi, F, values, starts, pairs, cfg):
     closure per branch, each forming its head's gradients and its GRU pass's
     upstream gradient only when run.  The package forms both in the forward;
     the sums are the same, so loss and gradients must agree bit for bit,
-    except with dsn_plus_ep's one tower, where the package runs one BPTT for
-    the two closures' two and the gradients agree up to the sum order.
+    except with dsn_plus_ep, where the package runs one BPTT for the two
+    closures' two and the gradients agree up to the sum order.
     """
     use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
     tape = ClosureTape(phi)
@@ -360,18 +359,17 @@ def build_sten_tape_closures(phi, F, values, starts, pairs, cfg):
     if use_dsn:
         if F is None or pairs is None or len(pairs) == 0:
             raise DataError("distance branch requires eta's embeddings and reference pairs")
-        if use_ep and dsn_prefix(phi) == "gru.":
+        if use_ep:
             (En, norms), cache_d = unit_rows(H_all[-1], cfg.normalize_embeddings), cache_ep
         else:
-            E, cache_d = gru_forward(batch, GruParams.from_dict(phi, dsn_prefix(phi)),
-                                     want_cache=True)
+            E, cache_d = gru_forward(batch, gru, want_cache=True)
             En, norms = unit_rows(E, cfg.normalize_embeddings)
         ii, jj = pairs.T
-        resid_d = pair_residuals(En, F, ii, jj, En, F)
+        resid_d = pair_residuals(En, F, ii, jj)
         dsn_val = float(np.mean(resid_d ** 2))
 
         def dsn_back(grads, resid_d=resid_d, En=En, ii=ii, jj=jj, norms=norms,
-                     cache_d=cache_d, prefix=dsn_prefix(phi)):
+                     cache_d=cache_d):
             # d(total)/d(dsn) = alpha in every mode that trains the branch.
             dd = resid_d * (2.0 * cfg.alpha / resid_d.size)
             dEn = np.zeros_like(En)
@@ -384,7 +382,7 @@ def build_sten_tape_closures(phi, F, values, starts, pairs, cfg):
                 dE -= active * En * (dEn * En).sum(axis=1, keepdims=True) / norms
             else:
                 dE = dEn
-            gru_backward(cache_d, GruParams.from_dict(phi, prefix), grads, prefix, d_h_final=dE)
+            gru_backward(cache_d, gru, grads, "gru.", d_h_final=dE)
 
         tape.record(dsn_back)
 
@@ -809,11 +807,8 @@ def score_series_dense(model, test, cfg, pairs):
                 y = [1.0 if k == i else 0.0 for k in range(tc.m)]
                 nums.append(sum(abs(pk - yk) for pk, yk in zip(p, y)))
                 divs.append(js_direct(p, y))
-            if cfg.per_subseq_denominator:
-                temporal.append([nums[i] / (divs[i] + cfg.score_eps) for i in range(tc.m)])
-            else:
-                den = sum(divs) / len(divs) + cfg.score_eps
-                temporal.append([num / den for num in nums])
+            den = sum(divs) / len(divs) + cfg.score_eps
+            temporal.append([num / den for num in nums])
         elif tc.mode == "dsn_plus_ep":
             err = {}
             h = np.zeros(tc.d_model)
@@ -833,15 +828,13 @@ def score_series_dense(model, test, cfg, pairs):
 
     dsn = [0.0] * len(windows)
     if tc.mode != "otn_only" and not (tc.mode == "full" and tc.alpha == 0):
-        tower = GruParams.from_dict(phi, "dsn_gru." if tc.separate_towers else "gru.")
-
         def embed(w, gru):
             e = gru_encode_unrolled(w, gru)
             if tc.normalize_embeddings:
                 e = e / max(math.sqrt(sum(float(x) ** 2 for x in e)), 1e-12)
             return e
 
-        e = [embed(w, tower) for w in windows]
+        e = [embed(w, gru) for w in windows]
         f = [embed(w, eta) for w in windows]
         per_window = [[] for _ in windows]
         for i, j in pairs:

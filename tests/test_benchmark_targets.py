@@ -105,8 +105,9 @@ def test_read_scores_csv_score_length_counts_rows(tmp_path):
 
 
 def test_aggregate_timestamps_takes_listed_slot_starts(monkeypatch):
-    """score_series passes one start per slot, which the benchmark lists."""
-    tc = TrainConfig(L=9, R_train=3, l=3, r=3, m=3, d_model=4, epochs=1, mode="otn_only")
+    """score_series passes one start per slot, which the benchmark lists, in
+    one call for both score columns."""
+    tc = TrainConfig(R_train=3, l=3, r=3, m=3, d_model=4, epochs=1, mode="otn_only")
     series = MultivariateSeries(values=np.random.default_rng(0).normal(size=(40, 2)))
     model = train(series, tc)
     counted = []
@@ -121,9 +122,9 @@ def test_aggregate_timestamps_takes_listed_slot_starts(monkeypatch):
     monkeypatch.setattr(scoring, "aggregate_timestamps", listed)
     got = scoring.score_series(model, series, cfg)
     n_windows = len(make_windows(series, tc.L, cfg.R_test, cover_tail=True))
-    assert counted == [n_windows * tc.m] * 2
-    np.testing.assert_array_equal(got.scores, want.scores)
-    np.testing.assert_array_equal(got.coverage, want.coverage)
+    assert counted == [n_windows * tc.m]
+    for col in ("scores", "score_otn", "score_dsn", "coverage"):
+        np.testing.assert_array_equal(getattr(got, col), getattr(want, col), err_msg=col)
 
 
 def test_gru_forward_calls_sigmoid_once_per_step_on_both_gates(monkeypatch):
@@ -142,18 +143,15 @@ def test_gru_forward_calls_sigmoid_once_per_step_on_both_gates(monkeypatch):
     assert sizes == [2 * B * d] * T
 
 
-@pytest.mark.parametrize("mode,towers,n_passes", [("full", False, 2), ("otn_only", False, 1),
-                                                   ("dsn_only", False, 1),
-                                                   ("dsn_plus_ep", False, 1),
-                                                   ("dsn_plus_ep", True, 2)],
-                         ids=["full", "otn_only", "dsn_only", "dsn_plus_ep",
-                              "dsn_plus_ep-towers"])
-def test_gru_backward_arguments_under_the_default_config(monkeypatch, mode, towers, n_passes):
+@pytest.mark.parametrize("mode,n_passes", [("full", 2), ("otn_only", 1), ("dsn_only", 1),
+                                           ("dsn_plus_ep", 1)],
+                         ids=["full", "otn_only", "dsn_only", "dsn_plus_ep"])
+def test_gru_backward_arguments_under_the_default_config(monkeypatch, mode, n_passes):
     """perfbench/run.py's _gru_counts reads cache.X's (B, T, d_in) and the
     GruParams' d_model and d_in of each gru_backward call; training computes
     in float32 and keeps both.  ndkernel.backward makes one gru_backward call
     per GRU pass its tape recorded, and the tape records each forward pass
-    once: dsn_plus_ep's one tower is one pass for both of its branches."""
+    once: dsn_plus_ep runs one pass for both of its branches."""
     seen, per_tape = [], []
     real, real_backward = ndkernel.gru_backward, training.backward
 
@@ -169,8 +167,7 @@ def test_gru_backward_arguments_under_the_default_config(monkeypatch, mode, towe
 
     monkeypatch.setattr(ndkernel, "gru_backward", recording)
     monkeypatch.setattr(training, "backward", counting)
-    tc = cli.build_train_config(schema_config(mode=mode, d_model=8, epochs=1,
-                                              separate_towers=towers))
+    tc = cli.build_train_config(schema_config(mode=mode, d_model=8, epochs=1))
     series = MultivariateSeries(values=np.random.default_rng(0).normal(size=(300, 3)))
     train(series, tc)
     assert per_tape and per_tape == [(n_passes, n_passes)] * len(per_tape)

@@ -20,7 +20,7 @@ from sten.ndkernel import GruParams
 from sten.networks import read_checkpoint
 from sten.scoring import ScoreConfig, score_series
 from sten.seqdata import SynthConfig
-from sten.training import TrainConfig, derive_seed
+from sten.training import TrainConfig, derive_seed, load_checkpoint
 
 SMALL_CONFIG = """
 # small end-to-end settings
@@ -104,6 +104,7 @@ class TestTrain:
         assert all(line.split(",")[2] == "0.0" for line in log[1:])
 
     def test_bad_layout_usage_error(self, workspace):
+        # L follows l, m and r: it is no key to set.
         tmp, cfg = workspace
         train_csv, _ = prepared_data(tmp, cfg)
         code = run(["train", "--train", train_csv, "--config", cfg,
@@ -141,15 +142,6 @@ class TestScore:
         run(["score", "--model", tmp / "m.ckpt", "--test", test_csv,
              "--config", cfg, "--out", tmp / "s2.csv"])
         assert (tmp / "s1.csv").read_bytes() == (tmp / "s2.csv").read_bytes()
-
-    def test_unused_train_file_is_not_read(self, workspace):
-        """With ref_source test, --train is never read: a bad file passes."""
-        tmp, cfg = workspace
-        test_csv = self.setup_model(tmp, cfg)
-        bad = tmp / "bad.csv"
-        bad.write_text("a,b\n")
-        assert run(["score", "--model", tmp / "m.ckpt", "--test", test_csv, "--train", bad,
-                    "--config", cfg, "--out", tmp / "s.csv"]) == 0
 
     def test_z_score_beyond_float32_is_a_data_error(self, workspace, capsys):
         """Column b is constant in training, so its std is floored; a test
@@ -357,30 +349,6 @@ class TestSweep:
             rows += (tmp / f"sweep_{v}.csv").read_bytes().splitlines(keepends=True)[1:]
         assert (tmp / "sweep.csv").read_bytes().splitlines(keepends=True)[1:] == rows
 
-    def test_beta_sweep_with_train_references(self, workspace):
-        """Each row of a sweep whose references come from the training series
-        is what train, score --train and eval give for that beta."""
-        tmp, cfg = workspace
-        train_csv, test_csv = prepared_data(tmp, cfg)
-        common = ["--config", cfg, "--set", "ref_source=train"]
-        assert run(["sweep", "--param", "beta", "--values", "0.5,1", "--train", train_csv,
-                    "--test", test_csv, "--out", tmp / "sweep.csv", "--work-dir", tmp / "work",
-                    *common]) == 0
-        assert run(["train", "--train", train_csv, "--config", cfg,
-                    "--out", tmp / "m.ckpt"]) == 0
-        assert (tmp / "m.ckpt").read_bytes() == (tmp / "work/model.ckpt").read_bytes()
-        rows = read_rows(tmp / "sweep.csv")
-        assert [r["value"] for r in rows] == ["0.5", "1.0"]
-        for row in rows:
-            assert run(["score", "--model", tmp / "m.ckpt", "--test", test_csv,
-                        "--train", train_csv, "--beta", row["value"], *common,
-                        "--out", tmp / "s.csv"]) == 0
-            assert run(["eval", "--scores", tmp / "s.csv", "--config", cfg,
-                        "--out", tmp / "report.json"]) == 0
-            doc = json.loads((tmp / "report.json").read_text())
-            for k in ("auc_roc", "auc_pr", "best_f1", "aff_f1"):
-                assert float(row[k]) == doc[k], k
-
     def test_alpha_sweep_trains_per_value(self, workspace):
         tmp, cfg = workspace
         train_csv, test_csv = prepared_data(tmp, cfg)
@@ -408,8 +376,8 @@ class TestSweep:
                     "--train", train_csv, "--test", test_csv, "--config", cfg,
                     "--out", tmp / "sweep.csv", "--work-dir", work]) == 0
         for l in (3, 4):
-            ckpt_cfg = read_checkpoint(work / f"model_l_{l}.ckpt")[0]
-            assert (ckpt_cfg["l"], ckpt_cfg["r"], ckpt_cfg["L"]) == (l, 2, l + 3 * 2)
+            tc = load_checkpoint(work / f"model_l_{l}.ckpt").config
+            assert (tc.l, tc.r, tc.L) == (l, 2, l + 3 * 2)
 
 
 class TestConfigHandling:
@@ -452,14 +420,13 @@ class TestConfigSchema:
 
     def test_keys(self):
         assert sorted(SCHEMA) == sorted(
-            "seed eta_seed n_train n_test dims anomaly_rate noise_sigma seg_len_min seg_len_max "
+            "seed n_train n_test dims anomaly_rate noise_sigma seg_len_min seg_len_max "
             "period_min period_max n_components spike_scale level_scale freq_scale anomaly_types "
-            "L R_train l r m d_model alpha lr epochs batch_size mode normalize_embeddings k_refs "
-            "separate_towers beta R_test delta score_eps per_subseq_denominator ref_source "
-            "point_adjust metrics range_w vus_wmax vus_step".split())
+            "R_train l r m d_model alpha lr epochs batch_size mode normalize_embeddings k_refs "
+            "beta R_test delta score_eps point_adjust metrics range_w vus_wmax vus_step".split())
 
     def test_fields_are_keys_of_their_type_and_default(self):
-        exceptions = {"L", "r"}             # optional: they follow l and m
+        exceptions = {"r"}                  # optional: it follows l
         for cls in BUILDERS:
             for f in fields(cls):
                 if f.name not in exceptions:
@@ -480,17 +447,14 @@ class TestConfigSchema:
                 return (default or 0) + 1
             if kind.startswith("float"):
                 return (default or 0.5) * 2
-            return {"mode": "otn_only", "ref_source": "train"}.get(key, ("spike",))
+            return "otn_only" if key == "mode" else ("spike",)
 
         base = {cls: build(schema_defaults()) for cls, build in BUILDERS.items()}
         reached = set()
         for key, (kind, default) in SCHEMA.items():
             cfg = dict(schema_defaults(), **{key: moved(key, kind, default)})
             for cls, build in BUILDERS.items():
-                try:
-                    got = build(cfg)
-                except sten.StenError:      # L alone breaks the layout
-                    continue
+                got = build(cfg)
                 reached |= {(cls, f.name) for f in fields(cls)
                             if getattr(got, f.name) != getattr(base[cls], f.name)}
         assert reached == {(cls, f.name) for cls in BUILDERS for f in fields(cls)}
@@ -504,9 +468,9 @@ class TestConfigSchema:
     def test_convert_by_annotation(self):
         assert _convert("anomaly_types", " spike, level_shift ,") == ("spike", "level_shift")
         assert _convert("anomaly_types", "") == ()
-        assert _convert("separate_towers", "Yes") is True
-        assert _convert("eta_seed", "none") is None and _convert("range_w", "") is None
-        assert _convert("L", "12") == 12 and _convert("vus_step", "2") == 2.0
+        assert _convert("normalize_embeddings", "Yes") is True
+        assert _convert("r", "none") is None and _convert("range_w", "") is None
+        assert _convert("r", "12") == 12 and _convert("vus_step", "2") == 2.0
         for key, raw in [("dims", "2.0"), ("normalize_embeddings", "maybe"), ("alpha", "x")]:
             with pytest.raises(sten.ConfigError, match="bad value"):
                 _convert(key, raw)
@@ -549,7 +513,7 @@ def trained(tmp_path_factory):
     cfg.write_text(SMALL_CONFIG)
     train_csv, test_csv = prepared_data(tmp, cfg)
     assert run(["train", "--train", train_csv, "--config", cfg, "--mode", "dsn_plus_ep",
-                "--set", "separate_towers=true", "--out", tmp / "m.ckpt"]) == 0
+                "--out", tmp / "m.ckpt"]) == 0
     assert run(["score", "--model", tmp / "m.ckpt", "--test", test_csv, "--config", cfg,
                 "--out", tmp / "s.csv"]) == 0
     return {"dir": tmp, "cfg": cfg, "train": train_csv, "test": test_csv,
@@ -573,9 +537,10 @@ EXIT_CASES = [
                   "--out", "{out}"], 2, id="score-missing-model"),
     pytest.param(["score", "--model", "{ckpt}", "--test", "{missing}", "--config", "{cfg}",
                   "--out", "{out}"], 2, id="score-missing-test"),
+    # Score draws its references from the test windows: --train is no score
+    # flag, so naming a missing file there is a usage error.
     pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--train", "{missing}",
-                  "--set", "ref_source=train", "--config", "{cfg}", "--out", "{out}"], 2,
-                 id="score-missing-train"),
+                  "--config", "{cfg}", "--out", "{out}"], 1, id="score-missing-train"),
     pytest.param(["eval", "--scores", "{missing}"], 2, id="eval-missing-scores"),
     pytest.param(["eval", "--scores", "{scores}", "--labels-from", "{missing}"], 2,
                  id="eval-missing-labels"),
@@ -713,7 +678,7 @@ BAD_SETTING_CASES = [
     pytest.param(sweep("--param", "alpha", "--values", "1,-1"), 1, id="sweep-negative-alpha"),
     pytest.param(sweep("--param", "beta", "--values", "1", "--seed", "-1"), 1,
                  id="sweep-negative-seed"),
-    # A set L holds for every l, and l 2 breaks the layout (2 + 3*2 != 12).
+    # L follows l, m and r: it is no key a sweep over l could hold fixed.
     pytest.param(sweep("--param", "l", "--values", "3,2", "--set", "L=12"), 1,
                  id="sweep-l-breaks-set-L"),
     pytest.param(["eval", "--scores", "{scores}", "--set", "range_w=-1", "--out", "{out}"], 1,
@@ -722,8 +687,12 @@ BAD_SETTING_CASES = [
                  id="eval-negative-vus-wmax"),
     pytest.param(["eval", "--scores", "{scores}", "--set", "vus_step=0", "--out", "{out}"], 1,
                  id="eval-zero-vus-step"),
+    # A step that gives more than VUS_MAX_WIDTHS buffer widths is refused
+    # before any width is built.
+    pytest.param(["eval", "--scores", "{scores}", "--set", "vus_step=1e-300", "--out", "{out}"],
+                 1, id="eval-tiny-vus-step"),
 ] + [
-    pytest.param(["synth", "--config", "{cfg}", "--out-dir", "{out}", *extra], 2,
+    pytest.param(["synth", "--config", "{cfg}", "--out-dir", "{out}", *extra], 1,
                  id=f"synth-{name}")
     for name, extra in [
         ("negative-noise-sigma", ["--set", "noise_sigma=-1"]),
@@ -733,12 +702,14 @@ BAD_SETTING_CASES = [
         ("zero-periods", ["--set", "period_min=0", "--set", "period_max=0"]),
         ("negative-seed", ["--seed", "-1"])]
 ] + [
+    # eta_seed and separate_towers are keys of deleted fields: unknown keys.
     pytest.param(["train", "--train", "{train}", "--config", "{cfg}", "--out", "{out}",
                   "--set", setting], 1, id=f"train-{setting.replace('_', '-')}")
-    for setting in ("seed=-1", "eta_seed=-1")
+    for setting in ("seed=-1", "eta_seed=-1", "separate_towers=yes")
 ] + [
     pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
                   "--set", "seed=-1", "--out", "{out}"], 1, id="score-negative-seed"),
+    # References come from the test windows only: ref_source is no key.
     pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
                   "--set", "ref_source=train", "--out", "{out}"], 1,
                  id="score-train-references-without-train"),
@@ -834,7 +805,7 @@ class TestCsvErrors:
 
 
 CHECKPOINT_BLOCKS = sorted(
-    [t + n for t in ("phi.gru.", "phi.dsn_gru.", "eta.gru.") for n in GruParams.NAMES]
+    [t + n for t in ("phi.gru.", "eta.gru.") for n in GruParams.NAMES]
     + ["phi.order_head.W", "phi.order_head.b", "phi.ep_head.W", "phi.ep_head.b",
        "norm.mean", "norm.std", "trace.losses"])
 
@@ -849,10 +820,12 @@ def drop_d_in(cfg, blocks):
 
 
 def break_layout(cfg, blocks):
-    cfg["L"] += 1
+    """An L off the layout; checkpoints hold no L, which l, m and r give."""
+    cfg["L"] = cfg["l"] + (cfg["m"] - 1) * cfg["r"] + 1
 
 
 def no_separate_towers(cfg, blocks):
+    """The separate_towers key every checkpoint held before its field was deleted."""
     cfg["separate_towers"] = False
 
 
@@ -861,8 +834,8 @@ def no_ep_head(cfg, blocks):
 
 
 def wrong_type(key, value):
-    """A config value the field does not accept: of another type than the
-    declared one, or a non-finite float."""
+    """A config value no field accepts: of another type than the declared
+    one, a non-finite float, or the value of a key no field has."""
     def edit(cfg, blocks):
         cfg[key] = value
     return pytest.param(edit, id=f"{key}={json.dumps(value)}")
@@ -955,3 +928,14 @@ class TestCheckpointContents:
                                     lambda cfg, blocks: cfg.pop(key))
         assert code == 2
         assert f"missing config keys in checkpoint: [{key!r}]" in err
+
+    @pytest.mark.parametrize("key,value", [("L", 12), ("eta_seed", None),
+                                           ("separate_towers", False)])
+    def test_deleted_config_key(self, trained, tmp_path, capsys, key, value):
+        """Checkpoints written before these fields were deleted hold them; a
+        key no field reads is rejected, not dropped."""
+        code, err = self.score_with(trained, tmp_path, capsys,
+                                    lambda cfg, blocks: cfg.update({key: value}))
+        assert code == 2
+        assert f"unknown config keys in checkpoint: [{key!r}]" in err
+        assert not (tmp_path / "s.csv").exists()

@@ -366,12 +366,22 @@ class TestVus:
     @pytest.mark.parametrize("w_max,step", [
         (-1.0, 1.0), (float("nan"), 1.0), (float("inf"), 1.0),
         (3.0, 0.0), (3.0, float("nan")), (3.0, float("inf")),
+        (10.0, 1e-6), (10.0, 1e-300), (1000.0, 1.0),
     ])
     def test_bad_width_grid_rejected(self, w_max, step):
         # An infinite w_max once made the width loop run forever; a NaN one
-        # computed as if it were 0.
+        # computed as if it were 0.  Each width costs one O(n) area pass:
+        # more than VUS_MAX_WIDTHS are refused before any is built, where a
+        # step of 1e-6 once ran for hours and 1e-300 grew its list forever.
         with pytest.raises(DataError, match="w_max"):
             vus(np.arange(6.0), [(1, 2)], w_max, step)
+
+    def test_widest_accepted_grid_keeps_its_bits(self):
+        assert evalmetrics.vus_widths(999.0, 1.0) == [float(w) for w in range(1000)]
+        assert len(evalmetrics.vus_widths(999.0, 1.0)) == evalmetrics.VUS_MAX_WIDTHS
+        scores, labels = random_instance(np.random.default_rng(18), n_max=40)
+        truth = events_from_binary(labels)
+        assert vus(scores, truth, 99.9, 0.1) == oracles.vus_per_width(scores, truth, 99.9, 0.1)
 
     def test_outputs_in_unit_interval(self):
         rng = np.random.default_rng(13)

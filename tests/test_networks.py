@@ -3,9 +3,9 @@ import pytest
 
 from sten import DataError
 from sten.ndkernel import GruParams, gru_shapes, init_gru
-from sten.networks import (dsn_prefix, embed_windows, forward, gru_checksum, init_phi,
-                           order_forward, pair_residuals, phi_shapes, read_checkpoint,
-                           sample_pairs, write_checkpoint)
+from sten.networks import (embed_windows, forward, gru_checksum, init_phi, order_forward,
+                           pair_residuals, phi_shapes, read_checkpoint, sample_pairs,
+                           write_checkpoint)
 from sten.scoring import CHUNK
 from sten.seqdata import window_starts
 from sten.training import TrainConfig
@@ -33,7 +33,7 @@ def windows_for(n_windows=2, d=3, l=4, m=3, seed=1):
 
 def forward_cfg(mode, L=12, **kw):
     """A config of m=3 sub-sequences at stride l over windows of length L."""
-    return TrainConfig(L=L, l=L // 3, r=L // 3, m=3, mode=mode, **kw)
+    return TrainConfig(l=L // 3, r=L // 3, m=3, mode=mode, **kw)
 
 
 def distance_forward(phi, batch, normalize):
@@ -48,27 +48,22 @@ def order_of(phi, batch, l, r):
     return order_forward(phi, *laid_end_to_end(batch), l, r)
 
 
-LAYOUTS = [pytest.param(towers, ep, id=f"towers={towers}-ep={ep}")
-           for towers in (False, True) for ep in (False, True)]
-
-
 class TestPhiLayout:
     """phi_shapes is phi's one layout: init_phi draws it, checkpoints are checked against it."""
 
     @pytest.mark.parametrize("sizes", [(5, 256, 10), (2, 4, 3)])
-    @pytest.mark.parametrize("towers,ep", LAYOUTS)
-    def test_init_phi_draws_the_table_in_order(self, sizes, towers, ep):
+    @pytest.mark.parametrize("ep", [False, True], ids=["ep=False", "ep=True"])
+    def test_init_phi_draws_the_table_in_order(self, sizes, ep):
         d_in, d, m = sizes
-        phi = init_phi(d_in, d, m, np.random.default_rng(3), separate_towers=towers,
-                       with_ep_head=ep)
-        shapes = phi_shapes(d_in, d, m, towers, ep)
+        phi = init_phi(d_in, d, m, np.random.default_rng(3), with_ep_head=ep)
+        shapes = phi_shapes(d_in, d, m, ep)
         assert [(k, v.shape) for k, v in phi.items()] == list(shapes.items())
-        # The draws every checkpoint so far was made with: the shared GRU, the
-        # order head, the distance GRU, the error-prediction head.
+        # The draws every checkpoint so far was made with: the GRU, the order
+        # head, the error-prediction head.
         rng, s = np.random.default_rng(3), 1.0 / np.sqrt(d)
         gru = [(d, d_in)] * 3 + [(d, d)] * 3 + [(d,)] * 3
-        want = ([rng.uniform(-s, s, size=sh) for sh in gru + [(m, d), (m,)]]
-                + [rng.uniform(-s, s, size=sh) for sh in gru * towers + [(d_in, d), (d_in,)] * ep])
+        want = [rng.uniform(-s, s, size=sh) for sh in gru + [(m, d), (m,)]
+                + [(d_in, d), (d_in,)] * ep]
         assert len(want) == len(phi)
         for got, w in zip(phi.values(), want):
             np.testing.assert_array_equal(got, w)
@@ -221,23 +216,6 @@ class TestEmbedSequence:
                                    oracles.gru_encode_unrolled(data, gru),
                                    atol=1e-10)
 
-    def test_separate_tower_used_for_dsn(self):
-        phi = make_phi(seed=12, separate_towers=True)
-        assert dsn_prefix(phi) == "dsn_gru." and dsn_prefix(make_phi()) == "gru."
-        tower = GruParams.from_dict(phi, "dsn_gru.")
-        eta = init_gru(3, 4, np.random.default_rng(13))
-        batch = windows_for(seed=13)
-        E = embed_windows(tower, batch)
-        F = embed_windows(eta, batch)
-        E_cached, _, _ = distance_forward(phi, batch, normalize=False)
-        np.testing.assert_array_equal(E_cached, E)
-        for b in range(2):
-            np.testing.assert_allclose(E[b], oracles.gru_encode_unrolled(batch[b], tower),
-                                       atol=1e-10)
-            np.testing.assert_allclose(F[b], oracles.gru_encode_unrolled(batch[b], eta),
-                                       atol=1e-10)
-        assert not np.allclose(E, embed_windows(GruParams.from_dict(phi, "gru."), batch))
-
 
 class TestForward:
     """networks.forward runs the branches a mode selects and decides where the
@@ -259,20 +237,11 @@ class TestForward:
         assert dsn[2] is ep[2]
         np.testing.assert_array_equal(dsn[0], ep[1][-1])
 
-    def test_separate_towers_run_a_pass_of_their_own(self):
-        phi = make_phi(seed=34, with_ep_head=True, separate_towers=True)
-        batch = windows_for(seed=35)
-        _, ep, dsn, _ = forward(phi, *laid_end_to_end(batch), forward_cfg("dsn_plus_ep"),
-                                want_cache=True)
-        assert dsn[2] is not ep[2]
-        np.testing.assert_array_equal(
-            dsn[0], embed_windows(GruParams.from_dict(phi, "dsn_gru."), batch))
-
     def test_error_prediction_input_checks(self):
         values, starts = laid_end_to_end(windows_for(seed=36))
         with pytest.raises(DataError, match="no error-prediction head"):
             forward(make_phi(seed=37), values, starts, forward_cfg("dsn_plus_ep"))
-        one_step = TrainConfig(L=1, l=1, r=1, m=1, mode="dsn_plus_ep")
+        one_step = TrainConfig(l=1, r=1, m=1, mode="dsn_plus_ep")
         with pytest.raises(DataError, match="length >= 2"):
             forward(make_phi(m=1, seed=38, with_ep_head=True), values, starts, one_step)
 
@@ -281,7 +250,7 @@ def residual(a, b):
     """pair_residuals of one pair (a, b) with eta's embeddings zero: d_phi(a, b)."""
     E = np.stack([a, b])
     F = np.zeros_like(E)
-    return float(pair_residuals(E, F, np.array([0]), np.array([1]), E, F)[0])
+    return float(pair_residuals(E, F, np.array([0]), np.array([1]))[0])
 
 
 class TestPairDistance:
@@ -294,20 +263,20 @@ class TestPairDistance:
 
     def test_matches_sum_of_products(self):
         rng = np.random.default_rng(14)
-        E, F, Er, Fr = rng.normal(size=(4, 50, 5))
+        E, F = rng.normal(size=(2, 50, 5))
         ii, jj = rng.integers(0, 50, size=(2, 80))
-        got = pair_residuals(E, F, ii, jj, Er, Fr)
+        got = pair_residuals(E, F, ii, jj)
         for k, (i, j) in enumerate(zip(ii, jj)):
-            expected = (sum(float(x) * float(y) for x, y in zip(E[i], Er[j]))
-                        - sum(float(x) * float(y) for x, y in zip(F[i], Fr[j])))
+            expected = (sum(float(x) * float(y) for x, y in zip(E[i], E[j]))
+                        - sum(float(x) * float(y) for x, y in zip(F[i], F[j])))
             assert abs(got[k] - expected) < 1e-12
 
     def test_symmetric(self):
         rng = np.random.default_rng(15)
         E, F = rng.normal(size=(2, 50, 6))
         ii, jj = rng.integers(0, 50, size=(2, 50))
-        np.testing.assert_allclose(pair_residuals(E, F, ii, jj, E, F),
-                                   pair_residuals(E, F, jj, ii, E, F), atol=1e-12)
+        np.testing.assert_allclose(pair_residuals(E, F, ii, jj),
+                                   pair_residuals(E, F, jj, ii), atol=1e-12)
 
     def test_normalized_embeddings_bound_distance(self):
         rng = np.random.default_rng(16)

@@ -94,7 +94,7 @@ def zero_gru(phi):
 def sten_tape(mode="full", alpha=1.0, m=3, l=2, B=2, seed=0, phi=None, eta=None,
               batch=None, pairs=None):
     """build_sten_tape on random windows of length l*m."""
-    cfg = TrainConfig(L=l * m, R_train=1, l=l, r=l, m=m, d_model=4, alpha=alpha, mode=mode)
+    cfg = TrainConfig(R_train=1, l=l, r=l, m=m, d_model=4, alpha=alpha, mode=mode)
     cfg.validate()
     rng = np.random.default_rng(seed)
     if phi is None:
@@ -194,7 +194,7 @@ class TestStenLoss:
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ConfigError):
-            TrainConfig(L=6, l=2, r=2, m=3, alpha=-1.0).validate()
+            TrainConfig(l=2, r=2, m=3, alpha=-1.0).validate()
 
 
 def phi_with_ep(d_in, d_model, m, seed):

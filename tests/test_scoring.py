@@ -21,21 +21,13 @@ import oracles
 F32_SCORE_RTOL = 5e-6
 
 
-def tiny_model(seed=0, mode="full", d=2, d_model=6, m=4, l=3, r=3,
-               normalize=False, eta_seed=None, separate_towers=False, alpha=1.0):
-    L = l + (m - 1) * r
-    cfg = TrainConfig(L=L, R_train=r, l=l, r=r, m=m, d_model=d_model, mode=mode,
-                      seed=seed, eta_seed=eta_seed, alpha=alpha,
-                      normalize_embeddings=normalize,
-                      separate_towers=separate_towers)
+def tiny_model(seed=0, mode="full", d=2, d_model=6, m=4, l=3, r=3, normalize=False, alpha=1.0):
+    cfg = TrainConfig(R_train=r, l=l, r=r, m=m, d_model=d_model, mode=mode, seed=seed,
+                      alpha=alpha, normalize_embeddings=normalize)
     cfg.validate()
     streams = seed_streams(cfg.seed)
-    phi = init_phi(d, d_model, m, streams["phi_init"],
-                   separate_towers=separate_towers,
-                   with_ep_head=(mode == "dsn_plus_ep"))
-    eta_rng = (np.random.default_rng(eta_seed) if eta_seed is not None
-               else streams["eta_init"])
-    eta = init_gru(d, d_model, eta_rng)
+    phi = init_phi(d, d_model, m, streams["phi_init"], with_ep_head=(mode == "dsn_plus_ep"))
+    eta = init_gru(d, d_model, streams["eta_init"])
     stats = NormStats(mean=np.zeros(d, np.float32), std=np.ones(d, np.float32))
     return TrainedModel(phi={k: v.astype(np.float32) for k, v in phi.items()},
                         eta=eta.astype(np.float32),
@@ -114,15 +106,6 @@ class TestScoreOtn:
         s = score_series(model, series_fixture(), ScoreConfig(R_test=4)).score_otn
         np.testing.assert_allclose(s, s[0])
 
-    @pytest.mark.usefixtures("float64_compute")
-    def test_per_subseq_denominator(self):
-        model = tiny_model(m=2, l=4, r=4, seed=14)
-        series = series_fixture(n=40)
-        cfg = ScoreConfig(R_test=3, seed=2, per_subseq_denominator=True)
-        _, otn, _ = oracle_scores(model, series, cfg)
-        np.testing.assert_allclose(score_series(model, series, cfg).score_otn, otn,
-                                   rtol=1e-12, atol=1e-9)
-
 
 class TestScoreDsn:
     """The distance column of score_series."""
@@ -172,9 +155,7 @@ class TestCombine:
 
 ORACLE_CASES = [
     dict(mode="full"),
-    dict(mode="full", per_subseq_denominator=True),
     dict(mode="full", normalize=True),
-    dict(mode="full", normalize=True, per_subseq_denominator=True),
     dict(mode="otn_only"),
     dict(mode="dsn_only"),
     dict(mode="dsn_plus_ep"),
@@ -188,12 +169,9 @@ class TestScoreSeriesOracle:
     def test_columns_match_dense_oracle(self, case, monkeypatch):
         # CHUNK below the floor: two chunks of MIN_ROWS windows.
         monkeypatch.setattr(scoring, "CHUNK", 5)
-        case = dict(case)
-        per_subseq = case.pop("per_subseq_denominator", False)
-        model = tiny_model(seed=21, separate_towers=case["mode"] == "full", **case)
+        model = tiny_model(seed=21, **case)
         series = series_fixture(n=12 + 4 * (2 * scoring.MIN_ROWS - 1), seed=22)
-        cfg = ScoreConfig(beta=0.7, R_test=4, seed=23, k_refs=2,
-                          per_subseq_denominator=per_subseq)
+        cfg = ScoreConfig(beta=0.7, R_test=4, seed=23, k_refs=2)
         out = score_series(model, series, cfg)
         for got, want in zip((out.scores, out.score_otn, out.score_dsn),
                              oracle_scores(model, series, cfg)):
@@ -241,13 +219,16 @@ class TestAggregate:
             starts = list(range(0, n - length + 1, length)) + [n - length]
             starts += rng.integers(0, n - length + 1, size=int(rng.integers(1, 15))).tolist()
             starts = rng.permutation(starts)
-            values = rng.normal(size=len(starts))
-            scores, cov = aggregate_timestamps(starts, values, length, n)
-            oscores, ocov = oracles.aggregate_dense(
-                [(s, length, v) for s, v in zip(starts, values)], n)
-            # Same additions in the same order: equal to the last bit.
-            np.testing.assert_array_equal(scores, oscores)
-            np.testing.assert_array_equal(cov, ocov)
+            # Two columns over the same slots, as score_series aggregates them.
+            columns = rng.normal(size=(2, len(starts)))
+            scores, cov = aggregate_timestamps(starts, columns, length, n)
+            assert scores.shape == (2, n)
+            for got, values in zip(scores, columns):
+                oscores, ocov = oracles.aggregate_dense(
+                    [(s, length, v) for s, v in zip(starts, values)], n)
+                # Same additions in the same order: equal to the last bit.
+                np.testing.assert_array_equal(got, oscores)
+                np.testing.assert_array_equal(cov, ocov)
 
     def test_mass_preservation(self):
         rng = np.random.default_rng(6)
@@ -329,11 +310,10 @@ class TestScoreSeries:
     RECHUNK_RTOL = 1e-14
     COLUMNS = ("scores", "score_otn", "score_dsn", "coverage")
 
-    def _rechunked(self, monkeypatch, chunk, mode, separate_towers=False):
+    def _rechunked(self, monkeypatch, chunk, mode):
         """Scores at the default CHUNK, one chunk of 366 windows here, and at
         ``chunk``, which splits them into at least three chunks."""
-        model = tiny_model(mode=mode, d_model=32, m=10, l=4, r=4, seed=7,
-                           separate_towers=separate_towers)
+        model = tiny_model(mode=mode, d_model=32, m=10, l=4, r=4, seed=7)
         series = series_fixture(n=40 + 4 * 365, seed=8)
         cfg = ScoreConfig(R_test=4, seed=9)
         a = score_series(model, series, cfg)
@@ -367,25 +347,20 @@ class TestScoreSeries:
             np.testing.assert_allclose(getattr(c, col), getattr(a, col),
                                        rtol=rtol, atol=0, err_msg=col)
 
-    BIT_IDENTICAL = [dict(mode="full"), dict(mode="otn_only"), dict(mode="dsn_only"),
-                     dict(mode="full", separate_towers=True)]
-
     @pytest.mark.parametrize("chunk", [64, 100])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-    @pytest.mark.parametrize("case", BIT_IDENTICAL,
-                             ids=["full", "otn_only", "dsn_only", "full-towers"])
-    def test_rechunking_is_bit_identical(self, monkeypatch, case, dtype, chunk):
+    @pytest.mark.parametrize("mode", ["full", "otn_only", "dsn_only"])
+    def test_rechunking_is_bit_identical(self, monkeypatch, mode, dtype, chunk):
         monkeypatch.setattr(training, "COMPUTE_DTYPE", dtype)
-        a, c = self._rechunked(monkeypatch, chunk, **case)
+        a, c = self._rechunked(monkeypatch, chunk, mode)
         for col in self.COLUMNS:
             np.testing.assert_array_equal(getattr(c, col), getattr(a, col), err_msg=col)
 
     @pytest.mark.parametrize("chunk", [64, 100])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-    @pytest.mark.parametrize("towers", [False, True], ids=["one-tower", "towers"])
-    def test_ep_rechunking_moves_only_temporal_columns(self, monkeypatch, towers, dtype, chunk):
+    def test_ep_rechunking_moves_only_temporal_columns(self, monkeypatch, dtype, chunk):
         monkeypatch.setattr(training, "COMPUTE_DTYPE", dtype)
-        a, c = self._rechunked(monkeypatch, chunk, "dsn_plus_ep", separate_towers=towers)
+        a, c = self._rechunked(monkeypatch, chunk, "dsn_plus_ep")
         np.testing.assert_array_equal(c.score_dsn, a.score_dsn)
         np.testing.assert_array_equal(c.coverage, a.coverage)
         for col in ("scores", "score_otn"):
@@ -480,7 +455,7 @@ class TestScoreSeries:
         nan, inf = float("nan"), float("inf")
         for bad in (dict(beta=-1.0), dict(beta=nan), dict(beta=inf), dict(beta=-inf),
                     dict(score_eps=-1e-8), dict(score_eps=nan), dict(score_eps=inf),
-                    dict(R_test=0), dict(k_refs=0), dict(ref_source="both"), dict(seed=-1)):
+                    dict(R_test=0), dict(k_refs=0), dict(seed=-1)):
             with pytest.raises(ConfigError):
                 ScoreConfig(**bad).validate()
 
@@ -491,35 +466,16 @@ class TestScoreSeries:
         assert np.all(np.isfinite(out.scores))
         assert out.score_otn.max() > 0  # EP errors are positive
 
-    def test_eta_seed_changes_scores(self):
-        series = series_fixture()
-        a = score_series(tiny_model(eta_seed=1), series, ScoreConfig(R_test=4, seed=9))
-        b = score_series(tiny_model(eta_seed=2), series, ScoreConfig(R_test=4, seed=9))
-        assert np.abs(a.scores - b.scores).max() > 0
-
-    def test_train_reference_pool(self):
-        model = tiny_model()
-        series = series_fixture()
-        train_series = series_fixture(n=200, seed=12)
-        out = score_series(model, series,
-                           ScoreConfig(R_test=4, seed=10, ref_source="train"),
-                           train_series=train_series)
-        assert np.all(np.isfinite(out.scores))
-        with pytest.raises(DataError, match="train"):
-            score_series(model, series,
-                         ScoreConfig(R_test=4, seed=10, ref_source="train"))
-
 
 class TestWindowGathers:
     """Scoring gathers each chunk's windows once: ``networks.forward`` gathers
     them and eta embeds the windows it returns."""
 
-    @pytest.mark.parametrize("mode,towers,gathers", [
-        ("full", False, True), ("otn_only", False, False), ("dsn_only", False, True),
-        ("dsn_plus_ep", False, True), ("dsn_plus_ep", True, True)],
-        ids=["full", "otn_only", "dsn_only", "dsn_plus_ep", "dsn_plus_ep-towers"])
-    def test_one_window_gather_per_chunk(self, monkeypatch, mode, towers, gathers):
-        model = tiny_model(mode=mode, separate_towers=towers)
+    @pytest.mark.parametrize("mode,gathers", [
+        ("full", True), ("otn_only", False), ("dsn_only", True), ("dsn_plus_ep", True)],
+        ids=["full", "otn_only", "dsn_only", "dsn_plus_ep"])
+    def test_one_window_gather_per_chunk(self, monkeypatch, mode, gathers):
+        model = tiny_model(mode=mode)
         series = series_fixture(n=600)     # 148 windows: chunks of 64 and 84
         cfg = ScoreConfig(R_test=4, seed=4)
         monkeypatch.setattr(scoring, "CHUNK", 64)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sten import DataError, seqdata
+from sten import ConfigError, DataError, seqdata
 from sten.cli import _write_loss_log
 from sten.networks import init_phi, order_forward
 from sten.scoring import ScoreSeries, read_scores_csv, write_scores_csv
@@ -488,7 +488,7 @@ class TestSynth:
     def test_incompatible_rate_rejected(self):
         cfg = SynthConfig(n_train=100, n_test=100, dims=1, anomaly_rate=0.02,
                           seg_len_min=10, seg_len_max=20, seed=6)
-        with pytest.raises(DataError, match="incompatible"):
+        with pytest.raises(ConfigError, match="incompatible"):
             synth_generate(cfg)
 
     # Each of these once ended in a numpy traceback or wrote all-NaN series.
@@ -499,7 +499,7 @@ class TestSynth:
              "periods-zero", "no-anomaly-types", "seed-negative"])
     def test_bad_generator_settings_rejected(self, bad):
         cfg = SynthConfig(n_train=100, n_test=100, dims=1, seg_len_min=2, seg_len_max=4, **bad)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             cfg.validate()
 
     def test_no_anomaly_types_at_zero_rate(self):

@@ -19,8 +19,7 @@ from windowed import batch_tape
 
 def gradcheck(cfg, seed, h=1e-4, tol=1e-4, with_ep=False):
     rng = np.random.default_rng(seed)
-    phi = init_phi(2, cfg.d_model, cfg.m, rng,
-                   separate_towers=cfg.separate_towers, with_ep_head=with_ep)
+    phi = init_phi(2, cfg.d_model, cfg.m, rng, with_ep_head=with_ep)
     eta = init_gru(2, cfg.d_model, rng)
     batch = rng.normal(size=(2, cfg.L, 2))
     pairs = sample_pairs(2, rng, cfg.k_refs)
@@ -60,7 +59,7 @@ def assert_same_blocks(got, want):
         assert got[k].dtype == np.float64 and np.array_equal(got[k], want[k]), k
 
 
-# dsn_plus_ep with one tower sums the error-prediction and distance gradients
+# dsn_plus_ep sums the error-prediction and distance gradients
 # into one BPTT over the shared pass; the oracles run two BPTTs over it and add
 # their weight gradients, so the same sum is rounded in another order.  The
 # largest error measured, relative to each block's largest |value|, over
@@ -81,8 +80,8 @@ def assert_blocks_close(got, want):
 
 
 def merges_bptt(cfg):
-    """Whether one BPTT carries two branches: dsn_plus_ep with one tower."""
-    return cfg.mode == "dsn_plus_ep" and not cfg.separate_towers
+    """Whether one BPTT carries two branches: dsn_plus_ep."""
+    return cfg.mode == "dsn_plus_ep"
 
 
 def assert_blocks_match(got, want, cfg):
@@ -92,47 +91,40 @@ def assert_blocks_match(got, want, cfg):
 
 class TestGradients:
     def test_full_loss_matches_finite_differences(self):
-        cfg = TrainConfig(L=8, R_train=2, l=2, r=2, m=4, d_model=4,
+        cfg = TrainConfig(R_train=2, l=2, r=2, m=4, d_model=4,
                           alpha=1.0, mode="full")
         _, _, worst = gradcheck(cfg, seed=0)
         assert max(worst.values()) <= 1e-4, worst
 
     def test_normalized_embeddings_gradients(self):
-        cfg = TrainConfig(L=6, R_train=2, l=2, r=2, m=3, d_model=4,
+        cfg = TrainConfig(R_train=2, l=2, r=2, m=3, d_model=4,
                           alpha=0.7, mode="full", normalize_embeddings=True)
         _, _, worst = gradcheck(cfg, seed=1)
         assert max(worst.values()) <= 1e-4, worst
 
-    def test_separate_towers_gradients(self):
-        cfg = TrainConfig(L=6, R_train=2, l=2, r=2, m=3, d_model=4,
-                          alpha=1.5, mode="full", separate_towers=True)
-        _, _, worst = gradcheck(cfg, seed=2)
-        assert max(worst.values()) <= 1e-4, worst
-
     def test_error_prediction_mode_gradients(self):
-        cfg = TrainConfig(L=6, R_train=2, l=2, r=2, m=3, d_model=4,
+        cfg = TrainConfig(R_train=2, l=2, r=2, m=3, d_model=4,
                           alpha=1.0, mode="dsn_plus_ep")
         _, _, worst = gradcheck(cfg, seed=3, with_ep=True)
         assert max(worst.values()) <= 1e-4, worst
 
     def test_untouched_parameters_get_zero_gradient(self):
-        # otn_only never touches the separate distance tower.
-        cfg = TrainConfig(L=6, R_train=2, l=2, r=2, m=3, d_model=4,
-                          mode="otn_only", separate_towers=True)
+        # otn_only never touches an error-prediction head.
+        cfg = TrainConfig(R_train=2, l=2, r=2, m=3, d_model=4, mode="otn_only")
         rng = np.random.default_rng(4)
-        phi = init_phi(2, 4, 3, rng, separate_towers=True)
+        phi = init_phi(2, 4, 3, rng, with_ep_head=True)
         batch = rng.normal(size=(2, 6, 2))
         tape = batch_tape(phi, None, batch, None, cfg)
         grads = backward(tape)
         for k, g in grads.items():
-            if k.startswith("dsn_gru."):
+            if k.startswith("ep_head."):
                 np.testing.assert_array_equal(g, 0.0)
             elif k.startswith("order_head."):
                 assert np.abs(g).max() > 0
 
     def test_eta_receives_no_gradient(self):
         # The tape's parameter template is phi only; eta never appears.
-        cfg = TrainConfig(L=6, R_train=2, l=2, r=2, m=3, d_model=4, mode="full")
+        cfg = TrainConfig(R_train=2, l=2, r=2, m=3, d_model=4, mode="full")
         rng = np.random.default_rng(5)
         phi = init_phi(2, 4, 3, rng)
         eta = init_gru(2, 4, rng)
@@ -149,7 +141,7 @@ class TestPresentedOrder:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_loss_and_gradients_match_shuffled_presentation(self, seed):
-        cfg = TrainConfig(L=12, R_train=3, l=3, r=3, m=4, d_model=6, mode="otn_only")
+        cfg = TrainConfig(R_train=3, l=3, r=3, m=4, d_model=6, mode="otn_only")
         rng = np.random.default_rng(seed)
         phi = init_phi(2, 6, 4, rng)
         batch = rng.normal(size=(8, 12, 2))
@@ -172,7 +164,7 @@ class TestDistinctSubsequenceGradients:
 
     @pytest.mark.parametrize("stride", [3, 5, 12], ids=["stride-r", "stride-5", "stride-L"])
     def test_order_loss_and_gradients_match_per_slot_oracle(self, stride):
-        cfg = TrainConfig(L=12, R_train=stride, l=3, r=3, m=4, d_model=6, mode="otn_only")
+        cfg = TrainConfig(R_train=stride, l=3, r=3, m=4, d_model=6, mode="otn_only")
         rng = np.random.default_rng(stride)
         phi = init_phi(2, 6, 4, rng)
         values = rng.normal(size=(90, 2))
@@ -225,7 +217,7 @@ class TestEtaEmbeddedOnce:
 
 
 class TestSharedTowerPass:
-    """dsn_plus_ep with one tower runs phi's GRU once over a batch's windows,
+    """dsn_plus_ep runs phi's GRU once over a batch's windows,
     and BPTT once over that pass: the distance branch reads the
     error-prediction pass.  The loss equals that of running the tower twice;
     gradients and trained master weights are within MERGED_BPTT_RTOL of it."""
@@ -281,23 +273,21 @@ class TestTapeIsData:
     gradient in the forward, and backward only runs BPTT over the passes.
     Loss parts equal those of the form that recorded one backward closure per
     branch, and gradients and trained checkpoints do bit for bit, except
-    where dsn_plus_ep's one tower makes one BPTT of the closures' two
+    where dsn_plus_ep makes one BPTT of the closures' two
     (``assert_blocks_match``)."""
 
     CASES = [dict(mode="full"), dict(mode="otn_only"), dict(mode="dsn_only"),
-             dict(mode="dsn_plus_ep"), dict(mode="dsn_plus_ep", separate_towers=True),
-             dict(mode="full", normalize_embeddings=True, k_refs=3),
+             dict(mode="dsn_plus_ep"), dict(mode="full", normalize_embeddings=True, k_refs=3),
              dict(mode="dsn_plus_ep", normalize_embeddings=True), dict(mode="full", alpha=0.0)]
-    IDS = ["full", "otn_only", "dsn_only", "dsn_plus_ep", "dsn_plus_ep-towers",
-           "full-normalised-k_refs-3", "dsn_plus_ep-normalised", "full-alpha-0"]
+    IDS = ["full", "otn_only", "dsn_only", "dsn_plus_ep", "full-normalised-k_refs-3",
+           "dsn_plus_ep-normalised", "full-alpha-0"]
 
     @staticmethod
     def _tapes_equal(case):
         cfg = small_cfg(**{"alpha": 0.7, **case})
         rng = np.random.default_rng(9)
         _, use_ep, use_dsn = training.branches(cfg.mode, cfg.alpha)
-        phi = init_phi(2, cfg.d_model, cfg.m, rng, separate_towers=cfg.separate_towers,
-                       with_ep_head=use_ep)
+        phi = init_phi(2, cfg.d_model, cfg.m, rng, with_ep_head=use_ep)
         values = rng.normal(size=(150, 2)).astype(training.COMPUTE_DTYPE)
         starts = window_starts(150, cfg.L, cfg.R_train)
         F = pairs = None
@@ -354,25 +344,16 @@ class TestWindowPasses:
     scoring, which both run ``networks.forward``: per batch per epoch in
     training, per chunk in scoring.  phi's tower runs once per branch that
     reads it, except that the error-prediction and distance branches share
-    one pass when they share one tower; eta runs once per batch per train
-    call, and once per chunk in scoring."""
+    one pass; eta runs once per batch per train call, and once per chunk in
+    scoring."""
 
-    # (mode, separate_towers): phi's passes per forward.
-    CASES = [
-        (("full", False), 1),
-        (("full", True), 1),
-        (("otn_only", False), 0),
-        (("dsn_only", False), 1),
-        (("dsn_plus_ep", False), 1),
-        (("dsn_plus_ep", True), 2),
-    ]
+    # mode: phi's passes per forward.
+    CASES = [("full", 1), ("otn_only", 0), ("dsn_only", 1), ("dsn_plus_ep", 1)]
 
-    @pytest.mark.parametrize("case,passes_per_forward", CASES,
-                             ids=[f"{m}-towers" if t else m for (m, t), _ in CASES])
-    def test_passes_over_windows(self, monkeypatch, case, passes_per_forward):
-        mode, towers = case
+    @pytest.mark.parametrize("mode,passes_per_forward", CASES, ids=[m for m, _ in CASES])
+    def test_passes_over_windows(self, monkeypatch, mode, passes_per_forward):
         series = small_series()
-        cfg = small_cfg(mode=mode, separate_towers=towers, epochs=2)
+        cfg = small_cfg(mode=mode, epochs=2)
         passes = []
         real = networks.gru_forward
 
@@ -415,7 +396,7 @@ class TestOrderPositiveControl:
     def final_otn(R_train):
         t = np.arange(1000)
         series = MultivariateSeries(values=((t % 20) / 20.0)[:, None])
-        cfg = TrainConfig(L=20, R_train=R_train, l=5, r=5, m=4, d_model=8, lr=1e-2,
+        cfg = TrainConfig(R_train=R_train, l=5, r=5, m=4, d_model=8, lr=1e-2,
                           epochs=30, batch_size=32, mode="otn_only")
         return train(series, cfg).loss_trace[-1][0]
 
@@ -433,7 +414,7 @@ def small_series(n=600, d=2, seed=0):
 
 
 def small_cfg(**kw):
-    base = dict(L=12, R_train=3, l=3, r=3, m=4, d_model=8, alpha=1.0,
+    base = dict(R_train=3, l=3, r=3, m=4, d_model=8, alpha=1.0,
                 lr=1e-3, epochs=3, batch_size=64, seed=11)
     base.update(kw)
     return TrainConfig(**base)
@@ -484,12 +465,6 @@ class TestTrain:
                             seed_streams(cfg.seed)["eta_init"]).astype(np.float32)
         assert gru_checksum(model.eta) == gru_checksum(expected)
 
-    def test_eta_seed_changes_projector(self):
-        series = small_series()
-        m1 = train(series, small_cfg(eta_seed=100))
-        m2 = train(series, small_cfg(eta_seed=200))
-        assert gru_checksum(m1.eta) != gru_checksum(m2.eta)
-
     def test_alpha_zero_full_equals_otn_only_bitwise(self):
         series = small_series()
         a = train(series, small_cfg(mode="full", alpha=0.0))
@@ -521,13 +496,14 @@ class TestTrain:
             train(small_series(n=100), small_cfg(batch_size=1))
 
     def test_config_arithmetic_validation(self):
-        with pytest.raises(ConfigError, match="layout"):
-            TrainConfig(L=10, l=3, r=2, m=3).validate()
+        # The window length follows the layout, and is no field to set.
+        assert TrainConfig(l=3, r=2, m=3).L == 7
+        with pytest.raises(TypeError, match="'L'"):
+            TrainConfig(L=10, l=3, r=2, m=3)
         with pytest.raises(ConfigError, match="mode"):
             TrainConfig(mode="bogus").validate()
 
-    @pytest.mark.parametrize("bad", [dict(seed=-1), dict(eta_seed=-1)],
-                             ids=["seed", "eta-seed"])
+    @pytest.mark.parametrize("bad", [dict(seed=-1)], ids=["seed"])
     def test_negative_seed_rejected(self, bad):
         with pytest.raises(ConfigError, match="seed"):
             TrainConfig(**bad).validate()
