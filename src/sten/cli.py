@@ -2,18 +2,18 @@
 
 Configuration is a flat ``key = value`` text file, overridden by ``--set
 KEY=VALUE`` and then by the named flags, such as ``--seed``.  One master seed
-drives everything: the synthetic generator and training consume it directly
-(training expands it into named internal streams), scoring derives its
-reference-sampling seed from it, so reruns with the same seed are bitwise
-reproducible.
+drives everything random: the synthetic generator and training consume it
+directly (training expands it into named internal streams), so reruns with the
+same seed are bitwise reproducible.  Scoring draws no random numbers and reads
+no seed.
 
 The config keys are the fields of ``SynthConfig``, ``TrainConfig`` and
 ``ScoreConfig``, each with its field's name, annotation (as its type) and
-default; a field two classes share (``seed``, ``k_refs``) is one key.  The
+default; ``seed``, the only field two classes share, is one key.  The
 exceptions are ``r``, which follows ``l`` unless set, and the evaluation keys,
 which have no dataclass.  The window length ``L`` is no key: ``TrainConfig``
-works it out from ``l``, ``m`` and ``r``.  ``ScoreConfig.seed`` is derived
-from ``seed``.  File, ``--set`` and flag values are all parsed by ``_convert``.
+works it out from ``l``, ``m`` and ``r``.  File, ``--set`` and flag values are
+all parsed by ``_convert``.
 
 Each command takes from ``--set`` only the keys it reads, and rejects any
 other: ``synth`` the ``SynthConfig`` keys, ``train`` the ``TrainConfig`` keys,
@@ -35,8 +35,7 @@ from . import ConfigError, DataError, NumericError, StenError, atomic_write
 from .evalmetrics import METRIC_GROUPS, evaluate, vus_widths
 from .scoring import ScoreConfig, read_scores_csv, score_series, write_scores_csv
 from .seqdata import SynthConfig, load_csv, save_csv, synth_generate, write_table
-from .training import (MODES, TrainConfig, derive_seed, load_checkpoint,
-                       save_checkpoint, train)
+from .training import MODES, TrainConfig, load_checkpoint, save_checkpoint, train
 
 # Keys that are not a config field of their own name, type and default.
 _EXCEPTIONS: dict[str, tuple[str, object]] = {
@@ -150,7 +149,7 @@ def build_train_config(cfg: dict) -> TrainConfig:
 
 
 def build_score_config(cfg: dict) -> ScoreConfig:
-    return _build(ScoreConfig, cfg, seed=derive_seed(cfg["seed"], "score"))
+    return _build(ScoreConfig, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--out", required=True, help="scores CSV path")
-    _add_common(p, "seed", "beta")
+    _add_common(p, "beta")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("eval", help="compute metrics for a scores CSV")

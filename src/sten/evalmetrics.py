@@ -231,8 +231,8 @@ VUS_MAX_WIDTHS = 1000
 
 
 def vus_widths(w_max: float, grid_step: float) -> list[float]:
-    """The buffer widths {0, step, 2*step, ..., w_max} of ``vus``, each the
-    one before plus ``grid_step``.
+    """The buffer widths {0, step, 2*step, ..., w_max} of ``vus``: width i is
+    ``i * grid_step``, so that a w_max on the grid is its last width.
 
     Their number, about w_max / grid_step + 1, is checked before they are
     built: more than ``VUS_MAX_WIDTHS`` of them is a ``DataError``.
@@ -243,10 +243,8 @@ def vus_widths(w_max: float, grid_step: float) -> list[float]:
     if w_max + 1e-12 >= VUS_MAX_WIDTHS * grid_step:
         raise DataError(f"w_max {w_max} at grid_step {grid_step} gives more than "
                         f"{VUS_MAX_WIDTHS} buffer widths")
-    widths = [0.0]
-    while widths[-1] + grid_step <= w_max + 1e-12:
-        widths.append(widths[-1] + grid_step)
-    return widths
+    widths = (i * grid_step for i in range(int((w_max + 1e-12) / grid_step) + 2))
+    return [w for w in widths if w <= w_max + 1e-12]
 
 
 def vus(scores, truth: EventSet, w_max: float, grid_step: float = 1.0,

@@ -4,10 +4,11 @@ The test windows (n_windows, L, D) start at ``seqdata.window_starts``.  The
 order (or error-prediction) branch scores each window's m sub-sequence slots,
 (n_windows, m); the order score of a slot is its L1 prediction error over the
 mean JS divergence of its window's slots.  The distance branch scores each
-window, (n_windows,), against reference windows drawn from the test windows
-themselves, and its slots inherit that score.  Slot i of the window at ``s``
-covers timestamps [s + i*r, s + i*r + l); a timestamp scores the mean over
-its covering slots, both columns aggregated in one pass.
+window, (n_windows,), by the mean squared gap between phi's and eta's inner
+products with every other test window, and its slots inherit that score.
+Slot i of the window at ``s`` covers timestamps [s + i*r, s + i*r + l); a
+timestamp scores the mean over its covering slots, both columns aggregated in
+one pass.
 
 Scoring runs ``networks.forward``, the forward training runs, over chunks of
 ``CHUNK`` windows, and eta embeds the windows ``forward`` gathered for each
@@ -15,8 +16,8 @@ chunk.  The order branch scores sub-sequences in their true order: it
 encodes each distinct sub-sequence of a chunk once, and windows at stride
 ``R_test`` = r share all but one of theirs with the next.  The z-scored
 series is cast once to ``training.COMPUTE_DTYPE``, the dtype the GRU
-computes in.  Scoring is deterministic given the seed used for
-reference-pair sampling.
+computes in.  Scoring draws no random numbers: a model and a series give one
+set of scores.
 
 A chunk holds at least ``MIN_ROWS`` windows, unless the whole series has
 fewer (``seqdata.batch_ranges`` joins a short last chunk to the one before).
@@ -43,7 +44,7 @@ from . import ConfigError, DataError
 # gru_forward is bound here, uncalled, because perfbench/test_perfbench.py
 # looks it up on this module.
 from .ndkernel import gru_forward  # noqa: F401
-from .networks import branches, embed_windows, forward, pair_residuals, sample_pairs
+from .networks import branches, embed_windows, forward
 from .objectives import js_rows
 from .seqdata import MultivariateSeries, batch_ranges, read_table, window_starts, write_table
 from .training import TrainedModel, compute_values
@@ -54,18 +55,14 @@ class ScoreConfig:
     beta: float = 1.0
     R_test: int = 10
     score_eps: float = 1e-8
-    k_refs: int = 1
-    seed: int = 0
 
     def validate(self) -> None:
         if not 0 <= self.beta < np.inf:
             raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
         if not 0 <= self.score_eps < np.inf:
             raise ConfigError(f"score_eps must be finite and >= 0, got {self.score_eps}")
-        if self.R_test < 1 or self.k_refs < 1:
-            raise ConfigError("R_test and k_refs must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.R_test < 1:
+            raise ConfigError(f"R_test must be >= 1, got {self.R_test}")
 
 
 @dataclass
@@ -153,28 +150,43 @@ def _forward_chunks(model: TrainedModel, values: np.ndarray, starts: np.ndarray,
     return t_scores, E, F
 
 
+def distance_scores(E: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Mean over j != i of (<e_i, e_j> - <f_i, f_j>)^2 for each row i of phi's
+    embeddings E and eta's F, (n, d) with n >= 2, with no n x n array.
+
+    With D = F - E, U = [E | D] and V = [D | F] the residual is -u_i . v_j, so
+    its squares sum to u_i^T (V^T V) u_i, less the j = i term.  Every product
+    holds a factor of D, so the score keeps its precision when phi is near eta.
+    """
+    D = F - E
+    U, V = np.hstack([E, D]), np.hstack([D, F])
+    total = ((U @ (V.T @ V)) * U).sum(axis=1)
+    return (total - (U * V).sum(axis=1) ** 2) / (len(E) - 1)
+
+
 def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig) -> ScoreSeries:
     """Score every test timestamp with the trained model.
 
     Windows are laid out at stride ``R_test`` with one extra tail window so
     every timestamp is covered.  Each window's distance score compares it
-    with ``k_refs`` other test windows, drawn with ``cfg.seed``.
+    with every other test window (``distance_scores``), so that branch needs
+    at least two windows.
     """
     cfg.validate()
     if test.d != model.d_in:
         raise DataError(f"test series has {test.d} dimensions, model expects {model.d_in}")
     tc = model.config
+    use_dsn = branches(tc.mode, tc.alpha)[2]
     values = compute_values(test, model.stats)
     starts = window_starts(test.n, tc.L, cfg.R_test, cover_tail=True)
     n_w = len(starts)
+    if use_dsn and n_w < 2:
+        raise DataError(f"the distance score compares each test window with the others: "
+                        f"needs >= 2 windows of length {tc.L}, got {n_w}")
     t_scores, E, F = _forward_chunks(model, values, starts, cfg)
 
     # Spatial component: scalar per window.
-    dsn_w = np.zeros(n_w)
-    if branches(tc.mode, tc.alpha)[2]:
-        ii, jj = sample_pairs(n_w, np.random.default_rng(cfg.seed), cfg.k_refs).T
-        resid = pair_residuals(E, F, ii, jj)
-        dsn_w = (resid ** 2).reshape(n_w, cfg.k_refs).mean(axis=1)
+    dsn_w = distance_scores(E, F) if use_dsn else np.zeros(n_w)
 
     # Aggregate both components over all (window, sub-sequence) slots, window-major.
     slot_starts = (starts[:, None] + np.arange(tc.m) * tc.r).reshape(-1)

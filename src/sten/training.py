@@ -27,16 +27,6 @@ MODES = ("full", "otn_only", "dsn_only", "dsn_plus_ep")
 # updates, the heads, the losses and the scores are float64 either way.
 COMPUTE_DTYPE = np.float32
 
-_SEED_TAGS = {"score": 303}
-
-
-def derive_seed(master: int, name: str) -> int:
-    """Deterministic named sub-seed of a master seed, which must be >= 0."""
-    if master < 0:
-        raise ConfigError(f"seed must be >= 0, got {master}")
-    return int(np.random.SeedSequence([int(master), _SEED_TAGS[name]]).generate_state(1)[0])
-
-
 def seed_streams(master: int) -> dict[str, np.random.Generator]:
     """Independent named random streams for the training internals."""
     # Child 2 is reserved: it once drew a presented order of the sub-sequences

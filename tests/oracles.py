@@ -6,6 +6,7 @@ code they check.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -580,12 +581,18 @@ def range_auc_dense(scores, events, w):
     return roc, pr
 
 
+def width_grid(w_max, grid_step):
+    """The VUS buffer widths i * grid_step, for i = 0, 1, ... while within w_max."""
+    widths = []
+    while len(widths) * grid_step <= w_max + 1e-12:
+        widths.append(len(widths) * grid_step)
+    return widths
+
+
 def vus_per_width(scores, truth, w_max, grid_step=1.0):
     """VUS as one range_auc call per buffer width, each rebuilding the event
     distances and the threshold sweep."""
-    widths = [0.0]
-    while widths[-1] + grid_step <= w_max + 1e-12:
-        widths.append(widths[-1] + grid_step)
+    widths = width_grid(w_max, grid_step)
     rocs, prs = [], []
     for w in widths:
         r, p = range_auc(scores, truth, w)
@@ -729,9 +736,7 @@ def range_areas_matrix(scores, truth, widths):
 
 def vus_matrix(scores, truth, w_max, grid_step=1.0):
     """VUS as the mean of ``range_areas_matrix`` over the width grid."""
-    widths = [0.0]
-    while widths[-1] + grid_step <= w_max + 1e-12:
-        widths.append(widths[-1] + grid_step)
+    widths = width_grid(w_max, grid_step)
     areas = range_areas_matrix(scores, truth, widths)
     if any(r is None for r, _ in areas):
         return None, None
@@ -776,12 +781,28 @@ def _softmax_scalar(logits):
     return [x / total for x in e]
 
 
-def score_series_dense(model, test, cfg, pairs):
+def distance_scores_gram(E, F):
+    """Each window's distance score from the n x n Gram difference
+    E E^T - F F^T, diagonal removed: the mean over the other windows of the
+    squared entries of its row.  Exact: every sum is of Fractions, rounded
+    to float once at the end."""
+    E = [[Fraction(float(x)) for x in row] for row in E]
+    F = [[Fraction(float(x)) for x in row] for row in F]
+    n = len(E)
+
+    def gram(A, i, j):
+        return sum((a * b for a, b in zip(A[i], A[j])), Fraction(0))
+
+    return np.array([float(sum(((gram(E, i, j) - gram(F, i, j)) ** 2
+                                for j in range(n) if j != i), Fraction(0)) / (n - 1))
+                     for i in range(n)])
+
+
+def score_series_dense(model, test, cfg):
     """Per-window loop reference of the scoring pipeline.
 
-    Returns (scores, score_otn, score_dsn).  ``pairs`` are the (window,
-    reference window) index pairs of the distance score, both drawn from the
-    test windows.
+    Returns (scores, score_otn, score_dsn).  A window's distance score is the
+    mean over every other test window.
     """
     tc, phi, eta = model.config, model.phi, model.eta
     gru = GruParams.from_dict(phi, "gru.")
@@ -836,10 +857,9 @@ def score_series_dense(model, test, cfg, pairs):
 
         e = [embed(w, gru) for w in windows]
         f = [embed(w, eta) for w in windows]
-        per_window = [[] for _ in windows]
-        for i, j in pairs:
-            per_window[i].append((_dot(e[i], e[j]) - _dot(f[i], f[j])) ** 2)
-        dsn = [sum(v) / len(v) for v in per_window]
+        dsn = [sum((_dot(e[i], e[j]) - _dot(f[i], f[j])) ** 2
+                   for j in range(len(windows)) if j != i) / (len(windows) - 1)
+               for i in range(len(windows))]
 
     def column(values):
         slots = [(s + lo, tc.l, values(wi, i))

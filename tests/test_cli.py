@@ -20,7 +20,7 @@ from sten.ndkernel import GruParams
 from sten.networks import read_checkpoint
 from sten.scoring import ScoreConfig, score_series
 from sten.seqdata import SynthConfig
-from sten.training import TrainConfig, derive_seed, load_checkpoint
+from sten.training import TrainConfig, load_checkpoint
 
 SMALL_CONFIG = """
 # small end-to-end settings
@@ -133,6 +133,18 @@ class TestScore:
              "--config", cfg, "--beta", "0", "--out", tmp / "s.csv"])
         rows = read_rows(tmp / "s.csv")
         assert all(r["score"] == r["score_otn"] for r in rows)
+
+    def test_config_seed_and_k_refs_move_no_score(self, workspace):
+        # A config file may hold keys score does not read, training's seed
+        # and k_refs among them; scoring draws nothing with them.
+        tmp, cfg = workspace
+        test_csv = self.setup_model(tmp, cfg)
+        other = tmp / "other.cfg"
+        other.write_text(SMALL_CONFIG.replace("seed = 7", "seed = 11") + "k_refs = 3\n")
+        for name, config in (("s1.csv", cfg), ("s2.csv", other)):
+            assert run(["score", "--model", tmp / "m.ckpt", "--test", test_csv,
+                        "--config", config, "--out", tmp / name]) == 0
+        assert (tmp / "s1.csv").read_bytes() == (tmp / "s2.csv").read_bytes()
 
     def test_rerun_identical(self, workspace):
         tmp, cfg = workspace
@@ -379,6 +391,17 @@ class TestSweep:
             tc = load_checkpoint(work / f"model_l_{l}.ckpt").config
             assert (tc.l, tc.r, tc.L) == (l, 2, l + 3 * 2)
 
+    def test_sweep_trains_with_seed_and_k_refs(self, workspace):
+        # score reads neither key; the sweep still trains with both.
+        tmp, cfg = workspace
+        train_csv, test_csv = prepared_data(tmp, cfg)
+        work = tmp / "work"
+        assert run(["sweep", "--param", "beta", "--values", "1", "--set", "k_refs=2",
+                    "--seed", "3", "--train", train_csv, "--test", test_csv, "--config", cfg,
+                    "--out", tmp / "sweep.csv", "--work-dir", work]) == 0
+        tc = load_checkpoint(work / "model.ckpt").config
+        assert (tc.k_refs, tc.seed) == (2, 3)
+
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path):
@@ -436,7 +459,7 @@ class TestConfigSchema:
         cfg = schema_defaults()
         assert build_synth_config(cfg) == SynthConfig()
         assert build_train_config(cfg) == TrainConfig()
-        assert build_score_config(cfg) == ScoreConfig(seed=derive_seed(0, "score"))
+        assert build_score_config(cfg) == ScoreConfig()
 
     def test_every_field_is_reachable_from_a_key(self):
         """Each field of each config changes when one key moves off its default."""
@@ -719,7 +742,12 @@ BAD_SETTING_CASES = [
     pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
                   "--set", setting, "--out", "{out}"], 1,
                  id=f"score-unread-{setting.split('=')[0].replace('_', '-')}")
-    for setting in ("d_model=64", "epochs=9", "n_train=10", "L=12", "r=3", "point_adjust=off")
+    for setting in ("d_model=64", "epochs=9", "n_train=10", "L=12", "r=3", "point_adjust=off",
+                    "k_refs=2")
+] + [
+    # Scoring draws no random numbers: score has no --seed.
+    pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
+                  "--seed", "3", "--out", "{out}"], 1, id="score-seed-flag"),
 ] + [
     # Every other command also rejects a --set key it does not read.
     pytest.param(["synth", "--config", "{cfg}", "--out-dir", "{out}", "--set", "d_model=9"], 1,

@@ -6,14 +6,21 @@ import pytest
 from sten import ConfigError, DataError, networks, scoring, seqdata, training
 from sten.evalmetrics import threshold_percentile
 from sten.ndkernel import init_gru
-from sten.networks import init_phi, sample_pairs
-from sten.scoring import (ScoreConfig, aggregate_timestamps, read_scores_csv,
-                          score_series, write_scores_csv)
-from sten.seqdata import MultivariateSeries, NormStats, batch_ranges, make_windows, window_starts
+from sten.networks import init_phi
+from sten.scoring import (ScoreConfig, aggregate_timestamps, distance_scores,
+                          read_scores_csv, score_series, write_scores_csv)
+from sten.seqdata import MultivariateSeries, NormStats, batch_ranges, window_starts
 from sten.training import (TrainConfig, TrainedModel, load_checkpoint,
                            save_checkpoint, seed_streams)
 
 import oracles
+
+# distance_scores against the exact all-references score of
+# oracles.distance_scores_gram: the largest difference over the largest score.
+# Measured at most 3.3e-15 on 30 random shapes (n 2-29, d 1-11), with eta's
+# embeddings independent of phi's or phi's plus 1e-4 or 1e-7 noise; the
+# expansion into E E^T - F F^T lost 1.3e-9 on the 1e-7 cases.
+DSN_EXACT_RTOL = 1e-13
 
 # Float32 compute against float64: the largest difference in a score column
 # over the column's largest value.  Measured at most 4.5e-7 on
@@ -40,13 +47,6 @@ def series_fixture(n=120, d=2, seed=3):
                               labels=np.zeros(n, dtype=np.int64))
 
 
-def oracle_scores(model, series, cfg):
-    """score_series_dense with the reference pairs score_series draws."""
-    n_w = len(make_windows(series, model.config.L, cfg.R_test, cover_tail=True))
-    pairs = sample_pairs(n_w, np.random.default_rng(cfg.seed), cfg.k_refs)
-    return oracles.score_series_dense(model, series, cfg, pairs)
-
-
 def per_slot_order_forward(phi, values, starts, l, r, want_cache=False):
     """order_forward as the per-slot oracle computes it."""
     L = l + (len(phi["order_head.b"]) - 1) * r
@@ -69,7 +69,7 @@ class TestDistinctSubsequences:
     def test_columns_match_per_slot_oracle(self, monkeypatch, n, R_test, mode):
         model = tiny_model(seed=4, mode=mode, d_model=4)     # l=r=3, m=4, L=12
         series = series_fixture(n=n)
-        cfg = ScoreConfig(R_test=R_test, seed=5)
+        cfg = ScoreConfig(R_test=R_test)
         starts = window_starts(n, model.config.L, R_test, cover_tail=True)
         if n > 1000:
             assert len(starts) > scoring.CHUNK
@@ -94,8 +94,8 @@ class TestScoreOtn:
     def test_two_subseq_example_against_oracle(self):
         model = tiny_model(m=2, l=4, r=4, seed=13)
         series = series_fixture(n=40)
-        cfg = ScoreConfig(R_test=3, seed=1)
-        _, otn, _ = oracle_scores(model, series, cfg)
+        cfg = ScoreConfig(R_test=3)
+        _, otn, _ = oracles.score_series_dense(model, series, cfg)
         np.testing.assert_allclose(score_series(model, series, cfg).score_otn, otn,
                                    rtol=1e-12, atol=1e-9)
 
@@ -113,22 +113,54 @@ class TestScoreDsn:
     def test_zero_when_phi_equals_eta(self):
         model = tiny_model(seed=1)
         model.phi.update(model.eta.as_dict("gru."))  # identical towers -> identical distances
-        out = score_series(model, series_fixture(), ScoreConfig(R_test=4, k_refs=3))
+        out = score_series(model, series_fixture(), ScoreConfig(R_test=4))
         np.testing.assert_array_equal(out.score_dsn, 0.0)
 
     @pytest.mark.usefixtures("float64_compute")
     def test_matches_loop_oracle(self):
         model = tiny_model(seed=3, mode="dsn_only")
         series = series_fixture(n=60, seed=4)
-        cfg = ScoreConfig(R_test=4, seed=4, k_refs=3)
-        _, _, dsn = oracle_scores(model, series, cfg)
+        cfg = ScoreConfig(R_test=4)
+        _, _, dsn = oracles.score_series_dense(model, series, cfg)
         np.testing.assert_allclose(score_series(model, series, cfg).score_dsn, dsn, atol=1e-9)
 
     def test_empty_refs_rejected(self):
         # A series of exactly one window leaves no reference window.
         model = tiny_model()
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="distance score"):
             score_series(model, series_fixture(n=model.config.L), ScoreConfig())
+
+    @pytest.mark.parametrize("noise", [None, 1e-4, 1e-7],
+                             ids=["independent", "phi-near-eta-1e-4", "phi-near-eta-1e-7"])
+    @pytest.mark.parametrize("n,d", [(2, 3), (7, 1), (23, 6)])
+    def test_closed_form_matches_exact_gram_oracle(self, n, d, noise):
+        rng = np.random.default_rng(n * 100 + d)
+        E = np.tanh(rng.normal(size=(n, d)))
+        F = np.tanh(rng.normal(size=(n, d))) if noise is None else E + noise * rng.normal(
+            size=(n, d))
+        want = oracles.distance_scores_gram(E, F)
+        assert want.max() > 0
+        np.testing.assert_allclose(distance_scores(E, F), want, rtol=0,
+                                   atol=DSN_EXACT_RTOL * want.max())
+
+    def test_two_windows_score_their_pair(self):
+        rng = np.random.default_rng(9)
+        E, F = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
+        resid = E[0] @ E[1] - F[0] @ F[1]
+        np.testing.assert_allclose(distance_scores(E, F), [resid ** 2] * 2,
+                                   rtol=DSN_EXACT_RTOL)
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        model, series = tiny_model(), series_fixture()
+        want = score_series(model, series, ScoreConfig(R_test=4))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scoring drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        got = score_series(model, series, ScoreConfig(R_test=4))
+        assert got.score_dsn.max() > 0
+        np.testing.assert_array_equal(got.scores, want.scores)
 
 
 class TestCombine:
@@ -171,10 +203,10 @@ class TestScoreSeriesOracle:
         monkeypatch.setattr(scoring, "CHUNK", 5)
         model = tiny_model(seed=21, **case)
         series = series_fixture(n=12 + 4 * (2 * scoring.MIN_ROWS - 1), seed=22)
-        cfg = ScoreConfig(beta=0.7, R_test=4, seed=23, k_refs=2)
+        cfg = ScoreConfig(beta=0.7, R_test=4)
         out = score_series(model, series, cfg)
         for got, want in zip((out.scores, out.score_otn, out.score_dsn),
-                             oracle_scores(model, series, cfg)):
+                             oracles.score_series_dense(model, series, cfg)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
@@ -187,7 +219,7 @@ class TestFloat32Scores:
     def test_columns_within_named_tolerance(self, monkeypatch, mode, normalize):
         model = tiny_model(mode=mode, d_model=16, seed=5, normalize=normalize)
         series = series_fixture(n=200, seed=6)
-        cfg = ScoreConfig(R_test=3, seed=2, k_refs=2)
+        cfg = ScoreConfig(R_test=3)
         out = {}
         for dt in (np.float32, np.float64):
             monkeypatch.setattr(training, "COMPUTE_DTYPE", dt)
@@ -270,7 +302,7 @@ class TestScoreSeries:
     def test_full_coverage_and_shapes(self):
         model = tiny_model()
         series = series_fixture(n=100)
-        out = score_series(model, series, ScoreConfig(R_test=5, seed=1))
+        out = score_series(model, series, ScoreConfig(R_test=5))
         assert out.n == 100
         assert np.all(out.coverage >= 1)
         assert np.all(np.isfinite(out.scores))
@@ -278,20 +310,20 @@ class TestScoreSeries:
     def test_beta_zero_equals_otn_column(self):
         model = tiny_model()
         series = series_fixture()
-        out = score_series(model, series, ScoreConfig(beta=0.0, R_test=4, seed=2))
+        out = score_series(model, series, ScoreConfig(beta=0.0, R_test=4))
         np.testing.assert_array_equal(out.scores, out.score_otn)
 
     def test_monotone_in_beta(self):
         model = tiny_model()
         series = series_fixture()
-        lo = score_series(model, series, ScoreConfig(beta=0.5, R_test=4, seed=3))
-        hi = score_series(model, series, ScoreConfig(beta=2.0, R_test=4, seed=3))
+        lo = score_series(model, series, ScoreConfig(beta=0.5, R_test=4))
+        hi = score_series(model, series, ScoreConfig(beta=2.0, R_test=4))
         assert np.all(hi.scores >= lo.scores - 1e-15)
 
     def test_deterministic_and_partition_invariant(self, monkeypatch):
         model = tiny_model()
         series = series_fixture(n=600)     # 148 windows: two chunks at CHUNK 7
-        cfg = ScoreConfig(R_test=4, seed=4)
+        cfg = ScoreConfig(R_test=4)
         a = score_series(model, series, cfg)
         b = score_series(model, series, cfg)
         monkeypatch.setattr(scoring, "CHUNK", 7)
@@ -315,7 +347,7 @@ class TestScoreSeries:
         ``chunk``, which splits them into at least three chunks."""
         model = tiny_model(mode=mode, d_model=32, m=10, l=4, r=4, seed=7)
         series = series_fixture(n=40 + 4 * 365, seed=8)
-        cfg = ScoreConfig(R_test=4, seed=9)
+        cfg = ScoreConfig(R_test=4)
         a = score_series(model, series, cfg)
         monkeypatch.setattr(scoring, "CHUNK", chunk)
         assert len(batch_ranges(366, max(chunk, scoring.MIN_ROWS), scoring.MIN_ROWS)) >= 3
@@ -382,7 +414,7 @@ class TestScoreSeries:
             series = series_fixture(n=100 + (n_chunks * chunk - 1) * 10, seed=4)
             tracemalloc.start()
             try:
-                score_series(model, series, ScoreConfig(R_test=10, seed=1))
+                score_series(model, series, ScoreConfig(R_test=10))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -400,7 +432,7 @@ class TestScoreSeries:
         series = series_fixture(n=100 + (chunk - 1) * 10, seed=4)   # one chunk
         tracemalloc.start()
         try:
-            score_series(model, series, ScoreConfig(R_test=10, seed=1))
+            score_series(model, series, ScoreConfig(R_test=10))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -410,7 +442,7 @@ class TestScoreSeries:
     def test_loaded_model_scores_identical(self, tmp_path):
         model = tiny_model()
         series = series_fixture()
-        cfg = ScoreConfig(R_test=4, seed=5)
+        cfg = ScoreConfig(R_test=4)
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
@@ -422,7 +454,7 @@ class TestScoreSeries:
         # m=1 forces a perfect one-class order prediction.
         model = tiny_model(m=1, l=5, r=1)
         series = series_fixture()
-        out = score_series(model, series, ScoreConfig(beta=0.0, R_test=5, seed=6))
+        out = score_series(model, series, ScoreConfig(beta=0.0, R_test=5))
         np.testing.assert_allclose(out.scores, 0.0, atol=1e-12)
 
     def test_dimension_mismatch_reports_both(self):
@@ -434,10 +466,10 @@ class TestScoreSeries:
     def test_mode_columns(self):
         series = series_fixture()
         out_otn = score_series(tiny_model(mode="otn_only"), series,
-                               ScoreConfig(R_test=4, seed=7))
+                               ScoreConfig(R_test=4))
         np.testing.assert_array_equal(out_otn.score_dsn, 0.0)
         out_dsn = score_series(tiny_model(mode="dsn_only"), series,
-                               ScoreConfig(R_test=4, seed=7))
+                               ScoreConfig(R_test=4))
         np.testing.assert_array_equal(out_dsn.score_otn, 0.0)
         assert out_dsn.score_dsn.max() > 0
 
@@ -445,24 +477,24 @@ class TestScoreSeries:
         # Training with alpha = 0 never touches the distance branch, so its
         # untrained residual must not reach the scores.
         series = series_fixture()
-        out = score_series(tiny_model(alpha=0.0), series, ScoreConfig(R_test=4, seed=7))
+        out = score_series(tiny_model(alpha=0.0), series, ScoreConfig(R_test=4))
         np.testing.assert_array_equal(out.score_dsn, 0.0)
         np.testing.assert_array_equal(out.scores, out.score_otn)
-        trained = score_series(tiny_model(alpha=1.0), series, ScoreConfig(R_test=4, seed=7))
+        trained = score_series(tiny_model(alpha=1.0), series, ScoreConfig(R_test=4))
         np.testing.assert_array_equal(out.score_otn, trained.score_otn)
 
     def test_bad_score_config_is_a_usage_error(self):
         nan, inf = float("nan"), float("inf")
         for bad in (dict(beta=-1.0), dict(beta=nan), dict(beta=inf), dict(beta=-inf),
                     dict(score_eps=-1e-8), dict(score_eps=nan), dict(score_eps=inf),
-                    dict(R_test=0), dict(k_refs=0), dict(seed=-1)):
+                    dict(R_test=0)):
             with pytest.raises(ConfigError):
                 ScoreConfig(**bad).validate()
 
     def test_ep_mode_scores_finite(self):
         series = series_fixture()
         out = score_series(tiny_model(mode="dsn_plus_ep"), series,
-                           ScoreConfig(R_test=4, seed=8))
+                           ScoreConfig(R_test=4))
         assert np.all(np.isfinite(out.scores))
         assert out.score_otn.max() > 0  # EP errors are positive
 
@@ -477,7 +509,7 @@ class TestWindowGathers:
     def test_one_window_gather_per_chunk(self, monkeypatch, mode, gathers):
         model = tiny_model(mode=mode)
         series = series_fixture(n=600)     # 148 windows: chunks of 64 and 84
-        cfg = ScoreConfig(R_test=4, seed=4)
+        cfg = ScoreConfig(R_test=4)
         monkeypatch.setattr(scoring, "CHUNK", 64)
         want = score_series(model, series, cfg)
         real, seen = seqdata.stack_slices, []
@@ -499,7 +531,7 @@ class TestScoresCsv:
     def test_roundtrip(self, tmp_path):
         model = tiny_model()
         series = series_fixture()
-        out = score_series(model, series, ScoreConfig(R_test=4, seed=11))
+        out = score_series(model, series, ScoreConfig(R_test=4))
         path = tmp_path / "scores.csv"
         write_scores_csv(path, out, labels=series.labels)
         cols = read_scores_csv(path)

@@ -379,7 +379,7 @@ class TestWindowPasses:
         n_w = len(window_starts(test.n, cfg.L, cfg.r, cover_tail=True))
         n_chunks = len(batch_ranges(n_w, scoring.MIN_ROWS, min_last=scoring.MIN_ROWS))
         assert n_chunks == 3
-        score_series(model, test, ScoreConfig(R_test=cfg.r, seed=2))
+        score_series(model, test, ScoreConfig(R_test=cfg.r))
         eta = [p for p in passes if p is model.eta]
         assert len(eta) == (n_chunks if use_dsn else 0)
         assert len(passes) - len(eta) == passes_per_forward * n_chunks
@@ -507,13 +507,6 @@ class TestTrain:
     def test_negative_seed_rejected(self, bad):
         with pytest.raises(ConfigError, match="seed"):
             TrainConfig(**bad).validate()
-
-    def test_derive_seed_rejects_negative_master(self):
-        # The score tag stays 303, so that reference sampling keeps its bits.
-        assert training.derive_seed(7, "score") == int(
-            np.random.SeedSequence([7, 303]).generate_state(1)[0])
-        with pytest.raises(ConfigError, match="seed must be >= 0"):
-            training.derive_seed(-1, "score")
 
 
 class TestBatchRanges:
