@@ -5,9 +5,10 @@ binary checkpoint format.
 ``forward`` is the one forward of phi, run by training (with the caches its
 backward needs) and by scoring (without).  Over a batch of windows, given as a
 series and the windows' starts, it runs the branches ``branches`` selects for
-a mode.  Every branch reads phi's one GRU tower: the distance embeddings are
-the final hidden states of the error-prediction pass when that branch runs,
-and of a pass of their own otherwise.
+a mode.  Every branch reads phi's one GRU tower: the distance embeddings,
+which training and scoring compare over every pair of windows, are the final
+hidden states of the error-prediction pass when that branch runs, and of a
+pass of their own otherwise.
 
 The encoder phi is one ``ParamDict``, the form Adam, the gradient tape and
 the checkpoint use.  ``phi_shapes`` is its one layout: ``gru.*`` (the GRU,
@@ -189,16 +190,11 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
     return order, ep, dsn, X
 
 
-def pair_residuals(E: np.ndarray, F: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """Inner-product distance of phi minus that of eta for each pair: row ii
-    of E/F against row jj."""
-    return (E[ii] * E[jj]).sum(axis=1) - (F[ii] * F[jj]).sum(axis=1)
-
-
 def sample_pairs(n_windows: int, rng: np.random.Generator, k: int = 1) -> np.ndarray:
     """For each window index i, draw k partners j != i uniformly.
 
-    Returns the (n_windows*k, 2) index pairs (i, j), grouped by i.
+    Returns the (n_windows*k, 2) index pairs (i, j), grouped by i.  No code
+    of the package calls it; BENCHMARK.json traces it by name.
     """
     if n_windows < 2:
         raise DataError("need at least 2 windows to sample reference pairs")

@@ -1,6 +1,7 @@
 """Training objectives: the row-wise order-prediction divergence and its
 gradient.  The distance and error-prediction losses are mean squared
-residuals, formed where the branches are combined in ``training``.
+residuals, formed where the branches are combined in ``training``, the
+distance loss's over every ordered pair of a batch's windows.
 
 The order loss is the symmetric sum form of the Jensen-Shannon divergence
 without the conventional 1/2 factor, so its value equals twice the standard

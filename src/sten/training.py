@@ -1,5 +1,6 @@
-"""Joint self-supervised training: order prediction plus distance distillation,
-with deterministic seeding, checkpointing, and the ablation modes.
+"""Joint self-supervised training: order prediction plus distance distillation
+over every pair of a batch's windows, with deterministic seeding,
+checkpointing, and the ablation modes.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from . import ConfigError, DataError, NumericError
 from .ndkernel import (GradTape, GruParams, ParamDict, adam_update, backward,  # noqa: F401
                        gru_forward, gru_shapes, init_adam_state, init_gru)
 from .networks import (NORM_FLOOR, branches, embed_windows, forward, gru_checksum, init_phi,
-                       pair_residuals, phi_shapes, read_checkpoint, sample_pairs,
-                       write_checkpoint)
+                       phi_shapes, read_checkpoint, write_checkpoint)
 from .objectives import js_rows, js_rows_grad_p
 from .seqdata import (MultivariateSeries, NormStats, batch_ranges, stack_slices, window_starts,
                       zscore_apply, zscore_fit)
@@ -29,11 +29,8 @@ COMPUTE_DTYPE = np.float32
 
 def seed_streams(master: int) -> dict[str, np.random.Generator]:
     """Independent named random streams for the training internals."""
-    # Child 2 is reserved: it once drew a presented order of the sub-sequences
-    # that changed no loss.  Spawning it keeps every stream at its index.
-    children = np.random.SeedSequence(int(master)).spawn(4)
-    return {n: np.random.default_rng(children[i])
-            for i, n in ((0, "phi_init"), (1, "eta_init"), (3, "pairing"))}
+    children = np.random.SeedSequence(int(master)).spawn(2)
+    return {n: np.random.default_rng(c) for n, c in zip(("phi_init", "eta_init"), children)}
 
 
 @dataclass
@@ -50,7 +47,6 @@ class TrainConfig:
     seed: int = 0
     mode: str = "full"
     normalize_embeddings: bool = False
-    k_refs: int = 1
 
     @property
     def L(self) -> int:
@@ -66,8 +62,8 @@ class TrainConfig:
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0 <= self.alpha < np.inf:
             raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if self.k_refs < 1:
-            raise ConfigError("k_refs must be >= 1")
+        if self.batch_size < 2 and branches(self.mode, self.alpha)[2]:
+            raise ConfigError("batch_size must be >= 2 for modes with the distance branch")
         if min(self.R_train, self.l, self.r, self.m, self.d_model) < 1:
             raise ConfigError("R_train, l, r, m, d_model must all be >= 1")
         if self.seed < 0:
@@ -85,15 +81,16 @@ class TrainedModel:
 
 
 def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
-                    starts: np.ndarray, pairs: np.ndarray | None, cfg: TrainConfig) -> GradTape:
+                    starts: np.ndarray, cfg: TrainConfig) -> GradTape:
     """Forward pass of the combined loss over one batch of windows.
 
     The batch is the length-L windows of the (N, D) series ``values`` at
     ``starts``; ``networks.forward`` runs phi's branches over it, with the
     caches of their GRU passes.  ``F`` holds the frozen projector eta's
     embeddings of the batch's windows (B, d_model), unit rows when
-    ``cfg.normalize_embeddings``, and ``pairs`` (P, 2) window-index pairs, both
-    for the distance branch (None without one).
+    ``cfg.normalize_embeddings``, for the distance branch (None without one).
+    Its loss is the mean over every ordered pair i != j of the batch of
+    (<e_i, e_j> - <f_i, f_j>)^2, in float64.
 
     Returns the tape of the loss (eta is frozen): the order and
     error-prediction heads' gradients, and each GRU pass once, with the
@@ -136,17 +133,19 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
         tape.passes.append((cache, gru, "gru.", None, d_h_all))
 
     if dsn is not None:
-        if F is None or pairs is None or len(pairs) == 0:
-            raise DataError("distance branch requires eta's embeddings and reference pairs")
+        if F is None or len(F) < 2:
+            raise DataError("the distance loss needs eta's embeddings of >= 2 windows")
         En, norms, cache = dsn
-        ii, jj = pairs.T
-        resid_d = pair_residuals(En, F, ii, jj)
-        tape.dsn = float(np.mean(resid_d ** 2))
+        En = En.astype(np.float64)
+        # R = E E^T - F F^T off the diagonal, in scoring.distance_scores'
+        # difference form (D = F - E), which keeps R precise when phi is near eta.
+        D = F - En
+        R = -(np.hstack([En, D]) @ np.hstack([D, F]).T)
+        np.fill_diagonal(R, 0.0)
+        scale = 1.0 / (len(R) * (len(R) - 1))
+        tape.dsn = float((R * R).sum() * scale)
         # d(total)/d(dsn) = alpha in every mode that trains the branch.
-        dd = resid_d * (2.0 * cfg.alpha / resid_d.size)
-        dEn = np.zeros_like(En)
-        np.add.at(dEn, ii, dd[:, None] * En[jj])
-        np.add.at(dEn, jj, dd[:, None] * En[ii])
+        dEn = R @ En * (4.0 * cfg.alpha * scale)
         dE = dEn
         if norms is not None:
             # Back through e / max(||e||, floor); En rows are unit (or e/floor).
@@ -197,9 +196,7 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     n = len(starts)
     _, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
     if use_dsn and n < 2:
-        raise DataError(f"mode {cfg.mode!r} needs >= 2 windows for distance pairs, got {n}")
-    if use_dsn and cfg.batch_size < 2:
-        raise ConfigError("batch_size must be >= 2 for modes with the distance branch")
+        raise DataError(f"mode {cfg.mode!r} needs >= 2 windows for the distance loss, got {n}")
 
     streams = seed_streams(cfg.seed)
     phi = init_phi(series.d, cfg.d_model, cfg.m, streams["phi_init"], with_ep_head=use_ep)
@@ -208,7 +205,6 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     eta_checksum = gru_checksum(eta)
 
     adam = init_adam_state(phi)
-    pair_rng = streams["pairing"]
     ranges = batch_ranges(n, cfg.batch_size, min_last=2 if use_dsn else 1)
     # eta is frozen and the windows are fixed: embed them once for all epochs,
     # batch by batch, so that each batch gets the bits of its own embedding.
@@ -220,16 +216,14 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     for epoch in range(cfg.epochs):
         sums = np.zeros(3)
         for bi, (s, e) in enumerate(ranges):
-            B = e - s
-            pairs = sample_pairs(B, pair_rng, cfg.k_refs) if use_dsn else None
-            tape = build_sten_tape(phi, eta_emb[bi], values, starts[s:e], pairs, cfg)
+            tape = build_sten_tape(phi, eta_emb[bi], values, starts[s:e], cfg)
             if not np.isfinite(tape.value):
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch + 1}, batch {bi + 1}: "
                     f"otn={tape.otn}, dsn={tape.dsn}")
             grads = backward(tape)
             phi, adam = adam_update(phi, grads, adam, cfg.lr)
-            sums += B * np.array([tape.otn, tape.dsn, tape.value])
+            sums += (e - s) * np.array([tape.otn, tape.dsn, tape.value])
         mean = sums / n
         trace.append((float(mean[0]), float(mean[1]), float(mean[2])))
 

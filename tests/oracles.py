@@ -13,7 +13,7 @@ import numpy as np
 from sten import DataError
 from sten.evalmetrics import range_auc, validate_events
 from sten.ndkernel import GradTape, GruCache, GruParams, gru_backward, gru_forward, softmax
-from sten.networks import NORM_FLOOR, branches, order_forward, pair_residuals, unit_rows
+from sten.networks import NORM_FLOOR, branches, order_forward, unit_rows
 from sten.objectives import js_rows, js_rows_grad_p
 from sten.seqdata import stack_slices
 
@@ -231,7 +231,46 @@ def order_loss_presented(phi, batch, perms, l, r):
     return float(js_rows(P, Y).mean()), grads
 
 
-def dsn_plus_ep_tape_two_pass(phi, F, values, starts, pairs, cfg):
+def dsn_all_pairs_loop(E, F):
+    """The distance loss of a batch and its gradient w.r.t. E, one ordered
+    pair i != j at a time in float64: the mean of r_ij^2 with
+    r_ij = <e_i, e_j> - <f_i, f_j>, and each pair's 2 r_ij e_j added to row i
+    and 2 r_ij e_i to row j."""
+    E, F = np.asarray(E, np.float64), np.asarray(F, np.float64)
+    B = len(E)
+    if B < 2:
+        raise DataError("the distance loss needs >= 2 windows")
+    total, dE = 0.0, np.zeros_like(E)
+    for i in range(B):
+        for j in range(B):
+            if i != j:
+                r = float(E[i] @ E[j]) - float(F[i] @ F[j])
+                total += r * r
+                dE[i] += 2.0 * r * E[j]
+                dE[j] += 2.0 * r * E[i]
+    n = B * (B - 1)
+    return total / n, dE / n
+
+
+def dsn_oracle(phi, eta, batch):
+    """The distance loss of a batch of windows, each embedded by stepping
+    phi's GRU and eta one timestamp at a time."""
+    gru = GruParams.from_dict(phi, "gru.")
+    E = [gru_encode_unrolled(w, gru) for w in batch]
+    F = [gru_encode_unrolled(w, eta) for w in batch]
+    return dsn_all_pairs_loop(E, F)[0]
+
+
+def unit_rows_backward(dEn, En, norms):
+    """Back through e / max(||e||, floor), where En holds the rows it made."""
+    if norms is None:
+        return dEn
+    dE = dEn / norms
+    dE -= (norms > NORM_FLOOR) * En * (dEn * En).sum(axis=1, keepdims=True) / norms
+    return dE
+
+
+def dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg):
     """The dsn_plus_ep training tape, with phi's GRU run twice
     over the windows: once for the error-prediction branch and once more for
     the distance branch, the form the package used before the distance
@@ -239,8 +278,10 @@ def dsn_plus_ep_tape_two_pass(phi, F, values, starts, pairs, cfg):
 
     Takes the arguments of ``training.build_sten_tape`` and records the same
     head gradients, and one BPTT per branch where the package sums both
-    branches' upstream gradients into one: the loss agrees bit for bit, the
-    gradients within the sum-order rounding the tests name.
+    branches' upstream gradients into one.  Its distance loss is
+    ``dsn_all_pairs_loop``'s: the error-prediction loss agrees bit for bit,
+    the distance loss and the gradients within the sum-order rounding the
+    tests name.
     """
     # The windows keep the series' dtype: the GRU computes in it.
     X = np.asarray(values)[np.asarray(starts)[:, None] + np.arange(cfg.L)]
@@ -255,8 +296,7 @@ def dsn_plus_ep_tape_two_pass(phi, F, values, starts, pairs, cfg):
     if cfg.normalize_embeddings:
         norms = np.maximum(np.linalg.norm(E, axis=1, keepdims=True), 1e-12)
         E = E / norms
-    ii, jj = pairs.T
-    resid_d = (E[ii] * E[jj]).sum(axis=1) - (F[ii] * F[jj]).sum(axis=1)
+    dsn, dEn = dsn_all_pairs_loop(E, F)
 
     tape = GradTape(grads={k: np.zeros(v.shape) for k, v in phi.items()})
     dpred = resid * (2.0 / resid.size)
@@ -266,18 +306,11 @@ def dsn_plus_ep_tape_two_pass(phi, F, values, starts, pairs, cfg):
     d_h_all[:-1] = dpred @ W_e
     tape.passes.append((cache_ep, gru, "gru.", None, d_h_all))
 
-    dd = resid_d * (2.0 * cfg.alpha / resid_d.size)
-    dEn = np.zeros_like(E)
-    np.add.at(dEn, ii, dd[:, None] * E[jj])
-    np.add.at(dEn, jj, dd[:, None] * E[ii])
-    dE = dEn
-    if norms is not None:
-        dE = dEn / norms
-        dE -= (norms > 1e-12) * E * (dEn * E).sum(axis=1, keepdims=True) / norms
-    tape.passes.append((cache_d, gru, "gru.", dE, None))
+    tape.passes.append((cache_d, gru, "gru.", unit_rows_backward(cfg.alpha * dEn, E, norms),
+                        None))
 
     tape.otn = float(np.mean(resid ** 2))
-    tape.dsn = float(np.mean(resid_d ** 2))
+    tape.dsn = dsn
     tape.value = tape.otn + cfg.alpha * tape.dsn
     return tape
 
@@ -305,13 +338,15 @@ def closure_backward(tape):
     return grads
 
 
-def build_sten_tape_closures(phi, F, values, starts, pairs, cfg):
+def build_sten_tape_closures(phi, F, values, starts, cfg):
     """``training.build_sten_tape`` in the form that recorded one backward
     closure per branch, each forming its head's gradients and its GRU pass's
-    upstream gradient only when run.  The package forms both in the forward;
-    the sums are the same, so loss and gradients must agree bit for bit,
-    except with dsn_plus_ep, where the package runs one BPTT for the two
-    closures' two and the gradients agree up to the sum order.
+    upstream gradient only when run, with the distance loss of
+    ``dsn_all_pairs_loop``.  The package forms both in the forward; without
+    the distance branch the sums are the same, so loss and gradients must
+    agree bit for bit.  With it they agree up to the sum order: the package
+    sums the pairs by GEMMs and, in dsn_plus_ep, runs one BPTT for the
+    closures' two.
     """
     use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
     tape = ClosureTape(phi)
@@ -358,31 +393,18 @@ def build_sten_tape_closures(phi, F, values, starts, pairs, cfg):
         tape.record(ep_back)
 
     if use_dsn:
-        if F is None or pairs is None or len(pairs) == 0:
-            raise DataError("distance branch requires eta's embeddings and reference pairs")
+        if F is None:
+            raise DataError("distance branch requires eta's embeddings")
         if use_ep:
             (En, norms), cache_d = unit_rows(H_all[-1], cfg.normalize_embeddings), cache_ep
         else:
             E, cache_d = gru_forward(batch, gru, want_cache=True)
             En, norms = unit_rows(E, cfg.normalize_embeddings)
-        ii, jj = pairs.T
-        resid_d = pair_residuals(En, F, ii, jj)
-        dsn_val = float(np.mean(resid_d ** 2))
+        dsn_val, dEn = dsn_all_pairs_loop(En, F)
 
-        def dsn_back(grads, resid_d=resid_d, En=En, ii=ii, jj=jj, norms=norms,
-                     cache_d=cache_d):
+        def dsn_back(grads, dEn=dEn, En=En, norms=norms, cache_d=cache_d):
             # d(total)/d(dsn) = alpha in every mode that trains the branch.
-            dd = resid_d * (2.0 * cfg.alpha / resid_d.size)
-            dEn = np.zeros_like(En)
-            np.add.at(dEn, ii, dd[:, None] * En[jj])
-            np.add.at(dEn, jj, dd[:, None] * En[ii])
-            if norms is not None:
-                # Back through e / max(||e||, floor); En rows are unit (or e/floor).
-                dE = dEn / norms
-                active = (norms > NORM_FLOOR).astype(np.float64)
-                dE -= active * En * (dEn * En).sum(axis=1, keepdims=True) / norms
-            else:
-                dE = dEn
+            dE = unit_rows_backward(cfg.alpha * dEn, En, norms)
             gru_backward(cache_d, gru, grads, "gru.", d_h_final=dE)
 
         tape.record(dsn_back)

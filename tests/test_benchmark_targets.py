@@ -209,5 +209,5 @@ def test_order_branch_encodes_265_rows_for_a_paper_batch(monkeypatch):
     values = rng.normal(size=(2650, 2))
     starts = window_starts(len(values), cfg.L, cfg.R_train)
     assert len(starts) == 256
-    build_sten_tape(init_phi(2, cfg.d_model, cfg.m, rng), None, values, starts, None, cfg)
+    build_sten_tape(init_phi(2, cfg.d_model, cfg.m, rng), None, values, starts, cfg)
     assert rows == [(265, cfg.l)]

@@ -134,13 +134,13 @@ class TestScore:
         rows = read_rows(tmp / "s.csv")
         assert all(r["score"] == r["score_otn"] for r in rows)
 
-    def test_config_seed_and_k_refs_move_no_score(self, workspace):
+    def test_config_seed_moves_no_score(self, workspace):
         # A config file may hold keys score does not read, training's seed
-        # and k_refs among them; scoring draws nothing with them.
+        # among them; scoring draws nothing with it.
         tmp, cfg = workspace
         test_csv = self.setup_model(tmp, cfg)
         other = tmp / "other.cfg"
-        other.write_text(SMALL_CONFIG.replace("seed = 7", "seed = 11") + "k_refs = 3\n")
+        other.write_text(SMALL_CONFIG.replace("seed = 7", "seed = 11"))
         for name, config in (("s1.csv", cfg), ("s2.csv", other)):
             assert run(["score", "--model", tmp / "m.ckpt", "--test", test_csv,
                         "--config", config, "--out", tmp / name]) == 0
@@ -391,16 +391,15 @@ class TestSweep:
             tc = load_checkpoint(work / f"model_l_{l}.ckpt").config
             assert (tc.l, tc.r, tc.L) == (l, 2, l + 3 * 2)
 
-    def test_sweep_trains_with_seed_and_k_refs(self, workspace):
-        # score reads neither key; the sweep still trains with both.
+    def test_sweep_trains_with_seed(self, workspace):
+        # score does not read the seed; the sweep still trains with it.
         tmp, cfg = workspace
         train_csv, test_csv = prepared_data(tmp, cfg)
         work = tmp / "work"
-        assert run(["sweep", "--param", "beta", "--values", "1", "--set", "k_refs=2",
+        assert run(["sweep", "--param", "beta", "--values", "1",
                     "--seed", "3", "--train", train_csv, "--test", test_csv, "--config", cfg,
                     "--out", tmp / "sweep.csv", "--work-dir", work]) == 0
-        tc = load_checkpoint(work / "model.ckpt").config
-        assert (tc.k_refs, tc.seed) == (2, 3)
+        assert load_checkpoint(work / "model.ckpt").config.seed == 3
 
 
 class TestConfigHandling:
@@ -445,7 +444,7 @@ class TestConfigSchema:
         assert sorted(SCHEMA) == sorted(
             "seed n_train n_test dims anomaly_rate noise_sigma seg_len_min seg_len_max "
             "period_min period_max n_components spike_scale level_scale freq_scale anomaly_types "
-            "R_train l r m d_model alpha lr epochs batch_size mode normalize_embeddings k_refs "
+            "R_train l r m d_model alpha lr epochs batch_size mode normalize_embeddings "
             "beta R_test delta score_eps point_adjust metrics range_w vus_wmax vus_step".split())
 
     def test_fields_are_keys_of_their_type_and_default(self):
@@ -701,6 +700,10 @@ BAD_SETTING_CASES = [
     pytest.param(sweep("--param", "alpha", "--values", "1,-1"), 1, id="sweep-negative-alpha"),
     pytest.param(sweep("--param", "beta", "--values", "1", "--seed", "-1"), 1,
                  id="sweep-negative-seed"),
+    # Every value's config is checked before the first model trains: alpha 0
+    # has no distance branch, alpha 1 needs two windows per batch.
+    pytest.param(sweep("--param", "alpha", "--values", "0,1", "--mode", "full",
+                       "--set", "batch_size=1"), 1, id="sweep-batch-size-one-with-distance"),
     # L follows l, m and r: it is no key a sweep over l could hold fixed.
     pytest.param(sweep("--param", "l", "--values", "3,2", "--set", "L=12"), 1,
                  id="sweep-l-breaks-set-L"),
@@ -725,10 +728,10 @@ BAD_SETTING_CASES = [
         ("zero-periods", ["--set", "period_min=0", "--set", "period_max=0"]),
         ("negative-seed", ["--seed", "-1"])]
 ] + [
-    # eta_seed and separate_towers are keys of deleted fields: unknown keys.
+    # eta_seed, separate_towers and k_refs are keys of deleted fields: unknown keys.
     pytest.param(["train", "--train", "{train}", "--config", "{cfg}", "--out", "{out}",
                   "--set", setting], 1, id=f"train-{setting.replace('_', '-')}")
-    for setting in ("seed=-1", "eta_seed=-1", "separate_towers=yes")
+    for setting in ("seed=-1", "eta_seed=-1", "separate_towers=yes", "k_refs=2")
 ] + [
     pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
                   "--set", "seed=-1", "--out", "{out}"], 1, id="score-negative-seed"),
@@ -958,7 +961,7 @@ class TestCheckpointContents:
         assert f"missing config keys in checkpoint: [{key!r}]" in err
 
     @pytest.mark.parametrize("key,value", [("L", 12), ("eta_seed", None),
-                                           ("separate_towers", False)])
+                                           ("separate_towers", False), ("k_refs", 1)])
     def test_deleted_config_key(self, trained, tmp_path, capsys, key, value):
         """Checkpoints written before these fields were deleted hold them; a
         key no field reads is rejected, not dropped."""

@@ -4,8 +4,7 @@ import pytest
 from sten import DataError
 from sten.ndkernel import GruParams, gru_shapes, init_gru
 from sten.networks import (embed_windows, forward, gru_checksum, init_phi, order_forward,
-                           pair_residuals, phi_shapes, read_checkpoint, sample_pairs,
-                           write_checkpoint)
+                           phi_shapes, read_checkpoint, sample_pairs, write_checkpoint)
 from sten.scoring import CHUNK
 from sten.seqdata import window_starts
 from sten.training import TrainConfig
@@ -246,38 +245,7 @@ class TestForward:
             forward(make_phi(m=1, seed=38, with_ep_head=True), values, starts, one_step)
 
 
-def residual(a, b):
-    """pair_residuals of one pair (a, b) with eta's embeddings zero: d_phi(a, b)."""
-    E = np.stack([a, b])
-    F = np.zeros_like(E)
-    return float(pair_residuals(E, F, np.array([0]), np.array([1]))[0])
-
-
 class TestPairDistance:
-    def test_zero_partner(self):
-        assert residual(np.array([1.0, 2.0]), np.zeros(2)) == 0.0
-
-    def test_self_distance_is_norm_squared(self):
-        e = np.array([1.0, -2.0, 0.5])
-        assert residual(e, e) == pytest.approx(float(e @ e), abs=1e-15)
-
-    def test_matches_sum_of_products(self):
-        rng = np.random.default_rng(14)
-        E, F = rng.normal(size=(2, 50, 5))
-        ii, jj = rng.integers(0, 50, size=(2, 80))
-        got = pair_residuals(E, F, ii, jj)
-        for k, (i, j) in enumerate(zip(ii, jj)):
-            expected = (sum(float(x) * float(y) for x, y in zip(E[i], E[j]))
-                        - sum(float(x) * float(y) for x, y in zip(F[i], F[j])))
-            assert abs(got[k] - expected) < 1e-12
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(15)
-        E, F = rng.normal(size=(2, 50, 6))
-        ii, jj = rng.integers(0, 50, size=(2, 50))
-        np.testing.assert_allclose(pair_residuals(E, F, ii, jj),
-                                   pair_residuals(E, F, jj, ii), atol=1e-12)
-
     def test_normalized_embeddings_bound_distance(self):
         rng = np.random.default_rng(16)
         phi = make_phi(seed=17)

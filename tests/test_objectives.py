@@ -5,12 +5,12 @@ import pytest
 
 from sten import ConfigError, DataError
 from sten.ndkernel import GruParams, init_gru
-from sten.networks import init_phi, sample_pairs
+from sten.networks import init_phi
 from sten.objectives import js_rows, js_rows_grad_p
 from sten.training import TrainConfig
 
 import oracles
-from oracles import finite_diff_grad
+from oracles import dsn_oracle, finite_diff_grad
 from windowed import batch_tape
 
 JS_HALF_ONEHOT = 0.43152310867767134  # ln(4/3) + 0.5 ln(2/3) + 0.5 ln 2
@@ -92,7 +92,7 @@ def zero_gru(phi):
 
 
 def sten_tape(mode="full", alpha=1.0, m=3, l=2, B=2, seed=0, phi=None, eta=None,
-              batch=None, pairs=None):
+              batch=None):
     """build_sten_tape on random windows of length l*m."""
     cfg = TrainConfig(R_train=1, l=l, r=l, m=m, d_model=4, alpha=alpha, mode=mode)
     cfg.validate()
@@ -101,8 +101,7 @@ def sten_tape(mode="full", alpha=1.0, m=3, l=2, B=2, seed=0, phi=None, eta=None,
         phi = init_phi(2, 4, m, rng, with_ep_head=(mode == "dsn_plus_ep"))
     eta = eta if eta is not None else init_gru(2, 4, rng)
     batch = batch if batch is not None else rng.normal(size=(B, l * m, 2))
-    pairs = pairs if pairs is not None else sample_pairs(len(batch), rng, 1)
-    return batch_tape(phi, eta, batch, pairs, cfg)
+    return batch_tape(phi, eta, batch, cfg)
 
 
 class TestOtnLoss:
@@ -128,16 +127,9 @@ class TestOtnLoss:
             assert sten_tape(mode="otn_only", m=m, seed=trial, phi=phi).otn <= bound + 1e-12
 
 
-def dsn_oracle(phi, eta, batch, pairs):
-    gru = GruParams.from_dict(phi, "gru.")
-    e = [oracles.gru_encode_unrolled(w, gru) for w in batch]
-    f = [oracles.gru_encode_unrolled(w, eta) for w in batch]
-    sq = [(float(e[i] @ e[j]) - float(f[i] @ f[j])) ** 2 for i, j in pairs]
-    return sum(sq) / len(sq)
-
-
 class TestDsnLoss:
-    """The distance-branch part of the loss (tape.dsn)."""
+    """The distance-branch part of the loss (tape.dsn): the mean over every
+    ordered pair of the batch's windows."""
 
     def test_zero_when_equal(self):
         phi = init_phi(2, 4, 3, np.random.default_rng(2))
@@ -149,20 +141,20 @@ class TestDsnLoss:
         rng = np.random.default_rng(4)
         phi, eta = init_phi(2, 4, 3, rng), init_gru(2, 4, rng)
         batch = rng.normal(size=(2, 6, 2))
-        tape = sten_tape(mode="dsn_only", phi=phi, eta=eta, batch=batch, pairs=np.array([[0, 1]]))
-        assert abs(tape.dsn - dsn_oracle(phi, eta, batch, [(0, 1)])) < 1e-12
+        tape = sten_tape(mode="dsn_only", phi=phi, eta=eta, batch=batch)
+        assert abs(tape.dsn - dsn_oracle(phi, eta, batch)) < 1e-12
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(6)
         phi, eta = init_phi(2, 4, 3, rng), init_gru(2, 4, rng)
         batch = rng.normal(size=(6, 6, 2))
-        pairs = sample_pairs(6, rng, 3)
-        tape = sten_tape(mode="dsn_only", phi=phi, eta=eta, batch=batch, pairs=pairs)
-        assert abs(tape.dsn - dsn_oracle(phi, eta, batch, pairs)) < 1e-12
+        tape = sten_tape(mode="dsn_only", phi=phi, eta=eta, batch=batch)
+        assert abs(tape.dsn - dsn_oracle(phi, eta, batch)) < 1e-12
 
     def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            sten_tape(mode="dsn_only", pairs=np.empty((0, 2), np.intp))
+        # One window has no pair.
+        with pytest.raises(DataError, match=">= 2 windows"):
+            sten_tape(mode="dsn_only", B=1)
 
 
 class TestStenLoss:
@@ -202,9 +194,10 @@ def phi_with_ep(d_in, d_model, m, seed):
 
 
 def ep_loss(data, phi):
-    """The error-prediction part of a dsn_plus_ep loss (its tape.otn) on one window."""
+    """The error-prediction part of a dsn_plus_ep loss (its tape.otn) on one
+    window, given twice so that the distance loss has a pair."""
     return sten_tape(mode="dsn_plus_ep", m=len(data), l=1, phi=phi,
-                     batch=np.asarray(data, np.float64)[None], pairs=np.array([[0, 0]])).otn
+                     batch=np.repeat(np.asarray(data, np.float64)[None], 2, axis=0)).otn
 
 
 class TestEpLoss:

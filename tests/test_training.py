@@ -4,9 +4,9 @@ import pytest
 import sten.training as training
 from sten import ConfigError, DataError, NumericError, networks, scoring
 from sten.ndkernel import backward, init_gru
-from sten.networks import embed_windows, gru_checksum, init_phi, sample_pairs
+from sten.networks import embed_windows, forward, gru_checksum, init_phi
 from sten.objectives import js_rows
-from sten.scoring import ScoreConfig, score_series
+from sten.scoring import ScoreConfig, distance_scores, score_series
 from sten.seqdata import (MultivariateSeries, SynthConfig, batch_ranges, synth_generate,
                           window_starts)
 from sten.training import (TrainConfig, build_sten_tape, load_checkpoint, save_checkpoint,
@@ -21,13 +21,12 @@ def gradcheck(cfg, seed, h=1e-4, tol=1e-4, with_ep=False):
     rng = np.random.default_rng(seed)
     phi = init_phi(2, cfg.d_model, cfg.m, rng, with_ep_head=with_ep)
     eta = init_gru(2, cfg.d_model, rng)
-    batch = rng.normal(size=(2, cfg.L, 2))
-    pairs = sample_pairs(2, rng, cfg.k_refs)
-    tape = batch_tape(phi, eta, batch, pairs, cfg)
+    batch = rng.normal(size=(3, cfg.L, 2))
+    tape = batch_tape(phi, eta, batch, cfg)
     grads = backward(tape)
 
     def loss_fn(pd):
-        return batch_tape(pd, eta, batch, pairs, cfg).value
+        return batch_tape(pd, eta, batch, cfg).value
 
     fd = finite_diff_grad(loss_fn, phi, h=h)
     worst = {}
@@ -59,34 +58,48 @@ def assert_same_blocks(got, want):
         assert got[k].dtype == np.float64 and np.array_equal(got[k], want[k]), k
 
 
-# dsn_plus_ep sums the error-prediction and distance gradients
-# into one BPTT over the shared pass; the oracles run two BPTTs over it and add
-# their weight gradients, so the same sum is rounded in another order.  The
-# largest error measured, relative to each block's largest |value|, over
-# d_model 8, 32 and 256, raw and normalised embeddings, k_refs 1 and 3: for
-# gradients 4.4e-7 (float32 compute) and 1.1e-15 (float64); for the float64
-# master weights after two epochs 5.2e-9 and 2.1e-16.
-MERGED_BPTT_RTOL = {np.float32: 5e-7, np.float64: 1.5e-15}
+# The distance loss sums a batch's pairs with GEMMs; the oracles loop over
+# them one at a time (``oracles.dsn_all_pairs_loop``), and in dsn_plus_ep
+# also run two BPTTs over the shared pass where training sums both branches
+# into one.  The same sums are rounded in another order.  The largest error
+# measured, relative to each block's largest |value|, with raw and normalised
+# embeddings, in the float32 / float64 compute dtype: gradients 4.1e-7 /
+# 2.3e-15 (d_model 8, 32 and 256); float64 master weights after two epochs
+# 8.6e-8 / 1.4e-15 (d_model 8 and 32).  The loss is float64 in either dtype:
+# 3.1e-15, and 1.6e-14 against the mean of ``scoring.distance_scores``.
+ALL_PAIRS_RTOL = {np.float32: 5e-7, np.float64: 5e-14}
+LOSS_RTOL = ALL_PAIRS_RTOL[np.float64]
 
 
 def assert_blocks_close(got, want):
-    """Every block within MERGED_BPTT_RTOL of the compute dtype, relative to
+    """Every block within ALL_PAIRS_RTOL of the compute dtype, relative to
     the block's largest |value|."""
-    rtol = MERGED_BPTT_RTOL[training.COMPUTE_DTYPE]
+    rtol = ALL_PAIRS_RTOL[training.COMPUTE_DTYPE]
     assert set(got) == set(want)
     for k in want:
         err = float(np.abs(got[k] - want[k]).max())
         assert got[k].dtype == np.float64 and err <= rtol * np.abs(want[k]).max(), (k, err)
 
 
-def merges_bptt(cfg):
-    """Whether one BPTT carries two branches: dsn_plus_ep."""
-    return cfg.mode == "dsn_plus_ep"
+def has_distance(cfg):
+    """Whether the distance branch trains: its pairs are summed in another
+    order than the oracles sum them."""
+    return training.branches(cfg.mode, cfg.alpha)[2]
 
 
 def assert_blocks_match(got, want, cfg):
-    """Bit for bit, except within MERGED_BPTT_RTOL where ``merges_bptt``."""
-    (assert_blocks_close if merges_bptt(cfg) else assert_same_blocks)(got, want)
+    """Bit for bit, except within ALL_PAIRS_RTOL where ``has_distance``."""
+    (assert_blocks_close if has_distance(cfg) else assert_same_blocks)(got, want)
+
+
+def assert_losses_match(got, want, cfg):
+    """The parts of two tapes: the temporal part bit for bit, the distance
+    part within LOSS_RTOL where ``has_distance``."""
+    assert got.otn == want.otn
+    assert abs(got.dsn - want.dsn) <= LOSS_RTOL * abs(want.dsn)
+    assert abs(got.value - want.value) <= LOSS_RTOL * abs(want.value)
+    if not has_distance(cfg):
+        assert (got.dsn, got.value) == (want.dsn, want.value)
 
 
 class TestGradients:
@@ -114,7 +127,7 @@ class TestGradients:
         rng = np.random.default_rng(4)
         phi = init_phi(2, 4, 3, rng, with_ep_head=True)
         batch = rng.normal(size=(2, 6, 2))
-        tape = batch_tape(phi, None, batch, None, cfg)
+        tape = batch_tape(phi, None, batch, cfg)
         grads = backward(tape)
         for k, g in grads.items():
             if k.startswith("ep_head."):
@@ -129,7 +142,7 @@ class TestGradients:
         phi = init_phi(2, 4, 3, rng)
         eta = init_gru(2, 4, rng)
         batch = rng.normal(size=(2, 6, 2))
-        tape = batch_tape(phi, eta, batch, sample_pairs(2, rng, 1), cfg)
+        tape = batch_tape(phi, eta, batch, cfg)
         grads = backward(tape)
         assert set(grads) == set(phi)
 
@@ -145,7 +158,7 @@ class TestPresentedOrder:
         rng = np.random.default_rng(seed)
         phi = init_phi(2, 6, 4, rng)
         batch = rng.normal(size=(8, 12, 2))
-        tape = batch_tape(phi, None, batch, None, cfg)
+        tape = batch_tape(phi, None, batch, cfg)
         grads = backward(tape)
         perms = rng.permuted(np.tile(np.arange(4), (8, 1)), axis=1)
         loss, ref = order_loss_presented(phi, batch, perms, 3, 3)
@@ -169,7 +182,7 @@ class TestDistinctSubsequenceGradients:
         phi = init_phi(2, 6, 4, rng)
         values = rng.normal(size=(90, 2))
         starts = window_starts(90, cfg.L, stride)
-        tape = build_sten_tape(phi, None, values, starts, None, cfg)
+        tape = build_sten_tape(phi, None, values, starts, cfg)
         grads = backward(tape)
         batch = values[starts[:, None] + np.arange(cfg.L)]
         identity = np.tile(np.arange(4), (len(starts), 1))
@@ -198,9 +211,9 @@ class TestEtaEmbeddedOnce:
             embedded.append((gru, len(data)))
             return real_embed(gru, data, normalize)
 
-        def tape(phi, F, values, starts, pairs, cfg):
+        def tape(phi, F, values, starts, cfg):
             tapes.append((F, values, starts))
-            return real_tape(phi, F, values, starts, pairs, cfg)
+            return real_tape(phi, F, values, starts, cfg)
 
         monkeypatch.setattr(training, "embed_windows", embed)
         monkeypatch.setattr(training, "build_sten_tape", tape)
@@ -219,11 +232,11 @@ class TestEtaEmbeddedOnce:
 class TestSharedTowerPass:
     """dsn_plus_ep runs phi's GRU once over a batch's windows,
     and BPTT once over that pass: the distance branch reads the
-    error-prediction pass.  The loss equals that of running the tower twice;
-    gradients and trained master weights are within MERGED_BPTT_RTOL of it."""
+    error-prediction pass.  The loss, gradients and trained master weights
+    are within ALL_PAIRS_RTOL of running the tower twice."""
 
-    CASES = [dict(), dict(normalize_embeddings=True), dict(k_refs=3)]
-    IDS = ["plain", "normalised", "k_refs-3"]
+    CASES = [dict(), dict(normalize_embeddings=True)]
+    IDS = ["plain", "normalised"]
 
     @pytest.mark.parametrize("case", CASES, ids=IDS)
     def test_loss_and_gradients_equal_two_passes(self, case):
@@ -235,10 +248,9 @@ class TestSharedTowerPass:
         starts = window_starts(150, cfg.L, cfg.R_train)
         F = embed_windows(eta, values[starts[:, None] + np.arange(cfg.L)],
                           cfg.normalize_embeddings)
-        pairs = sample_pairs(len(starts), rng, cfg.k_refs)
-        got = build_sten_tape(phi, F, values, starts, pairs, cfg)
-        want = dsn_plus_ep_tape_two_pass(phi, F, values, starts, pairs, cfg)
-        assert (got.otn, got.dsn, got.value) == (want.otn, want.dsn, want.value)
+        got = build_sten_tape(phi, F, values, starts, cfg)
+        want = dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg)
+        assert_losses_match(got, want, cfg)
         assert (len(got.passes), len(want.passes)) == (1, 2)
         g, w = backward(got), backward(want)
         assert set(g) == set(phi)
@@ -272,14 +284,14 @@ class TestTapeIsData:
     """build_sten_tape forms the heads' gradients and each GRU pass's upstream
     gradient in the forward, and backward only runs BPTT over the passes.
     Loss parts equal those of the form that recorded one backward closure per
-    branch, and gradients and trained checkpoints do bit for bit, except
-    where dsn_plus_ep makes one BPTT of the closures' two
-    (``assert_blocks_match``)."""
+    branch and summed the distance loss one pair at a time, and gradients and
+    trained checkpoints do bit for bit, except where the distance branch
+    trains (``assert_losses_match``, ``assert_blocks_match``)."""
 
     CASES = [dict(mode="full"), dict(mode="otn_only"), dict(mode="dsn_only"),
-             dict(mode="dsn_plus_ep"), dict(mode="full", normalize_embeddings=True, k_refs=3),
+             dict(mode="dsn_plus_ep"), dict(mode="full", normalize_embeddings=True),
              dict(mode="dsn_plus_ep", normalize_embeddings=True), dict(mode="full", alpha=0.0)]
-    IDS = ["full", "otn_only", "dsn_only", "dsn_plus_ep", "full-normalised-k_refs-3",
+    IDS = ["full", "otn_only", "dsn_only", "dsn_plus_ep", "full-normalised",
            "dsn_plus_ep-normalised", "full-alpha-0"]
 
     @staticmethod
@@ -290,15 +302,14 @@ class TestTapeIsData:
         phi = init_phi(2, cfg.d_model, cfg.m, rng, with_ep_head=use_ep)
         values = rng.normal(size=(150, 2)).astype(training.COMPUTE_DTYPE)
         starts = window_starts(150, cfg.L, cfg.R_train)
-        F = pairs = None
+        F = None
         if use_dsn:
             eta = init_gru(2, cfg.d_model, rng)
             F = embed_windows(eta, values[starts[:, None] + np.arange(cfg.L)],
                               cfg.normalize_embeddings)
-            pairs = sample_pairs(len(starts), rng, cfg.k_refs)
-        got = build_sten_tape(phi, F, values, starts, pairs, cfg)
-        want = build_sten_tape_closures(phi, F, values, starts, pairs, cfg)
-        assert (got.otn, got.dsn, got.value) == (want.otn, want.dsn, want.value)
+        got = build_sten_tape(phi, F, values, starts, cfg)
+        want = build_sten_tape_closures(phi, F, values, starts, cfg)
+        assert_losses_match(got, want, cfg)
         g, w = backward(got), closure_backward(want)
         assert set(g) == set(phi)
         assert_same_blocks(backward(got), g)
@@ -325,7 +336,7 @@ class TestTapeIsData:
         monkeypatch.setattr(training, "backward", closure_backward)
         save_checkpoint(train(series, cfg), tmp_path / "closures.ckpt")
         assert_blocks_match(data, weights[-1], cfg)
-        if not merges_bptt(cfg):
+        if not has_distance(cfg):
             assert ((tmp_path / "data.ckpt").read_bytes()
                     == (tmp_path / "closures.ckpt").read_bytes())
 
@@ -337,6 +348,51 @@ class TestTapeIsData:
     @pytest.mark.usefixtures("float64_compute")
     def test_checkpoint_bytes_equal_closures_in_float64(self, monkeypatch, tmp_path, case):
         self._checkpoints_equal(monkeypatch, tmp_path, case)
+
+
+class TestAllPairsDistance:
+    """The distance loss of a batch compares every window with every other:
+    it is the mean of the distance scores scoring gives the same windows, and
+    training draws no pairs."""
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalised"])
+    @pytest.mark.parametrize("mode", ["full", "dsn_plus_ep"])
+    def test_loss_is_the_mean_distance_score(self, mode, normalize):
+        cfg = small_cfg(mode=mode, normalize_embeddings=normalize)
+        rng = np.random.default_rng(12)
+        phi = init_phi(2, cfg.d_model, cfg.m, rng, with_ep_head=mode == "dsn_plus_ep")
+        values = rng.normal(size=(150, 2)).astype(training.COMPUTE_DTYPE)
+        starts = window_starts(150, cfg.L, cfg.R_train)
+        X = values[starts[:, None] + np.arange(cfg.L)]
+        F = embed_windows(init_gru(2, cfg.d_model, rng), X, normalize)
+        E = forward(phi, values, starts, cfg)[2][0].astype(np.float64)
+        want = float(distance_scores(E, F).mean())
+        got = build_sten_tape(phi, F, values, starts, cfg).dsn
+        assert want > 0 and abs(got - want) <= LOSS_RTOL * want
+
+    @pytest.mark.parametrize("mode", training.MODES)
+    def test_draws_no_pairs(self, monkeypatch, tmp_path, mode):
+        series = small_series()
+        cfg = small_cfg(mode=mode, epochs=2)
+        save_checkpoint(train(series, cfg), tmp_path / "a.ckpt")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("training sampled pairs")
+
+        # Wherever it is bound: a module that imported it by name holds its own.
+        for module in (networks, training):
+            monkeypatch.setattr(module, "sample_pairs", refuse, raising=False)
+        save_checkpoint(train(series, cfg), tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("master", [0, 11, 2**40])
+    def test_streams_keep_their_seed_sequence_children(self, master):
+        """phi and eta draw from the first two children of the master seed's
+        SeedSequence, however many children were once spawned."""
+        streams = seed_streams(master)
+        assert list(streams) == ["phi_init", "eta_init"]
+        for rng, child in zip(streams.values(), np.random.SeedSequence(master).spawn(4)):
+            np.testing.assert_array_equal(rng.random(8), np.random.default_rng(child).random(8))
 
 
 class TestWindowPasses:
@@ -437,11 +493,10 @@ class TestTrain:
         phi0 = init_phi(series.d, cfg.d_model, cfg.m, streams["phi_init"])
         for k, v in model.phi.items():
             np.testing.assert_array_equal(v, phi0[k].astype(np.float32))
-        totals = [row[2] for row in model.loss_trace]
+        # Same parameters and the same batches each epoch: the same loss.
         assert len(model.loss_trace) == cfg.epochs
-        assert np.all(np.isfinite(totals))
-        # Same parameters each epoch, but fresh pairs change the sampled
-        # loss; only the parameters are guaranteed constant.
+        assert np.all(np.isfinite(model.loss_trace))
+        assert all(row == model.loss_trace[0] for row in model.loss_trace)
 
     def test_loss_descends_on_synthetic(self):
         series = small_series(n=1500)
@@ -489,11 +544,17 @@ class TestTrain:
         series = small_series(n=12)  # exactly one window
         with pytest.raises(DataError, match="windows"):
             train(series, small_cfg(mode="full"))
-        train(series, small_cfg(mode="otn_only"))  # fine without pairs
+        train(series, small_cfg(mode="otn_only"))  # fine without the distance branch
 
     def test_batch_size_one_with_dsn_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="batch_size"):
             train(small_series(n=100), small_cfg(batch_size=1))
+        # A config with a distance branch is refused by itself, before any data.
+        for mode in ("full", "dsn_only", "dsn_plus_ep"):
+            with pytest.raises(ConfigError, match="batch_size"):
+                small_cfg(mode=mode, batch_size=1).validate()
+        small_cfg(mode="otn_only", batch_size=1).validate()
+        small_cfg(mode="full", alpha=0.0, batch_size=1).validate()
 
     def test_config_arithmetic_validation(self):
         # The window length follows the layout, and is no field to set.

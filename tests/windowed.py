@@ -14,8 +14,8 @@ def laid_end_to_end(batch):
     return np.asarray(batch, np.float64).reshape(B * L, D), np.arange(B) * L
 
 
-def batch_tape(phi, eta, batch, pairs, cfg):
+def batch_tape(phi, eta, batch, cfg):
     """build_sten_tape over a batch of windows laid end to end, with eta's
     embeddings of them (none without eta)."""
     F = None if eta is None else embed_windows(eta, batch, cfg.normalize_embeddings)
-    return build_sten_tape(phi, F, *laid_end_to_end(batch), pairs, cfg)
+    return build_sten_tape(phi, F, *laid_end_to_end(batch), cfg)
