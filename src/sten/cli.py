@@ -320,7 +320,9 @@ def cmd_sweep(args) -> int:
         else:
             cfg_v[args.param] = v
         _eval_settings(cfg_v)
-        runs.append((v, cfg_v, build_train_config(cfg_v), build_score_config(cfg_v)))
+        tc, sc = build_train_config(cfg_v), build_score_config(cfg_v)
+        sc.check_model(tc)
+        runs.append((v, cfg_v, tc, sc))
     work = Path(args.work_dir)
     work.mkdir(parents=True, exist_ok=True)
     train_series = load_csv(args.train)

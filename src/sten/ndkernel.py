@@ -12,16 +12,13 @@ rest (checkpoints) and as float64 master weights while training.
 
 ``sigmoid``, ``gru_forward`` and ``gru_backward`` compute in the dtype of
 their input: float32 stays float32, anything else is float64.  The GRU casts
-its weights to that dtype, keeps its ``GruCache`` and its hidden trajectory
-in it, and returns final states as float64.  The trajectory shares its
-storage with the cache's ``H_prev`` (one array of T+1 states), so a pass
-holds its states once, and a float64 reader casts the trajectory where it
-reads it; ``gru_backward`` under float32 sums each
-call's weight gradients in float32, then adds them once into the float64
-grads, as in mixed-precision training with master weights (Micikevicius et
-al. 2018).  Under float64 it accumulates into the grads in place, so two
-passes that add into one weight (``full``'s order and distance passes over
-one tower) keep the order of their float64 sums.
+its weights to that dtype, keeps its ``GruCache`` in it, and returns final
+states as float64.  A reader of every step's states (the error-prediction
+head) takes each one from ``gru_forward``'s ``on_step`` hook as the step
+makes it, so a forward keeps no trajectory of its own.  ``gru_backward`` sums
+each call's weight gradients in the compute dtype, then adds them once into
+the float64 grads, as in mixed-precision training with master weights
+(Micikevicius et al. 2018).
 ``softmax``, the tape's gradients and Adam are float64 throughout.
 
 The GRU forward stacks the gate weights, as in fused-GEMM RNN kernels
@@ -29,7 +26,7 @@ The GRU forward stacks the gate weights, as in fused-GEMM RNN kernels
 bias b_z|b_r|b_h, and U_z|U_r one (2d, d) recurrent matrix.  Each step runs
 one input GEMM, one recurrent GEMM and one ``sigmoid`` call for z and r
 together, then the U_h GEMM on r*h.  The input is projected per step, so a
-forward without cache or trajectory holds O(B*d) floats, not O(B*T*d).
+forward without cache holds O(B*d) floats, not O(B*T*d).
 Each gate pre-activation is still (x W^T + b) + h U^T, added in that order.
 ``sigmoid`` computes the sign-split logistic without masks, with the same
 float operations and so the same bits.  Whether BLAS gives the same bits
@@ -153,17 +150,14 @@ class GruCache:
         self.Hbar = Hbar      # (T, B, d)
 
 
-def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False,
-                want_all: bool = False):
+def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False, on_step=None):
     """Batched GRU over X of shape (B, T, d_in), zero initial hidden state.
 
     Computes in float32 for float32 X, else in float64.  Returns the final
-    hidden states (B, d_model) as float64.  With ``want_cache`` also returns a
-    GruCache, in the compute dtype, for gru_backward; with ``want_all`` also
-    returns the full hidden trajectory (T, B, d_model), in the compute dtype.
-    The trajectory and the cache's ``H_prev`` are views of one (T+1, B,
-    d_model) array of the states before and after each step, so a pass that
-    keeps both holds it once.
+    hidden states (B, d_model) as float64, and with ``want_cache`` also a
+    GruCache, in the compute dtype, for gru_backward.  ``on_step(t, H)`` is
+    called after each step t with its new states H (B, d_model), in the
+    compute dtype: the state ``H_prev[t + 1]`` of the cache, or the final one.
     """
     X = np.asarray(X)
     dt = _work_dtype(X)
@@ -180,14 +174,11 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False,
     U_h = np.asarray(p.U_h, dt)
 
     H = np.zeros((B, d), dt)
-    # The states before and after each step, in one array: the cache's
-    # H_prev is Hs[:-1] and the trajectory Hs[1:].
-    Hs = np.empty((T + 1, B, d), dt) if want_cache or want_all else None
-    if Hs is not None:
-        Hs[0] = H
-    Z = np.empty((T, B, d), dt) if want_cache else None
-    Rg = np.empty((T, B, d), dt) if want_cache else None
-    Hbar = np.empty((T, B, d), dt) if want_cache else None
+    if want_cache:
+        # One block for the four (T, B, d) arrays: malloc keeps a block freed
+        # by one pass for the next more readily than four arrays, which it may
+        # return to the system and fault in again.
+        cache = GruCache(X, *np.empty((4, T, B, d), dt))
 
     for t in range(T):
         a = X[:, t] @ W.T
@@ -196,19 +187,16 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False,
         z, r = zr[:, :d], zr[:, d:]
         hbar = np.tanh(a[:, 2 * d:] + (r * H) @ U_h.T)
         if want_cache:
-            Z[t] = z
-            Rg[t] = r
-            Hbar[t] = hbar
+            cache.H_prev[t] = H
+            cache.Z[t] = z
+            cache.R[t] = r
+            cache.Hbar[t] = hbar
         H = (1.0 - z) * H + z * hbar
-        if Hs is not None:
-            Hs[t + 1] = H
+        if on_step is not None:
+            on_step(t, H)
 
-    out = [H.astype(np.float64, copy=False)]
-    if want_cache:
-        out.append(GruCache(X, Hs[:-1], Z, Rg, Hbar))
-    if want_all:
-        out.append(Hs[1:])
-    return out[0] if len(out) == 1 else tuple(out)
+    H = H.astype(np.float64, copy=False)
+    return (H, cache) if want_cache else H
 
 
 def gru_backward(cache: GruCache, p: GruParams, grads: ParamDict, prefix: str,
@@ -218,10 +206,8 @@ def gru_backward(cache: GruCache, p: GruParams, grads: ParamDict, prefix: str,
 
     ``d_h_final`` is the loss gradient w.r.t. the final hidden state (B, d);
     ``d_h_all`` optionally injects gradients at every step (T, B, d).
-    Parameter gradients are accumulated into ``grads`` under ``prefix``.
-    Computes in the dtype of the cache: under float32 this call's gradients
-    are summed in float32 and added to ``grads`` at the end; under float64
-    they are added in place, step by step.
+    Computes in the dtype of the cache: this call's parameter gradients are
+    summed in it, then added once into ``grads`` under ``prefix``.
     """
     X = cache.X
     B, T, _ = X.shape
@@ -231,10 +217,7 @@ def gru_backward(cache: GruCache, p: GruParams, grads: ParamDict, prefix: str,
     U_r = np.asarray(p.U_r, dt)
     U_h = np.asarray(p.U_h, dt)
 
-    if dt == np.float64:
-        g = {n: grads[prefix + n] for n in GruParams.NAMES}
-    else:
-        g = {n: np.zeros(grads[prefix + n].shape, dt) for n in GruParams.NAMES}
+    g = {n: np.zeros(grads[prefix + n].shape, dt) for n in GruParams.NAMES}
     if d_h_all is not None:
         d_h_all = np.asarray(d_h_all, dt)
     dh = np.zeros((B, d), dt) if d_h_final is None else np.array(d_h_final, dtype=dt)
@@ -268,9 +251,8 @@ def gru_backward(cache: GruCache, p: GruParams, grads: ParamDict, prefix: str,
         g["b_z"] += da_z.sum(axis=0)
         dh = dh_prev + da_z @ U_z
 
-    if dt != np.float64:
-        for n in GruParams.NAMES:
-            grads[prefix + n] += g[n]
+    for n in GruParams.NAMES:
+        grads[prefix + n] += g[n]
 
 
 # ---------------------------------------------------------------------------

@@ -139,11 +139,11 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
     Returns (order, ep, dsn, X), None for a branch not run:
 
     - order: ``order_forward``'s (P, Y, H, inv, cache);
-    - ep: (resid, H_all, cache) of the error-prediction head, a linear map of
-      h_t that predicts x_{t+1}: the one-step-ahead residuals (L-1, B, D), as
-      float64, then phi's hidden trajectory (L, B, d_model), in
-      the GRU's compute dtype and sharing storage with the cache's
-      ``H_prev``, and its GruCache, both None without ``want_cache``;
+    - ep: (resid, cache) of the error-prediction head, a linear map of h_t
+      that predicts x_{t+1}: the one-step-ahead residuals (L-1, B, D), as
+      float64, which the head forms from each state as the GRU step makes it
+      (``gru_forward``'s ``on_step``), and the GruCache of its pass, None
+      without ``want_cache``;
     - dsn: (E, norms, cache), the distance embeddings (unit rows when
       ``cfg.normalize_embeddings``), their floored norms (B, 1) or None, and
       the GruCache of the pass that made them;
@@ -165,24 +165,24 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
             raise DataError("model has no error-prediction head")
         if X.shape[1] < 2:
             raise DataError("error-prediction branch needs windows of length >= 2")
-        if want_cache:
-            H, cache, H_all = gru_forward(X, gru, want_cache=True, want_all=True)
-        else:
-            (H, H_all), cache = gru_forward(X, gru, want_all=True), None
-        # One float64 GEMM per step, on that step's states cast where they are
-        # read: the stacked product's bits, with no float64 copy of the trajectory.
+        # Each step's states are read as the step makes them, by a stack of
+        # 1-row float64 products: a row gets the same bits in a chunk of any
+        # size, as it would not from a GEMM over the chunk's rows.
         W_e = np.asarray(phi["ep_head.W"], np.float64).T
-        preds = np.empty((X.shape[1] - 1, len(X), W_e.shape[1]))
-        for t in range(len(preds)):
-            preds[t] = H_all[t].astype(np.float64) @ W_e
-        preds += np.asarray(phi["ep_head.b"], np.float64)
-        # The residuals in place: no second (L-1, B, D) float64 array.
-        preds -= np.transpose(X[:, 1:], (1, 0, 2))
-        # Only a backward reads the trajectory: without one it is freed here.
-        ep = (preds, H_all if want_cache else None, cache)
+        resid = np.empty((X.shape[1] - 1, len(X), W_e.shape[1]))
+
+        def readout(t, H_t):
+            if t < len(resid):
+                np.matmul(H_t.astype(np.float64)[:, None], W_e, out=resid[t, :, None])
+
+        H, cache = (gru_forward(X, gru, want_cache=True, on_step=readout) if want_cache
+                    else (gru_forward(X, gru, on_step=readout), None))
+        resid += np.asarray(phi["ep_head.b"], np.float64)
+        resid -= np.transpose(X[:, 1:], (1, 0, 2))
+        ep = (resid, cache)
     if use_dsn:
         if use_ep:
-            E, cache = H, ep[2]
+            E, cache = H, ep[1]
         else:
             E, cache = (gru_forward(X, gru, want_cache=True) if want_cache
                         else (gru_forward(X, gru), None))

@@ -23,12 +23,10 @@ A chunk holds at least ``MIN_ROWS`` windows, unless the whole series has
 fewer (``seqdata.batch_ranges`` joins a short last chunk to the one before).
 BLAS may round a row of a GEMM over a few rows differently from the same row
 in a tall one, but from ``MIN_ROWS`` rows on a row gets the bits it gets in a
-taller GEMM, so another ``CHUNK`` moves no score.  The one exception is the
-temporal column of ``dsn_plus_ep`` (``score_otn``, and so ``scores``): the
-error-prediction head maps each step's hidden states with a float64 GEMM
-whose rounding still depends on the chunk's row count.  Against ``CHUNK``
-1024, ``CHUNK`` 1 to 200 moved it by up to 3.1e-16 relative, in float64 and
-in float32, at d_model 32 and 256 (OpenBLAS).
+taller GEMM.  The error-prediction head reads each state as its GRU step
+makes it, one row at a time (``networks.forward``), so no chunk holds a
+hidden trajectory and its rows' bits do not depend on the row count either:
+another ``CHUNK`` moves no score column of any mode.
 
 Score files are CSV tables written by ``seqdata.write_table`` and read back by
 ``seqdata.read_table``, the package's one table writer and reader.
@@ -47,7 +45,7 @@ from .ndkernel import gru_forward  # noqa: F401
 from .networks import branches, embed_windows, forward
 from .objectives import js_rows
 from .seqdata import MultivariateSeries, batch_ranges, read_table, window_starts, write_table
-from .training import TrainedModel, compute_values
+from .training import TrainConfig, TrainedModel, compute_values
 
 
 @dataclass
@@ -63,6 +61,13 @@ class ScoreConfig:
             raise ConfigError(f"score_eps must be finite and >= 0, got {self.score_eps}")
         if self.R_test < 1:
             raise ConfigError(f"R_test must be >= 1, got {self.R_test}")
+
+    def check_model(self, tc: TrainConfig) -> None:
+        """Windows of the model's length ``tc.L`` at stride ``R_test`` must
+        leave no timestamp between them."""
+        if self.R_test > tc.L:
+            raise ConfigError(f"R_test {self.R_test} exceeds the model's window length "
+                              f"L {tc.L}: timestamps between windows would get no score")
 
 
 @dataclass
@@ -173,6 +178,7 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
     at least two windows.
     """
     cfg.validate()
+    cfg.check_model(model.config)
     if test.d != model.d_in:
         raise DataError(f"test series has {test.d} dimensions, model expects {model.d_in}")
     tc = model.config

@@ -66,6 +66,9 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 2 for modes with the distance branch")
         if min(self.R_train, self.l, self.r, self.m, self.d_model) < 1:
             raise ConfigError("R_train, l, r, m, d_model must all be >= 1")
+        if self.r > self.l:
+            raise ConfigError(f"r must be <= l, got r={self.r} > l={self.l}: a window's "
+                              "sub-sequences would leave gaps between them")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -118,16 +121,17 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
         tape.passes.append((cache, gru, "gru.", dH, None))
 
     if ep is not None:
-        resid, H_all, cache = ep
+        resid, cache = ep
         tape.otn = float(np.mean(resid ** 2))  # temporal slot of the breakdown
         dpred = resid * (2.0 / resid.size)
-        # einsum casts the trajectory (compute dtype) to float64 a buffer at a time.
-        grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, H_all[:-1])
+        # The head read h_1 .. h_{L-1}, the states entering steps 1 .. L-1;
+        # einsum casts them (compute dtype) to float64 a buffer at a time.
+        grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, cache.H_prev[1:])
         grads["ep_head.b"] += dpred.sum(axis=(0, 1))
         # In the compute dtype, which gru_backward casts it to: one float64
         # GEMM per step, rounded as it is stored.
         W_e = np.asarray(phi["ep_head.W"], np.float64)
-        d_h_all = np.zeros_like(H_all)
+        d_h_all = np.zeros_like(cache.H_prev)
         for t in range(len(dpred)):
             d_h_all[t] = dpred[t] @ W_e
         tape.passes.append((cache, gru, "gru.", None, d_h_all))

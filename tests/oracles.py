@@ -35,13 +35,11 @@ def sigmoid_masked(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def gru_forward_unfused(X: np.ndarray, p: GruParams, want_cache: bool = False,
-                        want_all: bool = False):
+def gru_forward_unfused(X: np.ndarray, p: GruParams, want_cache: bool = False):
     """Batched GRU over X of shape (B, T, d_in), zero initial hidden state.
 
-    Returns the final hidden states (B, d_model).  With ``want_cache`` also
-    returns a GruCache for gru_backward; with ``want_all`` also returns the
-    full hidden trajectory (T, B, d_model).
+    Returns the final hidden states (B, d_model), and with ``want_cache``
+    also a GruCache for gru_backward.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3 or X.shape[1] < 1:
@@ -67,7 +65,6 @@ def gru_forward_unfused(X: np.ndarray, p: GruParams, want_cache: bool = False,
     Z = np.empty((T, B, d)) if want_cache else None
     Rg = np.empty((T, B, d)) if want_cache else None
     Hbar = np.empty((T, B, d)) if want_cache else None
-    H_all = np.empty((T, B, d)) if want_all else None
 
     for t in range(T):
         z = sigmoid_masked(AZx[:, t] + H @ U_z.T)
@@ -79,15 +76,8 @@ def gru_forward_unfused(X: np.ndarray, p: GruParams, want_cache: bool = False,
             Rg[t] = r
             Hbar[t] = hbar
         H = (1.0 - z) * H + z * hbar
-        if want_all:
-            H_all[t] = H
 
-    out = [H]
-    if want_cache:
-        out.append(GruCache(X, H_prev, Z, Rg, Hbar))
-    if want_all:
-        out.append(H_all)
-    return out[0] if len(out) == 1 else tuple(out)
+    return (H, GruCache(X, H_prev, Z, Rg, Hbar)) if want_cache else H
 
 
 def gru_step_scalar(x, h_prev, p):
@@ -270,6 +260,20 @@ def unit_rows_backward(dEn, En, norms):
     return dE
 
 
+def ep_residuals_per_row(cache, phi, X):
+    """The error-prediction head over the states h_1 .. h_{L-1} that a GRU
+    pass's cache holds, one row's vector-matrix product at a time.
+
+    Returns those states as float64 (L-1, B, d_model) and the one-step-ahead
+    residuals (L-1, B, D) of the windows X.
+    """
+    H_in = cache.H_prev[1:].astype(np.float64)
+    W_e = np.asarray(phi["ep_head.W"], np.float64)
+    preds = np.array([[h @ W_e.T for h in H_t] for H_t in H_in])
+    return H_in, (preds + np.asarray(phi["ep_head.b"], np.float64)
+                  - np.transpose(X[:, 1:], (1, 0, 2)))
+
+
 def dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg):
     """The dsn_plus_ep training tape, with phi's GRU run twice
     over the windows: once for the error-prediction branch and once more for
@@ -287,10 +291,8 @@ def dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg):
     X = np.asarray(values)[np.asarray(starts)[:, None] + np.arange(cfg.L)]
     gru = GruParams.from_dict(phi, "gru.")
     W_e = np.asarray(phi["ep_head.W"], np.float64)
-    _, cache_ep, H_all = gru_forward(X, gru, want_cache=True, want_all=True)
-    H_all = H_all.astype(np.float64)  # the float64 trajectory of the old form
-    resid = (H_all[:-1] @ W_e.T + np.asarray(phi["ep_head.b"], np.float64)
-             - np.transpose(X[:, 1:], (1, 0, 2)))
+    _, cache_ep = gru_forward(X, gru, want_cache=True)
+    H_in, resid = ep_residuals_per_row(cache_ep, phi, X)
     E, cache_d = gru_forward(X, gru, want_cache=True)
     norms = None
     if cfg.normalize_embeddings:
@@ -300,9 +302,9 @@ def dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg):
 
     tape = GradTape(grads={k: np.zeros(v.shape) for k, v in phi.items()})
     dpred = resid * (2.0 / resid.size)
-    tape.grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, H_all[:-1])
+    tape.grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, H_in)
     tape.grads["ep_head.b"] += dpred.sum(axis=(0, 1))
-    d_h_all = np.zeros_like(H_all)
+    d_h_all = np.zeros(cache_ep.H_prev.shape)
     d_h_all[:-1] = dpred @ W_e
     tape.passes.append((cache_ep, gru, "gru.", None, d_h_all))
 
@@ -374,19 +376,16 @@ def build_sten_tape_closures(phi, F, values, starts, cfg):
         tape.record(otn_back)
 
     if use_ep:
-        _, cache_ep, H_all = gru_forward(batch, gru, want_cache=True, want_all=True)
-        H_all = H_all.astype(np.float64)  # the float64 trajectory of the closure form
-        resid = (H_all[:-1] @ np.asarray(phi["ep_head.W"], np.float64).T
-                 + np.asarray(phi["ep_head.b"], np.float64)
-                 - np.transpose(batch[:, 1:], (1, 0, 2)))
+        H_ep, cache_ep = gru_forward(batch, gru, want_cache=True)
+        H_in, resid = ep_residuals_per_row(cache_ep, phi, batch)
         otn_val = float(np.mean(resid ** 2))  # temporal slot of the breakdown
 
-        def ep_back(grads, resid=resid, H_all=H_all, cache_ep=cache_ep,
+        def ep_back(grads, resid=resid, H_in=H_in, cache_ep=cache_ep,
                     W_e=np.asarray(phi["ep_head.W"], np.float64)):
             dpred = resid * (2.0 / resid.size)
-            grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, H_all[:-1])
+            grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, H_in)
             grads["ep_head.b"] += dpred.sum(axis=(0, 1))
-            d_h_all = np.zeros_like(H_all)
+            d_h_all = np.zeros(cache_ep.H_prev.shape)
             d_h_all[:-1] = dpred @ W_e
             gru_backward(cache_ep, gru, grads, "gru.", d_h_all=d_h_all)
 
@@ -396,7 +395,7 @@ def build_sten_tape_closures(phi, F, values, starts, cfg):
         if F is None:
             raise DataError("distance branch requires eta's embeddings")
         if use_ep:
-            (En, norms), cache_d = unit_rows(H_all[-1], cfg.normalize_embeddings), cache_ep
+            (En, norms), cache_d = unit_rows(H_ep, cfg.normalize_embeddings), cache_ep
         else:
             E, cache_d = gru_forward(batch, gru, want_cache=True)
             En, norms = unit_rows(E, cfg.normalize_embeddings)

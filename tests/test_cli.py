@@ -748,6 +748,18 @@ BAD_SETTING_CASES = [
     for setting in ("d_model=64", "epochs=9", "n_train=10", "L=12", "r=3", "point_adjust=off",
                     "k_refs=2")
 ] + [
+    # Sub-sequences at a stride r above their length l leave gaps in a window,
+    # and windows at a stride R_test above their length L (12 here) leave gaps
+    # between them: both are refused before any model trains or scores.
+    pytest.param(["train", "--train", "{train}", "--config", "{cfg}", "--set", "r=5",
+                  "--out", "{out}"], 1, id="train-r-above-l"),
+    pytest.param(sweep("--param", "l", "--values", "5,2", "--set", "r=3"), 1,
+                 id="sweep-r-above-l"),
+    pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
+                  "--set", "R_test=13", "--out", "{out}"], 1, id="score-R-test-above-L"),
+    pytest.param(sweep("--param", "beta", "--values", "1", "--set", "R_test=13"), 1,
+                 id="sweep-R-test-above-L"),
+] + [
     # Scoring draws no random numbers: score has no --seed.
     pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
                   "--seed", "3", "--out", "{out}"], 1, id="score-seed-flag"),

@@ -78,8 +78,10 @@ class TestGruStep:
         rng = np.random.default_rng(2)
         for _ in range(20):
             p = init_gru(2, 6, rng)
-            _, H_all = gru_forward(rng.normal(scale=3.0, size=(4, 5, 2)), p, want_all=True)
-            assert np.all(np.abs(H_all) <= 1.0 + 1e-12)
+            states = []
+            gru_forward(rng.normal(scale=3.0, size=(4, 5, 2)), p,
+                        on_step=lambda t, H: states.append(H.copy()))
+            assert np.all(np.abs(states) <= 1.0 + 1e-12)
 
 
 class TestGruEncode:
@@ -89,8 +91,8 @@ class TestGruEncode:
         rng = np.random.default_rng(3)
         p = init_gru(2, 4, rng)
         X = rng.normal(size=(3, 5, 2))
-        _, H_all = gru_forward(X, p, want_all=True)
-        np.testing.assert_allclose(gru_forward(X[:, :1], p), H_all[0], atol=1e-12)
+        _, cache = gru_forward(X, p, want_cache=True)
+        np.testing.assert_allclose(gru_forward(X[:, :1], p), cache.H_prev[1], atol=1e-12)
 
     def test_zero_params_zero_state(self):
         p = zero_gru(2, 3)
@@ -116,6 +118,22 @@ class TestGruEncode:
         H = gru_forward(X, p)
         for b in range(4):
             np.testing.assert_allclose(H[b], gru_forward(X[b:b + 1], p)[0], atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_on_step_sees_each_new_state(self, dtype):
+        """``on_step(t, H)`` gets step t's new states in the compute dtype:
+        the cache's ``H_prev[t + 1]``, and the final states at the last step."""
+        rng = np.random.default_rng(8)
+        p = init_gru(3, 5, rng)
+        X = rng.normal(size=(4, 6, 3)).astype(dtype)
+        seen = []
+        H, cache = gru_forward(X, p, want_cache=True,
+                               on_step=lambda t, H_t: seen.append((t, H_t.copy())))
+        assert [t for t, _ in seen] == list(range(6))
+        assert all(H_t.dtype == dtype for _, H_t in seen)
+        for t, H_t in seen[:-1]:
+            assert np.array_equal(H_t, cache.H_prev[t + 1]), t
+        assert np.array_equal(seen[-1][1].astype(np.float64), H)
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
@@ -173,13 +191,13 @@ class TestStackedForward:
         rng = np.random.default_rng(seed)
         p = init_gru(d_in, d, rng)
         X = rng.normal(size=(B, T, d_in))
-        return (gru_forward(X, p, want_cache=True, want_all=True),
-                oracles.gru_forward_unfused(X, p, want_cache=True, want_all=True), p)
+        return (gru_forward(X, p, want_cache=True),
+                oracles.gru_forward_unfused(X, p, want_cache=True), p)
 
     @staticmethod
     def _arrays(out):
-        H, cache, H_all = out
-        return [H, H_all] + [getattr(cache, n) for n in GruCache.__slots__]
+        H, cache = out
+        return [H] + [getattr(cache, n) for n in GruCache.__slots__]
 
     @pytest.mark.parametrize("B,T,d", [(6, 9, 16), (64, 10, 32)])
     def test_bit_identical_at_small_d_in(self, B, T, d):
@@ -199,9 +217,9 @@ class TestStackedForward:
         got, want, p = self._both(d_in=5)
         rng = np.random.default_rng(13)
         d_final = rng.normal(size=got[0].shape)
-        d_all = rng.normal(size=got[2].shape)
+        d_all = rng.normal(size=got[1].H_prev.shape)
         grads = []
-        for _, cache, _ in (got, want):
+        for _, cache in (got, want):
             g = {k: np.zeros(v.shape) for k, v in p.as_dict().items()}
             gru_backward(cache, p, g, "", d_h_final=d_final, d_h_all=d_all)
             grads.append(g)
@@ -233,11 +251,11 @@ class TestFloat32Compute:
 
     @staticmethod
     def _run(X, p, dtype, d_final, d_all, grads=None):
-        H, cache, H_all = gru_forward(X.astype(dtype), p, want_cache=True, want_all=True)
+        H, cache = gru_forward(X.astype(dtype), p, want_cache=True)
         if grads is None:
             grads = {k: np.zeros(v.shape) for k, v in p.as_dict().items()}
         gru_backward(cache, p, grads, "", d_h_final=d_final, d_h_all=d_all)
-        return H, H_all, cache, grads
+        return H, cache.H_prev, cache, grads
 
     def _inputs(self, shape, seed):
         B, T, d_in, d = shape
@@ -273,16 +291,17 @@ class TestFloat32Compute:
             assert err <= F32_GRAD_RTOL * np.abs(g64[k]).max(), k
 
     def test_float32_gradients_are_added_once_into_float64_grads(self):
-        """Each float32 call sums its gradients in float32, then adds them to
-        the grads it is given: onto nonzero grads it adds exactly what it
-        gives from zero."""
+        """Each call sums its gradients in its compute dtype, float32 or
+        float64, then adds them to the grads it is given: onto nonzero grads
+        it adds exactly what it gives from zero."""
         p, X, d_final, d_all = self._inputs(self.SHAPES[1], seed=17)
-        alone = self._run(X, p, np.float32, d_final, d_all)[3]
-        base = {k: np.random.default_rng(18).normal(size=v.shape) for k, v in alone.items()}
-        added = self._run(X, p, np.float32, d_final, d_all,
-                          grads={k: v.copy() for k, v in base.items()})[3]
-        for k in base:
-            assert np.array_equal(added[k], base[k] + alone[k]), k
+        for dtype in (np.float32, np.float64):
+            alone = self._run(X, p, dtype, d_final, d_all)[3]
+            base = {k: np.random.default_rng(18).normal(size=v.shape) for k, v in alone.items()}
+            added = self._run(X, p, dtype, d_final, d_all,
+                              grads={k: v.copy() for k, v in base.items()})[3]
+            for k in base:
+                assert np.array_equal(added[k], base[k] + alone[k]), (dtype, k)
 
 
 class TestGruBackward:
@@ -296,8 +315,9 @@ class TestGruBackward:
         def loss_of(params):
             q = GruParams.from_dict(params)
             if d_h_all_mode:
-                H, H_all = gru_forward(X, q, want_all=True)
-                return float((w_all * H_all).sum()) + float((w_final * H).sum())
+                states = []
+                H = gru_forward(X, q, on_step=lambda t, H_t: states.append(H_t.copy()))
+                return float((w_all * np.array(states)).sum()) + float((w_final * H).sum())
             return float((w_final * gru_forward(X, q)).sum())
 
         H, cache = gru_forward(X, p, want_cache=True)

@@ -231,10 +231,15 @@ class TestForward:
 
     def test_one_tower_reads_the_error_prediction_pass(self):
         phi = make_phi(seed=32, with_ep_head=True)
-        _, ep, dsn, _ = forward(phi, *laid_end_to_end(windows_for(seed=33)),
-                                forward_cfg("dsn_plus_ep"), want_cache=True)
-        assert dsn[2] is ep[2]
-        np.testing.assert_array_equal(dsn[0], ep[1][-1])
+        windows = windows_for(seed=33)
+        _, ep, dsn, X = forward(phi, *laid_end_to_end(windows), forward_cfg("dsn_plus_ep"),
+                                want_cache=True)
+        assert dsn[2] is ep[1]
+        np.testing.assert_array_equal(dsn[0], embed_windows(GruParams.from_dict(phi, "gru."),
+                                                            windows))
+        # The head's residuals, read from each state as its step made it,
+        # are those of the states the cache keeps, row by row.
+        np.testing.assert_array_equal(ep[0], oracles.ep_residuals_per_row(ep[1], phi, X)[1])
 
     def test_error_prediction_input_checks(self):
         values, starts = laid_end_to_end(windows_for(seed=36))

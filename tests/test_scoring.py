@@ -333,77 +333,34 @@ class TestScoreSeries:
 
     # A chunk holds at least MIN_ROWS windows, and from that many rows on a
     # window's GRU passes get the bits they get in any taller chunk
-    # (test_ndkernel's TestRowCountInvariance).  So CHUNK moves no column,
-    # except the temporal columns of dsn_plus_ep: its error-prediction head
-    # maps each step's hidden states with a float64 GEMM whose rounding still
-    # depends on the chunk's row count.  Against CHUNK 1024, CHUNK 1-200 moved
-    # them by up to 3.1e-16 relative, in float64 and float32, at d_model 32
-    # and 256 (OpenBLAS); score_dsn never moved.
-    RECHUNK_RTOL = 1e-14
+    # (test_ndkernel's TestRowCountInvariance).  The error-prediction head
+    # maps each row's states by a product of its own.  So CHUNK moves no
+    # column of any mode.  The series has 5 dimensions: on it, a head GEMM
+    # over a chunk's rows would move dsn_plus_ep's temporal columns by about
+    # 1e-16 relative.
     COLUMNS = ("scores", "score_otn", "score_dsn", "coverage")
 
-    def _rechunked(self, monkeypatch, chunk, mode):
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 64, 100])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("mode", ["full", "otn_only", "dsn_only", "dsn_plus_ep"])
+    def test_rechunking_is_bit_identical(self, monkeypatch, mode, dtype, chunk):
         """Scores at the default CHUNK, one chunk of 366 windows here, and at
         ``chunk``, which splits them into at least three chunks."""
-        model = tiny_model(mode=mode, d_model=32, m=10, l=4, r=4, seed=7)
-        series = series_fixture(n=40 + 4 * 365, seed=8)
+        monkeypatch.setattr(training, "COMPUTE_DTYPE", dtype)
+        model = tiny_model(mode=mode, d=5, d_model=32, m=10, l=4, r=4, seed=7)
+        series = series_fixture(n=40 + 4 * 365, d=5, seed=8)
         cfg = ScoreConfig(R_test=4)
         a = score_series(model, series, cfg)
         monkeypatch.setattr(scoring, "CHUNK", chunk)
         assert len(batch_ranges(366, max(chunk, scoring.MIN_ROWS), scoring.MIN_ROWS)) >= 3
-        return a, score_series(model, series, cfg)
-
-    @pytest.mark.parametrize("chunk", [1, 3, 7])
-    @pytest.mark.usefixtures("float64_compute")
-    def test_rechunking_within_named_tolerance_at_d_model_32(self, monkeypatch, chunk):
-        a, c = self._rechunked(monkeypatch, chunk, "full")
+        c = score_series(model, series, cfg)
         for col in self.COLUMNS:
             np.testing.assert_array_equal(getattr(c, col), getattr(a, col), err_msg=col)
-
-    @pytest.mark.parametrize("chunk", [1, 3, 7])
-    @pytest.mark.usefixtures("float64_compute")
-    def test_rechunking_within_named_tolerance_at_d_model_32_ep(self, monkeypatch, chunk):
-        a, c = self._rechunked(monkeypatch, chunk, "dsn_plus_ep")
-        np.testing.assert_array_equal(c.score_dsn, a.score_dsn)
-        for col in ("scores", "score_otn"):
-            np.testing.assert_allclose(getattr(c, col), getattr(a, col),
-                                       rtol=self.RECHUNK_RTOL, atol=0, err_msg=col)
-
-    @pytest.mark.parametrize("chunk", [1, 3, 7])
-    @pytest.mark.parametrize("mode", ["full", "dsn_plus_ep"])
-    def test_float32_rechunking_within_named_tolerance(self, monkeypatch, mode, chunk):
-        a, c = self._rechunked(monkeypatch, chunk, mode)
-        np.testing.assert_array_equal(c.score_dsn, a.score_dsn)
-        rtol = 0 if mode == "full" else self.RECHUNK_RTOL
-        for col in ("scores", "score_otn"):
-            np.testing.assert_allclose(getattr(c, col), getattr(a, col),
-                                       rtol=rtol, atol=0, err_msg=col)
-
-    @pytest.mark.parametrize("chunk", [64, 100])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-    @pytest.mark.parametrize("mode", ["full", "otn_only", "dsn_only"])
-    def test_rechunking_is_bit_identical(self, monkeypatch, mode, dtype, chunk):
-        monkeypatch.setattr(training, "COMPUTE_DTYPE", dtype)
-        a, c = self._rechunked(monkeypatch, chunk, mode)
-        for col in self.COLUMNS:
-            np.testing.assert_array_equal(getattr(c, col), getattr(a, col), err_msg=col)
-
-    @pytest.mark.parametrize("chunk", [64, 100])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-    def test_ep_rechunking_moves_only_temporal_columns(self, monkeypatch, dtype, chunk):
-        monkeypatch.setattr(training, "COMPUTE_DTYPE", dtype)
-        a, c = self._rechunked(monkeypatch, chunk, "dsn_plus_ep")
-        np.testing.assert_array_equal(c.score_dsn, a.score_dsn)
-        np.testing.assert_array_equal(c.coverage, a.coverage)
-        for col in ("scores", "score_otn"):
-            np.testing.assert_allclose(getattr(c, col), getattr(a, col),
-                                       rtol=self.RECHUNK_RTOL, atol=0, err_msg=col)
 
     def test_ep_peak_memory_does_not_grow_with_chunks(self, monkeypatch):
-        """dsn_plus_ep scoring holds one chunk's hidden trajectory at a time:
-        four chunks of windows peak within a fraction of one trajectory of
-        what one chunk peaks at, while keeping the previous chunk's
-        trajectory alive would add a whole one."""
+        """dsn_plus_ep scoring holds one chunk's arrays at a time: four chunks
+        of windows peak within a fraction of one float64 hidden trajectory of
+        what one chunk peaks at."""
         model = tiny_model(mode="dsn_plus_ep", d_model=32, m=10, l=10, r=10, seed=3)
         chunk = 64
         monkeypatch.setattr(scoring, "CHUNK", chunk)
@@ -418,17 +375,18 @@ class TestScoreSeries:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # Measured: 0.34 trajectories more for the per-window arrays that grow
-        # with the series, and 1.25 with the previous trajectory kept.
+        # Measured: 0.22 trajectories more, for the per-window arrays that grow
+        # with the series.
         assert peaks[1] - peaks[0] < 0.75 * trajectory, (peaks, trajectory)
 
-    def test_ep_chunk_peak_is_below_one_float64_trajectory(self, monkeypatch):
-        """A dsn_plus_ep chunk holds its hidden trajectory once, in the compute
-        dtype (float32): a float64 copy of it alone would fill the bound."""
+    def test_ep_chunk_peak_is_below_one_float32_trajectory(self, monkeypatch):
+        """A dsn_plus_ep chunk keeps no hidden trajectory: the head reads each
+        step's states as the GRU makes them, so the chunk peaks below the
+        bytes of its states in the compute dtype (float32)."""
         model = tiny_model(mode="dsn_plus_ep", d_model=32, m=10, l=10, r=10, seed=3)
         chunk = 64
         monkeypatch.setattr(scoring, "CHUNK", chunk)
-        trajectory = model.config.L * chunk * 32 * 8     # float64 bytes of one chunk's
+        trajectory = model.config.L * chunk * 32 * 4     # float32 bytes of one chunk's
         series = series_fixture(n=100 + (chunk - 1) * 10, seed=4)   # one chunk
         tracemalloc.start()
         try:
@@ -436,7 +394,7 @@ class TestScoreSeries:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Measured: 0.74 of a float64 trajectory, 1.24 when the trajectory was float64.
+        # Measured: 0.50 of a float32 trajectory, and 1.36 for a chunk that keeps one.
         assert peak < trajectory, (peak, trajectory)
 
     def test_loaded_model_scores_identical(self, tmp_path):
@@ -490,6 +448,21 @@ class TestScoreSeries:
                     dict(R_test=0)):
             with pytest.raises(ConfigError):
                 ScoreConfig(**bad).validate()
+
+    def test_stride_above_window_length_rejected_before_forward(self, monkeypatch):
+        """Windows at a stride R_test > L leave timestamps between them: a
+        usage error, raised before any forward pass."""
+        model = tiny_model()
+        series = series_fixture()
+        L = model.config.L
+        assert score_series(model, series, ScoreConfig(R_test=L)).n == series.n
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward ran")
+
+        monkeypatch.setattr(scoring, "forward", no_forward)
+        with pytest.raises(ConfigError, match=f"R_test {L + 1} exceeds"):
+            score_series(model, series, ScoreConfig(R_test=L + 1))
 
     def test_ep_mode_scores_finite(self):
         series = series_fixture()

@@ -564,6 +564,13 @@ class TestTrain:
         with pytest.raises(ConfigError, match="mode"):
             TrainConfig(mode="bogus").validate()
 
+    def test_stride_above_sub_sequence_length_rejected(self):
+        """Sub-sequences at a stride r > l leave gaps that scoring could not
+        cover: such a model is refused before it trains."""
+        TrainConfig(l=5, r=5, m=3).validate()
+        with pytest.raises(ConfigError, match="r must be <= l"):
+            TrainConfig(l=5, r=10, m=3).validate()
+
     @pytest.mark.parametrize("bad", [dict(seed=-1)], ids=["seed"])
     def test_negative_seed_rejected(self, bad):
         with pytest.raises(ConfigError, match="seed"):
