@@ -34,7 +34,8 @@ from pathlib import Path
 from . import ConfigError, DataError, NumericError, StenError, atomic_write
 from .evalmetrics import METRIC_GROUPS, evaluate, vus_widths
 from .scoring import ScoreConfig, read_scores_csv, score_series, write_scores_csv
-from .seqdata import SynthConfig, load_csv, save_csv, synth_generate, write_table
+from .seqdata import (SynthConfig, load_csv, save_csv, synth_generate, window_starts,
+                      write_table)
 from .training import MODES, TrainConfig, load_checkpoint, save_checkpoint, train
 
 # Keys that are not a config field of their own name, type and default.
@@ -323,12 +324,16 @@ def cmd_sweep(args) -> int:
         tc, sc = build_train_config(cfg_v), build_score_config(cfg_v)
         sc.check_model(tc)
         runs.append((v, cfg_v, tc, sc))
-    work = Path(args.work_dir)
-    work.mkdir(parents=True, exist_ok=True)
     train_series = load_csv(args.train)
     test_series = load_csv(args.test)
     if test_series.labels is None:
         raise DataError(f"{args.test}: sweep evaluation needs a label column")
+    # Every value's windows fit both series before any model trains.
+    for _, _, tc, sc in runs:
+        window_starts(train_series.n, tc.L, tc.R_train)
+        window_starts(test_series.n, tc.L, sc.R_test)
+    work = Path(args.work_dir)
+    work.mkdir(parents=True, exist_ok=True)
 
     def scored(tc: TrainConfig, ckpt: Path, sc: ScoreConfig):
         if not ckpt.exists():

@@ -2,7 +2,7 @@
 Adam, and the gradient tape that drives the backward pass.
 
 Parameters are plain numpy arrays grouped in dicts keyed by dotted names
-(e.g. ``"gru.W_z"``).  Adam maps such a dict to a new one.  A ``GradTape``
+(e.g. ``"gru.W"``).  Adam maps such a dict to a new one.  A ``GradTape``
 is the data one forward pass leaves for its backward: the gradients the
 forward formed itself, and each GRU pass with the parameters it ran with and
 its upstream hidden-state gradients; ``backward`` only runs BPTT over those
@@ -21,20 +21,22 @@ the float64 grads, as in mixed-precision training with master weights
 (Micikevicius et al. 2018).
 ``softmax``, the tape's gradients and Adam are float64 throughout.
 
-The GRU forward stacks the gate weights, as in fused-GEMM RNN kernels
-(Appleyard et al. 2016): W_z|W_r|W_h form one (3d, d_in) input matrix with
-bias b_z|b_r|b_h, and U_z|U_r one (2d, d) recurrent matrix.  Each step runs
-one input GEMM, one recurrent GEMM and one ``sigmoid`` call for z and r
-together, then the U_h GEMM on r*h.  The input is projected per step, so a
-forward without cache holds O(B*d) floats, not O(B*T*d).
+A GRU is stored as the stacked blocks its forward runs, the fused-GEMM
+layout of RNN kernels (Appleyard et al. 2016) and of PyTorch's ``nn.GRU``:
+the input map W (3d, d_in), recurrent map U (3d, d) and bias b (3d,), each
+over the gates in z, r, h order.  Each step runs one input GEMM, one
+recurrent GEMM on U's z|r rows and one ``sigmoid`` call for z and r
+together, then the GEMM on r*h with U's h rows.  The input is projected per
+step, so a forward without cache holds O(B*d) floats, not O(B*T*d).
 Each gate pre-activation is still (x W^T + b) + h U^T, added in that order.
 ``sigmoid`` computes the sign-split logistic without masks, with the same
 float operations and so the same bits.  Whether BLAS gives the same bits
 for the per-step (B, d_in) projection as for a whole-sequence one depends on
 the dgemm kernel it picks: on OpenBLAS with AVX-512 they match for small
 d_in, while from d_in 32 hidden states may differ by about 1e-15 (the tests
-name atol 1e-12).  ``gru_backward`` keeps per-gate weights: stacking its
-GEMMs gave the same bits and no speed-up.
+name atol 1e-12).  ``gru_backward`` runs per-gate GEMMs on views of the
+stacked blocks and of their gradients: stacking its GEMMs gave the same bits
+and no speed-up.
 """
 
 from __future__ import annotations
@@ -91,27 +93,22 @@ def softmax(v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GruParams:
-    """Weights of a single-layer GRU: input maps W_*, recurrent maps U_*, biases b_*."""
+    """Weights of a single-layer GRU, each stacked over the gates in z, r, h
+    order: input map W (3d, d_in), recurrent map U (3d, d), bias b (3d,)."""
 
-    W_z: np.ndarray
-    W_r: np.ndarray
-    W_h: np.ndarray
-    U_z: np.ndarray
-    U_r: np.ndarray
-    U_h: np.ndarray
-    b_z: np.ndarray
-    b_r: np.ndarray
-    b_h: np.ndarray
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
 
-    NAMES = ("W_z", "W_r", "W_h", "U_z", "U_r", "U_h", "b_z", "b_r", "b_h")
+    NAMES = ("W", "U", "b")
 
     @property
     def d_model(self) -> int:
-        return self.W_z.shape[0]
+        return self.U.shape[1]
 
     @property
     def d_in(self) -> int:
-        return self.W_z.shape[1]
+        return self.W.shape[1]
 
     def as_dict(self, prefix: str = "") -> ParamDict:
         return {prefix + name: getattr(self, name) for name in self.NAMES}
@@ -125,8 +122,7 @@ class GruParams:
 
 def gru_shapes(d_in: int, d_model: int) -> dict[str, tuple[int, ...]]:
     """The shape of each GRU weight, keyed in ``GruParams.NAMES`` order."""
-    return dict(zip(GruParams.NAMES, [(d_model, d_in)] * 3 + [(d_model, d_model)] * 3
-                    + [(d_model,)] * 3))
+    return {"W": (3 * d_model, d_in), "U": (3 * d_model, d_model), "b": (3 * d_model,)}
 
 
 def init_gru(d_in: int, d_model: int, rng: np.random.Generator) -> GruParams:
@@ -168,10 +164,8 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False, on_step=N
         raise DataError(f"input dim {X.shape[2]} != GRU d_in {p.d_in}")
     B, T, _ = X.shape
     d = p.d_model
-    W = np.concatenate([p.W_z, p.W_r, p.W_h]).astype(dt)     # (3d, d_in)
-    b = np.concatenate([p.b_z, p.b_r, p.b_h]).astype(dt)     # (3d,)
-    U_zr = np.concatenate([p.U_z, p.U_r]).astype(dt)         # (2d, d)
-    U_h = np.asarray(p.U_h, dt)
+    W, U, b = (np.asarray(a, dt) for a in (p.W, p.U, p.b))
+    U_zr, U_h = U[:2 * d], U[2 * d:]
 
     H = np.zeros((B, d), dt)
     if want_cache:
@@ -213,11 +207,13 @@ def gru_backward(cache: GruCache, p: GruParams, grads: ParamDict, prefix: str,
     B, T, _ = X.shape
     d = p.d_model
     dt = _work_dtype(X)
-    U_z = np.asarray(p.U_z, dt)
-    U_r = np.asarray(p.U_r, dt)
-    U_h = np.asarray(p.U_h, dt)
+    U_z, U_r, U_h = np.asarray(p.U, dt).reshape(3, d, d)
 
     g = {n: np.zeros(grads[prefix + n].shape, dt) for n in GruParams.NAMES}
+    # Per-gate views of this call's stacked gradients.
+    gW_z, gW_r, gW_h = g["W"].reshape(3, d, -1)
+    gU_z, gU_r, gU_h = g["U"].reshape(3, d, d)
+    gb_z, gb_r, gb_h = g["b"].reshape(3, d)
     if d_h_all is not None:
         d_h_all = np.asarray(d_h_all, dt)
     dh = np.zeros((B, d), dt) if d_h_final is None else np.array(d_h_final, dtype=dt)
@@ -232,23 +228,23 @@ def gru_backward(cache: GruCache, p: GruParams, grads: ParamDict, prefix: str,
         dh_prev = dh * (1.0 - z)
 
         da_h = dhbar * (1.0 - hbar * hbar)
-        g["W_h"] += da_h.T @ x_t
-        g["U_h"] += da_h.T @ (r * h_prev)
-        g["b_h"] += da_h.sum(axis=0)
+        gW_h += da_h.T @ x_t
+        gU_h += da_h.T @ (r * h_prev)
+        gb_h += da_h.sum(axis=0)
         drh = da_h @ U_h
         dr = drh * h_prev
         dh_prev = dh_prev + drh * r
 
         da_r = dr * r * (1.0 - r)
-        g["W_r"] += da_r.T @ x_t
-        g["U_r"] += da_r.T @ h_prev
-        g["b_r"] += da_r.sum(axis=0)
+        gW_r += da_r.T @ x_t
+        gU_r += da_r.T @ h_prev
+        gb_r += da_r.sum(axis=0)
         dh_prev = dh_prev + da_r @ U_r
 
         da_z = dz * z * (1.0 - z)
-        g["W_z"] += da_z.T @ x_t
-        g["U_z"] += da_z.T @ h_prev
-        g["b_z"] += da_z.sum(axis=0)
+        gW_z += da_z.T @ x_t
+        gU_z += da_z.T @ h_prev
+        gb_z += da_z.sum(axis=0)
         dh = dh_prev + da_z @ U_z
 
     for n in GruParams.NAMES:

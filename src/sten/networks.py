@@ -11,11 +11,12 @@ hidden states of the error-prediction pass when that branch runs, and of a
 pass of their own otherwise.
 
 The encoder phi is one ``ParamDict``, the form Adam, the gradient tape and
-the checkpoint use.  ``phi_shapes`` is its one layout: ``gru.*`` (the GRU,
-named as in ``GruParams.NAMES``), ``order_head.W`` (m, d_model) and
-``order_head.b`` (m,); with the error-prediction head also ``ep_head.W``
-(D, d_model) and ``ep_head.b`` (D,).  The frozen projector eta is a plain
-``GruParams``.
+the checkpoint use.  ``phi_shapes`` is its one layout: the GRU's stacked
+gate blocks ``gru.W`` (3 d_model, D), ``gru.U`` (3 d_model, d_model) and
+``gru.b`` (3 d_model,), as ``GruParams`` holds them, ``order_head.W``
+(m, d_model) and ``order_head.b`` (m,); with the error-prediction head also
+``ep_head.W`` (D, d_model) and ``ep_head.b`` (D,).  The frozen projector eta
+is a plain ``GruParams``.
 """
 
 from __future__ import annotations

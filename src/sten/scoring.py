@@ -57,8 +57,10 @@ class ScoreConfig:
     def validate(self) -> None:
         if not 0 <= self.beta < np.inf:
             raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
-        if not 0 <= self.score_eps < np.inf:
-            raise ConfigError(f"score_eps must be finite and >= 0, got {self.score_eps}")
+        # The order score divides by js + score_eps, and js is 0 where the
+        # prediction is exact.
+        if not 0 < self.score_eps < np.inf:
+            raise ConfigError(f"score_eps must be finite and > 0, got {self.score_eps}")
         if self.R_test < 1:
             raise ConfigError(f"R_test must be >= 1, got {self.R_test}")
 

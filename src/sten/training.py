@@ -1,4 +1,5 @@
-"""Joint self-supervised training: order prediction plus distance distillation
+"""Joint self-supervised training: a temporal task (order prediction, or in
+``dsn_plus_ep`` one-step-ahead error prediction) plus distance distillation
 over every pair of a batch's windows, with deterministic seeding,
 checkpointing, and the ablation modes.
 """
@@ -225,9 +226,12 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch + 1}, batch {bi + 1}: "
                     f"otn={tape.otn}, dsn={tape.dsn}")
-            grads = backward(tape)
-            phi, adam = adam_update(phi, grads, adam, cfg.lr)
             sums += (e - s) * np.array([tape.otn, tape.dsn, tape.value])
+            grads = backward(tape)
+            # The tape's GRU caches are the batch's largest arrays; Adam's
+            # per-block temporaries need not sit on top of them.
+            del tape
+            phi, adam = adam_update(phi, grads, adam, cfg.lr)
         mean = sums / n
         trace.append((float(mean[0]), float(mean[1]), float(mean[2])))
 

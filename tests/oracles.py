@@ -48,12 +48,9 @@ def gru_forward_unfused(X: np.ndarray, p: GruParams, want_cache: bool = False):
         raise DataError(f"input dim {X.shape[2]} != GRU d_in {p.d_in}")
     B, T, _ = X.shape
     d = p.d_model
-    W_z, W_r, W_h = (np.asarray(p.W_z, np.float64), np.asarray(p.W_r, np.float64),
-                     np.asarray(p.W_h, np.float64))
-    U_z, U_r, U_h = (np.asarray(p.U_z, np.float64), np.asarray(p.U_r, np.float64),
-                     np.asarray(p.U_h, np.float64))
-    b_z, b_r, b_h = (np.asarray(p.b_z, np.float64), np.asarray(p.b_r, np.float64),
-                     np.asarray(p.b_h, np.float64))
+    W_z, W_r, W_h = np.asarray(p.W, np.float64).reshape(3, d, p.d_in)
+    U_z, U_r, U_h = np.asarray(p.U, np.float64).reshape(3, d, d)
+    b_z, b_r, b_h = np.asarray(p.b, np.float64).reshape(3, d)
 
     # Input projections for all steps at once.
     AZx = X @ W_z.T + b_z
@@ -89,18 +86,21 @@ def gru_step_scalar(x, h_prev, p):
         return [sum(float(M[i][j]) * float(v[j]) for j in range(len(v)))
                 for i in range(M.shape[0])]
 
-    az = dot_row(p.W_z, x)
-    ar = dot_row(p.W_r, x)
-    ah = dot_row(p.W_h, x)
-    uz = dot_row(p.U_z, h_prev)
-    ur = dot_row(p.U_r, h_prev)
+    W_z, W_r, W_h = p.W.reshape(3, d, d_in)
+    U_z, U_r, U_h = p.U.reshape(3, d, d)
+    b_z, b_r, b_h = p.b.reshape(3, d)
+    az = dot_row(W_z, x)
+    ar = dot_row(W_r, x)
+    ah = dot_row(W_h, x)
+    uz = dot_row(U_z, h_prev)
+    ur = dot_row(U_r, h_prev)
     out = []
-    z = [1.0 / (1.0 + math.exp(-(az[i] + uz[i] + float(p.b_z[i])))) for i in range(d)]
-    r = [1.0 / (1.0 + math.exp(-(ar[i] + ur[i] + float(p.b_r[i])))) for i in range(d)]
+    z = [1.0 / (1.0 + math.exp(-(az[i] + uz[i] + float(b_z[i])))) for i in range(d)]
+    r = [1.0 / (1.0 + math.exp(-(ar[i] + ur[i] + float(b_r[i])))) for i in range(d)]
     rh = [r[i] * float(h_prev[i]) for i in range(d)]
-    uh = dot_row(p.U_h, rh)
+    uh = dot_row(U_h, rh)
     for i in range(d):
-        hbar = math.tanh(ah[i] + uh[i] + float(p.b_h[i]))
+        hbar = math.tanh(ah[i] + uh[i] + float(b_h[i]))
         out.append((1.0 - z[i]) * float(h_prev[i]) + z[i] * hbar)
     return np.asarray(out)
 

@@ -147,17 +147,24 @@ def test_gru_forward_calls_sigmoid_once_per_step_on_both_gates(monkeypatch):
                                            ("dsn_plus_ep", 1)],
                          ids=["full", "otn_only", "dsn_only", "dsn_plus_ep"])
 def test_gru_backward_arguments_under_the_default_config(monkeypatch, mode, n_passes):
-    """perfbench/run.py's _gru_counts reads cache.X's (B, T, d_in) and the
-    GruParams' d_model and d_in of each gru_backward call; training computes
-    in float32 and keeps both.  ndkernel.backward makes one gru_backward call
-    per GRU pass its tape recorded, and the tape records each forward pass
-    once: dsn_plus_ep runs one pass for both of its branches."""
-    seen, per_tape = [], []
-    real, real_backward = ndkernel.gru_backward, training.backward
+    """perfbench/run.py's _gru_counts reads the input's (B, T, d_in) and the
+    GruParams' d_model and d_in of each gru_forward and gru_backward call
+    (cache.X for the backward); training computes in float32 and keeps both.
+    d_model is the hidden size, not the 3 * d_model rows of the stacked
+    blocks.  ndkernel.backward makes one gru_backward call per GRU pass its
+    tape recorded, and the tape records each forward pass once: dsn_plus_ep
+    runs one pass for both of its branches."""
+    seen, per_tape, forwards = [], [], []
+    real, real_backward, real_forward = (ndkernel.gru_backward, training.backward,
+                                         ndkernel.gru_forward)
 
     def recording(cache, p, *args, **kwargs):
         seen.append((cache.X.shape, cache.X.dtype, p.d_model, p.d_in))
         return real(cache, p, *args, **kwargs)
+
+    def forward_recording(X, p, *args, **kwargs):
+        forwards.append((np.shape(X), p.d_model, p.d_in))
+        return real_forward(X, p, *args, **kwargs)
 
     def counting(tape):
         before = len(seen)
@@ -167,6 +174,9 @@ def test_gru_backward_arguments_under_the_default_config(monkeypatch, mode, n_pa
 
     monkeypatch.setattr(ndkernel, "gru_backward", recording)
     monkeypatch.setattr(training, "backward", counting)
+    # The tracer wraps every binding of gru_forward; networks' is the one called.
+    for module in (ndkernel, networks, training):
+        monkeypatch.setattr(module, "gru_forward", forward_recording)
     tc = cli.build_train_config(schema_config(mode=mode, d_model=8, epochs=1))
     series = MultivariateSeries(values=np.random.default_rng(0).normal(size=(300, 3)))
     train(series, tc)
@@ -174,6 +184,10 @@ def test_gru_backward_arguments_under_the_default_config(monkeypatch, mode, n_pa
     for shape, dtype, d_model, d_in in seen:
         assert len(shape) == 3 and shape[1] in (tc.l, tc.L) and shape[2] == d_in == 3
         assert dtype == np.float32 and d_model == 8
+    assert forwards
+    for shape, d_model, d_in in forwards:
+        assert len(shape) == 3 and shape[1] in (tc.l, tc.L) and shape[2] == d_in == 3
+        assert d_model == 8
 
 
 def test_float32_gru_forward_calls_sigmoid_once_per_step_on_both_gates(monkeypatch):

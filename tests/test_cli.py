@@ -391,6 +391,23 @@ class TestSweep:
             tc = load_checkpoint(work / f"model_l_{l}.ckpt").config
             assert (tc.l, tc.r, tc.L) == (l, 2, l + 3 * 2)
 
+    @pytest.mark.parametrize("values,message", [
+        ("3,200", "window length 800 exceeds series length 400"),
+        ("3,60", "window length 240 exceeds series length 200")], ids=["both", "test-only"])
+    def test_window_longer_than_a_series_fails_before_training(self, workspace, capsys,
+                                                                values, message):
+        """l 200 gives windows longer than the 400-row train series, l 60
+        longer than the 200-row test series only; l 3 fits both."""
+        tmp, cfg = workspace
+        train_csv, test_csv = prepared_data(tmp, cfg)
+        work = tmp / "work"
+        assert run(["sweep", "--param", "l", "--values", values,
+                    "--train", train_csv, "--test", test_csv, "--config", cfg,
+                    "--out", tmp / "sweep.csv", "--work-dir", work]) == 2
+        assert message in capsys.readouterr().err
+        assert not work.exists()
+        assert not (tmp / "sweep.csv").exists()
+
     def test_sweep_trains_with_seed(self, workspace):
         # score does not read the seed; the sweep still trains with it.
         tmp, cfg = workspace
@@ -735,6 +752,10 @@ BAD_SETTING_CASES = [
 ] + [
     pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
                   "--set", "seed=-1", "--out", "{out}"], 1, id="score-negative-seed"),
+    # The order score divides by js + score_eps, and js is 0 for an exact
+    # prediction: score_eps 0 once wrote NaN scores and exited 0.
+    pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
+                  "--set", "score_eps=0", "--out", "{out}"], 1, id="score-eps-zero"),
     # References come from the test windows only: ref_source is no key.
     pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
                   "--set", "ref_source=train", "--out", "{out}"], 1,
@@ -853,6 +874,30 @@ CHECKPOINT_BLOCKS = sorted(
        "norm.mean", "norm.std", "trace.losses"])
 
 
+# Each gate's rows of a stacked GRU block, under the per-gate block names that
+# checkpoints once held: phi.gru.W_h is the h rows of phi.gru.W (z, r, h order).
+GATE_PARTS = sorted(t + n + "_" + g for t in ("phi.gru.", "eta.gru.")
+                    for n in GruParams.NAMES for g in "zrh")
+
+
+def block_of(name):
+    """The checkpoint block ``name`` is, or for a gate part the stacked block
+    it is rows of."""
+    return name.rsplit("_", 1)[0] if name in GATE_PARTS else name
+
+
+def edit_block(name, blocks, change):
+    """Replace block ``name``, or the rows of gate part ``name``, by
+    ``change`` of them."""
+    if name not in GATE_PARTS:
+        blocks[name] = change(blocks[name])
+        return
+    parts = np.split(blocks[block_of(name)], 3)
+    gate = "zrh".index(name[-1])
+    parts[gate] = change(parts[gate])
+    blocks[block_of(name)] = np.concatenate(parts)
+
+
 def widened(arr):
     """The block with one more entry along its last axis."""
     return np.zeros(arr.shape[:-1] + (arr.shape[-1] + 1,), dtype=np.float32)
@@ -902,30 +947,58 @@ class TestCheckpointContents:
     def test_table_lists_every_block(self, trained):
         assert sorted(read_checkpoint(trained["ckpt"])[1]) == CHECKPOINT_BLOCKS
 
-    @pytest.mark.parametrize("name", CHECKPOINT_BLOCKS)
+    @pytest.mark.parametrize("name", CHECKPOINT_BLOCKS + GATE_PARTS)
     def test_missing_block(self, trained, tmp_path, capsys, name):
-        code, err = self.score_with(trained, tmp_path, capsys,
-                                    lambda cfg, blocks: blocks.pop(name))
-        assert code == 2
-        assert name in err
+        """A block that is not there, or a stacked block without one gate's
+        rows."""
+        def edit(cfg, blocks):
+            if name in GATE_PARTS:
+                edit_block(name, blocks, lambda rows: rows[:0])
+            else:
+                del blocks[name]
 
-    @pytest.mark.parametrize("name", CHECKPOINT_BLOCKS)
+        code, err = self.score_with(trained, tmp_path, capsys, edit)
+        assert code == 2
+        assert (f"block {block_of(name)} has shape" if name in GATE_PARTS else name) in err
+
+    @pytest.mark.parametrize("name", CHECKPOINT_BLOCKS + GATE_PARTS)
     def test_misshapen_block(self, trained, tmp_path, capsys, name):
-        def edit(cfg, blocks):
-            blocks[name] = widened(blocks[name])
-
-        code, err = self.score_with(trained, tmp_path, capsys, edit)
+        """A gate part is misshapen by one row too many, as its rows cannot
+        be widened alone."""
+        change = (lambda rows: np.concatenate([rows, rows[:1]])) if name in GATE_PARTS \
+            else widened
+        code, err = self.score_with(trained, tmp_path, capsys,
+                                    lambda cfg, blocks: edit_block(name, blocks, change))
         assert code == 2
-        assert name.rsplit(".", 1)[1] in err
+        assert f"block {block_of(name)} has shape" in err
 
-    @pytest.mark.parametrize("name", CHECKPOINT_BLOCKS)
+    @pytest.mark.parametrize("name", CHECKPOINT_BLOCKS + GATE_PARTS)
     def test_non_finite_block(self, trained, tmp_path, capsys, name):
+        def last_nan(arr):
+            arr = arr.copy()
+            arr.flat[-1] = np.nan
+            return arr
+
+        code, err = self.score_with(trained, tmp_path, capsys,
+                                    lambda cfg, blocks: edit_block(name, blocks, last_nan))
+        assert code == 2
+        assert f"block {block_of(name)} has a non-finite value" in err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_per_gate_gru_blocks(self, trained, tmp_path, capsys):
+        """Checkpoints once held each GRU as nine per-gate blocks (W_z, W_r,
+        W_h, U_z, ..., b_h) where they now hold the stacked W, U and b."""
         def edit(cfg, blocks):
-            blocks[name].flat[-1] = np.nan
+            for tower in ("phi.gru.", "eta.gru."):
+                for n in GruParams.NAMES:
+                    stacked = blocks.pop(tower + n)
+                    for gate, part in zip("zrh", np.split(stacked, 3)):
+                        blocks[f"{tower}{n}_{gate}"] = part
 
         code, err = self.score_with(trained, tmp_path, capsys, edit)
         assert code == 2
-        assert f"block {name} has a non-finite value" in err
+        missing, unexpected = err.split("unexpected")
+        assert "'phi.gru.W'" in missing and "'phi.gru.W_z'" in unexpected
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("name", ["norm.mean", "norm.std"])

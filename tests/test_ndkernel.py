@@ -20,10 +20,7 @@ F32_GRAD_RTOL = 5e-6
 
 def zero_gru(d_in, d_model):
     z = np.zeros
-    return GruParams(W_z=z((d_model, d_in)), W_r=z((d_model, d_in)), W_h=z((d_model, d_in)),
-                     U_z=z((d_model, d_model)), U_r=z((d_model, d_model)),
-                     U_h=z((d_model, d_model)),
-                     b_z=z(d_model), b_r=z(d_model), b_h=z(d_model))
+    return GruParams(W=z((3 * d_model, d_in)), U=z((3 * d_model, d_model)), b=z(3 * d_model))
 
 
 class TestSoftmax:

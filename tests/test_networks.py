@@ -57,12 +57,16 @@ class TestPhiLayout:
         phi = init_phi(d_in, d, m, np.random.default_rng(3), with_ep_head=ep)
         shapes = phi_shapes(d_in, d, m, ep)
         assert [(k, v.shape) for k, v in phi.items()] == list(shapes.items())
-        # The draws every checkpoint so far was made with: the GRU, the order
-        # head, the error-prediction head.
+        # The draws every checkpoint so far was made with: the GRU's nine
+        # per-gate blocks W_z, W_r, W_h, U_z, U_r, U_h, b_z, b_r, b_h, each
+        # stacked block the concatenation of its three gates; the order head;
+        # the error-prediction head.
         rng, s = np.random.default_rng(3), 1.0 / np.sqrt(d)
-        gru = [(d, d_in)] * 3 + [(d, d)] * 3 + [(d,)] * 3
-        want = [rng.uniform(-s, s, size=sh) for sh in gru + [(m, d), (m,)]
-                + [(d_in, d), (d_in,)] * ep]
+        gates = [rng.uniform(-s, s, size=sh)
+                 for sh in [(d, d_in)] * 3 + [(d, d)] * 3 + [(d,)] * 3]
+        want = [np.concatenate(gates[i:i + 3]) for i in (0, 3, 6)]
+        want += [rng.uniform(-s, s, size=sh) for sh in [(m, d), (m,)]
+                 + [(d_in, d), (d_in,)] * ep]
         assert len(want) == len(phi)
         for got, w in zip(phi.values(), want):
             np.testing.assert_array_equal(got, w)
@@ -357,5 +361,5 @@ class TestEtaChecksum:
         assert c1 == gru_checksum(eta)
         eta2 = init_gru(3, 4, np.random.default_rng(21))
         assert gru_checksum(eta2) != c1
-        eta.W_z = eta.W_z + 1e-6
+        eta.W = eta.W + 1e-6
         assert gru_checksum(eta) != c1

@@ -444,7 +444,8 @@ class TestScoreSeries:
     def test_bad_score_config_is_a_usage_error(self):
         nan, inf = float("nan"), float("inf")
         for bad in (dict(beta=-1.0), dict(beta=nan), dict(beta=inf), dict(beta=-inf),
-                    dict(score_eps=-1e-8), dict(score_eps=nan), dict(score_eps=inf),
+                    dict(score_eps=-1e-8), dict(score_eps=0.0), dict(score_eps=nan),
+                    dict(score_eps=inf),
                     dict(R_test=0)):
             with pytest.raises(ConfigError):
                 ScoreConfig(**bad).validate()

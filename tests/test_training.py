@@ -463,6 +463,29 @@ class TestOrderPositiveControl:
         assert abs(self.final_otn(R_train=5) - self.UNIFORM) < 1e-3
 
 
+class TestErrorPredictionPositiveControl:
+    """On a sinusoid of period 20 the next value is a function of the last
+    few: the error-prediction head, trained alone (alpha 0), must beat the
+    persistence predictor x_{t+1} = x_t, and its untrained control must not."""
+
+    SERIES = MultivariateSeries(values=np.sin(2 * np.pi * np.arange(1000) / 20)[:, None])
+
+    @classmethod
+    def final_ep(cls, lr):
+        cfg = TrainConfig(R_train=5, l=5, r=5, m=4, d_model=8, alpha=0.0, lr=lr,
+                          epochs=10, batch_size=32, mode="dsn_plus_ep")
+        return train(cls.SERIES, cfg).loss_trace[-1][0]
+
+    def test_beats_persistence(self):
+        x = self.SERIES.values[:, 0]
+        z = (x - x.mean()) / x.std()
+        persistence = float(np.mean(np.diff(z) ** 2))
+        assert self.final_ep(lr=1e-2) < 0.5 * persistence
+
+    def test_untrained_control_does_not(self):
+        assert self.final_ep(lr=0.0) > 1.0
+
+
 def small_series(n=600, d=2, seed=0):
     cfg = SynthConfig(n_train=n, n_test=50, dims=d, anomaly_rate=0.0, seed=seed)
     tr, _ = synth_generate(cfg)
