@@ -10,6 +10,14 @@ discrepancies of both tasks become per-timestamp anomaly scores.
 import contextlib
 import os
 
+# BLAS on one thread per calling thread, unless the user set otherwise: a wide
+# GRU pass runs on two threads of its own (``ndkernel``), and BLAS threads on
+# top of those compete for the same cores.  Set before numpy loads, which reads
+# these once; an import of numpy before this package leaves BLAS as it was.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 __version__ = "0.1.0"
 
 

@@ -33,10 +33,10 @@ from pathlib import Path
 
 from . import ConfigError, DataError, NumericError, StenError, atomic_write
 from .evalmetrics import METRIC_GROUPS, evaluate, vus_widths
-from .scoring import ScoreConfig, read_scores_csv, score_series, write_scores_csv
-from .seqdata import (SynthConfig, load_csv, save_csv, synth_generate, window_starts,
-                      write_table)
-from .training import MODES, TrainConfig, load_checkpoint, save_checkpoint, train
+from .scoring import ScoreConfig, read_scores_csv, score_series, score_starts, write_scores_csv
+from .seqdata import SynthConfig, load_csv, save_csv, synth_generate, write_table
+from .training import (MODES, TrainConfig, load_checkpoint, save_checkpoint, train,
+                       train_starts)
 
 # Keys that are not a config field of their own name, type and default.
 _EXCEPTIONS: dict[str, tuple[str, object]] = {
@@ -328,10 +328,11 @@ def cmd_sweep(args) -> int:
     test_series = load_csv(args.test)
     if test_series.labels is None:
         raise DataError(f"{args.test}: sweep evaluation needs a label column")
-    # Every value's windows fit both series before any model trains.
+    # Every value's windows fit both series, as train and score_series need
+    # them, before any model trains.
     for _, _, tc, sc in runs:
-        window_starts(train_series.n, tc.L, tc.R_train)
-        window_starts(test_series.n, tc.L, sc.R_test)
+        train_starts(train_series.n, tc)
+        score_starts(test_series.n, tc, sc)
     work = Path(args.work_dir)
     work.mkdir(parents=True, exist_ok=True)
 

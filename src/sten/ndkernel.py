@@ -25,10 +25,10 @@ A GRU is stored as the stacked blocks its forward runs, the fused-GEMM
 layout of RNN kernels (Appleyard et al. 2016) and of PyTorch's ``nn.GRU``:
 the input map W (3d, d_in), recurrent map U (3d, d) and bias b (3d,), each
 over the gates in z, r, h order.  Each step runs one input GEMM, one
-recurrent GEMM on U's z|r rows and one ``sigmoid`` call for z and r
-together, then the GEMM on r*h with U's h rows.  The input is projected per
-step, so a forward without cache holds O(B*d) floats, not O(B*T*d).
-Each gate pre-activation is still (x W^T + b) + h U^T, added in that order.
+recurrent GEMM on U's z|r rows and one logistic call for z and r together,
+then the GEMM on r*h with U's h rows, each into a buffer made once per pass.
+The input is projected per step, so a forward without cache holds O(B*d)
+floats, not O(B*T*d).  Each gate pre-activation is still (x W^T + b) + h U^T.
 ``sigmoid`` computes the sign-split logistic without masks, with the same
 float operations and so the same bits.  Whether BLAS gives the same bits
 for the per-step (B, d_in) projection as for a whole-sequence one depends on
@@ -37,10 +37,33 @@ d_in, while from d_in 32 hidden states may differ by about 1e-15 (the tests
 name atol 1e-12).  ``gru_backward`` runs per-gate GEMMs on views of the
 stacked blocks and of their gradients: stacking its GEMMs gave the same bits
 and no speed-up.
+
+Two threads.  A pass of d_model >= ``WORKER_D_MODEL`` (128) over at least
+2 * ``MIN_ROWS`` rows also runs on one worker thread, made on first use;
+narrower or shorter passes ran slower on two threads than on one, and stay
+on the calling thread.  The forward gives the worker rows [B//2, B) and
+runs rows [0, B//2) itself: the rows of a GRU are independent, and from
+``MIN_ROWS`` rows on a row of a GEMM gets the bits it gets in a taller one,
+so every state keeps its bits.  Both threads write their rows of the one
+cache and call ``on_step`` with them; its array is a buffer that the next
+step overwrites.  The backward runs the dh recurrence on the calling
+thread and hands each step's gate gradients to the worker, which adds the
+weight and bias gradients step by step in the order one thread adds them,
+so they keep their bits too.  An error in either thread reaches the caller
+once both have stopped.  The worker calls no public function of this
+module (perfbench's tracer keeps one span stack, on the calling thread),
+and runs in a copy of the caller's context, so ``np.errstate`` holds on
+both threads.  BLAS should run one thread per calling thread: importing
+``sten`` sets that default (``sten/__init__.py``).
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import queue
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,19 +83,28 @@ def _work_dtype(x: np.ndarray) -> type:
     return np.float32 if x.dtype == np.float32 else np.float64
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function from e = exp(-|x|), which never overflows.
 
     Since e <= 1, max(e, x >= 0) / (1 + e) is 1/(1+exp(-x)) for x >= 0 and
     exp(x)/(1+exp(x)) below: the float operations of splitting by sign,
     without the boolean gather and scatter, so the result has the same bits.
+    The result goes to ``out`` when given, which may be ``x``.
     """
     x = np.asarray(x)
     x = x.astype(_work_dtype(x), copy=False)
-    e = np.abs(x)
+    return _logistic(x, np.empty_like(x) if out is None else out,
+                     np.empty_like(x), np.empty(x.shape, bool))
+
+
+def _logistic(x: np.ndarray, out: np.ndarray, e: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``sigmoid`` into ``out`` (may be ``x``), with scratch ``e`` and ``mask``
+    shaped like ``x``: it allocates nothing."""
+    np.greater_equal(x, 0, out=mask)
+    np.abs(x, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.maximum(e, x >= 0)
+    np.maximum(e, mask, out=out)
     e += 1.0
     out /= e
     return out
@@ -146,14 +178,55 @@ class GruCache:
         self.Hbar = Hbar      # (T, B, d)
 
 
+# The fewest rows in a block of a GRU pass.  BLAS may round a row of a GEMM
+# over a few rows differently from the same row in a tall one, but from this
+# many rows on a row gets the bits it gets in a taller GEMM
+# (``TestRowCountInvariance``), so that a pass split into blocks of at least
+# this many rows, or scoring's chunks of windows, keeps every bit.
+MIN_ROWS = 64
+# The narrowest GRU whose passes use the worker thread: on two cores a split
+# forward at d_model 32 or 64 was slower than one thread, and from 128 on
+# faster (1.14-1.66x forward, 1.19-2.4x BPTT).
+WORKER_D_MODEL = 128
+
+_executor: ThreadPoolExecutor | None = None
+_executor_lock = threading.Lock()
+_this_thread = threading.local()
+
+
+def _mark_worker() -> None:
+    _this_thread.is_worker = True
+
+
+def _uses_worker(B: int, d: int) -> bool:
+    """Whether a pass over B rows of width d runs on the worker as well.  A
+    pass that runs on the worker itself (from an ``on_step``) does not."""
+    return (d >= WORKER_D_MODEL and B >= 2 * MIN_ROWS
+            and not getattr(_this_thread, "is_worker", False))
+
+
+def _submit(fn, *args) -> Future:
+    """``fn(*args)`` on the one worker thread, made on first use, in a copy of
+    the caller's context, so that numpy's error state applies there too."""
+    global _executor
+    with _executor_lock:
+        if _executor is None:
+            _executor = ThreadPoolExecutor(1, thread_name_prefix="sten-gru",
+                                           initializer=_mark_worker)
+    return _executor.submit(contextvars.copy_context().run, fn, *args)
+
+
 def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False, on_step=None):
     """Batched GRU over X of shape (B, T, d_in), zero initial hidden state.
 
     Computes in float32 for float32 X, else in float64.  Returns the final
     hidden states (B, d_model) as float64, and with ``want_cache`` also a
-    GruCache, in the compute dtype, for gru_backward.  ``on_step(t, H)`` is
-    called after each step t with its new states H (B, d_model), in the
-    compute dtype: the state ``H_prev[t + 1]`` of the cache, or the final one.
+    GruCache, in the compute dtype, for gru_backward.  ``on_step(t, rows, H)``
+    is called after each step t with the new states H of the rows ``rows`` (a
+    slice of the batch), in the compute dtype: their ``H_prev[t + 1]`` of the
+    cache, or their final states.  H is a buffer the next step overwrites.
+    A pass that uses the worker calls it from both threads, each with its
+    own rows.
     """
     X = np.asarray(X)
     dt = _work_dtype(X)
@@ -165,32 +238,75 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False, on_step=N
     B, T, _ = X.shape
     d = p.d_model
     W, U, b = (np.asarray(a, dt) for a in (p.W, p.U, p.b))
-    U_zr, U_h = U[:2 * d], U[2 * d:]
-
-    H = np.zeros((B, d), dt)
-    if want_cache:
-        # One block for the four (T, B, d) arrays: malloc keeps a block freed
-        # by one pass for the next more readily than four arrays, which it may
-        # return to the system and fault in again.
-        cache = GruCache(X, *np.empty((4, T, B, d), dt))
-
-    for t in range(T):
-        a = X[:, t] @ W.T
-        a += b
-        zr = sigmoid(a[:, :2 * d] + H @ U_zr.T)
-        z, r = zr[:, :d], zr[:, d:]
-        hbar = np.tanh(a[:, 2 * d:] + (r * H) @ U_h.T)
-        if want_cache:
-            cache.H_prev[t] = H
-            cache.Z[t] = z
-            cache.R[t] = r
-            cache.Hbar[t] = hbar
-        H = (1.0 - z) * H + z * hbar
-        if on_step is not None:
-            on_step(t, H)
-
+    # One block for the four (T, B, d) arrays: malloc keeps a block freed by
+    # one pass for the next more readily than four arrays, which it may
+    # return to the system and fault in again.
+    cache = GruCache(X, *np.empty((4, T, B, d), dt)) if want_cache else None
+    H = np.empty((B, d), dt)
+    if not _uses_worker(B, d):
+        _gru_rows(X, W, U, b, H, cache, slice(0, B), on_step, sigmoid, _step_buffers(B, d, dt))
+    else:
+        h = B // 2
+        # The worker's buffers are made here: what the worker thread allocates
+        # comes from a malloc arena of its own, which keeps its peak.
+        work = _step_buffers(B - h, d, dt)
+        logistic = functools.partial(_logistic, e=np.empty_like(work[1]),
+                                     mask=np.empty(work[1].shape, bool))
+        worker = _submit(_gru_rows, X, W, U, b, H, cache, slice(h, B), on_step, logistic, work)
+        try:
+            _gru_rows(X, W, U, b, H, cache, slice(0, h), on_step, sigmoid,
+                      _step_buffers(h, d, dt))
+        finally:
+            worker.exception()  # waits: no row is written after the pass returns
+        worker.result()
     H = H.astype(np.float64, copy=False)
     return (H, cache) if want_cache else H
+
+
+def _step_buffers(n: int, d: int, dt) -> tuple[np.ndarray, ...]:
+    """The arrays a, zr, rh and hbar that each step of ``_gru_rows`` over n
+    rows writes into."""
+    return (np.empty((n, 3 * d), dt), np.empty((n, 2 * d), dt), np.empty((n, d), dt),
+            np.empty((n, d), dt))
+
+
+def _gru_rows(X, W, U, b, H, cache, rows: slice, on_step, logistic, work) -> None:
+    """Rows ``rows`` of a GRU pass through all T steps: their final states
+    into ``H[rows]``, and with a cache their steps into its rows.  Each step
+    writes into the arrays ``work`` (``_step_buffers``).  ``logistic(x,
+    out=x)`` is ``sigmoid`` on the calling thread; the worker's half is given
+    ``_logistic`` on buffers of its own, and calls no function perfbench
+    traces, whose span stack belongs to the calling thread."""
+    d = H.shape[1]
+    X, H = X[rows], H[rows]
+    U_zr, U_h = U[:2 * d].T, U[2 * d:].T
+    a, zr, rh, hbar = work
+    H.fill(0)
+    for t in range(X.shape[1]):
+        np.matmul(X[:, t], W.T, out=a)
+        a += b
+        # Each gate pre-activation is (x W^T + b) + h U^T: a sum of two
+        # terms, the same bits in either order.
+        np.matmul(H, U_zr, out=zr)
+        zr += a[:, :2 * d]
+        logistic(zr, out=zr)
+        z, r = zr[:, :d], zr[:, d:]
+        np.multiply(r, H, out=rh)
+        np.matmul(rh, U_h, out=hbar)
+        hbar += a[:, 2 * d:]
+        np.tanh(hbar, out=hbar)
+        if cache is not None:
+            cache.H_prev[t, rows] = H
+            cache.Z[t, rows] = z
+            cache.R[t, rows] = r
+            cache.Hbar[t, rows] = hbar
+        # H = (1 - z) * H + z * hbar
+        np.subtract(1.0, z, out=rh)
+        rh *= H
+        hbar *= z
+        np.add(rh, hbar, out=H)
+        if on_step is not None:
+            on_step(t, rows, H)
 
 
 def gru_backward(cache: GruCache, p: GruParams, grads: ParamDict, prefix: str,
@@ -202,53 +318,119 @@ def gru_backward(cache: GruCache, p: GruParams, grads: ParamDict, prefix: str,
     ``d_h_all`` optionally injects gradients at every step (T, B, d).
     Computes in the dtype of the cache: this call's parameter gradients are
     summed in it, then added once into ``grads`` under ``prefix``.
+
+    The calling thread runs the dh recurrence.  A pass that uses the worker
+    hands it each step's gate gradients through two reused buffers, and the
+    worker adds the weight and bias gradients, step after step in the same
+    order as one thread would.
     """
     X = cache.X
     B, T, _ = X.shape
     d = p.d_model
     dt = _work_dtype(X)
-    U_z, U_r, U_h = np.asarray(p.U, dt).reshape(3, d, d)
-
+    U = np.asarray(p.U, dt).reshape(3, d, d)
     g = {n: np.zeros(grads[prefix + n].shape, dt) for n in GruParams.NAMES}
-    # Per-gate views of this call's stacked gradients.
-    gW_z, gW_r, gW_h = g["W"].reshape(3, d, -1)
-    gU_z, gU_r, gU_h = g["U"].reshape(3, d, d)
-    gb_z, gb_r, gb_h = g["b"].reshape(3, d)
+    add = _grad_adder(g, cache)
     if d_h_all is not None:
         d_h_all = np.asarray(d_h_all, dt)
     dh = np.zeros((B, d), dt) if d_h_final is None else np.array(d_h_final, dtype=dt)
-    for t in range(T - 1, -1, -1):
-        if d_h_all is not None:
-            dh = dh + d_h_all[t]
-        h_prev, z, r, hbar = cache.H_prev[t], cache.Z[t], cache.R[t], cache.Hbar[t]
-        x_t = X[:, t]
-
-        dz = dh * (hbar - h_prev)
-        dhbar = dh * z
-        dh_prev = dh * (1.0 - z)
-
-        da_h = dhbar * (1.0 - hbar * hbar)
-        gW_h += da_h.T @ x_t
-        gU_h += da_h.T @ (r * h_prev)
-        gb_h += da_h.sum(axis=0)
-        drh = da_h @ U_h
-        dr = drh * h_prev
-        dh_prev = dh_prev + drh * r
-
-        da_r = dr * r * (1.0 - r)
-        gW_r += da_r.T @ x_t
-        gU_r += da_r.T @ h_prev
-        gb_r += da_r.sum(axis=0)
-        dh_prev = dh_prev + da_r @ U_r
-
-        da_z = dz * z * (1.0 - z)
-        gW_z += da_z.T @ x_t
-        gU_z += da_z.T @ h_prev
-        gb_z += da_z.sum(axis=0)
-        dh = dh_prev + da_z @ U_z
+    scratch = np.empty((4, B, d), dt)
+    if not _uses_worker(B, d):
+        da = np.empty((3, B, d), dt)
+        for t in range(T - 1, -1, -1):
+            _dh_step(cache, t, U, dh, d_h_all, da, scratch)
+            add(t, da)
+    else:
+        free, ready = queue.SimpleQueue(), queue.SimpleQueue()
+        for _ in range(2):
+            free.put(np.empty((3, B, d), dt))
+        worker = _submit(_add_handed_over, ready, free, add)
+        try:
+            for t in range(T - 1, -1, -1):
+                da = free.get()
+                _dh_step(cache, t, U, dh, d_h_all, da, scratch)
+                ready.put((t, da))
+        finally:
+            ready.put(None)
+            worker.exception()  # waits: no gradient is added after the pass returns
+        worker.result()
 
     for n in GruParams.NAMES:
         grads[prefix + n] += g[n]
+
+
+def _dh_step(cache: GruCache, t: int, U: np.ndarray, dh: np.ndarray,
+             d_h_all: np.ndarray | None, da: np.ndarray, scratch: np.ndarray) -> None:
+    """Step t of the dh recurrence, in place: takes dh, the gradient w.r.t.
+    the states step t makes, to the one w.r.t. the states entering it, and
+    writes the gate pre-activation gradients da_z, da_r, da_h into ``da``
+    (3, B, d).  ``scratch`` is (4, B, d).  The float operations are those of
+    the expressions in the comments, in their order."""
+    h_prev, z, r, hbar = cache.H_prev[t], cache.Z[t], cache.R[t], cache.Hbar[t]
+    U_z, U_r, U_h = U
+    da_z, da_r, da_h = da
+    dz, dh_prev, drh, tmp = scratch
+    if d_h_all is not None:
+        dh += d_h_all[t]
+    np.subtract(hbar, h_prev, out=dz)
+    dz *= dh                                  # dz = dh * (hbar - h_prev)
+    np.subtract(1.0, z, out=dh_prev)
+    dh_prev *= dh                             # dh_prev = dh * (1 - z)
+    np.multiply(hbar, hbar, out=da_h)
+    np.subtract(1.0, da_h, out=da_h)
+    np.multiply(dh, z, out=tmp)
+    da_h *= tmp                               # da_h = (dh * z) * (1 - hbar^2)
+    np.matmul(da_h, U_h, out=drh)             # drh = da_h @ U_h
+    np.multiply(drh, h_prev, out=tmp)         # dr = drh * h_prev
+    drh *= r
+    dh_prev += drh                            # dh_prev += drh * r
+    np.multiply(tmp, r, out=da_r)
+    np.subtract(1.0, r, out=tmp)
+    da_r *= tmp                               # da_r = dr * r * (1 - r)
+    np.matmul(da_r, U_r, out=drh)
+    dh_prev += drh                            # dh_prev += da_r @ U_r
+    np.multiply(dz, z, out=da_z)
+    np.subtract(1.0, z, out=tmp)
+    da_z *= tmp                               # da_z = dz * z * (1 - z)
+    np.matmul(da_z, U_z, out=drh)
+    np.add(dh_prev, drh, out=dh)              # dh = dh_prev + da_z @ U_z
+
+
+def _grad_adder(g: ParamDict, cache: GruCache):
+    """``add(t, da)``: adds step t's weight and bias gradients, from its gate
+    gradients da (3, B, d), to this call's stacked gradients ``g``."""
+    d = g["U"].shape[1]
+    gW, gU, gb = g["W"].reshape(3, d, -1), g["U"].reshape(3, d, d), g["b"].reshape(3, d)
+    rh = np.empty(cache.H_prev.shape[1:], gU.dtype)
+    prod_W, prod_U = np.empty_like(gW[0]), np.empty_like(gU[0])
+
+    def add(t: int, da: np.ndarray) -> None:
+        x_t, h_prev = cache.X[:, t], cache.H_prev[t]
+        np.multiply(cache.R[t], h_prev, out=rh)
+        # Gate k's input to its recurrent map: h_prev for z and r, r * h_prev for h.
+        for k, h_in in enumerate((h_prev, h_prev, rh)):
+            gW[k] += np.matmul(da[k].T, x_t, out=prod_W)
+            gU[k] += np.matmul(da[k].T, h_in, out=prod_U)
+            gb[k] += da[k].sum(axis=0)
+
+    return add
+
+
+def _add_handed_over(ready: queue.SimpleQueue, free: queue.SimpleQueue, add) -> None:
+    """The worker's half of a pipelined BPTT: ``add`` each (t, da) the
+    recurrence hands over, and hand each buffer back, up to the None that ends
+    the pass.  After a failure it only hands buffers back, so that the
+    recurrence never waits for one, and raises the failure at the end."""
+    failure = None
+    while (item := ready.get()) is not None:
+        if failure is None:
+            try:
+                add(*item)
+            except BaseException as exc:
+                failure = exc
+        free.put(item[1])
+    if failure is not None:
+        raise failure
 
 
 # ---------------------------------------------------------------------------

@@ -172,9 +172,9 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
         W_e = np.asarray(phi["ep_head.W"], np.float64).T
         resid = np.empty((X.shape[1] - 1, len(X), W_e.shape[1]))
 
-        def readout(t, H_t):
+        def readout(t, rows, H_t):
             if t < len(resid):
-                np.matmul(H_t.astype(np.float64)[:, None], W_e, out=resid[t, :, None])
+                np.matmul(H_t.astype(np.float64)[:, None], W_e, out=resid[t, rows, None])
 
         H, cache = (gru_forward(X, gru, want_cache=True, on_step=readout) if want_cache
                     else (gru_forward(X, gru, on_step=readout), None))

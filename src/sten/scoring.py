@@ -19,11 +19,10 @@ series is cast once to ``training.COMPUTE_DTYPE``, the dtype the GRU
 computes in.  Scoring draws no random numbers: a model and a series give one
 set of scores.
 
-A chunk holds at least ``MIN_ROWS`` windows, unless the whole series has
-fewer (``seqdata.batch_ranges`` joins a short last chunk to the one before).
-BLAS may round a row of a GEMM over a few rows differently from the same row
-in a tall one, but from ``MIN_ROWS`` rows on a row gets the bits it gets in a
-taller GEMM.  The error-prediction head reads each state as its GRU step
+A chunk holds at least ``ndkernel.MIN_ROWS`` windows, unless the whole
+series has fewer (``seqdata.batch_ranges`` joins a short last chunk to the one
+before): from that many rows on a row of a GRU pass gets the bits it gets in a
+taller one.  The error-prediction head reads each state as its GRU step
 makes it, one row at a time (``networks.forward``), so no chunk holds a
 hidden trajectory and its rows' bits do not depend on the row count either:
 another ``CHUNK`` moves no score column of any mode.
@@ -39,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ConfigError, DataError
+from .ndkernel import MIN_ROWS
 # gru_forward is bound here, uncalled, because perfbench/test_perfbench.py
 # looks it up on this module.
 from .ndkernel import gru_forward  # noqa: F401
@@ -120,11 +120,9 @@ def aggregate_timestamps(starts, values, length: int,
 # Full scoring pipeline
 # ---------------------------------------------------------------------------
 
-# Windows per chunk: scoring runs ``networks.forward`` and eta once per chunk.
+# Windows per chunk: scoring runs ``networks.forward`` and eta once per chunk,
+# and a chunk holds at least ``ndkernel.MIN_ROWS`` windows.
 CHUNK = 1024
-# The fewest windows in a chunk, unless the whole series has fewer: a row of
-# a GEMM over this many rows or more gets the bits it gets in a taller one.
-MIN_ROWS = 64
 
 
 def _forward_chunks(model: TrainedModel, values: np.ndarray, starts: np.ndarray,
@@ -171,6 +169,18 @@ def distance_scores(E: np.ndarray, F: np.ndarray) -> np.ndarray:
     return (total - (U * V).sum(axis=1) ** 2) / (len(E) - 1)
 
 
+def score_starts(n: int, tc: TrainConfig, cfg: ScoreConfig) -> np.ndarray:
+    """The starts of the test windows over a series of n timestamps: stride
+    ``R_test``, with one extra tail window so that every timestamp is covered.
+    The distance score compares each window with every other one: a model
+    with that branch needs at least two windows."""
+    starts = window_starts(n, tc.L, cfg.R_test, cover_tail=True)
+    if branches(tc.mode, tc.alpha)[2] and len(starts) < 2:
+        raise DataError(f"the distance score compares each test window with the others: "
+                        f"needs >= 2 windows of length {tc.L}, got {len(starts)}")
+    return starts
+
+
 def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig) -> ScoreSeries:
     """Score every test timestamp with the trained model.
 
@@ -186,11 +196,8 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
     tc = model.config
     use_dsn = branches(tc.mode, tc.alpha)[2]
     values = compute_values(test, model.stats)
-    starts = window_starts(test.n, tc.L, cfg.R_test, cover_tail=True)
+    starts = score_starts(test.n, tc, cfg)
     n_w = len(starts)
-    if use_dsn and n_w < 2:
-        raise DataError(f"the distance score compares each test window with the others: "
-                        f"needs >= 2 windows of length {tc.L}, got {n_w}")
     t_scores, E, F = _forward_chunks(model, values, starts, cfg)
 
     # Spatial component: scalar per window.

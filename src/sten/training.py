@@ -184,6 +184,17 @@ def compute_values(series: MultivariateSeries, stats: NormStats) -> np.ndarray:
     return values
 
 
+def train_starts(n: int, cfg: TrainConfig) -> np.ndarray:
+    """The starts of the training windows over a series of n timestamps.  The
+    distance loss compares a batch's windows in pairs: a mode with it needs
+    at least two windows."""
+    starts = window_starts(n, cfg.L, cfg.R_train)
+    if branches(cfg.mode, cfg.alpha)[2] and len(starts) < 2:
+        raise DataError(f"mode {cfg.mode!r} needs >= 2 windows for the distance loss, "
+                        f"got {len(starts)}")
+    return starts
+
+
 def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     """Fit the encoder on an unlabeled series (labels, if present, are ignored).
 
@@ -197,11 +208,9 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     cfg.validate()
     stats = zscore_fit(series)
     values = compute_values(series, stats)
-    starts = window_starts(series.n, cfg.L, cfg.R_train)
+    starts = train_starts(series.n, cfg)
     n = len(starts)
     _, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
-    if use_dsn and n < 2:
-        raise DataError(f"mode {cfg.mode!r} needs >= 2 windows for the distance loss, got {n}")
 
     streams = seed_streams(cfg.seed)
     phi = init_phi(series.d, cfg.d_model, cfg.m, streams["phi_init"], with_ep_head=use_ep)

@@ -77,6 +77,52 @@ def gru_forward_unfused(X: np.ndarray, p: GruParams, want_cache: bool = False):
     return (H, GruCache(X, H_prev, Z, Rg, Hbar)) if want_cache else H
 
 
+def gru_backward_serial(cache: GruCache, p: GruParams, grads, prefix: str,
+                        d_h_final=None, d_h_all=None) -> None:
+    """BPTT on one thread, each step's dh recurrence then its weight and bias
+    gradients, every product a fresh array: the loop the pipelined
+    ``gru_backward`` splits over two threads, kept as its exactness reference."""
+    X = cache.X
+    B, T, _ = X.shape
+    d = p.d_model
+    dt = np.float32 if X.dtype == np.float32 else np.float64
+    U_z, U_r, U_h = np.asarray(p.U, dt).reshape(3, d, d)
+    g = {n: np.zeros(grads[prefix + n].shape, dt) for n in GruParams.NAMES}
+    gW_z, gW_r, gW_h = g["W"].reshape(3, d, -1)
+    gU_z, gU_r, gU_h = g["U"].reshape(3, d, d)
+    gb_z, gb_r, gb_h = g["b"].reshape(3, d)
+    if d_h_all is not None:
+        d_h_all = np.asarray(d_h_all, dt)
+    dh = np.zeros((B, d), dt) if d_h_final is None else np.array(d_h_final, dtype=dt)
+    for t in range(T - 1, -1, -1):
+        if d_h_all is not None:
+            dh = dh + d_h_all[t]
+        h_prev, z, r, hbar = cache.H_prev[t], cache.Z[t], cache.R[t], cache.Hbar[t]
+        x_t = X[:, t]
+        dz = dh * (hbar - h_prev)
+        dhbar = dh * z
+        dh_prev = dh * (1.0 - z)
+        da_h = dhbar * (1.0 - hbar * hbar)
+        gW_h += da_h.T @ x_t
+        gU_h += da_h.T @ (r * h_prev)
+        gb_h += da_h.sum(axis=0)
+        drh = da_h @ U_h
+        dr = drh * h_prev
+        dh_prev = dh_prev + drh * r
+        da_r = dr * r * (1.0 - r)
+        gW_r += da_r.T @ x_t
+        gU_r += da_r.T @ h_prev
+        gb_r += da_r.sum(axis=0)
+        dh_prev = dh_prev + da_r @ U_r
+        da_z = dz * z * (1.0 - z)
+        gW_z += da_z.T @ x_t
+        gU_z += da_z.T @ h_prev
+        gb_z += da_z.sum(axis=0)
+        dh = dh_prev + da_z @ U_z
+    for n in GruParams.NAMES:
+        grads[prefix + n] += g[n]
+
+
 def gru_step_scalar(x, h_prev, p):
     """Scalar transcription of the gate equations, one coordinate at a time."""
     d = len(h_prev)

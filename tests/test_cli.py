@@ -408,6 +408,23 @@ class TestSweep:
         assert not work.exists()
         assert not (tmp / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("values,settings,message", [
+        ("3,40", ["--set", "R_train=250"], "mode 'full' needs >= 2 windows for the distance loss"),
+        ("3,50", [], "needs >= 2 windows of length 200, got 1")], ids=["train", "test"])
+    def test_too_few_windows_for_the_distance_branch_fails_before_training(
+            self, workspace, capsys, values, settings, message):
+        """l 40 at R_train 250 leaves the 400-row train series one window, and
+        l 50 the 200-row test series one; l 3 gives both series two or more."""
+        tmp, cfg = workspace
+        train_csv, test_csv = prepared_data(tmp, cfg)
+        work = tmp / "work"
+        assert run(["sweep", "--param", "l", "--values", values, *settings,
+                    "--train", train_csv, "--test", test_csv, "--config", cfg,
+                    "--out", tmp / "sweep.csv", "--work-dir", work]) == 2
+        assert message in capsys.readouterr().err
+        assert not work.exists()
+        assert not (tmp / "sweep.csv").exists()
+
     def test_sweep_trains_with_seed(self, workspace):
         # score does not read the seed; the sweep still trains with it.
         tmp, cfg = workspace
@@ -559,12 +576,23 @@ def trained(tmp_path_factory):
             "ckpt": tmp / "m.ckpt", "scores": tmp / "s.csv"}
 
 
-def sten_process(argv, files):
+def sten_process(argv, files, timeout=None):
     """Run the CLI in a fresh interpreter; {name} in argv is a path from ``files``."""
     argv = [str(a).format(**files) for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(sten.__file__).resolve().parent.parent))
     return subprocess.run([sys.executable, "-m", "sten.cli"] + argv, env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_a_train_whose_gru_passes_use_the_worker_exits(workspace):
+    """d_model 128 over one batch of 130 windows: every GRU pass runs on two
+    threads, and the worker thread does not hold the interpreter open."""
+    tmp, cfg = workspace
+    train_csv, _ = prepared_data(tmp, cfg)
+    proc = sten_process(["train", "--train", train_csv, "--config", cfg, "--set", "d_model=128",
+                         "--set", "batch_size=256", "--out", tmp / "m.ckpt"], {}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert load_checkpoint(tmp / "m.ckpt").config.d_model == 128
 
 
 EXIT_CASES = [

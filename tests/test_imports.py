@@ -1,6 +1,9 @@
 """Every name a module of the sten package imports is used in that module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,20 @@ def test_detects_an_unused_import():
 def test_no_unused_import(module):
     unused = unused_imports((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     assert [u for u in unused if (module, u.split()[0]) not in ALLOWED] == []
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "set"])
+def test_import_runs_blas_on_one_thread_unless_set(preset):
+    """``import sten`` sets each BLAS thread count that is unset to 1 and
+    keeps one the user set."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(PACKAGE.parent)
+    if preset is not None:
+        env["OMP_NUM_THREADS"] = preset
+    code = f"import os, sten; print(*(os.environ.get(v, '-') for v in {BLAS_VARS!r}))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["1", preset or "1", "1"]

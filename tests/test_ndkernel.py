@@ -1,12 +1,15 @@
+import contextvars
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sten import DataError, NumericError
-from sten.ndkernel import (AdamState, GruCache, GruParams, adam_update, gru_backward,
+from sten import DataError, NumericError, ndkernel
+from sten.ndkernel import (MIN_ROWS, AdamState, GruCache, GruParams, adam_update, gru_backward,
                            gru_forward, init_adam_state, init_gru, sigmoid, softmax)
-from sten.scoring import CHUNK, MIN_ROWS
+from sten.scoring import CHUNK
 
 import oracles
 from oracles import finite_diff_grad
@@ -16,6 +19,12 @@ from oracles import finite_diff_grad
 # each weight's gradient within 4.3e-7 of that gradient's largest entry.
 F32_HIDDEN_ATOL = 1e-6
 F32_GRAD_RTOL = 5e-6
+
+
+@pytest.fixture
+def one_thread(monkeypatch):
+    """Every GRU pass on the calling thread alone."""
+    monkeypatch.setattr(ndkernel, "_uses_worker", lambda B, d: False)
 
 
 def zero_gru(d_in, d_model):
@@ -77,7 +86,7 @@ class TestGruStep:
             p = init_gru(2, 6, rng)
             states = []
             gru_forward(rng.normal(scale=3.0, size=(4, 5, 2)), p,
-                        on_step=lambda t, H: states.append(H.copy()))
+                        on_step=lambda t, rows, H: states.append(H.copy()))
             assert np.all(np.abs(states) <= 1.0 + 1e-12)
 
 
@@ -118,14 +127,14 @@ class TestGruEncode:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     def test_on_step_sees_each_new_state(self, dtype):
-        """``on_step(t, H)`` gets step t's new states in the compute dtype:
+        """``on_step(t, rows, H)`` gets step t's new states in the compute dtype:
         the cache's ``H_prev[t + 1]``, and the final states at the last step."""
         rng = np.random.default_rng(8)
         p = init_gru(3, 5, rng)
         X = rng.normal(size=(4, 6, 3)).astype(dtype)
         seen = []
         H, cache = gru_forward(X, p, want_cache=True,
-                               on_step=lambda t, H_t: seen.append((t, H_t.copy())))
+                               on_step=lambda t, rows, H_t: seen.append((t, H_t.copy())))
         assert [t for t, _ in seen] == list(range(6))
         assert all(H_t.dtype == dtype for _, H_t in seen)
         for t, H_t in seen[:-1]:
@@ -142,20 +151,255 @@ class TestGruEncode:
 
 
 class TestRowCountInvariance:
-    """From ``scoring.MIN_ROWS`` rows on, a window's final state does not
-    depend on how many windows share its forward: the property that scoring's
-    chunk floor rests on.  Below it, BLAS may round a row of a GEMM over a few
+    """From ``ndkernel.MIN_ROWS`` rows on, a window's final state does not
+    depend on how many windows share its forward, nor on where its block
+    starts: the property that scoring's chunk floor and the two-thread split
+    of a pass rest on.  Below it, BLAS may round a row of a GEMM over a few
     rows differently from the same row in a tall one: with d_in 5, rows
-    differed up to k = 37 at d_model 32, 18 at 64 and 4 at 256 (OpenBLAS)."""
+    differed up to k = 37 at d_model 32, 18 at 64 and 4 at 256 (OpenBLAS).
+    Each pass here runs on one thread."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-    @pytest.mark.parametrize("d_model", [32, 256])
-    def test_rows_from_the_floor_on_match_a_tall_batch(self, d_model, dtype):
+    @pytest.mark.parametrize("d_model", [32, 128, 256])
+    def test_rows_from_the_floor_on_match_a_tall_batch(self, one_thread, d_model, dtype):
         p = init_gru(5, d_model, np.random.default_rng(15))
         X = np.random.default_rng(16).normal(size=(CHUNK, 10, 5)).astype(dtype)
         tall = gru_forward(X, p)
         for k in (MIN_ROWS, MIN_ROWS + 1, 100):
             assert np.array_equal(gru_forward(X[:k], p), tall[:k]), k
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("d_model", [128, 256])
+    @pytest.mark.parametrize("B", [129, 255])
+    def test_both_halves_of_an_odd_batch_match_it(self, one_thread, B, d_model, dtype):
+        """Rows [0:h] and [h:B], h = B // 2, the halves a split pass runs."""
+        p = init_gru(5, d_model, np.random.default_rng(17))
+        X = np.random.default_rng(18).normal(size=(B, 10, 5)).astype(dtype)
+        whole, h = gru_forward(X, p), B // 2
+        assert np.array_equal(gru_forward(X[:h], p), whole[:h])
+        assert np.array_equal(gru_forward(X[h:], p), whole[h:])
+
+
+def split_passes(monkeypatch) -> list:
+    """Records the function of each task a pass hands to the worker."""
+    tasks = []
+    submit = ndkernel._submit
+
+    def recording(fn, *args):
+        tasks.append(fn)
+        return submit(fn, *args)
+
+    monkeypatch.setattr(ndkernel, "_submit", recording)
+    return tasks
+
+
+def finishes(fn, seconds=120.0):
+    """``fn()`` on a thread of its own, in a copy of the caller's context (and
+    so under its ``np.errstate``); fails the test, rather than hanging it, if
+    the call does not return within ``seconds``."""
+    box = {}
+    context = contextvars.copy_context()
+
+    def target():
+        try:
+            box["value"] = context.run(fn)
+        except BaseException as exc:
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"call still running after {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box.get("value")
+
+
+class TestTwoThreadForward:
+    """A pass of d_model >= 128 over >= 2 * MIN_ROWS rows runs rows [h:B] on
+    the worker: every output has the bits of the two blocks of rows run as
+    one-thread passes of their own."""
+
+    SIZES = [(B, d) for B in (128, 129, 255, 256) for d in (128, 256)]
+
+    @staticmethod
+    def _forward(X, p, want_cache):
+        steps = np.full((X.shape[1], len(X), p.d_model), np.nan, X.dtype)
+
+        def on_step(t, rows, H):
+            steps[t, rows] = H
+
+        out = gru_forward(X, p, want_cache=want_cache, on_step=on_step)
+        H, cache = out if want_cache else (out, None)
+        return H, cache, steps
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("B,d", SIZES)
+    def test_matches_the_halves_run_alone(self, monkeypatch, B, d, dtype):
+        rng = np.random.default_rng(B + d)
+        p = init_gru(5, d, rng)
+        X = rng.normal(size=(B, 12, 5)).astype(dtype)
+        tasks = split_passes(monkeypatch)
+        H, cache, steps = self._forward(X, p, want_cache=True)
+        H_nc = gru_forward(X, p)
+        assert len(tasks) == 2
+        monkeypatch.setattr(ndkernel, "_uses_worker", lambda B, d: False)
+        h = B // 2
+        halves = [self._forward(X[s], p, want_cache=True) for s in (slice(0, h), slice(h, B))]
+        assert np.array_equal(H, np.concatenate([half[0] for half in halves]))
+        assert np.array_equal(H_nc, H)
+        assert np.array_equal(steps, np.concatenate([half[2] for half in halves], axis=1))
+        for name in ("H_prev", "Z", "R", "Hbar"):
+            want = np.concatenate([getattr(half[1], name) for half in halves], axis=1)
+            assert np.array_equal(getattr(cache, name), want), name
+
+    def test_narrow_or_short_passes_stay_on_one_thread(self, monkeypatch):
+        tasks = split_passes(monkeypatch)
+        rng = np.random.default_rng(19)
+        for B, d in ((2 * MIN_ROWS - 1, 256), (512, 64)):
+            gru_forward(rng.normal(size=(B, 3, 2)), init_gru(2, d, rng))
+        assert tasks == []
+
+
+class TestPipelinedBackward:
+    """With the worker adding the weight and bias gradients while the calling
+    thread runs the dh recurrence, every gradient has the bits of the serial
+    loop in oracles."""
+
+    @pytest.mark.parametrize("upstream", ["final", "all", "both"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("B,d", [(128, 128), (255, 256)])
+    def test_matches_the_serial_loop(self, monkeypatch, B, d, dtype, upstream):
+        rng = np.random.default_rng(B * d)
+        p = init_gru(5, d, rng)
+        _, cache = gru_forward(rng.normal(size=(B, 12, 5)).astype(dtype), p, want_cache=True)
+        kw = {"d_h_final": rng.normal(size=(B, d)) if upstream != "all" else None,
+              "d_h_all": rng.normal(size=(12, B, d)) if upstream != "final" else None}
+        base = {k: rng.normal(size=v.shape) for k, v in p.as_dict().items()}
+        got = {k: v.copy() for k, v in base.items()}
+        want = {k: v.copy() for k, v in base.items()}
+        tasks = split_passes(monkeypatch)
+        gru_backward(cache, p, got, "", **kw)
+        assert len(tasks) == 1
+        oracles.gru_backward_serial(cache, p, want, "", **kw)
+        for k in want:
+            assert np.array_equal(got[k], want[k]), k
+
+
+class TestWorkerRobustness:
+    """An error in either thread of a pass reaches the caller, and leaves no
+    worker waiting: the next pass gives the same bits."""
+
+    B, T, D = 2 * MIN_ROWS + 1, 8, 128
+
+    def _inputs(self):
+        rng = np.random.default_rng(20)
+        p = init_gru(3, self.D, rng)
+        X = rng.normal(size=(self.B, self.T, 3)).astype(np.float32)
+        return p, X, rng.normal(size=(self.B, self.D))
+
+    def _backward(self, cache, p, d_final):
+        grads = {k: np.zeros(v.shape) for k, v in p.as_dict().items()}
+        gru_backward(cache, p, grads, "", d_h_final=d_final)
+        return grads
+
+    @pytest.mark.parametrize("row", [0, B - 1], ids=["caller-rows", "worker-rows"])
+    def test_on_step_error_reaches_the_caller(self, row):
+        p, X, _ = self._inputs()
+        before = gru_forward(X, p)
+
+        def on_step(t, rows, H):
+            if t == self.T // 2 and rows.start <= row < rows.stop:
+                raise KeyError("on_step failed")
+
+        with pytest.raises(KeyError, match="on_step failed"):
+            finishes(lambda: gru_forward(X, p, want_cache=True, on_step=on_step))
+        assert np.array_equal(finishes(lambda: gru_forward(X, p)), before)
+
+    @pytest.mark.parametrize("row", [0, B - 1], ids=["caller-rows", "worker-rows"])
+    def test_non_finite_input_error_reaches_the_caller(self, row):
+        """Under the caller's ``np.errstate``, in whichever thread meets it."""
+        p, X, _ = self._inputs()
+        before = gru_forward(X, p)
+        bad = X.copy()
+        bad[row, 2, 0] = np.inf
+        bad[row, 2, 1] = -np.inf
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            finishes(lambda: gru_forward(bad, p))
+        assert np.array_equal(finishes(lambda: gru_forward(X, p)), before)
+
+    def test_recurrence_error_releases_the_worker(self):
+        p, X, d_final = self._inputs()
+        _, cache = gru_forward(X, p, want_cache=True)
+        before = self._backward(cache, p, d_final)
+        bad = d_final.copy()
+        bad[0, 0] = np.inf
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            finishes(lambda: self._backward(cache, p, bad))
+        after = finishes(lambda: self._backward(cache, p, d_final))
+        assert all(np.array_equal(after[k], before[k]) for k in before)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        p, X, d_final = self._inputs()
+        _, cache = gru_forward(X, p, want_cache=True)
+        before = self._backward(cache, p, d_final)
+        make_adder = ndkernel._grad_adder
+
+        def failing_adder(g, cache):
+            add = make_adder(g, cache)
+
+            def failing(t, da):
+                if t == self.T // 2:
+                    raise KeyError("add failed")
+                add(t, da)
+
+            return failing
+
+        monkeypatch.setattr(ndkernel, "_grad_adder", failing_adder)
+        with pytest.raises(KeyError, match="add failed"):
+            finishes(lambda: self._backward(cache, p, d_final))
+        monkeypatch.undo()
+        after = finishes(lambda: self._backward(cache, p, d_final))
+        assert all(np.array_equal(after[k], before[k]) for k in before)
+
+    def test_passes_from_more_threads_than_cores_share_the_worker(self):
+        """Three threads each run forwards and BPTTs that hand work to the one
+        worker, with the interpreter switching threads every microsecond:
+        every result keeps its bits."""
+        p, X, d_final = self._inputs()
+
+        def both():
+            _, cache = gru_forward(X, p, want_cache=True)
+            return self._backward(cache, p, d_final)
+
+        want = both()
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: results.extend(both() for _ in range(3)))
+                       for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 9
+        assert all(np.array_equal(got[k], want[k]) for got in results for k in want)
+
+    def test_a_pass_from_an_on_step_on_the_worker_runs_on_that_thread(self):
+        """A worker waiting on itself would never return."""
+        p, X, _ = self._inputs()
+        inner = {}
+
+        def on_step(t, rows, H):
+            if t == 0 and rows.start > 0:
+                inner["H"] = gru_forward(X, p)
+
+        finishes(lambda: gru_forward(X, p, on_step=on_step))
+        assert np.array_equal(inner["H"], gru_forward(X, p))
 
 
 class TestSigmoid:
@@ -313,7 +557,7 @@ class TestGruBackward:
             q = GruParams.from_dict(params)
             if d_h_all_mode:
                 states = []
-                H = gru_forward(X, q, on_step=lambda t, H_t: states.append(H_t.copy()))
+                H = gru_forward(X, q, on_step=lambda t, rows, H_t: states.append(H_t.copy()))
                 return float((w_all * np.array(states)).sum()) + float((w_final * H).sum())
             return float((w_final * gru_forward(X, q)).sum())
 
