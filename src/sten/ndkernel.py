@@ -39,31 +39,30 @@ stacked blocks and of their gradients: stacking its GEMMs gave the same bits
 and no speed-up.
 
 Two threads.  A pass of d_model >= ``WORKER_D_MODEL`` (128) over at least
-2 * ``MIN_ROWS`` rows also runs on one worker thread, made on first use;
-narrower or shorter passes ran slower on two threads than on one, and stay
-on the calling thread.  The forward gives the worker rows [B//2, B) and
-runs rows [0, B//2) itself: the rows of a GRU are independent, and from
-``MIN_ROWS`` rows on a row of a GEMM gets the bits it gets in a taller one,
-so every state keeps its bits.  Both threads write their rows of the one
-cache and call ``on_step`` with them; its array is a buffer that the next
-step overwrites.  The backward runs the dh recurrence on the calling
-thread and hands each step's gate gradients to the worker, which adds the
-weight and bias gradients step by step in the order one thread adds them,
-so they keep their bits too.  An error in either thread reaches the caller
-once both have stopped.  The worker calls no public function of this
-module (perfbench's tracer keeps one span stack, on the calling thread),
-and runs in a copy of the caller's context, so ``np.errstate`` holds on
-both threads.  BLAS should run one thread per calling thread: importing
-``sten`` sets that default (``sten/__init__.py``).
+2 * ``MIN_ROWS`` rows owns a helper thread: it starts one, and joins it
+before it returns, so no thread outlives a pass.  Narrower or shorter passes
+ran slower on two threads than on one, and stay on the calling thread.  The
+forward gives the helper rows [B//2, B) and runs rows [0, B//2) itself: the
+rows of a GRU are independent, and from ``MIN_ROWS`` rows on a row of a GEMM
+gets the bits it gets in a taller one.  Both threads write their rows of the
+one cache and call ``on_step`` with them; its array is a buffer that the
+next step overwrites.  The backward runs the dh recurrence on the calling
+thread and hands each step's gate gradients to the helper, which adds the
+weight and bias gradients in the order one thread adds them.  So every bit
+is kept.  An error in either thread reaches the caller once both have
+stopped.  The helper runs in a copy of the caller's context, so
+``np.errstate`` holds on both threads, and calls no public function of this
+module (perfbench's tracer keeps one span stack, on the calling thread).
+BLAS should run one thread per calling thread: ``sten/__init__.py`` sets it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import functools
 import queue
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,36 +183,38 @@ class GruCache:
 # (``TestRowCountInvariance``), so that a pass split into blocks of at least
 # this many rows, or scoring's chunks of windows, keeps every bit.
 MIN_ROWS = 64
-# The narrowest GRU whose passes use the worker thread: on two cores a split
+# The narrowest GRU whose passes start a helper thread: on two cores a split
 # forward at d_model 32 or 64 was slower than one thread, and from 128 on
 # faster (1.14-1.66x forward, 1.19-2.4x BPTT).
 WORKER_D_MODEL = 128
 
-_executor: ThreadPoolExecutor | None = None
-_executor_lock = threading.Lock()
-_this_thread = threading.local()
-
-
-def _mark_worker() -> None:
-    _this_thread.is_worker = True
-
 
 def _uses_worker(B: int, d: int) -> bool:
-    """Whether a pass over B rows of width d runs on the worker as well.  A
-    pass that runs on the worker itself (from an ``on_step``) does not."""
-    return (d >= WORKER_D_MODEL and B >= 2 * MIN_ROWS
-            and not getattr(_this_thread, "is_worker", False))
+    """Whether a pass over B rows of width d starts a helper thread."""
+    return d >= WORKER_D_MODEL and B >= 2 * MIN_ROWS
 
 
-def _submit(fn, *args) -> Future:
-    """``fn(*args)`` on the one worker thread, made on first use, in a copy of
-    the caller's context, so that numpy's error state applies there too."""
-    global _executor
-    with _executor_lock:
-        if _executor is None:
-            _executor = ThreadPoolExecutor(1, thread_name_prefix="sten-gru",
-                                           initializer=_mark_worker)
-    return _executor.submit(contextvars.copy_context().run, fn, *args)
+@contextlib.contextmanager
+def _helper_thread(fn, *args):
+    """``fn(*args)`` on a thread of its own, in a copy of the caller's context
+    (so numpy's error state holds there too), while the caller runs the block:
+    joined when the block ends, its error raised if the block raised none."""
+    failure = []
+
+    def run():
+        try:
+            fn(*args)
+        except BaseException as exc:
+            failure.append(exc)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(run,))
+    thread.start()
+    try:
+        yield
+    finally:
+        thread.join()  # no row or gradient is written after the pass returns
+    if failure:
+        raise failure[0]
 
 
 def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False, on_step=None):
@@ -225,8 +226,8 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False, on_step=N
     is called after each step t with the new states H of the rows ``rows`` (a
     slice of the batch), in the compute dtype: their ``H_prev[t + 1]`` of the
     cache, or their final states.  H is a buffer the next step overwrites.
-    A pass that uses the worker calls it from both threads, each with its
-    own rows.
+    A pass that starts a helper thread calls it from both threads, each with
+    its own rows.
     """
     X = np.asarray(X)
     dt = _work_dtype(X)
@@ -247,18 +248,13 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False, on_step=N
         _gru_rows(X, W, U, b, H, cache, slice(0, B), on_step, sigmoid, _step_buffers(B, d, dt))
     else:
         h = B // 2
-        # The worker's buffers are made here: what the worker thread allocates
+        # The helper's buffers are made here: what the helper thread allocates
         # comes from a malloc arena of its own, which keeps its peak.
         work = _step_buffers(B - h, d, dt)
         logistic = functools.partial(_logistic, e=np.empty_like(work[1]),
                                      mask=np.empty(work[1].shape, bool))
-        worker = _submit(_gru_rows, X, W, U, b, H, cache, slice(h, B), on_step, logistic, work)
-        try:
-            _gru_rows(X, W, U, b, H, cache, slice(0, h), on_step, sigmoid,
-                      _step_buffers(h, d, dt))
-        finally:
-            worker.exception()  # waits: no row is written after the pass returns
-        worker.result()
+        with _helper_thread(_gru_rows, X, W, U, b, H, cache, slice(h, B), on_step, logistic, work):
+            _gru_rows(X, W, U, b, H, cache, slice(0, h), on_step, sigmoid, _step_buffers(h, d, dt))
     H = H.astype(np.float64, copy=False)
     return (H, cache) if want_cache else H
 
@@ -274,7 +270,7 @@ def _gru_rows(X, W, U, b, H, cache, rows: slice, on_step, logistic, work) -> Non
     """Rows ``rows`` of a GRU pass through all T steps: their final states
     into ``H[rows]``, and with a cache their steps into its rows.  Each step
     writes into the arrays ``work`` (``_step_buffers``).  ``logistic(x,
-    out=x)`` is ``sigmoid`` on the calling thread; the worker's half is given
+    out=x)`` is ``sigmoid`` on the calling thread; the helper's half is given
     ``_logistic`` on buffers of its own, and calls no function perfbench
     traces, whose span stack belongs to the calling thread."""
     d = H.shape[1]
@@ -319,10 +315,10 @@ def gru_backward(cache: GruCache, p: GruParams, grads: ParamDict, prefix: str,
     Computes in the dtype of the cache: this call's parameter gradients are
     summed in it, then added once into ``grads`` under ``prefix``.
 
-    The calling thread runs the dh recurrence.  A pass that uses the worker
-    hands it each step's gate gradients through two reused buffers, and the
-    worker adds the weight and bias gradients, step after step in the same
-    order as one thread would.
+    The calling thread runs the dh recurrence.  A pass that starts a helper
+    thread hands it each step's gate gradients through two reused buffers,
+    and the helper adds the weight and bias gradients, step after step in the
+    same order as one thread would.
     """
     X = cache.X
     B, T, _ = X.shape
@@ -344,16 +340,14 @@ def gru_backward(cache: GruCache, p: GruParams, grads: ParamDict, prefix: str,
         free, ready = queue.SimpleQueue(), queue.SimpleQueue()
         for _ in range(2):
             free.put(np.empty((3, B, d), dt))
-        worker = _submit(_add_handed_over, ready, free, add)
-        try:
-            for t in range(T - 1, -1, -1):
-                da = free.get()
-                _dh_step(cache, t, U, dh, d_h_all, da, scratch)
-                ready.put((t, da))
-        finally:
-            ready.put(None)
-            worker.exception()  # waits: no gradient is added after the pass returns
-        worker.result()
+        with _helper_thread(_add_handed_over, ready, free, add):
+            try:
+                for t in range(T - 1, -1, -1):
+                    da = free.get()
+                    _dh_step(cache, t, U, dh, d_h_all, da, scratch)
+                    ready.put((t, da))
+            finally:
+                ready.put(None)
 
     for n in GruParams.NAMES:
         grads[prefix + n] += g[n]
@@ -417,7 +411,7 @@ def _grad_adder(g: ParamDict, cache: GruCache):
 
 
 def _add_handed_over(ready: queue.SimpleQueue, free: queue.SimpleQueue, add) -> None:
-    """The worker's half of a pipelined BPTT: ``add`` each (t, da) the
+    """The helper's half of a pipelined BPTT: ``add`` each (t, da) the
     recurrence hands over, and hand each buffer back, up to the None that ends
     the pass.  After a failure it only hands buffers back, so that the
     recurrence never waits for one, and raises the failure at the end."""

@@ -164,8 +164,6 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
     if use_ep:
         if "ep_head.W" not in phi:
             raise DataError("model has no error-prediction head")
-        if X.shape[1] < 2:
-            raise DataError("error-prediction branch needs windows of length >= 2")
         # Each step's states are read as the step makes them, by a stack of
         # 1-row float64 products: a row gets the same bits in a chunk of any
         # size, as it would not from a GEMM over the chunk's rows.

@@ -229,7 +229,8 @@ def write_scores_csv(path, series: ScoreSeries, labels: np.ndarray | None = None
 def read_scores_csv(path) -> dict[str, np.ndarray]:
     """Read a scores CSV back into column arrays (labels included if present).
 
-    Scores must be finite and labels 0 or 1; a bad cell fails with its file line.
+    Scores must be finite, labels 0 or 1 and timestamps 1, 2, ..., n in file
+    order; a bad cell fails with its file line, a misplaced timestamp with its row.
     """
     def select(header):
         kinds = {"timestamp": "int", "score": "float", "score_otn": "float",
@@ -241,4 +242,8 @@ def read_scores_csv(path) -> dict[str, np.ndarray]:
             kinds["label"] = "label"
         return [(name, header.index(name), kind) for name, kind in kinds.items()]
 
-    return read_table(path, select)[1]
+    cols = read_table(path, select)[1]
+    if (off := np.flatnonzero(cols["timestamp"] != np.arange(1, len(cols["score"]) + 1))).size:
+        raise DataError(f"{path}: data row {off[0] + 1} has timestamp {cols['timestamp'][off[0]]}"
+                        "; timestamps must be 1, 2, ..., n in file order")
+    return cols

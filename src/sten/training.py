@@ -70,6 +70,8 @@ class TrainConfig:
         if self.r > self.l:
             raise ConfigError(f"r must be <= l, got r={self.r} > l={self.l}: a window's "
                               "sub-sequences would leave gaps between them")
+        if self.L < 2 and branches(self.mode, self.alpha)[1]:
+            raise ConfigError(f"error prediction needs windows of length >= 2, got L={self.L}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

@@ -425,6 +425,21 @@ class TestSweep:
         assert not work.exists()
         assert not (tmp / "sweep.csv").exists()
 
+    def test_a_window_too_short_for_error_prediction_fails_before_training(self, workspace,
+                                                                            capsys):
+        """At m 1, l 1 gives windows of length 1, from which the
+        error-prediction branch has no next step to predict; l 3 would train."""
+        tmp, cfg = workspace
+        train_csv, test_csv = prepared_data(tmp, cfg)
+        work = tmp / "work"
+        assert run(["sweep", "--param", "l", "--values", "3,1", "--set", "m=1",
+                    "--set", "R_test=1", "--mode", "dsn_plus_ep",
+                    "--train", train_csv, "--test", test_csv, "--config", cfg,
+                    "--out", tmp / "sweep.csv", "--work-dir", work]) == 1
+        assert "needs windows of length >= 2" in capsys.readouterr().err
+        assert not work.exists()
+        assert not (tmp / "sweep.csv").exists()
+
     def test_sweep_trains_with_seed(self, workspace):
         # score does not read the seed; the sweep still trains with it.
         tmp, cfg = workspace
@@ -586,7 +601,7 @@ def sten_process(argv, files, timeout=None):
 
 def test_a_train_whose_gru_passes_use_the_worker_exits(workspace):
     """d_model 128 over one batch of 130 windows: every GRU pass runs on two
-    threads, and the worker thread does not hold the interpreter open."""
+    threads, and no helper thread holds the interpreter open."""
     tmp, cfg = workspace
     train_csv, _ = prepared_data(tmp, cfg)
     proc = sten_process(["train", "--train", train_csv, "--config", cfg, "--set", "d_model=128",
@@ -877,6 +892,9 @@ CSV_CASES = [
                  "line 4: cannot parse score 'abc'", id="scores-blank-lines-keep-line-numbers"),
     pytest.param("scores", SCORES_HEADER + "1,0.5,0.5,0,01\n",
                  "line 2: label must be 0 or 1, got '01'", id="scores-label-not-0-or-1"),
+    pytest.param("scores", SCORES_HEADER + "1,0.5,0.5,0,0\n\n3,0.1,0.1,0,1\n2,0.9,0.9,0,0\n",
+                 "data row 2 has timestamp 3; timestamps must be 1, 2, ..., n in file order",
+                 id="scores-timestamp-out-of-order"),
 ]
 
 

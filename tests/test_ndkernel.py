@@ -1,7 +1,10 @@
 import contextvars
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,15 +184,15 @@ class TestRowCountInvariance:
 
 
 def split_passes(monkeypatch) -> list:
-    """Records the function of each task a pass hands to the worker."""
+    """Records the function of each task a pass hands to a helper thread."""
     tasks = []
-    submit = ndkernel._submit
+    helper_thread = ndkernel._helper_thread
 
     def recording(fn, *args):
         tasks.append(fn)
-        return submit(fn, *args)
+        return helper_thread(fn, *args)
 
-    monkeypatch.setattr(ndkernel, "_submit", recording)
+    monkeypatch.setattr(ndkernel, "_helper_thread", recording)
     return tasks
 
 
@@ -217,8 +220,8 @@ def finishes(fn, seconds=120.0):
 
 class TestTwoThreadForward:
     """A pass of d_model >= 128 over >= 2 * MIN_ROWS rows runs rows [h:B] on
-    the worker: every output has the bits of the two blocks of rows run as
-    one-thread passes of their own."""
+    a helper thread: every output has the bits of the two blocks of rows run
+    as one-thread passes of their own."""
 
     SIZES = [(B, d) for B in (128, 129, 255, 256) for d in (128, 256)]
 
@@ -262,9 +265,9 @@ class TestTwoThreadForward:
 
 
 class TestPipelinedBackward:
-    """With the worker adding the weight and bias gradients while the calling
-    thread runs the dh recurrence, every gradient has the bits of the serial
-    loop in oracles."""
+    """With a helper thread adding the weight and bias gradients while the
+    calling thread runs the dh recurrence, every gradient has the bits of the
+    serial loop in oracles."""
 
     @pytest.mark.parametrize("upstream", ["final", "all", "both"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
@@ -288,7 +291,7 @@ class TestPipelinedBackward:
 
 class TestWorkerRobustness:
     """An error in either thread of a pass reaches the caller, and leaves no
-    worker waiting: the next pass gives the same bits."""
+    thread waiting: the next pass gives the same bits."""
 
     B, T, D = 2 * MIN_ROWS + 1, 8, 128
 
@@ -362,10 +365,10 @@ class TestWorkerRobustness:
         after = finishes(lambda: self._backward(cache, p, d_final))
         assert all(np.array_equal(after[k], before[k]) for k in before)
 
-    def test_passes_from_more_threads_than_cores_share_the_worker(self):
-        """Three threads each run forwards and BPTTs that hand work to the one
-        worker, with the interpreter switching threads every microsecond:
-        every result keeps its bits."""
+    def test_passes_from_more_threads_than_cores_keep_their_bits(self):
+        """Three threads each run forwards and BPTTs that start helper threads
+        of their own, with the interpreter switching threads every
+        microsecond: every result keeps its bits."""
         p, X, d_final = self._inputs()
 
         def both():
@@ -389,8 +392,9 @@ class TestWorkerRobustness:
         assert len(results) == 9
         assert all(np.array_equal(got[k], want[k]) for got in results for k in want)
 
-    def test_a_pass_from_an_on_step_on_the_worker_runs_on_that_thread(self):
-        """A worker waiting on itself would never return."""
+    def test_a_pass_from_an_on_step_starts_a_helper_of_its_own(self, monkeypatch):
+        """The inner pass, run on the outer pass's helper thread, splits its
+        rows too, and gives the bits of a pass of its own."""
         p, X, _ = self._inputs()
         inner = {}
 
@@ -398,8 +402,65 @@ class TestWorkerRobustness:
             if t == 0 and rows.start > 0:
                 inner["H"] = gru_forward(X, p)
 
+        tasks = split_passes(monkeypatch)
         finishes(lambda: gru_forward(X, p, on_step=on_step))
+        assert len(tasks) == 2
         assert np.array_equal(inner["H"], gru_forward(X, p))
+
+    def test_no_thread_outlives_a_pass(self, monkeypatch):
+        p, X, d_final = self._inputs()
+        before = threading.active_count()
+        tasks = split_passes(monkeypatch)
+        _, cache = gru_forward(X, p, want_cache=True)
+        self._backward(cache, p, d_final)
+        assert len(tasks) == 2
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_child_forked_after_a_pass_runs_its_own(self):
+        """A process runs a forward and BPTT that start helper threads, forks,
+        and its child runs the same pass; the parent kills the child if it
+        has not exited within the bound."""
+        env = dict(os.environ, PYTHONPATH=str(Path(ndkernel.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", FORKED_PASS], env=env, capture_output=True,
+                              text=True, timeout=4 * FORK_BOUND_S)
+        assert proc.returncode == 0, proc.stderr
+
+
+# Seconds a forked child has for a pass of milliseconds.
+FORK_BOUND_S = 30
+FORKED_PASS = f"""
+import os, signal, sys, time
+import numpy as np
+from sten.ndkernel import gru_backward, gru_forward, init_gru
+
+rng = np.random.default_rng(21)
+p = init_gru(3, 128, rng)
+X = rng.normal(size=(128, 8, 3))
+d_final = rng.normal(size=(128, 128))
+
+
+def wide_pass():
+    H, cache = gru_forward(X, p, want_cache=True)
+    grads = {{k: np.zeros(v.shape) for k, v in p.as_dict().items()}}
+    gru_backward(cache, p, grads, "", d_h_final=d_final)
+    return [H] + [grads[k] for k in sorted(grads)]
+
+
+want = wide_pass()
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if all(map(np.array_equal, wide_pass(), want)) else 3)
+deadline = time.monotonic() + {FORK_BOUND_S}
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.01)
+os.kill(pid, signal.SIGKILL)
+os.waitpid(pid, 0)
+sys.exit("the forked child was still running after {FORK_BOUND_S} s")
+"""
 
 
 class TestSigmoid:

@@ -249,9 +249,6 @@ class TestForward:
         values, starts = laid_end_to_end(windows_for(seed=36))
         with pytest.raises(DataError, match="no error-prediction head"):
             forward(make_phi(seed=37), values, starts, forward_cfg("dsn_plus_ep"))
-        one_step = TrainConfig(l=1, r=1, m=1, mode="dsn_plus_ep")
-        with pytest.raises(DataError, match="length >= 2"):
-            forward(make_phi(m=1, seed=38, with_ep_head=True), values, starts, one_step)
 
 
 class TestPairDistance:

@@ -231,5 +231,5 @@ class TestEpLoss:
 
     def test_short_window_rejected(self):
         phi = phi_with_ep(2, 4, 4, 4)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError, match="length >= 2"):
             ep_loss(np.zeros((1, 2)), phi)

@@ -486,6 +486,26 @@ class TestErrorPredictionPositiveControl:
         assert self.final_ep(lr=0.0) > 1.0
 
 
+class TestDistancePositiveControl:
+    """On the same sinusoid, phi trained alone on the distance task must copy
+    the frozen eta's inner products far better than its untrained control,
+    whose loss stays where it starts."""
+
+    @staticmethod
+    def dsn_trace(lr):
+        cfg = TrainConfig(R_train=5, l=5, r=5, m=4, d_model=8, lr=lr, epochs=10,
+                          batch_size=32, mode="dsn_only")
+        return [row[1] for row in train(TestErrorPredictionPositiveControl.SERIES,
+                                        cfg).loss_trace]
+
+    def test_trained_loss_ends_far_below_the_untrained_one(self):
+        assert self.dsn_trace(lr=1e-2)[-1] < self.dsn_trace(lr=0.0)[-1] / 100
+
+    def test_untrained_control_is_flat(self):
+        trace = self.dsn_trace(lr=0.0)
+        assert trace[0] > 0 and all(loss == trace[0] for loss in trace)
+
+
 def small_series(n=600, d=2, seed=0):
     cfg = SynthConfig(n_train=n, n_test=50, dims=d, anomaly_rate=0.0, seed=seed)
     tr, _ = synth_generate(cfg)
@@ -593,6 +613,13 @@ class TestTrain:
         TrainConfig(l=5, r=5, m=3).validate()
         with pytest.raises(ConfigError, match="r must be <= l"):
             TrainConfig(l=5, r=10, m=3).validate()
+
+    def test_error_prediction_needs_windows_of_length_two(self):
+        """The head predicts step t + 1 from step t: at l = m = 1 it has no pair."""
+        TrainConfig(l=1, r=1, m=1, mode="dsn_only").validate()
+        TrainConfig(l=2, r=1, m=1, mode="dsn_plus_ep").validate()
+        with pytest.raises(ConfigError, match="length >= 2, got L=1"):
+            TrainConfig(l=1, r=1, m=1, mode="dsn_plus_ep").validate()
 
     @pytest.mark.parametrize("bad", [dict(seed=-1)], ids=["seed"])
     def test_negative_seed_rejected(self, bad):
