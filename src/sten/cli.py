@@ -88,20 +88,25 @@ def _convert(key: str, raw: str):
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat key = value lines; # starts a comment; unknown keys are rejected."""
+    """Flat key = value lines of UTF-8 text; # starts a comment; unknown keys
+    are rejected."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected key = value")
-            key, raw = line.split("=", 1)
-            key = key.strip()
-            if key not in SCHEMA:
-                raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-            values[key] = raw.strip()
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected key = value")
+        key, raw = line.split("=", 1)
+        key = key.strip()
+        if key not in SCHEMA:
+            raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+        values[key] = raw.strip()
     return values
 
 

@@ -10,7 +10,12 @@ Every CSV table the package reads goes through ``read_table`` and
 here, score files in ``scoring``, loss logs and sweep tables in ``cli``.
 Tables are read and written in blocks of ``TABLE_BLOCK_ROWS`` rows, so what a
 table holds beyond the arrays read or written is O(block), not one string or
-Python number per cell of the whole table.
+Python number per cell of the whole table.  Each block does its per-cell work
+in C: a read is one ``np.loadtxt`` call, and a write of numbers one format
+string mapped over the block's columns.  A block that ``np.loadtxt`` cannot
+take as ``csv.reader`` would, or that holds a defect, is read again through
+``csv.reader`` and parsed column by column, which takes what the fast call
+refuses and names the first defect with its file line.
 """
 
 from __future__ import annotations
@@ -68,6 +73,25 @@ class NormStats:
 # Rows per block: tables are read and written this many rows at a time.
 TABLE_BLOCK_ROWS = 4096
 
+# The lines that csv.reader reads as no row at all.
+_BLANK_LINES = frozenset({"\n", "\r\n", "\r"})
+
+# Characters that np.loadtxt reads otherwise than csv.reader and numpy's
+# parse of a str: a quote, which csv reads as quoting, the file, group,
+# record and unit separators, which np.loadtxt strips as whitespace, and NUL,
+# which a numpy text field drops from the end of a cell.  Its number parser
+# also takes some non-ASCII characters as digits, so a block it reads is ASCII.
+_CSV_ONLY = '"\x00\x1c\x1d\x1e\x1f'
+
+# The width of the ASCII text field that np.loadtxt cuts an int or label cell to.
+_TEXT_WIDTH = 32
+
+# np.loadtxt field types by column kind.  Int and label cells are read as
+# text and cast as ``parse_column`` casts them, never by np.loadtxt's int
+# parser, whose handling of a cell such as 1.0 depends on the numpy version.
+# An unselected column is only counted.
+_FIELDS = {"float": "f8", "int": f"S{_TEXT_WIDTH}", "label": f"S{_TEXT_WIDTH}", None: "S1"}
+
 
 def read_table(path, select) -> tuple[list[str], dict[str, np.ndarray]]:
     """The header, and the columns that ``select(header)`` names, parsed.
@@ -77,44 +101,128 @@ def read_table(path, select) -> tuple[list[str], dict[str, np.ndarray]]:
     ``parse_column``, and ``name`` keys the result and names the column in
     errors.  Each result is (n,) for one position and (n, k) for a list.
 
-    Blank lines are skipped.  The file must hold a header that names each
-    column once and at least one data row, and every data row must be as wide
-    as the header.  The rows are parsed ``TABLE_BLOCK_ROWS`` at a time, and
-    checked in the parse's order: within a block, ragged rows first, then each
-    selected column in turn; a block's defect is found before a later block's.
+    The file is UTF-8 text, after an optional byte order mark, read as
+    ``csv.reader`` reads it.  Blank lines are skipped.  The file must hold a
+    header that names each column once and at least one data row, and every
+    data row must be as wide as the header.
+
+    The data rows are parsed ``TABLE_BLOCK_ROWS`` at a time.  A block of that
+    many lines is parsed by one ``np.loadtxt`` call when it is ASCII text with
+    no blank line, no character of ``_CSV_ONLY`` and no line over csv's field
+    limit: there, that call's C tokenizer and float parser take a subset of
+    what ``csv.reader`` and ``parse_column`` take, to the same values, and
+    int and label cells come out as text for ``parse_column``'s cast.  Any
+    other block, or one with a cell that call refuses, a non-finite float or
+    a label other than the text 0 or 1, is read again by ``csv.reader`` and
+    parsed by ``parse_column``.  That path takes every cell it can and names
+    the first defect with its file line, in the parse's order: within a
+    block, ragged rows first, then each selected column in turn; a block's
+    defect is found before a later block's, and a header that ``select``
+    refuses after the first block's ragged rows.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = ((row, reader.line_num) for row in reader if row)
-        first = next(rows, None)
-        if first is None:
-            raise DataError(f"{path}: empty file")
-        header = [c.strip() for c in first[0]]
-        if len(set(header)) < len(header):
-            twice = next(c for i, c in enumerate(header) if c in header[:i])
-            raise DataError(f"{path}: the header names column {twice!r} twice")
-        block = list(itertools.islice(rows, TABLE_BLOCK_ROWS))
-        if not block:
-            raise DataError(f"{path}: no data rows after header")
-        columns, parts = None, None
-        while block:
-            cells, lines = zip(*block)
-            widths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
-            ragged = np.flatnonzero(widths != len(header))
-            if ragged.size:
-                i = ragged[0]
-                raise DataError(f"{path}: line {lines[i]}: expected {len(header)} columns, "
-                                f"got {widths[i]}")
-            if columns is None:
-                columns = select(header)
-                parts = {name: [] for name, _, _ in columns}
-            cols = list(zip(*cells))
-            for name, index, kind in columns:
-                text = [cols[j] for j in index] if isinstance(index, list) else cols[index]
-                parts[name].append(parse_column(path, name, text, lines, kind))
-            block = list(itertools.islice(rows, TABLE_BLOCK_ROWS))
-    return header, {name: np.concatenate([part.T for part in parts[name]])
-                    for name, _, _ in columns}
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            return _read_blocks(path, fh, select)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read_blocks(path, fh, select):
+    first = next(_csv_rows(path, fh, 0), None)
+    if first is None:
+        raise DataError(f"{path}: empty file")
+    header = [c.strip() for c in first[0]]
+    if len(set(header)) < len(header):
+        twice = next(c for i, c in enumerate(header) if c in header[:i])
+        raise DataError(f"{path}: the header names column {twice!r} twice")
+    try:
+        columns, refused = select(header), None
+    except DataError as exc:     # raised once the first block's widths are checked
+        columns, refused = [], exc
+    line, parts, empty = first[1], {name: [] for name, _, _ in columns}, True
+    while raw := list(itertools.islice(fh, TABLE_BLOCK_ROWS)):
+        block = _load_block(raw, len(header), columns)
+        if block is None:
+            rows = list(itertools.islice(_csv_rows(path, itertools.chain(raw, fh), line),
+                                         TABLE_BLOCK_ROWS))
+            if not rows:
+                break
+            line, block = rows[-1][1], _parse_rows(path, rows, len(header), columns)
+        else:
+            line += len(raw)
+        if refused is not None:
+            raise refused
+        for name, col in block.items():
+            parts[name].append(col)
+        empty = False
+    if empty:
+        raise DataError(f"{path}: no data rows after header")
+    return header, {name: np.concatenate(parts[name]) for name, _, _ in columns}
+
+
+def _csv_rows(path, lines, start: int):
+    """Each non-blank ``csv.reader`` row of ``lines`` and the file line it
+    ends on, the first of ``lines`` being file line ``start + 1``.  A csv
+    error, such as a cell over the field limit, is a DataError naming its line.
+    """
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            if row:
+                yield row, start + reader.line_num
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {start + reader.line_num}: {exc}") from None
+
+
+def _load_block(raw: list[str], width: int, columns) -> dict[str, np.ndarray] | None:
+    """The selected columns of the rows that the lines ``raw`` hold, from one
+    ``np.loadtxt`` call, or None for a block that ``_parse_rows`` must read."""
+    text = "".join(raw)
+    if (not text.isascii() or any(c in text for c in _CSV_ONLY)
+            or not _BLANK_LINES.isdisjoint(raw) or max(map(len, raw)) > csv.field_size_limit()):
+        return None
+    kinds = {j: kind for _, index, kind in columns
+             for j in (index if isinstance(index, list) else [index])}
+    try:
+        table = np.loadtxt(raw, dtype=[(f"c{j}", _FIELDS[kinds.get(j)]) for j in range(width)],
+                           delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None      # a ragged row or a cell np.loadtxt refuses
+    block = {}
+    for name, index, kind in columns:
+        col = (np.stack([table[f"c{j}"] for j in index], axis=1) if isinstance(index, list)
+               else table[f"c{index}"])
+        if kind == "float":
+            if not np.isfinite(col).all():
+                return None
+        elif np.char.str_len(col).max() >= _TEXT_WIDTH:
+            return None  # a cell np.loadtxt may have cut
+        elif kind == "label":
+            if not ((col == b"0") | (col == b"1")).all():
+                return None
+            col = (col == b"1").astype(np.int64)
+        else:
+            try:
+                col = col.astype(np.int64)
+            except (ValueError, OverflowError):
+                return None
+        block[name] = np.ascontiguousarray(col)   # a float field's view would keep the table
+    return block
+
+
+def _parse_rows(path, rows, width: int, columns) -> dict[str, np.ndarray]:
+    """The selected columns of ``rows``, (csv cells, file line) pairs, parsed
+    by ``parse_column``; the first defect is a DataError naming its line."""
+    cells, lines = zip(*rows)
+    widths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+    ragged = np.flatnonzero(widths != width)
+    if ragged.size:
+        i = ragged[0]
+        raise DataError(f"{path}: line {lines[i]}: expected {width} columns, got {widths[i]}")
+    cols = list(zip(*cells))
+    return {name: parse_column(path, name, [cols[j] for j in index] if isinstance(index, list)
+                               else cols[index], lines, kind).T
+            for name, index, kind in columns}
 
 
 def _reject(path, lines, cells, bad: np.ndarray, what: str) -> None:
@@ -129,7 +237,7 @@ def _reject(path, lines, cells, bad: np.ndarray, what: str) -> None:
 def _parses(cell: str, dtype) -> bool:
     try:
         np.asarray(cell, dtype=dtype)
-    except ValueError:
+    except (ValueError, OverflowError):
         return False
     return True
 
@@ -148,7 +256,7 @@ def parse_column(path, name: str, cells, lines, kind: str = "float") -> np.ndarr
     dtype = np.float64 if kind == "float" else np.int64
     try:
         out = np.asarray(cells, dtype=dtype)
-    except ValueError:
+    except (ValueError, OverflowError):
         parses = np.vectorize(lambda cell: _parses(cell, dtype), otypes=[bool])
         _reject(path, lines, cells, ~parses(np.asarray(cells, dtype=object)),
                 f"cannot parse {name}")
@@ -160,18 +268,27 @@ def parse_column(path, name: str, cells, lines, kind: str = "float") -> np.ndarr
 
 def write_table(path, header: list[str], columns) -> None:
     """Write ``header``, then one row per entry of the equal-length ``columns``,
-    ``TABLE_BLOCK_ROWS`` rows at a time, through ``atomic_write``.
-    ``csv.writer`` writes floats with ``repr``, ints with ``str`` and None as
-    an empty cell.
+    ``TABLE_BLOCK_ROWS`` rows at a time, through ``atomic_write``, as
+    ``csv.writer`` writes them: floats by ``repr``, other values by ``str``,
+    None as an empty cell, and a cell quoted when it holds a comma, a quote
+    or a line break.  When every column holds numbers, whose text needs no
+    quotes, each block is one string: a format string of ``str`` cells (a
+    float's ``str`` is its ``repr``) mapped over the block's columns.
     """
     columns = [np.asarray(col) for col in columns]
     if len({len(col) for col in columns}) > 1:
         raise ValueError(f"columns of unequal lengths {[len(col) for col in columns]}")
+    numbers = all(col.dtype.kind in "biuf" for col in columns)
+    row = ",".join(["{!s}"] * len(columns)) + "\r\n"
     with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for s in range(0, len(columns[0]) if columns else 0, TABLE_BLOCK_ROWS):
-            w.writerows(zip(*[col[s:s + TABLE_BLOCK_ROWS].tolist() for col in columns]))
+            cells = [col[s:s + TABLE_BLOCK_ROWS].tolist() for col in columns]
+            if numbers:
+                fh.write("".join(map(row.format, *cells)))
+            else:
+                w.writerows(zip(*cells))
 
 
 def load_csv(path) -> MultivariateSeries:

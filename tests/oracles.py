@@ -5,6 +5,8 @@ comparisons, dense enumerations.  Oracles stay independent of the package
 code they check.
 """
 
+import csv
+import itertools
 import math
 from fractions import Fraction
 
@@ -936,3 +938,92 @@ def score_series_dense(model, test, cfg):
     otn_col = column(lambda wi, i: temporal[wi][i])
     dsn_col = column(lambda wi, i: dsn[wi])
     return otn_col + cfg.beta * dsn_col, otn_col, dsn_col
+
+
+# ---------------------------------------------------------------------------
+# CSV table oracles
+# ---------------------------------------------------------------------------
+
+# The table reader and writer that every CSV went through before blocks were
+# parsed by np.loadtxt and formatted in one pass: csv.reader rows, zipped into
+# columns of str that numpy parses, and csv.writer rows of Python values.
+
+def csv_read_table(path, select, block_rows):
+    """``seqdata.read_table`` through csv.reader, ``block_rows`` rows at a time."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        rows = ((row, reader.line_num) for row in reader if row)
+        first = next(rows, None)
+        if first is None:
+            raise DataError(f"{path}: empty file")
+        header = [c.strip() for c in first[0]]
+        if len(set(header)) < len(header):
+            twice = next(c for i, c in enumerate(header) if c in header[:i])
+            raise DataError(f"{path}: the header names column {twice!r} twice")
+        block = list(itertools.islice(rows, block_rows))
+        if not block:
+            raise DataError(f"{path}: no data rows after header")
+        columns, parts = None, None
+        while block:
+            cells, lines = zip(*block)
+            widths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+            ragged = np.flatnonzero(widths != len(header))
+            if ragged.size:
+                i = ragged[0]
+                raise DataError(f"{path}: line {lines[i]}: expected {len(header)} columns, "
+                                f"got {widths[i]}")
+            if columns is None:
+                columns = select(header)
+                parts = {name: [] for name, _, _ in columns}
+            cols = list(zip(*cells))
+            for name, index, kind in columns:
+                text = [cols[j] for j in index] if isinstance(index, list) else cols[index]
+                parts[name].append(_csv_parse_column(path, name, text, lines, kind))
+            block = list(itertools.islice(rows, block_rows))
+    return header, {name: np.concatenate([part.T for part in parts[name]])
+                    for name, _, _ in columns}
+
+
+def _csv_reject(path, lines, cells, bad, what):
+    at = np.flatnonzero(np.transpose(bad))
+    if at.size:
+        text = np.transpose(np.asarray(cells, dtype=object))
+        line = lines[at[0] // (text.size // len(lines))]
+        raise DataError(f"{path}: line {line}: {what} {text.flat[at[0]].strip()!r}")
+
+
+def _csv_parses(cell, dtype):
+    try:
+        np.asarray(cell, dtype=dtype)
+    except ValueError:
+        return False
+    return True
+
+
+def _csv_parse_column(path, name, cells, lines, kind):
+    if kind == "label":
+        text = np.char.strip(np.asarray(cells, dtype=str))
+        _csv_reject(path, lines, cells, (text != "0") & (text != "1"),
+                    f"{name} must be 0 or 1, got")
+        return (text == "1").astype(np.int64)
+    dtype = np.float64 if kind == "float" else np.int64
+    try:
+        out = np.asarray(cells, dtype=dtype)
+    except ValueError:
+        parses = np.vectorize(lambda cell: _csv_parses(cell, dtype), otypes=[bool])
+        _csv_reject(path, lines, cells, ~parses(np.asarray(cells, dtype=object)),
+                    f"cannot parse {name}")
+        raise
+    if kind == "float":
+        _csv_reject(path, lines, cells, ~np.isfinite(out), f"{name} must be finite, got")
+    return out
+
+
+def csv_write_table(path, header, columns, block_rows):
+    """``seqdata.write_table`` through csv.writer, ``block_rows`` rows at a time."""
+    columns = [np.asarray(col) for col in columns]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for s in range(0, len(columns[0]) if columns else 0, block_rows):
+            w.writerows(zip(*[col[s:s + block_rows].tolist() for col in columns]))

@@ -587,8 +587,10 @@ def trained(tmp_path_factory):
                 "--out", tmp / "m.ckpt"]) == 0
     assert run(["score", "--model", tmp / "m.ckpt", "--test", test_csv, "--config", cfg,
                 "--out", tmp / "s.csv"]) == 0
+    latin1_cfg = tmp / "latin1.cfg"
+    latin1_cfg.write_bytes(SMALL_CONFIG.encode() + b"# caf\xe9\n")
     return {"dir": tmp, "cfg": cfg, "train": train_csv, "test": test_csv,
-            "ckpt": tmp / "m.ckpt", "scores": tmp / "s.csv"}
+            "ckpt": tmp / "m.ckpt", "scores": tmp / "s.csv", "latin1_cfg": latin1_cfg}
 
 
 def sten_process(argv, files, timeout=None):
@@ -837,6 +839,10 @@ BAD_SETTING_CASES = [
                  id="eval-unread-seed"),
     pytest.param(sweep("--param", "beta", "--values", "1", "--set", "n_train=5"), 1,
                  id="sweep-unread-n-train"),
+] + [
+    # A config file that is not UTF-8 text.
+    pytest.param(["train", "--train", "{train}", "--config", "{latin1_cfg}", "--out", "{out}"], 1,
+                 id="train-config-not-utf8"),
 ]
 
 
@@ -895,6 +901,16 @@ CSV_CASES = [
     pytest.param("scores", SCORES_HEADER + "1,0.5,0.5,0,0\n\n3,0.1,0.1,0,1\n2,0.9,0.9,0,0\n",
                  "data row 2 has timestamp 3; timestamps must be 1, 2, ..., n in file order",
                  id="scores-timestamp-out-of-order"),
+    pytest.param("labels", b"a,label\n1.0,0\ncaf\xe9,1\n", "not UTF-8 text", id="csv-not-utf8"),
+    pytest.param("scores", SCORES_HEADER.encode() + b"1,0.5,0.5,0,\xff\n", "not UTF-8 text",
+                 id="scores-not-utf8"),
+    pytest.param("scores", SCORES_HEADER + "1,0.5,0.5,0,0\n2," + "0" * 131_072 + "5,0.1,0,1\n",
+                 "line 3: field larger than field limit", id="scores-cell-over-field-limit"),
+    pytest.param("scores", SCORES_HEADER + "9223372036854775808,0.5,0.5,0,0\n",
+                 "line 2: cannot parse timestamp '9223372036854775808'",
+                 id="scores-timestamp-beyond-int64"),
+    pytest.param("scores", SCORES_HEADER + "1.0,0.5,0.5,0,0\n2.0,0.1,0.1,0,1\n",
+                 "line 2: cannot parse timestamp '1.0'", id="scores-timestamp-written-as-float"),
 ]
 
 
@@ -902,7 +918,7 @@ class TestCsvErrors:
     @pytest.mark.parametrize("command,contents,message", CSV_CASES)
     def test_data_error_names_file_and_line(self, tmp_path, command, contents, message):
         bad = tmp_path / "bad.csv"
-        bad.write_text(contents)
+        bad.write_bytes(contents if isinstance(contents, bytes) else contents.encode())
         good = tmp_path / "good.csv"
         good.write_text(SCORES_HEADER + "1,0.5,0.5,0,0\n2,0.1,0.1,0,1\n")
         argv = (["eval", "--scores", good, "--labels-from", bad] if command == "labels"
