@@ -66,11 +66,7 @@ def _keys(*classes) -> set[str]:
     """The keys of the config classes' fields."""
     return {f.name for cls in classes for f in fields(cls)}
 
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
-               "false": False, "0": False, "no": False, "off": False}
-
 _PARSERS = {"int": int, "float": float, "str": str,
-            "bool": lambda raw: _BOOL_WORDS[raw.lower()],
             "tuple[str, ...]": lambda raw: tuple(t.strip() for t in raw.split(",") if t.strip())}
 
 
@@ -83,15 +79,15 @@ def _convert(key: str, raw: str):
     parse = _PARSERS[kind.removesuffix(" | None")]
     try:
         return parse(raw)
-    except (KeyError, ValueError):
+    except ValueError:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat key = value lines of UTF-8 text; # starts a comment; unknown keys
-    are rejected."""
+    """Flat key = value lines of UTF-8 text, after a byte order mark if one
+    leads; # starts a comment; unknown keys are rejected."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -342,19 +338,22 @@ def cmd_sweep(args) -> int:
     work.mkdir(parents=True, exist_ok=True)
 
     def scored(tc: TrainConfig, ckpt: Path, sc: ScoreConfig):
-        if not ckpt.exists():
-            model = train(train_series, tc)
-            save_checkpoint(model, ckpt)
-            _write_loss_log(str(ckpt) + ".log", model.loss_trace)
+        """Trains a model afresh, whatever ``ckpt`` holds, and scores with it
+        as ``sten score`` would with the checkpoint."""
+        model = train(train_series, tc)
+        save_checkpoint(model, ckpt)
+        _write_loss_log(str(ckpt) + ".log", model.loss_trace)
         return score_series(load_checkpoint(ckpt), test_series, sc)
 
     # beta and delta share one checkpoint and one scoring: delta changes only
-    # the evaluation, and beta only how the score columns combine.
+    # the evaluation, and beta only how the score columns combine.  Any other
+    # value trains a model of its own, named by the value's repr, which no
+    # other float shares.
     rows, result = [], None
     for v, cfg_v, tc, sc in runs:
         if result is None or args.param not in ("beta", "delta"):
             ckpt = (work / "model.ckpt" if args.param in ("beta", "delta")
-                    else work / f"model_{args.param}_{v:g}.ckpt")
+                    else work / f"model_{args.param}_{cfg_v[args.param]!r}.ckpt")
             result = scored(tc, ckpt, sc)
         # The combination score_series makes, with this value's beta.
         scores = result.score_otn + sc.beta * result.score_dsn

@@ -5,10 +5,11 @@ binary checkpoint format.
 ``forward`` is the one forward of phi, run by training (with the caches its
 backward needs) and by scoring (without).  Over a batch of windows, given as a
 series and the windows' starts, it runs the branches ``branches`` selects for
-a mode.  Every branch reads phi's one GRU tower: the distance embeddings,
-which training and scoring compare over every pair of windows, are the final
-hidden states of the error-prediction pass when that branch runs, and of a
-pass of their own otherwise.
+a mode.  Every branch reads phi's one GRU tower.  The distance embeddings
+are the final hidden states of the error-prediction pass when that branch
+runs, and of a pass of their own otherwise; training and scoring compare
+their inner products over every pair of windows with those of eta's
+embeddings.
 
 The encoder phi is one ``ParamDict``, the form Adam, the gradient tape and
 the checkpoint use.  ``phi_shapes`` is its one layout: the GRU's stacked
@@ -31,8 +32,6 @@ import numpy as np
 from . import DataError, atomic_write
 from .ndkernel import GruParams, ParamDict, gru_forward, gru_shapes, require_finite, softmax
 from .seqdata import stack_slices
-
-NORM_FLOOR = 1e-12
 
 
 def phi_shapes(d_in: int, d_model: int, m: int,
@@ -106,21 +105,12 @@ def order_forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, l: int
     return P, Y, H, inv, cache
 
 
-def unit_rows(E: np.ndarray, normalize: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Window embeddings as the distance branch reads them: E's rows divided
-    by their norms floored at NORM_FLOOR when ``normalize``, else E itself.
+def embed_windows(gru: GruParams, data: np.ndarray) -> np.ndarray:
+    """Batched window embedding by one GRU tower: data (B, L, D) -> (B, d_model).
 
-    Returns (rows, norms), the floored norms (B, 1) or None.
-    """
-    if not normalize:
-        return E, None
-    norms = np.maximum(np.linalg.norm(E, axis=1, keepdims=True), NORM_FLOOR)
-    return E / norms, norms
-
-
-def embed_windows(gru: GruParams, data: np.ndarray, normalize: bool = False) -> np.ndarray:
-    """Batched window embedding by one GRU tower: data (B, L, D) -> (B, d_model)."""
-    return unit_rows(gru_forward(data, gru), normalize)[0]
+    Eta embeds windows through it, in training and scoring; BENCHMARK.json
+    counts ``len(data)`` per call by this name."""
+    return gru_forward(data, gru)
 
 
 def branches(mode: str, alpha: float) -> tuple[bool, bool, bool]:
@@ -145,9 +135,8 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
       float64, which the head forms from each state as the GRU step makes it
       (``gru_forward``'s ``on_step``), and the GruCache of its pass, None
       without ``want_cache``;
-    - dsn: (E, norms, cache), the distance embeddings (unit rows when
-      ``cfg.normalize_embeddings``), their floored norms (B, 1) or None, and
-      the GruCache of the pass that made them;
+    - dsn: (E, cache), the distance embeddings, phi's final hidden states
+      (B, d_model), and the GruCache of the pass that made them;
     - X: the windows (B, L, D), None when only the order branch runs.
 
     The windows are gathered once, and returned for eta to embed.  With the
@@ -181,11 +170,10 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
         ep = (resid, cache)
     if use_dsn:
         if use_ep:
-            E, cache = H, ep[1]
+            dsn = (H, ep[1])
         else:
-            E, cache = (gru_forward(X, gru, want_cache=True) if want_cache
-                        else (gru_forward(X, gru), None))
-        dsn = (*unit_rows(E, cfg.normalize_embeddings), cache)
+            dsn = (gru_forward(X, gru, want_cache=True) if want_cache
+                   else (gru_forward(X, gru), None))
     return order, ep, dsn, X
 
 

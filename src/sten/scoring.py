@@ -3,9 +3,10 @@
 The test windows (n_windows, L, D) start at ``seqdata.window_starts``.  The
 order (or error-prediction) branch scores each window's m sub-sequence slots,
 (n_windows, m); the order score of a slot is its L1 prediction error over the
-mean JS divergence of its window's slots.  The distance branch scores each
-window, (n_windows,), by the mean squared gap between phi's and eta's inner
-products with every other test window, and its slots inherit that score.
+mean JS divergence of its window's slots plus ``SCORE_EPS``.  The distance
+branch scores each window, (n_windows,), by the mean squared gap between
+phi's and eta's inner products of its embedding (the final hidden state)
+with every other test window's, and its slots inherit that score.
 Slot i of the window at ``s`` covers timestamps [s + i*r, s + i*r + l); a
 timestamp scores the mean over its covering slots, both columns aggregated in
 one pass.
@@ -48,19 +49,23 @@ from .seqdata import MultivariateSeries, batch_ranges, read_table, window_starts
 from .training import TrainConfig, TrainedModel, compute_values
 
 
+# The order score of a slot divides by its window's mean JS divergence plus
+# this, since that mean is 0 where every prediction is exact.
+SCORE_EPS = 1e-8
+
+
 @dataclass
 class ScoreConfig:
+    """How a test series is scored: ``beta`` weighs the distance column in
+    the combined score, and the test windows start every ``R_test``
+    timestamps.  The order score's floor is the constant ``SCORE_EPS``."""
+
     beta: float = 1.0
     R_test: int = 10
-    score_eps: float = 1e-8
 
     def validate(self) -> None:
         if not 0 <= self.beta < np.inf:
             raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
-        # The order score divides by js + score_eps, and js is 0 where the
-        # prediction is exact.
-        if not 0 < self.score_eps < np.inf:
-            raise ConfigError(f"score_eps must be finite and > 0, got {self.score_eps}")
         if self.R_test < 1:
             raise ConfigError(f"R_test must be >= 1, got {self.R_test}")
 
@@ -125,8 +130,7 @@ def aggregate_timestamps(starts, values, length: int,
 CHUNK = 1024
 
 
-def _forward_chunks(model: TrainedModel, values: np.ndarray, starts: np.ndarray,
-                    cfg: ScoreConfig):
+def _forward_chunks(model: TrainedModel, values: np.ndarray, starts: np.ndarray):
     """``networks.forward`` over the windows at ``starts``, chunk by chunk.
 
     Returns the temporal scores (n_w, m) of the order or error-prediction
@@ -141,7 +145,7 @@ def _forward_chunks(model: TrainedModel, values: np.ndarray, starts: np.ndarray,
         if order is not None:
             P, Y = order[:2]
             js = js_rows(P, Y).reshape(e - s, tc.m).mean(axis=1, keepdims=True)
-            t_scores[s:e] = np.abs(P - Y).sum(axis=1).reshape(e - s, tc.m) / (js + cfg.score_eps)
+            t_scores[s:e] = np.abs(P - Y).sum(axis=1).reshape(e - s, tc.m) / (js + SCORE_EPS)
         if ep is not None:
             err = (ep[0] ** 2).mean(axis=2).T          # (B, L-1); err[:, t-1] ~ x_t
             for i in range(tc.m):
@@ -151,7 +155,7 @@ def _forward_chunks(model: TrainedModel, values: np.ndarray, starts: np.ndarray,
                     t_scores[s:e, i] = err[:, lo - 1:hi - 1].mean(axis=1)
         if dsn is not None:
             E[s:e] = dsn[0]
-            F[s:e] = embed_windows(model.eta, X, tc.normalize_embeddings)
+            F[s:e] = embed_windows(model.eta, X)
     return t_scores, E, F
 
 
@@ -198,7 +202,7 @@ def score_series(model: TrainedModel, test: MultivariateSeries, cfg: ScoreConfig
     values = compute_values(test, model.stats)
     starts = score_starts(test.n, tc, cfg)
     n_w = len(starts)
-    t_scores, E, F = _forward_chunks(model, values, starts, cfg)
+    t_scores, E, F = _forward_chunks(model, values, starts)
 
     # Spatial component: scalar per window.
     dsn_w = distance_scores(E, F) if use_dsn else np.zeros(n_w)

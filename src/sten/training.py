@@ -15,8 +15,8 @@ from . import ConfigError, DataError, NumericError
 # looks it up on this module.
 from .ndkernel import (GradTape, GruParams, ParamDict, adam_update, backward,  # noqa: F401
                        gru_forward, gru_shapes, init_adam_state, init_gru)
-from .networks import (NORM_FLOOR, branches, embed_windows, forward, gru_checksum, init_phi,
-                       phi_shapes, read_checkpoint, write_checkpoint)
+from .networks import (branches, embed_windows, forward, gru_checksum, init_phi, phi_shapes,
+                       read_checkpoint, write_checkpoint)
 from .objectives import js_rows, js_rows_grad_p
 from .seqdata import (MultivariateSeries, NormStats, batch_ranges, stack_slices, window_starts,
                       zscore_apply, zscore_fit)
@@ -47,7 +47,6 @@ class TrainConfig:
     batch_size: int = 256
     seed: int = 0
     mode: str = "full"
-    normalize_embeddings: bool = False
 
     @property
     def L(self) -> int:
@@ -93,10 +92,11 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
     The batch is the length-L windows of the (N, D) series ``values`` at
     ``starts``; ``networks.forward`` runs phi's branches over it, with the
     caches of their GRU passes.  ``F`` holds the frozen projector eta's
-    embeddings of the batch's windows (B, d_model), unit rows when
-    ``cfg.normalize_embeddings``, for the distance branch (None without one).
-    Its loss is the mean over every ordered pair i != j of the batch of
-    (<e_i, e_j> - <f_i, f_j>)^2, in float64.
+    embeddings of the batch's windows (B, d_model) for the distance branch
+    (None without one).  Its loss is the mean over every ordered pair i != j
+    of the batch of (<e_i, e_j> - <f_i, f_j>)^2, in float64, where e_i is
+    phi's embedding of window i, its final hidden state.  Over the (B, B)
+    residuals R its gradient w.r.t. phi's embeddings E is 4 R E / (B (B-1)).
 
     Returns the tape of the loss (eta is frozen): the order and
     error-prediction heads' gradients, and each GRU pass once, with the
@@ -142,23 +142,17 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
     if dsn is not None:
         if F is None or len(F) < 2:
             raise DataError("the distance loss needs eta's embeddings of >= 2 windows")
-        En, norms, cache = dsn
-        En = En.astype(np.float64)
+        E, cache = dsn
+        E = E.astype(np.float64)
         # R = E E^T - F F^T off the diagonal, in scoring.distance_scores'
         # difference form (D = F - E), which keeps R precise when phi is near eta.
-        D = F - En
-        R = -(np.hstack([En, D]) @ np.hstack([D, F]).T)
+        D = F - E
+        R = -(np.hstack([E, D]) @ np.hstack([D, F]).T)
         np.fill_diagonal(R, 0.0)
         scale = 1.0 / (len(R) * (len(R) - 1))
         tape.dsn = float((R * R).sum() * scale)
         # d(total)/d(dsn) = alpha in every mode that trains the branch.
-        dEn = R @ En * (4.0 * cfg.alpha * scale)
-        dE = dEn
-        if norms is not None:
-            # Back through e / max(||e||, floor); En rows are unit (or e/floor).
-            dE = dEn / norms
-            active = (norms > NORM_FLOOR).astype(np.float64)
-            dE -= active * En * (dEn * En).sum(axis=1, keepdims=True) / norms
+        dE = R @ E * (4.0 * cfg.alpha * scale)
         if ep is not None:
             d_h_all[-1] += dE  # one BPTT over the shared pass carries both branches
         else:
@@ -224,8 +218,7 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     ranges = batch_ranges(n, cfg.batch_size, min_last=2 if use_dsn else 1)
     # eta is frozen and the windows are fixed: embed them once for all epochs,
     # batch by batch, so that each batch gets the bits of its own embedding.
-    eta_emb = [embed_windows(eta, stack_slices(values, starts[s:e], cfg.L),
-                             cfg.normalize_embeddings) if use_dsn else None
+    eta_emb = [embed_windows(eta, stack_slices(values, starts[s:e], cfg.L)) if use_dsn else None
                for s, e in ranges]
 
     trace: list[tuple[float, float, float]] = []
@@ -287,8 +280,8 @@ def _check_blocks(path, cfg: TrainConfig, d_in: int, blocks: dict[str, np.ndarra
 
 
 # Python types of the JSON values each declared TrainConfig field type accepts;
-# only a bool field accepts a bool.
-_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+# a bool, which Python counts as an int, is none of them.
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 def load_checkpoint(path) -> TrainedModel:
@@ -305,7 +298,7 @@ def load_checkpoint(path) -> TrainedModel:
             raise ConfigError(f"d_in must be a positive integer, got {d_in!r}")
         for f in fields(TrainConfig):
             v = config[f.name]
-            if isinstance(v, bool) != (f.type == "bool") or not isinstance(v, _JSON_TYPES[f.type]):
+            if isinstance(v, bool) or not isinstance(v, _JSON_TYPES[f.type]):
                 raise ConfigError(f"{f.name} must be {f.type}, got {v!r}")
         cfg = TrainConfig(**config)
         cfg.validate()

@@ -15,7 +15,7 @@ import numpy as np
 from sten import DataError
 from sten.evalmetrics import range_auc, validate_events
 from sten.ndkernel import GradTape, GruCache, GruParams, gru_backward, gru_forward, softmax
-from sten.networks import NORM_FLOOR, branches, order_forward, unit_rows
+from sten.networks import branches, order_forward
 from sten.objectives import js_rows, js_rows_grad_p
 from sten.seqdata import stack_slices
 
@@ -299,15 +299,6 @@ def dsn_oracle(phi, eta, batch):
     return dsn_all_pairs_loop(E, F)[0]
 
 
-def unit_rows_backward(dEn, En, norms):
-    """Back through e / max(||e||, floor), where En holds the rows it made."""
-    if norms is None:
-        return dEn
-    dE = dEn / norms
-    dE -= (norms > NORM_FLOOR) * En * (dEn * En).sum(axis=1, keepdims=True) / norms
-    return dE
-
-
 def ep_residuals_per_row(cache, phi, X):
     """The error-prediction head over the states h_1 .. h_{L-1} that a GRU
     pass's cache holds, one row's vector-matrix product at a time.
@@ -342,11 +333,7 @@ def dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg):
     _, cache_ep = gru_forward(X, gru, want_cache=True)
     H_in, resid = ep_residuals_per_row(cache_ep, phi, X)
     E, cache_d = gru_forward(X, gru, want_cache=True)
-    norms = None
-    if cfg.normalize_embeddings:
-        norms = np.maximum(np.linalg.norm(E, axis=1, keepdims=True), 1e-12)
-        E = E / norms
-    dsn, dEn = dsn_all_pairs_loop(E, F)
+    dsn, dE = dsn_all_pairs_loop(E, F)
 
     tape = GradTape(grads={k: np.zeros(v.shape) for k, v in phi.items()})
     dpred = resid * (2.0 / resid.size)
@@ -356,8 +343,7 @@ def dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg):
     d_h_all[:-1] = dpred @ W_e
     tape.passes.append((cache_ep, gru, "gru.", None, d_h_all))
 
-    tape.passes.append((cache_d, gru, "gru.", unit_rows_backward(cfg.alpha * dEn, E, norms),
-                        None))
+    tape.passes.append((cache_d, gru, "gru.", cfg.alpha * dE, None))
 
     tape.otn = float(np.mean(resid ** 2))
     tape.dsn = dsn
@@ -442,17 +428,12 @@ def build_sten_tape_closures(phi, F, values, starts, cfg):
     if use_dsn:
         if F is None:
             raise DataError("distance branch requires eta's embeddings")
-        if use_ep:
-            (En, norms), cache_d = unit_rows(H_ep, cfg.normalize_embeddings), cache_ep
-        else:
-            E, cache_d = gru_forward(batch, gru, want_cache=True)
-            En, norms = unit_rows(E, cfg.normalize_embeddings)
-        dsn_val, dEn = dsn_all_pairs_loop(En, F)
+        E, cache_d = (H_ep, cache_ep) if use_ep else gru_forward(batch, gru, want_cache=True)
+        dsn_val, dE = dsn_all_pairs_loop(E, F)
 
-        def dsn_back(grads, dEn=dEn, En=En, norms=norms, cache_d=cache_d):
+        def dsn_back(grads, dE=dE, cache_d=cache_d):
             # d(total)/d(dsn) = alpha in every mode that trains the branch.
-            dE = unit_rows_backward(cfg.alpha * dEn, En, norms)
-            gru_backward(cache_d, gru, grads, "gru.", d_h_final=dE)
+            gru_backward(cache_d, gru, grads, "gru.", d_h_final=cfg.alpha * dE)
 
         tape.record(dsn_back)
 
@@ -897,7 +878,7 @@ def score_series_dense(model, test, cfg):
                 y = [1.0 if k == i else 0.0 for k in range(tc.m)]
                 nums.append(sum(abs(pk - yk) for pk, yk in zip(p, y)))
                 divs.append(js_direct(p, y))
-            den = sum(divs) / len(divs) + cfg.score_eps
+            den = sum(divs) / len(divs) + 1e-8  # scoring.SCORE_EPS
             temporal.append([num / den for num in nums])
         elif tc.mode == "dsn_plus_ep":
             err = {}
@@ -918,14 +899,8 @@ def score_series_dense(model, test, cfg):
 
     dsn = [0.0] * len(windows)
     if tc.mode != "otn_only" and not (tc.mode == "full" and tc.alpha == 0):
-        def embed(w, gru):
-            e = gru_encode_unrolled(w, gru)
-            if tc.normalize_embeddings:
-                e = e / max(math.sqrt(sum(float(x) ** 2 for x in e)), 1e-12)
-            return e
-
-        e = [embed(w, gru) for w in windows]
-        f = [embed(w, eta) for w in windows]
+        e = [gru_encode_unrolled(w, gru) for w in windows]
+        f = [gru_encode_unrolled(w, eta) for w in windows]
         dsn = [sum((_dot(e[i], e[j]) - _dot(f[i], f[j])) ** 2
                    for j in range(len(windows)) if j != i) / (len(windows) - 1)
                for i in range(len(windows))]

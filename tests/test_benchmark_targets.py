@@ -104,6 +104,35 @@ def test_read_scores_csv_score_length_counts_rows(tmp_path):
     assert len(scoring.read_scores_csv(path)["score"]) == 3
 
 
+def test_embed_windows_second_argument_length_counts_windows(monkeypatch):
+    """networks.embed_windows.windows is len(args[1]): the windows eta embeds
+    in the call, one row of its result each.  Training embeds each training
+    window once, scoring each test window once."""
+    calls = []
+    real = networks.embed_windows
+
+    def counting(*args):
+        out = real(*args)
+        calls.append((len(args[1]), len(out)))
+        return out
+
+    # The tracer wraps every binding; training's and scoring's are the ones called.
+    for module in (networks, training, scoring):
+        monkeypatch.setattr(module, "embed_windows", counting)
+    tc = TrainConfig(R_train=3, l=3, r=3, m=3, d_model=4, epochs=2, batch_size=5,
+                     mode="dsn_only")
+    series = MultivariateSeries(values=np.random.default_rng(0).normal(size=(40, 2)))
+    model = train(series, tc)
+    n_train = len(window_starts(series.n, tc.L, tc.R_train))
+    assert len(calls) > 1 and all(n == rows for n, rows in calls)
+    assert sum(n for n, _ in calls) == n_train
+    calls.clear()
+    cfg = ScoreConfig(R_test=4)
+    scoring.score_series(model, series, cfg)
+    assert [n for n, _ in calls] == [len(make_windows(series, tc.L, cfg.R_test, cover_tail=True))]
+    assert all(n == rows for n, rows in calls)
+
+
 def test_aggregate_timestamps_takes_listed_slot_starts(monkeypatch):
     """score_series passes one start per slot, which the benchmark lists, in
     one call for both score columns."""

@@ -20,7 +20,7 @@ from sten.ndkernel import GruParams
 from sten.networks import read_checkpoint
 from sten.scoring import ScoreConfig, score_series
 from sten.seqdata import SynthConfig
-from sten.training import TrainConfig, load_checkpoint
+from sten.training import TrainConfig, load_checkpoint, train
 
 SMALL_CONFIG = """
 # small end-to-end settings
@@ -370,6 +370,41 @@ class TestSweep:
              "--out", tmp / "sweep.csv", "--work-dir", work])
         assert len(sorted(work.glob("*.ckpt"))) == 2
 
+    def test_a_used_work_dir_gives_the_table_of_a_fresh_one(self, workspace):
+        """A sweep trains its models afresh: a checkpoint an earlier sweep left
+        in the work dir, of another mode here, is not scored."""
+        tmp, cfg = workspace
+        train_csv, test_csv = prepared_data(tmp, cfg)
+        common = ["--param", "beta", "--values", "0.5,1", "--train", train_csv,
+                  "--test", test_csv, "--config", cfg]
+        assert run(["sweep", *common, "--mode", "full", "--out", tmp / "full.csv",
+                    "--work-dir", tmp / "used"]) == 0
+        for work in ("used", "fresh"):
+            assert run(["sweep", *common, "--mode", "otn_only", "--out", tmp / f"{work}.csv",
+                        "--work-dir", tmp / work]) == 0
+        assert (tmp / "used.csv").read_bytes() == (tmp / "fresh.csv").read_bytes()
+        assert (tmp / "used.csv").read_bytes() != (tmp / "full.csv").read_bytes()
+
+    def test_trains_once_per_value(self, workspace, monkeypatch):
+        """Values that print alike at 6 significant digits train models of
+        their own, each in its own file, and a rerun trains them again."""
+        tmp, cfg = workspace
+        train_csv, test_csv = prepared_data(tmp, cfg)
+        alphas = []
+
+        def counted(series, tc):
+            alphas.append(tc.alpha)
+            return train(series, tc)
+
+        monkeypatch.setattr(sten.cli, "train", counted)
+        for _ in range(2):
+            assert run(["sweep", "--param", "alpha", "--values", "0.1234561,0.1234562",
+                        "--train", train_csv, "--test", test_csv, "--config", cfg,
+                        "--out", tmp / "sweep.csv", "--work-dir", tmp / "work"]) == 0
+        assert alphas == [0.1234561, 0.1234562] * 2
+        ckpts = sorted((tmp / "work").glob("*.ckpt"))
+        assert [load_checkpoint(c).config.alpha for c in ckpts] == [0.1234561, 0.1234562]
+
     def test_l_sweep_adjusts_layout(self, workspace):
         tmp, cfg = workspace
         train_csv, test_csv = prepared_data(tmp, cfg)
@@ -471,6 +506,31 @@ class TestConfigHandling:
         assert run(["synth", "--config", cfg, "--out-dir", tmp / "d",
                     "--set", "dims=three"]) == 1
 
+    @pytest.mark.parametrize("setting", ["normalize_embeddings = false", "score_eps = 1e-8"])
+    def test_deleted_key_in_a_config_file_is_unknown(self, workspace, capsys, setting):
+        """The keys of the distance form and of the order score's floor went
+        with their fields (TestBadSettings passes them by --set)."""
+        tmp, cfg = workspace
+        key = setting.split(" ")[0]
+        cfg.write_text(SMALL_CONFIG + setting + "\n")
+        # The config is read before the training series, which is not there.
+        assert run(["train", "--train", tmp / "train.csv", "--config", cfg,
+                    "--out", tmp / "m.ckpt"]) == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp / "m.ckpt").exists()
+
+    def test_config_may_start_with_a_byte_order_mark(self, workspace):
+        """As read_table reads a CSV: a BOM before the first key is no part of it."""
+        tmp, cfg = workspace
+        bom = tmp / "bom.cfg"
+        bom.write_text("\ufeffn_train = 400" + SMALL_CONFIG.replace("n_train = 400", ""),
+                       encoding="utf-8")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbfn_train")
+        assert run(["synth", "--config", cfg, "--out-dir", tmp / "d1"]) == 0
+        assert run(["synth", "--config", bom, "--out-dir", tmp / "d2"]) == 0
+        for name in ("train.csv", "test.csv"):
+            assert (tmp / "d1" / name).read_bytes() == (tmp / "d2" / name).read_bytes()
+
     def test_flag_wins_over_set(self, workspace):
         tmp, cfg = workspace
         run(["synth", "--config", cfg, "--out-dir", tmp / "d1", "--seed", "8"])
@@ -493,8 +553,9 @@ class TestConfigSchema:
         assert sorted(SCHEMA) == sorted(
             "seed n_train n_test dims anomaly_rate noise_sigma seg_len_min seg_len_max "
             "period_min period_max n_components spike_scale level_scale freq_scale anomaly_types "
-            "R_train l r m d_model alpha lr epochs batch_size mode normalize_embeddings "
-            "beta R_test delta score_eps point_adjust metrics range_w vus_wmax vus_step".split())
+            "R_train l r m d_model alpha lr epochs batch_size mode "
+            "beta R_test delta point_adjust metrics range_w vus_wmax vus_step".split())
+        assert len(SCHEMA) == 33
 
     def test_fields_are_keys_of_their_type_and_default(self):
         exceptions = {"r"}                  # optional: it follows l
@@ -512,8 +573,6 @@ class TestConfigSchema:
     def test_every_field_is_reachable_from_a_key(self):
         """Each field of each config changes when one key moves off its default."""
         def moved(key, kind, default):
-            if kind == "bool":
-                return not default
             if kind.startswith("int"):
                 return (default or 0) + 1
             if kind.startswith("float"):
@@ -539,10 +598,9 @@ class TestConfigSchema:
     def test_convert_by_annotation(self):
         assert _convert("anomaly_types", " spike, level_shift ,") == ("spike", "level_shift")
         assert _convert("anomaly_types", "") == ()
-        assert _convert("normalize_embeddings", "Yes") is True
         assert _convert("r", "none") is None and _convert("range_w", "") is None
         assert _convert("r", "12") == 12 and _convert("vus_step", "2") == 2.0
-        for key, raw in [("dims", "2.0"), ("normalize_embeddings", "maybe"), ("alpha", "x")]:
+        for key, raw in [("dims", "2.0"), ("alpha", "x")]:
             with pytest.raises(sten.ConfigError, match="bad value"):
                 _convert(key, raw)
 
@@ -697,8 +755,6 @@ NON_FINITE_CASES = [
                   "--set", "beta=inf", "--out", "{out}"], id="score-beta-inf"),
     pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
                   "--beta", "inf", "--out", "{out}"], id="score-beta-flag-inf"),
-    pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
-                  "--set", "score_eps=nan", "--out", "{out}"], id="score-eps-nan"),
     pytest.param(["eval", "--scores", "{scores}", "--set", "vus_wmax=inf", "--out", "{out}"],
                  id="eval-vus-wmax-inf"),
     pytest.param(["eval", "--scores", "{scores}", "--set", "vus_wmax=nan", "--out", "{out}"],
@@ -790,17 +846,21 @@ BAD_SETTING_CASES = [
         ("zero-periods", ["--set", "period_min=0", "--set", "period_max=0"]),
         ("negative-seed", ["--seed", "-1"])]
 ] + [
-    # eta_seed, separate_towers and k_refs are keys of deleted fields: unknown keys.
+    # eta_seed, separate_towers, k_refs and normalize_embeddings are keys of
+    # deleted fields: unknown keys.
     pytest.param(["train", "--train", "{train}", "--config", "{cfg}", "--out", "{out}",
                   "--set", setting], 1, id=f"train-{setting.replace('_', '-')}")
-    for setting in ("seed=-1", "eta_seed=-1", "separate_towers=yes", "k_refs=2")
+    for setting in ("seed=-1", "eta_seed=-1", "separate_towers=yes", "k_refs=2",
+                    "normalize_embeddings=yes")
 ] + [
     pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
                   "--set", "seed=-1", "--out", "{out}"], 1, id="score-negative-seed"),
-    # The order score divides by js + score_eps, and js is 0 for an exact
-    # prediction: score_eps 0 once wrote NaN scores and exited 0.
+    # The order score's floor is the constant scoring.SCORE_EPS: score_eps is
+    # no key, whatever its value.
     pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
                   "--set", "score_eps=0", "--out", "{out}"], 1, id="score-eps-zero"),
+    pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
+                  "--set", "score_eps=1e-6", "--out", "{out}"], 1, id="score-eps-unknown"),
     # References come from the test windows only: ref_source is no key.
     pytest.param(["score", "--model", "{ckpt}", "--test", "{test}", "--config", "{cfg}",
                   "--set", "ref_source=train", "--out", "{out}"], 1,
@@ -1108,7 +1168,8 @@ class TestCheckpointContents:
         assert f"missing config keys in checkpoint: [{key!r}]" in err
 
     @pytest.mark.parametrize("key,value", [("L", 12), ("eta_seed", None),
-                                           ("separate_towers", False), ("k_refs", 1)])
+                                           ("separate_towers", False), ("k_refs", 1),
+                                           ("normalize_embeddings", False)])
     def test_deleted_config_key(self, trained, tmp_path, capsys, key, value):
         """Checkpoints written before these fields were deleted hold them; a
         key no field reads is rejected, not dropped."""

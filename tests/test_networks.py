@@ -35,13 +35,6 @@ def forward_cfg(mode, L=12, **kw):
     return TrainConfig(l=L // 3, r=L // 3, m=3, mode=mode, **kw)
 
 
-def distance_forward(phi, batch, normalize):
-    """The dsn part (E, norms, cache) of ``forward`` over a batch of windows
-    laid end to end."""
-    cfg = forward_cfg("dsn_only", L=np.shape(batch)[1], normalize_embeddings=normalize)
-    return forward(phi, *laid_end_to_end(batch), cfg, want_cache=True)[2]
-
-
 def order_of(phi, batch, l, r):
     """order_forward over a batch of windows laid end to end."""
     return order_forward(phi, *laid_end_to_end(batch), l, r)
@@ -238,7 +231,7 @@ class TestForward:
         windows = windows_for(seed=33)
         _, ep, dsn, X = forward(phi, *laid_end_to_end(windows), forward_cfg("dsn_plus_ep"),
                                 want_cache=True)
-        assert dsn[2] is ep[1]
+        assert dsn[1] is ep[1]
         np.testing.assert_array_equal(dsn[0], embed_windows(GruParams.from_dict(phi, "gru."),
                                                             windows))
         # The head's residuals, read from each state as its step made it,
@@ -249,21 +242,6 @@ class TestForward:
         values, starts = laid_end_to_end(windows_for(seed=36))
         with pytest.raises(DataError, match="no error-prediction head"):
             forward(make_phi(seed=37), values, starts, forward_cfg("dsn_plus_ep"))
-
-
-class TestPairDistance:
-    def test_normalized_embeddings_bound_distance(self):
-        rng = np.random.default_rng(16)
-        phi = make_phi(seed=17)
-        eta = init_gru(3, 4, rng)
-        data = rng.normal(size=(8, 6, 3)) * 5
-        E, norms, _ = distance_forward(phi, data, normalize=True)
-        F = embed_windows(eta, data, normalize=True)
-        assert np.all(np.abs(E @ E.T) <= 1 + 1e-6)
-        assert np.all(np.abs(F @ F.T) <= 1 + 1e-6)
-        np.testing.assert_array_equal(
-            E, embed_windows(GruParams.from_dict(phi, "gru."), data, normalize=True))
-        np.testing.assert_allclose(norms[:, 0], np.linalg.norm(E * norms, axis=1))
 
 
 class TestSamplePairs:

@@ -28,9 +28,9 @@ DSN_EXACT_RTOL = 1e-13
 F32_SCORE_RTOL = 5e-6
 
 
-def tiny_model(seed=0, mode="full", d=2, d_model=6, m=4, l=3, r=3, normalize=False, alpha=1.0):
+def tiny_model(seed=0, mode="full", d=2, d_model=6, m=4, l=3, r=3, alpha=1.0):
     cfg = TrainConfig(R_train=r, l=l, r=r, m=m, d_model=d_model, mode=mode, seed=seed,
-                      alpha=alpha, normalize_embeddings=normalize)
+                      alpha=alpha)
     cfg.validate()
     streams = seed_streams(cfg.seed)
     phi = init_phi(d, d_model, m, streams["phi_init"], with_ep_head=(mode == "dsn_plus_ep"))
@@ -187,7 +187,6 @@ class TestCombine:
 
 ORACLE_CASES = [
     dict(mode="full"),
-    dict(mode="full", normalize=True),
     dict(mode="otn_only"),
     dict(mode="dsn_only"),
     dict(mode="dsn_plus_ep"),
@@ -214,10 +213,9 @@ class TestFloat32Scores:
     """Scoring with the GRU in float32 gives every score column within
     F32_SCORE_RTOL of the same model scored in float64."""
 
-    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
     @pytest.mark.parametrize("mode", ["full", "otn_only", "dsn_only", "dsn_plus_ep"])
-    def test_columns_within_named_tolerance(self, monkeypatch, mode, normalize):
-        model = tiny_model(mode=mode, d_model=16, seed=5, normalize=normalize)
+    def test_columns_within_named_tolerance(self, monkeypatch, mode):
+        model = tiny_model(mode=mode, d_model=16, seed=5)
         series = series_fixture(n=200, seed=6)
         cfg = ScoreConfig(R_test=3)
         out = {}
@@ -444,8 +442,6 @@ class TestScoreSeries:
     def test_bad_score_config_is_a_usage_error(self):
         nan, inf = float("nan"), float("inf")
         for bad in (dict(beta=-1.0), dict(beta=nan), dict(beta=inf), dict(beta=-inf),
-                    dict(score_eps=-1e-8), dict(score_eps=0.0), dict(score_eps=nan),
-                    dict(score_eps=inf),
                     dict(R_test=0)):
             with pytest.raises(ConfigError):
                 ScoreConfig(**bad).validate()

@@ -109,12 +109,6 @@ class TestGradients:
         _, _, worst = gradcheck(cfg, seed=0)
         assert max(worst.values()) <= 1e-4, worst
 
-    def test_normalized_embeddings_gradients(self):
-        cfg = TrainConfig(R_train=2, l=2, r=2, m=3, d_model=4,
-                          alpha=0.7, mode="full", normalize_embeddings=True)
-        _, _, worst = gradcheck(cfg, seed=1)
-        assert max(worst.values()) <= 1e-4, worst
-
     def test_error_prediction_mode_gradients(self):
         cfg = TrainConfig(R_train=2, l=2, r=2, m=3, d_model=4,
                           alpha=1.0, mode="dsn_plus_ep")
@@ -200,16 +194,15 @@ class TestEtaEmbeddedOnce:
     """The frozen projector's embeddings of the training windows are made once
     per train call and reused by every epoch."""
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_each_window_embedded_once_over_all_epochs(self, monkeypatch, normalize):
+    def test_each_window_embedded_once_over_all_epochs(self, monkeypatch):
         series = small_series()
-        cfg = small_cfg(epochs=3, normalize_embeddings=normalize)
+        cfg = small_cfg(epochs=3)
         embedded, tapes = [], []
         real_embed, real_tape = training.embed_windows, training.build_sten_tape
 
-        def embed(gru, data, normalize=False):
+        def embed(gru, data):
             embedded.append((gru, len(data)))
-            return real_embed(gru, data, normalize)
+            return real_embed(gru, data)
 
         def tape(phi, F, values, starts, cfg):
             tapes.append((F, values, starts))
@@ -226,7 +219,7 @@ class TestEtaEmbeddedOnce:
         assert sum(n for _, n in embedded) == len(window_starts(series.n, cfg.L, cfg.R_train))
         for F, values, starts in tapes:
             batch = values[starts[:, None] + np.arange(cfg.L)]
-            np.testing.assert_array_equal(F, embed_windows(model.eta, batch, normalize))
+            np.testing.assert_array_equal(F, embed_windows(model.eta, batch))
 
 
 class TestSharedTowerPass:
@@ -235,19 +228,14 @@ class TestSharedTowerPass:
     error-prediction pass.  The loss, gradients and trained master weights
     are within ALL_PAIRS_RTOL of running the tower twice."""
 
-    CASES = [dict(), dict(normalize_embeddings=True)]
-    IDS = ["plain", "normalised"]
-
-    @pytest.mark.parametrize("case", CASES, ids=IDS)
-    def test_loss_and_gradients_equal_two_passes(self, case):
-        cfg = small_cfg(mode="dsn_plus_ep", alpha=0.7, **case)
+    def test_loss_and_gradients_equal_two_passes(self):
+        cfg = small_cfg(mode="dsn_plus_ep", alpha=0.7)
         rng = np.random.default_rng(8)
         phi = init_phi(2, cfg.d_model, cfg.m, rng, with_ep_head=True)
         eta = init_gru(2, cfg.d_model, rng)
         values = rng.normal(size=(150, 2))
         starts = window_starts(150, cfg.L, cfg.R_train)
-        F = embed_windows(eta, values[starts[:, None] + np.arange(cfg.L)],
-                          cfg.normalize_embeddings)
+        F = embed_windows(eta, values[starts[:, None] + np.arange(cfg.L)])
         got = build_sten_tape(phi, F, values, starts, cfg)
         want = dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg)
         assert_losses_match(got, want, cfg)
@@ -257,11 +245,11 @@ class TestSharedTowerPass:
         assert_blocks_close(g, w)
 
     @staticmethod
-    def _master_weights_close(monkeypatch, case):
+    def _master_weights_close(monkeypatch):
         """Compares the float64 master weights, not the checkpoint bytes: a
         float32 checkpoint may round the two sum orders to different bits."""
         series = small_series()
-        cfg = small_cfg(mode="dsn_plus_ep", epochs=2, **case)
+        cfg = small_cfg(mode="dsn_plus_ep", epochs=2)
         weights = record_master_weights(monkeypatch)
         train(series, cfg)
         one = weights[-1]
@@ -269,15 +257,13 @@ class TestSharedTowerPass:
         train(series, cfg)
         assert_blocks_close(one, weights[-1])
 
-    @pytest.mark.parametrize("case", CASES, ids=IDS)
-    def test_checkpoint_bytes_equal_two_passes(self, monkeypatch, case):
+    def test_checkpoint_bytes_equal_two_passes(self, monkeypatch):
         """In float32, the compute dtype training runs in."""
-        self._master_weights_close(monkeypatch, case)
+        self._master_weights_close(monkeypatch)
 
-    @pytest.mark.parametrize("case", CASES, ids=IDS)
     @pytest.mark.usefixtures("float64_compute")
-    def test_checkpoint_bytes_equal_two_passes_in_float64(self, monkeypatch, case):
-        self._master_weights_close(monkeypatch, case)
+    def test_checkpoint_bytes_equal_two_passes_in_float64(self, monkeypatch):
+        self._master_weights_close(monkeypatch)
 
 
 class TestTapeIsData:
@@ -289,10 +275,8 @@ class TestTapeIsData:
     trains (``assert_losses_match``, ``assert_blocks_match``)."""
 
     CASES = [dict(mode="full"), dict(mode="otn_only"), dict(mode="dsn_only"),
-             dict(mode="dsn_plus_ep"), dict(mode="full", normalize_embeddings=True),
-             dict(mode="dsn_plus_ep", normalize_embeddings=True), dict(mode="full", alpha=0.0)]
-    IDS = ["full", "otn_only", "dsn_only", "dsn_plus_ep", "full-normalised",
-           "dsn_plus_ep-normalised", "full-alpha-0"]
+             dict(mode="dsn_plus_ep"), dict(mode="full", alpha=0.0)]
+    IDS = ["full", "otn_only", "dsn_only", "dsn_plus_ep", "full-alpha-0"]
 
     @staticmethod
     def _tapes_equal(case):
@@ -305,8 +289,7 @@ class TestTapeIsData:
         F = None
         if use_dsn:
             eta = init_gru(2, cfg.d_model, rng)
-            F = embed_windows(eta, values[starts[:, None] + np.arange(cfg.L)],
-                              cfg.normalize_embeddings)
+            F = embed_windows(eta, values[starts[:, None] + np.arange(cfg.L)])
         got = build_sten_tape(phi, F, values, starts, cfg)
         want = build_sten_tape_closures(phi, F, values, starts, cfg)
         assert_losses_match(got, want, cfg)
@@ -355,16 +338,15 @@ class TestAllPairsDistance:
     it is the mean of the distance scores scoring gives the same windows, and
     training draws no pairs."""
 
-    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalised"])
     @pytest.mark.parametrize("mode", ["full", "dsn_plus_ep"])
-    def test_loss_is_the_mean_distance_score(self, mode, normalize):
-        cfg = small_cfg(mode=mode, normalize_embeddings=normalize)
+    def test_loss_is_the_mean_distance_score(self, mode):
+        cfg = small_cfg(mode=mode)
         rng = np.random.default_rng(12)
         phi = init_phi(2, cfg.d_model, cfg.m, rng, with_ep_head=mode == "dsn_plus_ep")
         values = rng.normal(size=(150, 2)).astype(training.COMPUTE_DTYPE)
         starts = window_starts(150, cfg.L, cfg.R_train)
         X = values[starts[:, None] + np.arange(cfg.L)]
-        F = embed_windows(init_gru(2, cfg.d_model, rng), X, normalize)
+        F = embed_windows(init_gru(2, cfg.d_model, rng), X)
         E = forward(phi, values, starts, cfg)[2][0].astype(np.float64)
         want = float(distance_scores(E, F).mean())
         got = build_sten_tape(phi, F, values, starts, cfg).dsn

@@ -17,5 +17,5 @@ def laid_end_to_end(batch):
 def batch_tape(phi, eta, batch, cfg):
     """build_sten_tape over a batch of windows laid end to end, with eta's
     embeddings of them (none without eta)."""
-    F = None if eta is None else embed_windows(eta, batch, cfg.normalize_embeddings)
+    F = None if eta is None else embed_windows(eta, batch)
     return build_sten_tape(phi, F, *laid_end_to_end(batch), cfg)
