@@ -203,8 +203,9 @@ def _eval_settings(cfg: dict) -> tuple[tuple[str, ...], float, float]:
     """The metric groups, range_w and vus_wmax that ``cfg`` evaluates with.
 
     Every evaluation key is checked here, so that a bad one is a usage error
-    before any work: delta when affiliation is asked for, and the buffer
-    widths when range-AUC or VUS is (VUS also by their number,
+    before any work: l, which sets the default buffer widths, as training
+    checks it; delta when affiliation is asked for, and the buffer widths
+    when range-AUC or VUS is (VUS also by their number,
     ``evalmetrics.VUS_MAX_WIDTHS`` at most).
     """
     spec = cfg["metrics"].strip()
@@ -217,6 +218,8 @@ def _eval_settings(cfg: dict) -> tuple[tuple[str, ...], float, float]:
         raise ConfigError(f"metrics names no metric group: {cfg['metrics']!r}")
     if cfg["point_adjust"] not in ("on", "off", "both"):
         raise ConfigError(f"point_adjust must be on, off or both, got {cfg['point_adjust']!r}")
+    if cfg["l"] < 1:
+        raise ConfigError(f"l must be >= 1, got {cfg['l']}")
     range_w = cfg["range_w"] if cfg["range_w"] is not None else float(cfg["l"])
     vus_wmax = cfg["vus_wmax"] if cfg["vus_wmax"] is not None else float(cfg["l"])
     if "aff" in groups and not 0 < cfg["delta"] < 100:

@@ -103,18 +103,6 @@ def _areas(order, idx, pos) -> tuple[float | None, float | None]:
     return roc, float(((recall - prev) * (tp / (tp + fp))).sum())
 
 
-def roc_auc(scores, labels) -> float | None:
-    """Probability a random positive outscores a random negative; ties count 1/2."""
-    scores, labels = _check_lengths(scores, labels)
-    return _areas(*_sweep(scores)[:2], labels.astype(np.float64))[0]
-
-
-def pr_auc(scores, labels) -> float | None:
-    """Average precision over the descending-score threshold sweep."""
-    scores, labels = _check_lengths(scores, labels)
-    return _areas(*_sweep(scores)[:2], labels.astype(np.float64))[1]
-
-
 def best_f1(scores, labels, *, sweep=None) -> tuple[float, float, float, float] | None:
     """Max F1 over thresholds at distinct scores (prediction: score >= threshold).
 
@@ -326,7 +314,6 @@ def evaluate(scores, labels, *, point_adjust_on: bool = True, delta: float = 0.6
         return swept.get(id(series)) or swept.setdefault(id(series), _sweep(series))
 
     if "roc" in metrics or "pr" in metrics:
-        # One pass of _areas gives both: roc_auc and pr_auc each keep one.
         roc, ap = _areas(*sweep(adjusted)[:2], labels.astype(bool).astype(np.float64))
         report.auc_roc = roc if "roc" in metrics else None
         report.auc_pr = ap if "pr" in metrics else None

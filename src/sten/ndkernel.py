@@ -1,14 +1,11 @@
-"""Dense numerical kernel: GRU cell with exact reverse-mode gradients, softmax,
-Adam, and the gradient tape that drives the backward pass.
+"""Dense numerical kernel: GRU cell with exact reverse-mode gradients, softmax
+and Adam.
 
 Parameters are plain numpy arrays grouped in dicts keyed by dotted names
-(e.g. ``"gru.W"``).  Adam maps such a dict to a new one.  A ``GradTape``
-is the data one forward pass leaves for its backward: the gradients the
-forward formed itself, and each GRU pass with the parameters it ran with and
-its upstream hidden-state gradients; ``backward`` only runs BPTT over those
-passes, one BPTT per GRU pass: the upstream gradients of every branch that
-reads a pass are summed before its BPTT.  Weights are stored as float32 at
-rest (checkpoints) and as float64 master weights while training.
+(e.g. ``"gru.W"``).  Adam maps such a dict to a new one.  ``backward`` runs
+BPTT over one training step's passes of a GRU, one ``gru_backward`` per
+pass.  Weights are stored as float32 at rest (checkpoints) and as float64
+master weights while training.
 
 ``sigmoid``, ``gru_forward`` and ``gru_backward`` compute in the dtype of
 their input: float32 stays float32, anything else is float64.  The GRU casts
@@ -19,7 +16,7 @@ makes it, so a forward keeps no trajectory of its own.  ``gru_backward`` sums
 each call's weight gradients in the compute dtype, then adds them once into
 the float64 grads, as in mixed-precision training with master weights
 (Micikevicius et al. 2018).
-``softmax``, the tape's gradients and Adam are float64 throughout.
+``softmax``, the gradient dicts and Adam are float64 throughout.
 
 A GRU is stored as the stacked blocks its forward runs, the fused-GEMM
 layout of RNN kernels (Appleyard et al. 2016) and of PyTorch's ``nn.GRU``:
@@ -63,7 +60,7 @@ import contextvars
 import functools
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -427,37 +424,13 @@ def _add_handed_over(ready: queue.SimpleQueue, free: queue.SimpleQueue, add) -> 
         raise failure
 
 
-# ---------------------------------------------------------------------------
-# Gradient tape
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GradTape:
-    """One scalar-loss forward pass, kept as the data its backward needs.
-
-    ``grads`` is keyed like the parameters: the gradients the forward formed
-    itself (its heads'), zeros elsewhere.  ``passes`` lists the GRU passes in
-    forward order, each once, as (cache, params, prefix, d_h_final, d_h_all):
-    the arguments of its one ``gru_backward``, with the upstream gradients of
-    every branch that reads the pass summed in.  ``value`` is the loss,
-    ``otn`` and ``dsn`` its parts.
-    """
-
-    grads: ParamDict
-    passes: list[tuple[GruCache, GruParams, str, np.ndarray | None, np.ndarray | None]] = (
-        field(default_factory=list))
-    value: float = 0.0
-    otn: float = 0.0
-    dsn: float = 0.0
-
-
-def backward(tape: GradTape) -> ParamDict:
-    """Gradients for every parameter: the tape's, plus BPTT over its passes,
-    the last recorded first.  The tape is left unchanged."""
-    grads = {k: v.copy() for k, v in tape.grads.items()}
-    for cache, p, prefix, d_h_final, d_h_all in reversed(tape.passes):
+def backward(p: GruParams, grads: ParamDict, prefix: str, passes) -> None:
+    """BPTT over one training step's passes of the GRU ``p``, the last pass
+    first: one ``gru_backward`` per pass, each adding into ``grads`` under
+    ``prefix`` in place.  Each pass is (cache, d_h_final, d_h_all), with the
+    upstream gradients of every branch that reads it summed in."""
+    for cache, d_h_final, d_h_all in reversed(passes):
         gru_backward(cache, p, grads, prefix, d_h_final=d_h_final, d_h_all=d_h_all)
-    return grads
 
 
 # ---------------------------------------------------------------------------

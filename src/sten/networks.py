@@ -11,7 +11,7 @@ runs, and of a pass of their own otherwise; training and scoring compare
 their inner products over every pair of windows with those of eta's
 embeddings.
 
-The encoder phi is one ``ParamDict``, the form Adam, the gradient tape and
+The encoder phi is one ``ParamDict``, the form Adam, its gradients and
 the checkpoint use.  ``phi_shapes`` is its one layout: the GRU's stacked
 gate blocks ``gru.W`` (3 d_model, D), ``gru.U`` (3 d_model, d_model) and
 ``gru.b`` (3 d_model,), as ``GruParams`` holds them, ``order_head.W``

@@ -13,8 +13,8 @@ import numpy as np
 from . import ConfigError, DataError, NumericError
 # gru_forward is bound here, uncalled, because perfbench/test_perfbench.py
 # looks it up on this module.
-from .ndkernel import (GradTape, GruParams, ParamDict, adam_update, backward,  # noqa: F401
-                       gru_forward, gru_shapes, init_adam_state, init_gru)
+from .ndkernel import (GruParams, ParamDict, adam_update, backward, gru_forward,  # noqa: F401
+                       gru_shapes, init_adam_state, init_gru)
 from .networks import (branches, embed_windows, forward, gru_checksum, init_phi, phi_shapes,
                        read_checkpoint, write_checkpoint)
 from .objectives import js_rows, js_rows_grad_p
@@ -86,8 +86,9 @@ class TrainedModel:
 
 
 def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
-                    starts: np.ndarray, cfg: TrainConfig) -> GradTape:
-    """Forward pass of the combined loss over one batch of windows.
+                    starts: np.ndarray, cfg: TrainConfig
+                    ) -> tuple[tuple[float, float, float], ParamDict]:
+    """One training step's loss over a batch of windows, and its gradient.
 
     The batch is the length-L windows of the (N, D) series ``values`` at
     ``starts``; ``networks.forward`` runs phi's branches over it, with the
@@ -98,22 +99,31 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
     phi's embedding of window i, its final hidden state.  Over the (B, B)
     residuals R its gradient w.r.t. phi's embeddings E is 4 R E / (B (B-1)).
 
-    Returns the tape of the loss (eta is frozen): the order and
-    error-prediction heads' gradients, and each GRU pass once, with the
-    gradient of the loss w.r.t. its hidden states, for ``backward`` to run
-    BPTT over.  One BPTT per pass: where the distance branch reads the
-    error-prediction pass (``dsn_plus_ep``), its gradient ``dE`` is summed
-    into that pass's final-step entry ``d_h_all[-1]`` before the BPTT, not run
-    as a second one.
+    Returns ((otn, dsn, total), grads): the loss parts, total = otn + alpha
+    * dsn, and the gradient of total for every block of phi (eta is frozen).
+    The forward forms the heads' gradients and the gradient of the loss
+    w.r.t. each GRU pass's hidden states; ``backward`` then runs one BPTT per
+    pass.  Where the distance branch reads the error-prediction pass
+    (``dsn_plus_ep``), its gradient ``dE`` is summed into that pass's
+    final-step entry ``d_h_all[-1]``, not run as a second BPTT.  A non-finite
+    total is a ``NumericError`` naming both parts, raised before any BPTT.
+
+    BENCHMARK.json traces this function by name, which it keeps until the
+    benchmark's next revision renames it (ROADMAP item 1).
     """
-    order, ep, dsn, _ = forward(phi, values, starts, cfg, want_cache=True)
-    tape = GradTape(grads={k: np.zeros(v.shape) for k, v in phi.items()})
-    grads = tape.grads
-    gru = GruParams.from_dict(phi, "gru.")
+    order, ep, dist, _ = forward(phi, values, starts, cfg, want_cache=True)
+    grads = {k: np.zeros(v.shape) for k, v in phi.items()}
+    # Each GRU pass once, in forward order, as (cache, d_h_final, d_h_all).
+    # Each branch deletes the forward's arrays once it is done with them, so
+    # that only the passes are alive through BPTT (the order branch's H
+    # alone is B*m x d_model float64).
+    passes = []
+    otn = dsn = 0.0
+    d_h_all = None
 
     if order is not None:
         P, Y, H, inv, cache = order
-        tape.otn = float(js_rows(P, Y).mean())
+        otn = float(js_rows(P, Y).mean())
         dP = js_rows_grad_p(P, Y) * (1.0 / P.shape[0])
         dlogits = P * (dP - (dP * P).sum(axis=1, keepdims=True))
         grads["order_head.W"] += dlogits.T @ H
@@ -121,11 +131,12 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
         # Each distinct sub-sequence collects the gradient of every slot it fills.
         dH = np.zeros((cache.X.shape[0], H.shape[1]))
         np.add.at(dH, inv, dlogits @ np.asarray(phi["order_head.W"], np.float64))
-        tape.passes.append((cache, gru, "gru.", dH, None))
+        passes.append((cache, dH, None))
+        del order, P, Y, H, inv, dP, dlogits
 
     if ep is not None:
         resid, cache = ep
-        tape.otn = float(np.mean(resid ** 2))  # temporal slot of the breakdown
+        otn = float(np.mean(resid ** 2))  # temporal slot of the breakdown
         dpred = resid * (2.0 / resid.size)
         # The head read h_1 .. h_{L-1}, the states entering steps 1 .. L-1;
         # einsum casts them (compute dtype) to float64 a buffer at a time.
@@ -137,12 +148,13 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
         d_h_all = np.zeros_like(cache.H_prev)
         for t in range(len(dpred)):
             d_h_all[t] = dpred[t] @ W_e
-        tape.passes.append((cache, gru, "gru.", None, d_h_all))
+        passes.append((cache, None, d_h_all))
+        del ep, resid, dpred
 
-    if dsn is not None:
+    if dist is not None:
         if F is None or len(F) < 2:
             raise DataError("the distance loss needs eta's embeddings of >= 2 windows")
-        E, cache = dsn
+        E, cache = dist
         E = E.astype(np.float64)
         # R = E E^T - F F^T off the diagonal, in scoring.distance_scores'
         # difference form (D = F - E), which keeps R precise when phi is near eta.
@@ -150,16 +162,20 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
         R = -(np.hstack([E, D]) @ np.hstack([D, F]).T)
         np.fill_diagonal(R, 0.0)
         scale = 1.0 / (len(R) * (len(R) - 1))
-        tape.dsn = float((R * R).sum() * scale)
+        dsn = float((R * R).sum() * scale)
         # d(total)/d(dsn) = alpha in every mode that trains the branch.
         dE = R @ E * (4.0 * cfg.alpha * scale)
-        if ep is not None:
+        if d_h_all is not None:
             d_h_all[-1] += dE  # one BPTT over the shared pass carries both branches
         else:
-            tape.passes.append((cache, gru, "gru.", dE, None))
+            passes.append((cache, dE, None))
+        del dist, E, D, R, dE
 
-    tape.value = tape.otn + cfg.alpha * tape.dsn
-    return tape
+    total = otn + cfg.alpha * dsn
+    if not np.isfinite(total):
+        raise NumericError(f"non-finite training loss: otn={otn}, dsn={dsn}")
+    backward(GruParams.from_dict(phi, "gru."), grads, "gru.", passes)
+    return (otn, dsn, total), grads
 
 
 def compute_values(series: MultivariateSeries, stats: NormStats) -> np.ndarray:
@@ -225,16 +241,11 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     for epoch in range(cfg.epochs):
         sums = np.zeros(3)
         for bi, (s, e) in enumerate(ranges):
-            tape = build_sten_tape(phi, eta_emb[bi], values, starts[s:e], cfg)
-            if not np.isfinite(tape.value):
-                raise NumericError(
-                    f"non-finite training loss at epoch {epoch + 1}, batch {bi + 1}: "
-                    f"otn={tape.otn}, dsn={tape.dsn}")
-            sums += (e - s) * np.array([tape.otn, tape.dsn, tape.value])
-            grads = backward(tape)
-            # The tape's GRU caches are the batch's largest arrays; Adam's
-            # per-block temporaries need not sit on top of them.
-            del tape
+            try:
+                parts, grads = build_sten_tape(phi, eta_emb[bi], values, starts[s:e], cfg)
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch + 1}, batch {bi + 1}: {exc}") from None
+            sums += (e - s) * np.array(parts)
             phi, adam = adam_update(phi, grads, adam, cfg.lr)
         mean = sums / n
         trace.append((float(mean[0]), float(mean[1]), float(mean[2])))

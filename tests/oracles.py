@@ -14,7 +14,7 @@ import numpy as np
 
 from sten import DataError
 from sten.evalmetrics import range_auc, validate_events
-from sten.ndkernel import GradTape, GruCache, GruParams, gru_backward, gru_forward, softmax
+from sten.ndkernel import GruCache, GruParams, gru_backward, gru_forward, softmax
 from sten.networks import branches, order_forward
 from sten.objectives import js_rows, js_rows_grad_p
 from sten.seqdata import stack_slices
@@ -314,17 +314,17 @@ def ep_residuals_per_row(cache, phi, X):
 
 
 def dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg):
-    """The dsn_plus_ep training tape, with phi's GRU run twice
-    over the windows: once for the error-prediction branch and once more for
-    the distance branch, the form the package used before the distance
-    branch read the error-prediction pass.
+    """The dsn_plus_ep training step, with phi's GRU run twice over the
+    windows: once for the error-prediction branch and once more for the
+    distance branch, the form the package used before the distance branch
+    read the error-prediction pass.
 
-    Takes the arguments of ``training.build_sten_tape`` and records the same
-    head gradients, and one BPTT per branch where the package sums both
-    branches' upstream gradients into one.  Its distance loss is
-    ``dsn_all_pairs_loop``'s: the error-prediction loss agrees bit for bit,
-    the distance loss and the gradients within the sum-order rounding the
-    tests name.
+    Takes the arguments of ``training.build_sten_tape`` and returns what it
+    does, ((otn, dsn, total), grads), from the same head gradients and one
+    BPTT per branch where the package sums both branches' upstream gradients
+    into one.  Its distance loss is ``dsn_all_pairs_loop``'s: the
+    error-prediction loss agrees bit for bit, the distance loss and the
+    gradients within the sum-order rounding the tests name.
     """
     # The windows keep the series' dtype: the GRU computes in it.
     X = np.asarray(values)[np.asarray(starts)[:, None] + np.arange(cfg.L)]
@@ -335,57 +335,32 @@ def dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg):
     E, cache_d = gru_forward(X, gru, want_cache=True)
     dsn, dE = dsn_all_pairs_loop(E, F)
 
-    tape = GradTape(grads={k: np.zeros(v.shape) for k, v in phi.items()})
+    grads = {k: np.zeros(v.shape) for k, v in phi.items()}
     dpred = resid * (2.0 / resid.size)
-    tape.grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, H_in)
-    tape.grads["ep_head.b"] += dpred.sum(axis=(0, 1))
+    grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, H_in)
+    grads["ep_head.b"] += dpred.sum(axis=(0, 1))
     d_h_all = np.zeros(cache_ep.H_prev.shape)
     d_h_all[:-1] = dpred @ W_e
-    tape.passes.append((cache_ep, gru, "gru.", None, d_h_all))
+    gru_backward(cache_d, gru, grads, "gru.", d_h_final=cfg.alpha * dE)
+    gru_backward(cache_ep, gru, grads, "gru.", d_h_all=d_h_all)
 
-    tape.passes.append((cache_d, gru, "gru.", cfg.alpha * dE, None))
-
-    tape.otn = float(np.mean(resid ** 2))
-    tape.dsn = dsn
-    tape.value = tape.otn + cfg.alpha * tape.dsn
-    return tape
-
-
-class ClosureTape:
-    """A tape of backward closures: the loss parts and one closure per branch,
-    each adding its gradients into a dict keyed like the parameters."""
-
-    def __init__(self, params):
-        self.value = 0.0
-        self.otn = 0.0
-        self.dsn = 0.0
-        self.params = params
-        self.fns = []
-
-    def record(self, fn):
-        self.fns.append(fn)
-
-
-def closure_backward(tape):
-    """Run a ``ClosureTape``'s closures last recorded first, from zeros."""
-    grads = {k: np.zeros(v.shape) for k, v in tape.params.items()}
-    for fn in reversed(tape.fns):
-        fn(grads)
-    return grads
+    otn = float(np.mean(resid ** 2))
+    return (otn, dsn, otn + cfg.alpha * dsn), grads
 
 
 def build_sten_tape_closures(phi, F, values, starts, cfg):
-    """``training.build_sten_tape`` in the form that recorded one backward
-    closure per branch, each forming its head's gradients and its GRU pass's
-    upstream gradient only when run, with the distance loss of
-    ``dsn_all_pairs_loop``.  The package forms both in the forward; without
-    the distance branch the sums are the same, so loss and gradients must
-    agree bit for bit.  With it they agree up to the sum order: the package
-    sums the pairs by GEMMs and, in dsn_plus_ep, runs one BPTT for the
-    closures' two.
+    """``training.build_sten_tape`` in the form that formed each branch's
+    head gradients and its GRU pass's upstream gradient in a backward of
+    its own, run as soon as the branch's forward is done, with the distance
+    loss of ``dsn_all_pairs_loop``.  The package forms all upstream
+    gradients before any BPTT; without the distance branch the sums are the
+    same, so loss and gradients must agree bit for bit.  With it they agree
+    up to the sum order: the package sums the pairs by GEMMs and, in
+    dsn_plus_ep, runs one BPTT for this form's two.  Returns
+    ((otn, dsn, total), grads).
     """
     use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
-    tape = ClosureTape(phi)
+    grads = {k: np.zeros(v.shape) for k, v in phi.items()}
     gru = GruParams.from_dict(phi, "gru.")
     otn_val = 0.0
     dsn_val = 0.0
@@ -395,52 +370,37 @@ def build_sten_tape_closures(phi, F, values, starts, cfg):
     if use_otn:
         P, Y, H, inv, cache = order_forward(phi, values, starts, cfg.l, cfg.r, want_cache=True)
         otn_val = float(js_rows(P, Y).mean())
-
-        def otn_back(grads, P=P, Y=Y, H=H, inv=inv, cache=cache,
-                     W_o=np.asarray(phi["order_head.W"], np.float64)):
-            dP = js_rows_grad_p(P, Y) * (1.0 / P.shape[0])
-            dlogits = P * (dP - (dP * P).sum(axis=1, keepdims=True))
-            grads["order_head.W"] += dlogits.T @ H
-            grads["order_head.b"] += dlogits.sum(axis=0)
-            # Each distinct sub-sequence collects the gradient of every slot it fills.
-            dH = np.zeros((cache.X.shape[0], H.shape[1]))
-            np.add.at(dH, inv, dlogits @ W_o)
-            gru_backward(cache, gru, grads, "gru.", d_h_final=dH)
-
-        tape.record(otn_back)
+        W_o = np.asarray(phi["order_head.W"], np.float64)
+        dP = js_rows_grad_p(P, Y) * (1.0 / P.shape[0])
+        dlogits = P * (dP - (dP * P).sum(axis=1, keepdims=True))
+        grads["order_head.W"] += dlogits.T @ H
+        grads["order_head.b"] += dlogits.sum(axis=0)
+        # Each distinct sub-sequence collects the gradient of every slot it fills.
+        dH = np.zeros((cache.X.shape[0], H.shape[1]))
+        np.add.at(dH, inv, dlogits @ W_o)
+        gru_backward(cache, gru, grads, "gru.", d_h_final=dH)
 
     if use_ep:
         H_ep, cache_ep = gru_forward(batch, gru, want_cache=True)
         H_in, resid = ep_residuals_per_row(cache_ep, phi, batch)
         otn_val = float(np.mean(resid ** 2))  # temporal slot of the breakdown
-
-        def ep_back(grads, resid=resid, H_in=H_in, cache_ep=cache_ep,
-                    W_e=np.asarray(phi["ep_head.W"], np.float64)):
-            dpred = resid * (2.0 / resid.size)
-            grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, H_in)
-            grads["ep_head.b"] += dpred.sum(axis=(0, 1))
-            d_h_all = np.zeros(cache_ep.H_prev.shape)
-            d_h_all[:-1] = dpred @ W_e
-            gru_backward(cache_ep, gru, grads, "gru.", d_h_all=d_h_all)
-
-        tape.record(ep_back)
+        W_e = np.asarray(phi["ep_head.W"], np.float64)
+        dpred = resid * (2.0 / resid.size)
+        grads["ep_head.W"] += np.einsum("tbo,tbh->oh", dpred, H_in)
+        grads["ep_head.b"] += dpred.sum(axis=(0, 1))
+        d_h_all = np.zeros(cache_ep.H_prev.shape)
+        d_h_all[:-1] = dpred @ W_e
+        gru_backward(cache_ep, gru, grads, "gru.", d_h_all=d_h_all)
 
     if use_dsn:
         if F is None:
             raise DataError("distance branch requires eta's embeddings")
         E, cache_d = (H_ep, cache_ep) if use_ep else gru_forward(batch, gru, want_cache=True)
         dsn_val, dE = dsn_all_pairs_loop(E, F)
+        # d(total)/d(dsn) = alpha in every mode that trains the branch.
+        gru_backward(cache_d, gru, grads, "gru.", d_h_final=cfg.alpha * dE)
 
-        def dsn_back(grads, dE=dE, cache_d=cache_d):
-            # d(total)/d(dsn) = alpha in every mode that trains the branch.
-            gru_backward(cache_d, gru, grads, "gru.", d_h_final=cfg.alpha * dE)
-
-        tape.record(dsn_back)
-
-    tape.value = otn_val + cfg.alpha * dsn_val
-    tape.otn = otn_val
-    tape.dsn = dsn_val
-    return tape
+    return (otn_val, dsn_val, otn_val + cfg.alpha * dsn_val), grads
 
 
 # ---------------------------------------------------------------------------

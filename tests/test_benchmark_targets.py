@@ -180,36 +180,44 @@ def test_gru_backward_arguments_under_the_default_config(monkeypatch, mode, n_pa
     GruParams' d_model and d_in of each gru_forward and gru_backward call
     (cache.X for the backward); training computes in float32 and keeps both.
     d_model is the hidden size, not the 3 * d_model rows of the stacked
-    blocks.  ndkernel.backward makes one gru_backward call per GRU pass its
-    tape recorded, and the tape records each forward pass once: dsn_plus_ep
-    runs one pass for both of its branches."""
-    seen, per_tape, forwards = [], [], []
-    real, real_backward, real_forward = (ndkernel.gru_backward, training.backward,
-                                         ndkernel.gru_forward)
+    blocks.  Each training batch makes one training.build_sten_tape call,
+    whose one ndkernel.backward call, the step's BPTT, runs one gru_backward
+    per GRU pass: dsn_plus_ep runs one pass for both of its branches.  Then
+    train calls adam_update, and nothing else per batch."""
+    log, seen, forwards = [], [], []
+    real = {name: getattr(module, name) for module, name in [
+        (training, "build_sten_tape"), (training, "backward"), (training, "adam_update"),
+        (ndkernel, "gru_backward"), (ndkernel, "gru_forward")]}
+
+    def logged(name):
+        def call(*args, **kwargs):
+            log.append(name)
+            return real[name](*args, **kwargs)
+        return call
 
     def recording(cache, p, *args, **kwargs):
+        log.append("gru_backward")
         seen.append((cache.X.shape, cache.X.dtype, p.d_model, p.d_in))
-        return real(cache, p, *args, **kwargs)
+        return real["gru_backward"](cache, p, *args, **kwargs)
 
     def forward_recording(X, p, *args, **kwargs):
         forwards.append((np.shape(X), p.d_model, p.d_in))
-        return real_forward(X, p, *args, **kwargs)
+        return real["gru_forward"](X, p, *args, **kwargs)
 
-    def counting(tape):
-        before = len(seen)
-        grads = real_backward(tape)
-        per_tape.append((len(tape.passes), len(seen) - before))
-        return grads
-
+    for name in ("build_sten_tape", "backward", "adam_update"):
+        monkeypatch.setattr(training, name, logged(name))
     monkeypatch.setattr(ndkernel, "gru_backward", recording)
-    monkeypatch.setattr(training, "backward", counting)
     # The tracer wraps every binding of gru_forward; networks' is the one called.
     for module in (ndkernel, networks, training):
         monkeypatch.setattr(module, "gru_forward", forward_recording)
-    tc = cli.build_train_config(schema_config(mode=mode, d_model=8, epochs=1))
+    tc = cli.build_train_config(schema_config(mode=mode, d_model=8, epochs=2))
     series = MultivariateSeries(values=np.random.default_rng(0).normal(size=(300, 3)))
     train(series, tc)
-    assert per_tape and per_tape == [(n_passes, n_passes)] * len(per_tape)
+    # 300 timestamps give 21 windows: one batch per epoch.
+    n_batches = tc.epochs * -(-len(window_starts(series.n, tc.L, tc.R_train)) // tc.batch_size)
+    assert n_batches == 2
+    assert log == (["build_sten_tape", "backward"] + ["gru_backward"] * n_passes
+                   + ["adam_update"]) * n_batches
     for shape, dtype, d_model, d_in in seen:
         assert len(shape) == 3 and shape[1] in (tc.l, tc.L) and shape[2] == d_in == 3
         assert dtype == np.float32 and d_model == 8

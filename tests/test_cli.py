@@ -835,6 +835,11 @@ BAD_SETTING_CASES = [
     # before any width is built.
     pytest.param(["eval", "--scores", "{scores}", "--set", "vus_step=1e-300", "--out", "{out}"],
                  1, id="eval-tiny-vus-step"),
+    # l sets the default range_w and vus_wmax, and must be >= 1 as in training.
+    pytest.param(["eval", "--scores", "{scores}", "--set", "l=0", "--out", "{out}"], 1,
+                 id="eval-zero-l"),
+    pytest.param(["eval", "--scores", "{scores}", "--set", "l=-1", "--out", "{out}"], 1,
+                 id="eval-negative-l"),
 ] + [
     pytest.param(["synth", "--config", "{cfg}", "--out-dir", "{out}", *extra], 1,
                  id=f"synth-{name}")
@@ -913,6 +918,12 @@ class TestBadSettings:
         assert run([str(a).format(**files) for a in argv]) == code
         assert capsys.readouterr().err.startswith("sten: ")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("l", ["0", "-1"])
+    def test_eval_names_a_bad_l(self, trained, capsys, l):
+        """The error names l, not the buffer width l sets by default."""
+        assert run(["eval", "--scores", trained["scores"], "--set", f"l={l}"]) == 1
+        assert f"l must be >= 1, got {l}" in capsys.readouterr().err
 
 
 SCORES_HEADER = "timestamp,score,score_otn,score_dsn,label\n"

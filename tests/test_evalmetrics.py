@@ -5,10 +5,27 @@ import pytest
 
 from sten import DataError, evalmetrics
 from sten.evalmetrics import (MetricReport, affiliation, best_f1, evaluate,
-                              events_from_binary, point_adjust, pr_auc, range_auc, roc_auc,
+                              events_from_binary, point_adjust, range_auc,
                               threshold_percentile, vus)
 
 import oracles
+
+
+def roc_auc(scores, labels):
+    """AUC-ROC of the scores as given, as ``evaluate`` reports it."""
+    return evaluate(scores, labels, point_adjust_on=False, metrics=("roc",)).auc_roc
+
+
+def pr_auc(scores, labels):
+    """AUC-PR of the scores as given, as ``evaluate`` reports it."""
+    return evaluate(scores, labels, point_adjust_on=False, metrics=("pr",)).auc_pr
+
+
+def separate_areas(scores, labels):
+    """ROC and PR areas of one score series sorted on its own: the sweep
+    and area helpers ``evaluate`` shares between its metric groups."""
+    order, idx, _ = evalmetrics._sweep(np.asarray(scores, np.float64))
+    return evalmetrics._areas(order, idx, np.asarray(labels).astype(bool).astype(np.float64))
 
 
 def random_instance(rng, n_max=120, tie_prob=0.5):
@@ -444,7 +461,8 @@ class TestEvaluate:
 
     def test_shared_sweeps_equal_separate_calls(self):
         """evaluate's report equals each metric function called on its own,
-        which sorts its scores itself, bit for bit."""
+        which sorts its scores itself, and the areas of a sweep of their own
+        (``separate_areas``), bit for bit."""
         rng = np.random.default_rng(19)
         for i in range(200):
             scores, labels = random_instance(rng)
@@ -452,7 +470,7 @@ class TestEvaluate:
             truth = events_from_binary(labels)
             adjusted = point_adjust(scores, truth) if pa else scores
             f1, thr, prec, rec = best_f1(adjusted, labels)
-            want = MetricReport(roc_auc(adjusted, labels), pr_auc(adjusted, labels),
+            want = MetricReport(*separate_areas(adjusted, labels),
                                 f1, thr, prec, rec, *affiliation(
                                     events_from_binary(threshold_percentile(scores, 2.0)),
                                     truth, len(scores)),
@@ -475,8 +493,8 @@ class TestEvaluate:
 
     def test_one_areas_pass_equals_separate_calls_bitwise(self):
         """On 1,000 random instances and subsets of the point-wise groups, the
-        report equals roc_auc, pr_auc and best_f1 called on their own, bit for
-        bit."""
+        report equals the areas of a sweep of its own (``separate_areas``) and
+        best_f1 called on its own, bit for bit."""
         rng = np.random.default_rng(22)
         for i in range(1000):
             scores, labels = random_instance(rng)
@@ -486,8 +504,9 @@ class TestEvaluate:
             groups = tuple(g for g in ("roc", "pr", "f1") if rng.random() < 0.7) or ("pr",)
             adjusted = point_adjust(scores, events_from_binary(labels)) if pa else scores
             f1 = best_f1(adjusted, labels) if "f1" in groups else None
-            want = MetricReport(roc_auc(adjusted, labels) if "roc" in groups else None,
-                                pr_auc(adjusted, labels) if "pr" in groups else None,
+            roc, ap = separate_areas(adjusted, labels)
+            want = MetricReport(roc if "roc" in groups else None,
+                                ap if "pr" in groups else None,
                                 *(f1 or (None,) * 4)).to_dict()
             got = evaluate(scores, labels, point_adjust_on=pa, metrics=groups).to_dict()
             assert list(got) == list(want), i

@@ -91,9 +91,10 @@ def zero_gru(phi):
         phi["gru." + name] = np.zeros_like(phi["gru." + name])
 
 
-def sten_tape(mode="full", alpha=1.0, m=3, l=2, B=2, seed=0, phi=None, eta=None,
-              batch=None):
-    """build_sten_tape on random windows of length l*m."""
+def loss_parts(mode="full", alpha=1.0, m=3, l=2, B=2, seed=0, phi=None, eta=None,
+               batch=None):
+    """The loss parts (otn, dsn, total) of build_sten_tape on random windows
+    of length l*m."""
     cfg = TrainConfig(R_train=1, l=l, r=l, m=m, d_model=4, alpha=alpha, mode=mode)
     cfg.validate()
     rng = np.random.default_rng(seed)
@@ -101,21 +102,21 @@ def sten_tape(mode="full", alpha=1.0, m=3, l=2, B=2, seed=0, phi=None, eta=None,
         phi = init_phi(2, 4, m, rng, with_ep_head=(mode == "dsn_plus_ep"))
     eta = eta if eta is not None else init_gru(2, 4, rng)
     batch = batch if batch is not None else rng.normal(size=(B, l * m, 2))
-    return batch_tape(phi, eta, batch, cfg)
+    return batch_tape(phi, eta, batch, cfg)[0]
 
 
 class TestOtnLoss:
-    """The order-branch part of the loss (tape.otn)."""
+    """The order-branch part of the loss (otn)."""
 
     def test_perfect_predictions(self):
         # m = 1 forces a perfect one-class order prediction.
-        assert sten_tape(mode="otn_only", m=1, l=4).otn == 0.0
+        assert loss_parts(mode="otn_only", m=1, l=4)[0] == 0.0
 
     def test_uniform_two_class(self):
         phi = init_phi(2, 4, 2, np.random.default_rng(1))
         phi["order_head.W"] = np.zeros_like(phi["order_head.W"])
         phi["order_head.b"] = np.zeros_like(phi["order_head.b"])
-        assert abs(sten_tape(mode="otn_only", m=2, phi=phi).otn - JS_HALF_ONEHOT) < 1e-6
+        assert abs(loss_parts(mode="otn_only", m=2, phi=phi)[0] - JS_HALF_ONEHOT) < 1e-6
 
     def test_upper_bound(self):
         rng = np.random.default_rng(5)
@@ -124,65 +125,65 @@ class TestOtnLoss:
             m = int(rng.integers(1, 6))
             phi = init_phi(2, 4, m, rng)
             phi["order_head.W"] = phi["order_head.W"] * rng.uniform(1, 50)
-            assert sten_tape(mode="otn_only", m=m, seed=trial, phi=phi).otn <= bound + 1e-12
+            assert loss_parts(mode="otn_only", m=m, seed=trial, phi=phi)[0] <= bound + 1e-12
 
 
 class TestDsnLoss:
-    """The distance-branch part of the loss (tape.dsn): the mean over every
+    """The distance-branch part of the loss (dsn): the mean over every
     ordered pair of the batch's windows."""
 
     def test_zero_when_equal(self):
         phi = init_phi(2, 4, 3, np.random.default_rng(2))
         eta = init_gru(2, 4, np.random.default_rng(3))
         phi.update(eta.as_dict("gru."))  # identical towers -> identical distances
-        assert sten_tape(mode="dsn_only", phi=phi, eta=eta, B=4).dsn == 0.0
+        assert loss_parts(mode="dsn_only", phi=phi, eta=eta, B=4)[1] == 0.0
 
     def test_single_pair(self):
         rng = np.random.default_rng(4)
         phi, eta = init_phi(2, 4, 3, rng), init_gru(2, 4, rng)
         batch = rng.normal(size=(2, 6, 2))
-        tape = sten_tape(mode="dsn_only", phi=phi, eta=eta, batch=batch)
-        assert abs(tape.dsn - dsn_oracle(phi, eta, batch)) < 1e-12
+        _, dsn, _ = loss_parts(mode="dsn_only", phi=phi, eta=eta, batch=batch)
+        assert abs(dsn - dsn_oracle(phi, eta, batch)) < 1e-12
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(6)
         phi, eta = init_phi(2, 4, 3, rng), init_gru(2, 4, rng)
         batch = rng.normal(size=(6, 6, 2))
-        tape = sten_tape(mode="dsn_only", phi=phi, eta=eta, batch=batch)
-        assert abs(tape.dsn - dsn_oracle(phi, eta, batch)) < 1e-12
+        _, dsn, _ = loss_parts(mode="dsn_only", phi=phi, eta=eta, batch=batch)
+        assert abs(dsn - dsn_oracle(phi, eta, batch)) < 1e-12
 
     def test_empty_rejected(self):
         # One window has no pair.
         with pytest.raises(DataError, match=">= 2 windows"):
-            sten_tape(mode="dsn_only", B=1)
+            loss_parts(mode="dsn_only", B=1)
 
 
 class TestStenLoss:
-    """The combined objective tape.value = otn + alpha * dsn."""
+    """The combined objective total = otn + alpha * dsn."""
 
     def test_alpha_zero(self):
-        tape = sten_tape(mode="full", alpha=0.0)
-        assert tape.dsn == 0.0
-        assert tape.value == tape.otn
+        otn, dsn, total = loss_parts(mode="full", alpha=0.0)
+        assert dsn == 0.0
+        assert total == otn
 
     def test_paper_default_alpha(self):
-        tape = sten_tape(mode="full", alpha=1.0, seed=1)
-        assert tape.otn > 0 and tape.dsn > 0
-        assert abs(tape.value - (tape.otn + tape.dsn)) < 1e-12
+        otn, dsn, total = loss_parts(mode="full", alpha=1.0, seed=1)
+        assert otn > 0 and dsn > 0
+        assert abs(total - (otn + dsn)) < 1e-12
 
     def test_alpha_scaling_exact(self):
-        a = sten_tape(mode="full", alpha=1.0, seed=2)
-        b = sten_tape(mode="full", alpha=2.0, seed=2)
-        assert (b.otn, b.dsn) == (a.otn, a.dsn)
-        assert b.value == a.otn + 2.0 * a.dsn
+        a = loss_parts(mode="full", alpha=1.0, seed=2)
+        b = loss_parts(mode="full", alpha=2.0, seed=2)
+        assert b[:2] == a[:2]
+        assert b[2] == a[0] + 2.0 * a[1]
 
     def test_breakdown_identity(self):
         rng = np.random.default_rng(7)
         for trial in range(20):
             mode = ("full", "otn_only", "dsn_only", "dsn_plus_ep")[trial % 4]
             alpha = float(rng.random())
-            tape = sten_tape(mode=mode, alpha=alpha, seed=trial)
-            assert tape.value == tape.otn + alpha * tape.dsn
+            otn, dsn, total = loss_parts(mode=mode, alpha=alpha, seed=trial)
+            assert total == otn + alpha * dsn
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ConfigError):
@@ -194,10 +195,10 @@ def phi_with_ep(d_in, d_model, m, seed):
 
 
 def ep_loss(data, phi):
-    """The error-prediction part of a dsn_plus_ep loss (its tape.otn) on one
+    """The error-prediction part of a dsn_plus_ep loss (its otn) on one
     window, given twice so that the distance loss has a pair."""
-    return sten_tape(mode="dsn_plus_ep", m=len(data), l=1, phi=phi,
-                     batch=np.repeat(np.asarray(data, np.float64)[None], 2, axis=0)).otn
+    return loss_parts(mode="dsn_plus_ep", m=len(data), l=1, phi=phi,
+                      batch=np.repeat(np.asarray(data, np.float64)[None], 2, axis=0))[0]
 
 
 class TestEpLoss:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import sten.training as training
-from sten import ConfigError, DataError, NumericError, networks, scoring
-from sten.ndkernel import backward, init_gru
+from sten import ConfigError, DataError, NumericError, ndkernel, networks, scoring
+from sten.ndkernel import init_gru
 from sten.networks import embed_windows, forward, gru_checksum, init_phi
 from sten.objectives import js_rows
 from sten.scoring import ScoreConfig, distance_scores, score_series
@@ -12,8 +12,9 @@ from sten.seqdata import (MultivariateSeries, SynthConfig, batch_ranges, synth_g
 from sten.training import (TrainConfig, build_sten_tape, load_checkpoint, save_checkpoint,
                            seed_streams, train)
 
-from oracles import (build_sten_tape_closures, closure_backward, dsn_plus_ep_tape_two_pass,
-                     finite_diff_grad, order_loss_presented)
+import oracles
+from oracles import (build_sten_tape_closures, dsn_plus_ep_tape_two_pass, finite_diff_grad,
+                     order_loss_presented)
 from windowed import batch_tape
 
 
@@ -22,11 +23,10 @@ def gradcheck(cfg, seed, h=1e-4, tol=1e-4, with_ep=False):
     phi = init_phi(2, cfg.d_model, cfg.m, rng, with_ep_head=with_ep)
     eta = init_gru(2, cfg.d_model, rng)
     batch = rng.normal(size=(3, cfg.L, 2))
-    tape = batch_tape(phi, eta, batch, cfg)
-    grads = backward(tape)
+    _, grads = batch_tape(phi, eta, batch, cfg)
 
     def loss_fn(pd):
-        return batch_tape(pd, eta, batch, cfg).value
+        return batch_tape(pd, eta, batch, cfg)[0][2]
 
     fd = finite_diff_grad(loss_fn, phi, h=h)
     worst = {}
@@ -93,13 +93,30 @@ def assert_blocks_match(got, want, cfg):
 
 
 def assert_losses_match(got, want, cfg):
-    """The parts of two tapes: the temporal part bit for bit, the distance
-    part within LOSS_RTOL where ``has_distance``."""
-    assert got.otn == want.otn
-    assert abs(got.dsn - want.dsn) <= LOSS_RTOL * abs(want.dsn)
-    assert abs(got.value - want.value) <= LOSS_RTOL * abs(want.value)
+    """Two steps' loss parts (otn, dsn, total): the temporal part bit for
+    bit, the distance part and the total within LOSS_RTOL where
+    ``has_distance``."""
+    (otn, dsn, total), (w_otn, w_dsn, w_total) = got, want
+    assert otn == w_otn
+    assert abs(dsn - w_dsn) <= LOSS_RTOL * abs(w_dsn)
+    assert abs(total - w_total) <= LOSS_RTOL * abs(w_total)
     if not has_distance(cfg):
-        assert (got.dsn, got.value) == (want.dsn, want.value)
+        assert (dsn, total) == (w_dsn, w_total)
+
+
+def count_gru_backward(monkeypatch) -> list:
+    """Wrap ``gru_backward`` where the package and the oracles call it: the
+    returned list gets one entry per call."""
+    calls = []
+    real = ndkernel.gru_backward
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (ndkernel, oracles):
+        monkeypatch.setattr(module, "gru_backward", counting)
+    return calls
 
 
 class TestGradients:
@@ -121,8 +138,7 @@ class TestGradients:
         rng = np.random.default_rng(4)
         phi = init_phi(2, 4, 3, rng, with_ep_head=True)
         batch = rng.normal(size=(2, 6, 2))
-        tape = batch_tape(phi, None, batch, cfg)
-        grads = backward(tape)
+        _, grads = batch_tape(phi, None, batch, cfg)
         for k, g in grads.items():
             if k.startswith("ep_head."):
                 np.testing.assert_array_equal(g, 0.0)
@@ -130,14 +146,13 @@ class TestGradients:
                 assert np.abs(g).max() > 0
 
     def test_eta_receives_no_gradient(self):
-        # The tape's parameter template is phi only; eta never appears.
+        # The gradients are keyed by phi's blocks only; eta never appears.
         cfg = TrainConfig(R_train=2, l=2, r=2, m=3, d_model=4, mode="full")
         rng = np.random.default_rng(5)
         phi = init_phi(2, 4, 3, rng)
         eta = init_gru(2, 4, rng)
         batch = rng.normal(size=(2, 6, 2))
-        tape = batch_tape(phi, eta, batch, cfg)
-        grads = backward(tape)
+        _, grads = batch_tape(phi, eta, batch, cfg)
         assert set(grads) == set(phi)
 
 
@@ -152,13 +167,12 @@ class TestPresentedOrder:
         rng = np.random.default_rng(seed)
         phi = init_phi(2, 6, 4, rng)
         batch = rng.normal(size=(8, 12, 2))
-        tape = batch_tape(phi, None, batch, cfg)
-        grads = backward(tape)
+        (otn, _, _), grads = batch_tape(phi, None, batch, cfg)
         perms = rng.permuted(np.tile(np.arange(4), (8, 1)), axis=1)
         loss, ref = order_loss_presented(phi, batch, perms, 3, 3)
         # Reordering rows changes only the summation order: about 1.7e-15
         # relative was measured, so these tolerances leave a wide margin.
-        np.testing.assert_allclose(tape.otn, loss, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(otn, loss, rtol=1e-14, atol=0)
         assert set(grads) == set(ref)
         for k in grads:
             np.testing.assert_allclose(grads[k], ref[k], rtol=1e-12, atol=0, err_msg=k)
@@ -176,12 +190,11 @@ class TestDistinctSubsequenceGradients:
         phi = init_phi(2, 6, 4, rng)
         values = rng.normal(size=(90, 2))
         starts = window_starts(90, cfg.L, stride)
-        tape = build_sten_tape(phi, None, values, starts, cfg)
-        grads = backward(tape)
+        (otn, _, _), grads = build_sten_tape(phi, None, values, starts, cfg)
         batch = values[starts[:, None] + np.arange(cfg.L)]
         identity = np.tile(np.arange(4), (len(starts), 1))
         loss, ref = order_loss_presented(phi, batch, identity, 3, 3)
-        assert tape.otn == loss
+        assert otn == loss
         assert set(grads) == set(ref)
         # The scatter-add sums each distinct row's slot gradients in another
         # order than BPTT over every slot; 1.7e-15 relative was measured at
@@ -228,7 +241,7 @@ class TestSharedTowerPass:
     error-prediction pass.  The loss, gradients and trained master weights
     are within ALL_PAIRS_RTOL of running the tower twice."""
 
-    def test_loss_and_gradients_equal_two_passes(self):
+    def test_loss_and_gradients_equal_two_passes(self, monkeypatch):
         cfg = small_cfg(mode="dsn_plus_ep", alpha=0.7)
         rng = np.random.default_rng(8)
         phi = init_phi(2, cfg.d_model, cfg.m, rng, with_ep_head=True)
@@ -236,11 +249,12 @@ class TestSharedTowerPass:
         values = rng.normal(size=(150, 2))
         starts = window_starts(150, cfg.L, cfg.R_train)
         F = embed_windows(eta, values[starts[:, None] + np.arange(cfg.L)])
-        got = build_sten_tape(phi, F, values, starts, cfg)
-        want = dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg)
+        calls = count_gru_backward(monkeypatch)
+        got, g = build_sten_tape(phi, F, values, starts, cfg)
+        n_got = len(calls)
+        want, w = dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg)
         assert_losses_match(got, want, cfg)
-        assert (len(got.passes), len(want.passes)) == (1, 2)
-        g, w = backward(got), backward(want)
+        assert (n_got, len(calls) - n_got) == (1, 2)
         assert set(g) == set(phi)
         assert_blocks_close(g, w)
 
@@ -268,11 +282,11 @@ class TestSharedTowerPass:
 
 class TestTapeIsData:
     """build_sten_tape forms the heads' gradients and each GRU pass's upstream
-    gradient in the forward, and backward only runs BPTT over the passes.
-    Loss parts equal those of the form that recorded one backward closure per
-    branch and summed the distance loss one pair at a time, and gradients and
-    trained checkpoints do bit for bit, except where the distance branch
-    trains (``assert_losses_match``, ``assert_blocks_match``)."""
+    gradient in the forward, then runs BPTT over the passes.  Loss parts
+    equal those of the form that ran one backward per branch and summed the
+    distance loss one pair at a time, and gradients and trained checkpoints
+    do bit for bit, except where the distance branch trains
+    (``assert_losses_match``, ``assert_blocks_match``)."""
 
     CASES = [dict(mode="full"), dict(mode="otn_only"), dict(mode="dsn_only"),
              dict(mode="dsn_plus_ep"), dict(mode="full", alpha=0.0)]
@@ -290,12 +304,12 @@ class TestTapeIsData:
         if use_dsn:
             eta = init_gru(2, cfg.d_model, rng)
             F = embed_windows(eta, values[starts[:, None] + np.arange(cfg.L)])
-        got = build_sten_tape(phi, F, values, starts, cfg)
-        want = build_sten_tape_closures(phi, F, values, starts, cfg)
+        got, g = build_sten_tape(phi, F, values, starts, cfg)
+        want, w = build_sten_tape_closures(phi, F, values, starts, cfg)
         assert_losses_match(got, want, cfg)
-        g, w = backward(got), closure_backward(want)
         assert set(g) == set(phi)
-        assert_same_blocks(backward(got), g)
+        # A second step on the same inputs gets the same bits.
+        assert_same_blocks(build_sten_tape(phi, F, values, starts, cfg)[1], g)
         assert_blocks_match(g, w, cfg)
 
     @pytest.mark.parametrize("case", CASES, ids=IDS)
@@ -316,7 +330,6 @@ class TestTapeIsData:
         save_checkpoint(train(series, cfg), tmp_path / "data.ckpt")
         data = weights[-1]
         monkeypatch.setattr(training, "build_sten_tape", build_sten_tape_closures)
-        monkeypatch.setattr(training, "backward", closure_backward)
         save_checkpoint(train(series, cfg), tmp_path / "closures.ckpt")
         assert_blocks_match(data, weights[-1], cfg)
         if not has_distance(cfg):
@@ -349,7 +362,7 @@ class TestAllPairsDistance:
         F = embed_windows(init_gru(2, cfg.d_model, rng), X)
         E = forward(phi, values, starts, cfg)[2][0].astype(np.float64)
         want = float(distance_scores(E, F).mean())
-        got = build_sten_tape(phi, F, values, starts, cfg).dsn
+        got = build_sten_tape(phi, F, values, starts, cfg)[0][1]
         assert want > 0 and abs(got - want) <= LOSS_RTOL * want
 
     @pytest.mark.parametrize("mode", training.MODES)
@@ -554,16 +567,20 @@ class TestTrain:
         assert gru_checksum(a.eta) == gru_checksum(b.eta)
 
     def test_nonfinite_loss_aborts(self, monkeypatch):
-        orig = training.build_sten_tape
+        """eta's embeddings with a NaN row give a NaN distance loss: the
+        first batch's step stops before any BPTT."""
+        real_embed = training.embed_windows
 
-        def poisoned(*args, **kwargs):
-            tape = orig(*args, **kwargs)
-            tape.value = float("nan")
-            return tape
+        def poisoned(gru, data):
+            F = real_embed(gru, data)
+            F[0] = np.nan
+            return F
 
-        monkeypatch.setattr(training, "build_sten_tape", poisoned)
-        with pytest.raises(NumericError, match="epoch 1"):
+        monkeypatch.setattr(training, "embed_windows", poisoned)
+        calls = count_gru_backward(monkeypatch)
+        with pytest.raises(NumericError, match=r"epoch 1, batch 1: .*otn=.*, dsn=nan"):
             train(small_series(n=200), small_cfg())
+        assert calls == []
 
     def test_too_few_windows_for_dsn(self):
         series = small_series(n=12)  # exactly one window

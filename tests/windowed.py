@@ -16,6 +16,6 @@ def laid_end_to_end(batch):
 
 def batch_tape(phi, eta, batch, cfg):
     """build_sten_tape over a batch of windows laid end to end, with eta's
-    embeddings of them (none without eta)."""
+    embeddings of them (none without eta): ((otn, dsn, total), grads)."""
     F = None if eta is None else embed_windows(eta, batch)
     return build_sten_tape(phi, F, *laid_end_to_end(batch), cfg)
