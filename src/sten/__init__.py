@@ -8,13 +8,28 @@ discrepancies of both tasks become per-timestamp anomaly scores.
 """
 
 import contextlib
+import ctypes
 import os
+import sys
 
 # BLAS on one thread per calling thread, unless the user set otherwise: a wide
 # GRU pass runs on two threads of its own (``ndkernel``), and BLAS threads on
-# top of those compete for the same cores.  Set before numpy loads, which reads
-# these once; an import of numpy before this package leaves BLAS as it was.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+# top of those compete for the same cores.  numpy's BLAS reads these variables
+# once, when it loads.  If numpy is loaded already and none is set, its
+# bundled OpenBLAS is set to one thread through its own entry point; a BLAS
+# without that entry point is left as it is.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules and not any(v in os.environ for v in _BLAS_VARS):
+    try:
+        _set_threads = ctypes.CDLL(sys.modules["numpy"]._core._multiarray_umath.__file__
+                                   ).scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        pass
+    else:
+        _set_threads.argtypes, _set_threads.restype = [ctypes.c_int], None
+        _set_threads(1)
+        del _set_threads
+for _var in _BLAS_VARS:
     os.environ.setdefault(_var, "1")
 del _var
 

@@ -466,6 +466,11 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"sten: numeric failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # numpy names the request: "Unable to allocate 2.13 PiB for an array ..."
+        print(f"sten: usage error: the configuration needs more memory than there is: {exc}",
+              file=sys.stderr)
+        return 1
     except StenError as exc:
         print(f"sten: error: {exc}", file=sys.stderr)
         return 1

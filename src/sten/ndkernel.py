@@ -37,20 +37,26 @@ and no speed-up.
 
 Two threads.  A pass of d_model >= ``WORKER_D_MODEL`` (128) over at least
 2 * ``MIN_ROWS`` rows owns a helper thread: it starts one, and joins it
-before it returns, so no thread outlives a pass.  Narrower or shorter passes
-ran slower on two threads than on one, and stay on the calling thread.  The
-forward gives the helper rows [B//2, B) and runs rows [0, B//2) itself: the
-rows of a GRU are independent, and from ``MIN_ROWS`` rows on a row of a GEMM
-gets the bits it gets in a taller one.  Both threads write their rows of the
-one cache and call ``on_step`` with them; its array is a buffer that the
-next step overwrites.  The backward runs the dh recurrence on the calling
-thread and hands each step's gate gradients to the helper, which adds the
-weight and bias gradients in the order one thread adds them.  So every bit
-is kept.  An error in either thread reaches the caller once both have
-stopped.  The helper runs in a copy of the caller's context, so
+before it returns, so no thread outlives a pass.  Narrower passes ran slower
+on two threads than on one, and stay on the calling thread.  The forward
+gives the helper rows [B//2, B) and runs rows [0, B//2) itself: the rows of
+a GRU are independent, and from ``MIN_ROWS`` rows on a row of a GEMM gets
+the bits it gets in a taller one.  Both threads write their rows of the one
+cache and call ``on_step`` with them; its array is a buffer that the next
+step overwrites.  The backward runs the dh recurrence on the calling thread
+and hands each step's gate gradients to the helper, which adds the weight
+and bias gradients in the order one thread adds them.  Below 2 * ``MIN_ROWS``
+rows that hand-over would keep the bits too, but it was no faster there.
+A wide pass too short to split, whose caller has other work that needs
+nothing of it, runs beside that work instead (``gru_forward_beside``): the
+helper runs all its rows, and the calling thread runs the caller's block.
+Scoring runs eta's pass of a short chunk beside phi's forward this way.
+So every bit is kept.  An error in either thread reaches the caller once
+both have stopped.  The helper runs in a copy of the caller's context, so
 ``np.errstate`` holds on both threads, and calls no public function of this
 module (perfbench's tracer keeps one span stack, on the calling thread).
-BLAS should run one thread per calling thread: ``sten/__init__.py`` sets it.
+BLAS should run one thread per calling thread: ``sten/__init__.py`` sets it,
+before or after numpy loads.
 """
 
 from __future__ import annotations
@@ -187,8 +193,16 @@ WORKER_D_MODEL = 128
 
 
 def _uses_worker(B: int, d: int) -> bool:
-    """Whether a pass over B rows of width d starts a helper thread."""
+    """Whether a pass over B rows of width d shares its work with a helper
+    thread: the forward splits its rows, BPTT is pipelined."""
     return d >= WORKER_D_MODEL and B >= 2 * MIN_ROWS
+
+
+def _runs_beside(B: int, d: int) -> bool:
+    """Whether ``gru_forward_beside`` runs a pass over B rows of width d on a
+    helper thread beside the caller's work: a wide pass that does not split
+    its rows."""
+    return d >= WORKER_D_MODEL and not _uses_worker(B, d)
 
 
 @contextlib.contextmanager
@@ -226,16 +240,10 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False, on_step=N
     A pass that starts a helper thread calls it from both threads, each with
     its own rows.
     """
-    X = np.asarray(X)
-    dt = _work_dtype(X)
-    X = X.astype(dt, copy=False)
-    if X.ndim != 3 or X.shape[1] < 1:
-        raise DataError(f"expected (B, T, d_in) with T >= 1, got shape {X.shape}")
-    if X.shape[2] != p.d_in:
-        raise DataError(f"input dim {X.shape[2]} != GRU d_in {p.d_in}")
+    X, W, U, b = _pass_inputs(X, p)
+    dt = X.dtype
     B, T, _ = X.shape
     d = p.d_model
-    W, U, b = (np.asarray(a, dt) for a in (p.W, p.U, p.b))
     # One block for the four (T, B, d) arrays: malloc keeps a block freed by
     # one pass for the next more readily than four arrays, which it may
     # return to the system and fault in again.
@@ -245,15 +253,47 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False, on_step=N
         _gru_rows(X, W, U, b, H, cache, slice(0, B), on_step, sigmoid, _step_buffers(B, d, dt))
     else:
         h = B // 2
-        # The helper's buffers are made here: what the helper thread allocates
-        # comes from a malloc arena of its own, which keeps its peak.
-        work = _step_buffers(B - h, d, dt)
-        logistic = functools.partial(_logistic, e=np.empty_like(work[1]),
-                                     mask=np.empty(work[1].shape, bool))
-        with _helper_thread(_gru_rows, X, W, U, b, H, cache, slice(h, B), on_step, logistic, work):
+        with _helper_thread(_gru_rows, X, W, U, b, H, cache, slice(h, B), on_step,
+                            *_helper_buffers(B - h, d, dt)):
             _gru_rows(X, W, U, b, H, cache, slice(0, h), on_step, sigmoid, _step_buffers(h, d, dt))
     H = H.astype(np.float64, copy=False)
     return (H, cache) if want_cache else H
+
+
+def gru_forward_beside(X: np.ndarray, p: GruParams, beside) -> np.ndarray:
+    """``gru_forward(X, p)``, the final states of a GRU pass over X, and a
+    call of the caller's block ``beside()``, which needs nothing of the pass.
+
+    A wide pass that does not split its rows (``_runs_beside``) runs on a
+    helper thread while the calling thread runs ``beside``; any other pass
+    runs after ``beside`` returns, as ``gru_forward``.  The helper runs
+    every row through every step, as one thread runs a pass that does not
+    split, so each row keeps its bits.  An error in either thread reaches
+    the caller once both have stopped.
+    """
+    X, W, U, b = _pass_inputs(X, p)
+    B, d = len(X), p.d_model
+    if not _runs_beside(B, d):
+        beside()
+        return gru_forward(X, p)
+    H = np.empty((B, d), X.dtype)
+    with _helper_thread(_gru_rows, X, W, U, b, H, None, slice(0, B), None,
+                        *_helper_buffers(B, d, X.dtype)):
+        beside()
+    return H.astype(np.float64, copy=False)
+
+
+def _pass_inputs(X: np.ndarray, p: GruParams) -> tuple[np.ndarray, ...]:
+    """X and the GRU's W, U and b in the compute dtype, once X's shape is
+    checked."""
+    X = np.asarray(X)
+    dt = _work_dtype(X)
+    X = X.astype(dt, copy=False)
+    if X.ndim != 3 or X.shape[1] < 1:
+        raise DataError(f"expected (B, T, d_in) with T >= 1, got shape {X.shape}")
+    if X.shape[2] != p.d_in:
+        raise DataError(f"input dim {X.shape[2]} != GRU d_in {p.d_in}")
+    return (X, *(np.asarray(a, dt) for a in (p.W, p.U, p.b)))
 
 
 def _step_buffers(n: int, d: int, dt) -> tuple[np.ndarray, ...]:
@@ -261,6 +301,16 @@ def _step_buffers(n: int, d: int, dt) -> tuple[np.ndarray, ...]:
     rows writes into."""
     return (np.empty((n, 3 * d), dt), np.empty((n, 2 * d), dt), np.empty((n, d), dt),
             np.empty((n, d), dt))
+
+
+def _helper_buffers(n: int, d: int, dt) -> tuple:
+    """The ``logistic`` and ``work`` arguments of a helper thread's
+    ``_gru_rows`` over n rows: ``_logistic`` on scratch of its own, and its
+    step buffers.  The calling thread makes them, since what a helper thread
+    allocates comes from a malloc arena of its own, which keeps its peak."""
+    work = _step_buffers(n, d, dt)
+    zr = work[1]
+    return functools.partial(_logistic, e=np.empty_like(zr), mask=np.empty(zr.shape, bool)), work
 
 
 def _gru_rows(X, W, U, b, H, cache, rows: slice, on_step, logistic, work) -> None:

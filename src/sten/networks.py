@@ -30,7 +30,8 @@ import struct
 import numpy as np
 
 from . import DataError, atomic_write
-from .ndkernel import GruParams, ParamDict, gru_forward, gru_shapes, require_finite, softmax
+from .ndkernel import (GruParams, ParamDict, gru_forward, gru_forward_beside, gru_shapes,
+                       require_finite, softmax)
 from .seqdata import stack_slices
 
 
@@ -105,12 +106,17 @@ def order_forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, l: int
     return P, Y, H, inv, cache
 
 
-def embed_windows(gru: GruParams, data: np.ndarray) -> np.ndarray:
+def embed_windows(gru: GruParams, data: np.ndarray, beside=None):
     """Batched window embedding by one GRU tower: data (B, L, D) -> (B, d_model).
 
     Eta embeds windows through it, in training and scoring; BENCHMARK.json
-    counts ``len(data)`` per call by this name."""
-    return gru_forward(data, gru)
+    counts ``len(data)`` per call by this name.  Given the caller's block
+    ``beside``, a call that needs nothing of the pass, it calls it too, and
+    the pass may run on a helper thread while the calling thread runs the
+    block (``ndkernel.gru_forward_beside``)."""
+    if beside is None:
+        return gru_forward(data, gru)
+    return gru_forward_beside(data, gru, beside)
 
 
 def branches(mode: str, alpha: float) -> tuple[bool, bool, bool]:
@@ -122,12 +128,13 @@ def branches(mode: str, alpha: float) -> tuple[bool, bool, bool]:
 
 
 def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
-            want_cache: bool = False):
+            want_cache: bool = False, windows: np.ndarray | None = None):
     """phi's branches, as ``branches(cfg.mode, cfg.alpha)`` selects them, over
     the length-``cfg.L`` windows of the (N, D) series ``values`` at ``starts``;
-    ``cfg`` is the model's ``training.TrainConfig``.
+    ``cfg`` is the model's ``training.TrainConfig``.  ``windows`` is those
+    windows (B, L, D) when the caller has gathered them.
 
-    Returns (order, ep, dsn, X), None for a branch not run:
+    Returns (order, ep, dsn), None for a branch not run:
 
     - order: ``order_forward``'s (P, Y, H, inv, cache);
     - ep: (resid, cache) of the error-prediction head, a linear map of h_t
@@ -136,19 +143,18 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
       (``gru_forward``'s ``on_step``), and the GruCache of its pass, None
       without ``want_cache``;
     - dsn: (E, cache), the distance embeddings, phi's final hidden states
-      (B, d_model), and the GruCache of the pass that made them;
-    - X: the windows (B, L, D), None when only the order branch runs.
+      (B, d_model), and the GruCache of the pass that made them.
 
-    The windows are gathered once, and returned for eta to embed.  With the
-    error-prediction head, the distance embeddings are the final hidden
+    The windows are gathered once, here unless the caller passes them.  With
+    the error-prediction head, the distance embeddings are the final hidden
     states of its pass, whose cache both branches then share; otherwise phi's
     GRU runs one pass for them.
     """
     use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
     order = order_forward(phi, values, starts, cfg.l, cfg.r, want_cache) if use_otn else None
-    ep = dsn = X = None
+    ep = dsn = None
     if use_ep or use_dsn:
-        X = stack_slices(values, starts, cfg.L)
+        X = stack_slices(values, starts, cfg.L) if windows is None else windows
         gru = GruParams.from_dict(phi, "gru.")
     if use_ep:
         if "ep_head.W" not in phi:
@@ -174,7 +180,7 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
         else:
             dsn = (gru_forward(X, gru, want_cache=True) if want_cache
                    else (gru_forward(X, gru), None))
-    return order, ep, dsn, X
+    return order, ep, dsn
 
 
 def sample_pairs(n_windows: int, rng: np.random.Generator, k: int = 1) -> np.ndarray:

@@ -12,11 +12,13 @@ timestamp scores the mean over its covering slots, both columns aggregated in
 one pass.
 
 Scoring runs ``networks.forward``, the forward training runs, over chunks of
-``CHUNK`` windows, and eta embeds the windows ``forward`` gathered for each
-chunk.  The order branch scores sub-sequences in their true order: it
-encodes each distinct sub-sequence of a chunk once, and windows at stride
-``R_test`` = r share all but one of theirs with the next.  The z-scored
-series is cast once to ``training.COMPUTE_DTYPE``, the dtype the GRU
+``CHUNK`` windows.  With the distance branch, each chunk's windows are
+gathered once, for phi's forward and for eta, which embeds them beside it:
+on a helper thread when the chunk is wide and too short to split its rows
+(``_forward_chunks``).  The order branch scores sub-sequences in their true
+order: it encodes each distinct sub-sequence of a chunk once, and windows at
+stride ``R_test`` = r share all but one of theirs with the next.  The
+z-scored series is cast once to ``training.COMPUTE_DTYPE``, the dtype the GRU
 computes in.  Scoring draws no random numbers: a model and a series give one
 set of scores.
 
@@ -34,6 +36,7 @@ Score files are CSV tables written by ``seqdata.write_table`` and read back by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +48,8 @@ from .ndkernel import MIN_ROWS
 from .ndkernel import gru_forward  # noqa: F401
 from .networks import branches, embed_windows, forward
 from .objectives import js_rows
-from .seqdata import MultivariateSeries, batch_ranges, read_table, window_starts, write_table
+from .seqdata import (MultivariateSeries, batch_ranges, read_table, stack_slices, window_starts,
+                      write_table)
 from .training import TrainConfig, TrainedModel, compute_values
 
 
@@ -133,6 +137,13 @@ CHUNK = 1024
 def _forward_chunks(model: TrainedModel, values: np.ndarray, starts: np.ndarray):
     """``networks.forward`` over the windows at ``starts``, chunk by chunk.
 
+    With the distance branch, each chunk's windows are gathered once, and
+    ``embed_windows`` runs eta over them with phi's work on the chunk as the
+    block beside it: a wide chunk too short to split its rows
+    (``ndkernel._runs_beside``) runs eta's pass on a helper thread while the
+    calling thread runs phi's.  Each pass runs every row on one thread, so
+    the scores keep their bits either way.
+
     Returns the temporal scores (n_w, m) of the order or error-prediction
     branch, then phi's distance embeddings E and eta's F, both (n_w, d_model)
     and filled only with the distance branch.
@@ -140,8 +151,11 @@ def _forward_chunks(model: TrainedModel, values: np.ndarray, starts: np.ndarray)
     tc, n_w = model.config, len(starts)
     t_scores = np.zeros((n_w, tc.m))
     E, F = np.empty((n_w, tc.d_model)), np.empty((n_w, tc.d_model))
-    for s, e in batch_ranges(n_w, max(CHUNK, MIN_ROWS), min_last=MIN_ROWS):
-        order, ep, dsn, X = forward(model.phi, values, starts[s:e], tc)
+
+    def phi_chunk(s: int, e: int, X: np.ndarray | None = None) -> None:
+        """phi's forward over windows [s, e), whose gathered windows X are
+        passed with the distance branch: their rows of t_scores and E."""
+        order, ep, dsn = forward(model.phi, values, starts[s:e], tc, windows=X)
         if order is not None:
             P, Y = order[:2]
             js = js_rows(P, Y).reshape(e - s, tc.m).mean(axis=1, keepdims=True)
@@ -155,7 +169,14 @@ def _forward_chunks(model: TrainedModel, values: np.ndarray, starts: np.ndarray)
                     t_scores[s:e, i] = err[:, lo - 1:hi - 1].mean(axis=1)
         if dsn is not None:
             E[s:e] = dsn[0]
-            F[s:e] = embed_windows(model.eta, X)
+
+    use_dsn = branches(tc.mode, tc.alpha)[2]
+    for s, e in batch_ranges(n_w, max(CHUNK, MIN_ROWS), min_last=MIN_ROWS):
+        if use_dsn:
+            X = stack_slices(values, starts[s:e], tc.L)
+            F[s:e] = embed_windows(model.eta, X, functools.partial(phi_chunk, s, e, X))
+        else:
+            phi_chunk(s, e)
     return t_scores, E, F
 
 

@@ -111,7 +111,7 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
     BENCHMARK.json traces this function by name, which it keeps until the
     benchmark's next revision renames it (ROADMAP item 1).
     """
-    order, ep, dist, _ = forward(phi, values, starts, cfg, want_cache=True)
+    order, ep, dist = forward(phi, values, starts, cfg, want_cache=True)
     grads = {k: np.zeros(v.shape) for k, v in phi.items()}
     # Each GRU pass once, in forward order, as (cache, d_h_final, d_h_all).
     # Each branch deletes the forward's arrays once it is done with them, so

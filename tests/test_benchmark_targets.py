@@ -16,8 +16,8 @@ import pytest
 from sten import cli, ndkernel, networks, scoring, training
 from sten.networks import init_phi, sample_pairs
 from sten.scoring import ScoreConfig, ScoreSeries, aggregate_timestamps
-from sten.seqdata import MultivariateSeries, load_csv, make_windows, window_starts
-from sten.training import TrainConfig, build_sten_tape, train
+from sten.seqdata import MultivariateSeries, NormStats, load_csv, make_windows, window_starts
+from sten.training import TrainConfig, TrainedModel, build_sten_tape, train
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
@@ -131,6 +131,31 @@ def test_embed_windows_second_argument_length_counts_windows(monkeypatch):
     scoring.score_series(model, series, cfg)
     assert [n for n, _ in calls] == [len(make_windows(series, tc.L, cfg.R_test, cover_tail=True))]
     assert all(n == rows for n, rows in calls)
+
+
+def test_embed_windows_counts_windows_eta_embeds_beside_phi(monkeypatch):
+    """At d_model 128 a chunk of fewer than 128 windows runs eta's pass beside
+    phi's forward, and networks.embed_windows still counts each window eta
+    embeds, once."""
+    calls = []
+    real = networks.embed_windows
+
+    def counting(*args):
+        out = real(*args)
+        calls.append((len(args[1]), len(out)))
+        return out
+
+    monkeypatch.setattr(scoring, "embed_windows", counting)
+    tc = TrainConfig(R_train=3, l=3, r=3, m=3, d_model=128, mode="full")
+    model = TrainedModel(phi=init_phi(2, 128, 3, np.random.default_rng(1)),
+                         eta=ndkernel.init_gru(2, 128, np.random.default_rng(2)), config=tc,
+                         stats=NormStats(mean=np.zeros(2), std=np.ones(2)), d_in=2)
+    series = MultivariateSeries(values=np.random.default_rng(3).normal(size=(100, 2)))
+    cfg = ScoreConfig(R_test=4)
+    n_windows = len(make_windows(series, tc.L, cfg.R_test, cover_tail=True))
+    assert ndkernel._runs_beside(n_windows, tc.d_model)
+    scoring.score_series(model, series, cfg)
+    assert calls == [(n_windows, n_windows)]
 
 
 def test_aggregate_timestamps_takes_listed_slot_starts(monkeypatch):

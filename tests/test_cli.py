@@ -670,6 +670,25 @@ def test_a_train_whose_gru_passes_use_the_worker_exits(workspace):
     assert load_checkpoint(tmp / "m.ckpt").config.d_model == 128
 
 
+# A d_model whose first weight block, (3 d_model, dims) float64, lies beyond
+# the 128 TiB address space of x86-64: its allocation fails at once under any
+# overcommit setting, before any memory is touched.
+BEYOND_ADDRESS_SPACE_D_MODEL = 10 ** 14
+
+
+def test_an_allocation_that_cannot_fit_is_a_usage_error(workspace):
+    """numpy's MemoryError exits 1 with its message, not a traceback."""
+    tmp, cfg = workspace
+    train_csv, _ = prepared_data(tmp, cfg)
+    proc = sten_process(["train", "--train", train_csv, "--config", cfg, "--set",
+                         f"d_model={BEYOND_ADDRESS_SPACE_D_MODEL}", "--out", tmp / "m.ckpt"],
+                        {}, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("sten: usage error: ")
+    assert "Unable to allocate" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp / "m.ckpt").exists()
+
+
 EXIT_CASES = [
     pytest.param(["train", "--train", "{missing}", "--config", "{cfg}", "--out", "{out}"], 2,
                  id="train-missing-train"),

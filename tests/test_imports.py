@@ -1,11 +1,13 @@
 """Every name a module of the sten package imports is used in that module."""
 
 import ast
+import ctypes
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sten
@@ -59,3 +61,36 @@ def test_import_runs_blas_on_one_thread_unless_set(preset):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.split()
     assert out == ["1", preset or "1", "1"]
+
+
+def _blas_threads_after(code: str, **preset: str) -> int:
+    """The thread count of numpy's bundled OpenBLAS after ``code`` runs in a
+    fresh interpreter with ``preset`` as its only BLAS variables."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset, PYTHONPATH=str(PACKAGE.parent))
+    code += ("\nimport ctypes, numpy"
+             "\nget = ctypes.CDLL(numpy._core._multiarray_umath.__file__)"
+             ".scipy_openblas_get_num_threads64_"
+             "\nget.argtypes, get.restype = [], ctypes.c_int"
+             "\nprint(get())")
+    return int(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout)
+
+
+def _bundled_openblas() -> bool:
+    try:
+        ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _bundled_openblas(), reason="numpy without its bundled OpenBLAS")
+def test_import_after_numpy_runs_blas_on_one_thread_unless_set():
+    """numpy loaded first has read the BLAS variables already: ``import sten``
+    then sets its OpenBLAS to one thread, and leaves a count the user set."""
+    assert _blas_threads_after("import numpy, sten") == 1
+    user = _blas_threads_after("import numpy", OPENBLAS_NUM_THREADS="2")
+    assert _blas_threads_after("import numpy, sten", OPENBLAS_NUM_THREADS="2") == user
+    if (os.cpu_count() or 1) >= 2:
+        assert user == 2

@@ -11,7 +11,8 @@ import pytest
 
 from sten import DataError, NumericError, ndkernel
 from sten.ndkernel import (MIN_ROWS, AdamState, GruCache, GruParams, adam_update, gru_backward,
-                           gru_forward, init_adam_state, init_gru, sigmoid, softmax)
+                           gru_forward, gru_forward_beside, init_adam_state, init_gru, sigmoid,
+                           softmax)
 from sten.scoring import CHUNK
 
 import oracles
@@ -28,6 +29,7 @@ F32_GRAD_RTOL = 5e-6
 def one_thread(monkeypatch):
     """Every GRU pass on the calling thread alone."""
     monkeypatch.setattr(ndkernel, "_uses_worker", lambda B, d: False)
+    monkeypatch.setattr(ndkernel, "_runs_beside", lambda B, d: False)
 
 
 def zero_gru(d_in, d_model):
@@ -196,6 +198,21 @@ def split_passes(monkeypatch) -> list:
     return tasks
 
 
+def handed_rows(monkeypatch) -> list:
+    """Records the rows of each ``_gru_rows`` task a pass hands to a helper
+    thread."""
+    rows = []
+    helper_thread = ndkernel._helper_thread
+
+    def recording(fn, *args):
+        if fn is ndkernel._gru_rows:
+            rows.append(args[6])
+        return helper_thread(fn, *args)
+
+    monkeypatch.setattr(ndkernel, "_helper_thread", recording)
+    return rows
+
+
 def finishes(fn, seconds=120.0):
     """``fn()`` on a thread of its own, in a copy of the caller's context (and
     so under its ``np.errstate``); fails the test, rather than hanging it, if
@@ -287,6 +304,103 @@ class TestPipelinedBackward:
         oracles.gru_backward_serial(cache, p, want, "", **kw)
         for k in want:
             assert np.array_equal(got[k], want[k]), k
+
+
+class TestBesidePass:
+    """``gru_forward_beside`` runs a wide pass too short to split its rows on a
+    helper thread while the caller's block runs: its states have the bits of
+    ``gru_forward``, and any other pass runs as ``gru_forward`` after the
+    block."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("B,d", [(1, 128), (2, 256), (63, 128), (64, 256), (127, 256),
+                                     (128, 128), (255, 256), (100, 64), (300, 32)])
+    def test_matches_gru_forward(self, monkeypatch, B, d, dtype):
+        rng = np.random.default_rng(B + d + 23)
+        p = init_gru(4, d, rng)
+        X = rng.normal(size=(B, 9, 4)).astype(dtype)
+        blocks, handed = [], handed_rows(monkeypatch)
+        H = gru_forward_beside(X, p, lambda: blocks.append(None))
+        wide = d >= ndkernel.WORKER_D_MODEL
+        # A wide pass runs all its rows beside the block, or splits them.
+        assert handed == ([] if not wide else [slice(0, B)] if B < 2 * MIN_ROWS
+                          else [slice(B // 2, B)])
+        assert len(blocks) == 1
+        monkeypatch.setattr(ndkernel, "_uses_worker", lambda B, d: False)
+        monkeypatch.setattr(ndkernel, "_runs_beside", lambda B, d: False)
+        assert H.dtype == np.float64
+        assert np.array_equal(H, gru_forward(X, p))
+
+    def test_the_pass_runs_while_the_block_does(self, monkeypatch):
+        """The block waits for the helper to start its pass: it returns only
+        if the two run at once."""
+        rng = np.random.default_rng(24)
+        p = init_gru(4, 128, rng)
+        X = rng.normal(size=(8, 9, 4))
+        started = threading.Event()
+        rows = ndkernel._gru_rows
+
+        def signalling(*args):
+            started.set()
+            rows(*args)
+
+        def block():
+            assert started.wait(60), "the pass did not start while the block ran"
+
+        monkeypatch.setattr(ndkernel, "_gru_rows", signalling)
+        H = finishes(lambda: gru_forward_beside(X, p, block))
+        assert np.array_equal(H, gru_forward(X, p))
+
+    def test_beside_passes_from_more_threads_than_cores_keep_their_bits(self):
+        """Three threads each run a pass beside a block that runs a split
+        pass, with the interpreter switching threads every microsecond."""
+        rng = np.random.default_rng(26)
+        p = init_gru(4, 128, rng)
+        X, X_split = rng.normal(size=(50, 9, 4)), rng.normal(size=(130, 9, 4))
+        want = [gru_forward(X, p), gru_forward(X_split, p)]
+        results = []
+
+        def both():
+            split = []
+            H = gru_forward_beside(X, p, lambda: split.append(gru_forward(X_split, p)))
+            return [H, split[0]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: results.extend(both() for _ in range(3)))
+                       for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 9
+        assert all(np.array_equal(a, b) for got in results for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("where", ["block", "helper"])
+    def test_an_error_in_either_thread_reaches_the_caller(self, monkeypatch, where):
+        rng = np.random.default_rng(25)
+        p = init_gru(4, 256, rng)
+        X = rng.normal(size=(40, 9, 4))
+        want, before = gru_forward(X, p), threading.active_count()
+
+        def failing(*args):
+            raise KeyError("helper failed")
+
+        def block():
+            if where == "block":
+                raise KeyError("block failed")
+
+        if where == "helper":
+            monkeypatch.setattr(ndkernel, "_gru_rows", failing)
+        with pytest.raises(KeyError, match=f"{where} failed"):
+            finishes(lambda: gru_forward_beside(X, p, block))
+        assert threading.active_count() == before
+        monkeypatch.undo()
+        assert np.array_equal(finishes(lambda: gru_forward_beside(X, p, lambda: None)), want)
 
 
 class TestWorkerRobustness:
@@ -421,36 +535,33 @@ class TestWorkerRobustness:
         """A process runs a forward and BPTT that start helper threads, forks,
         and its child runs the same pass; the parent kills the child if it
         has not exited within the bound."""
-        env = dict(os.environ, PYTHONPATH=str(Path(ndkernel.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-c", FORKED_PASS], env=env, capture_output=True,
-                              text=True, timeout=4 * FORK_BOUND_S)
-        assert proc.returncode == 0, proc.stderr
+        run_forked(FORKED_PASS)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_child_forked_after_beside_scoring_scores_its_own(self):
+        """A process scores a chunk whose eta pass runs beside phi's forward:
+        no thread is left but the main one, and a child forked after it
+        scores with the same bits."""
+        run_forked(FORKED_SCORING)
+
+
+def run_forked(script: str) -> None:
+    env = dict(os.environ, PYTHONPATH=str(Path(ndkernel.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=4 * FORK_BOUND_S)
+    assert proc.returncode == 0, proc.stderr
 
 
 # Seconds a forked child has for a pass of milliseconds.
 FORK_BOUND_S = 30
-FORKED_PASS = f"""
-import os, signal, sys, time
-import numpy as np
-from sten.ndkernel import gru_backward, gru_forward, init_gru
-
-rng = np.random.default_rng(21)
-p = init_gru(3, 128, rng)
-X = rng.normal(size=(128, 8, 3))
-d_final = rng.normal(size=(128, 128))
-
-
-def wide_pass():
-    H, cache = gru_forward(X, p, want_cache=True)
-    grads = {{k: np.zeros(v.shape) for k, v in p.as_dict().items()}}
-    gru_backward(cache, p, grads, "", d_h_final=d_final)
-    return [H] + [grads[k] for k in sorted(grads)]
-
-
-want = wide_pass()
+# The end of a script that defines ``run()``, a list of arrays, and ``want``,
+# what it returned: it forks, the child runs it again and exits 0 if it got
+# the same bits, and the parent kills the child if it has not exited within
+# the bound.
+FORK_AND_COMPARE = f"""
 pid = os.fork()
 if pid == 0:
-    os._exit(0 if all(map(np.array_equal, wide_pass(), want)) else 3)
+    os._exit(0 if all(map(np.array_equal, run(), want)) else 3)
 deadline = time.monotonic() + {FORK_BOUND_S}
 while time.monotonic() < deadline:
     done, status = os.waitpid(pid, os.WNOHANG)
@@ -461,6 +572,53 @@ os.kill(pid, signal.SIGKILL)
 os.waitpid(pid, 0)
 sys.exit("the forked child was still running after {FORK_BOUND_S} s")
 """
+FORKED_PASS = """
+import os, signal, sys, time
+import numpy as np
+from sten.ndkernel import gru_backward, gru_forward, init_gru
+
+rng = np.random.default_rng(21)
+p = init_gru(3, 128, rng)
+X = rng.normal(size=(128, 8, 3))
+d_final = rng.normal(size=(128, 128))
+
+
+def run():
+    H, cache = gru_forward(X, p, want_cache=True)
+    grads = {k: np.zeros(v.shape) for k, v in p.as_dict().items()}
+    gru_backward(cache, p, grads, "", d_h_final=d_final)
+    return [H] + [grads[k] for k in sorted(grads)]
+
+
+want = run()
+""" + FORK_AND_COMPARE
+# Scoring at d_model 128 with one chunk of 41 windows: eta's pass runs beside
+# phi's forward.
+FORKED_SCORING = """
+import os, signal, sys, threading, time
+import numpy as np
+from sten.ndkernel import init_gru
+from sten.networks import init_phi
+from sten.scoring import ScoreConfig, score_series
+from sten.seqdata import MultivariateSeries, NormStats
+from sten.training import TrainConfig, TrainedModel
+
+rng = np.random.default_rng(22)
+tc = TrainConfig(R_train=3, l=3, r=3, m=3, d_model=128, mode="full")
+model = TrainedModel(phi=init_phi(3, 128, 3, rng), eta=init_gru(3, 128, rng), config=tc,
+                     stats=NormStats(mean=np.zeros(3), std=np.ones(3)), d_in=3)
+series = MultivariateSeries(values=rng.normal(size=(9 + 40 * 3, 3)))
+
+
+def run():
+    out = score_series(model, series, ScoreConfig(R_test=3))
+    return [out.scores, out.score_otn, out.score_dsn]
+
+
+want = run()
+if (names := [t.name for t in threading.enumerate()]) != ["MainThread"]:
+    sys.exit(f"threads alive after scoring: {names}")
+""" + FORK_AND_COMPARE
 
 
 class TestSigmoid:

@@ -1,9 +1,10 @@
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sten import ConfigError, DataError, networks, scoring, seqdata, training
+from sten import ConfigError, DataError, ndkernel, networks, scoring, seqdata, training
 from sten.evalmetrics import threshold_percentile
 from sten.ndkernel import init_gru
 from sten.networks import init_phi
@@ -495,6 +496,83 @@ class TestWindowGathers:
         got = score_series(model, series, cfg)
         assert seen == ([64, 84] if gathers else [])
         np.testing.assert_array_equal(got.scores, want.scores)
+
+
+class TestBesideScoring:
+    """A chunk of a wide model too short to split its rows runs eta's pass on a
+    helper thread beside phi's forward (``ndkernel._runs_beside``): every
+    score column keeps the bits it has with every pass on the calling
+    thread."""
+
+    COLUMNS = ("scores", "score_otn", "score_dsn", "coverage")
+
+    @staticmethod
+    def _case(mode, d_model, n_windows):
+        """A model and a series of ``n_windows`` windows at stride R_test = 3
+        with no tail window: one chunk."""
+        model = tiny_model(mode=mode, d=3, d_model=d_model, m=3, l=3, r=3, seed=11)
+        return model, series_fixture(n=model.config.L + (n_windows - 1) * 3, d=3, seed=12)
+
+    @pytest.mark.parametrize("n_windows", [2, 63, 64, 127])
+    @pytest.mark.parametrize("d_model", [128, 256])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("mode", ["full", "otn_only", "dsn_only", "dsn_plus_ep"])
+    def test_every_column_keeps_its_bits(self, monkeypatch, mode, dtype, d_model, n_windows):
+        monkeypatch.setattr(training, "COMPUTE_DTYPE", dtype)
+        model, series = self._case(mode, d_model, n_windows)
+        cfg = ScoreConfig(R_test=3)
+        asked, runs_beside = [], ndkernel._runs_beside
+
+        def recording(B, d):
+            asked.append(B)
+            return runs_beside(B, d)
+
+        monkeypatch.setattr(ndkernel, "_runs_beside", recording)
+        got = score_series(model, series, cfg)
+        assert asked == ([] if mode == "otn_only" else [n_windows])
+        monkeypatch.setattr(ndkernel, "_runs_beside", lambda B, d: False)
+        monkeypatch.setattr(ndkernel, "_uses_worker", lambda B, d: False)
+        want = score_series(model, series, cfg)
+        for col in self.COLUMNS:
+            np.testing.assert_array_equal(getattr(got, col), getattr(want, col), err_msg=col)
+
+    @pytest.mark.parametrize("d_model,n_windows", [
+        (128, 127), (256, 40), (128, 128), (256, 300), (64, 40), (64, 300)])
+    def test_eta_runs_beside_exactly_when_the_rule_says(self, monkeypatch, d_model, n_windows):
+        """dsn_only runs phi's pass and eta's per chunk.  A wide chunk too
+        short to split hands all of eta's rows to a helper; a chunk that
+        splits hands over the second half of each pass's rows, as it did
+        before eta ran beside, and a narrow model hands over nothing."""
+        model, series = self._case("dsn_only", d_model, n_windows)
+        handed = []
+        helper_thread = ndkernel._helper_thread
+
+        def recording(fn, *args):
+            handed.append((fn, args[6]))     # _gru_rows(X, W, U, b, H, cache, rows, ...)
+            return helper_thread(fn, *args)
+
+        monkeypatch.setattr(ndkernel, "_helper_thread", recording)
+        score_series(model, series, ScoreConfig(R_test=3))
+        n = n_windows
+        want = ([] if d_model < 128 else [slice(0, n)] if n < 128 else [slice(n // 2, n)] * 2)
+        assert handed == [(ndkernel._gru_rows, rows) for rows in want]
+
+    @pytest.mark.parametrize("where", ["phi", "eta"])
+    def test_an_error_in_either_pass_reaches_the_caller(self, monkeypatch, where):
+        model, series = self._case("full", 128, 50)
+        cfg = ScoreConfig(R_test=3)
+        want, threads = score_series(model, series, cfg), threading.enumerate()
+
+        def failing(*args, **kwargs):
+            raise KeyError(f"{where} failed")
+
+        monkeypatch.setattr(*((scoring, "forward") if where == "phi" else
+                              (ndkernel, "_gru_rows")), failing)
+        with pytest.raises(KeyError, match=f"{where} failed"):
+            score_series(model, series, cfg)
+        monkeypatch.undo()
+        assert threading.enumerate() == threads
+        np.testing.assert_array_equal(score_series(model, series, cfg).scores, want.scores)
 
 
 class TestScoresCsv:

@@ -413,7 +413,10 @@ class TestWindowPasses:
                 passes.append(p)
             return real(X, p, **kwargs)
 
-        monkeypatch.setattr(networks, "gru_forward", counting)
+        # Scoring's eta pass runs in ndkernel.gru_forward_beside, which calls
+        # ndkernel's binding: a pass of this width does not run beside.
+        for module in (networks, ndkernel):
+            monkeypatch.setattr(module, "gru_forward", counting)
         model = train(series, cfg)
         use_dsn = mode != "otn_only"
         n_batches = len(batch_ranges(len(window_starts(series.n, cfg.L, cfg.R_train)),
