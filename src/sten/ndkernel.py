@@ -38,7 +38,7 @@ and no speed-up.
 Two threads.  A pass of d_model >= ``WORKER_D_MODEL`` (128) over at least
 2 * ``MIN_ROWS`` rows owns a helper thread: it starts one, and joins it
 before it returns, so no thread outlives a pass.  Narrower passes ran slower
-on two threads than on one, and stay on the calling thread.  The forward
+split over two threads than on one, and do not split.  The forward
 gives the helper rows [B//2, B) and runs rows [0, B//2) itself: the rows of
 a GRU are independent, and from ``MIN_ROWS`` rows on a row of a GEMM gets
 the bits it gets in a taller one.  Both threads write their rows of the one
@@ -47,14 +47,16 @@ step overwrites.  The backward runs the dh recurrence on the calling thread
 and hands each step's gate gradients to the helper, which adds the weight
 and bias gradients in the order one thread adds them.  Below 2 * ``MIN_ROWS``
 rows that hand-over would keep the bits too, but it was no faster there.
-A wide pass too short to split, whose caller has other work that needs
-nothing of it, runs beside that work instead (``gru_forward_beside``): the
-helper runs all its rows, and the calling thread runs the caller's block.
-Scoring runs eta's pass of a short chunk beside phi's forward this way.
-So every bit is kept.  An error in either thread reaches the caller once
-both have stopped.  The helper runs in a copy of the caller's context, so
-``np.errstate`` holds on both threads, and calls no public function of this
-module (perfbench's tracer keeps one span stack, on the calling thread).
+A pass that does not split, whose caller has other work that needs nothing
+of it, runs beside that work instead (``gru_forward_beside``) when each of
+its steps has enough work to pay for the hand-overs between the threads
+(``BESIDE_WORK``): the helper runs all its rows, and the calling thread runs
+the caller's block.  Scoring runs eta's pass of a chunk that does not split
+beside phi's forward this way.  So every bit is kept.  An error in either
+thread reaches the caller once both have stopped.  The helper runs in a copy
+of the caller's context, so ``np.errstate`` holds on both threads, and calls
+no public function of this module (perfbench's tracer keeps one span stack,
+on the calling thread).
 BLAS should run one thread per calling thread: ``sten/__init__.py`` sets it,
 before or after numpy loads.
 """
@@ -190,6 +192,17 @@ MIN_ROWS = 64
 # forward at d_model 32 or 64 was slower than one thread, and from 128 on
 # faster (1.14-1.66x forward, 1.19-2.4x BPTT).
 WORKER_D_MODEL = 128
+# The least work per step, counted as d * (8 B + d), of a pass over B rows of
+# width d that runs beside the caller's work: the pass's states, B * d, weigh
+# 8 to 1 against one gate's recurrent weights, d * d.  With less, the two
+# threads' hand-overs of the interpreter cost more than the second core
+# gives.  Fitted to a grid of one-chunk scoring runs, eta beside phi against
+# serial (float32, T 100): they crossed near B * d = 8 K for d 8-64, but at
+# about 40 rows for d 128 and 3 for d 256, where the weights take a larger
+# share of a step.  The recurrent GEMM's B * d * d crossed anywhere from 57 K
+# to 614 K, and fits no one constant.  A pass runs beside from 128 rows at
+# d 64 and from 2 rows at d 256.
+BESIDE_WORK = 17 * 2 ** 12
 
 
 def _uses_worker(B: int, d: int) -> bool:
@@ -200,9 +213,9 @@ def _uses_worker(B: int, d: int) -> bool:
 
 def _runs_beside(B: int, d: int) -> bool:
     """Whether ``gru_forward_beside`` runs a pass over B rows of width d on a
-    helper thread beside the caller's work: a wide pass that does not split
-    its rows."""
-    return d >= WORKER_D_MODEL and not _uses_worker(B, d)
+    helper thread beside the caller's work: a pass that does not split its
+    rows and has at least ``BESIDE_WORK`` work per step."""
+    return d * (8 * B + d) >= BESIDE_WORK and not _uses_worker(B, d)
 
 
 @contextlib.contextmanager
@@ -264,12 +277,12 @@ def gru_forward_beside(X: np.ndarray, p: GruParams, beside) -> np.ndarray:
     """``gru_forward(X, p)``, the final states of a GRU pass over X, and a
     call of the caller's block ``beside()``, which needs nothing of the pass.
 
-    A wide pass that does not split its rows (``_runs_beside``) runs on a
-    helper thread while the calling thread runs ``beside``; any other pass
-    runs after ``beside`` returns, as ``gru_forward``.  The helper runs
-    every row through every step, as one thread runs a pass that does not
-    split, so each row keeps its bits.  An error in either thread reaches
-    the caller once both have stopped.
+    A pass that does not split its rows and has enough work per step
+    (``_runs_beside``) runs on a helper thread while the calling thread runs
+    ``beside``; any other pass runs after ``beside`` returns, as
+    ``gru_forward``.  The helper runs every row through every step, as one
+    thread runs a pass that does not split, so each row keeps its bits.  An
+    error in either thread reaches the caller once both have stopped.
     """
     X, W, U, b = _pass_inputs(X, p)
     B, d = len(X), p.d_model

@@ -14,21 +14,26 @@ one pass.
 Scoring runs ``networks.forward``, the forward training runs, over chunks of
 ``CHUNK`` windows.  With the distance branch, each chunk's windows are
 gathered once, for phi's forward and for eta, which embeds them beside it:
-on a helper thread when the chunk is wide and too short to split its rows
-(``_forward_chunks``).  The order branch scores sub-sequences in their true
-order: it encodes each distinct sub-sequence of a chunk once, and windows at
-stride ``R_test`` = r share all but one of theirs with the next.  The
-z-scored series is cast once to ``training.COMPUTE_DTYPE``, the dtype the GRU
-computes in.  Scoring draws no random numbers: a model and a series give one
-set of scores.
+on a helper thread when the chunk's passes do not split their rows and have
+enough work per step (``_forward_chunks``).  The order branch scores
+sub-sequences in their true order: it encodes each distinct sub-sequence of
+a chunk once, and windows at stride ``R_test`` = r share all but one of
+theirs with the next.  The z-scored series is cast once to
+``training.COMPUTE_DTYPE``, the dtype the GRU computes in.  Scoring draws
+no random numbers: a model and a series give one set of scores.
 
 A chunk holds at least ``ndkernel.MIN_ROWS`` windows, unless the whole
 series has fewer (``seqdata.batch_ranges`` joins a short last chunk to the one
 before): from that many rows on a row of a GRU pass gets the bits it gets in a
 taller one.  The error-prediction head reads each state as its GRU step
 makes it, one row at a time (``networks.forward``), so no chunk holds a
-hidden trajectory and its rows' bits do not depend on the row count either:
-another ``CHUNK`` moves no score column of any mode.
+hidden trajectory and its rows' bits do not depend on the row count either.
+So another ``CHUNK`` moves no score column of any mode, with one exception:
+with m <= 4 sub-sequences per window, ``score_otn`` and ``scores`` of the
+order modes may move in their last bits.  OpenBLAS takes a path that depends
+on the row count for the order logits ``H @ W_o.T`` while that product has
+fewer than about 1,200 elements, which a chunk of B >= ``MIN_ROWS`` windows
+(B * m rows of m logits) reaches only for m <= 4.
 
 Score files are CSV tables written by ``seqdata.write_table`` and read back by
 ``seqdata.read_table``, the package's one table writer and reader.
@@ -139,10 +144,10 @@ def _forward_chunks(model: TrainedModel, values: np.ndarray, starts: np.ndarray)
 
     With the distance branch, each chunk's windows are gathered once, and
     ``embed_windows`` runs eta over them with phi's work on the chunk as the
-    block beside it: a wide chunk too short to split its rows
-    (``ndkernel._runs_beside``) runs eta's pass on a helper thread while the
-    calling thread runs phi's.  Each pass runs every row on one thread, so
-    the scores keep their bits either way.
+    block beside it: a chunk whose passes do not split their rows and have
+    enough work per step (``ndkernel._runs_beside``) runs eta's pass on a
+    helper thread while the calling thread runs phi's.  Each pass runs every
+    row on one thread, so the scores keep their bits either way.
 
     Returns the temporal scores (n_w, m) of the order or error-prediction
     branch, then phi's distance embeddings E and eta's F, both (n_w, d_model)

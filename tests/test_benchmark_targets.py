@@ -134,9 +134,9 @@ def test_embed_windows_second_argument_length_counts_windows(monkeypatch):
 
 
 def test_embed_windows_counts_windows_eta_embeds_beside_phi(monkeypatch):
-    """At d_model 128 a chunk of fewer than 128 windows runs eta's pass beside
-    phi's forward, and networks.embed_windows still counts each window eta
-    embeds, once."""
+    """A chunk of 54 windows at d_model 128 runs eta's pass beside phi's
+    forward, and networks.embed_windows still counts each window eta embeds,
+    once."""
     calls = []
     real = networks.embed_windows
 
@@ -150,12 +150,63 @@ def test_embed_windows_counts_windows_eta_embeds_beside_phi(monkeypatch):
     model = TrainedModel(phi=init_phi(2, 128, 3, np.random.default_rng(1)),
                          eta=ndkernel.init_gru(2, 128, np.random.default_rng(2)), config=tc,
                          stats=NormStats(mean=np.zeros(2), std=np.ones(2)), d_in=2)
-    series = MultivariateSeries(values=np.random.default_rng(3).normal(size=(100, 2)))
+    series = MultivariateSeries(values=np.random.default_rng(3).normal(size=(220, 2)))
     cfg = ScoreConfig(R_test=4)
     n_windows = len(make_windows(series, tc.L, cfg.R_test, cover_tail=True))
-    assert ndkernel._runs_beside(n_windows, tc.d_model)
+    assert n_windows == 54 and ndkernel._runs_beside(n_windows, tc.d_model)
     scoring.score_series(model, series, cfg)
     assert calls == [(n_windows, n_windows)]
+
+
+# perfbench/run.py's scoring shapes: (mode, d_model, n_test) of a workload,
+# the windows of each of its scoring chunks, and how each chunk runs eta's
+# pass: on a helper thread beside phi's forward, or split between the calling
+# thread and a helper, as phi's pass over the same windows is.
+SCORING_SHAPES = [
+    pytest.param("dsn_plus_ep", 32, 30000, [1024, 1024, 943], "beside", id="long_small_ep"),
+    pytest.param("full", 256, 4000, [391], "split", id="score_paper"),
+    pytest.param("full", 256, 600, [51], "beside", id="train_paper"),
+]
+
+
+@pytest.mark.parametrize("mode,d_model,n_test,chunks,path", SCORING_SHAPES)
+def test_which_workloads_score_with_eta_beside_phi(monkeypatch, mode, d_model, n_test, chunks,
+                                                    path):
+    """A change to ndkernel's rules for helper threads moves these: the
+    workloads on the beside path measure it, and score_paper bypasses it."""
+    tc = cli.build_train_config(schema_config(mode=mode, d_model=d_model))
+    rng = np.random.default_rng(0)
+    model = TrainedModel(phi=init_phi(5, d_model, tc.m, rng, with_ep_head=mode == "dsn_plus_ep"),
+                         eta=ndkernel.init_gru(5, d_model, rng), config=tc,
+                         stats=NormStats(mean=np.zeros(5), std=np.ones(5)), d_in=5)
+    series = MultivariateSeries(values=rng.normal(size=(n_test, 5)))
+    handed = []
+    helper_thread = ndkernel._helper_thread
+
+    def recording(fn, *args):
+        X, rows = args[0], args[6]         # _gru_rows(X, W, U, b, H, cache, rows, ...)
+        if X.shape[1] == tc.L:             # a pass over windows, not sub-sequences
+            handed.append((len(X), rows))
+        return helper_thread(fn, *args)
+
+    monkeypatch.setattr(ndkernel, "_helper_thread", recording)
+    scoring.score_series(model, series, cli.build_score_config(schema_config()))
+    # A split chunk hands over half the rows of phi's pass, then of eta's.
+    rows = {"beside": lambda B: [slice(0, B)], "split": lambda B: [slice(B // 2, B)] * 2}[path]
+    assert handed == [(B, r) for B in chunks for r in rows(B)]
+
+
+def test_long_small_ep_trains_without_eta_beside_phi(monkeypatch):
+    """train embeds eta's windows up front, batch by batch, with nothing to
+    run beside them: long_small_ep's batch of 256 windows at d_model 32
+    starts no helper thread in training."""
+    started = []
+    monkeypatch.setattr(ndkernel, "_helper_thread", lambda fn, *args: started.append(fn))
+    tc = cli.build_train_config(schema_config(mode="dsn_plus_ep", d_model=32, epochs=1))
+    series = MultivariateSeries(values=np.random.default_rng(0).normal(size=(2650, 5)))
+    assert len(window_starts(series.n, tc.L, tc.R_train)) == tc.batch_size == 256
+    train(series, tc)
+    assert started == []
 
 
 def test_aggregate_timestamps_takes_listed_slot_starts(monkeypatch):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sten
-from sten import evalmetrics
+from sten import evalmetrics, ndkernel
 from sten.cli import (SCHEMA, build_score_config, build_synth_config, build_train_config,
                       evaluate_to_doc, main, _convert)
 from sten.evalmetrics import METRIC_GROUPS, evaluate
@@ -668,6 +668,27 @@ def test_a_train_whose_gru_passes_use_the_worker_exits(workspace):
                          "--set", "batch_size=256", "--out", tmp / "m.ckpt"], {}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert load_checkpoint(tmp / "m.ckpt").config.d_model == 128
+
+
+def test_a_score_whose_eta_pass_runs_beside_phi_exits(workspace, monkeypatch):
+    """A dsn_plus_ep model at d_model 32 scores one chunk of 1,024 windows:
+    eta's pass runs on a helper thread beside phi's forward, no helper thread
+    holds the interpreter open, and the scores have the bits of a serial run."""
+    tmp, cfg = workspace
+    run(["synth", "--config", cfg, "--set", "n_test=6150", "--out-dir", tmp / "data"])
+    test_csv = tmp / "data/test.csv"
+    assert run(["train", "--train", tmp / "data/train.csv", "--config", cfg, "--mode",
+                "dsn_plus_ep", "--set", "d_model=32", "--out", tmp / "m.ckpt"]) == 0
+    tc = load_checkpoint(tmp / "m.ckpt").config
+    n_windows = (6150 - tc.L) // 6 + 1            # R_test 6, no tail window
+    assert n_windows == 1024 and ndkernel._runs_beside(n_windows, tc.d_model)
+    proc = sten_process(["score", "--model", tmp / "m.ckpt", "--test", test_csv, "--config", cfg,
+                         "--out", tmp / "beside.csv"], {}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setattr(ndkernel, "_runs_beside", lambda B, d: False)
+    assert run(["score", "--model", tmp / "m.ckpt", "--test", test_csv, "--config", cfg,
+                "--out", tmp / "serial.csv"]) == 0
+    assert (tmp / "beside.csv").read_bytes() == (tmp / "serial.csv").read_bytes()
 
 
 # A d_model whose first weight block, (3 d_model, dims) float64, lies beyond

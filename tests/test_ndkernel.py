@@ -307,36 +307,51 @@ class TestPipelinedBackward:
 
 
 class TestBesidePass:
-    """``gru_forward_beside`` runs a wide pass too short to split its rows on a
-    helper thread while the caller's block runs: its states have the bits of
-    ``gru_forward``, and any other pass runs as ``gru_forward`` after the
-    block."""
+    """``gru_forward_beside`` runs a pass that does not split its rows and has
+    enough work per step on a helper thread while the caller's block runs:
+    its states have the bits of ``gru_forward``, and any other pass runs as
+    ``gru_forward`` after the block."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("B,d", [(1, 128), (2, 256), (63, 128), (64, 256), (127, 256),
-                                     (128, 128), (255, 256), (100, 64), (300, 32)])
+                                     (128, 128), (255, 256), (100, 64), (300, 32),
+                                     (128, 64), (1024, 32), (8192, 8)])
     def test_matches_gru_forward(self, monkeypatch, B, d, dtype):
         rng = np.random.default_rng(B + d + 23)
         p = init_gru(4, d, rng)
         X = rng.normal(size=(B, 9, 4)).astype(dtype)
         blocks, handed = [], handed_rows(monkeypatch)
         H = gru_forward_beside(X, p, lambda: blocks.append(None))
-        wide = d >= ndkernel.WORKER_D_MODEL
-        # A wide pass runs all its rows beside the block, or splits them.
-        assert handed == ([] if not wide else [slice(0, B)] if B < 2 * MIN_ROWS
-                          else [slice(B // 2, B)])
+        # A pass runs all its rows beside the block, splits them, or runs
+        # after the block on the calling thread.
+        assert handed == ([slice(0, B)] if ndkernel._runs_beside(B, d) else
+                          [slice(B // 2, B)] if ndkernel._uses_worker(B, d) else [])
         assert len(blocks) == 1
         monkeypatch.setattr(ndkernel, "_uses_worker", lambda B, d: False)
         monkeypatch.setattr(ndkernel, "_runs_beside", lambda B, d: False)
         assert H.dtype == np.float64
         assert np.array_equal(H, gru_forward(X, p))
 
+    # (B, d, runs beside): shapes on each side of the rule.  A pass of d_model
+    # 256 runs beside from 2 rows on, one of 128 from 52 rows on, until it
+    # splits at 128; narrower ones from about 8 K states (B * d) on.
+    RULE = [(1, 256, False), (2, 256, True), (51, 256, True), (127, 256, True),
+            (128, 256, False), (51, 128, False), (52, 128, True), (127, 64, False),
+            (128, 64, True), (267, 32, False), (268, 32, True), (943, 32, True),
+            (1024, 32, True), (541, 16, False), (542, 16, True), (1086, 8, False),
+            (1087, 8, True)]
+
+    @pytest.mark.parametrize("B,d,beside", RULE)
+    def test_the_rule_on_each_side_of_its_threshold(self, B, d, beside):
+        assert ndkernel._runs_beside(B, d) is beside
+
     def test_the_pass_runs_while_the_block_does(self, monkeypatch):
         """The block waits for the helper to start its pass: it returns only
         if the two run at once."""
         rng = np.random.default_rng(24)
         p = init_gru(4, 128, rng)
-        X = rng.normal(size=(8, 9, 4))
+        X = rng.normal(size=(64, 9, 4))
+        assert ndkernel._runs_beside(len(X), p.d_model)
         started = threading.Event()
         rows = ndkernel._gru_rows
 
@@ -356,7 +371,7 @@ class TestBesidePass:
         pass, with the interpreter switching threads every microsecond."""
         rng = np.random.default_rng(26)
         p = init_gru(4, 128, rng)
-        X, X_split = rng.normal(size=(50, 9, 4)), rng.normal(size=(130, 9, 4))
+        X, X_split = rng.normal(size=(60, 9, 4)), rng.normal(size=(130, 9, 4))
         want = [gru_forward(X, p), gru_forward(X_split, p)]
         results = []
 
@@ -592,7 +607,7 @@ def run():
 
 want = run()
 """ + FORK_AND_COMPARE
-# Scoring at d_model 128 with one chunk of 41 windows: eta's pass runs beside
+# Scoring at d_model 128 with one chunk of 61 windows: eta's pass runs beside
 # phi's forward.
 FORKED_SCORING = """
 import os, signal, sys, threading, time
@@ -607,7 +622,7 @@ rng = np.random.default_rng(22)
 tc = TrainConfig(R_train=3, l=3, r=3, m=3, d_model=128, mode="full")
 model = TrainedModel(phi=init_phi(3, 128, 3, rng), eta=init_gru(3, 128, rng), config=tc,
                      stats=NormStats(mean=np.zeros(3), std=np.ones(3)), d_in=3)
-series = MultivariateSeries(values=rng.normal(size=(9 + 40 * 3, 3)))
+series = MultivariateSeries(values=rng.normal(size=(9 + 60 * 3, 3)))
 
 
 def run():

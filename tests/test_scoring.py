@@ -356,6 +356,34 @@ class TestScoreSeries:
         for col in self.COLUMNS:
             np.testing.assert_array_equal(getattr(c, col), getattr(a, col), err_msg=col)
 
+    # With m <= 4 the order logits H @ W_o.T of a chunk have so few elements
+    # that OpenBLAS's path, and so their bits, depend on the row count:
+    # another CHUNK moves score_otn and scores of the order modes by at most
+    # this, relative.  Measured at most 4.5e-16 at m 3 and 4, d_model 32 and
+    # 256, float32 and float64 compute.
+    NARROW_ORDER_RECHUNK_RTOL = 1e-15
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("mode", ["full", "otn_only", "dsn_only", "dsn_plus_ep"])
+    def test_rechunking_with_four_order_slots(self, monkeypatch, mode, dtype):
+        """m 4, l = r = R_test = 5: 197 windows in one chunk, or in chunks of
+        64, 64 and 69.  Only the order score may move, within the bound."""
+        monkeypatch.setattr(training, "COMPUTE_DTYPE", dtype)
+        model = tiny_model(mode=mode, d=5, d_model=32, m=4, l=5, r=5, seed=7)
+        series = series_fixture(n=1000, d=5, seed=8)
+        cfg = ScoreConfig(R_test=5)
+        a = score_series(model, series, cfg)
+        monkeypatch.setattr(scoring, "CHUNK", 64)
+        assert len(batch_ranges(197, 64, scoring.MIN_ROWS)) == 3
+        c = score_series(model, series, cfg)
+        may_move = ("scores", "score_otn") if mode in ("full", "otn_only") else ()
+        for col in self.COLUMNS:
+            if col in may_move:
+                np.testing.assert_allclose(getattr(c, col), getattr(a, col), atol=0,
+                                           rtol=self.NARROW_ORDER_RECHUNK_RTOL, err_msg=col)
+            else:
+                np.testing.assert_array_equal(getattr(c, col), getattr(a, col), err_msg=col)
+
     def test_ep_peak_memory_does_not_grow_with_chunks(self, monkeypatch):
         """dsn_plus_ep scoring holds one chunk's arrays at a time: four chunks
         of windows peak within a fraction of one float64 hidden trajectory of
@@ -498,11 +526,17 @@ class TestWindowGathers:
         np.testing.assert_array_equal(got.scores, want.scores)
 
 
+def least_rows_beside(d_model: int) -> int:
+    """The fewest rows of a narrow pass of width d_model that runs beside the
+    caller's work."""
+    return next(B for B in range(1, 2 ** 14) if ndkernel._runs_beside(B, d_model))
+
+
 class TestBesideScoring:
-    """A chunk of a wide model too short to split its rows runs eta's pass on a
-    helper thread beside phi's forward (``ndkernel._runs_beside``): every
-    score column keeps the bits it has with every pass on the calling
-    thread."""
+    """A chunk whose passes do not split their rows and have enough work per
+    step runs eta's pass on a helper thread beside phi's forward
+    (``ndkernel._runs_beside``): every score column keeps the bits it has
+    with every pass on the calling thread."""
 
     COLUMNS = ("scores", "score_otn", "score_dsn", "coverage")
 
@@ -513,12 +547,18 @@ class TestBesideScoring:
         model = tiny_model(mode=mode, d=3, d_model=d_model, m=3, l=3, r=3, seed=11)
         return model, series_fixture(n=model.config.L + (n_windows - 1) * 3, d=3, seed=12)
 
-    @pytest.mark.parametrize("n_windows", [2, 63, 64, 127])
-    @pytest.mark.parametrize("d_model", [128, 256])
+    # Narrow models, with one chunk on each side of the rule's threshold.
+    NARROW = [(d, n) for d in (8, 32, 64)
+              for n in (least_rows_beside(d) - 1, least_rows_beside(d))]
+
+    @pytest.mark.parametrize("d_model,n_windows", [
+        (128, 2), (128, 63), (128, 64), (128, 127),
+        (256, 2), (256, 63), (256, 64), (256, 127)] + NARROW)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("mode", ["full", "otn_only", "dsn_only", "dsn_plus_ep"])
     def test_every_column_keeps_its_bits(self, monkeypatch, mode, dtype, d_model, n_windows):
         monkeypatch.setattr(training, "COMPUTE_DTYPE", dtype)
+        monkeypatch.setattr(scoring, "CHUNK", max(scoring.CHUNK, n_windows))
         model, series = self._case(mode, d_model, n_windows)
         cfg = ScoreConfig(R_test=3)
         asked, runs_beside = [], ndkernel._runs_beside
@@ -537,12 +577,13 @@ class TestBesideScoring:
             np.testing.assert_array_equal(getattr(got, col), getattr(want, col), err_msg=col)
 
     @pytest.mark.parametrize("d_model,n_windows", [
-        (128, 127), (256, 40), (128, 128), (256, 300), (64, 40), (64, 300)])
+        (128, 127), (256, 40), (128, 128), (256, 300), (64, 40), (64, 300), (128, 2)]
+        + NARROW[2:])
     def test_eta_runs_beside_exactly_when_the_rule_says(self, monkeypatch, d_model, n_windows):
-        """dsn_only runs phi's pass and eta's per chunk.  A wide chunk too
-        short to split hands all of eta's rows to a helper; a chunk that
-        splits hands over the second half of each pass's rows, as it did
-        before eta ran beside, and a narrow model hands over nothing."""
+        """dsn_only runs phi's pass and eta's per chunk.  A chunk that runs
+        beside hands all of eta's rows to a helper; a chunk that splits hands
+        over the second half of each pass's rows, as it did before eta ran
+        beside, and any other chunk hands over nothing."""
         model, series = self._case("dsn_only", d_model, n_windows)
         handed = []
         helper_thread = ndkernel._helper_thread
@@ -553,15 +594,25 @@ class TestBesideScoring:
 
         monkeypatch.setattr(ndkernel, "_helper_thread", recording)
         score_series(model, series, ScoreConfig(R_test=3))
-        n = n_windows
-        want = ([] if d_model < 128 else [slice(0, n)] if n < 128 else [slice(n // 2, n)] * 2)
+        n, d = n_windows, d_model
+        want = ([slice(0, n)] if ndkernel._runs_beside(n, d) else
+                [slice(n // 2, n)] * 2 if ndkernel._uses_worker(n, d) else [])
         assert handed == [(ndkernel._gru_rows, rows) for rows in want]
 
-    @pytest.mark.parametrize("where", ["phi", "eta"])
-    def test_an_error_in_either_pass_reaches_the_caller(self, monkeypatch, where):
-        model, series = self._case("full", 128, 50)
+    @pytest.mark.parametrize("where,d_model,n_windows", [
+        pytest.param("phi", 128, 60, id="phi"), pytest.param("eta", 128, 60, id="eta"),
+        pytest.param("phi", 32, 1024, id="phi-narrow"),
+        pytest.param("eta", 32, 1024, id="eta-narrow")])
+    def test_an_error_in_either_pass_reaches_the_caller(self, monkeypatch, where, d_model,
+                                                        n_windows):
+        """An error in phi's block on the calling thread, or in eta's pass on
+        the helper, reaches the caller; no thread is left, and the next call
+        gives the same bits."""
+        model, series = self._case("full", d_model, n_windows)
+        assert ndkernel._runs_beside(n_windows, d_model)
         cfg = ScoreConfig(R_test=3)
-        want, threads = score_series(model, series, cfg), threading.enumerate()
+        want = score_series(model, series, cfg)
+        assert [t.name for t in threading.enumerate()] == ["MainThread"]
 
         def failing(*args, **kwargs):
             raise KeyError(f"{where} failed")
@@ -571,7 +622,7 @@ class TestBesideScoring:
         with pytest.raises(KeyError, match=f"{where} failed"):
             score_series(model, series, cfg)
         monkeypatch.undo()
-        assert threading.enumerate() == threads
+        assert [t.name for t in threading.enumerate()] == ["MainThread"]
         np.testing.assert_array_equal(score_series(model, series, cfg).scores, want.scores)
 
 
