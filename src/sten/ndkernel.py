@@ -21,19 +21,25 @@ the float64 grads, as in mixed-precision training with master weights
 A GRU is stored as the stacked blocks its forward runs, the fused-GEMM
 layout of RNN kernels (Appleyard et al. 2016) and of PyTorch's ``nn.GRU``:
 the input map W (3d, d_in), recurrent map U (3d, d) and bias b (3d,), each
-over the gates in z, r, h order.  Each step runs one input GEMM, one
-recurrent GEMM on U's z|r rows and one logistic call for z and r together,
-then the GEMM on r*h with U's h rows, each into a buffer made once per pass.
-The input is projected per step, so a forward without cache holds O(B*d)
-floats, not O(B*T*d).  Each gate pre-activation is still (x W^T + b) + h U^T.
+over the gates in z, r, h order.  A step works gate-major, on one
+contiguous (B, d) block per gate, the layout of fused RNN kernels: the input
+GEMM writes a (3, B, d) block and the recurrent GEMM on U's z|r rows a
+(2, B, d) one, each a stack of one GEMM per gate on a gate-major view of W
+or U, then one logistic call for z and r together and the GEMM on r*h with
+U's h rows.  So every elementwise call runs over whole contiguous blocks,
+not over strided views of one gate.  The input is projected per step, so a
+forward without cache holds O(B*d) floats, not O(B*T*d).  With a cache,
+each step writes z|r, hbar and the next state straight into their slabs of
+the one block ``GruCache.steps`` (T, 4, B, d), and copies nothing.  Each
+gate pre-activation is still (x W^T + b) + h U^T.
 ``sigmoid`` computes the sign-split logistic without masks, with the same
 float operations and so the same bits.  Whether BLAS gives the same bits
 for the per-step (B, d_in) projection as for a whole-sequence one depends on
 the dgemm kernel it picks: on OpenBLAS with AVX-512 they match for small
 d_in, while from d_in 32 hidden states may differ by about 1e-15 (the tests
-name atol 1e-12).  ``gru_backward`` runs per-gate GEMMs on views of the
-stacked blocks and of their gradients: stacking its GEMMs gave the same bits
-and no speed-up.
+name atol 1e-12).  ``gru_backward`` works on z and r as the one (2, B, d)
+block the cache holds them in, and adds each weight gradient as one stack of
+per-gate GEMMs.
 
 Two threads.  A pass of d_model >= ``WORKER_D_MODEL`` (128) over at least
 2 * ``MIN_ROWS`` rows owns a helper thread: it starts one, and joins it
@@ -42,11 +48,12 @@ split over two threads than on one, and do not split.  The forward
 gives the helper rows [B//2, B) and runs rows [0, B//2) itself: the rows of
 a GRU are independent, and from ``MIN_ROWS`` rows on a row of a GEMM gets
 the bits it gets in a taller one.  Both threads write their rows of the one
-cache and call ``on_step`` with them; its array is a buffer that the next
-step overwrites.  The backward runs the dh recurrence on the calling thread
-and hands each step's gate gradients to the helper, which adds the weight
-and bias gradients in the order one thread adds them.  Below 2 * ``MIN_ROWS``
-rows that hand-over would keep the bits too, but it was no faster there.
+cache and call ``on_step`` with them; its array may be a buffer that the
+next step overwrites.  The backward runs the dh recurrence on the calling
+thread and hands each step's gate gradients to the helper, which adds the
+weight and bias gradients in the order one thread adds them.  Below
+2 * ``MIN_ROWS`` rows that hand-over would keep the bits too, but it was no
+faster there.
 A pass that does not split, whose caller has other work that needs nothing
 of it, runs beside that work instead (``gru_forward_beside``) when each of
 its steps has enough work to pay for the hand-overs between the threads
@@ -170,16 +177,22 @@ def init_gru(d_in: int, d_model: int, rng: np.random.Generator) -> GruParams:
 
 
 class GruCache:
-    """Forward intermediates of a batched GRU pass, as needed for BPTT."""
+    """Forward intermediates of a batched GRU pass, as needed for BPTT: the
+    input X (B, T, d_in) and one block ``steps`` (T, 4, B, d) that holds, for
+    each step t, the state entering it, z, r and hbar, in that order, each
+    slab (B, d).  The forward writes each of them where it computes it."""
 
-    __slots__ = ("X", "H_prev", "Z", "R", "Hbar")
+    __slots__ = ("X", "steps")
 
-    def __init__(self, X, H_prev, Z, R, Hbar):
-        self.X = X            # (B, T, d_in)
-        self.H_prev = H_prev  # (T, B, d) hidden state entering each step
-        self.Z = Z            # (T, B, d)
-        self.R = R            # (T, B, d)
-        self.Hbar = Hbar      # (T, B, d)
+    def __init__(self, X, steps):
+        self.X = X
+        self.steps = steps
+
+    # (T, B, d) views of the block, one per slab.
+    H_prev = property(lambda self: self.steps[:, 0])
+    Z = property(lambda self: self.steps[:, 1])
+    R = property(lambda self: self.steps[:, 2])
+    Hbar = property(lambda self: self.steps[:, 3])
 
 
 # The fewest rows in a block of a GRU pass.  BLAS may round a row of a GEMM
@@ -249,7 +262,7 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False, on_step=N
     GruCache, in the compute dtype, for gru_backward.  ``on_step(t, rows, H)``
     is called after each step t with the new states H of the rows ``rows`` (a
     slice of the batch), in the compute dtype: their ``H_prev[t + 1]`` of the
-    cache, or their final states.  H is a buffer the next step overwrites.
+    cache, or their final states.  H may be a buffer the next step overwrites.
     A pass that starts a helper thread calls it from both threads, each with
     its own rows.
     """
@@ -257,20 +270,20 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False, on_step=N
     dt = X.dtype
     B, T, _ = X.shape
     d = p.d_model
-    # One block for the four (T, B, d) arrays: malloc keeps a block freed by
-    # one pass for the next more readily than four arrays, which it may
-    # return to the system and fault in again.
-    cache = GruCache(X, *np.empty((4, T, B, d), dt)) if want_cache else None
+    # One block for the whole cache: malloc keeps a block freed by one pass
+    # for the next more readily than several arrays, which it may return to
+    # the system and fault in again.
+    steps = np.empty((T, 4, B, d), dt) if want_cache else None
     H = np.empty((B, d), dt)
     if not _uses_worker(B, d):
-        _gru_rows(X, W, U, b, H, cache, slice(0, B), on_step, sigmoid, _step_buffers(B, d, dt))
+        _gru_rows(X, W, U, b, H, steps, slice(0, B), on_step, sigmoid, _step_buffers(B, d, dt))
     else:
         h = B // 2
-        with _helper_thread(_gru_rows, X, W, U, b, H, cache, slice(h, B), on_step,
+        with _helper_thread(_gru_rows, X, W, U, b, H, steps, slice(h, B), on_step,
                             *_helper_buffers(B - h, d, dt)):
-            _gru_rows(X, W, U, b, H, cache, slice(0, h), on_step, sigmoid, _step_buffers(h, d, dt))
+            _gru_rows(X, W, U, b, H, steps, slice(0, h), on_step, sigmoid, _step_buffers(h, d, dt))
     H = H.astype(np.float64, copy=False)
-    return (H, cache) if want_cache else H
+    return (H, GruCache(X, steps)) if want_cache else H
 
 
 def gru_forward_beside(X: np.ndarray, p: GruParams, beside) -> np.ndarray:
@@ -310,9 +323,9 @@ def _pass_inputs(X: np.ndarray, p: GruParams) -> tuple[np.ndarray, ...]:
 
 
 def _step_buffers(n: int, d: int, dt) -> tuple[np.ndarray, ...]:
-    """The arrays a, zr, rh and hbar that each step of ``_gru_rows`` over n
-    rows writes into."""
-    return (np.empty((n, 3 * d), dt), np.empty((n, 2 * d), dt), np.empty((n, d), dt),
+    """The arrays that each step of ``_gru_rows`` over n rows writes into:
+    a (3, n, d), zr (2, n, d), and rh and hbar (n, d)."""
+    return (np.empty((3, n, d), dt), np.empty((2, n, d), dt), np.empty((n, d), dt),
             np.empty((n, d), dt))
 
 
@@ -326,43 +339,51 @@ def _helper_buffers(n: int, d: int, dt) -> tuple:
     return functools.partial(_logistic, e=np.empty_like(zr), mask=np.empty(zr.shape, bool)), work
 
 
-def _gru_rows(X, W, U, b, H, cache, rows: slice, on_step, logistic, work) -> None:
+def _gru_rows(X, W, U, b, H, steps, rows: slice, on_step, logistic, work) -> None:
     """Rows ``rows`` of a GRU pass through all T steps: their final states
-    into ``H[rows]``, and with a cache their steps into its rows.  Each step
-    writes into the arrays ``work`` (``_step_buffers``).  ``logistic(x,
-    out=x)`` is ``sigmoid`` on the calling thread; the helper's half is given
+    into ``H[rows]``, and with a cache's ``steps`` block each step's entering
+    state, z|r and hbar straight into their rows of its slabs.  The work of a
+    step runs on gate-major blocks: the input GEMM writes a (3, n, d), the
+    recurrent GEMM on U's z|r rows writes zr (2, n, d), each a stack of one
+    GEMM per gate on a gate-major view of W or U, and every elementwise call
+    runs over whole contiguous gate blocks.  Without a cache a step writes
+    into the arrays ``work`` (``_step_buffers``).  ``logistic(x, out=x)`` is
+    ``sigmoid`` on the calling thread; the helper's half is given
     ``_logistic`` on buffers of its own, and calls no function perfbench
     traces, whose span stack belongs to the calling thread."""
     d = H.shape[1]
+    T = X.shape[1]
     X, H = X[rows], H[rows]
-    U_zr, U_h = U[:2 * d].T, U[2 * d:].T
+    W = W.reshape(3, d, -1).transpose(0, 2, 1)
+    U_zr, U_h = U[:2 * d].reshape(2, d, d).transpose(0, 2, 1), U[2 * d:].T
+    b = b.reshape(3, 1, d)
     a, zr, rh, hbar = work
-    H.fill(0)
-    for t in range(X.shape[1]):
-        np.matmul(X[:, t], W.T, out=a)
+    h = H if steps is None else steps[0, 0, rows]
+    h.fill(0)
+    for t in range(T):
+        if steps is not None:
+            zr, hbar = steps[t, 1:3, rows], steps[t, 3, rows]
+        h_next = H if steps is None or t == T - 1 else steps[t + 1, 0, rows]
+        np.matmul(X[:, t], W, out=a)
         a += b
         # Each gate pre-activation is (x W^T + b) + h U^T: a sum of two
         # terms, the same bits in either order.
-        np.matmul(H, U_zr, out=zr)
-        zr += a[:, :2 * d]
+        np.matmul(h, U_zr, out=zr)
+        zr += a[:2]
         logistic(zr, out=zr)
-        z, r = zr[:, :d], zr[:, d:]
-        np.multiply(r, H, out=rh)
+        z, r = zr
+        np.multiply(r, h, out=rh)
         np.matmul(rh, U_h, out=hbar)
-        hbar += a[:, 2 * d:]
+        hbar += a[2]
         np.tanh(hbar, out=hbar)
-        if cache is not None:
-            cache.H_prev[t, rows] = H
-            cache.Z[t, rows] = z
-            cache.R[t, rows] = r
-            cache.Hbar[t, rows] = hbar
-        # H = (1 - z) * H + z * hbar
+        # h_next = (1 - z) * h + z * hbar, h_next written once h is read
         np.subtract(1.0, z, out=rh)
-        rh *= H
-        hbar *= z
-        np.add(rh, hbar, out=H)
+        rh *= h
+        np.multiply(z, hbar, out=h_next)
+        h_next += rh
+        h = h_next
         if on_step is not None:
-            on_step(t, rows, H)
+            on_step(t, rows, h)
 
 
 def gru_backward(cache: GruCache, p: GruParams, grads: ParamDict, prefix: str,
@@ -418,54 +439,56 @@ def _dh_step(cache: GruCache, t: int, U: np.ndarray, dh: np.ndarray,
     """Step t of the dh recurrence, in place: takes dh, the gradient w.r.t.
     the states step t makes, to the one w.r.t. the states entering it, and
     writes the gate pre-activation gradients da_z, da_r, da_h into ``da``
-    (3, B, d).  ``scratch`` is (4, B, d).  The float operations are those of
-    the expressions in the comments, in their order."""
-    h_prev, z, r, hbar = cache.H_prev[t], cache.Z[t], cache.R[t], cache.Hbar[t]
-    U_z, U_r, U_h = U
-    da_z, da_r, da_h = da
-    dz, dh_prev, drh, tmp = scratch
+    (3, B, d).  ``scratch`` is (4, B, d).  z and r are worked on as the one
+    (2, B, d) block the cache holds them in.  The float operations are those
+    of the expressions in the comments, in their order."""
+    h_prev, zr, hbar = cache.steps[t, 0], cache.steps[t, 1:3], cache.steps[t, 3]
+    z, r = zr
+    dzr, dh_prev, tmp = scratch[:2], scratch[2], scratch[3]
+    dz, dr = dzr
     if d_h_all is not None:
         dh += d_h_all[t]
     np.subtract(hbar, h_prev, out=dz)
     dz *= dh                                  # dz = dh * (hbar - h_prev)
     np.subtract(1.0, z, out=dh_prev)
     dh_prev *= dh                             # dh_prev = dh * (1 - z)
+    da_h = da[2]
     np.multiply(hbar, hbar, out=da_h)
     np.subtract(1.0, da_h, out=da_h)
     np.multiply(dh, z, out=tmp)
     da_h *= tmp                               # da_h = (dh * z) * (1 - hbar^2)
-    np.matmul(da_h, U_h, out=drh)             # drh = da_h @ U_h
-    np.multiply(drh, h_prev, out=tmp)         # dr = drh * h_prev
-    drh *= r
-    dh_prev += drh                            # dh_prev += drh * r
-    np.multiply(tmp, r, out=da_r)
-    np.subtract(1.0, r, out=tmp)
-    da_r *= tmp                               # da_r = dr * r * (1 - r)
-    np.matmul(da_r, U_r, out=drh)
-    dh_prev += drh                            # dh_prev += da_r @ U_r
-    np.multiply(dz, z, out=da_z)
-    np.subtract(1.0, z, out=tmp)
-    da_z *= tmp                               # da_z = dz * z * (1 - z)
-    np.matmul(da_z, U_z, out=drh)
-    np.add(dh_prev, drh, out=dh)              # dh = dh_prev + da_z @ U_z
+    np.matmul(da_h, U[2], out=tmp)            # drh = da_h @ U_h
+    np.multiply(tmp, h_prev, out=dr)          # dr = drh * h_prev
+    tmp *= r
+    dh_prev += tmp                            # dh_prev += drh * r
+    da_zr = da[:2]
+    np.multiply(dzr, zr, out=da_zr)
+    np.subtract(1.0, zr, out=dzr)
+    da_zr *= dzr                              # da_g = dg * g * (1 - g), g in z, r
+    np.matmul(da_zr, U[:2], out=dzr)          # da_z @ U_z, da_r @ U_r
+    dh_prev += dzr[1]                         # dh_prev += da_r @ U_r
+    np.add(dh_prev, dzr[0], out=dh)           # dh = dh_prev + da_z @ U_z
 
 
 def _grad_adder(g: ParamDict, cache: GruCache):
     """``add(t, da)``: adds step t's weight and bias gradients, from its gate
-    gradients da (3, B, d), to this call's stacked gradients ``g``."""
+    gradients da (3, B, d), to this call's stacked gradients ``g``.  Each
+    gradient block is added as one stack of per-gate products."""
     d = g["U"].shape[1]
     gW, gU, gb = g["W"].reshape(3, d, -1), g["U"].reshape(3, d, d), g["b"].reshape(3, d)
-    rh = np.empty(cache.H_prev.shape[1:], gU.dtype)
-    prod_W, prod_U = np.empty_like(gW[0]), np.empty_like(gU[0])
+    rh = np.empty(cache.steps.shape[2:], gU.dtype)
+    prod_W, prod_U = np.empty_like(gW), np.empty_like(gU)
 
     def add(t: int, da: np.ndarray) -> None:
-        x_t, h_prev = cache.X[:, t], cache.H_prev[t]
-        np.multiply(cache.R[t], h_prev, out=rh)
+        x_t, h_prev = cache.X[:, t], cache.steps[t, 0]
+        np.multiply(cache.steps[t, 2], h_prev, out=rh)
+        da_T = da.transpose(0, 2, 1)
+        np.add(gW, np.matmul(da_T, x_t, out=prod_W), out=gW)
         # Gate k's input to its recurrent map: h_prev for z and r, r * h_prev for h.
-        for k, h_in in enumerate((h_prev, h_prev, rh)):
-            gW[k] += np.matmul(da[k].T, x_t, out=prod_W)
-            gU[k] += np.matmul(da[k].T, h_in, out=prod_U)
-            gb[k] += da[k].sum(axis=0)
+        np.matmul(da_T[:2], h_prev, out=prod_U[:2])
+        np.matmul(da_T[2], rh, out=prod_U[2])
+        np.add(gU, prod_U, out=gU)
+        np.add(gb, da.sum(axis=1), out=gb)
 
     return add
 

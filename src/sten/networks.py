@@ -159,15 +159,19 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
     if use_ep:
         if "ep_head.W" not in phi:
             raise DataError("model has no error-prediction head")
-        # Each step's states are read as the step makes them, by a stack of
-        # 1-row float64 products: a row gets the same bits in a chunk of any
-        # size, as it would not from a GEMM over the chunk's rows.
-        W_e = np.asarray(phi["ep_head.W"], np.float64).T
-        resid = np.empty((X.shape[1] - 1, len(X), W_e.shape[1]))
+        # Each step's states are read as the step makes them, by one float64
+        # GEMM against the head's W^T, zero-padded to a multiple of 8
+        # columns: at that width a row's product has the same bits in a GEMM
+        # over any number of rows from 2 on, so a row's residuals do not
+        # depend on the chunk it is scored in.
+        D = phi["ep_head.W"].shape[0]
+        W_e = np.zeros((gru.d_model, -(-D // 8) * 8))
+        W_e[:, :D] = np.asarray(phi["ep_head.W"], np.float64).T
+        resid = np.empty((X.shape[1] - 1, len(X), D))
 
         def readout(t, rows, H_t):
             if t < len(resid):
-                np.matmul(H_t.astype(np.float64)[:, None], W_e, out=resid[t, rows, None])
+                resid[t, rows] = (H_t.astype(np.float64) @ W_e)[:, :D]
 
         H, cache = (gru_forward(X, gru, want_cache=True, on_step=readout) if want_cache
                     else (gru_forward(X, gru, on_step=readout), None))
@@ -289,7 +293,10 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise DataError(f"{path}: checkpoint block {name} appears twice")
         shape = unpack("I", unpack("B")[0])
         data = take(4 * math.prod(shape))
-        blocks[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
+        try:
+            blocks[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
+        except ValueError as exc:   # more dimensions than numpy's arrays take
+            raise DataError(f"{path}: checkpoint block {name}: {exc}") from None
     if pos != len(body):
         raise DataError(f"{path}: {len(body) - pos} bytes after the last checkpoint block")
     return config, blocks

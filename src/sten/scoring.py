@@ -25,9 +25,10 @@ no random numbers: a model and a series give one set of scores.
 A chunk holds at least ``ndkernel.MIN_ROWS`` windows, unless the whole
 series has fewer (``seqdata.batch_ranges`` joins a short last chunk to the one
 before): from that many rows on a row of a GRU pass gets the bits it gets in a
-taller one.  The error-prediction head reads each state as its GRU step
-makes it, one row at a time (``networks.forward``), so no chunk holds a
-hidden trajectory and its rows' bits do not depend on the row count either.
+taller one.  The error-prediction head reads each step's states as the GRU
+makes them, by one GEMM against its weights padded to a multiple of 8
+columns (``networks.forward``), so no chunk holds a hidden trajectory, and a
+row's residuals have the same bits in a chunk of any size from 2 rows on.
 So another ``CHUNK`` moves no score column of any mode, with one exception:
 with m <= 4 sub-sequences per window, ``score_otn`` and ``scores`` of the
 order modes may move in their last bits.  OpenBLAS takes a path that depends

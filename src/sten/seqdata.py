@@ -320,11 +320,24 @@ def save_csv(series: MultivariateSeries, path) -> None:
 # ---------------------------------------------------------------------------
 
 def zscore_fit(train: MultivariateSeries) -> NormStats:
-    """Per-dimension mean and population std of the training split."""
+    """Per-dimension mean and population std of the training split.
+
+    They are stored as float32: a statistic that is not finite, or lies
+    beyond the float32 range (finite values near the float64 limit), is a
+    ``DataError`` that names its dimension."""
     if train.n < 2:
         raise DataError("need at least 2 rows to fit normalization stats")
-    mean = train.values.mean(axis=0)
-    std = np.maximum(train.values.std(axis=0), STD_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.values.mean(axis=0)
+        std = np.maximum(train.values.std(axis=0), STD_FLOOR)
+    limit = np.finfo(np.float32).max
+    for what, stat in (("mean", mean), ("std", std)):
+        bad = np.flatnonzero(~(np.abs(stat) <= limit))
+        if bad.size:
+            j = int(bad[0])
+            name = train.dim_names[j] if train.dim_names else f"dim_{j}"
+            raise DataError(f"dimension {name!r}: its training {what} {stat[j]:.6g} "
+                            f"is not a finite float32")
     return NormStats(mean=mean.astype(np.float32), std=std.astype(np.float32))
 
 

@@ -241,12 +241,16 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     for epoch in range(cfg.epochs):
         sums = np.zeros(3)
         for bi, (s, e) in enumerate(ranges):
-            try:
-                parts, grads = build_sten_tape(phi, eta_emb[bi], values, starts[s:e], cfg)
-            except NumericError as exc:
-                raise NumericError(f"epoch {epoch + 1}, batch {bi + 1}: {exc}") from None
-            sums += (e - s) * np.array(parts)
-            phi, adam = adam_update(phi, grads, adam, cfg.lr)
+            # A step that overflows (a huge alpha, say) ends in the
+            # NumericError of a non-finite loss or gradient, with no numpy
+            # warning before it.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                try:
+                    parts, grads = build_sten_tape(phi, eta_emb[bi], values, starts[s:e], cfg)
+                except NumericError as exc:
+                    raise NumericError(f"epoch {epoch + 1}, batch {bi + 1}: {exc}") from None
+                sums += (e - s) * np.array(parts)
+                phi, adam = adam_update(phi, grads, adam, cfg.lr)
         mean = sums / n
         trace.append((float(mean[0]), float(mean[1]), float(mean[2])))
 

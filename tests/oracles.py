@@ -76,7 +76,7 @@ def gru_forward_unfused(X: np.ndarray, p: GruParams, want_cache: bool = False):
             Hbar[t] = hbar
         H = (1.0 - z) * H + z * hbar
 
-    return (H, GruCache(X, H_prev, Z, Rg, Hbar)) if want_cache else H
+    return (H, GruCache(X, np.stack([H_prev, Z, Rg, Hbar], axis=1))) if want_cache else H
 
 
 def gru_backward_serial(cache: GruCache, p: GruParams, grads, prefix: str,
@@ -299,16 +299,33 @@ def dsn_oracle(phi, eta, batch):
     return dsn_all_pairs_loop(E, F)[0]
 
 
-def ep_residuals_per_row(cache, phi, X):
+def ep_predictions(H, W_e):
+    """The error-prediction head's linear part over the float64 states H
+    (..., B, d_model): for each (B, d_model) block one GEMM against the
+    head's map W_e (D, d_model) as W_e^T zero-padded to the next multiple of
+    8 columns, of which the first D are kept."""
+    D, d = np.shape(W_e)
+    W = np.zeros((d, -(-D // 8) * 8))
+    W[:, :D] = np.asarray(W_e, np.float64).T
+    return (H @ W)[..., :D]
+
+
+def ep_predictions_per_row(H, W_e):
+    """``ep_predictions`` by one vector-matrix product per row, the readout
+    the package ran before it read each step by one padded GEMM."""
+    W_e = np.asarray(W_e, np.float64)
+    return np.array([[h @ W_e.T for h in H_t] for H_t in H])
+
+
+def ep_residuals(cache, phi, X):
     """The error-prediction head over the states h_1 .. h_{L-1} that a GRU
-    pass's cache holds, one row's vector-matrix product at a time.
+    pass's cache holds, its linear part read by ``ep_predictions``.
 
     Returns those states as float64 (L-1, B, d_model) and the one-step-ahead
     residuals (L-1, B, D) of the windows X.
     """
     H_in = cache.H_prev[1:].astype(np.float64)
-    W_e = np.asarray(phi["ep_head.W"], np.float64)
-    preds = np.array([[h @ W_e.T for h in H_t] for H_t in H_in])
+    preds = ep_predictions(H_in, phi["ep_head.W"])
     return H_in, (preds + np.asarray(phi["ep_head.b"], np.float64)
                   - np.transpose(X[:, 1:], (1, 0, 2)))
 
@@ -331,7 +348,7 @@ def dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg):
     gru = GruParams.from_dict(phi, "gru.")
     W_e = np.asarray(phi["ep_head.W"], np.float64)
     _, cache_ep = gru_forward(X, gru, want_cache=True)
-    H_in, resid = ep_residuals_per_row(cache_ep, phi, X)
+    H_in, resid = ep_residuals(cache_ep, phi, X)
     E, cache_d = gru_forward(X, gru, want_cache=True)
     dsn, dE = dsn_all_pairs_loop(E, F)
 
@@ -382,7 +399,7 @@ def build_sten_tape_closures(phi, F, values, starts, cfg):
 
     if use_ep:
         H_ep, cache_ep = gru_forward(batch, gru, want_cache=True)
-        H_in, resid = ep_residuals_per_row(cache_ep, phi, batch)
+        H_in, resid = ep_residuals(cache_ep, phi, batch)
         otn_val = float(np.mean(resid ** 2))  # temporal slot of the breakdown
         W_e = np.asarray(phi["ep_head.W"], np.float64)
         dpred = resid * (2.0 / resid.size)

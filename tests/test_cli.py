@@ -744,7 +744,7 @@ EXIT_CASES = [
                   "--out", "{out}"], 2, id=f"score-checkpoint-{name.replace('_', '-')}")
     for name in ("bad_json", "config_too_deep", "config_not_utf8", "config_array",
                  "config_past_end", "blocks_past_end", "short_block", "trailing_bytes",
-                 "duplicate_block")
+                 "duplicate_block", "too_many_dims")
 ]
 
 
@@ -778,6 +778,8 @@ def malformed(trained, tmp_path_factory):
         "short_block": checkpoint_body(cfg=cfg, blocks=[("norm.mean", (4,), np.zeros(2))]),
         "trailing_bytes": checkpoint_body(cfg=cfg, blocks=listed) + b"\0",
         "duplicate_block": checkpoint_body(cfg=cfg, blocks=listed + listed[:1]),
+        # More dimensions than a numpy array may have.
+        "too_many_dims": checkpoint_body(cfg=cfg, blocks=[("norm.mean", (1,) * 65, [0.0])]),
     }
     paths = {}
     for name, body in bodies.items():

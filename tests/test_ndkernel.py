@@ -688,6 +688,21 @@ class TestStackedForward:
         for a, b in zip(self._arrays(got), self._arrays(want)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
+    def test_the_cache_is_one_block_the_steps_write_into(self):
+        """Each step's entering state, z, r and hbar are slabs of one
+        (T, 4, B, d) block; the state ``on_step`` is handed is the next
+        step's entering state in that block, not a copy."""
+        rng = np.random.default_rng(20)
+        p = init_gru(3, 8, rng)
+        handed = []
+        _, cache = gru_forward(rng.normal(size=(5, 4, 3)), p, want_cache=True,
+                               on_step=lambda t, rows, H: handed.append(H))
+        assert cache.steps.shape == (4, 4, 5, 8)
+        for k, name in enumerate(("H_prev", "Z", "R", "Hbar")):
+            assert np.shares_memory(getattr(cache, name), cache.steps[:, k]), name
+        for t, H in enumerate(handed[:-1]):
+            assert np.shares_memory(H, cache.steps[t + 1, 0]), t
+
     def test_backward_equal_from_either_cache(self):
         got, want, p = self._both(d_in=5)
         rng = np.random.default_rng(13)

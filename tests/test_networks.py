@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sten import DataError
+from sten import DataError, networks
 from sten.ndkernel import GruParams, gru_shapes, init_gru
 from sten.networks import (embed_windows, forward, gru_checksum, init_phi, order_forward,
                            phi_shapes, read_checkpoint, sample_pairs, write_checkpoint)
@@ -235,9 +235,57 @@ class TestForward:
         np.testing.assert_array_equal(dsn[0], embed_windows(GruParams.from_dict(phi, "gru."),
                                                             windows))
         # The head's residuals, read from each state as its step made it,
-        # are those of the states the cache keeps, row by row.
+        # are those of the states the cache keeps, by one padded GEMM a step.
         X = ep[1].X
-        np.testing.assert_array_equal(ep[0], oracles.ep_residuals_per_row(ep[1], phi, X)[1])
+        np.testing.assert_array_equal(ep[0], oracles.ep_residuals(ep[1], phi, X)[1])
+
+    # The error-prediction readout's tolerance against one vector-matrix
+    # product per row, the readout before one padded GEMM per step: a
+    # residual may move by this times the sum of its terms' magnitudes,
+    # |h| @ |W_e|^T + |b| + |x_{t+1}|.  Measured at most 4.4e-16 of it, at
+    # D 1 to 17 and d_model 8 to 256.
+    EP_READOUT_RTOL = 1e-15
+
+    @pytest.mark.parametrize("D,d_model", [(1, 8), (3, 32), (5, 32), (9, 8), (3, 256)])
+    def test_readout_within_named_tolerance_of_one_row_products(self, D, d_model):
+        phi = make_phi(d_in=D, d_model=d_model, seed=38, with_ep_head=True)
+        windows = windows_for(n_windows=70, d=D, seed=39)
+        _, ep, _ = forward(phi, *laid_end_to_end(windows), forward_cfg("dsn_plus_ep"),
+                           want_cache=True)
+        H = ep[1].H_prev[1:].astype(np.float64)
+        W_e, b = phi["ep_head.W"], phi["ep_head.b"]
+        x_next = np.transpose(windows[:, 1:], (1, 0, 2))
+        per_row = oracles.ep_predictions_per_row(H, W_e) + b - x_next
+        scale = np.abs(H) @ np.abs(W_e).T + np.abs(b) + np.abs(x_next)
+        assert np.all(np.abs(ep[0] - per_row) <= self.EP_READOUT_RTOL * scale)
+
+    @pytest.mark.parametrize("D", [3, 5])
+    @pytest.mark.parametrize("d_model", [8, 32, 256])
+    def test_a_rows_residuals_do_not_depend_on_the_row_count(self, monkeypatch, D, d_model):
+        """The head's residuals of a pass over the first n of 1,100 windows,
+        for every n from 2 on, are those the rows' states get in a padded
+        GEMM over all 1,100 rows.  The GRU is a stand-in that hands the
+        readout fixed states, so that only the readout's row count changes."""
+        rng = np.random.default_rng(D + d_model)
+        L, n_all = 3, 1100
+        states = rng.uniform(-1, 1, size=(L, n_all, d_model)).astype(np.float32)
+
+        def fixed_states(X, gru, on_step):
+            rows = slice(0, len(X))
+            for t in range(L):
+                on_step(t, rows, states[t, rows])
+            return states[-1, rows].astype(np.float64)
+
+        monkeypatch.setattr(networks, "gru_forward", fixed_states)
+        phi = make_phi(d_in=D, d_model=d_model, seed=41, with_ep_head=True)
+        windows = rng.normal(size=(n_all, L, D))
+        values, starts = laid_end_to_end(windows)
+        x_next = np.transpose(windows[:, 1:], (1, 0, 2))
+        tall = (oracles.ep_predictions(states[:-1].astype(np.float64), phi["ep_head.W"])
+                + phi["ep_head.b"] - x_next)
+        for n in range(2, n_all + 1):
+            resid = forward(phi, values, starts[:n], forward_cfg("dsn_plus_ep", L=L))[1][0]
+            assert np.array_equal(resid, tall[:, :n]), n
 
     def test_error_prediction_input_checks(self):
         values, starts = laid_end_to_end(windows_for(seed=36))

@@ -333,10 +333,9 @@ class TestScoreSeries:
     # A chunk holds at least MIN_ROWS windows, and from that many rows on a
     # window's GRU passes get the bits they get in any taller chunk
     # (test_ndkernel's TestRowCountInvariance).  The error-prediction head
-    # maps each row's states by a product of its own.  So CHUNK moves no
-    # column of any mode.  The series has 5 dimensions: on it, a head GEMM
-    # over a chunk's rows would move dsn_plus_ep's temporal columns by about
-    # 1e-16 relative.
+    # maps each step's states by one GEMM against its W^T padded to 8
+    # columns, which gives a row the same bits over any row count from 2 on
+    # (test_networks).  So CHUNK moves no column of any mode.
     COLUMNS = ("scores", "score_otn", "score_dsn", "coverage")
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, 64, 100])
@@ -355,6 +354,25 @@ class TestScoreSeries:
         c = score_series(model, series, cfg)
         for col in self.COLUMNS:
             np.testing.assert_array_equal(getattr(c, col), getattr(a, col), err_msg=col)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_rechunking_keeps_error_prediction_bits_at_three_dims(self, monkeypatch, dtype):
+        """On a 3-dimension series, where an unpadded head GEMM over a chunk's
+        rows moves them, dsn_plus_ep's columns are the same at CHUNK 64,
+        100, 101 and 1,024 (366 windows: five, four, three and one chunks).
+        Chunks of 101 rows, not a multiple of 4, catch what the others miss:
+        there an unpadded GEMM rounds the last rows of a block of 4 apart."""
+        monkeypatch.setattr(training, "COMPUTE_DTYPE", dtype)
+        model = tiny_model(mode="dsn_plus_ep", d=3, d_model=32, m=10, l=4, r=4, seed=9)
+        series = series_fixture(n=40 + 4 * 365, d=3, seed=10)
+        cfg = ScoreConfig(R_test=4)
+        runs = []
+        for chunk in (64, 100, 101, 1024):
+            monkeypatch.setattr(scoring, "CHUNK", chunk)
+            runs.append(score_series(model, series, cfg))
+        for c in runs[1:]:
+            for col in self.COLUMNS:
+                np.testing.assert_array_equal(getattr(c, col), getattr(runs[0], col), err_msg=col)
 
     # With m <= 4 the order logits H @ W_o.T of a chunk have so few elements
     # that OpenBLAS's path, and so their bits, depend on the row count:

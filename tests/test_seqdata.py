@@ -582,6 +582,19 @@ class TestZscore:
         with pytest.raises(DataError):
             zscore_fit(MultivariateSeries(values=np.ones((1, 2))))
 
+    @pytest.mark.parametrize("column,what", [
+        (np.array([1e300, -1e300, 1e300, -1e300]), "std"),     # its square overflows
+        (np.array([1e39, 1e39, 1e39, 1e39]), "mean"),         # beyond float32, std floored
+        (np.array([4e38, -4e38, 4e38, -4e38]), "std"),        # std 4e38, float32 max 3.4e38
+        (np.array([5e38, 5.1e38, 5e38, 5.1e38]), "mean")], ids=["over", "mean", "std", "both"])
+    def test_statistics_beyond_float32_name_their_dimension(self, column, what):
+        values = np.column_stack([np.arange(4.0), column])
+        series = MultivariateSeries(values=values, dim_names=["a", "b"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"dimension 'b': its training {what} "):
+                zscore_fit(series)
+
 
 def series_of(n, d=1, seed=0):
     return MultivariateSeries(values=np.random.default_rng(seed).normal(size=(n, d)))
