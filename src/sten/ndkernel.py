@@ -59,7 +59,8 @@ of it, runs beside that work instead (``gru_forward_beside``) when each of
 its steps has enough work to pay for the hand-overs between the threads
 (``BESIDE_WORK``): the helper runs all its rows, and the calling thread runs
 the caller's block.  Scoring runs eta's pass of a chunk that does not split
-beside phi's forward this way.  So every bit is kept.  An error in either
+beside phi's forward this way, and training, in a batch's first step, eta's
+pass of the batch beside phi's.  So every bit is kept.  An error in either
 thread reaches the caller once both have stopped.  The helper runs in a copy
 of the caller's context, so ``np.errstate`` holds on both threads, and calls
 no public function of this module (perfbench's tracer keeps one span stack,
@@ -292,16 +293,17 @@ def gru_forward_beside(X: np.ndarray, p: GruParams, beside) -> np.ndarray:
 
     A pass that does not split its rows and has enough work per step
     (``_runs_beside``) runs on a helper thread while the calling thread runs
-    ``beside``; any other pass runs after ``beside`` returns, as
-    ``gru_forward``.  The helper runs every row through every step, as one
-    thread runs a pass that does not split, so each row keeps its bits.  An
-    error in either thread reaches the caller once both have stopped.
+    ``beside``; any other pass runs as ``gru_forward``, then ``beside``.  The
+    helper runs every row through every step, as one thread runs a pass that
+    does not split, so each row keeps its bits.  An error in either thread
+    reaches the caller once both have stopped.
     """
     X, W, U, b = _pass_inputs(X, p)
     B, d = len(X), p.d_model
     if not _runs_beside(B, d):
+        H = gru_forward(X, p)
         beside()
-        return gru_forward(X, p)
+        return H
     H = np.empty((B, d), X.dtype)
     with _helper_thread(_gru_rows, X, W, U, b, H, None, slice(0, B), None,
                         *_helper_buffers(B, d, X.dtype)):

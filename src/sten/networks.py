@@ -106,16 +106,14 @@ def order_forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, l: int
     return P, Y, H, inv, cache
 
 
-def embed_windows(gru: GruParams, data: np.ndarray, beside=None):
+def embed_windows(gru: GruParams, data: np.ndarray, beside):
     """Batched window embedding by one GRU tower: data (B, L, D) -> (B, d_model).
 
     Eta embeds windows through it, in training and scoring; BENCHMARK.json
-    counts ``len(data)`` per call by this name.  Given the caller's block
-    ``beside``, a call that needs nothing of the pass, it calls it too, and
-    the pass may run on a helper thread while the calling thread runs the
-    block (``ndkernel.gru_forward_beside``)."""
-    if beside is None:
-        return gru_forward(data, gru)
+    counts ``len(data)`` per call by this name.  It calls the caller's block
+    ``beside`` too, a call that needs nothing of the pass, and the pass may
+    run on a helper thread while the calling thread runs the block
+    (``ndkernel.gru_forward_beside``)."""
     return gru_forward_beside(data, gru, beside)
 
 

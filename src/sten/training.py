@@ -86,17 +86,18 @@ class TrainedModel:
 
 
 def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
-                    starts: np.ndarray, cfg: TrainConfig
+                    starts: np.ndarray, cfg: TrainConfig, outputs: list | None = None
                     ) -> tuple[tuple[float, float, float], ParamDict]:
     """One training step's loss over a batch of windows, and its gradient.
 
     The batch is the length-L windows of the (N, D) series ``values`` at
     ``starts``; ``networks.forward`` runs phi's branches over it, with the
-    caches of their GRU passes.  ``F`` holds the frozen projector eta's
-    embeddings of the batch's windows (B, d_model) for the distance branch
-    (None without one).  Its loss is the mean over every ordered pair i != j
-    of the batch of (<e_i, e_j> - <f_i, f_j>)^2, in float64, where e_i is
-    phi's embedding of window i, its final hidden state.  Over the (B, B)
+    caches of their GRU passes, unless the list ``outputs`` holds its result:
+    popped, so that no other reference keeps its arrays through BPTT.  ``F``
+    holds eta's embeddings of the windows (B, d_model) for the distance
+    branch (None without one).  Its loss is the mean over every ordered pair
+    i != j of the batch of (<e_i, e_j> - <f_i, f_j>)^2, in float64, where e_i
+    is phi's embedding of window i, its final hidden state.  Over the (B, B)
     residuals R its gradient w.r.t. phi's embeddings E is 4 R E / (B (B-1)).
 
     Returns ((otn, dsn, total), grads): the loss parts, total = otn + alpha
@@ -111,7 +112,8 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
     BENCHMARK.json traces this function by name, which it keeps until the
     benchmark's next revision renames it (ROADMAP item 1).
     """
-    order, ep, dist = forward(phi, values, starts, cfg, want_cache=True)
+    order, ep, dist = outputs.pop() if outputs else forward(phi, values, starts, cfg,
+                                                            want_cache=True)
     grads = {k: np.zeros(v.shape) for k, v in phi.items()}
     # Each GRU pass once, in forward order, as (cache, d_h_final, d_h_all).
     # Each branch deletes the forward's arrays once it is done with them, so
@@ -128,11 +130,15 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
         dlogits = P * (dP - (dP * P).sum(axis=1, keepdims=True))
         grads["order_head.W"] += dlogits.T @ H
         grads["order_head.b"] += dlogits.sum(axis=0)
-        # Each distinct sub-sequence collects the gradient of every slot it fills.
+        # Each distinct sub-sequence sums its slots' gradients in np.add.at's
+        # order: the starts are distinct and ascending, so a slot column's
+        # rows are distinct, and a later window fills an earlier slot.
+        G, m = dlogits @ np.asarray(phi["order_head.W"], np.float64), P.shape[1]
         dH = np.zeros((cache.X.shape[0], H.shape[1]))
-        np.add.at(dH, inv, dlogits @ np.asarray(phi["order_head.W"], np.float64))
+        for i in reversed(range(m)):
+            dH[inv[i::m]] += G[i::m]
         passes.append((cache, dH, None))
-        del order, P, Y, H, inv, dP, dlogits
+        del order, P, Y, H, inv, dP, dlogits, G
 
     if ep is not None:
         resid, cache = ep
@@ -215,7 +221,9 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     windows for both the error-prediction and the distance branch, and BPTT
     runs once over that pass.  The frozen projector eta is drawn from the
     ``eta_init`` stream of ``cfg.seed``, and embeds each batch's windows once
-    per call, not once per epoch.
+    per call, in the batch's first step, from the windows gathered once for
+    both towers, beside phi's forward (``networks.embed_windows``) where
+    ``ndkernel._runs_beside`` allows, and before it otherwise.
     """
     cfg.validate()
     stats = zscore_fit(series)
@@ -232,10 +240,9 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
 
     adam = init_adam_state(phi)
     ranges = batch_ranges(n, cfg.batch_size, min_last=2 if use_dsn else 1)
-    # eta is frozen and the windows are fixed: embed them once for all epochs,
-    # batch by batch, so that each batch gets the bits of its own embedding.
-    eta_emb = [embed_windows(eta, stack_slices(values, starts[s:e], cfg.L)) if use_dsn else None
-               for s, e in ranges]
+    # eta is frozen and the windows fixed: each batch is embedded once, in
+    # its first step, and keeps the bits of its own embedding in every epoch.
+    eta_emb: list[np.ndarray | None] = [None] * len(ranges)
 
     trace: list[tuple[float, float, float]] = []
     for epoch in range(cfg.epochs):
@@ -246,7 +253,13 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
             # warning before it.
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 try:
-                    parts, grads = build_sten_tape(phi, eta_emb[bi], values, starts[s:e], cfg)
+                    fwd = []
+                    if use_dsn and eta_emb[bi] is None:
+                        X = stack_slices(values, starts[s:e], cfg.L)
+                        eta_emb[bi] = embed_windows(eta, X, lambda: fwd.append(
+                            forward(phi, values, starts[s:e], cfg, want_cache=True, windows=X)))
+                    parts, grads = build_sten_tape(phi, eta_emb[bi], values, starts[s:e],
+                                                   cfg, fwd)
                 except NumericError as exc:
                     raise NumericError(f"epoch {epoch + 1}, batch {bi + 1}: {exc}") from None
                 sums += (e - s) * np.array(parts)

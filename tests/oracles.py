@@ -330,7 +330,7 @@ def ep_residuals(cache, phi, X):
                   - np.transpose(X[:, 1:], (1, 0, 2)))
 
 
-def dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg):
+def dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg, outputs=None):
     """The dsn_plus_ep training step, with phi's GRU run twice over the
     windows: once for the error-prediction branch and once more for the
     distance branch, the form the package used before the distance branch
@@ -339,10 +339,13 @@ def dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg):
     Takes the arguments of ``training.build_sten_tape`` and returns what it
     does, ((otn, dsn, total), grads), from the same head gradients and one
     BPTT per branch where the package sums both branches' upstream gradients
-    into one.  Its distance loss is ``dsn_all_pairs_loop``'s: the
+    into one.  It runs its own forward, and drops the one a caller ran
+    (``outputs``).  Its distance loss is ``dsn_all_pairs_loop``'s: the
     error-prediction loss agrees bit for bit, the distance loss and the
     gradients within the sum-order rounding the tests name.
     """
+    if outputs:
+        outputs.pop()
     # The windows keep the series' dtype: the GRU computes in it.
     X = np.asarray(values)[np.asarray(starts)[:, None] + np.arange(cfg.L)]
     gru = GruParams.from_dict(phi, "gru.")
@@ -365,7 +368,16 @@ def dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg):
     return (otn, dsn, otn + cfg.alpha * dsn), grads
 
 
-def build_sten_tape_closures(phi, F, values, starts, cfg):
+def order_dH_add_at(G, inv, n_rows):
+    """The gradient w.r.t. each of n_rows distinct sub-sequences' embeddings:
+    the sum of the slot gradients G (B*m, d) of every slot that holds it
+    (``inv``), scattered by ``np.add.at``, which adds them in slot order."""
+    dH = np.zeros((n_rows, G.shape[1]))
+    np.add.at(dH, inv, G)
+    return dH
+
+
+def build_sten_tape_closures(phi, F, values, starts, cfg, outputs=None):
     """``training.build_sten_tape`` in the form that formed each branch's
     head gradients and its GRU pass's upstream gradient in a backward of
     its own, run as soon as the branch's forward is done, with the distance
@@ -373,9 +385,12 @@ def build_sten_tape_closures(phi, F, values, starts, cfg):
     gradients before any BPTT; without the distance branch the sums are the
     same, so loss and gradients must agree bit for bit.  With it they agree
     up to the sum order: the package sums the pairs by GEMMs and, in
-    dsn_plus_ep, runs one BPTT for this form's two.  Returns
-    ((otn, dsn, total), grads).
+    dsn_plus_ep, runs one BPTT for this form's two.  Like the two-pass form
+    it runs its own forward, and drops the one a caller ran (``outputs``).
+    Returns ((otn, dsn, total), grads).
     """
+    if outputs:
+        outputs.pop()
     use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
     grads = {k: np.zeros(v.shape) for k, v in phi.items()}
     gru = GruParams.from_dict(phi, "gru.")
@@ -392,9 +407,7 @@ def build_sten_tape_closures(phi, F, values, starts, cfg):
         dlogits = P * (dP - (dP * P).sum(axis=1, keepdims=True))
         grads["order_head.W"] += dlogits.T @ H
         grads["order_head.b"] += dlogits.sum(axis=0)
-        # Each distinct sub-sequence collects the gradient of every slot it fills.
-        dH = np.zeros((cache.X.shape[0], H.shape[1]))
-        np.add.at(dH, inv, dlogits @ W_o)
+        dH = order_dH_add_at(dlogits @ W_o, inv, cache.X.shape[0])
         gru_backward(cache, gru, grads, "gru.", d_h_final=dH)
 
     if use_ep:

@@ -191,15 +191,64 @@ def test_which_workloads_score_with_eta_beside_phi(monkeypatch, mode, d_model, n
 
     monkeypatch.setattr(ndkernel, "_helper_thread", recording)
     scoring.score_series(model, series, cli.build_score_config(schema_config()))
-    # A split chunk hands over half the rows of phi's pass, then of eta's.
+    # A split chunk hands over half the rows of eta's pass, then of phi's.
     rows = {"beside": lambda B: [slice(0, B)], "split": lambda B: [slice(B // 2, B)] * 2}[path]
     assert handed == [(B, r) for B in chunks for r in rows(B)]
 
 
+# perfbench/run.py's training shapes: (mode, d_model, n_train) of a workload,
+# the windows of its one batch, and how the batch's first step runs eta's
+# pass: on a helper thread beside phi's forward, split between the calling
+# thread and a helper as phi's pass over the same windows is, or on the
+# calling thread alone; either of the last two before phi's forward.
+TRAINING_SHAPES = [
+    pytest.param("full", 256, 730, 64, "beside", id="score_paper"),
+    pytest.param("full", 256, 2650, 256, "split", id="train_paper"),
+    pytest.param("dsn_plus_ep", 32, 2650, 256, "serial", id="long_small_ep"),
+]
+
+
+@pytest.mark.parametrize("mode,d_model,n_train,B,path", TRAINING_SHAPES)
+def test_which_workloads_train_with_eta_beside_phi(monkeypatch, mode, d_model, n_train, B,
+                                                   path):
+    """A change to ndkernel's rules for helper threads moves these:
+    score_paper's set-up batch trains on the beside path, train_paper's
+    splits its passes, and long_small_ep's starts no helper thread."""
+    tc = cli.build_train_config(schema_config(mode=mode, d_model=d_model, epochs=1))
+    series = MultivariateSeries(values=np.random.default_rng(0).normal(size=(n_train, 5)))
+    assert len(window_starts(n_train, tc.L, tc.R_train)) == B
+    # The passes over windows, not sub-sequences, in order: eta's has no cache.
+    log = []
+    real_forward, helper_thread = ndkernel.gru_forward, ndkernel._helper_thread
+
+    def forward_recording(X, p, want_cache=False, **kwargs):
+        if X.shape[1] == tc.L:
+            log.append(("pass", "phi" if want_cache else "eta"))
+        return real_forward(X, p, want_cache, **kwargs)
+
+    def recording(fn, *args):
+        if fn is ndkernel._gru_rows and args[0].shape[1] == tc.L:
+            steps, rows = args[5:7]                   # _gru_rows(X, W, U, b, H, steps, rows, ...)
+            log.append(("helper", "eta" if steps is None else "phi", rows))
+        return helper_thread(fn, *args)
+
+    for module in (ndkernel, networks):
+        monkeypatch.setattr(module, "gru_forward", forward_recording)
+    monkeypatch.setattr(ndkernel, "_helper_thread", recording)
+    train(series, tc)
+    half = slice(B // 2, B)
+    assert log == {
+        "beside": [("helper", "eta", slice(0, B)), ("pass", "phi")],
+        "split": [("pass", "eta"), ("helper", "eta", half), ("pass", "phi"),
+                  ("helper", "phi", half)],
+        "serial": [("pass", "eta"), ("pass", "phi")]}[path]
+
+
 def test_long_small_ep_trains_without_eta_beside_phi(monkeypatch):
-    """train embeds eta's windows up front, batch by batch, with nothing to
-    run beside them: long_small_ep's batch of 256 windows at d_model 32
-    starts no helper thread in training."""
+    """train embeds each batch's windows with eta in the batch's first step,
+    with phi's forward as the block beside the pass, but long_small_ep's
+    batch of 256 windows at d_model 32 has too little work per step to run
+    it beside: it starts no helper thread in training."""
     started = []
     monkeypatch.setattr(ndkernel, "_helper_thread", lambda fn, *args: started.append(fn))
     tc = cli.build_train_config(schema_config(mode="dsn_plus_ep", d_model=32, epochs=1))

@@ -310,7 +310,7 @@ class TestBesidePass:
     """``gru_forward_beside`` runs a pass that does not split its rows and has
     enough work per step on a helper thread while the caller's block runs:
     its states have the bits of ``gru_forward``, and any other pass runs as
-    ``gru_forward`` after the block."""
+    ``gru_forward`` before the block."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("B,d", [(1, 128), (2, 256), (63, 128), (64, 256), (127, 256),
@@ -321,12 +321,20 @@ class TestBesidePass:
         p = init_gru(4, d, rng)
         X = rng.normal(size=(B, 9, 4)).astype(dtype)
         blocks, handed = [], handed_rows(monkeypatch)
-        H = gru_forward_beside(X, p, lambda: blocks.append(None))
-        # A pass runs all its rows beside the block, splits them, or runs
-        # after the block on the calling thread.
-        assert handed == ([slice(0, B)] if ndkernel._runs_beside(B, d) else
+        real_forward = ndkernel.gru_forward
+
+        def forward(*args, **kwargs):
+            blocks.append("pass")
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(ndkernel, "gru_forward", forward)
+        H = gru_forward_beside(X, p, lambda: blocks.append("block"))
+        # A pass runs all its rows beside the block, or as gru_forward before
+        # the block, its rows split or on the calling thread.
+        beside = ndkernel._runs_beside(B, d)
+        assert handed == ([slice(0, B)] if beside else
                           [slice(B // 2, B)] if ndkernel._uses_worker(B, d) else [])
-        assert len(blocks) == 1
+        assert blocks == (["block"] if beside else ["pass", "block"])
         monkeypatch.setattr(ndkernel, "_uses_worker", lambda B, d: False)
         monkeypatch.setattr(ndkernel, "_runs_beside", lambda B, d: False)
         assert H.dtype == np.float64

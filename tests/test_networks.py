@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sten import DataError, networks
-from sten.ndkernel import GruParams, gru_shapes, init_gru
+from sten.ndkernel import GruParams, gru_forward, gru_shapes, init_gru
 from sten.networks import (embed_windows, forward, gru_checksum, init_phi, order_forward,
                            phi_shapes, read_checkpoint, sample_pairs, write_checkpoint)
 from sten.scoring import CHUNK
@@ -194,21 +194,24 @@ class TestEmbedSequence:
 
     def test_zero_params(self):
         gru = GruParams.from_dict(zeroed(make_phi()), "gru.")
-        np.testing.assert_array_equal(embed_windows(gru, windows_for()), np.zeros((2, 4)))
+        blocks = []
+        np.testing.assert_array_equal(embed_windows(gru, windows_for(), lambda: blocks.append(1)),
+                                      np.zeros((2, 4)))
+        assert blocks == [1]
 
     def test_eta_frozen_identical_across_calls(self):
         eta = init_gru(3, 4, np.random.default_rng(8))
         batch = windows_for(seed=9)
         before = gru_checksum(eta)
-        a = embed_windows(eta, batch)
-        b = embed_windows(eta, batch)
+        a = embed_windows(eta, batch, lambda: None)
+        b = embed_windows(eta, batch, lambda: None)
         np.testing.assert_array_equal(a, b)
         assert gru_checksum(eta) == before
 
     def test_matches_unrolled_oracle(self):
         gru = GruParams.from_dict(make_phi(seed=10), "gru.")
         data = np.random.default_rng(11).normal(size=(4, 3))
-        np.testing.assert_allclose(embed_windows(gru, data[None])[0],
+        np.testing.assert_allclose(embed_windows(gru, data[None], lambda: None)[0],
                                    oracles.gru_encode_unrolled(data, gru),
                                    atol=1e-10)
 
@@ -232,8 +235,8 @@ class TestForward:
         _, ep, dsn = forward(phi, *laid_end_to_end(windows), forward_cfg("dsn_plus_ep"),
                              want_cache=True)
         assert dsn[1] is ep[1]
-        np.testing.assert_array_equal(dsn[0], embed_windows(GruParams.from_dict(phi, "gru."),
-                                                            windows))
+        np.testing.assert_array_equal(dsn[0],
+                                      gru_forward(windows, GruParams.from_dict(phi, "gru.")))
         # The head's residuals, read from each state as its step made it,
         # are those of the states the cache keeps, by one padded GEMM a step.
         X = ep[1].X

@@ -1,11 +1,14 @@
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
 import sten.training as training
 from sten import ConfigError, DataError, NumericError, ndkernel, networks, scoring
-from sten.ndkernel import init_gru
-from sten.networks import embed_windows, forward, gru_checksum, init_phi
-from sten.objectives import js_rows
+from sten.ndkernel import gru_forward, init_gru
+from sten.networks import forward, gru_checksum, init_phi, order_forward
+from sten.objectives import js_rows, js_rows_grad_p
 from sten.scoring import ScoreConfig, distance_scores, score_series
 from sten.seqdata import (MultivariateSeries, SynthConfig, batch_ranges, synth_generate,
                           window_starts)
@@ -14,7 +17,7 @@ from sten.training import (TrainConfig, build_sten_tape, load_checkpoint, save_c
 
 import oracles
 from oracles import (build_sten_tape_closures, dsn_plus_ep_tape_two_pass, finite_diff_grad,
-                     order_loss_presented)
+                     order_dH_add_at, order_loss_presented)
 from windowed import batch_tape
 
 
@@ -203,6 +206,40 @@ class TestDistinctSubsequenceGradients:
             np.testing.assert_allclose(grads[k], ref[k], rtol=1e-12, atol=0, err_msg=k)
 
 
+class TestOrderScatter:
+    """The order branch sums each distinct sub-sequence's slot gradients with
+    the bits of ``np.add.at`` over the slots (``oracles.order_dH_add_at``),
+    on full batches and on a short last one."""
+
+    # (B, m, r, R_train), with l = r.
+    SHAPES = [(256, 10, 10, 10), (64, 10, 10, 10), (50, 4, 5, 3), (40, 10, 3, 7)]
+
+    @pytest.mark.parametrize("B,m,r,R", SHAPES, ids=["-".join(map(str, s)) for s in SHAPES])
+    def test_dH_equals_add_at(self, monkeypatch, B, m, r, R):
+        cfg = TrainConfig(R_train=R, l=r, r=r, m=m, d_model=8, mode="otn_only")
+        rng = np.random.default_rng(B + m)
+        phi = init_phi(2, cfg.d_model, m, rng)
+        values = rng.normal(size=((B - 1) * R + cfg.L, 2)).astype(training.COMPUTE_DTYPE)
+        starts = window_starts(len(values), cfg.L, R)
+        assert len(starts) == B
+        got = []
+        real_backward = training.backward
+
+        def backward(p, grads, prefix, passes):
+            got.append(passes[0][1].copy())
+            return real_backward(p, grads, prefix, passes)
+
+        monkeypatch.setattr(training, "backward", backward)
+        for batch in (starts, starts[-3:]):
+            build_sten_tape(phi, None, values, batch, cfg)
+            P, Y, _, inv, cache = order_forward(phi, values, batch, cfg.l, cfg.r, want_cache=True)
+            dP = js_rows_grad_p(P, Y) * (1.0 / P.shape[0])
+            dlogits = P * (dP - (dP * P).sum(axis=1, keepdims=True))
+            want = order_dH_add_at(dlogits @ phi["order_head.W"], inv, cache.X.shape[0])
+            dH = got.pop()
+            assert dH.dtype == want.dtype and np.array_equal(dH, want)
+
+
 class TestEtaEmbeddedOnce:
     """The frozen projector's embeddings of the training windows are made once
     per train call and reused by every epoch."""
@@ -213,13 +250,13 @@ class TestEtaEmbeddedOnce:
         embedded, tapes = [], []
         real_embed, real_tape = training.embed_windows, training.build_sten_tape
 
-        def embed(gru, data):
+        def embed(gru, data, beside):
             embedded.append((gru, len(data)))
-            return real_embed(gru, data)
+            return real_embed(gru, data, beside)
 
-        def tape(phi, F, values, starts, cfg):
+        def tape(phi, F, values, starts, cfg, outputs):
             tapes.append((F, values, starts))
-            return real_tape(phi, F, values, starts, cfg)
+            return real_tape(phi, F, values, starts, cfg, outputs)
 
         monkeypatch.setattr(training, "embed_windows", embed)
         monkeypatch.setattr(training, "build_sten_tape", tape)
@@ -232,7 +269,87 @@ class TestEtaEmbeddedOnce:
         assert sum(n for _, n in embedded) == len(window_starts(series.n, cfg.L, cfg.R_train))
         for F, values, starts in tapes:
             batch = values[starts[:, None] + np.arange(cfg.L)]
-            np.testing.assert_array_equal(F, embed_windows(model.eta, batch))
+            np.testing.assert_array_equal(F, gru_forward(batch, model.eta))
+
+
+class TestEtaBesidePhi:
+    """A batch's first step runs eta's pass beside phi's forward where
+    ``ndkernel._runs_beside`` allows: here two batches of 64 windows at
+    d_model 128 do, and the short last batch of 22 does not.  Either way
+    every bit is kept, an error reaches the caller once both threads have
+    stopped, and no thread outlives ``train``."""
+
+    @staticmethod
+    def cfg(**kw):
+        return small_cfg(**{"R_train": 5, "l": 5, "r": 5, "d_model": 128, "epochs": 2, **kw})
+
+    @staticmethod
+    def series():
+        return small_series(n=765)            # 150 windows of length 20
+
+    @staticmethod
+    def count_helpers(monkeypatch) -> list:
+        started = []
+        real = ndkernel._helper_thread
+
+        def counting(fn, *args):
+            started.append(fn)
+            return real(fn, *args)
+
+        monkeypatch.setattr(ndkernel, "_helper_thread", counting)
+        return started
+
+    @pytest.mark.parametrize("mode", ["full", "dsn_plus_ep"])
+    def test_bits_equal_eta_before_phi(self, monkeypatch, tmp_path, mode):
+        series, cfg = self.series(), self.cfg(mode=mode)
+        assert [e - s for s, e in batch_ranges(150, 64, 2)] == [64, 64, 22]
+        assert ndkernel._runs_beside(64, 128) and not ndkernel._runs_beside(22, 128)
+        started = self.count_helpers(monkeypatch)
+        weights = record_master_weights(monkeypatch)
+        beside = train(series, cfg)
+        # Two helpers, in epoch 1: later epochs reuse the embeddings.
+        assert started == [ndkernel._gru_rows] * 2
+        save_checkpoint(beside, tmp_path / "beside.ckpt")
+        monkeypatch.setattr(ndkernel, "_runs_beside", lambda B, d: False)
+        serial = train(series, cfg)
+        assert len(started) == 2
+        save_checkpoint(serial, tmp_path / "serial.ckpt")
+        assert beside.loss_trace == serial.loss_trace
+        n = len(weights) // 2
+        assert n == 6
+        for got, want in zip(weights[:n], weights[n:]):
+            assert_same_blocks(got, want)
+        assert (tmp_path / "beside.ckpt").read_bytes() == (tmp_path / "serial.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("error", [DataError, NumericError])
+    def test_an_error_in_phis_forward_reaches_the_caller_once_eta_stops(self, monkeypatch,
+                                                                        error):
+        finished = []
+        real_rows = ndkernel._gru_rows
+
+        def rows(*args):
+            real_rows(*args)
+            finished.append(threading.current_thread())
+
+        def failing(*args, **kwargs):
+            raise error("phi's forward failed")
+
+        monkeypatch.setattr(ndkernel, "_gru_rows", rows)
+        monkeypatch.setattr(training, "forward", failing)
+        before = threading.active_count()
+        with pytest.raises(error, match="phi's forward failed"):
+            train(self.series(), self.cfg())
+        assert threading.active_count() == before
+        # eta's pass ran to its end, on the helper thread.
+        assert len(finished) == 1 and finished[0] is not threading.current_thread()
+
+    def test_overflowing_alpha_is_a_numeric_error_without_a_warning(self, monkeypatch):
+        started = self.count_helpers(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                train(self.series(), self.cfg(alpha=1e200))
+        assert started
 
 
 class TestSharedTowerPass:
@@ -248,7 +365,7 @@ class TestSharedTowerPass:
         eta = init_gru(2, cfg.d_model, rng)
         values = rng.normal(size=(150, 2))
         starts = window_starts(150, cfg.L, cfg.R_train)
-        F = embed_windows(eta, values[starts[:, None] + np.arange(cfg.L)])
+        F = gru_forward(values[starts[:, None] + np.arange(cfg.L)], eta)
         calls = count_gru_backward(monkeypatch)
         got, g = build_sten_tape(phi, F, values, starts, cfg)
         n_got = len(calls)
@@ -303,7 +420,7 @@ class TestTapeIsData:
         F = None
         if use_dsn:
             eta = init_gru(2, cfg.d_model, rng)
-            F = embed_windows(eta, values[starts[:, None] + np.arange(cfg.L)])
+            F = gru_forward(values[starts[:, None] + np.arange(cfg.L)], eta)
         got, g = build_sten_tape(phi, F, values, starts, cfg)
         want, w = build_sten_tape_closures(phi, F, values, starts, cfg)
         assert_losses_match(got, want, cfg)
@@ -359,7 +476,7 @@ class TestAllPairsDistance:
         values = rng.normal(size=(150, 2)).astype(training.COMPUTE_DTYPE)
         starts = window_starts(150, cfg.L, cfg.R_train)
         X = values[starts[:, None] + np.arange(cfg.L)]
-        F = embed_windows(init_gru(2, cfg.d_model, rng), X)
+        F = gru_forward(X, init_gru(2, cfg.d_model, rng))
         E = forward(phi, values, starts, cfg)[2][0].astype(np.float64)
         want = float(distance_scores(E, F).mean())
         got = build_sten_tape(phi, F, values, starts, cfg)[0][1]
@@ -413,8 +530,9 @@ class TestWindowPasses:
                 passes.append(p)
             return real(X, p, **kwargs)
 
-        # Scoring's eta pass runs in ndkernel.gru_forward_beside, which calls
-        # ndkernel's binding: a pass of this width does not run beside.
+        # eta's pass runs in ndkernel.gru_forward_beside, in training and
+        # scoring, which calls ndkernel's binding: a pass of this width does
+        # not run beside.
         for module in (networks, ndkernel):
             monkeypatch.setattr(module, "gru_forward", counting)
         model = train(series, cfg)
@@ -574,8 +692,8 @@ class TestTrain:
         first batch's step stops before any BPTT."""
         real_embed = training.embed_windows
 
-        def poisoned(gru, data):
-            F = real_embed(gru, data)
+        def poisoned(gru, data, beside):
+            F = real_embed(gru, data, beside)
             F[0] = np.nan
             return F
 

@@ -3,7 +3,7 @@ and window starts."""
 
 import numpy as np
 
-from sten.networks import embed_windows
+from sten.ndkernel import gru_forward
 from sten.training import build_sten_tape
 
 
@@ -17,5 +17,5 @@ def laid_end_to_end(batch):
 def batch_tape(phi, eta, batch, cfg):
     """build_sten_tape over a batch of windows laid end to end, with eta's
     embeddings of them (none without eta): ((otn, dsn, total), grads)."""
-    F = None if eta is None else embed_windows(eta, batch)
+    F = None if eta is None else gru_forward(batch, eta)
     return build_sten_tape(phi, F, *laid_end_to_end(batch), cfg)
