@@ -55,16 +55,16 @@ weight and bias gradients in the order one thread adds them.  Below
 2 * ``MIN_ROWS`` rows that hand-over would keep the bits too, but it was no
 faster there.
 A pass that does not split, whose caller has other work that needs nothing
-of it, runs beside that work instead (``gru_forward_beside``) when each of
-its steps has enough work to pay for the hand-overs between the threads
+of it, runs beside that work instead (``gru_forward``'s ``beside``) when each
+of its steps has enough work to pay for the hand-overs between the threads
 (``BESIDE_WORK``): the helper runs all its rows, and the calling thread runs
-the caller's block.  Scoring runs eta's pass of a chunk that does not split
-beside phi's forward this way, and training, in a batch's first step, eta's
-pass of the batch beside phi's.  So every bit is kept.  An error in either
-thread reaches the caller once both have stopped.  The helper runs in a copy
-of the caller's context, so ``np.errstate`` holds on both threads, and calls
-no public function of this module (perfbench's tracer keeps one span stack,
-on the calling thread).
+the caller's block.  ``networks.forward`` is the one caller of a pass
+beside: given eta, it runs eta's pass over the windows beside phi's passes,
+for training (a batch's first step) and for scoring (each chunk).  So every
+bit is kept.  An error in either thread reaches the caller once both have
+stopped.  The helper runs in a copy of the caller's context, so
+``np.errstate`` holds on both threads, and calls no public function of this
+module (perfbench's tracer keeps one span stack, on the calling thread).
 BLAS should run one thread per calling thread: ``sten/__init__.py`` sets it,
 before or after numpy loads.
 """
@@ -206,16 +206,17 @@ MIN_ROWS = 64
 # forward at d_model 32 or 64 was slower than one thread, and from 128 on
 # faster (1.14-1.66x forward, 1.19-2.4x BPTT).
 WORKER_D_MODEL = 128
-# The least work per step, counted as d * (8 B + d), of a pass over B rows of
-# width d that runs beside the caller's work: the pass's states, B * d, weigh
+# The work per step, counted as d * (8 B + d), above which a pass over B rows
+# of width d runs beside the caller's work: the pass's states, B * d, weigh
 # 8 to 1 against one gate's recurrent weights, d * d.  With less, the two
 # threads' hand-overs of the interpreter cost more than the second core
 # gives.  Fitted to a grid of one-chunk scoring runs, eta beside phi against
 # serial (float32, T 100): they crossed near B * d = 8 K for d 8-64, but at
 # about 40 rows for d 128 and 3 for d 256, where the weights take a larger
 # share of a step.  The recurrent GEMM's B * d * d crossed anywhere from 57 K
-# to 614 K, and fits no one constant.  A pass runs beside from 128 rows at
-# d 64 and from 2 rows at d 256.
+# to 614 K, and fits no one constant.  A pass runs beside from 129 rows at
+# d 64 and from 3 rows at d 256; 2 rows at d 256, exactly this work, ran
+# slower beside than serially.
 BESIDE_WORK = 17 * 2 ** 12
 
 
@@ -226,10 +227,10 @@ def _uses_worker(B: int, d: int) -> bool:
 
 
 def _runs_beside(B: int, d: int) -> bool:
-    """Whether ``gru_forward_beside`` runs a pass over B rows of width d on a
-    helper thread beside the caller's work: a pass that does not split its
-    rows and has at least ``BESIDE_WORK`` work per step."""
-    return d * (8 * B + d) >= BESIDE_WORK and not _uses_worker(B, d)
+    """Whether ``gru_forward`` runs a pass over B rows of width d on a helper
+    thread beside the caller's block: a pass that does not split its rows and
+    has more than ``BESIDE_WORK`` work per step."""
+    return d * (8 * B + d) > BESIDE_WORK and not _uses_worker(B, d)
 
 
 @contextlib.contextmanager
@@ -255,7 +256,8 @@ def _helper_thread(fn, *args):
         raise failure[0]
 
 
-def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False, on_step=None):
+def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False, on_step=None,
+                beside=None):
     """Batched GRU over X of shape (B, T, d_in), zero initial hidden state.
 
     Computes in float32 for float32 X, else in float64.  Returns the final
@@ -264,8 +266,14 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False, on_step=N
     is called after each step t with the new states H of the rows ``rows`` (a
     slice of the batch), in the compute dtype: their ``H_prev[t + 1]`` of the
     cache, or their final states.  H may be a buffer the next step overwrites.
-    A pass that starts a helper thread calls it from both threads, each with
-    its own rows.
+    A pass that splits its rows calls it from both threads, each with its own
+    rows, and a pass beside the caller's block from its helper.
+
+    ``beside``, when given, is the caller's block, a call that needs nothing
+    of the pass: a pass that does not split its rows and has enough work per
+    step (``_runs_beside``) runs all its rows on a helper thread while the
+    calling thread runs the block; any other pass runs first, then the block.
+    Each row runs every step on one thread either way, so it keeps its bits.
     """
     X, W, U, b = _pass_inputs(X, p)
     dt = X.dtype
@@ -276,39 +284,22 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False, on_step=N
     # the system and fault in again.
     steps = np.empty((T, 4, B, d), dt) if want_cache else None
     H = np.empty((B, d), dt)
-    if not _uses_worker(B, d):
+    on_helper = beside is not None and _runs_beside(B, d)
+    if on_helper:
+        with _helper_thread(_gru_rows, X, W, U, b, H, steps, slice(0, B), on_step,
+                            *_helper_buffers(B, d, dt)):
+            beside()
+    elif not _uses_worker(B, d):
         _gru_rows(X, W, U, b, H, steps, slice(0, B), on_step, sigmoid, _step_buffers(B, d, dt))
     else:
         h = B // 2
         with _helper_thread(_gru_rows, X, W, U, b, H, steps, slice(h, B), on_step,
                             *_helper_buffers(B - h, d, dt)):
             _gru_rows(X, W, U, b, H, steps, slice(0, h), on_step, sigmoid, _step_buffers(h, d, dt))
+    if beside is not None and not on_helper:
+        beside()
     H = H.astype(np.float64, copy=False)
     return (H, GruCache(X, steps)) if want_cache else H
-
-
-def gru_forward_beside(X: np.ndarray, p: GruParams, beside) -> np.ndarray:
-    """``gru_forward(X, p)``, the final states of a GRU pass over X, and a
-    call of the caller's block ``beside()``, which needs nothing of the pass.
-
-    A pass that does not split its rows and has enough work per step
-    (``_runs_beside``) runs on a helper thread while the calling thread runs
-    ``beside``; any other pass runs as ``gru_forward``, then ``beside``.  The
-    helper runs every row through every step, as one thread runs a pass that
-    does not split, so each row keeps its bits.  An error in either thread
-    reaches the caller once both have stopped.
-    """
-    X, W, U, b = _pass_inputs(X, p)
-    B, d = len(X), p.d_model
-    if not _runs_beside(B, d):
-        H = gru_forward(X, p)
-        beside()
-        return H
-    H = np.empty((B, d), X.dtype)
-    with _helper_thread(_gru_rows, X, W, U, b, H, None, slice(0, B), None,
-                        *_helper_buffers(B, d, X.dtype)):
-        beside()
-    return H.astype(np.float64, copy=False)
 
 
 def _pass_inputs(X: np.ndarray, p: GruParams) -> tuple[np.ndarray, ...]:

@@ -2,14 +2,15 @@
 branches (order head, error-prediction head, distance embeddings), and the
 binary checkpoint format.
 
-``forward`` is the one forward of phi, run by training (with the caches its
-backward needs) and by scoring (without).  Over a batch of windows, given as a
-series and the windows' starts, it runs the branches ``branches`` selects for
-a mode.  Every branch reads phi's one GRU tower.  The distance embeddings
-are the final hidden states of the error-prediction pass when that branch
-runs, and of a pass of their own otherwise; training and scoring compare
-their inner products over every pair of windows with those of eta's
-embeddings.
+``forward`` is the one forward of the distance branch and of phi, run by
+training (with the caches its backward needs) and by scoring (without).  Over
+a batch of windows, given as a series and the windows' starts, it runs the
+branches ``branches`` selects for a mode.  Every branch reads phi's one GRU
+tower.  The distance embeddings are the final hidden states of the
+error-prediction pass when that branch runs, and of a pass of their own
+otherwise; given eta, ``forward`` embeds the windows with it too, beside
+phi's passes.  Training and scoring compare the two towers' inner products
+over every pair of windows (``distance_factors``).
 
 The encoder phi is one ``ParamDict``, the form Adam, its gradients and
 the checkpoint use.  ``phi_shapes`` is its one layout: the GRU's stacked
@@ -30,8 +31,7 @@ import struct
 import numpy as np
 
 from . import DataError, atomic_write
-from .ndkernel import (GruParams, ParamDict, gru_forward, gru_forward_beside, gru_shapes,
-                       require_finite, softmax)
+from .ndkernel import GruParams, ParamDict, gru_forward, gru_shapes, require_finite, softmax
 from .seqdata import stack_slices
 
 
@@ -109,12 +109,11 @@ def order_forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, l: int
 def embed_windows(gru: GruParams, data: np.ndarray, beside):
     """Batched window embedding by one GRU tower: data (B, L, D) -> (B, d_model).
 
-    Eta embeds windows through it, in training and scoring; BENCHMARK.json
-    counts ``len(data)`` per call by this name.  It calls the caller's block
-    ``beside`` too, a call that needs nothing of the pass, and the pass may
-    run on a helper thread while the calling thread runs the block
-    (``ndkernel.gru_forward_beside``)."""
-    return gru_forward_beside(data, gru, beside)
+    ``forward`` embeds windows with eta through it, beside phi's passes, the
+    caller's block ``beside``: the pass may run on a helper thread while the
+    calling thread runs the block (``ndkernel.gru_forward``'s ``beside``).
+    BENCHMARK.json counts ``len(data)`` per call by this name."""
+    return gru_forward(data, gru, beside=beside)
 
 
 def branches(mode: str, alpha: float) -> tuple[bool, bool, bool]:
@@ -126,11 +125,10 @@ def branches(mode: str, alpha: float) -> tuple[bool, bool, bool]:
 
 
 def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
-            want_cache: bool = False, windows: np.ndarray | None = None):
+            want_cache: bool = False, eta: GruParams | None = None):
     """phi's branches, as ``branches(cfg.mode, cfg.alpha)`` selects them, over
     the length-``cfg.L`` windows of the (N, D) series ``values`` at ``starts``;
-    ``cfg`` is the model's ``training.TrainConfig``.  ``windows`` is those
-    windows (B, L, D) when the caller has gathered them.
+    ``cfg`` is the model's ``training.TrainConfig``.
 
     Returns (order, ep, dsn), None for a branch not run:
 
@@ -140,49 +138,68 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
       float64, which the head forms from each state as the GRU step makes it
       (``gru_forward``'s ``on_step``), and the GruCache of its pass, None
       without ``want_cache``;
-    - dsn: (E, cache), the distance embeddings, phi's final hidden states
-      (B, d_model), and the GruCache of the pass that made them.
+    - dsn: (E, cache, F), the distance embeddings, phi's final hidden states
+      (B, d_model), the GruCache of the pass that made them, and eta's
+      embeddings of the windows (B, d_model), None without ``eta``.
 
-    The windows are gathered once, here unless the caller passes them.  With
-    the error-prediction head, the distance embeddings are the final hidden
-    states of its pass, whose cache both branches then share; otherwise phi's
-    GRU runs one pass for them.
+    The windows are gathered once, for phi and eta.  With the error-prediction
+    head, the distance embeddings are the final hidden states of its pass,
+    whose cache both branches then share; otherwise phi's GRU runs one pass
+    for them.  With the distance branch and the frozen projector ``eta``,
+    eta's pass (``embed_windows``) runs beside phi's passes: on a helper
+    thread where ``ndkernel._runs_beside`` allows, and before them otherwise.
     """
     use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
-    order = order_forward(phi, values, starts, cfg.l, cfg.r, want_cache) if use_otn else None
-    ep = dsn = None
-    if use_ep or use_dsn:
-        X = stack_slices(values, starts, cfg.L) if windows is None else windows
-        gru = GruParams.from_dict(phi, "gru.")
-    if use_ep:
-        if "ep_head.W" not in phi:
-            raise DataError("model has no error-prediction head")
-        # Each step's states are read as the step makes them, by one float64
-        # GEMM against the head's W^T, zero-padded to a multiple of 8
-        # columns: at that width a row's product has the same bits in a GEMM
-        # over any number of rows from 2 on, so a row's residuals do not
-        # depend on the chunk it is scored in.
-        D = phi["ep_head.W"].shape[0]
-        W_e = np.zeros((gru.d_model, -(-D // 8) * 8))
-        W_e[:, :D] = np.asarray(phi["ep_head.W"], np.float64).T
-        resid = np.empty((X.shape[1] - 1, len(X), D))
+    if use_ep and "ep_head.W" not in phi:
+        raise DataError("model has no error-prediction head")
+    X = stack_slices(values, starts, cfg.L) if use_ep or use_dsn else None
+    gru = GruParams.from_dict(phi, "gru.")
+    out = []
 
-        def readout(t, rows, H_t):
-            if t < len(resid):
-                resid[t, rows] = (H_t.astype(np.float64) @ W_e)[:, :D]
-
-        H, cache = (gru_forward(X, gru, want_cache=True, on_step=readout) if want_cache
-                    else (gru_forward(X, gru, on_step=readout), None))
-        resid += np.asarray(phi["ep_head.b"], np.float64)
-        resid -= np.transpose(X[:, 1:], (1, 0, 2))
-        ep = (resid, cache)
-    if use_dsn:
+    def phi_passes() -> None:
+        order = order_forward(phi, values, starts, cfg.l, cfg.r, want_cache) if use_otn else None
+        ep = dsn = None
         if use_ep:
-            dsn = (H, ep[1])
-        else:
-            dsn = (gru_forward(X, gru, want_cache=True) if want_cache
-                   else (gru_forward(X, gru), None))
-    return order, ep, dsn
+            # Each step's states are read as the step makes them, by one
+            # float64 GEMM against the head's W^T, zero-padded to a multiple
+            # of 8 columns: at that width a row's product has the same bits
+            # in a GEMM over any number of rows from 2 on, so a row's
+            # residuals do not depend on the chunk it is scored in.
+            D = phi["ep_head.W"].shape[0]
+            W_e = np.zeros((gru.d_model, -(-D // 8) * 8))
+            W_e[:, :D] = np.asarray(phi["ep_head.W"], np.float64).T
+            resid = np.empty((X.shape[1] - 1, len(X), D))
+
+            def readout(t, rows, H_t):
+                if t < len(resid):
+                    resid[t, rows] = (H_t.astype(np.float64) @ W_e)[:, :D]
+
+            H, cache = (gru_forward(X, gru, want_cache=True, on_step=readout) if want_cache
+                        else (gru_forward(X, gru, on_step=readout), None))
+            resid += np.asarray(phi["ep_head.b"], np.float64)
+            resid -= np.transpose(X[:, 1:], (1, 0, 2))
+            ep = (resid, cache)
+        if use_dsn:
+            if use_ep:
+                dsn = (H, ep[1])
+            else:
+                dsn = (gru_forward(X, gru, want_cache=True) if want_cache
+                       else (gru_forward(X, gru), None))
+        out.extend((order, ep, dsn))
+
+    F = embed_windows(eta, X, phi_passes) if use_dsn and eta is not None else phi_passes()
+    order, ep, dsn = out
+    return order, ep, None if dsn is None else (*dsn, F)
+
+
+def distance_factors(E: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U = [E | D] and V = [D | F], D = F - E, of phi's distance embeddings E
+    and eta's F (n, d_model): E E^T - F F^T = -U V^T, the distance residuals
+    of training's loss and scoring's score.  Every product of a row of U with
+    one of V holds a factor of D, so a residual keeps its precision when phi
+    is near eta."""
+    D = F - E
+    return np.hstack([E, D]), np.hstack([D, F])
 
 
 def sample_pairs(n_windows: int, rng: np.random.Generator, k: int = 1) -> np.ndarray:

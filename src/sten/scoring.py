@@ -12,14 +12,12 @@ timestamp scores the mean over its covering slots, both columns aggregated in
 one pass.
 
 Scoring runs ``networks.forward``, the forward training runs, over chunks of
-``CHUNK`` windows.  With the distance branch, each chunk's windows are
-gathered once, for phi's forward and for eta, which embeds them beside it:
-on a helper thread when the chunk's passes do not split their rows and have
-enough work per step (``_forward_chunks``).  The order branch scores
-sub-sequences in their true order: it encodes each distinct sub-sequence of
-a chunk once, and windows at stride ``R_test`` = r share all but one of
-theirs with the next.  The z-scored series is cast once to
-``training.COMPUTE_DTYPE``, the dtype the GRU computes in.  Scoring draws
+``CHUNK`` windows, with eta: with the distance branch, it gathers each
+chunk's windows once and embeds them with eta beside phi's passes.  The
+order branch scores sub-sequences in their true order: it encodes each
+distinct sub-sequence of a chunk once, and windows at stride ``R_test`` = r
+share all but one of theirs with the next.  The z-scored series is cast once
+to ``training.COMPUTE_DTYPE``, the dtype the GRU computes in.  Scoring draws
 no random numbers: a model and a series give one set of scores.
 
 A chunk holds at least ``ndkernel.MIN_ROWS`` windows, unless the whole
@@ -42,7 +40,6 @@ Score files are CSV tables written by ``seqdata.write_table`` and read back by
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +49,9 @@ from .ndkernel import MIN_ROWS
 # gru_forward is bound here, uncalled, because perfbench/test_perfbench.py
 # looks it up on this module.
 from .ndkernel import gru_forward  # noqa: F401
-from .networks import branches, embed_windows, forward
+from .networks import branches, distance_factors, forward
 from .objectives import js_rows
-from .seqdata import (MultivariateSeries, batch_ranges, read_table, stack_slices, window_starts,
-                      write_table)
+from .seqdata import MultivariateSeries, batch_ranges, read_table, window_starts, write_table
 from .training import TrainConfig, TrainedModel, compute_values
 
 
@@ -135,20 +131,15 @@ def aggregate_timestamps(starts, values, length: int,
 # Full scoring pipeline
 # ---------------------------------------------------------------------------
 
-# Windows per chunk: scoring runs ``networks.forward`` and eta once per chunk,
-# and a chunk holds at least ``ndkernel.MIN_ROWS`` windows.
+# Windows per chunk: scoring runs ``networks.forward`` once per chunk, and a
+# chunk holds at least ``ndkernel.MIN_ROWS`` windows.
 CHUNK = 1024
 
 
 def _forward_chunks(model: TrainedModel, values: np.ndarray, starts: np.ndarray):
-    """``networks.forward`` over the windows at ``starts``, chunk by chunk.
-
-    With the distance branch, each chunk's windows are gathered once, and
-    ``embed_windows`` runs eta over them with phi's work on the chunk as the
-    block beside it: a chunk whose passes do not split their rows and have
-    enough work per step (``ndkernel._runs_beside``) runs eta's pass on a
-    helper thread while the calling thread runs phi's.  Each pass runs every
-    row on one thread, so the scores keep their bits either way.
+    """``networks.forward`` over the windows at ``starts``, chunk by chunk,
+    with eta, which it runs beside phi's passes (so the scores keep their
+    bits either way).
 
     Returns the temporal scores (n_w, m) of the order or error-prediction
     branch, then phi's distance embeddings E and eta's F, both (n_w, d_model)
@@ -157,11 +148,8 @@ def _forward_chunks(model: TrainedModel, values: np.ndarray, starts: np.ndarray)
     tc, n_w = model.config, len(starts)
     t_scores = np.zeros((n_w, tc.m))
     E, F = np.empty((n_w, tc.d_model)), np.empty((n_w, tc.d_model))
-
-    def phi_chunk(s: int, e: int, X: np.ndarray | None = None) -> None:
-        """phi's forward over windows [s, e), whose gathered windows X are
-        passed with the distance branch: their rows of t_scores and E."""
-        order, ep, dsn = forward(model.phi, values, starts[s:e], tc, windows=X)
+    for s, e in batch_ranges(n_w, max(CHUNK, MIN_ROWS), min_last=MIN_ROWS):
+        order, ep, dsn = forward(model.phi, values, starts[s:e], tc, eta=model.eta)
         if order is not None:
             P, Y = order[:2]
             js = js_rows(P, Y).reshape(e - s, tc.m).mean(axis=1, keepdims=True)
@@ -174,15 +162,7 @@ def _forward_chunks(model: TrainedModel, values: np.ndarray, starts: np.ndarray)
                 if hi > lo:
                     t_scores[s:e, i] = err[:, lo - 1:hi - 1].mean(axis=1)
         if dsn is not None:
-            E[s:e] = dsn[0]
-
-    use_dsn = branches(tc.mode, tc.alpha)[2]
-    for s, e in batch_ranges(n_w, max(CHUNK, MIN_ROWS), min_last=MIN_ROWS):
-        if use_dsn:
-            X = stack_slices(values, starts[s:e], tc.L)
-            F[s:e] = embed_windows(model.eta, X, functools.partial(phi_chunk, s, e, X))
-        else:
-            phi_chunk(s, e)
+            E[s:e], _, F[s:e] = dsn
     return t_scores, E, F
 
 
@@ -190,12 +170,10 @@ def distance_scores(E: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Mean over j != i of (<e_i, e_j> - <f_i, f_j>)^2 for each row i of phi's
     embeddings E and eta's F, (n, d) with n >= 2, with no n x n array.
 
-    With D = F - E, U = [E | D] and V = [D | F] the residual is -u_i . v_j, so
-    its squares sum to u_i^T (V^T V) u_i, less the j = i term.  Every product
-    holds a factor of D, so the score keeps its precision when phi is near eta.
+    With U and V of ``networks.distance_factors`` the residual is -u_i . v_j,
+    so its squares sum to u_i^T (V^T V) u_i, less the j = i term.
     """
-    D = F - E
-    U, V = np.hstack([E, D]), np.hstack([D, F])
+    U, V = distance_factors(E, F)
     total = ((U @ (V.T @ V)) * U).sum(axis=1)
     return (total - (U * V).sum(axis=1) ** 2) / (len(E) - 1)
 

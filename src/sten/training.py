@@ -15,11 +15,11 @@ from . import ConfigError, DataError, NumericError
 # looks it up on this module.
 from .ndkernel import (GruParams, ParamDict, adam_update, backward, gru_forward,  # noqa: F401
                        gru_shapes, init_adam_state, init_gru)
-from .networks import (branches, embed_windows, forward, gru_checksum, init_phi, phi_shapes,
-                       read_checkpoint, write_checkpoint)
+from .networks import (branches, distance_factors, forward, gru_checksum, init_phi,
+                       phi_shapes, read_checkpoint, write_checkpoint)
 from .objectives import js_rows, js_rows_grad_p
-from .seqdata import (MultivariateSeries, NormStats, batch_ranges, stack_slices, window_starts,
-                      zscore_apply, zscore_fit)
+from .seqdata import (MultivariateSeries, NormStats, batch_ranges, window_starts, zscore_apply,
+                      zscore_fit)
 
 MODES = ("full", "otn_only", "dsn_only", "dsn_plus_ep")
 
@@ -160,12 +160,12 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
     if dist is not None:
         if F is None or len(F) < 2:
             raise DataError("the distance loss needs eta's embeddings of >= 2 windows")
-        E, cache = dist
+        E, cache, _ = dist
         E = E.astype(np.float64)
-        # R = E E^T - F F^T off the diagonal, in scoring.distance_scores'
-        # difference form (D = F - E), which keeps R precise when phi is near eta.
-        D = F - E
-        R = -(np.hstack([E, D]) @ np.hstack([D, F]).T)
+        # R = E E^T - F F^T off the diagonal, in the difference form that
+        # scoring.distance_scores shares, which keeps R precise when phi is near eta.
+        U, V = distance_factors(E, F)
+        R = -(U @ V.T)
         np.fill_diagonal(R, 0.0)
         scale = 1.0 / (len(R) * (len(R) - 1))
         dsn = float((R * R).sum() * scale)
@@ -175,7 +175,7 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
             d_h_all[-1] += dE  # one BPTT over the shared pass carries both branches
         else:
             passes.append((cache, dE, None))
-        del dist, E, D, R, dE
+        del dist, E, U, V, R, dE
 
     total = otn + cfg.alpha * dsn
     if not np.isfinite(total):
@@ -221,9 +221,8 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     windows for both the error-prediction and the distance branch, and BPTT
     runs once over that pass.  The frozen projector eta is drawn from the
     ``eta_init`` stream of ``cfg.seed``, and embeds each batch's windows once
-    per call, in the batch's first step, from the windows gathered once for
-    both towers, beside phi's forward (``networks.embed_windows``) where
-    ``ndkernel._runs_beside`` allows, and before it otherwise.
+    per call: in the batch's first step, ``networks.forward`` runs it beside
+    phi's passes, and later epochs reuse its embeddings.
     """
     cfg.validate()
     stats = zscore_fit(series)
@@ -255,9 +254,8 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
                 try:
                     fwd = []
                     if use_dsn and eta_emb[bi] is None:
-                        X = stack_slices(values, starts[s:e], cfg.L)
-                        eta_emb[bi] = embed_windows(eta, X, lambda: fwd.append(
-                            forward(phi, values, starts[s:e], cfg, want_cache=True, windows=X)))
+                        fwd.append(forward(phi, values, starts[s:e], cfg, want_cache=True, eta=eta))
+                        eta_emb[bi] = fwd[0][2][2]      # the distance entry's F
                     parts, grads = build_sten_tape(phi, eta_emb[bi], values, starts[s:e],
                                                    cfg, fwd)
                 except NumericError as exc:

@@ -116,9 +116,8 @@ def test_embed_windows_second_argument_length_counts_windows(monkeypatch):
         calls.append((len(args[1]), len(out)))
         return out
 
-    # The tracer wraps every binding; training's and scoring's are the ones called.
-    for module in (networks, training, scoring):
-        monkeypatch.setattr(module, "embed_windows", counting)
+    # networks.forward calls the module's one binding, which the tracer wraps.
+    monkeypatch.setattr(networks, "embed_windows", counting)
     tc = TrainConfig(R_train=3, l=3, r=3, m=3, d_model=4, epochs=2, batch_size=5,
                      mode="dsn_only")
     series = MultivariateSeries(values=np.random.default_rng(0).normal(size=(40, 2)))
@@ -145,7 +144,7 @@ def test_embed_windows_counts_windows_eta_embeds_beside_phi(monkeypatch):
         calls.append((len(args[1]), len(out)))
         return out
 
-    monkeypatch.setattr(scoring, "embed_windows", counting)
+    monkeypatch.setattr(networks, "embed_windows", counting)
     tc = TrainConfig(R_train=3, l=3, r=3, m=3, d_model=128, mode="full")
     model = TrainedModel(phi=init_phi(2, 128, 3, np.random.default_rng(1)),
                          eta=ndkernel.init_gru(2, 128, np.random.default_rng(2)), config=tc,
@@ -232,13 +231,13 @@ def test_which_workloads_train_with_eta_beside_phi(monkeypatch, mode, d_model, n
             log.append(("helper", "eta" if steps is None else "phi", rows))
         return helper_thread(fn, *args)
 
-    for module in (ndkernel, networks):
-        monkeypatch.setattr(module, "gru_forward", forward_recording)
+    monkeypatch.setattr(networks, "gru_forward", forward_recording)
     monkeypatch.setattr(ndkernel, "_helper_thread", recording)
     train(series, tc)
     half = slice(B // 2, B)
+    # A pass is logged as it is called: eta's, beside phi's, before its helper starts.
     assert log == {
-        "beside": [("helper", "eta", slice(0, B)), ("pass", "phi")],
+        "beside": [("pass", "eta"), ("helper", "eta", slice(0, B)), ("pass", "phi")],
         "split": [("pass", "eta"), ("helper", "eta", half), ("pass", "phi"),
                   ("helper", "phi", half)],
         "serial": [("pass", "eta"), ("pass", "phi")]}[path]

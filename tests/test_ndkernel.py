@@ -11,8 +11,7 @@ import pytest
 
 from sten import DataError, NumericError, ndkernel
 from sten.ndkernel import (MIN_ROWS, AdamState, GruCache, GruParams, adam_update, gru_backward,
-                           gru_forward, gru_forward_beside, init_adam_state, init_gru, sigmoid,
-                           softmax)
+                           gru_forward, init_adam_state, init_gru, sigmoid, softmax)
 from sten.scoring import CHUNK
 
 import oracles
@@ -307,10 +306,10 @@ class TestPipelinedBackward:
 
 
 class TestBesidePass:
-    """``gru_forward_beside`` runs a pass that does not split its rows and has
-    enough work per step on a helper thread while the caller's block runs:
-    its states have the bits of ``gru_forward``, and any other pass runs as
-    ``gru_forward`` before the block."""
+    """``gru_forward(..., beside=block)`` runs a pass that does not split its
+    rows and has enough work per step on a helper thread while the caller's
+    block runs, and any other pass before the block: its states have the bits
+    of a pass without a block."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("B,d", [(1, 128), (2, 256), (63, 128), (64, 256), (127, 256),
@@ -320,34 +319,54 @@ class TestBesidePass:
         rng = np.random.default_rng(B + d + 23)
         p = init_gru(4, d, rng)
         X = rng.normal(size=(B, 9, 4)).astype(dtype)
-        blocks, handed = [], handed_rows(monkeypatch)
-        real_forward = ndkernel.gru_forward
+        log, handed = [], handed_rows(monkeypatch)
+        real_rows = ndkernel._gru_rows
 
-        def forward(*args, **kwargs):
-            blocks.append("pass")
-            return real_forward(*args, **kwargs)
+        def rows(*args):
+            real_rows(*args)
+            log.append(args[6])            # _gru_rows(X, W, U, b, H, cache, rows, ...)
 
-        monkeypatch.setattr(ndkernel, "gru_forward", forward)
-        H = gru_forward_beside(X, p, lambda: blocks.append("block"))
-        # A pass runs all its rows beside the block, or as gru_forward before
-        # the block, its rows split or on the calling thread.
-        beside = ndkernel._runs_beside(B, d)
-        assert handed == ([slice(0, B)] if beside else
-                          [slice(B // 2, B)] if ndkernel._uses_worker(B, d) else [])
-        assert blocks == (["block"] if beside else ["pass", "block"])
+        monkeypatch.setattr(ndkernel, "_gru_rows", rows)
+        H = gru_forward(X, p, beside=lambda: log.append("block"))
+        # A pass runs all its rows beside the block, or before the block, its
+        # rows split or on the calling thread.
+        beside, split = ndkernel._runs_beside(B, d), ndkernel._uses_worker(B, d)
+        assert handed == ([slice(0, B)] if beside else [slice(B // 2, B)] if split else [])
+        assert len(log) == (3 if split else 2) and (beside or log[-1] == "block")
         monkeypatch.setattr(ndkernel, "_uses_worker", lambda B, d: False)
         monkeypatch.setattr(ndkernel, "_runs_beside", lambda B, d: False)
         assert H.dtype == np.float64
         assert np.array_equal(H, gru_forward(X, p))
 
+    def test_a_cached_pass_beside_keeps_its_bits(self):
+        """A pass beside the block writes the cache and calls ``on_step`` from
+        its helper, with the bits of a pass without a block."""
+        rng = np.random.default_rng(27)
+        p = init_gru(4, 128, rng)
+        X = rng.normal(size=(64, 9, 4)).astype(np.float32)
+        assert ndkernel._runs_beside(len(X), p.d_model)
+        runs = []
+        for beside in (lambda: None, None):
+            seen = []
+            H, cache = gru_forward(X, p, want_cache=True, beside=beside,
+                                   on_step=lambda t, rows, H_t: seen.append((t, rows, H_t.copy())))
+            runs.append((H, cache.steps, seen))
+        (H, steps, seen), (H_w, steps_w, seen_w) = runs
+        assert np.array_equal(H, H_w) and np.array_equal(steps, steps_w)
+        assert [(t, rows) for t, rows, _ in seen] == [(t, rows) for t, rows, _ in seen_w]
+        assert all(np.array_equal(a[2], b[2]) for a, b in zip(seen, seen_w))
+
     # (B, d, runs beside): shapes on each side of the rule.  A pass of d_model
-    # 256 runs beside from 2 rows on, one of 128 from 52 rows on, until it
-    # splits at 128; narrower ones from about 8 K states (B * d) on.
-    RULE = [(1, 256, False), (2, 256, True), (51, 256, True), (127, 256, True),
-            (128, 256, False), (51, 128, False), (52, 128, True), (127, 64, False),
-            (128, 64, True), (267, 32, False), (268, 32, True), (943, 32, True),
-            (1024, 32, True), (541, 16, False), (542, 16, True), (1086, 8, False),
-            (1087, 8, True)]
+    # 256 runs beside from 3 rows on, one of 128 from 53 rows on, until it
+    # splits at 128; narrower ones from about 8 K states (B * d) on.  A pass
+    # whose work is exactly BESIDE_WORK runs serially: 2 rows at d 256, 52 at
+    # 128, 128 at 64, 268 at 32, 542 at 16 and 1,087 at 8.
+    RULE = [(1, 256, False), (2, 256, False), (3, 256, True), (51, 256, True),
+            (127, 256, True), (128, 256, False), (51, 128, False), (52, 128, False),
+            (53, 128, True), (127, 64, False), (128, 64, False), (129, 64, True),
+            (267, 32, False), (268, 32, False), (269, 32, True), (943, 32, True),
+            (1024, 32, True), (541, 16, False), (542, 16, False), (543, 16, True),
+            (1086, 8, False), (1087, 8, False), (1088, 8, True)]
 
     @pytest.mark.parametrize("B,d,beside", RULE)
     def test_the_rule_on_each_side_of_its_threshold(self, B, d, beside):
@@ -371,7 +390,7 @@ class TestBesidePass:
             assert started.wait(60), "the pass did not start while the block ran"
 
         monkeypatch.setattr(ndkernel, "_gru_rows", signalling)
-        H = finishes(lambda: gru_forward_beside(X, p, block))
+        H = finishes(lambda: gru_forward(X, p, beside=block))
         assert np.array_equal(H, gru_forward(X, p))
 
     def test_beside_passes_from_more_threads_than_cores_keep_their_bits(self):
@@ -385,7 +404,7 @@ class TestBesidePass:
 
         def both():
             split = []
-            H = gru_forward_beside(X, p, lambda: split.append(gru_forward(X_split, p)))
+            H = gru_forward(X, p, beside=lambda: split.append(gru_forward(X_split, p)))
             return [H, split[0]]
 
         interval = sys.getswitchinterval()
@@ -420,10 +439,10 @@ class TestBesidePass:
         if where == "helper":
             monkeypatch.setattr(ndkernel, "_gru_rows", failing)
         with pytest.raises(KeyError, match=f"{where} failed"):
-            finishes(lambda: gru_forward_beside(X, p, block))
+            finishes(lambda: gru_forward(X, p, beside=block))
         assert threading.active_count() == before
         monkeypatch.undo()
-        assert np.array_equal(finishes(lambda: gru_forward_beside(X, p, lambda: None)), want)
+        assert np.array_equal(finishes(lambda: gru_forward(X, p, beside=lambda: None)), want)
 
 
 class TestWorkerRobustness:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sten import DataError, networks
-from sten.ndkernel import GruParams, gru_forward, gru_shapes, init_gru
+from sten import DataError, ndkernel, networks
+from sten.ndkernel import GruCache, GruParams, gru_forward, gru_shapes, init_gru
 from sten.networks import (embed_windows, forward, gru_checksum, init_phi, order_forward,
                            phi_shapes, read_checkpoint, sample_pairs, write_checkpoint)
 from sten.scoring import CHUNK
@@ -289,6 +289,36 @@ class TestForward:
         for n in range(2, n_all + 1):
             resid = forward(phi, values, starts[:n], forward_cfg("dsn_plus_ep", L=L))[1][0]
             assert np.array_equal(resid, tall[:, :n]), n
+
+    @pytest.mark.parametrize("want_cache", [False, True], ids=["score", "train"])
+    @pytest.mark.parametrize("mode", ["full", "dsn_only", "dsn_plus_ep"])
+    @pytest.mark.parametrize("d_model,beside", [(128, True), (32, False)],
+                             ids=["beside", "serial"])
+    def test_eta_embeds_the_windows_with_the_bits_of_each_tower(self, d_model, beside, mode,
+                                                                 want_cache):
+        """Given eta, forward's distance entry carries F, the bits of
+        ``gru_forward`` over the windows, and its order, ep and E entries
+        have the bits of a forward without eta: at a shape whose eta pass
+        runs beside phi's passes, and at one that runs them serially."""
+        windows = windows_for(n_windows=64, seed=43).astype(np.float32)
+        assert ndkernel._runs_beside(len(windows), d_model) is beside
+        phi = make_phi(d_model=d_model, seed=42, with_ep_head=True)
+        eta = init_gru(3, d_model, np.random.default_rng(44)).astype(np.float32)
+        values, starts = laid_end_to_end(windows)
+        cfg = forward_cfg(mode)
+        got = forward(phi, values.astype(np.float32), starts, cfg, want_cache, eta=eta)
+        want = forward(phi, values.astype(np.float32), starts, cfg, want_cache)
+        assert want[2][2] is None
+        assert np.array_equal(got[2][2], gru_forward(windows, eta))
+
+        def same(a, b):
+            if isinstance(a, GruCache):
+                return np.array_equal(a.X, b.X) and np.array_equal(a.steps, b.steps)
+            if isinstance(a, tuple):
+                return len(a) == len(b) and all(map(same, a, b))
+            return a is b is None or np.array_equal(a, b)
+
+        assert same((*got[:2], got[2][:2]), (*want[:2], want[2][:2]))
 
     def test_error_prediction_input_checks(self):
         values, starts = laid_end_to_end(windows_for(seed=36))

@@ -518,7 +518,7 @@ class TestScoreSeries:
 
 class TestWindowGathers:
     """Scoring gathers each chunk's windows once: ``networks.forward`` gathers
-    them and eta embeds the windows it returns."""
+    them for phi and for eta."""
 
     @pytest.mark.parametrize("mode,gathers", [
         ("full", True), ("otn_only", False), ("dsn_only", True), ("dsn_plus_ep", True)],
@@ -565,9 +565,10 @@ class TestBesideScoring:
         model = tiny_model(mode=mode, d=3, d_model=d_model, m=3, l=3, r=3, seed=11)
         return model, series_fixture(n=model.config.L + (n_windows - 1) * 3, d=3, seed=12)
 
-    # Narrow models, with one chunk on each side of the rule's threshold.
+    # Narrow models, with one chunk below the rule's threshold, one whose work
+    # per step is exactly ``BESIDE_WORK`` (it runs serially), and one above.
     NARROW = [(d, n) for d in (8, 32, 64)
-              for n in (least_rows_beside(d) - 1, least_rows_beside(d))]
+              for n in range(least_rows_beside(d) - 2, least_rows_beside(d) + 1)]
 
     @pytest.mark.parametrize("d_model,n_windows", [
         (128, 2), (128, 63), (128, 64), (128, 127),
@@ -596,7 +597,7 @@ class TestBesideScoring:
 
     @pytest.mark.parametrize("d_model,n_windows", [
         (128, 127), (256, 40), (128, 128), (256, 300), (64, 40), (64, 300), (128, 2)]
-        + NARROW[2:])
+        + NARROW[3:])
     def test_eta_runs_beside_exactly_when_the_rule_says(self, monkeypatch, d_model, n_windows):
         """dsn_only runs phi's pass and eta's per chunk.  A chunk that runs
         beside hands all of eta's rows to a helper; a chunk that splits hands
@@ -635,7 +636,7 @@ class TestBesideScoring:
         def failing(*args, **kwargs):
             raise KeyError(f"{where} failed")
 
-        monkeypatch.setattr(*((scoring, "forward") if where == "phi" else
+        monkeypatch.setattr(*((networks, "order_forward") if where == "phi" else
                               (ndkernel, "_gru_rows")), failing)
         with pytest.raises(KeyError, match=f"{where} failed"):
             score_series(model, series, cfg)

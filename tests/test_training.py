@@ -248,7 +248,7 @@ class TestEtaEmbeddedOnce:
         series = small_series()
         cfg = small_cfg(epochs=3)
         embedded, tapes = [], []
-        real_embed, real_tape = training.embed_windows, training.build_sten_tape
+        real_embed, real_tape = networks.embed_windows, training.build_sten_tape
 
         def embed(gru, data, beside):
             embedded.append((gru, len(data)))
@@ -258,7 +258,7 @@ class TestEtaEmbeddedOnce:
             tapes.append((F, values, starts))
             return real_tape(phi, F, values, starts, cfg, outputs)
 
-        monkeypatch.setattr(training, "embed_windows", embed)
+        monkeypatch.setattr(networks, "embed_windows", embed)
         monkeypatch.setattr(training, "build_sten_tape", tape)
         model = train(series, cfg)
         n_batches = len(tapes) // cfg.epochs
@@ -335,7 +335,7 @@ class TestEtaBesidePhi:
             raise error("phi's forward failed")
 
         monkeypatch.setattr(ndkernel, "_gru_rows", rows)
-        monkeypatch.setattr(training, "forward", failing)
+        monkeypatch.setattr(networks, "order_forward", failing)
         before = threading.active_count()
         with pytest.raises(error, match="phi's forward failed"):
             train(self.series(), self.cfg())
@@ -530,11 +530,8 @@ class TestWindowPasses:
                 passes.append(p)
             return real(X, p, **kwargs)
 
-        # eta's pass runs in ndkernel.gru_forward_beside, in training and
-        # scoring, which calls ndkernel's binding: a pass of this width does
-        # not run beside.
-        for module in (networks, ndkernel):
-            monkeypatch.setattr(module, "gru_forward", counting)
+        # eta's pass runs in networks.embed_windows, in training and scoring.
+        monkeypatch.setattr(networks, "gru_forward", counting)
         model = train(series, cfg)
         use_dsn = mode != "otn_only"
         n_batches = len(batch_ranges(len(window_starts(series.n, cfg.L, cfg.R_train)),
@@ -690,14 +687,14 @@ class TestTrain:
     def test_nonfinite_loss_aborts(self, monkeypatch):
         """eta's embeddings with a NaN row give a NaN distance loss: the
         first batch's step stops before any BPTT."""
-        real_embed = training.embed_windows
+        real_embed = networks.embed_windows
 
         def poisoned(gru, data, beside):
             F = real_embed(gru, data, beside)
             F[0] = np.nan
             return F
 
-        monkeypatch.setattr(training, "embed_windows", poisoned)
+        monkeypatch.setattr(networks, "embed_windows", poisoned)
         calls = count_gru_backward(monkeypatch)
         with pytest.raises(NumericError, match=r"epoch 1, batch 1: .*otn=.*, dsn=nan"):
             train(small_series(n=200), small_cfg())
