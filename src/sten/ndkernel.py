@@ -13,9 +13,9 @@ its weights to that dtype, keeps its ``GruCache`` in it, and returns final
 states as float64.  A reader of every step's states (the error-prediction
 head) takes each one from ``gru_forward``'s ``on_step`` hook as the step
 makes it, so a forward keeps no trajectory of its own.  ``gru_backward`` sums
-each call's weight gradients in the compute dtype, then adds them once into
-the float64 grads, as in mixed-precision training with master weights
-(Micikevicius et al. 2018).
+the weight gradients of each block of rows it runs in the compute dtype, then
+adds them into the float64 grads, as in mixed-precision training with master
+weights (Micikevicius et al. 2018).
 ``softmax``, the gradient dicts and Adam are float64 throughout.
 
 A GRU is stored as the stacked blocks its forward runs, the fused-GEMM
@@ -44,25 +44,24 @@ per-gate GEMMs.
 Two threads.  A pass of d_model >= ``WORKER_D_MODEL`` (128) over at least
 2 * ``MIN_ROWS`` rows owns a helper thread: it starts one, and joins it
 before it returns, so no thread outlives a pass.  Narrower passes ran slower
-split over two threads than on one, and do not split.  The forward
-gives the helper rows [B//2, B) and runs rows [0, B//2) itself: the rows of
-a GRU are independent, and from ``MIN_ROWS`` rows on a row of a GEMM gets
-the bits it gets in a taller one.  Both threads write their rows of the one
-cache and call ``on_step`` with them; its array may be a buffer that the
-next step overwrites.  The backward runs the dh recurrence on the calling
-thread and hands each step's gate gradients to the helper, which adds the
-weight and bias gradients in the order one thread adds them.  Below
-2 * ``MIN_ROWS`` rows that hand-over would keep the bits too, but it was no
-faster there.
+split over two threads than on one, and do not split.  Both the forward and
+the backward give the helper rows [B//2, B) and run rows [0, B//2)
+themselves: the rows of a GRU are independent, and from ``MIN_ROWS`` rows on
+a row of a GEMM gets the bits it gets in a taller one.  The forward's
+threads write their rows of the one cache and call ``on_step`` with them;
+its array may be a buffer that the next step overwrites.  Each thread of the
+backward runs the whole BPTT loop over its rows and sums its own weight
+gradients, the data-parallel form: a split BPTT rounds each half's sum over
+rows on its own, and the calling thread adds the halves in row order.
 A pass that does not split, whose caller has other work that needs nothing
 of it, runs beside that work instead (``gru_forward``'s ``beside``) when each
 of its steps has enough work to pay for the hand-overs between the threads
 (``BESIDE_WORK``): the helper runs all its rows, and the calling thread runs
 the caller's block.  ``networks.forward`` is the one caller of a pass
 beside: given eta, it runs eta's pass over the windows beside phi's passes,
-for training (a batch's first step) and for scoring (each chunk).  So every
-bit is kept.  An error in either thread reaches the caller once both have
-stopped.  The helper runs in a copy of the caller's context, so
+for training (a batch's first step) and for scoring (each chunk).  A pass
+beside keeps every bit.  An error in either thread reaches the caller once
+both have stopped.  The helper runs in a copy of the caller's context, so
 ``np.errstate`` holds on both threads, and calls no public function of this
 module (perfbench's tracer keeps one span stack, on the calling thread).
 BLAS should run one thread per calling thread: ``sten/__init__.py`` sets it,
@@ -74,7 +73,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
-import queue
 import threading
 from dataclasses import dataclass
 
@@ -189,11 +187,8 @@ class GruCache:
         self.X = X
         self.steps = steps
 
-    # (T, B, d) views of the block, one per slab.
+    # The (T, B, d) states entering each step.
     H_prev = property(lambda self: self.steps[:, 0])
-    Z = property(lambda self: self.steps[:, 1])
-    R = property(lambda self: self.steps[:, 2])
-    Hbar = property(lambda self: self.steps[:, 3])
 
 
 # The fewest rows in a block of a GRU pass.  BLAS may round a row of a GEMM
@@ -204,7 +199,7 @@ class GruCache:
 MIN_ROWS = 64
 # The narrowest GRU whose passes start a helper thread: on two cores a split
 # forward at d_model 32 or 64 was slower than one thread, and from 128 on
-# faster (1.14-1.66x forward, 1.19-2.4x BPTT).
+# faster (1.14-1.66x forward, and 1.19-2.4x BPTT when it was pipelined).
 WORKER_D_MODEL = 128
 # The work per step, counted as d * (8 B + d), above which a pass over B rows
 # of width d runs beside the caller's work: the pass's states, B * d, weigh
@@ -222,7 +217,7 @@ BESIDE_WORK = 17 * 2 ** 12
 
 def _uses_worker(B: int, d: int) -> bool:
     """Whether a pass over B rows of width d shares its work with a helper
-    thread: the forward splits its rows, BPTT is pipelined."""
+    thread: its forward and its BPTT each split its rows in two."""
     return d >= WORKER_D_MODEL and B >= 2 * MIN_ROWS
 
 
@@ -386,45 +381,55 @@ def gru_backward(cache: GruCache, p: GruParams, grads: ParamDict, prefix: str,
 
     ``d_h_final`` is the loss gradient w.r.t. the final hidden state (B, d);
     ``d_h_all`` optionally injects gradients at every step (T, B, d).
-    Computes in the dtype of the cache: this call's parameter gradients are
-    summed in it, then added once into ``grads`` under ``prefix``.
+    Computes in the dtype of the cache: each block of rows sums its parameter
+    gradients in it, then the blocks are added into ``grads`` under
+    ``prefix``, in row order.
 
-    The calling thread runs the dh recurrence.  A pass that starts a helper
-    thread hands it each step's gate gradients through two reused buffers,
-    and the helper adds the weight and bias gradients, step after step in the
-    same order as one thread would.
+    The rows split where the forward's do: a pass that starts a helper thread
+    runs rows [B//2, B) on it and rows [0, B//2) on the calling thread, each
+    block the whole loop over its own rows.  So a split pass rounds each
+    half's sum over rows on its own, and a pass that does not split keeps the
+    bits of the one-thread loop.
     """
     X = cache.X
-    B, T, _ = X.shape
-    d = p.d_model
+    B, d = len(X), p.d_model
     dt = _work_dtype(X)
     U = np.asarray(p.U, dt).reshape(3, d, d)
-    g = {n: np.zeros(grads[prefix + n].shape, dt) for n in GruParams.NAMES}
-    add = _grad_adder(g, cache)
     if d_h_all is not None:
         d_h_all = np.asarray(d_h_all, dt)
     dh = np.zeros((B, d), dt) if d_h_final is None else np.array(d_h_final, dtype=dt)
-    scratch = np.empty((4, B, d), dt)
-    if not _uses_worker(B, d):
-        da = np.empty((3, B, d), dt)
-        for t in range(T - 1, -1, -1):
-            _dh_step(cache, t, U, dh, d_h_all, da, scratch)
-            add(t, da)
+    halves = (slice(0, B // 2), slice(B // 2, B)) if _uses_worker(B, d) else (slice(0, B),)
+    # Each block's gradients and buffers are made here, on the calling
+    # thread, for the reason ``_helper_buffers`` gives.
+    gs, blocks = [], []
+    for rows in halves:
+        part = GruCache(X[rows], cache.steps[:, :, rows])
+        n = len(part.X)
+        gs.append({name: np.zeros(grads[prefix + name].shape, dt) for name in GruParams.NAMES})
+        blocks.append((part, U, dh[rows], None if d_h_all is None else d_h_all[:, rows],
+                       _grad_adder(gs[-1], part), np.empty((3, n, d), dt),
+                       np.empty((4, n, d), dt)))
+    if len(blocks) == 1:
+        _bptt_rows(*blocks[0])
     else:
-        free, ready = queue.SimpleQueue(), queue.SimpleQueue()
-        for _ in range(2):
-            free.put(np.empty((3, B, d), dt))
-        with _helper_thread(_add_handed_over, ready, free, add):
-            try:
-                for t in range(T - 1, -1, -1):
-                    da = free.get()
-                    _dh_step(cache, t, U, dh, d_h_all, da, scratch)
-                    ready.put((t, da))
-            finally:
-                ready.put(None)
+        with _helper_thread(_bptt_rows, *blocks[1]):
+            _bptt_rows(*blocks[0])
+    for g in gs:
+        for name in GruParams.NAMES:
+            grads[prefix + name] += g[name]
 
-    for n in GruParams.NAMES:
-        grads[prefix + n] += g[n]
+
+def _bptt_rows(cache: GruCache, U: np.ndarray, dh: np.ndarray, d_h_all: np.ndarray | None,
+               add, da: np.ndarray, scratch: np.ndarray) -> None:
+    """BPTT over one block of rows, the last step first: ``_dh_step`` in
+    place on the block's ``dh``, then ``add`` (``_grad_adder``) of the
+    step's weight and bias gradients.  ``cache`` and ``d_h_all`` are the
+    block's rows, ``da`` (3, n, d) and ``scratch`` (4, n, d) its buffers.
+    The backward twin of ``_gru_rows``; it calls no function perfbench
+    traces, whose span stack belongs to the calling thread."""
+    for t in range(cache.X.shape[1] - 1, -1, -1):
+        _dh_step(cache, t, U, dh, d_h_all, da, scratch)
+        add(t, da)
 
 
 def _dh_step(cache: GruCache, t: int, U: np.ndarray, dh: np.ndarray,
@@ -484,23 +489,6 @@ def _grad_adder(g: ParamDict, cache: GruCache):
         np.add(gb, da.sum(axis=1), out=gb)
 
     return add
-
-
-def _add_handed_over(ready: queue.SimpleQueue, free: queue.SimpleQueue, add) -> None:
-    """The helper's half of a pipelined BPTT: ``add`` each (t, da) the
-    recurrence hands over, and hand each buffer back, up to the None that ends
-    the pass.  After a failure it only hands buffers back, so that the
-    recurrence never waits for one, and raises the failure at the end."""
-    failure = None
-    while (item := ready.get()) is not None:
-        if failure is None:
-            try:
-                add(*item)
-            except BaseException as exc:
-                failure = exc
-        free.put(item[1])
-    if failure is not None:
-        raise failure
 
 
 def backward(p: GruParams, grads: ParamDict, prefix: str, passes) -> None:

@@ -258,10 +258,10 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
                         eta_emb[bi] = fwd[0][2][2]      # the distance entry's F
                     parts, grads = build_sten_tape(phi, eta_emb[bi], values, starts[s:e],
                                                    cfg, fwd)
+                    sums += (e - s) * np.array(parts)
+                    phi, adam = adam_update(phi, grads, adam, cfg.lr)
                 except NumericError as exc:
                     raise NumericError(f"epoch {epoch + 1}, batch {bi + 1}: {exc}") from None
-                sums += (e - s) * np.array(parts)
-                phi, adam = adam_update(phi, grads, adam, cfg.lr)
         mean = sums / n
         trace.append((float(mean[0]), float(mean[1]), float(mean[2])))
 

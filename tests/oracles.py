@@ -82,8 +82,9 @@ def gru_forward_unfused(X: np.ndarray, p: GruParams, want_cache: bool = False):
 def gru_backward_serial(cache: GruCache, p: GruParams, grads, prefix: str,
                         d_h_final=None, d_h_all=None) -> None:
     """BPTT on one thread, each step's dh recurrence then its weight and bias
-    gradients, every product a fresh array: the loop the pipelined
-    ``gru_backward`` splits over two threads, kept as its exactness reference."""
+    gradients, every product a fresh array: the loop ``gru_backward`` runs
+    over each block of rows, on one thread or split over two, kept as its
+    exactness reference."""
     X = cache.X
     B, T, _ = X.shape
     d = p.d_model
@@ -99,7 +100,7 @@ def gru_backward_serial(cache: GruCache, p: GruParams, grads, prefix: str,
     for t in range(T - 1, -1, -1):
         if d_h_all is not None:
             dh = dh + d_h_all[t]
-        h_prev, z, r, hbar = cache.H_prev[t], cache.Z[t], cache.R[t], cache.Hbar[t]
+        h_prev, z, r, hbar = cache.steps[t]
         x_t = X[:, t]
         dz = dh * (hbar - h_prev)
         dhbar = dh * z

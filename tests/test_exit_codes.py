@@ -165,6 +165,20 @@ def test_train_settings_at_type_limits(inputs, capsys, setting, code):
                            "--out", inputs / "o.ckpt"], capsys) == code
 
 
+def test_a_non_finite_gradient_names_its_epoch_and_batch(inputs, capsys):
+    """alpha 1e40 keeps the loss finite but overflows a gradient: Adam's
+    NumericError carries the step's prefix, as a non-finite loss's does."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([str(a) for a in ["train", "--train", inputs / "train.csv", "--config",
+                                      inputs / "run.cfg", "--mode", "dsn_only", "--set",
+                                      "alpha=1e40", "--out", inputs / "o.ckpt"]])
+    assert code == 3
+    assert capsys.readouterr().err == ("sten: numeric failure: epoch 1, batch 1: "
+                                       "non-finite gradient for gru.W; aborting step\n")
+
+
 @pytest.mark.parametrize("setting,code", SCORE_SETS)
 def test_score_settings_at_type_limits(inputs, capsys, setting, code):
     assert keeps_contract(["score", "--model", inputs / "m.ckpt", "--test", inputs / "test.csv",
