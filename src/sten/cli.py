@@ -160,9 +160,9 @@ def build_score_config(cfg: dict) -> ScoreConfig:
 
 def cmd_synth(args) -> int:
     synth_cfg = build_synth_config(resolve_config(args, reads=_keys(SynthConfig)))
+    train_series, test_series = synth_generate(synth_cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_series, test_series = synth_generate(synth_cfg)
     save_csv(train_series, out_dir / "train.csv")
     save_csv(test_series, out_dir / "test.csv")
     frac = float(test_series.labels.mean())

@@ -270,8 +270,14 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False, on_step=N
     calling thread runs the block; any other pass runs first, then the block.
     Each row runs every step on one thread either way, so it keeps its bits.
     """
-    X, W, U, b = _pass_inputs(X, p)
-    dt = X.dtype
+    X = np.asarray(X)
+    dt = _work_dtype(X)
+    X = X.astype(dt, copy=False)
+    if X.ndim != 3 or X.shape[1] < 1:
+        raise DataError(f"expected (B, T, d_in) with T >= 1, got shape {X.shape}")
+    if X.shape[2] != p.d_in:
+        raise DataError(f"input dim {X.shape[2]} != GRU d_in {p.d_in}")
+    W, U, b = (np.asarray(a, dt) for a in (p.W, p.U, p.b))
     B, T, _ = X.shape
     d = p.d_model
     # One block for the whole cache: malloc keeps a block freed by one pass
@@ -295,19 +301,6 @@ def gru_forward(X: np.ndarray, p: GruParams, want_cache: bool = False, on_step=N
         beside()
     H = H.astype(np.float64, copy=False)
     return (H, GruCache(X, steps)) if want_cache else H
-
-
-def _pass_inputs(X: np.ndarray, p: GruParams) -> tuple[np.ndarray, ...]:
-    """X and the GRU's W, U and b in the compute dtype, once X's shape is
-    checked."""
-    X = np.asarray(X)
-    dt = _work_dtype(X)
-    X = X.astype(dt, copy=False)
-    if X.ndim != 3 or X.shape[1] < 1:
-        raise DataError(f"expected (B, T, d_in) with T >= 1, got shape {X.shape}")
-    if X.shape[2] != p.d_in:
-        raise DataError(f"input dim {X.shape[2]} != GRU d_in {p.d_in}")
-    return (X, *(np.asarray(a, dt) for a in (p.W, p.U, p.b)))
 
 
 def _step_buffers(n: int, d: int, dt) -> tuple[np.ndarray, ...]:

@@ -72,6 +72,16 @@ def gru_checksum(p: GruParams) -> str:
 # in the dtype of the series or windows passed in (float32 or float64, see
 # ``ndkernel``); heads, softmax and distances are float64.
 
+def _padded_readout(W: np.ndarray) -> np.ndarray:
+    """A head's map W (k, d_model) as the float64 W^T of its GEMM, zero-padded to
+    a multiple of 8 columns, of which a caller keeps k: at that width a row's
+    product has the same bits in a GEMM over any number of rows from 2 on."""
+    k, d = np.shape(W)
+    W_t = np.zeros((d, -(-k // 8) * 8))
+    W_t[:, :k] = np.asarray(W, np.float64).T
+    return W_t
+
+
 def order_forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, l: int, r: int,
                   want_cache: bool = False):
     """Order head over the m sub-sequences of the windows at ``starts``, in
@@ -79,16 +89,16 @@ def order_forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, l: int
 
     ``values`` is the (N, D) series; slot i of the window at s is the
     sub-sequence at s + i*r.  Windows on a common stride share sub-sequences,
-    so each distinct one is encoded once and its embedding gathered back to
-    every slot that holds it.  Returns (P, Y, H, inv, cache): predicted
-    position distributions P and their one-hot truth Y, both (B*m, m) with
-    row b*m + i for slot i of window b, the slots' embeddings H, then the
-    index ``inv`` of each slot's distinct sub-sequence and the GruCache over
-    the distinct ones.
+    so each distinct one is encoded once, and its position distribution
+    computed once (``_padded_readout``), then gathered to every slot that
+    holds it.  Returns (P, Y, H, inv, cache): predicted position
+    distributions P and their one-hot truth Y, both (B*m, m) with row
+    b*m + i for slot i of window b, the embeddings H (U, d_model) of the U
+    distinct sub-sequences, then the index ``inv`` into them of each slot and
+    the GruCache over them.
     """
     starts = np.asarray(starts)
-    W_o = np.asarray(phi["order_head.W"], np.float64)
-    m = W_o.shape[0]
+    m = len(phi["order_head.b"])
     sub = (starts[:, None] + np.arange(m) * r).reshape(-1)
     if sub.size and (sub.min() < 0 or sub.max() + l > len(values)):
         raise DataError(f"a sub-sequence of length {l} lies outside the series "
@@ -96,12 +106,10 @@ def order_forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, l: int
     uniq, inv = np.unique(sub, return_inverse=True)
     X = stack_slices(np.asarray(values), uniq, l)
     gru = GruParams.from_dict(phi, "gru.")
-    H_u, cache = (gru_forward(X, gru, want_cache=True) if want_cache
-                  else (gru_forward(X, gru), None))
-    # Logits on the gathered rows: their GEMM then has the shape, and the
-    # bits, of encoding every slot.
-    H = H_u[inv]
-    P = softmax(H @ W_o.T + np.asarray(phi["order_head.b"], np.float64))
+    H, cache = (gru_forward(X, gru, want_cache=True) if want_cache
+                else (gru_forward(X, gru), None))
+    logits = (H @ _padded_readout(phi["order_head.W"]))[:, :m]
+    P = softmax(logits + np.asarray(phi["order_head.b"], np.float64))[inv]
     Y = np.tile(np.eye(m), (len(starts), 1))
     return P, Y, H, inv, cache
 
@@ -160,14 +168,9 @@ def forward(phi: ParamDict, values: np.ndarray, starts: np.ndarray, cfg,
         order = order_forward(phi, values, starts, cfg.l, cfg.r, want_cache) if use_otn else None
         ep = dsn = None
         if use_ep:
-            # Each step's states are read as the step makes them, by one
-            # float64 GEMM against the head's W^T, zero-padded to a multiple
-            # of 8 columns: at that width a row's product has the same bits
-            # in a GEMM over any number of rows from 2 on, so a row's
-            # residuals do not depend on the chunk it is scored in.
+            # Each step's states are read as the step makes them.
             D = phi["ep_head.W"].shape[0]
-            W_e = np.zeros((gru.d_model, -(-D // 8) * 8))
-            W_e[:, :D] = np.asarray(phi["ep_head.W"], np.float64).T
+            W_e = _padded_readout(phi["ep_head.W"])
             resid = np.empty((X.shape[1] - 1, len(X), D))
 
             def readout(t, rows, H_t):

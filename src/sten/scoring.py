@@ -24,15 +24,12 @@ A chunk holds at least ``ndkernel.MIN_ROWS`` windows, unless the whole
 series has fewer (``seqdata.batch_ranges`` joins a short last chunk to the one
 before): from that many rows on a row of a GRU pass gets the bits it gets in a
 taller one.  The error-prediction head reads each step's states as the GRU
-makes them, by one GEMM against its weights padded to a multiple of 8
-columns (``networks.forward``), so no chunk holds a hidden trajectory, and a
-row's residuals have the same bits in a chunk of any size from 2 rows on.
-So another ``CHUNK`` moves no score column of any mode, with one exception:
-with m <= 4 sub-sequences per window, ``score_otn`` and ``scores`` of the
-order modes may move in their last bits.  OpenBLAS takes a path that depends
-on the row count for the order logits ``H @ W_o.T`` while that product has
-fewer than about 1,200 elements, which a chunk of B >= ``MIN_ROWS`` windows
-(B * m rows of m logits) reaches only for m <= 4.
+makes them, so no chunk holds a hidden trajectory.  Both heads read states
+by one GEMM against their weights padded to a multiple of 8 columns
+(``networks._padded_readout``), the order head once per distinct
+sub-sequence, so a row's residuals or logits have the same bits in a chunk
+of any size from 2 rows on.  So another ``CHUNK`` moves no score column of
+any mode.
 
 Score files are CSV tables written by ``seqdata.write_table`` and read back by
 ``seqdata.read_table``, the package's one table writer and reader.

@@ -472,8 +472,8 @@ def _place_segments(rng: np.random.Generator, cfg: SynthConfig) -> list[tuple[in
                 ok = True
                 break
         if not ok:
-            raise DataError("anomaly rate incompatible with segment lengths: cannot place "
-                            "non-overlapping segments")
+            raise ConfigError("anomaly rate incompatible with segment lengths: cannot place "
+                              "non-overlapping segments")
         segments.append((start, seg))
         placed.append((start, seg, types[len(placed) % len(types)]))
         remaining -= seg
@@ -482,40 +482,44 @@ def _place_segments(rng: np.random.Generator, cfg: SynthConfig) -> list[tuple[in
 
 
 def synth_generate(cfg: SynthConfig) -> tuple[MultivariateSeries, MultivariateSeries]:
-    """Generate a (train, test) pair; test labels mark the injected segments."""
+    """Generate a (train, test) pair; test labels mark the injected segments.
+    Settings under which a value overflows are a ``ConfigError``."""
     cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
-    n_total = cfg.n_train + cfg.n_test
-    t_all = np.arange(n_total, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rng = np.random.default_rng(cfg.seed)
+        n_total = cfg.n_train + cfg.n_test
+        t_all = np.arange(n_total, dtype=np.float64)
 
-    amps = rng.uniform(0.5, 1.0, size=(cfg.dims, cfg.n_components))
-    periods = rng.uniform(cfg.period_min, cfg.period_max, size=(cfg.dims, cfg.n_components))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(cfg.dims, cfg.n_components))
+        amps = rng.uniform(0.5, 1.0, size=(cfg.dims, cfg.n_components))
+        periods = rng.uniform(cfg.period_min, cfg.period_max, size=(cfg.dims, cfg.n_components))
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(cfg.dims, cfg.n_components))
 
-    clean = np.empty((n_total, cfg.dims))
-    for j in range(cfg.dims):
-        clean[:, j] = _clean_signal(t_all, amps[j], periods[j], phases[j])
-    values = clean + rng.normal(0.0, cfg.noise_sigma, size=clean.shape)
+        clean = np.empty((n_total, cfg.dims))
+        for j in range(cfg.dims):
+            clean[:, j] = _clean_signal(t_all, amps[j], periods[j], phases[j])
+        values = clean + rng.normal(0.0, cfg.noise_sigma, size=clean.shape)
 
-    test_off = cfg.n_train
-    labels = np.zeros(cfg.n_test, dtype=np.int64)
-    for start, seg, kind in _place_segments(rng, cfg):
-        sl = slice(test_off + start, test_off + start + seg)
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        if kind == "spike":
-            # Exact offset from the clean signal so the deviation is guaranteed.
-            values[sl] = clean[sl] + sign * cfg.spike_scale * cfg.noise_sigma
-        elif kind == "level_shift":
-            values[sl] += sign * cfg.level_scale * cfg.noise_sigma
-        else:  # frequency_shift
-            seg_t = t_all[sl]
-            shifted = np.empty((seg, cfg.dims))
-            for j in range(cfg.dims):
-                shifted[:, j] = _clean_signal(seg_t, amps[j], periods[j], phases[j],
-                                              freq_factor=cfg.freq_scale)
-            values[sl] = shifted + rng.normal(0.0, cfg.noise_sigma, size=shifted.shape)
-        labels[start:start + seg] = 1
-
+        test_off = cfg.n_train
+        labels = np.zeros(cfg.n_test, dtype=np.int64)
+        for start, seg, kind in _place_segments(rng, cfg):
+            sl = slice(test_off + start, test_off + start + seg)
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            if kind == "spike":
+                # Exact offset from the clean signal so the deviation is guaranteed.
+                values[sl] = clean[sl] + sign * cfg.spike_scale * cfg.noise_sigma
+            elif kind == "level_shift":
+                values[sl] += sign * cfg.level_scale * cfg.noise_sigma
+            else:  # frequency_shift
+                seg_t = t_all[sl]
+                shifted = np.empty((seg, cfg.dims))
+                for j in range(cfg.dims):
+                    shifted[:, j] = _clean_signal(seg_t, amps[j], periods[j], phases[j],
+                                                  freq_factor=cfg.freq_scale)
+                values[sl] = shifted + rng.normal(0.0, cfg.noise_sigma, size=shifted.shape)
+            labels[start:start + seg] = 1
+    if not np.isfinite(values).all():
+        raise ConfigError("these settings give the series non-finite values: noise_sigma, "
+                          "the periods, freq_scale or an anomaly scale is out of range")
     train = MultivariateSeries(values=values[:cfg.n_train],
                                labels=np.zeros(cfg.n_train, dtype=np.int64))
     test = MultivariateSeries(values=values[cfg.n_train:], labels=labels)

@@ -86,22 +86,23 @@ class TrainedModel:
 
 
 def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
-                    starts: np.ndarray, cfg: TrainConfig, outputs: list | None = None
-                    ) -> tuple[tuple[float, float, float], ParamDict]:
+                    starts: np.ndarray, cfg: TrainConfig, eta: GruParams | None = None
+                    ) -> tuple[tuple[float, float, float], ParamDict, np.ndarray | None]:
     """One training step's loss over a batch of windows, and its gradient.
 
     The batch is the length-L windows of the (N, D) series ``values`` at
     ``starts``; ``networks.forward`` runs phi's branches over it, with the
-    caches of their GRU passes, unless the list ``outputs`` holds its result:
-    popped, so that no other reference keeps its arrays through BPTT.  ``F``
-    holds eta's embeddings of the windows (B, d_model) for the distance
-    branch (None without one).  Its loss is the mean over every ordered pair
-    i != j of the batch of (<e_i, e_j> - <f_i, f_j>)^2, in float64, where e_i
-    is phi's embedding of window i, its final hidden state.  Over the (B, B)
-    residuals R its gradient w.r.t. phi's embeddings E is 4 R E / (B (B-1)).
+    caches of their GRU passes.  ``F`` holds eta's embeddings of the windows
+    (B, d_model) for the distance branch; if None, the frozen projector
+    ``eta`` embeds them in the forward.  The distance loss is the mean over
+    every ordered pair i != j of the batch of (<e_i, e_j> - <f_i, f_j>)^2, in
+    float64, where e_i is phi's embedding of window i, its final hidden
+    state.  Over the (B, B) residuals R its gradient w.r.t. phi's embeddings
+    E is 4 R E / (B (B-1)).
 
-    Returns ((otn, dsn, total), grads): the loss parts, total = otn + alpha
-    * dsn, and the gradient of total for every block of phi (eta is frozen).
+    Returns ((otn, dsn, total), grads, F): the loss parts, total = otn +
+    alpha * dsn, the gradient of total for every block of phi (eta is
+    frozen), and eta's embeddings F, for later steps over the same windows.
     The forward forms the heads' gradients and the gradient of the loss
     w.r.t. each GRU pass's hidden states; ``backward`` then runs one BPTT per
     pass.  Where the distance branch reads the error-prediction pass
@@ -112,13 +113,13 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
     BENCHMARK.json traces this function by name, which it keeps until the
     benchmark's next revision renames it (ROADMAP item 1).
     """
-    order, ep, dist = outputs.pop() if outputs else forward(phi, values, starts, cfg,
-                                                            want_cache=True)
+    order, ep, dist = forward(phi, values, starts, cfg, want_cache=True,
+                              eta=eta if F is None else None)
     grads = {k: np.zeros(v.shape) for k, v in phi.items()}
     # Each GRU pass once, in forward order, as (cache, d_h_final, d_h_all).
     # Each branch deletes the forward's arrays once it is done with them, so
-    # that only the passes are alive through BPTT (the order branch's H
-    # alone is B*m x d_model float64).
+    # that only the passes are alive through BPTT (the distance branch's U
+    # and V are B x 2 d_model float64 each, and R is B x B).
     passes = []
     otn = dsn = 0.0
     d_h_all = None
@@ -128,17 +129,18 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
         otn = float(js_rows(P, Y).mean())
         dP = js_rows_grad_p(P, Y) * (1.0 / P.shape[0])
         dlogits = P * (dP - (dP * P).sum(axis=1, keepdims=True))
-        grads["order_head.W"] += dlogits.T @ H
         grads["order_head.b"] += dlogits.sum(axis=0)
-        # Each distinct sub-sequence sums its slots' gradients in np.add.at's
-        # order: the starts are distinct and ascending, so a slot column's
-        # rows are distinct, and a later window fills an earlier slot.
-        G, m = dlogits @ np.asarray(phi["order_head.W"], np.float64), P.shape[1]
-        dH = np.zeros((cache.X.shape[0], H.shape[1]))
+        # Each distinct sub-sequence sums its slots' logit gradients, for the
+        # head's GEMMs, in np.add.at's order: the starts are distinct and
+        # ascending, so a slot column's rows are distinct, and a later window
+        # fills an earlier slot.
+        m = P.shape[1]
+        dS = np.zeros((len(H), m))
         for i in reversed(range(m)):
-            dH[inv[i::m]] += G[i::m]
-        passes.append((cache, dH, None))
-        del order, P, Y, H, inv, dP, dlogits, G
+            dS[inv[i::m]] += dlogits[i::m]
+        grads["order_head.W"] += dS.T @ H
+        passes.append((cache, dS @ np.asarray(phi["order_head.W"], np.float64), None))
+        del order, P, Y, H, inv, dP, dlogits, dS
 
     if ep is not None:
         resid, cache = ep
@@ -158,10 +160,10 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
         del ep, resid, dpred
 
     if dist is not None:
+        E, cache = dist[:2]
+        F = dist[2] if F is None else F
         if F is None or len(F) < 2:
             raise DataError("the distance loss needs eta's embeddings of >= 2 windows")
-        E, cache, _ = dist
-        E = E.astype(np.float64)
         # R = E E^T - F F^T off the diagonal, in the difference form that
         # scoring.distance_scores shares, which keeps R precise when phi is near eta.
         U, V = distance_factors(E, F)
@@ -181,7 +183,7 @@ def build_sten_tape(phi: ParamDict, F: np.ndarray | None, values: np.ndarray,
     if not np.isfinite(total):
         raise NumericError(f"non-finite training loss: otn={otn}, dsn={dsn}")
     backward(GruParams.from_dict(phi, "gru."), grads, "gru.", passes)
-    return (otn, dsn, total), grads
+    return (otn, dsn, total), grads, F
 
 
 def compute_values(series: MultivariateSeries, stats: NormStats) -> np.ndarray:
@@ -221,8 +223,9 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
     windows for both the error-prediction and the distance branch, and BPTT
     runs once over that pass.  The frozen projector eta is drawn from the
     ``eta_init`` stream of ``cfg.seed``, and embeds each batch's windows once
-    per call: in the batch's first step, ``networks.forward`` runs it beside
-    phi's passes, and later epochs reuse its embeddings.
+    per call: in the batch's first step, ``build_sten_tape`` has
+    ``networks.forward`` run it beside phi's passes and returns its
+    embeddings, which later epochs pass back in.
     """
     cfg.validate()
     stats = zscore_fit(series)
@@ -252,12 +255,8 @@ def train(series: MultivariateSeries, cfg: TrainConfig) -> TrainedModel:
             # warning before it.
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 try:
-                    fwd = []
-                    if use_dsn and eta_emb[bi] is None:
-                        fwd.append(forward(phi, values, starts[s:e], cfg, want_cache=True, eta=eta))
-                        eta_emb[bi] = fwd[0][2][2]      # the distance entry's F
-                    parts, grads = build_sten_tape(phi, eta_emb[bi], values, starts[s:e],
-                                                   cfg, fwd)
+                    parts, grads, eta_emb[bi] = build_sten_tape(phi, eta_emb[bi], values,
+                                                                starts[s:e], cfg, eta)
                     sums += (e - s) * np.array(parts)
                     phi, adam = adam_update(phi, grads, adam, cfg.lr)
                 except NumericError as exc:

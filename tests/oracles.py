@@ -331,24 +331,24 @@ def ep_residuals(cache, phi, X):
                   - np.transpose(X[:, 1:], (1, 0, 2)))
 
 
-def dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg, outputs=None):
+def dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg, eta=None):
     """The dsn_plus_ep training step, with phi's GRU run twice over the
     windows: once for the error-prediction branch and once more for the
     distance branch, the form the package used before the distance branch
     read the error-prediction pass.
 
     Takes the arguments of ``training.build_sten_tape`` and returns what it
-    does, ((otn, dsn, total), grads), from the same head gradients and one
+    does, ((otn, dsn, total), grads, F), from the same head gradients and one
     BPTT per branch where the package sums both branches' upstream gradients
-    into one.  It runs its own forward, and drops the one a caller ran
-    (``outputs``).  Its distance loss is ``dsn_all_pairs_loop``'s: the
-    error-prediction loss agrees bit for bit, the distance loss and the
-    gradients within the sum-order rounding the tests name.
+    into one; without ``F``, eta embeds the windows.  Its distance loss is
+    ``dsn_all_pairs_loop``'s: the error-prediction loss agrees bit for bit,
+    the distance loss and the gradients within the sum-order rounding the
+    tests name.
     """
-    if outputs:
-        outputs.pop()
     # The windows keep the series' dtype: the GRU computes in it.
     X = np.asarray(values)[np.asarray(starts)[:, None] + np.arange(cfg.L)]
+    if F is None:
+        F = gru_forward(X, eta)
     gru = GruParams.from_dict(phi, "gru.")
     W_e = np.asarray(phi["ep_head.W"], np.float64)
     _, cache_ep = gru_forward(X, gru, want_cache=True)
@@ -366,32 +366,34 @@ def dsn_plus_ep_tape_two_pass(phi, F, values, starts, cfg, outputs=None):
     gru_backward(cache_ep, gru, grads, "gru.", d_h_all=d_h_all)
 
     otn = float(np.mean(resid ** 2))
-    return (otn, dsn, otn + cfg.alpha * dsn), grads
+    return (otn, dsn, otn + cfg.alpha * dsn), grads, F
 
 
 def order_dH_add_at(G, inv, n_rows):
-    """The gradient w.r.t. each of n_rows distinct sub-sequences' embeddings:
-    the sum of the slot gradients G (B*m, d) of every slot that holds it
-    (``inv``), scattered by ``np.add.at``, which adds them in slot order."""
+    """The gradient w.r.t. each of n_rows distinct sub-sequences' embeddings,
+    or w.r.t. their logits: the sum of the slot gradients G (B*m, k) of every
+    slot that holds it (``inv``), scattered by ``np.add.at``, which adds them
+    in slot order."""
     dH = np.zeros((n_rows, G.shape[1]))
     np.add.at(dH, inv, G)
     return dH
 
 
-def build_sten_tape_closures(phi, F, values, starts, cfg, outputs=None):
+def build_sten_tape_closures(phi, F, values, starts, cfg, eta=None):
     """``training.build_sten_tape`` in the form that formed each branch's
     head gradients and its GRU pass's upstream gradient in a backward of
     its own, run as soon as the branch's forward is done, with the distance
-    loss of ``dsn_all_pairs_loop``.  The package forms all upstream
-    gradients before any BPTT; without the distance branch the sums are the
-    same, so loss and gradients must agree bit for bit.  With it they agree
-    up to the sum order: the package sums the pairs by GEMMs and, in
-    dsn_plus_ep, runs one BPTT for this form's two.  Like the two-pass form
-    it runs its own forward, and drops the one a caller ran (``outputs``).
-    Returns ((otn, dsn, total), grads).
+    loss of ``dsn_all_pairs_loop``, and the order head's gradients over every
+    slot's copy of its sub-sequence's embedding.  The package forms all
+    upstream gradients before any BPTT; with the error-prediction branch
+    alone the sums are the same, so loss and gradients must agree bit for
+    bit.  Otherwise they agree up to the sum order: the package sums the
+    pairs by GEMMs and, in dsn_plus_ep, runs one BPTT for this form's two,
+    and it sums each distinct sub-sequence's slot logit gradients before the
+    order head's GEMMs, where this form sums their products.  Like the
+    two-pass form it takes ``eta`` to embed the windows without ``F``.
+    Returns ((otn, dsn, total), grads, F).
     """
-    if outputs:
-        outputs.pop()
     use_otn, use_ep, use_dsn = branches(cfg.mode, cfg.alpha)
     grads = {k: np.zeros(v.shape) for k, v in phi.items()}
     gru = GruParams.from_dict(phi, "gru.")
@@ -406,7 +408,7 @@ def build_sten_tape_closures(phi, F, values, starts, cfg, outputs=None):
         W_o = np.asarray(phi["order_head.W"], np.float64)
         dP = js_rows_grad_p(P, Y) * (1.0 / P.shape[0])
         dlogits = P * (dP - (dP * P).sum(axis=1, keepdims=True))
-        grads["order_head.W"] += dlogits.T @ H
+        grads["order_head.W"] += dlogits.T @ H[inv]
         grads["order_head.b"] += dlogits.sum(axis=0)
         dH = order_dH_add_at(dlogits @ W_o, inv, cache.X.shape[0])
         gru_backward(cache, gru, grads, "gru.", d_h_final=dH)
@@ -425,13 +427,15 @@ def build_sten_tape_closures(phi, F, values, starts, cfg, outputs=None):
 
     if use_dsn:
         if F is None:
-            raise DataError("distance branch requires eta's embeddings")
+            if eta is None:
+                raise DataError("distance branch requires eta's embeddings")
+            F = gru_forward(batch, eta)
         E, cache_d = (H_ep, cache_ep) if use_ep else gru_forward(batch, gru, want_cache=True)
         dsn_val, dE = dsn_all_pairs_loop(E, F)
         # d(total)/d(dsn) = alpha in every mode that trains the branch.
         gru_backward(cache_d, gru, grads, "gru.", d_h_final=cfg.alpha * dE)
 
-    return (otn_val, dsn_val, otn_val + cfg.alpha * dsn_val), grads
+    return (otn_val, dsn_val, otn_val + cfg.alpha * dsn_val), grads, F
 
 
 # ---------------------------------------------------------------------------

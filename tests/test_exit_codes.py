@@ -157,6 +157,23 @@ TRAIN_SETS = [("lr=1e308", 3), ("lr=inf", 1), ("lr=nan", 1), ("lr=-0.0", 0),
 SCORE_SETS = [("beta=1.7976931348623157e308", 0), ("beta=inf", 1), ("beta=nan", 1),
               ("R_test=0", 1), ("R_test=9223372036854775807", 1)]
 
+# Synth settings whose series overflows, or whose anomalies cannot be placed:
+# a usage error, with no output directory made.  noise_sigma 1e300 stays
+# finite.
+SYNTH_SETS = [(("noise_sigma=1e308",), 1), (("noise_sigma=1e300",), 0),
+              (("freq_scale=1e308", "anomaly_types=frequency_shift", "n_test=400"), 1),
+              (("period_min=1e-310", "period_max=1e-310"), 1),
+              (("anomaly_rate=0.95", "n_test=100"), 1)]
+
+
+@pytest.mark.parametrize("settings,code", SYNTH_SETS, ids=[" ".join(s) for s, _ in SYNTH_SETS])
+def test_synth_settings_that_overflow(inputs, capsys, tmp_path, settings, code):
+    out = tmp_path / "synth"
+    sets = [a for setting in settings for a in ("--set", setting)]
+    assert keeps_contract(["synth", "--config", inputs / "run.cfg", *sets, "--out-dir", out],
+                          capsys) == code
+    assert out.exists() == (code == 0)
+
 
 @pytest.mark.parametrize("setting,code", TRAIN_SETS)
 def test_train_settings_at_type_limits(inputs, capsys, setting, code):

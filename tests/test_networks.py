@@ -119,9 +119,10 @@ class TestOrderProbs:
 
 
 class TestDistinctSubsequences:
-    """order_forward encodes each distinct sub-sequence once and gathers it
-    back; P, Y and H are those of encoding every slot, bit for bit unless
-    there are only a few distinct rows."""
+    """order_forward encodes each distinct sub-sequence once, computes its
+    position distribution once and gathers that back; P, Y and the slots'
+    rows of H are those of encoding every slot, bit for bit unless there are
+    only a few distinct rows."""
 
     @pytest.mark.parametrize("n,stride,cover_tail", [
         pytest.param(60, 4, False, id="stride-r"),
@@ -139,23 +140,23 @@ class TestDistinctSubsequences:
         P_o, Y_o, H_o = oracles.order_forward_per_slot(phi, batch, 4, 4)
         np.testing.assert_array_equal(P, P_o)
         np.testing.assert_array_equal(Y, Y_o)
-        np.testing.assert_array_equal(H, H_o)
+        np.testing.assert_array_equal(H[inv], H_o)
         np.testing.assert_array_equal(cache.X[inv], oracles.gather_subsequences(batch, 3, 4, 4))
         assert cache.X.shape[0] == len(np.unique(starts[:, None] + np.arange(3) * 4))
 
     def test_paper_layout_matches_per_slot_oracle(self):
-        # At d_model 256, a logits GEMM over the 25 distinct rows alone rounds
-        # differently from one over the 160 slots (seen with OpenBLAS), so
-        # this case tells the logits of gathered rows from those of distinct rows.
+        # At d_model 256, an unpadded logits GEMM over the 25 distinct rows
+        # alone rounds differently from one over the 160 slots (seen with
+        # OpenBLAS), so this case tells the padded head GEMM from the unpadded.
         phi = float32(init_phi(3, 256, 10, np.random.default_rng(23)))
         values = np.random.default_rng(24).normal(size=(250, 3))
         starts = window_starts(250, 100, 10)
-        P, Y, H, _, _ = order_forward(phi, values, starts, 10, 10)
+        P, Y, H, inv, _ = order_forward(phi, values, starts, 10, 10)
         P_o, Y_o, H_o = oracles.order_forward_per_slot(
             phi, values[starts[:, None] + np.arange(100)], 10, 10)
         np.testing.assert_array_equal(P, P_o)
         np.testing.assert_array_equal(Y, Y_o)
-        np.testing.assert_array_equal(H, H_o)
+        np.testing.assert_array_equal(H[inv], H_o)
 
     @pytest.mark.parametrize("n_windows", [1, 4, 16])
     def test_few_rows_match_per_slot_oracle_within_rounding(self, n_windows):
@@ -168,12 +169,12 @@ class TestDistinctSubsequences:
         n = 100 + 10 * (n_windows - 1)
         values = np.random.default_rng(26).normal(size=(n, 3))
         starts = window_starts(n, 100, 10)
-        P, Y, H, _, _ = order_forward(phi, values, starts, 10, 10)
+        P, Y, H, inv, _ = order_forward(phi, values, starts, 10, 10)
         P_o, Y_o, H_o = oracles.order_forward_per_slot(
             phi, values[starts[:, None] + np.arange(100)], 10, 10)
         np.testing.assert_allclose(P, P_o, rtol=1e-14, atol=0)
         np.testing.assert_array_equal(Y, Y_o)
-        np.testing.assert_allclose(H, H_o, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(H[inv], H_o, rtol=0, atol=1e-15)
 
     def test_windows_at_stride_r_share_all_but_one(self):
         values = np.random.default_rng(22).normal(size=(60, 3))

@@ -3,7 +3,6 @@ and window starts."""
 
 import numpy as np
 
-from sten.ndkernel import gru_forward
 from sten.training import build_sten_tape
 
 
@@ -15,7 +14,6 @@ def laid_end_to_end(batch):
 
 
 def batch_tape(phi, eta, batch, cfg):
-    """build_sten_tape over a batch of windows laid end to end, with eta's
-    embeddings of them (none without eta): ((otn, dsn, total), grads)."""
-    F = None if eta is None else gru_forward(batch, eta)
-    return build_sten_tape(phi, F, *laid_end_to_end(batch), cfg)
+    """build_sten_tape over a batch of windows laid end to end, which eta
+    embeds for the distance branch: ((otn, dsn, total), grads)."""
+    return build_sten_tape(phi, None, *laid_end_to_end(batch), cfg, eta)[:2]
